@@ -1,0 +1,1 @@
+"""horsebench: the repository's benchmark (see README.md in this directory)."""
