@@ -106,6 +106,15 @@ def result_to_dict(result: "RunResult") -> dict:
     }
 
 
+def _without_solver_counters(stats: dict) -> dict:
+    """``engine_stats`` minus every (possibly nested) ``"solver"`` block."""
+    return {
+        key: _without_solver_counters(value) if isinstance(value, dict) else value
+        for key, value in stats.items()
+        if key != "solver"
+    }
+
+
 def run_digest(result: "RunResult") -> str:
     """A stable content digest of a run's results.
 
@@ -124,9 +133,18 @@ def run_digest(result: "RunResult") -> str:
     compaction cadence, tombstone counts — not simulated behavior, so
     they are excluded too: runs that differ only in compaction tuning
     hash identically.
+    The fair-share solver's work counters (``engine_stats[...]["solver"]``
+    — ``resolves``, ``component_solves``, ``flows_resolved`` — also
+    nested under ``background_engine`` for hybrid runs, and the
+    ``engine.*.solver.*`` metrics flattened from them) likewise describe
+    the component *index* — how tightly it scopes a re-solve — not the
+    rates it produces, so they are excluded: the digest covers simulated
+    behavior only.  They stay in ``RunResult.engine_stats``, the run
+    JSON and the metrics.
     """
     doc = result_to_dict(result)
     doc.pop("wall_time_s", None)
+    doc["engine_stats"] = _without_solver_counters(doc["engine_stats"])
     doc["metrics"] = {
         key: value
         for key, value in doc["metrics"].items()
@@ -134,6 +152,7 @@ def run_digest(result: "RunResult") -> str:
             key.startswith("wire.")
             or key.startswith("sim.queue_")
             or key == "sim.pending_raw"
+            or (key.startswith("engine.") and ".solver." in key)
         )
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))

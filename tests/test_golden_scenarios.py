@@ -14,6 +14,7 @@ they double as an end-to-end determinism gate.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -77,3 +78,32 @@ def test_digest_ignores_wall_clock():
     before = run_digest(result)
     result.wall_time_s += 123.0
     assert run_digest(result) == before
+
+
+def test_digest_covers_simulated_behaviour_only():
+    """Solver work counters describe the component index, not the run:
+    two results differing only in them hash equal (flat and nested under
+    a hybrid run's ``background_engine``, and the metrics flattened from
+    them), while a one-bit change in a flow's delivered bytes does not."""
+    reset_id_counters()
+    _, result, _ = run_scenario(_scenario_for("hybrid_demo.json"))
+    before = run_digest(result)
+    solver = result.engine_stats["background_engine"]["solver"]
+    assert solver["resolves"] > 0
+    for key in solver:
+        solver[key] += 7
+    result.engine_stats["solver"] = {"resolves": 1, "component_solves": 2}
+    bumped = [key for key in result.metrics if ".solver." in key]
+    assert bumped
+    for key in bumped:
+        result.metrics[key] += 7
+    result.metrics["engine.solver.flows_resolved"] = 99
+    assert run_digest(result) == before
+    # The engine's own event count is behaviour and stays hashed.
+    result.engine_stats["background_engine"]["rate_solves"] += 1
+    assert run_digest(result) != before
+    result.engine_stats["background_engine"]["rate_solves"] -= 1
+    assert run_digest(result) == before
+    flow = next(f for f in result.flows if f.bytes_delivered > 0)
+    flow.bytes_delivered = math.nextafter(flow.bytes_delivered, math.inf)
+    assert run_digest(result) != before
