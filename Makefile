@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim typecheck check bench bench-quick telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -52,6 +52,17 @@ bench:
 
 bench-quick:
 	pytest benchmarks/bench_e1_scale_topology.py benchmarks/bench_e3_accuracy.py --benchmark-only
+
+# The repository's benchmark (BENCHMARK.json): four whole-run workloads,
+# end-to-end metrics plus the per-layer traced run (~2 min).
+horsebench:
+	mkdir -p build
+	python3 benchmarks/horsebench/run.py --traced --json build/horsebench.json
+
+# Two result sets -> ok / regressed / unresolved per (workload, metric):
+#   make horsebench-compare A=before.json B=after.json
+horsebench-compare:
+	python3 benchmarks/horsebench/compare.py $(A) $(B)
 
 # Disabled telemetry must cost <5% on the hot path (vs BENCH_e2.json).
 telemetry-gate:

@@ -33,13 +33,14 @@ PACKET_FRACTIONS = [0.25, 0.5]
 FLOW_DURATION = 2.0
 PACKET_DURATION = 0.4
 
-#: Solver hot-path comparison: 40 pods x 250 continuous flows = 10k
-#: concurrent flows once the 1-second arrival spread completes.
-HOTPATH_PODS = 40
+#: Solver hot-path comparison: 8 pods x 250 continuous flows = 2k
+#: concurrent flows once the 1-second arrival spread completes.  Sized
+#: so the full (reference) solver, which re-solves every flow per
+#: event, finishes in seconds; horsebench's ``pod_hotpath`` is the
+#: timing workload, this one pins the bitwise rate-vector equality.
+HOTPATH_PODS = 8
 HOTPATH_FLOWS_PER_POD = 250
 HOTPATH_UNTIL = 1.5
-#: The full solver re-solves all 10k flows per event, so one round is
-#: already minutes of wall time; the cheap incremental runs repeat.
 HOTPATH_ROUNDS = {"full": 1, "incremental": 3}
 
 
@@ -91,7 +92,7 @@ def _hotpath_once(solver: str):
 
 @pytest.mark.parametrize("solver", ["full", "incremental"])
 def bench_e2_solver_hotpath(benchmark, solver):
-    """Incremental vs full re-solve at 10k concurrent flows.
+    """Incremental vs full re-solve at 2k concurrent flows.
 
     Both modes run the identical component kernel, so the final rate
     vectors must match bitwise; the incremental mode just re-solves only
@@ -133,11 +134,7 @@ def bench_e2_hotpath_report(benchmark):
     score = calibration_score()
     update_baseline(
         {
-            "e2_hotpath_full_10k": {
-                "wall_s": full_s,
-                "normalized": round(full_s / score, 3),
-            },
-            "e2_hotpath_incremental_10k": {
+            "e2_hotpath_incremental_2k": {
                 "wall_s": inc_s,
                 "normalized": round(inc_s / score, 3),
             },
@@ -145,7 +142,7 @@ def bench_e2_hotpath_report(benchmark):
         },
         score,
     )
-    write_table("E2-hotpath", "solver hot path at 10k concurrent flows")
+    write_table("E2-hotpath", "solver hot path at 2k concurrent flows")
 
 
 def bench_e2_report(benchmark):

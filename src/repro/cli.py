@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", help="write the full run document here")
     run_p.add_argument(
         "--solver",
-        choices=["incremental", "full", "vector"],
+        choices=["incremental", "full"],
         help="flow-engine rate solver (overrides the scenario)",
     )
     run_p.add_argument(
@@ -691,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_p.add_argument(
         "--solver",
-        choices=["incremental", "full", "vector"],
+        choices=["incremental", "full"],
         help="flow-engine rate solver (overrides the scenario)",
     )
     record_p.add_argument(

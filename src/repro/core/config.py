@@ -296,14 +296,10 @@ class HorseConfig:
         Flow engine only: rate-solver strategy.  ``"incremental"``
         (default) re-solves only the link-sharing components an event
         touched; ``"full"`` re-solves everything through the same
-        kernel (reference mode, bitwise-identical rates); ``"vector"``
-        uses the flat slot-array solve over all active flows.
+        kernel (reference mode, bitwise-identical rates).
     route_cache:
         Flow engine only: reuse pipeline walks across flows whose
         headers are equivalent under the installed rules.
-    incremental_solver:
-        Deprecated: ``True`` forces ``solver="incremental"`` (kept for
-        the E6 ablation scripts).
     mtu_bytes / queue_capacity_packets:
         Packet engine parameters.
     pipeline_tables:
@@ -337,7 +333,6 @@ class HorseConfig:
     control_latency_s: float = 0.0
     solver: str = "incremental"
     route_cache: bool = True
-    incremental_solver: bool = False
     mtu_bytes: int = 1500
     queue_capacity_packets: int = 100
     pipeline_tables: int = 1
@@ -360,7 +355,6 @@ class HorseConfig:
         control_latency_s: float = 0.0,
         solver: str = "incremental",
         route_cache: bool = True,
-        incremental_solver: bool = False,
         mtu_bytes: int = 1500,
         queue_capacity_packets: int = 100,
         pipeline_tables: int = 1,
@@ -382,7 +376,6 @@ class HorseConfig:
         self.control_latency_s = control_latency_s
         self.solver = solver
         self.route_cache = route_cache
-        self.incremental_solver = incremental_solver
         self.mtu_bytes = mtu_bytes
         self.queue_capacity_packets = queue_capacity_packets
         self.pipeline_tables = pipeline_tables
@@ -437,19 +430,12 @@ class HorseConfig:
             raise ExperimentError(
                 f"engine must be 'flow', 'packet', or 'hybrid', got {self.engine!r}"
             )
-        if self.solver not in ("incremental", "full", "vector"):
+        if self.solver not in ("incremental", "full"):
             raise ExperimentError(
-                "solver must be 'incremental', 'full', or 'vector', "
-                f"got {self.solver!r}"
+                f"solver must be 'incremental' or 'full', got {self.solver!r}"
             )
-        if self.engine == "hybrid":
-            if self.resolved_solver() == "vector":
-                raise ExperimentError(
-                    "hybrid engine requires an indexed solver "
-                    "(solver='incremental' or 'full'), not 'vector'"
-                )
-            if self.hybrid.sync_interval_s <= 0:
-                raise ExperimentError("hybrid.sync_interval_s must be > 0")
+        if self.engine == "hybrid" and self.hybrid.sync_interval_s <= 0:
+            raise ExperimentError("hybrid.sync_interval_s must be > 0")
         tel = self.telemetry
         if tel.monitor_mode not in ("poll", "push"):
             raise ExperimentError(
@@ -529,21 +515,10 @@ class HorseConfig:
                 raise ExperimentError(
                     "sharded runs (shard.count > 1) require control='inproc'"
                 )
-            if self.resolved_solver() == "vector":
-                raise ExperimentError(
-                    "sharded runs need an indexed solver for boundary "
-                    "demand exchange (solver='incremental' or 'full')"
-                )
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def resolved_solver(self) -> str:
-        """The effective solver, honouring the deprecated boolean."""
-        if self.incremental_solver:
-            return "incremental"
-        return self.solver
-
     def parsed_wire_listen(self) -> tuple:
         """``wire.listen`` split into ``(host, port)``."""
         return self.wire.parsed_listen()

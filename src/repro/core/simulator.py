@@ -141,7 +141,7 @@ class Horse:
                 self.sim,
                 topology,
                 control=self.channel,
-                solver=self.config.resolved_solver(),
+                solver=self.config.solver,
                 route_cache=self.config.route_cache,
                 mean_packet_bytes=self.config.mean_packet_bytes,
                 max_hops=self.config.max_hops,
@@ -156,7 +156,7 @@ class Horse:
                 control=self.channel,
                 select=self.config.hybrid.select,
                 sync_interval_s=self.config.hybrid.sync_interval_s,
-                solver=self.config.resolved_solver(),
+                solver=self.config.solver,
                 route_cache=self.config.route_cache,
                 mean_packet_bytes=self.config.mean_packet_bytes,
                 max_hops=self.config.max_hops,

@@ -26,12 +26,11 @@ event touched rather than to the whole network:
 
 * **Incremental re-solving** (default).  The engine feeds flow/link
   updates into a persistent :class:`~repro.flowsim.fairshare
-  .IncrementalSolver`, which maintains the link-sharing component index
+  .IncrementalSolver`, which keeps the exact link-sharing components
   and re-runs the max-min kernel only on components an event touched.
-  ``solver="full"`` re-solves everything through the *same* kernel, so
-  both modes produce bitwise-identical rate vectors (asserted by
-  ``tests/diff``); ``solver="vector"`` keeps the flat slot-array solve
-  as a reference implementation.
+  ``solver="full"`` re-partitions and re-solves everything through the
+  *same* kernel, so both modes produce bitwise-identical rate vectors
+  (asserted by ``tests/diff``).
 * **Route caching.**  Flows whose headers are equivalent under the
   installed rules (same projection onto every matched field) reuse a
   cached pipeline walk.  Cache entries record the version of every
@@ -70,7 +69,7 @@ from .events import (
     LinkRecovery,
     RerouteSweep,
 )
-from .fairshare import FlowDemand, IncrementalSolver, solve, solve_arrays
+from .fairshare import FlowDemand, IncrementalSolver
 from .flow import Flow, FlowRoute, FlowState, Terminal
 
 logger = logging.getLogger(__name__)
@@ -85,15 +84,11 @@ _TERMINAL_RANK = {
     Terminal.NO_MATCH: 0,
 }
 
-#: Below this many concurrent flows the scalar solver is faster than
-#: paying NumPy array-construction overhead.
-_VECTOR_THRESHOLD = 48
-
 #: Rate changes smaller than this (bps) don't trigger re-accrual.
 _RATE_EPS = 1e-6
 
 #: Valid values for the ``solver`` engine parameter.
-SOLVER_MODES = ("incremental", "full", "vector")
+SOLVER_MODES = ("incremental", "full")
 
 #: Header fields a route-cache key may project onto.
 _HEADER_FIELD_NAMES = tuple(
@@ -121,17 +116,13 @@ class FlowLevelEngine:
         ``deliver_flow_removed_entry(...)``.
     max_hops:
         Per-branch hop guard against forwarding loops.
-    incremental:
-        Deprecated alias: ``True`` forces ``solver="incremental"``,
-        ``False`` forces ``solver="full"``.  Prefer ``solver``.
     mean_packet_bytes:
         Fluid-to-packet conversion factor for packet counters.
     solver:
         Rate-solver strategy.  ``"incremental"`` (default) re-solves
         only the link-sharing components an event touched;  ``"full"``
-        re-solves every component through the same kernel (reference
-        mode — bitwise-identical rates, no reuse);  ``"vector"`` keeps
-        the flat slot-array solve over all active flows.
+        re-partitions and re-solves every component through the same
+        kernel (reference mode — bitwise-identical rates, no reuse).
     route_cache:
         Reuse pipeline walks across flows whose headers are equivalent
         under the installed rules (invalidated by table versions and
@@ -144,9 +135,8 @@ class FlowLevelEngine:
         topology: Topology,
         control: Optional[object] = None,
         max_hops: int = 64,
-        incremental: Optional[bool] = None,
         mean_packet_bytes: int = 1000,
-        solver: Optional[str] = None,
+        solver: str = "incremental",
         route_cache: bool = True,
     ) -> None:
         self.sim = sim
@@ -154,11 +144,6 @@ class FlowLevelEngine:
         self.control = control
         self.max_hops = max_hops
         self.mean_packet_bytes = mean_packet_bytes
-        if solver is None:
-            if incremental is None:
-                solver = "incremental"
-            else:
-                solver = "incremental" if incremental else "full"
         if solver not in SOLVER_MODES:
             raise SimulationError(
                 f"solver must be one of {SOLVER_MODES}, got {solver!r}"
@@ -167,9 +152,7 @@ class FlowLevelEngine:
         self.flows: Dict[int, Flow] = {}
         self.active: Dict[int, Flow] = {}
         self._completions: Dict[int, FlowCompletion] = {}
-        self._solver = IncrementalSolver() if solver != "vector" else None
-        #: Back-compat alias (ablation E6 reads ``last_scope`` here).
-        self._incremental = self._solver
+        self._solver = IncrementalSolver()
         # Routing cache: header-class key -> (route, pipeline version
         # deps, link epoch).  None when disabled.
         self._route_cache: Optional[Dict[Tuple, Tuple[FlowRoute, Tuple, int]]] = (
@@ -193,7 +176,7 @@ class FlowLevelEngine:
         self._packet_out_hints: Dict[Tuple[int, int, int], List[int]] = {}
         # Per-flow lazy accrual timestamps.
         self._accrued: Dict[int, float] = {}
-        # Link-direction registry for the vectorized solver.
+        # Link-direction registry: solver link keys index these.
         self._dir_index: Dict[LinkDirection, int] = {}
         self._dir_list: List[LinkDirection] = []
         self._dir_caps = np.zeros(64)
@@ -209,23 +192,6 @@ class FlowLevelEngine:
         # Per-flow cached solver inputs (rebuilt on route changes).
         self._flow_links: Dict[int, List[int]] = {}
         self._flow_eff_demand: Dict[int, float] = {}
-        # Slot-based persistent solver arrays: each active flow owns a
-        # slot in demand/weight/rate arrays plus an incidence segment in
-        # the append-only (flow, link) pair arrays.  Dead segments are
-        # re-pointed at reserved slot 0 (demand 0, frozen instantly) and
-        # reclaimed by periodic compaction, so per-event work is
-        # O(changed flows) + vectorized O(nnz).
-        self._slot_of: Dict[int, int] = {}
-        self._slot_flow: List[Optional[Flow]] = [None]  # slot 0 reserved
-        self._free_slots: List[int] = []
-        self._arr_demand = np.zeros(64)
-        self._arr_weight = np.ones(64)
-        self._arr_rate = np.zeros(64)
-        self._inc_flow = np.zeros(256, dtype=np.intp)
-        self._inc_link = np.zeros(256, dtype=np.intp)
-        self._inc_len = 0
-        self._inc_dead = 0
-        self._seg_of: Dict[int, Tuple[int, int]] = {}
         #: Observers: callables ``(event_name, flow)`` for 'arrival',
         #: 'delivered', 'undelivered', 'completed', 'ended', 'rerouted'.
         self.observers: List[Callable[[str, Flow], None]] = []
@@ -262,8 +228,7 @@ class FlowLevelEngine:
     @trace_bus.setter
     def trace_bus(self, bus) -> None:
         self._trace_bus = bus
-        if self._solver is not None:
-            self._solver.trace_bus = bus
+        self._solver.trace_bus = bus
 
     # ------------------------------------------------------------------
     # Public API
@@ -353,11 +318,6 @@ class FlowLevelEngine:
         ones share fairly with engine flows.  The solved rate is
         readable via :meth:`external_rate` after :meth:`recompute_rates`.
         """
-        if self._solver is None:
-            raise SimulationError(
-                'external demands require an indexed solver '
-                '(solver="vector" is unsupported)'
-            )
         indices = [
             self._register_direction(d) for d in directions if d.up
         ]
@@ -371,8 +331,7 @@ class FlowLevelEngine:
         if self._external_links.pop(key, None) is None:
             return
         self._external_rates.pop(key, None)
-        if self._solver is not None:
-            self._solver.remove(key)
+        self._solver.remove(key)
 
     def external_rate(self, key: Hashable) -> float:
         """Last solved rate for an external demand (bps; 0.0 unknown)."""
@@ -381,7 +340,7 @@ class FlowLevelEngine:
     def recompute_rates(self) -> None:
         """Re-solve rates now (public hook: callers batching external-
         demand updates invoke this once afterwards)."""
-        self._recompute(set())
+        self._recompute()
 
     def background_load(self, direction: LinkDirection) -> float:
         """This engine's own allocated load on a direction (bps),
@@ -408,6 +367,11 @@ class FlowLevelEngine:
     def active_flows(self) -> List[Flow]:
         return list(self.active.values())
 
+    @property
+    def last_solve_scope(self) -> int:
+        """Flows re-solved by the most recent rate recomputation."""
+        return self._solver.last_scope
+
     def summary(self) -> dict:
         """Aggregate outcome statistics (copies the counters)."""
         out = dict(self.stats)
@@ -433,9 +397,8 @@ class FlowLevelEngine:
             "rate_solves": self.stats["rate_solves"],
             "reroutes": self.stats["reroutes"],
             "packet_ins": self.stats["packet_ins"],
+            "solver": dict(self._solver.stats),
         }
-        if self._solver is not None:
-            out["solver"] = dict(self._solver.stats)
         if self.profiler is not None:
             # Wall-clock content: only present when profiling was
             # explicitly enabled, so default reports stay deterministic.
@@ -499,7 +462,7 @@ class FlowLevelEngine:
         if flow.duration_s is not None:
             self.sim.schedule(FlowEnd(now + flow.duration_s, self, flow))
         self._notify("arrival", flow)
-        self._recompute({flow.flow_id})
+        self._recompute()
 
     def on_completion(self, flow: Flow) -> None:
         now = self.sim.now
@@ -517,7 +480,7 @@ class FlowLevelEngine:
         self._retire(flow)
         self.stats["completed"] += 1
         self._notify("completed", flow)
-        self._recompute({flow.flow_id})
+        self._recompute()
 
     def on_end(self, flow: Flow) -> None:
         if flow.finished:
@@ -529,7 +492,7 @@ class FlowLevelEngine:
         self._cancel_completion(flow)
         self.stats["ended"] += 1
         self._notify("ended", flow)
-        self._recompute({flow.flow_id})
+        self._recompute()
 
     def _retire(self, flow: Flow) -> None:
         self.active.pop(flow.flow_id, None)
@@ -537,16 +500,7 @@ class FlowLevelEngine:
         self._accrued.pop(flow.flow_id, None)
         self._flow_links.pop(flow.flow_id, None)
         self._flow_eff_demand.pop(flow.flow_id, None)
-        if self._solver is not None:
-            self._solver.remove(flow.flow_id)
-        slot = self._slot_of.pop(flow.flow_id, None)
-        if slot is not None:
-            self._kill_segment(flow.flow_id)
-            self._slot_flow[slot] = None
-            self._arr_demand[slot] = 0.0
-            self._arr_weight[slot] = 1.0
-            self._arr_rate[slot] = 0.0
-            self._free_slots.append(slot)
+        self._solver.remove(flow.flow_id)
 
     def on_link_state(self, a: str, b: str, up: bool) -> None:
         if up:
@@ -561,8 +515,7 @@ class FlowLevelEngine:
             capacity = direction.capacity_bps
             if self._dir_caps[index] != capacity:
                 self._dir_caps[index] = capacity
-                if self._solver is not None:
-                    self._solver.touch_link(index)
+                self._solver.touch_link(index)
         # Tell the controller about both switch endpoints.
         for port in (link.port_a, link.port_b):
             node = port.node
@@ -587,7 +540,7 @@ class FlowLevelEngine:
             elif up and not route.delivered:
                 affected.add(flow.flow_id)
         self._reroute_flows(affected)
-        self._recompute(affected)
+        self._recompute()
 
     def on_reroute_sweep(self) -> None:
         self._reroute_pending = False
@@ -602,9 +555,8 @@ class FlowLevelEngine:
                 affected.add(flow.flow_id)
             elif any(hop[0] in dirty for hop in route.switch_hops):
                 affected.add(flow.flow_id)
-        changed = self._reroute_flows(affected)
-        if changed:
-            self._recompute(changed)
+        if self._reroute_flows(affected):
+            self._recompute()
 
     def _expire_tick(self, sim: Simulator, t: float) -> None:
         any_removed = False
@@ -678,11 +630,9 @@ class FlowLevelEngine:
         """Push a flow's (possibly changed) solver inputs into the
         persistent incremental index.  Blocked flows carry no traffic
         and leave the solver entirely."""
-        if self._solver is None:
-            return
         if flow.state is FlowState.BLOCKED:
             self._solver.remove(flow.flow_id)
-            self._set_rate(flow, 0.0)
+            flow.rate_bps = 0.0
             return
         self._solver.upsert(
             FlowDemand(
@@ -805,14 +755,11 @@ class FlowLevelEngine:
         )
 
     def _cache_solver_inputs(self, flow: Flow) -> None:
-        """Rebuild the flow's link-index list, effective demand, and its
-        slot in the persistent solver arrays."""
+        """Rebuild the flow's link-index list and effective demand."""
         route = flow.route
         if route is None:
             self._flow_links[flow.flow_id] = []
             self._flow_eff_demand[flow.flow_id] = 0.0
-            if self._solver is None:
-                self._write_slot(flow, 0.0, [])
             return
         indices: List[int] = []
         for direction in route.directions:
@@ -820,10 +767,7 @@ class FlowLevelEngine:
                 continue
             indices.append(self._register_direction(direction))
         self._flow_links[flow.flow_id] = indices
-        demand = self._effective_demand(flow)
-        self._flow_eff_demand[flow.flow_id] = demand
-        if self._solver is None:
-            self._write_slot(flow, demand, indices)
+        self._flow_eff_demand[flow.flow_id] = self._effective_demand(flow)
 
     def _register_direction(self, direction: LinkDirection) -> int:
         """Index a link direction for the solver, recording capacity."""
@@ -838,82 +782,6 @@ class FlowLevelEngine:
                 self._dir_caps = grown
             self._dir_caps[index] = direction.capacity_bps
         return index
-
-    # ------------------------------------------------------------------
-    # Slot array maintenance
-    # ------------------------------------------------------------------
-    def _write_slot(self, flow: Flow, demand: float, links: List[int]) -> None:
-        slot = self._slot_of.get(flow.flow_id)
-        if slot is None:
-            if self._free_slots:
-                slot = self._free_slots.pop()
-            else:
-                slot = len(self._slot_flow)
-                self._slot_flow.append(None)
-                if slot >= self._arr_demand.size:
-                    self._grow_slot_arrays()
-            self._slot_of[flow.flow_id] = slot
-        self._slot_flow[slot] = flow
-        self._arr_demand[slot] = demand
-        self._arr_weight[slot] = flow.weight
-        self._arr_rate[slot] = flow.rate_bps
-        self._kill_segment(flow.flow_id)
-        if links:
-            self._append_segment(flow.flow_id, slot, links)
-
-    def _grow_slot_arrays(self) -> None:
-        size = self._arr_demand.size * 2
-        for name in ("_arr_demand", "_arr_weight", "_arr_rate"):
-            old_arr = getattr(self, name)
-            grown = np.zeros(size) if name != "_arr_weight" else np.ones(size)
-            grown[: old_arr.size] = old_arr
-            setattr(self, name, grown)
-
-    def _append_segment(self, flow_id: int, slot: int, links: List[int]) -> None:
-        length = len(links)
-        while self._inc_len + length > self._inc_flow.size:
-            for name in ("_inc_flow", "_inc_link"):
-                old_arr = getattr(self, name)
-                grown = np.zeros(old_arr.size * 2, dtype=np.intp)
-                grown[: old_arr.size] = old_arr
-                setattr(self, name, grown)
-        start = self._inc_len
-        self._inc_flow[start : start + length] = slot
-        self._inc_link[start : start + length] = links
-        self._inc_len += length
-        self._seg_of[flow_id] = (start, length)
-
-    def _kill_segment(self, flow_id: int) -> None:
-        segment = self._seg_of.pop(flow_id, None)
-        if segment is None:
-            return
-        start, length = segment
-        # Re-point at the reserved dead slot; compaction reclaims later.
-        self._inc_flow[start : start + length] = 0
-        self._inc_dead += length
-        if self._inc_dead > max(4096, self._inc_len - self._inc_dead):
-            self._compact_segments()
-
-    def _compact_segments(self) -> None:
-        """Rebuild the incidence arrays from live flows only."""
-        flow_parts: List[np.ndarray] = []
-        link_parts: List[np.ndarray] = []
-        new_segments: Dict[int, Tuple[int, int]] = {}
-        cursor = 0
-        for flow_id, (start, length) in self._seg_of.items():
-            flow_parts.append(self._inc_flow[start : start + length].copy())
-            link_parts.append(self._inc_link[start : start + length].copy())
-            new_segments[flow_id] = (cursor, length)
-            cursor += length
-        size = max(256, 2 * cursor)
-        self._inc_flow = np.zeros(size, dtype=np.intp)
-        self._inc_link = np.zeros(size, dtype=np.intp)
-        if flow_parts:
-            self._inc_flow[:cursor] = np.concatenate(flow_parts)
-            self._inc_link[:cursor] = np.concatenate(link_parts)
-        self._inc_len = cursor
-        self._inc_dead = 0
-        self._seg_of = new_segments
 
     def _reroute_flows(self, flow_ids: Set[int]) -> Set[int]:
         """Re-walk the given flows; returns ids whose route changed."""
@@ -1141,39 +1009,18 @@ class FlowLevelEngine:
                 demand = min(demand, pipeline.meters.get(meter_id).rate_bps)
         return demand
 
-    def _recompute(self, changed: Set[int]) -> None:
+    def _recompute(self) -> None:
         """Re-solve max-min rates and reproject completions."""
+        self.stats["rate_solves"] += 1
         profiler = self.profiler
         if profiler is None:
-            self._recompute_inner(changed)
+            self._recompute_indexed(self.sim.now)
             return
         _t0 = _time.perf_counter()  # repro: noqa[DET001] - profiler timing; never feeds sim state
         try:
-            self._recompute_inner(changed)
+            self._recompute_indexed(self.sim.now)
         finally:
             profiler.add("solve", _time.perf_counter() - _t0)  # repro: noqa[DET001] - profiler timing; never feeds sim state
-
-    def _recompute_inner(self, changed: Set[int]) -> None:
-        self.stats["rate_solves"] += 1
-        now = self.sim.now
-        if self._solver is not None:
-            self._recompute_indexed(now)
-            return
-        solvable: List[Flow] = []
-        for flow in self.active.values():
-            if flow.route is None or flow.state is FlowState.BLOCKED:
-                if flow.rate_bps > 0:
-                    self._accrue_flow(flow, now)
-                self._set_rate(flow, 0.0)
-                slot = self._slot_of.get(flow.flow_id)
-                if slot is not None:
-                    self._arr_demand[slot] = 0.0
-            else:
-                solvable.append(flow)
-        if len(solvable) < _VECTOR_THRESHOLD:
-            self._recompute_scalar(solvable, now)
-        else:
-            self._recompute_vector(now)
 
     def _recompute_indexed(self, now: float) -> None:
         """Re-solve through the persistent component index.
@@ -1185,7 +1032,6 @@ class FlowLevelEngine:
         identical — incremental mode just skips the redundant work.
         """
         solver = self._solver
-        assert solver is not None
         updates = solver.resolve(
             self._dir_caps, full=self.solver_mode == "full"
         )
@@ -1213,75 +1059,13 @@ class FlowLevelEngine:
             for index in flow_links.get(flow_id, ()):
                 dir_list[index].allocated_bps += rate
 
-    def _set_rate(self, flow: Flow, rate: float) -> None:
-        flow.rate_bps = rate
-        slot = self._slot_of.get(flow.flow_id)
-        if slot is not None:
-            self._arr_rate[slot] = rate
-
     def _apply_rate(self, flow: Flow, rate: float, now: float) -> None:
         """Set a flow's rate, accruing at the old rate first."""
         if abs(rate - flow.rate_bps) > _RATE_EPS:
             self._accrue_flow(flow, now)
-            self._set_rate(flow, rate)
+            flow.rate_bps = rate
             self._schedule_completion(flow)
         elif flow.flow_id not in self._completions:
-            self._schedule_completion(flow)
-
-    def _recompute_scalar(self, flows: List[Flow], now: float) -> None:
-        demands: List[FlowDemand] = []
-        capacities: Dict[int, float] = {}
-        for flow in flows:
-            links = self._flow_links[flow.flow_id]
-            for index in links:
-                capacities[index] = self._dir_list[index].capacity_bps
-            demands.append(
-                FlowDemand(
-                    flow.flow_id,
-                    self._flow_eff_demand[flow.flow_id],
-                    links,
-                    weight=flow.weight,
-                )
-            )
-        alloc = solve(demands, capacities)
-        for direction in self._dir_list:
-            direction.allocated_bps = 0.0
-        for flow in flows:
-            rate = alloc.get(flow.flow_id, 0.0)
-            self._apply_rate(flow, rate, now)
-            for index in self._flow_links[flow.flow_id]:
-                self._dir_list[index].allocated_bps += rate
-
-    def _recompute_vector(self, now: float) -> None:
-        """Vectorized re-solve over the persistent slot arrays.
-
-        Dead slots (retired flows, blocked flows) carry zero demand and
-        freeze instantly in the solver, so the arrays never need eager
-        cleanup; compaction bounds the stale-segment overhead.
-        """
-        num_slots = len(self._slot_flow)
-        num_links = len(self._dir_list)
-        demand = self._arr_demand[:num_slots]
-        weights = self._arr_weight[:num_slots]
-        flow_of = self._inc_flow[: self._inc_len]
-        link_of = self._inc_link[: self._inc_len]
-        capacity = self._dir_caps[:num_links]
-        alloc = solve_arrays(demand, capacity, flow_of, link_of, weight=weights)
-        # Per-direction totals in one pass.
-        totals = np.bincount(link_of, weights=alloc[flow_of], minlength=num_links)
-        for index, direction in enumerate(self._dir_list):
-            direction.allocated_bps = float(totals[index])
-        old_rates = self._arr_rate[:num_slots]
-        moved = np.nonzero(np.abs(alloc - old_rates) > _RATE_EPS)[0]
-        slot_flow = self._slot_flow
-        for slot in moved:
-            flow = slot_flow[slot]
-            if flow is None:  # pragma: no cover - dead slots stay at 0
-                continue
-            self._accrue_flow(flow, now)
-            rate = float(alloc[slot])
-            flow.rate_bps = rate
-            self._arr_rate[slot] = rate
             self._schedule_completion(flow)
 
     def _schedule_completion(self, flow: Flow) -> None:

@@ -15,7 +15,7 @@ The module is organized around one *canonical component kernel*:
 * :func:`solve` — full solve: partition the flows into link-sharing
   components and run the kernel on each.  Components are independent
   under max-min fairness, so this is exact.
-* :class:`IncrementalSolver` — stateful solver that maintains the
+* :class:`IncrementalSolver` — stateful solver that keeps the *exact*
   component partition across flow arrivals/departures/re-routes and
   re-runs the kernel only on *dirty* components, reusing cached rates
   for untouched ones.
@@ -28,8 +28,11 @@ asserts.  :func:`solve_arrays` exposes the raw vectorized kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from heapq import merge
+from operator import itemgetter
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -259,47 +262,94 @@ def _solve_component_scalar(
     return alloc
 
 
-def _solve_component_arrays(
-    flows: Sequence[FlowDemand], capacities: Mapping[Hashable, float]
-) -> Dict[Hashable, float]:
-    """Run the vectorized kernel on one component.
+class _Columns:
+    """The :func:`solve_arrays` inputs of one component, as columns.
 
-    Array layout (flow order, link first-appearance order) is a pure
-    function of the input sequence, keeping results deterministic.
+    Rows follow the component's flow order; links are numbered in
+    first-appearance order.  The numbering does not reach the result
+    (``bincount`` accumulates each link's pairs in row order and the
+    water level is a ``min`` over links), the row order does; a link
+    whose last row left keeps its number and simply carries no weight.
+    Built in one pass from a flow sequence, then kept resident by
+    :class:`IncrementalSolver`: a flow joining at the end is an
+    :meth:`append`, one leaving a :meth:`delete`.
     """
-    link_index: Dict[Hashable, int] = {}
-    link_list: List[Hashable] = []
-    flow_of: List[int] = []
-    link_of: List[int] = []
-    demand = np.empty(len(flows))
-    weight = np.empty(len(flows))
-    pinned = np.zeros(len(flows), dtype=bool)
-    for i, flow in enumerate(flows):
-        demand[i] = flow.demand_bps
-        weight[i] = flow.weight
-        pinned[i] = flow.pinned
+
+    __slots__ = ("rows", "pairs", "demand", "weight", "pinned", "counts",
+                 "flat", "link_ids", "links")
+
+    def __init__(self, flows: Sequence[FlowDemand]) -> None:
+        size = max(8, 2 * len(flows))
+        self.rows = 0  # flows held
+        self.pairs = 0  # (flow, link) incidences held
+        self.demand = np.zeros(size)
+        self.weight = np.zeros(size)
+        self.pinned = np.zeros(size, dtype=bool)
+        #: Links crossed per row; ``flat`` holds their local ids, row by row.
+        self.counts = np.zeros(size, dtype=np.intp)
+        self.flat = np.zeros(4 * size, dtype=np.intp)
+        self.link_ids: Dict[Hashable, int] = {}
+        self.links: List[Hashable] = []
+        for flow in flows:
+            self.append(flow)
+
+    def _grow(self, *names: str) -> None:
+        for name in names:
+            column = getattr(self, name)
+            setattr(self, name, np.concatenate((column, np.zeros_like(column))))
+
+    def append(self, flow: FlowDemand) -> None:
+        row, pair = self.rows, self.pairs
+        if row == self.demand.size:
+            self._grow("demand", "weight", "pinned", "counts")
+        while pair + len(flow.links) > self.flat.size:
+            self._grow("flat")
+        self.set_row(row, flow)
+        self.counts[row] = len(flow.links)
+        link_ids, flat = self.link_ids, self.flat
         for link in flow.links:
-            j = link_index.get(link)
-            if j is None:
-                j = len(link_list)
-                link_index[link] = j
-                link_list.append(link)
-            flow_of.append(i)
-            link_of.append(j)
-    try:
-        caps = np.array([float(capacities[link]) for link in link_list])
-    except (KeyError, IndexError):
-        missing = [link for link in link_list if not _has_capacity(capacities, link)]
-        raise KeyError(f"no capacity given for link {missing[0]!r}") from None
-    alloc = solve_arrays(
-        demand,
-        caps,
-        np.asarray(flow_of, dtype=np.intp),
-        np.asarray(link_of, dtype=np.intp),
-        weight=weight,
-        pinned=pinned if pinned.any() else None,
-    )
-    return {flow.flow_id: float(alloc[i]) for i, flow in enumerate(flows)}
+            local = link_ids.get(link)
+            if local is None:
+                local = link_ids[link] = len(self.links)
+                self.links.append(link)
+            flat[pair] = local
+            pair += 1
+        self.rows = row + 1
+        self.pairs = pair
+
+    def set_row(self, row: int, flow: FlowDemand) -> None:
+        """(Re)write a row's scalars; its links are unchanged."""
+        self.demand[row] = flow.demand_bps
+        self.weight[row] = flow.weight
+        self.pinned[row] = flow.pinned
+
+    def delete(self, row: int) -> None:
+        rows, pairs, counts, flat = self.rows, self.pairs, self.counts, self.flat
+        start = int(counts[:row].sum())
+        width = int(counts[row])
+        for column in (self.demand, self.weight, self.pinned, counts):
+            column[row:rows - 1] = column[row + 1:rows]
+        flat[start:pairs - width] = flat[start + width:pairs]
+        self.rows = rows - 1
+        self.pairs = pairs - width
+
+    def solve(self, capacities: Mapping[Hashable, float]) -> List[float]:
+        """Rates in row order."""
+        links, rows = self.links, self.rows
+        try:
+            caps = np.fromiter(map(capacities.__getitem__, links), float, len(links))
+        except (KeyError, IndexError):
+            missing = [link for link in links if not _has_capacity(capacities, link)]
+            raise KeyError(f"no capacity given for link {missing[0]!r}") from None
+        pinned = self.pinned[:rows]
+        return solve_arrays(
+            self.demand[:rows],
+            caps,
+            np.repeat(np.arange(rows), self.counts[:rows]),
+            self.flat[:self.pairs],
+            weight=self.weight[:rows],
+            pinned=pinned if pinned.any() else None,
+        ).tolist()
 
 
 def _has_capacity(capacities: Mapping[Hashable, float], link: Hashable) -> bool:
@@ -321,7 +371,9 @@ def solve_component(
     take the same path and return bitwise-identical rates.
     """
     if len(flows) >= VECTOR_COMPONENT_THRESHOLD:
-        return _solve_component_arrays(flows, capacities)
+        return dict(
+            zip([flow.flow_id for flow in flows], _Columns(flows).solve(capacities))
+        )
     return _solve_component_scalar(flows, capacities)
 
 
@@ -506,39 +558,65 @@ def affected_component(
     return visited
 
 
+def _first_seq(component: "_Component") -> int:
+    return component.seqs[0]
+
+
+class _Component:
+    """One link-sharing component of the solver's live flows.
+
+    ``flows`` (with ``seqs`` alongside) is kept in insertion-sequence
+    order — the order the kernel must see.  ``link_refs`` counts the
+    member flows on each link, so a link leaves the component with its
+    last flow; ``routes`` counts members per link tuple, which is what
+    tells a harmless departure from one that may disconnect the rest.
+    """
+
+    __slots__ = ("flows", "seqs", "link_refs", "routes", "may_split",
+                 "dirty", "columns")
+
+    def __init__(self) -> None:
+        self.flows: List[FlowDemand] = []
+        self.seqs: List[int] = []
+        self.link_refs: Dict[Hashable, int] = {}
+        self.routes: Dict[Tuple[Hashable, ...], int] = {}
+        #: A flow left whose link tuple no other member shares, so the
+        #: members may no longer be connected; re-partitioned (once) by
+        #: the next resolve.
+        self.may_split = False
+        self.dirty = False
+        #: Resident kernel inputs while the component is vector-sized.
+        self.columns: Optional[_Columns] = None
+
+
 class IncrementalSolver:
     """Stateful solver re-running the kernel only on dirty components.
 
-    The solver owns a persistent index: a union-find over link keys plus
-    a member set per component root, maintained by :meth:`upsert` /
-    :meth:`remove` in O(links) per call.  :meth:`resolve` gathers the
-    components touched since the last resolve, runs
-    :func:`solve_component` on each (member flows ordered by insertion
-    sequence), and returns the re-solved rates; untouched components
-    keep their cached — and still bitwise-exact — rates.
-
-    Departures never split components eagerly (exact dynamic
-    connectivity is costlier than it is worth); stale over-merges are
-    *conservative* — they only enlarge the re-solve scope, never change
-    the result — and a periodic rebuild re-tightens the partition.
+    The solver owns an *exact* component store: every live constrained
+    flow belongs to the :class:`_Component` that owns all of its links,
+    and two flows share a component iff they are transitively
+    link-sharing.  :meth:`upsert` appends to (and merges) components in
+    O(links); :meth:`remove` marks its component for one re-partition
+    only when the departed flow's link tuple has no surviving twin
+    there — with a twin, every pair of links the flow joined is still
+    joined.  :meth:`resolve` runs the kernel on each component touched
+    since the last resolve, alone and in insertion order, so its rates
+    are bitwise those of a from-scratch :func:`solve`; untouched
+    components keep their cached — equally exact — rates.  Exactness is
+    what makes that hold: solving two disconnected sets as one would
+    change the arithmetic, not only the scope.
     """
 
-    #: Rebuild the partition after this many removals (at least).
-    _REBUILD_MIN = 64
-
     def __init__(self) -> None:
+        #: Live flows; dict order is insertion-sequence order.
         self._flows: Dict[Hashable, FlowDemand] = {}
         self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._rank: Dict[Hashable, int] = {}
-        #: component root link -> ids of member flows.
-        self._members: Dict[Hashable, Set[Hashable]] = {}
-        self._free: Set[Hashable] = set()
+        self._component_of: Dict[Hashable, _Component] = {}  # by link
         self._alloc: Dict[Hashable, float] = {}
-        self._dirty_flows: Set[Hashable] = set()
+        self._dirty_free: Set[Hashable] = set()
+        self._dirty: List[_Component] = []
         self._dirty_links: Set[Hashable] = set()
-        self._removals = 0
         #: Number of flows actually re-solved by the last resolve.
         self.last_scope = 0
         #: Links whose total allocation may have changed in the last
@@ -548,47 +626,11 @@ class IncrementalSolver:
             "resolves": 0,
             "component_solves": 0,
             "flows_resolved": 0,
-            "rebuilds": 0,
+            "repartitions": 0,
         }
         #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
         #: None; emission sites check ``is not None``.
         self.trace_bus = None
-
-    # ------------------------------------------------------------------
-    # Union-find over links
-    # ------------------------------------------------------------------
-    def _find(self, link: Hashable) -> Hashable:
-        parent = self._parent
-        root = link
-        while parent[root] != root:
-            root = parent[root]
-        while parent[link] != root:
-            parent[link], link = root, parent[link]
-        return root
-
-    def _link_root(self, link: Hashable) -> Hashable:
-        if link not in self._parent:
-            self._parent[link] = link
-            self._rank[link] = 0
-            self._members[link] = set()
-        return self._find(link)
-
-    def _union(self, a: Hashable, b: Hashable) -> Hashable:
-        if a == b:
-            return a
-        if self._rank[a] < self._rank[b]:
-            a, b = b, a
-        self._parent[b] = a
-        if self._rank[a] == self._rank[b]:
-            self._rank[a] += 1
-        # Merge member sets small-into-large onto the surviving root.
-        members_a = self._members.pop(a, None) or set()
-        members_b = self._members.pop(b, None) or set()
-        if len(members_a) < len(members_b):
-            members_a, members_b = members_b, members_a
-        members_a.update(members_b)
-        self._members[a] = members_a
-        return a
 
     # ------------------------------------------------------------------
     # Mutation
@@ -598,51 +640,160 @@ class IncrementalSolver:
         are identical to the registered ones (rates cannot move)."""
         flow_id = flow.flow_id
         old = self._flows.get(flow_id)
-        if old is not None and old.same_inputs(flow):
-            self._flows[flow_id] = flow
-            return
-        if old is not None:
-            self._detach(flow_id, old)
-        self._flows[flow_id] = flow
-        if flow_id not in self._seq:
-            self._seq[flow_id] = self._next_seq
+        if old is None:
+            seq = self._seq[flow_id] = self._next_seq
             self._next_seq += 1
-        self._dirty_flows.add(flow_id)
-        if flow.is_free():
-            self._free.add(flow_id)
+        elif old.same_inputs(flow):
+            return
         else:
-            root = self._link_root(flow.links[0])
-            for link in flow.links[1:]:
-                root = self._union(root, self._link_root(link))
-            self._members[root].add(flow_id)
+            seq = self._seq[flow_id]
+            if old.links == flow.links and not (old.is_free() or flow.is_free()):
+                # Same route: membership and connectivity are untouched.
+                component = self._component_of[flow.links[0]]
+                row = bisect_left(component.seqs, seq)
+                self._flows[flow_id] = component.flows[row] = flow
+                if component.columns is not None:
+                    component.columns.set_row(row, flow)
+                self._mark_dirty(component)
+                return
+            self._detach(old, seq)
+        self._flows[flow_id] = flow
+        if flow.is_free():
+            self._dirty_free.add(flow_id)
+        else:
+            self._attach(flow, seq)
 
     def remove(self, flow_id: Hashable) -> None:
         """Drop a departed flow; its old component is marked dirty."""
         flow = self._flows.pop(flow_id, None)
-        self._dirty_flows.discard(flow_id)
         if flow is None:
             return
-        self._seq.pop(flow_id, None)
         self._alloc.pop(flow_id, None)
-        self._detach(flow_id, flow)
-
-    def _detach(self, flow_id: Hashable, flow: FlowDemand) -> None:
-        if flow.is_free():
-            self._free.discard(flow_id)
-            return
-        root = self._find(flow.links[0])
-        self._members[root].discard(flow_id)
-        self._dirty_links.update(flow.links)
-        self._removals += 1
+        self._detach(flow, self._seq.pop(flow_id))
 
     def touch_link(self, link: Hashable) -> None:
         """Mark a link dirty (e.g. its capacity changed)."""
         self._dirty_links.add(link)
+        component = self._component_of.get(link)
+        if component is not None:
+            self._mark_dirty(component)
 
     def reset(self) -> None:
         bus = self.trace_bus
         self.__init__()
         self.trace_bus = bus
+
+    def _mark_dirty(self, component: _Component) -> None:
+        if not component.dirty:
+            component.dirty = True
+            self._dirty.append(component)
+
+    def _attach(self, flow: FlowDemand, seq: int) -> None:
+        """Add a constrained flow to the component owning its links,
+        merging the components it bridges."""
+        component_of = self._component_of
+        links = flow.links
+        component: Optional[_Component] = None
+        for link in links:
+            other = component_of.get(link)
+            if other is not None and other is not component:
+                component = other if component is None else self._merge(component, other)
+        if component is None:
+            component = _Component()
+        seqs = component.seqs
+        if not seqs or seq > seqs[-1]:
+            seqs.append(seq)
+            component.flows.append(flow)
+            if component.columns is not None:
+                component.columns.append(flow)
+        else:
+            # A re-routed flow keeps its seq: back to its sorted place.
+            row = bisect_left(seqs, seq)
+            seqs.insert(row, seq)
+            component.flows.insert(row, flow)
+            component.columns = None
+        refs = component.link_refs
+        for link in links:
+            count = refs.get(link)
+            if count is None:
+                refs[link] = 1
+                component_of[link] = component
+            else:
+                refs[link] = count + 1
+        component.routes[links] = component.routes.get(links, 0) + 1
+        self._mark_dirty(component)
+
+    def _merge(self, a: _Component, b: _Component) -> _Component:
+        """Fold the smaller component into the larger; returns it."""
+        if len(a.flows) < len(b.flows):
+            a, b = b, a
+        merged = list(
+            merge(zip(a.seqs, a.flows), zip(b.seqs, b.flows), key=itemgetter(0))
+        )
+        a.seqs = [seq for seq, _ in merged]
+        a.flows = [flow for _, flow in merged]
+        component_of = self._component_of
+        for link in b.link_refs:
+            component_of[link] = a
+        a.link_refs.update(b.link_refs)
+        a.routes.update(b.routes)
+        a.may_split = a.may_split or b.may_split
+        a.columns = None
+        b.flows = []  # dead: skipped if still queued as dirty
+        return a
+
+    def _detach(self, flow: FlowDemand, seq: int) -> None:
+        if flow.is_free():
+            self._dirty_free.discard(flow.flow_id)
+            return
+        links = flow.links
+        self._dirty_links.update(links)
+        component = self._component_of[links[0]]
+        row = bisect_left(component.seqs, seq)
+        del component.seqs[row]
+        del component.flows[row]
+        refs = component.link_refs
+        for link in links:
+            if refs[link] == 1:
+                # Last flow off the link: it leaves the component, or a
+                # later arrival on it would join flows it does not touch.
+                del refs[link]
+                del self._component_of[link]
+            else:
+                refs[link] -= 1
+        routes = component.routes
+        if routes[links] == 1:
+            del routes[links]
+            component.may_split = True
+        else:
+            routes[links] -= 1
+        if component.columns is not None:
+            component.columns.delete(row)
+        self._mark_dirty(component)
+
+    def _split(self, component: _Component) -> List[_Component]:
+        """Re-partition a component a twin-less departure may have
+        disconnected; returns the true component(s)."""
+        self.stats["repartitions"] += 1
+        component.may_split = False
+        parts = _partition(component.flows)
+        if len(parts) == 1:
+            return [component]
+        seq_of = self._seq
+        out = []
+        for flows in parts:
+            part = _Component()
+            part.flows = flows
+            part.seqs = [seq_of[flow.flow_id] for flow in flows]
+            refs, routes = part.link_refs, part.routes
+            for flow in flows:
+                for link in flow.links:
+                    refs[link] = refs.get(link, 0) + 1
+                routes[flow.links] = routes.get(flow.links, 0) + 1
+            for link in refs:
+                self._component_of[link] = part
+            out.append(part)
+        return out
 
     # ------------------------------------------------------------------
     # Resolution
@@ -651,98 +802,78 @@ class IncrementalSolver:
         self, capacities: Mapping[Hashable, float], full: bool = False
     ) -> Dict[Hashable, float]:
         """Re-solve dirty components; returns flow_id -> rate for every
-        re-solved flow.  With ``full=True`` every component is re-solved
-        from scratch (the reference mode the differential suite compares
-        against — identical results, no cache reuse).
+        re-solved flow.  With ``full=True`` the rates come from
+        partitioning and solving the live flows from scratch, store and
+        resident columns unused (the reference mode the differential
+        suite compares against — identical results, no reuse).
         """
         self.stats["resolves"] += 1
-        if full:
-            self._rebuild()
-        elif self._removals > max(self._REBUILD_MIN, len(self._flows) // 2):
-            self._rebuild()
-        touched: Set[Hashable] = set()
+        touched = self._dirty_links
         result: Dict[Hashable, float] = {}
-        roots: Set[Hashable] = set()
+        # Store upkeep, whichever way the rates are computed: every
+        # dirty component becomes exact.
+        components: List[_Component] = []
+        for component in self._dirty:
+            component.dirty = False
+            if component.flows:
+                components.extend(
+                    self._split(component) if component.may_split else (component,)
+                )
         if full:
-            roots.update(self._members)
-            # Insertion order keeps the result dict (and therefore the
-            # order rates are applied in) independent of set hashing.
-            for flow_id in sorted(self._free, key=self._seq.__getitem__):
-                result[flow_id] = self._flows[flow_id].demand_bps
-            touched.update(self._dirty_links)
-        else:
-            # Only populates sets (order-insensitive); link keys are
-            # opaque hashables with no portable sort order.
-            for link in self._dirty_links:  # repro: noqa[DET003] - fills sets only; order cannot leak
-                touched.add(link)
-                if link in self._parent:
-                    roots.add(self._find(link))
-            dirty_order = sorted(
-                self._dirty_flows, key=lambda i: self._seq.get(i, -1)
-            )
-            for flow_id in dirty_order:
-                flow = self._flows.get(flow_id)
-                if flow is None:
-                    continue
+            constrained = []
+            for flow_id, flow in self._flows.items():
                 if flow.is_free():
                     result[flow_id] = flow.demand_bps
                 else:
-                    roots.add(self._find(flow.links[0]))
-        # Deterministic component order (oldest member first); the order
-        # does not affect values, only reporting.
-        seq = self._seq
-        ordered = sorted(
-            (min(seq[i] for i in self._members[root]), root)
-            for root in roots
-            if self._members.get(root)
-        )
-        for _, root in ordered:
-            component = sorted(
-                (self._flows[i] for i in self._members[root]),
-                key=lambda f: seq[f.flow_id],
-            )
-            for flow in component:
-                touched.update(flow.links)
-            # Removals can leave stale merges behind (the union-find only
-            # splits on rebuild), so a root's members may really be several
-            # disconnected components.  Re-partition before solving: each
-            # true component must go through the kernel alone, or the
-            # result would not be bitwise-identical to a full solve.
-            for part in _partition(component):
-                result.update(solve_component(part, capacities))
-                self.stats["component_solves"] += 1
+                    constrained.append(flow)
+                    touched.update(flow.links)
+            parts = _partition(constrained)
+            solved = len(parts)
+            for flows in parts:
+                result.update(solve_component(flows, capacities))
+        else:
+            # Insertion order keeps the result dict (and therefore the
+            # order rates are applied in) independent of set hashing.
+            for flow_id in sorted(self._dirty_free, key=self._seq.__getitem__):
+                result[flow_id] = self._flows[flow_id].demand_bps
+            # Oldest member first, as a from-scratch partition orders
+            # them; the order decides reporting (and the order callers
+            # apply rates in), never a value.
+            components.sort(key=_first_seq)
+            solved = len(components)
+            for component in components:
+                touched.update(component.link_refs)
+                flows = component.flows
+                if len(flows) < VECTOR_COMPONENT_THRESHOLD:
+                    component.columns = None
+                    result.update(_solve_component_scalar(flows, capacities))
+                else:
+                    if component.columns is None:
+                        component.columns = _Columns(flows)
+                    result.update(
+                        zip([flow.flow_id for flow in flows],
+                            component.columns.solve(capacities))
+                    )
+        self._dirty = []
+        self._dirty_free = set()
+        self._dirty_links = set()
         self._alloc.update(result)
-        self._dirty_flows.clear()
-        self._dirty_links.clear()
         self.last_scope = len(result)
         self.last_touched_links = touched
+        self.stats["component_solves"] += solved
         self.stats["flows_resolved"] += len(result)
         if self.trace_bus is not None:
-            # Components not in `ordered` kept their cached rates — the
+            # Components not solved kept their cached rates — the
             # incremental solver's cache hits.
+            live = len(self.components())
             self.trace_bus.emit(
                 "solver.resolve",
                 full=full,
-                components_solved=len(ordered),
-                components_cached=max(0, len(self._members) - len(ordered)),
+                components_solved=solved,
+                components_cached=max(0, live - solved),
                 flows=len(result),
             )
         return result
-
-    def _rebuild(self) -> None:
-        """Re-partition from the live flows (splits stale over-merges)."""
-        self._parent.clear()
-        self._rank.clear()
-        self._members.clear()
-        for flow_id, flow in self._flows.items():
-            if flow.is_free():
-                continue
-            root = self._link_root(flow.links[0])
-            for link in flow.links[1:]:
-                root = self._union(root, self._link_root(link))
-            self._members[root].add(flow_id)
-        self._removals = 0
-        self.stats["rebuilds"] += 1
 
     # ------------------------------------------------------------------
     # Introspection / compatibility
@@ -754,6 +885,11 @@ class IncrementalSolver:
 
     def flow_count(self) -> int:
         return len(self._flows)
+
+    def components(self) -> List[List[Hashable]]:
+        """Member flow ids of every component, each in insertion order."""
+        distinct = {id(c): c for c in self._component_of.values()}
+        return [[flow.flow_id for flow in c.flows] for c in distinct.values()]
 
     def update(
         self,

@@ -10,7 +10,9 @@ checking and strict/loose deletion.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import TableFullError
@@ -100,6 +102,9 @@ class FlowEntry:
         )
 
 
+_SORT_KEY = attrgetter("sort_key")
+
+
 class FlowTable:
     """A single numbered table of priority-ordered flow entries."""
 
@@ -159,19 +164,18 @@ class FlowTable:
                         f"overlap check failed: {entry.match.describe()} overlaps "
                         f"{existing.match.describe()} at priority {entry.priority}"
                     )
-        replaced = False
         for i, existing in enumerate(self._entries):
             if existing.priority == entry.priority and existing.match == entry.match:
-                self._entries[i] = entry
-                replaced = True
+                # The replacement carries its own seq: it leaves the old
+                # entry's position for the one its sort key gives it.
+                del self._entries[i]
                 break
-        if not replaced:
+        else:
             if self.max_size is not None and len(self._entries) >= self.max_size:
                 raise TableFullError(
                     f"table {self.table_id} full ({self.max_size} entries)"
                 )
-            self._entries.append(entry)
-        self._entries.sort(key=lambda e: e.sort_key)
+        insort(self._entries, entry, key=_SORT_KEY)
         self.version += 1
         return entry
 

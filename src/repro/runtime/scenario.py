@@ -14,7 +14,7 @@ migrated on load with deprecation warnings)::
     {
       "schema_version": 1,
       "engine": "flow" | "packet" | "hybrid",
-      "solver": "incremental" | "full" | "vector",   # flow engine only
+      "solver": "incremental" | "full",              # flow engine only
       "route_cache": true,                           # flow engine only
       "seed": 0,
       "until": 60.0,

@@ -108,7 +108,7 @@ SECTION_FIELDS: Dict[str, Dict[str, tuple]] = {
 
 _TOP_ENUMS = {
     "engine": ("flow", "packet", "hybrid"),
-    "solver": ("incremental", "full", "vector"),
+    "solver": ("incremental", "full"),
     "control": ("inproc", "wire"),
 }
 

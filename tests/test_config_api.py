@@ -91,8 +91,16 @@ def test_sharding_requires_flow_engine_inproc_control():
         HorseConfig(engine="packet", shard={"count": 2})
     with pytest.raises(ExperimentError, match="control"):
         HorseConfig(control="wire", shard={"count": 2})
+
+
+def test_solver_modes_are_incremental_and_full():
+    from repro.flowsim.engine import SOLVER_MODES
+
+    assert SOLVER_MODES == ("incremental", "full")
+    for mode in SOLVER_MODES:
+        assert HorseConfig(solver=mode).solver == mode
     with pytest.raises(ExperimentError, match="solver"):
-        HorseConfig(solver="vector", shard={"count": 2})
+        HorseConfig(solver="vector")
 
 
 # ----------------------------------------------------------------------

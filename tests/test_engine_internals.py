@@ -1,9 +1,9 @@
-"""Engine internals: slot arrays, segment compaction, message plumbing.
+"""Engine internals: solver inputs and message plumbing.
 
 These tests exercise machinery the scenario tests only touch
-incidentally: the persistent solver arrays behind the vectorized
-re-solve, incidence compaction under churn, and the control-message
-dataclasses.
+incidentally: rate bookkeeping across the solver's scalar/vector
+kernel threshold, the link-direction capacity registry, and the
+control-message dataclasses.
 """
 
 import pytest
@@ -49,68 +49,14 @@ def quick_flow(topo, src, dst, sport, size=10_000, start=0.0):
     )
 
 
-class TestSlotMachinery:
-    def test_slots_are_reused_after_retirement(self):
-        topo = star_with_rules()
-        sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, solver="vector")
-        # Sequential flows: each completes before the next arrives, so
-        # the same slot serves them all.
-        for i in range(20):
-            engine.submit(
-                quick_flow(topo, "h1", "h2", sport=1000 + i, start=float(i))
-            )
-        sim.run()
-        # Slot 0 is reserved; concurrency was ~1, so very few slots.
-        assert len(engine._slot_flow) <= 4
-        assert engine._free_slots  # the last flow's slot was freed
-
-    def test_compaction_reclaims_dead_segments(self):
-        topo = star_with_rules()
-        sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, solver="vector")
-        # Enough sequential flows that dead incidence entries (2 per
-        # flow: access + egress links) exceed the compaction threshold.
-        count = 2500
-        for i in range(count):
-            engine.submit(
-                quick_flow(
-                    topo,
-                    "h1",
-                    "h2",
-                    sport=1000 + (i % 60000),
-                    start=0.001 * i,
-                )
-            )
-        sim.run()
-        engine.finish()
-        assert engine.stats["completed"] == count
-        # Dead entries were reclaimed at least once: the incidence
-        # length stayed far below total-ever-appended.
-        total_appended = count * 3  # 3 links per flow (h1->s1, s1->h2... )
-        assert engine._inc_len < total_appended / 2
-        assert engine._inc_dead <= max(4096, engine._inc_len)
-
-    def test_concurrent_flows_get_distinct_slots(self):
-        topo = star_with_rules()
-        sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, solver="vector")
-        flows = [
-            quick_flow(topo, "h1", "h2", sport=1000 + i, size=10_000_000)
-            for i in range(10)
-        ]
-        engine.submit_all(flows)
-        sim.run(until=0.01)
-        slots = {engine._slot_of[f.flow_id] for f in flows}
-        assert len(slots) == 10
-        assert 0 not in slots  # reserved dead slot never assigned
-
+class TestSolverInputs:
     def test_rates_survive_scalar_vector_boundary(self):
         """Crossing the 48-flow vectorization threshold must not corrupt
-        rate bookkeeping (both paths share the slot arrays)."""
+        rate bookkeeping (the component's resident columns are built on
+        the way up and dropped on the way down)."""
         topo = star_with_rules(num_hosts=4, capacity=100e6)
         sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, solver="vector")
+        engine = FlowLevelEngine(sim, topo)
         # 60 concurrent flows to h2 (vector path), completing gradually
         # down into scalar territory.
         flows = [
@@ -128,7 +74,7 @@ class TestSlotMachinery:
     def test_direction_capacity_cache_matches_topology(self):
         topo = star_with_rules(capacity=123e6)
         sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, solver="vector")
+        engine = FlowLevelEngine(sim, topo)
         engine.submit(quick_flow(topo, "h1", "h2", sport=1000))
         sim.run()
         for direction, index in engine._dir_index.items():

@@ -1,6 +1,8 @@
 """Flow table tests: priorities, FlowMod semantics, timeouts, counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TableFullError
 from repro.net import IPv4Address, IPv4Network
@@ -198,3 +200,78 @@ class TestIntrospection:
             FlowTable(table_id=-1)
         with pytest.raises(ValueError):
             FlowTable(max_size=0)
+
+
+# ----------------------------------------------------------------------
+# Property: the table is always its entries sorted by sort_key
+# ----------------------------------------------------------------------
+_ADDRESSES = [IPv4Address(f"10.0.0.{i}") for i in range(1, 5)]
+_MATCHES = [Match()] + [Match(ip_dst=a) for a in _ADDRESSES] + [
+    Match(ip_dst=IPv4Network("10.0.0.0/30")),
+    Match(in_port=1),
+]
+
+_OPS = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(0, len(_MATCHES) - 1),
+        st.integers(0, 3),  # priority
+        st.sampled_from((0.0, 1.0, 3.0)),  # idle timeout
+    ),
+    st.tuples(st.just("replace"), st.integers(0, 50)),
+    st.tuples(
+        st.just("delete"), st.integers(0, len(_MATCHES) - 1), st.booleans()
+    ),
+    st.tuples(st.just("expire"), st.sampled_from((0.5, 1.0, 2.5))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=st.lists(_OPS, max_size=40))
+def test_property_table_is_entries_sorted_by_sort_key(program):
+    """After any program of add / replace / delete / expire, iteration
+    order is the live entries sorted by ``sort_key`` and ``lookup``
+    returns what a linear scan of that sorted list returns."""
+    table = FlowTable()
+    live = []  # the model: entries believed installed, any order
+    now = 0.0
+    for op in program:
+        if op[0] == "add":
+            _, which, priority, idle = op
+            new = FlowEntry(
+                match=_MATCHES[which], priority=priority,
+                idle_timeout=idle, install_time=now,
+            )
+            live = [
+                e for e in live
+                if not (e.priority == priority and e.match == new.match)
+            ]
+            live.append(table.add(new))
+        elif op[0] == "replace" and live:
+            old = live.pop(op[1] % len(live))
+            new = FlowEntry(
+                match=old.match, priority=old.priority, install_time=now
+            )
+            assert new.seq > old.seq
+            live.append(table.add(new))
+            assert old not in list(table)
+        elif op[0] == "delete":
+            removed = table.delete(_MATCHES[op[1]], strict=op[2])
+            live = [e for e in live if all(e is not r for r in removed)]
+        elif op[0] == "expire":
+            now += op[1]
+            gone = [e for e, _ in table.expire(now)]
+            assert all(e.expired(now) for e in gone)
+            live = [e for e in live if all(e is not g for g in gone)]
+            assert not any(e.expired(now) for e in live)
+        want = sorted(live, key=lambda e: e.sort_key)
+        got = list(table)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+        for address in _ADDRESSES:
+            for in_port in (None, 1):
+                headers = HeaderFields(ip_dst=address)
+                scan = next(
+                    (e for e in want if e.match.matches(headers, in_port)), None
+                )
+                assert table.lookup(headers, in_port) is scan
