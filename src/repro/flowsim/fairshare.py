@@ -558,10 +558,6 @@ def affected_component(
     return visited
 
 
-def _first_seq(component: "_Component") -> int:
-    return component.seqs[0]
-
-
 class _Component:
     """One link-sharing component of the solver's live flows.
 
@@ -712,16 +708,20 @@ class IncrementalSolver:
             seqs.insert(row, seq)
             component.flows.insert(row, flow)
             component.columns = None
+        self._enroll(component, links)
+        self._mark_dirty(component)
+
+    def _enroll(self, component: _Component, links: Tuple[Hashable, ...]) -> None:
+        """Count one member's links and route into its component."""
         refs = component.link_refs
         for link in links:
             count = refs.get(link)
             if count is None:
                 refs[link] = 1
-                component_of[link] = component
+                self._component_of[link] = component
             else:
                 refs[link] = count + 1
         component.routes[links] = component.routes.get(links, 0) + 1
-        self._mark_dirty(component)
 
     def _merge(self, a: _Component, b: _Component) -> _Component:
         """Fold the smaller component into the larger; returns it."""
@@ -785,13 +785,8 @@ class IncrementalSolver:
             part = _Component()
             part.flows = flows
             part.seqs = [seq_of[flow.flow_id] for flow in flows]
-            refs, routes = part.link_refs, part.routes
             for flow in flows:
-                for link in flow.links:
-                    refs[link] = refs.get(link, 0) + 1
-                routes[flow.links] = routes.get(flow.links, 0) + 1
-            for link in refs:
-                self._component_of[link] = part
+                self._enroll(part, flow.links)
             out.append(part)
         return out
 
@@ -839,7 +834,7 @@ class IncrementalSolver:
             # Oldest member first, as a from-scratch partition orders
             # them; the order decides reporting (and the order callers
             # apply rates in), never a value.
-            components.sort(key=_first_seq)
+            components.sort(key=lambda component: component.seqs[0])
             solved = len(components)
             for component in components:
                 touched.update(component.link_refs)
