@@ -184,14 +184,11 @@ class FlowLevelEngine:
         # registered direction indices / last solved rate, plus the
         # per-direction share of ``allocated_bps`` owed to externals so
         # ``background_load`` can report engine-owned load alone.
-        self._external_links: Dict[Hashable, List[int]] = {}
+        self._external_links: Dict[Hashable, Tuple[int, ...]] = {}
         self._external_rates: Dict[Hashable, float] = {}
         self._external_on_dir: Dict[int, float] = {}
         # Probe walks are observational: no packet-ins, no controller.
         self._probing = False
-        # Per-flow cached solver inputs (rebuilt on route changes).
-        self._flow_links: Dict[int, List[int]] = {}
-        self._flow_eff_demand: Dict[int, float] = {}
         #: Observers: callables ``(event_name, flow)`` for 'arrival',
         #: 'delivered', 'undelivered', 'completed', 'ended', 'rerouted'.
         self.observers: List[Callable[[str, Flow], None]] = []
@@ -318,13 +315,17 @@ class FlowLevelEngine:
         ones share fairly with engine flows.  The solved rate is
         readable via :meth:`external_rate` after :meth:`recompute_rates`.
         """
-        indices = [
-            self._register_direction(d) for d in directions if d.up
-        ]
-        self._external_links[key] = indices
-        self._solver.upsert(
-            FlowDemand(key, demand_bps, indices, weight=weight, pinned=pinned)
+        demand = FlowDemand(
+            key,
+            demand_bps,
+            [self._register_direction(d) for d in directions if d.up],
+            weight=weight,
+            pinned=pinned,
         )
+        # The solver's own (de-duplicated) link tuple: a direction's
+        # load counts a demand once, so must its external share.
+        self._external_links[key] = demand.links
+        self._solver.upsert(demand)
 
     def clear_external_demand(self, key: Hashable) -> None:
         """Drop a previously registered external demand."""
@@ -498,8 +499,6 @@ class FlowLevelEngine:
         self.active.pop(flow.flow_id, None)
         self._completions.pop(flow.flow_id, None)
         self._accrued.pop(flow.flow_id, None)
-        self._flow_links.pop(flow.flow_id, None)
-        self._flow_eff_demand.pop(flow.flow_id, None)
         self._solver.remove(flow.flow_id)
 
     def on_link_state(self, a: str, b: str, up: bool) -> None:
@@ -606,7 +605,6 @@ class FlowLevelEngine:
             if cache_key is not None:
                 self._route_cache_store(cache_key, route, packet_ins_before)
         flow.route = route
-        self._cache_solver_inputs(flow)
         previously_counted = flow.state in (FlowState.ACTIVE, FlowState.BLOCKED)
         if route.delivered:
             flow.state = FlowState.ACTIVE
@@ -627,9 +625,10 @@ class FlowLevelEngine:
         self._sync_solver(flow)
 
     def _sync_solver(self, flow: Flow) -> None:
-        """Push a flow's (possibly changed) solver inputs into the
-        persistent incremental index.  Blocked flows carry no traffic
-        and leave the solver entirely."""
+        """Push a flow's (possibly changed) solver inputs — its
+        meter-capped demand and the up directions of its route — into
+        the persistent incremental index.  Blocked flows carry no
+        traffic and leave the solver entirely."""
         if flow.state is FlowState.BLOCKED:
             self._solver.remove(flow.flow_id)
             flow.rate_bps = 0.0
@@ -637,8 +636,12 @@ class FlowLevelEngine:
         self._solver.upsert(
             FlowDemand(
                 flow.flow_id,
-                self._flow_eff_demand[flow.flow_id],
-                self._flow_links[flow.flow_id],
+                self._effective_demand(flow),
+                [
+                    self._register_direction(direction)
+                    for direction in flow.route.directions
+                    if direction.up
+                ],
                 weight=flow.weight,
             )
         )
@@ -753,21 +756,6 @@ class FlowLevelEngine:
             entries=list(route.entries),
             group_hits=list(route.group_hits),
         )
-
-    def _cache_solver_inputs(self, flow: Flow) -> None:
-        """Rebuild the flow's link-index list and effective demand."""
-        route = flow.route
-        if route is None:
-            self._flow_links[flow.flow_id] = []
-            self._flow_eff_demand[flow.flow_id] = 0.0
-            return
-        indices: List[int] = []
-        for direction in route.directions:
-            if not direction.up:
-                continue
-            indices.append(self._register_direction(direction))
-        self._flow_links[flow.flow_id] = indices
-        self._flow_eff_demand[flow.flow_id] = self._effective_demand(flow)
 
     def _register_direction(self, direction: LinkDirection) -> int:
         """Index a link direction for the solver, recording capacity."""
@@ -1029,35 +1017,43 @@ class FlowLevelEngine:
         an event touched; ``solver="full"`` re-runs it on every
         component.  Either way the kernel sees each component's flows in
         the same (insertion) order, so the rate vectors are bitwise
-        identical — incremental mode just skips the redundant work.
+        identical — incremental mode just skips the redundant work — and
+        either way the solver answers by difference: the load of every
+        link it touched, and the rates that moved.  Only those are
+        applied, so an event costs what it changes.
         """
         solver = self._solver
-        updates = solver.resolve(
+        moved = solver.resolve(
             self._dir_caps, full=self.solver_mode == "full"
         )
+        touched = solver.last_touched_links
+        load_of = solver.last_loads.get
         dir_list = self._dir_list
-        external_on_dir = self._external_on_dir
-        # Per-direction totals: only links in re-solved components can
-        # have moved; zero them and re-add the fresh contributions.
-        for index in solver.last_touched_links:
-            dir_list[index].allocated_bps = 0.0
-            external_on_dir.pop(index, None)
-        flow_links = self._flow_links
-        external_links = self._external_links
-        for flow_id, rate in updates.items():
-            flow = self.active.get(flow_id)
+        # A touched direction outside every re-solved component lost
+        # its last flow: it carries nothing.
+        for index in touched:
+            dir_list[index].allocated_bps = load_of(index, 0.0)
+        active = self.active
+        external_rates = self._external_rates
+        for flow_id, rate in moved.items():
+            flow = active.get(flow_id)
             if flow is None:
-                links = external_links.get(flow_id)
-                if links is None:  # pragma: no cover - defensive
-                    continue
-                self._external_rates[flow_id] = rate
+                external_rates[flow_id] = rate
+            else:
+                self._apply_rate(flow, rate, now)
+        # The externals' share of the touched directions, from scratch
+        # in registration (= solver insertion) order.  An unmoved
+        # external is not in ``moved`` and keeps its rate; a cleared one
+        # is in neither dict, but the directions it left are touched.
+        external_on_dir = self._external_on_dir
+        if external_on_dir or self._external_links:
+            for index in touched:
+                external_on_dir.pop(index, None)
+            for key, links in self._external_links.items():
+                rate = external_rates[key]
                 for index in links:
-                    dir_list[index].allocated_bps += rate
-                    external_on_dir[index] = external_on_dir.get(index, 0.0) + rate
-                continue
-            self._apply_rate(flow, rate, now)
-            for index in flow_links.get(flow_id, ()):
-                dir_list[index].allocated_bps += rate
+                    if index in touched:
+                        external_on_dir[index] = external_on_dir.get(index, 0.0) + rate
 
     def _apply_rate(self, flow: Flow, rate: float, now: float) -> None:
         """Set a flow's rate, accruing at the old rate first."""

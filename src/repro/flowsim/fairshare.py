@@ -16,9 +16,10 @@ The module is organized around one *canonical component kernel*:
   components and run the kernel on each.  Components are independent
   under max-min fairness, so this is exact.
 * :class:`IncrementalSolver` — stateful solver that keeps the *exact*
-  component partition across flow arrivals/departures/re-routes and
+  component partition across flow arrivals/departures/re-routes,
   re-runs the kernel only on *dirty* components, reusing cached rates
-  for untouched ones.
+  for untouched ones, and reports by difference: the rates that moved
+  and the load of every link it touched.
 
 Because full and incremental solves run the **same kernel on the same
 per-component inputs in the same order**, their results are bitwise
@@ -47,6 +48,10 @@ RELATIVE_EPSILON = 1e-9
 
 #: Components at or above this many flows use the vectorized kernel.
 VECTOR_COMPONENT_THRESHOLD = 48
+
+#: Last-reported rate of a flow no resolve has reported yet.  NaN is
+#: unequal to every rate, so such a flow always counts as moved.
+_UNREPORTED = float("nan")
 
 
 def saturation_eps(capacity: float) -> float:
@@ -272,11 +277,13 @@ class _Columns:
     whose last row left keeps its number and simply carries no weight.
     Built in one pass from a flow sequence, then kept resident by
     :class:`IncrementalSolver`: a flow joining at the end is an
-    :meth:`append`, one leaving a :meth:`delete`.
+    :meth:`append`, one leaving a :meth:`delete`.  ``rate`` is not a
+    kernel input: it holds the rate last reported for each row, the one
+    copy the solver keeps while the columns are resident.
     """
 
-    __slots__ = ("rows", "pairs", "demand", "weight", "pinned", "counts",
-                 "flat", "link_ids", "links")
+    __slots__ = ("rows", "pairs", "demand", "weight", "pinned", "rate",
+                 "counts", "flat", "link_ids", "links")
 
     def __init__(self, flows: Sequence[FlowDemand]) -> None:
         size = max(8, 2 * len(flows))
@@ -285,6 +292,7 @@ class _Columns:
         self.demand = np.zeros(size)
         self.weight = np.zeros(size)
         self.pinned = np.zeros(size, dtype=bool)
+        self.rate = np.zeros(size)
         #: Links crossed per row; ``flat`` holds their local ids, row by row.
         self.counts = np.zeros(size, dtype=np.intp)
         self.flat = np.zeros(4 * size, dtype=np.intp)
@@ -298,13 +306,14 @@ class _Columns:
             column = getattr(self, name)
             setattr(self, name, np.concatenate((column, np.zeros_like(column))))
 
-    def append(self, flow: FlowDemand) -> None:
+    def append(self, flow: FlowDemand, rate: float = _UNREPORTED) -> None:
         row, pair = self.rows, self.pairs
         if row == self.demand.size:
-            self._grow("demand", "weight", "pinned", "counts")
+            self._grow("demand", "weight", "pinned", "rate", "counts")
         while pair + len(flow.links) > self.flat.size:
             self._grow("flat")
         self.set_row(row, flow)
+        self.rate[row] = rate
         self.counts[row] = len(flow.links)
         link_ids, flat = self.link_ids, self.flat
         for link in flow.links:
@@ -327,13 +336,13 @@ class _Columns:
         rows, pairs, counts, flat = self.rows, self.pairs, self.counts, self.flat
         start = int(counts[:row].sum())
         width = int(counts[row])
-        for column in (self.demand, self.weight, self.pinned, counts):
+        for column in (self.demand, self.weight, self.pinned, self.rate, counts):
             column[row:rows - 1] = column[row + 1:rows]
         flat[start:pairs - width] = flat[start + width:pairs]
         self.rows = rows - 1
         self.pairs = pairs - width
 
-    def solve(self, capacities: Mapping[Hashable, float]) -> List[float]:
+    def solve(self, capacities: Mapping[Hashable, float]) -> np.ndarray:
         """Rates in row order."""
         links, rows = self.links, self.rows
         try:
@@ -349,6 +358,17 @@ class _Columns:
             self.flat[:self.pairs],
             weight=self.weight[:rows],
             pinned=pinned if pinned.any() else None,
+        )
+
+    def loads(self, rates: np.ndarray) -> List[float]:
+        """Each link's sum of ``rates`` over the rows crossing it, by
+        link number.  ``bincount`` adds a link's pairs one at a time in
+        row order: the additions, and the order, of a Python loop over
+        the flows and their links, so the sums are the same bits."""
+        return np.bincount(
+            self.flat[:self.pairs],
+            weights=np.repeat(rates, self.counts[:self.rows]),
+            minlength=len(self.links),
         ).tolist()
 
 
@@ -371,9 +391,8 @@ def solve_component(
     take the same path and return bitwise-identical rates.
     """
     if len(flows) >= VECTOR_COMPONENT_THRESHOLD:
-        return dict(
-            zip([flow.flow_id for flow in flows], _Columns(flows).solve(capacities))
-        )
+        rates = _Columns(flows).solve(capacities).tolist()
+        return dict(zip([flow.flow_id for flow in flows], rates))
     return _solve_component_scalar(flows, capacities)
 
 
@@ -566,14 +585,18 @@ class _Component:
     member flows on each link, so a link leaves the component with its
     last flow; ``routes`` counts members per link tuple, which is what
     tells a harmless departure from one that may disconnect the rest.
+    The rate last reported for each member sits in ``rates`` (parallel
+    to ``flows``) or, while ``columns`` are resident, in their ``rate``
+    column instead — never in both.
     """
 
-    __slots__ = ("flows", "seqs", "link_refs", "routes", "may_split",
+    __slots__ = ("flows", "seqs", "rates", "link_refs", "routes", "may_split",
                  "dirty", "columns")
 
     def __init__(self) -> None:
         self.flows: List[FlowDemand] = []
         self.seqs: List[int] = []
+        self.rates: Optional[List[float]] = []
         self.link_refs: Dict[Hashable, int] = {}
         self.routes: Dict[Tuple[Hashable, ...], int] = {}
         #: A flow left whose link tuple no other member shares, so the
@@ -583,6 +606,66 @@ class _Component:
         self.dirty = False
         #: Resident kernel inputs while the component is vector-sized.
         self.columns: Optional[_Columns] = None
+
+    def last_rates(self) -> List[float]:
+        """The members' last reported rates, in flow order."""
+        columns = self.columns
+        if columns is None:
+            return self.rates
+        return columns.rate[:columns.rows].tolist()
+
+    def drop_columns(self) -> List[float]:
+        """Back to the list layout (returned), whichever one is held."""
+        self.rates = self.last_rates()
+        self.columns = None
+        return self.rates
+
+    def report(
+        self,
+        fresh: Iterable[float],
+        moved: Dict[Hashable, float],
+        loads: Dict[Hashable, float],
+    ) -> None:
+        """Take the members' fresh rates (flow order) in the list
+        layout: keep them, add those unequal to the last report to
+        ``moved`` and the sum over each link's members to ``loads``."""
+        last = self.drop_columns()
+        for link in self.link_refs:
+            loads[link] = 0.0
+        for row, (flow, rate) in enumerate(zip(self.flows, fresh)):
+            if rate != last[row]:
+                moved[flow.flow_id] = last[row] = rate
+            for link in flow.links:
+                loads[link] += rate
+
+    def solve_resident(
+        self,
+        capacities: Mapping[Hashable, float],
+        moved: Dict[Hashable, float],
+        loads: Dict[Hashable, float],
+    ) -> None:
+        """Solve on the resident columns (built on first use) and report
+        as :meth:`report` does, in array operations."""
+        columns = self.columns
+        if columns is None:
+            columns = self.columns = _Columns(self.flows)
+            columns.rate[:columns.rows] = self.rates
+            self.rates = None
+        fresh = columns.solve(capacities)
+        last = columns.rate[:columns.rows]
+        rows = np.flatnonzero(fresh != last)
+        if rows.size:
+            flows = self.flows
+            moved.update(
+                zip([flows[row].flow_id for row in rows.tolist()], fresh[rows].tolist())
+            )
+            last[:] = fresh
+        # The numbering outlives a link's last row (see _Columns); such a
+        # link may belong to another component by now.
+        refs = self.link_refs
+        for link, load in zip(columns.links, columns.loads(fresh)):
+            if link in refs:
+                loads[link] = load
 
 
 class IncrementalSolver:
@@ -601,6 +684,15 @@ class IncrementalSolver:
     components keep their cached — equally exact — rates.  Exactness is
     what makes that hold: solving two disconnected sets as one would
     change the arithmetic, not only the scope.
+
+    :meth:`resolve` reports by difference: it returns the rates that
+    moved — bitwise unequal to the rate last reported for the flow, or
+    the flow's first — and publishes the load of every link of the
+    components it re-solved (:attr:`last_loads`).  A flow's last
+    reported rate is held once: with its component, or in ``_free`` for
+    a flow granted its demand outright; it follows the flow through
+    re-routes, merges and splits, so "moved" never depends on how the
+    store is laid out.
     """
 
     def __init__(self) -> None:
@@ -609,7 +701,8 @@ class IncrementalSolver:
         self._seq: Dict[Hashable, int] = {}
         self._next_seq = 0
         self._component_of: Dict[Hashable, _Component] = {}  # by link
-        self._alloc: Dict[Hashable, float] = {}
+        #: Free flows (see FlowDemand.is_free) -> rate last reported.
+        self._free: Dict[Hashable, float] = {}
         self._dirty_free: Set[Hashable] = set()
         self._dirty: List[_Component] = []
         self._dirty_links: Set[Hashable] = set()
@@ -618,10 +711,16 @@ class IncrementalSolver:
         #: Links whose total allocation may have changed in the last
         #: resolve (callers maintaining per-link totals reset these).
         self.last_touched_links: Set[Hashable] = set()
+        #: Load of every link of the components the last resolve
+        #: re-solved: the member rates summed in flow order, a flow
+        #: counting once per link of ``FlowDemand.links``.  A touched
+        #: link absent here carries no constrained flow any more.
+        self.last_loads: Dict[Hashable, float] = {}
         self.stats = {
             "resolves": 0,
             "component_solves": 0,
             "flows_resolved": 0,
+            "rates_moved": 0,
             "repartitions": 0,
         }
         #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
@@ -636,6 +735,7 @@ class IncrementalSolver:
         are identical to the registered ones (rates cannot move)."""
         flow_id = flow.flow_id
         old = self._flows.get(flow_id)
+        last = _UNREPORTED
         if old is None:
             seq = self._seq[flow_id] = self._next_seq
             self._next_seq += 1
@@ -652,20 +752,19 @@ class IncrementalSolver:
                     component.columns.set_row(row, flow)
                 self._mark_dirty(component)
                 return
-            self._detach(old, seq)
+            last = self._detach(old, seq)
         self._flows[flow_id] = flow
         if flow.is_free():
+            self._free[flow_id] = last
             self._dirty_free.add(flow_id)
         else:
-            self._attach(flow, seq)
+            self._attach(flow, seq, last)
 
     def remove(self, flow_id: Hashable) -> None:
         """Drop a departed flow; its old component is marked dirty."""
         flow = self._flows.pop(flow_id, None)
-        if flow is None:
-            return
-        self._alloc.pop(flow_id, None)
-        self._detach(flow, self._seq.pop(flow_id))
+        if flow is not None:
+            self._detach(flow, self._seq.pop(flow_id))
 
     def touch_link(self, link: Hashable) -> None:
         """Mark a link dirty (e.g. its capacity changed)."""
@@ -684,9 +783,10 @@ class IncrementalSolver:
             component.dirty = True
             self._dirty.append(component)
 
-    def _attach(self, flow: FlowDemand, seq: int) -> None:
-        """Add a constrained flow to the component owning its links,
-        merging the components it bridges."""
+    def _attach(self, flow: FlowDemand, seq: int, last: float) -> None:
+        """Add a constrained flow, with the rate last reported for it,
+        to the component owning its links, merging the components it
+        bridges."""
         component_of = self._component_of
         links = flow.links
         component: Optional[_Component] = None
@@ -700,14 +800,16 @@ class IncrementalSolver:
         if not seqs or seq > seqs[-1]:
             seqs.append(seq)
             component.flows.append(flow)
-            if component.columns is not None:
-                component.columns.append(flow)
+            if component.columns is None:
+                component.rates.append(last)
+            else:
+                component.columns.append(flow, last)
         else:
             # A re-routed flow keeps its seq: back to its sorted place.
             row = bisect_left(seqs, seq)
             seqs.insert(row, seq)
             component.flows.insert(row, flow)
-            component.columns = None
+            component.drop_columns().insert(row, last)
         self._enroll(component, links)
         self._mark_dirty(component)
 
@@ -727,31 +829,37 @@ class IncrementalSolver:
         """Fold the smaller component into the larger; returns it."""
         if len(a.flows) < len(b.flows):
             a, b = b, a
-        merged = list(
-            merge(zip(a.seqs, a.flows), zip(b.seqs, b.flows), key=itemgetter(0))
-        )
-        a.seqs = [seq for seq, _ in merged]
-        a.flows = [flow for _, flow in merged]
+        a.seqs, a.flows, a.rates = map(list, zip(*merge(
+            zip(a.seqs, a.flows, a.drop_columns()),
+            zip(b.seqs, b.flows, b.drop_columns()),
+            key=itemgetter(0),
+        )))
         component_of = self._component_of
         for link in b.link_refs:
             component_of[link] = a
         a.link_refs.update(b.link_refs)
         a.routes.update(b.routes)
         a.may_split = a.may_split or b.may_split
-        a.columns = None
         b.flows = []  # dead: skipped if still queued as dirty
         return a
 
-    def _detach(self, flow: FlowDemand, seq: int) -> None:
+    def _detach(self, flow: FlowDemand, seq: int) -> float:
+        """Take a flow out of the store; returns its last reported rate."""
         if flow.is_free():
             self._dirty_free.discard(flow.flow_id)
-            return
+            return self._free.pop(flow.flow_id)
         links = flow.links
         self._dirty_links.update(links)
         component = self._component_of[links[0]]
         row = bisect_left(component.seqs, seq)
         del component.seqs[row]
         del component.flows[row]
+        columns = component.columns
+        if columns is None:
+            last = component.rates.pop(row)
+        else:
+            last = float(columns.rate[row])
+            columns.delete(row)
         refs = component.link_refs
         for link in links:
             if refs[link] == 1:
@@ -767,9 +875,8 @@ class IncrementalSolver:
             component.may_split = True
         else:
             routes[links] -= 1
-        if component.columns is not None:
-            component.columns.delete(row)
         self._mark_dirty(component)
+        return last
 
     def _split(self, component: _Component) -> List[_Component]:
         """Re-partition a component a twin-less departure may have
@@ -780,11 +887,15 @@ class IncrementalSolver:
         if len(parts) == 1:
             return [component]
         seq_of = self._seq
+        last = dict(
+            zip([flow.flow_id for flow in component.flows], component.last_rates())
+        )
         out = []
         for flows in parts:
             part = _Component()
             part.flows = flows
             part.seqs = [seq_of[flow.flow_id] for flow in flows]
+            part.rates = [last[flow.flow_id] for flow in flows]
             for flow in flows:
                 self._enroll(part, flow.links)
             out.append(part)
@@ -796,15 +907,18 @@ class IncrementalSolver:
     def resolve(
         self, capacities: Mapping[Hashable, float], full: bool = False
     ) -> Dict[Hashable, float]:
-        """Re-solve dirty components; returns flow_id -> rate for every
-        re-solved flow.  With ``full=True`` the rates come from
-        partitioning and solving the live flows from scratch, store and
-        resident columns unused (the reference mode the differential
-        suite compares against — identical results, no reuse).
+        """Re-solve dirty components; returns flow_id -> rate for the
+        flows whose rate moved (see the class docstring) and publishes
+        :attr:`last_loads`, :attr:`last_touched_links` and
+        :attr:`last_scope` (flows re-solved, moved or not).  With
+        ``full=True`` every component is re-solved and the rates come
+        from partitioning and solving the live flows from scratch, store
+        and resident columns unused (the reference mode the differential
+        suite compares against — identical results, no reuse); they are
+        then reported through the same difference.
         """
         self.stats["resolves"] += 1
         touched = self._dirty_links
-        result: Dict[Hashable, float] = {}
         # Store upkeep, whichever way the rates are computed: every
         # dirty component becomes exact.
         components: List[_Component] = []
@@ -814,77 +928,84 @@ class IncrementalSolver:
                 components.extend(
                     self._split(component) if component.may_split else (component,)
                 )
+        flow_of = self._flows
         if full:
-            constrained = []
-            for flow_id, flow in self._flows.items():
-                if flow.is_free():
-                    result[flow_id] = flow.demand_bps
-                else:
-                    constrained.append(flow)
-                    touched.update(flow.links)
-            parts = _partition(constrained)
-            solved = len(parts)
-            for flows in parts:
-                result.update(solve_component(flows, capacities))
-        else:
-            # Insertion order keeps the result dict (and therefore the
-            # order rates are applied in) independent of set hashing.
-            for flow_id in sorted(self._dirty_free, key=self._seq.__getitem__):
-                result[flow_id] = self._flows[flow_id].demand_bps
-            # Oldest member first, as a from-scratch partition orders
-            # them; the order decides reporting (and the order callers
-            # apply rates in), never a value.
-            components.sort(key=lambda component: component.seqs[0])
-            solved = len(components)
-            for component in components:
-                touched.update(component.link_refs)
-                flows = component.flows
-                if len(flows) < VECTOR_COMPONENT_THRESHOLD:
-                    component.columns = None
-                    result.update(_solve_component_scalar(flows, capacities))
-                else:
-                    if component.columns is None:
-                        component.columns = _Columns(flows)
-                    result.update(
-                        zip([flow.flow_id for flow in flows],
-                            component.columns.solve(capacities))
-                    )
+            components = self._components()
+            scratch = solve(flow_of.values(), capacities)
+        # Insertion order keeps the returned dict (and therefore the
+        # order rates are applied in) independent of set hashing: free
+        # flows first, then components oldest member first, as a
+        # from-scratch partition orders them.  The order decides
+        # reporting, never a value.
+        free = sorted(self._free if full else self._dirty_free,
+                      key=self._seq.__getitem__)
+        components.sort(key=lambda component: component.seqs[0])
+        moved: Dict[Hashable, float] = {}
+        loads: Dict[Hashable, float] = {}
+        last_free = self._free
+        for flow_id in free:
+            rate = flow_of[flow_id].demand_bps
+            if rate != last_free[flow_id]:
+                moved[flow_id] = last_free[flow_id] = rate
+        scope = len(free)
+        for component in components:
+            touched.update(component.link_refs)
+            flows = component.flows
+            scope += len(flows)
+            if full:
+                fresh = [scratch[flow.flow_id] for flow in flows]
+            elif len(flows) < VECTOR_COMPONENT_THRESHOLD:
+                fresh = _solve_component_scalar(flows, capacities).values()
+            else:
+                component.solve_resident(capacities, moved, loads)
+                continue
+            component.report(fresh, moved, loads)
         self._dirty = []
         self._dirty_free = set()
         self._dirty_links = set()
-        self._alloc.update(result)
-        self.last_scope = len(result)
+        self.last_scope = scope
         self.last_touched_links = touched
-        self.stats["component_solves"] += solved
-        self.stats["flows_resolved"] += len(result)
+        self.last_loads = loads
+        self.stats["component_solves"] += len(components)
+        self.stats["flows_resolved"] += scope
+        self.stats["rates_moved"] += len(moved)
         if self.trace_bus is not None:
             # Components not solved kept their cached rates — the
             # incremental solver's cache hits.
-            live = len(self.components())
+            live = len(self._components())
             self.trace_bus.emit(
                 "solver.resolve",
                 full=full,
-                components_solved=solved,
-                components_cached=max(0, live - solved),
-                flows=len(result),
+                components_solved=len(components),
+                components_cached=max(0, live - len(components)),
+                flows=scope,
+                moved=len(moved),
             )
-        return result
+        return moved
 
     # ------------------------------------------------------------------
     # Introspection / compatibility
     # ------------------------------------------------------------------
+    def _components(self) -> List[_Component]:
+        return list({id(c): c for c in self._component_of.values()}.values())
+
     @property
     def alloc(self) -> Dict[Hashable, float]:
-        """The full cached allocation (flow_id -> rate)."""
-        return dict(self._alloc)
+        """The full cached allocation (flow_id -> rate): every live
+        flow's last reported rate."""
+        out = dict(self._free)
+        for component in self._components():
+            out.update(
+                zip([flow.flow_id for flow in component.flows], component.last_rates())
+            )
+        return {flow_id: rate for flow_id, rate in out.items() if rate == rate}
 
     def flow_count(self) -> int:
         return len(self._flows)
 
     def components(self) -> List[List[Hashable]]:
         """Member flow ids of every component, each in insertion order."""
-        distinct = {id(c): c for c in self._component_of.values()}
-        return [[flow.flow_id for flow in c.flows] for c in distinct.values()]
+        return [[flow.flow_id for flow in c.flows] for c in self._components()]
 
     def update(
         self,
@@ -908,4 +1029,5 @@ class IncrementalSolver:
             else:
                 self.upsert(flow)
         self.resolve(capacities)
-        return {flow_id: self._alloc.get(flow_id, 0.0) for flow_id in current}
+        alloc = self.alloc
+        return {flow_id: alloc.get(flow_id, 0.0) for flow_id in current}

@@ -221,8 +221,9 @@ _weights = st.sampled_from(WEIGHT_CHOICES)
 class SolverIndexMachine(RuleBasedStateMachine):
     """Drives every mutation of the component store in random order
     and checks, after each resolve, the store against ``_partition``,
-    the rates against ``solve``, the touched-link report, and a pickled
-    copy of the solver that receives the same remaining steps.  Every
+    the rates against ``solve``, the report by difference (moved rates,
+    published link loads, touched links), and a pickled copy of the
+    solver that receives the same remaining steps.  Every
     mutation may be followed at once by a resolve, so programs mix
     resolve-per-event (the engine's rhythm) with batched mutations."""
 
@@ -243,6 +244,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
         self.live = {}
         self.next_id = 0
         self.removed_links = set()
+        self.reported = {}  # live flows' rates as of the last resolve
 
     def teardown(self):
         fairshare.VECTOR_COMPONENT_THRESHOLD = self._saved_threshold
@@ -327,6 +329,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 10**6), then_resolve=st.booleans())
     def remove(self, pick, then_resolve):
         flow = self.live.pop(self._pick(pick).flow_id)
+        self.reported.pop(flow.flow_id, None)
         self._note_departure(flow)
         for solver in self._each():
             solver.remove(flow.flow_id)
@@ -347,22 +350,62 @@ class SolverIndexMachine(RuleBasedStateMachine):
     @rule(full=st.booleans())
     def resolve(self, full):
         solver = self.solver
+        before = self.reported
         updates = solver.resolve(self.capacities, full=full)
+        alloc = self.reported = solver.alloc
         # (d) the unpickled twin took the same steps: same bits, same order.
         if self.copy is not None:
             assert list(self.copy.resolve(self.capacities, full=full).items()) == list(
                 updates.items()
             )
-            assert self.copy.alloc == solver.alloc
+            assert self.copy.alloc == alloc
+            assert self.copy.last_loads == solver.last_loads
         # (b) bitwise equal to a from-scratch solve of the live flows.
-        assert solver.alloc == solve(list(self.live.values()), self.capacities)
+        assert alloc == solve(list(self.live.values()), self.capacities)
         assert solver.flow_count() == len(self.live)
-        # (c) every link whose load may have moved is reported.
+        # (e) reported by difference: exactly the live flows whose rate
+        # is new or bitwise different from the last resolve's - however
+        # the flow was re-routed, merged or split since - each with its
+        # new rate.
+        assert updates == {
+            flow_id: rate
+            for flow_id, rate in alloc.items()
+            if flow_id not in before or before[flow_id] != rate
+        }
+        # (f) every published load is the sum, in insertion order, of
+        # the rates of the constrained flows on the link - the same bits.
+        constrained = [f for f in self.live.values() if not f.is_free()]
+        loads = solver.last_loads
+        for link, load in loads.items():
+            total = 0.0
+            for flow in constrained:
+                if link in flow.links:
+                    total += alloc[flow.flow_id]
+            assert load == total
+        # (g) loads are published for whole components and nothing else
+        # (a link number outliving its last row must not leak), and the
+        # components published add up to the scope reported.
+        published = [
+            ids for ids in solver.components()
+            if any(link in loads for link in self.live[ids[0]].links)
+        ]
+        assert set(loads) == {
+            link for ids in published for i in ids for link in self.live[i].links
+        }
+        free = len(self.live) - len(constrained)
+        scope = sum(len(ids) for ids in published)
+        assert scope <= solver.last_scope <= scope + free
+        if full:
+            assert solver.last_scope == len(self.live)
+        # (c) every link whose load may have moved is reported: those a
+        # flow left, and all of a component in which a rate moved.
         moved = set(self.removed_links)
-        for flow_id in updates:
-            if not self.live[flow_id].is_free():
-                moved.update(self.live[flow_id].links)
+        for ids in solver.components():
+            if not updates.keys().isdisjoint(ids):
+                for flow_id in ids:
+                    moved.update(self.live[flow_id].links)
         assert moved <= solver.last_touched_links
+        assert moved - self.removed_links <= set(loads)
         self.removed_links = set()
         # (a) no stale merge, no missed merge.
         assert _components(solver) == _true_components(self.live)
@@ -418,7 +461,7 @@ def test_removal_of_bridge_flow_splits_and_resolves_both_halves():
     updates = solver.resolve(caps)
     assert solver.stats["repartitions"] == 1
     assert _components(solver) == {frozenset({0, 1}), frozenset({3, 4})}
-    assert set(updates) == {0, 1, 3, 4}  # both halves lost a competitor
+    assert solver.last_scope == 4 and not updates  # both halves re-solved, no rate moved
     assert {"a", "b", "c", "d"} <= solver.last_touched_links
     assert solver.alloc == solve(left + right, caps)
     # The halves are independent now: touching one leaves the other cached.
