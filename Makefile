@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -63,6 +63,17 @@ horsebench:
 #   make horsebench-compare A=before.json B=after.json
 horsebench-compare:
 	python3 benchmarks/horsebench/compare.py $(A) $(B)
+
+# N interleaved parent/change pairs of one workload, run as the driver
+# runs it, judged per metric by the nine-in-ten + quartile-gap rule:
+#   make horsebench-pairs PARENT=../parent W=pod_hotpath [SEEDS="11 12"] [N=10]
+# PARENT is a checkout of the parent commit on this filesystem
+# (git clone or git worktree); the change is this checkout.
+SEEDS ?= 11 12
+N ?= 10
+horsebench-pairs:
+	python3 tools/bench_pairs.py --parent $(PARENT) --workload $(W) \
+		--seeds $(SEEDS) --pairs $(N)
 
 # Disabled telemetry must cost <5% on the hot path (vs BENCH_e2.json).
 telemetry-gate:

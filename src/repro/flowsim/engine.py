@@ -40,7 +40,6 @@ event touched rather than to the whole network:
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time as _time
 from collections import deque
@@ -89,11 +88,6 @@ _RATE_EPS = 1e-6
 
 #: Valid values for the ``solver`` engine parameter.
 SOLVER_MODES = ("incremental", "full")
-
-#: Header fields a route-cache key may project onto.
-_HEADER_FIELD_NAMES = tuple(
-    f.name for f in dataclasses.fields(HeaderFields)
-)
 
 #: Route-cache entries are dropped wholesale beyond this many classes.
 _ROUTE_CACHE_MAX = 4096
@@ -160,9 +154,12 @@ class FlowLevelEngine:
         )
         self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules
-        # reference, memoised on the global pipeline version sum.
+        # reference, memoised on the global pipeline version sum; the
+        # switch list it sums over is re-read when the topology grows.
         self._key_fields: Optional[Tuple[str, ...]] = None
         self._key_fields_version = -1
+        self._switches: List[Switch] = []
+        self._switches_node_count = -1
         # Pipelines consulted by the walk in progress: dpid -> version
         # at first lookup (used to build cache deps and to refuse
         # caching walks that raced a rule change).
@@ -674,9 +671,13 @@ class FlowLevelEngine:
         """Header fields referenced by any installed match, memoised on
         the global pipeline version sum; None means "use full headers"
         (a group's hash may consult any field)."""
+        topology = self.topology
+        if len(topology) != self._switches_node_count:
+            self._switches = topology.switches
+            self._switches_node_count = len(topology)
         total = 0
         pipelines = []
-        for switch in self.topology.switches:
+        for switch in self._switches:
             pipeline = switch.pipeline
             if pipeline is not None:
                 pipelines.append(pipeline)
@@ -691,10 +692,7 @@ class FlowLevelEngine:
                 break
             for table in pipeline.tables:
                 for entry in table:
-                    match = entry.match
-                    for name in _HEADER_FIELD_NAMES:
-                        if getattr(match, name) is not None:
-                            referenced.add(name)
+                    referenced.update(entry.match.referenced_fields)
         self._key_fields_version = total
         self._key_fields = None if full_headers else tuple(sorted(referenced))
         return self._key_fields

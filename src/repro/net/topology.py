@@ -38,6 +38,8 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
+        #: dpid -> the first switch registered with it.
+        self._switch_by_dpid: Dict[int, Switch] = {}
         self._links: List[Link] = []
         self._next_dpid = 1
         self._next_host_index = 0
@@ -82,6 +84,8 @@ class Topology:
         if node.name in self._nodes:
             raise TopologyError(f"duplicate node name: {node.name}")
         self._nodes[node.name] = node
+        if isinstance(node, Switch):
+            self._switch_by_dpid.setdefault(node.dpid, node)
         self._adj[node.name] = {}
         self._path_cache.clear()
 
@@ -107,10 +111,10 @@ class Topology:
         return node
 
     def switch_by_dpid(self, dpid: int) -> Switch:
-        for node in self._nodes.values():
-            if isinstance(node, Switch) and node.dpid == dpid:
-                return node
-        raise NodeNotFoundError(f"no switch with dpid {dpid}")
+        try:
+            return self._switch_by_dpid[dpid]
+        except KeyError:
+            raise NodeNotFoundError(f"no switch with dpid {dpid}") from None
 
     @property
     def nodes(self) -> List[Node]:

@@ -11,12 +11,16 @@ validator's conflict detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import Optional, Union
+from typing import Any, Optional, Tuple, Union
 
 from ..net.address import IPv4Address, IPv4Network, MacAddress
 from .headers import HeaderFields
 
 IpMatch = Union[IPv4Address, IPv4Network]
+
+_HEADER_FIELD_NAMES = tuple(f.name for f in dc_fields(HeaderFields))
+#: The match fields proper, in declaration order.
+_FIELD_NAMES = ("in_port",) + _HEADER_FIELD_NAMES
 
 
 def _ip_field_matches(pattern: Optional[IpMatch], value: Optional[IPv4Address]) -> bool:
@@ -78,6 +82,14 @@ class Match:
     tp_src: Optional[int] = None
     tp_dst: Optional[int] = None
 
+    #: Header fields this match sets, in declaration order (``in_port``
+    #: is a property of the ingress, not of the headers).  Compiled once
+    #: at construction, like ``_exact``: the (name, pattern) pairs
+    #: :meth:`matches` compares by equality.  Neither takes part in
+    #: construction, equality, hashing or the repr.
+    referenced_fields: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _exact: Tuple[Tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
+
     _EXACT_FIELDS = (
         "eth_src",
         "eth_dst",
@@ -88,17 +100,35 @@ class Match:
         "tp_dst",
     )
 
+    def __post_init__(self) -> None:
+        values = [(name, getattr(self, name)) for name in _HEADER_FIELD_NAMES]
+        object.__setattr__(
+            self,
+            "referenced_fields",
+            tuple(name for name, value in values if value is not None),
+        )
+        object.__setattr__(
+            self,
+            "_exact",
+            tuple(
+                (name, value)
+                for name, value in values
+                if value is not None and name in self._EXACT_FIELDS
+            ),
+        )
+
     def matches(self, headers: HeaderFields, in_port: Optional[int] = None) -> bool:
         """Test header fields (and optionally the ingress port)."""
         if self.in_port is not None and self.in_port != in_port:
             return False
-        for name in self._EXACT_FIELDS:
-            pattern = getattr(self, name)
-            if pattern is not None and pattern != getattr(headers, name):
+        for name, pattern in self._exact:
+            if pattern != getattr(headers, name):
                 return False
-        if not _ip_field_matches(self.ip_src, headers.ip_src):
+        pattern = self.ip_src
+        if pattern is not None and not _ip_field_matches(pattern, headers.ip_src):
             return False
-        if not _ip_field_matches(self.ip_dst, headers.ip_dst):
+        pattern = self.ip_dst
+        if pattern is not None and not _ip_field_matches(pattern, headers.ip_dst):
             return False
         return True
 
@@ -139,22 +169,22 @@ class Match:
     @property
     def wildcard_count(self) -> int:
         """Number of unset fields; higher means a coarser match."""
-        return sum(1 for f in dc_fields(self) if getattr(self, f.name) is None)
+        return sum(1 for name in _FIELD_NAMES if getattr(self, name) is None)
 
     @property
     def is_wildcard_all(self) -> bool:
-        return all(getattr(self, f.name) is None for f in dc_fields(self))
+        return self.in_port is None and not self.referenced_fields
 
     def describe(self) -> str:
         """Compact human-readable rendering of set fields."""
         parts = []
-        for f in dc_fields(self):
-            value = getattr(self, f.name)
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
             if value is not None:
-                if f.name == "eth_type":
-                    parts.append(f"{f.name}=0x{value:04x}")
+                if name == "eth_type":
+                    parts.append(f"{name}=0x{value:04x}")
                 else:
-                    parts.append(f"{f.name}={value}")
+                    parts.append(f"{name}={value}")
         return " ".join(parts) if parts else "(match-all)"
 
     def __repr__(self) -> str:

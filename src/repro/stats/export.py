@@ -134,7 +134,8 @@ def run_digest(result: "RunResult") -> str:
     they are excluded too: runs that differ only in compaction tuning
     hash identically.
     The fair-share solver's work counters (``engine_stats[...]["solver"]``
-    — ``resolves``, ``component_solves``, ``flows_resolved`` — also
+    — ``resolves``, ``component_solves``, ``flows_resolved``,
+    ``rates_moved`` — also
     nested under ``background_engine`` for hybrid runs, and the
     ``engine.*.solver.*`` metrics flattened from them) likewise describe
     the component *index* — how tightly it scopes a re-solve — not the

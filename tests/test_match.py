@@ -1,5 +1,8 @@
 """Match semantics: wildcards, prefixes, subsumption, overlap."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +138,90 @@ def test_property_subsumes_implies_matches(ip, prefix_len, tp):
     hdr = HeaderFields(ip_dst=IPv4Address(ip), tp_dst=tp)
     assert narrow.matches(hdr)
     assert wide.matches(hdr)
+
+
+# ----------------------------------------------------------------------
+# The compiled form: set fields resolved once at construction
+# ----------------------------------------------------------------------
+_HEADER_NAMES = [f.name for f in dataclasses.fields(HeaderFields)]
+_ADDRESSES = [IPv4Address(a) for a in ("10.0.0.1", "10.0.0.2", "10.0.0.5", "10.0.1.1")]
+_NETWORKS = [IPv4Network(n) for n in ("10.0.0.0/24", "10.0.0.0/30", "10.0.0.1/32", "0.0.0.0/0")]
+#: Small domains, so that random matches and headers agree often.
+_HEADER_VALUES = {
+    "eth_src": st.sampled_from([MacAddress(1), MacAddress(2)]),
+    "eth_dst": st.sampled_from([MacAddress(1), MacAddress(2)]),
+    "eth_type": st.sampled_from([EthType.IPV4, EthType.ARP]),
+    "vlan_vid": st.sampled_from([10, 20]),
+    "ip_src": st.sampled_from(_ADDRESSES),
+    "ip_dst": st.sampled_from(_ADDRESSES),
+    "ip_proto": st.sampled_from([IpProto.TCP, IpProto.UDP]),
+    "tp_src": st.sampled_from([1000, 2000]),
+    "tp_dst": st.sampled_from([80, 443]),
+}
+_ports = st.one_of(st.none(), st.sampled_from([1, 2]))
+_headers = st.builds(
+    HeaderFields, **{n: st.one_of(st.none(), v) for n, v in _HEADER_VALUES.items()}
+)
+_matches = st.builds(
+    Match,
+    in_port=_ports,
+    **{
+        name: st.one_of(
+            st.none(),
+            values | st.sampled_from(_NETWORKS) if name in ("ip_src", "ip_dst") else values,
+        )
+        for name, values in _HEADER_VALUES.items()
+    },
+)
+
+
+def _matches_field_by_field(match, headers, in_port):
+    """``Match.matches`` as first written: every field looked up on
+    both sides, whatever the match sets."""
+    if match.in_port is not None and match.in_port != in_port:
+        return False
+    for name in _HEADER_NAMES:
+        pattern, value = getattr(match, name), getattr(headers, name)
+        if pattern is None:
+            continue
+        if isinstance(pattern, IPv4Network):
+            if value is None or not pattern.contains(value):
+                return False
+        elif pattern != value:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(match=_matches, headers=_headers, in_port=_ports)
+def test_compiled_match_agrees_with_the_field_by_field_reference(
+    match, headers, in_port
+):
+    assert match.matches(headers, in_port) == _matches_field_by_field(
+        match, headers, in_port
+    )
+    assert match.referenced_fields == tuple(
+        name for name in _HEADER_NAMES if getattr(match, name) is not None
+    )
+
+
+def test_compiled_fields_stay_out_of_the_value():
+    """Equality, hash, repr, wildcard counting, ``replace`` and pickling
+    see the ten match fields only."""
+    a = Match(in_port=1, eth_type=EthType.IPV4, ip_dst=IPv4Network("10.0.0.0/24"))
+    b = Match(in_port=1, eth_type=EthType.IPV4, ip_dst=IPv4Network("10.0.0.0/24"))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Match(in_port=1 eth_type=0x0800 ip_dst=10.0.0.0/24)"
+    assert a.wildcard_count == 7 and not a.is_wildcard_all
+    assert a.referenced_fields == ("eth_type", "ip_dst")
+    assert Match(in_port=1).referenced_fields == ()
+    assert not Match(in_port=1).is_wildcard_all
+    narrowed = dataclasses.replace(a, tp_dst=80)
+    assert narrowed.referenced_fields == ("eth_type", "ip_dst", "tp_dst")
+    assert narrowed.matches(header(tp_dst=80), in_port=1)
+    assert not narrowed.matches(header(tp_dst=443), in_port=1)
+    clone = pickle.loads(pickle.dumps(a))
+    assert clone == a and clone.referenced_fields == a.referenced_fields
+    assert clone.matches(header(), in_port=1)
+    with pytest.raises(TypeError):
+        Match(referenced_fields=("tp_dst",))

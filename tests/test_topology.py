@@ -39,6 +39,23 @@ class TestNodesAndPorts:
         with pytest.raises(NodeNotFoundError):
             topo.switch_by_dpid(99)
 
+    def test_switch_by_dpid_follows_registration(self):
+        topo = Topology()
+        first = topo.add_switch("s1", dpid=7)
+        assert topo.switch_by_dpid(7) is first
+        with pytest.raises(NodeNotFoundError):
+            topo.switch_by_dpid(8)
+        topo.add_host("h1")  # a host never answers for a dpid
+        second = topo.add_switch("s2")  # next unused dpid
+        assert second.dpid == 8
+        assert topo.switch_by_dpid(8) is second
+        assert topo.switch_by_dpid(7) is first
+        # A duplicate dpid resolves to the switch registered first.
+        topo.add_switch("s3", dpid=7)
+        assert topo.switch_by_dpid(7) is first
+        with pytest.raises(NodeNotFoundError, match="no switch with dpid 99"):
+            topo.switch_by_dpid(99)
+
     def test_kind_checked_lookups(self):
         topo = Topology()
         topo.add_switch("s1")
