@@ -154,12 +154,9 @@ class FlowLevelEngine:
         )
         self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules
-        # reference, memoised on the global pipeline version sum; the
-        # switch list it sums over is re-read when the topology grows.
+        # reference, memoised on the global pipeline version sum.
         self._key_fields: Optional[Tuple[str, ...]] = None
         self._key_fields_version = -1
-        self._switches: List[Switch] = []
-        self._switches_node_count = -1
         # Pipelines consulted by the walk in progress: dpid -> version
         # at first lookup (used to build cache deps and to refuse
         # caching walks that raced a rule change).
@@ -671,13 +668,9 @@ class FlowLevelEngine:
         """Header fields referenced by any installed match, memoised on
         the global pipeline version sum; None means "use full headers"
         (a group's hash may consult any field)."""
-        topology = self.topology
-        if len(topology) != self._switches_node_count:
-            self._switches = topology.switches
-            self._switches_node_count = len(topology)
         total = 0
         pipelines = []
-        for switch in self._switches:
+        for switch in self.topology.switches:
             pipeline = switch.pipeline
             if pipeline is not None:
                 pipelines.append(pipeline)

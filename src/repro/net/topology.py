@@ -38,7 +38,9 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._nodes: Dict[str, Node] = {}
-        #: dpid -> the first switch registered with it.
+        #: Switches in registration order, and dpid -> the first switch
+        #: registered with it (lookups on the engines' per-flow paths).
+        self._switches: List[Switch] = []
         self._switch_by_dpid: Dict[int, Switch] = {}
         self._links: List[Link] = []
         self._next_dpid = 1
@@ -85,6 +87,7 @@ class Topology:
             raise TopologyError(f"duplicate node name: {node.name}")
         self._nodes[node.name] = node
         if isinstance(node, Switch):
+            self._switches.append(node)
             self._switch_by_dpid.setdefault(node.dpid, node)
         self._adj[node.name] = {}
         self._path_cache.clear()
@@ -126,7 +129,7 @@ class Topology:
 
     @property
     def switches(self) -> List[Switch]:
-        return [n for n in self._nodes.values() if isinstance(n, Switch)]
+        return list(self._switches)
 
     @property
     def links(self) -> List[Link]:
