@@ -56,7 +56,7 @@ def _ip_field_overlaps(a: Optional[IpMatch], b: Optional[IpMatch]) -> bool:
     return _ip_field_subsumes(a, b) or _ip_field_subsumes(b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """A wildcard-capable predicate over header fields and ingress port.
 
@@ -86,7 +86,9 @@ class Match:
     #: is a property of the ingress, not of the headers).  Compiled once
     #: at construction, like ``_exact``: the (name, pattern) pairs
     #: :meth:`matches` compares by equality.  Neither takes part in
-    #: construction, equality, hashing or the repr.
+    #: construction, equality, hashing or the repr.  (The class is
+    #: slotted so that the two do not grow every rule's footprint: a
+    #: reactive controller writes a match per flow.)
     referenced_fields: Tuple[str, ...] = field(init=False, repr=False, compare=False)
     _exact: Tuple[Tuple[str, Any], ...] = field(init=False, repr=False, compare=False)
 
