@@ -27,7 +27,6 @@ lint:
 	@command -v ruff >/dev/null 2>&1 \
 		&& ruff check src \
 		|| echo "ruff not installed; skipping (pip install -e .[dev])"
-	python tools/check_private_access.py
 	python tools/check_api_surface.py
 	$(MAKE) lint-sim
 

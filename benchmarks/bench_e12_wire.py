@@ -75,8 +75,10 @@ def _run(wire: bool):
     if wire:
         horse = Horse(
             topo,
-            config=HorseConfig(control="wire", wire_client="learning",
-                               wire_latency_budget_s=30.0),
+            config=HorseConfig(
+                control="wire",
+                wire={"client": "learning", "latency_budget_s": 30.0},
+            ),
         )
     else:
         controller = Controller()

@@ -641,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="wall-clock budget for controller connect/answers "
-        "(wire_latency_budget_s)",
+        "(wire.latency_budget_s)",
     )
     serve_p.add_argument(
         "--dilation",

@@ -2,47 +2,25 @@
 
 :class:`HorseConfig` groups the run knobs into nested sections —
 :class:`HybridConfig`, :class:`WireConfig`, :class:`TelemetryConfig`,
-:class:`CheckpointConfig`, and :class:`ShardConfig` — instead of the
-flat ``wire_*`` / ``hybrid_*`` / ``monitor_*`` / ``checkpoint_*``
-keyword soup the first eight iterations accreted.  The old flat
-constructor keywords (and flat attribute reads) still work through a
-deprecation shim that warns once per key; new code should write::
+:class:`CheckpointConfig`, :class:`ShardConfig`, and
+:class:`KernelConfig`::
 
     HorseConfig(engine="hybrid",
                 hybrid=HybridConfig(select="top:4"),
                 telemetry=TelemetryConfig(monitor_interval_s=0.5))
 
-Scenario JSON documents mirror the same sections (``"schema_version":
-1``; see :mod:`repro.runtime.schema` for the v0 migrator).
+The dataclass fields below are the only declaration of a knob: the
+scenario schema (:mod:`repro.runtime.schema`, ``"schema_version": 1``)
+derives the keys and JSON types it accepts from them, and every enum
+and range rule lives in :meth:`HorseConfig.validate`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Union
 
 from ..errors import ExperimentError
-
-#: Flat keys already warned about in this process (warn-once semantics).
-_WARNED_FLAT_KEYS: Set[str] = set()
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecated flat keys have warned (test hook)."""
-    _WARNED_FLAT_KEYS.clear()
-
-
-def _warn_flat_key(key: str, replacement: str) -> None:
-    """Warn about a deprecated flat config key, once per key per process."""
-    if key in _WARNED_FLAT_KEYS:
-        return
-    _WARNED_FLAT_KEYS.add(key)
-    warnings.warn(
-        f"HorseConfig flat key {key!r} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 @dataclass
@@ -219,30 +197,9 @@ class ShardConfig:
 
     count: int = 1
     quantum_s: Optional[float] = None
-    partition: object = "greedy"
+    partition: Union[str, list] = "greedy"
     checkpoint_dir: Optional[str] = None
 
-
-#: Deprecated flat constructor key -> (nested section, field name).
-FLAT_KEY_MAP: Dict[str, Tuple[str, str]] = {
-    "hybrid_select": ("hybrid", "select"),
-    "hybrid_sync_interval_s": ("hybrid", "sync_interval_s"),
-    "wire_listen": ("wire", "listen"),
-    "wire_client": ("wire", "client"),
-    "wire_client_routes": ("wire", "client_routes"),
-    "wire_sync_quantum_s": ("wire", "sync_quantum_s"),
-    "wire_latency_budget_s": ("wire", "latency_budget_s"),
-    "wire_dilation": ("wire", "dilation"),
-    "monitor_interval_s": ("telemetry", "monitor_interval_s"),
-    "monitor_threshold": ("telemetry", "monitor_threshold"),
-    "monitor_mode": ("telemetry", "monitor_mode"),
-    "monitor_push_min_delta_bytes": ("telemetry", "monitor_push_min_delta_bytes"),
-    "link_sample_interval_s": ("telemetry", "link_sample_interval_s"),
-    "trace_path": ("telemetry", "trace_path"),
-    "profile": ("telemetry", "profile"),
-    "checkpoint_path": ("checkpoint", "path"),
-    "checkpoint_interval_s": ("checkpoint", "interval_s"),
-}
 
 #: Section attribute name -> its dataclass type.
 SECTION_TYPES = {
@@ -276,7 +233,7 @@ def _coerce_section(value, section: str):
     )
 
 
-@dataclass(init=False)
+@dataclass
 class HorseConfig:
     """Top-level knobs for a :class:`~repro.core.simulator.Horse` run.
 
@@ -319,13 +276,8 @@ class HorseConfig:
         Nested sections; see :class:`HybridConfig`,
         :class:`WireConfig`, :class:`TelemetryConfig`,
         :class:`CheckpointConfig`, :class:`ShardConfig`,
-        :class:`KernelConfig`.  Each accepts an instance or a plain
-        dict.
-
-    Deprecated flat keywords (``wire_listen``, ``hybrid_select``,
-    ``monitor_interval_s``, ``checkpoint_path``, ...) are still
-    accepted — mapped into the nested sections with a once-per-key
-    :class:`DeprecationWarning` (see :data:`FLAT_KEY_MAP`).
+        :class:`KernelConfig`.  Each accepts an instance, a plain
+        dict, or None (the section's defaults).
     """
 
     engine: str = "flow"
@@ -348,74 +300,9 @@ class HorseConfig:
     shard: ShardConfig = field(default_factory=ShardConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
-    def __init__(
-        self,
-        engine: str = "flow",
-        seed: int = 0,
-        control_latency_s: float = 0.0,
-        solver: str = "incremental",
-        route_cache: bool = True,
-        mtu_bytes: int = 1500,
-        queue_capacity_packets: int = 100,
-        pipeline_tables: int = 1,
-        table_size: Optional[int] = None,
-        entry_expiry_interval_s: Optional[float] = None,
-        mean_packet_bytes: int = 1000,
-        max_hops: int = 64,
-        control: str = "inproc",
-        hybrid=None,
-        wire=None,
-        telemetry=None,
-        checkpoint=None,
-        shard=None,
-        kernel=None,
-        **flat,
-    ) -> None:
-        self.engine = engine
-        self.seed = seed
-        self.control_latency_s = control_latency_s
-        self.solver = solver
-        self.route_cache = route_cache
-        self.mtu_bytes = mtu_bytes
-        self.queue_capacity_packets = queue_capacity_packets
-        self.pipeline_tables = pipeline_tables
-        self.table_size = table_size
-        self.entry_expiry_interval_s = entry_expiry_interval_s
-        self.mean_packet_bytes = mean_packet_bytes
-        self.max_hops = max_hops
-        self.control = control
-        self.hybrid = _coerce_section(hybrid, "hybrid")
-        self.wire = _coerce_section(wire, "wire")
-        self.telemetry = _coerce_section(telemetry, "telemetry")
-        self.checkpoint = _coerce_section(checkpoint, "checkpoint")
-        self.shard = _coerce_section(shard, "shard")
-        self.kernel = _coerce_section(kernel, "kernel")
-        explicit_sections = {
-            name
-            for name, value in (
-                ("hybrid", hybrid),
-                ("wire", wire),
-                ("telemetry", telemetry),
-                ("checkpoint", checkpoint),
-                ("shard", shard),
-                ("kernel", kernel),
-            )
-            if value is not None
-        }
-        for key, value in flat.items():
-            target = FLAT_KEY_MAP.get(key)
-            if target is None:
-                raise ExperimentError(
-                    f"unknown HorseConfig argument {key!r}"
-                )
-            section, name = target
-            if section in explicit_sections:
-                raise ExperimentError(
-                    f"both {key!r} and the {section!r} section were given; "
-                    f"drop the deprecated flat key and set {section}.{name}"
-                )
-            _warn_flat_key(key, f"{section}.{name}")
-            setattr(getattr(self, section), name, value)
+    def __post_init__(self) -> None:
+        for section in SECTION_TYPES:
+            setattr(self, section, _coerce_section(getattr(self, section), section))
         self.validate()
 
     # ------------------------------------------------------------------
@@ -446,6 +333,15 @@ class HorseConfig:
             raise ExperimentError(
                 "telemetry.monitor_push_min_delta_bytes must be >= 0"
             )
+        for path, interval in (
+            ("telemetry.monitor_interval_s", tel.monitor_interval_s),
+            ("telemetry.link_sample_interval_s", tel.link_sample_interval_s),
+            ("entry_expiry_interval_s", self.entry_expiry_interval_s),
+        ):
+            if interval is not None and interval <= 0:
+                raise ExperimentError(
+                    f"{path} must be > 0 or None, got {interval!r}"
+                )
         if self.control_latency_s < 0:
             raise ExperimentError("control latency must be >= 0")
         if self.pipeline_tables < 1:
@@ -515,32 +411,3 @@ class HorseConfig:
                 raise ExperimentError(
                     "sharded runs (shard.count > 1) require control='inproc'"
                 )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def parsed_wire_listen(self) -> tuple:
-        """``wire.listen`` split into ``(host, port)``."""
-        return self.wire.parsed_listen()
-
-
-def _flat_shim(flat: str, section: str, name: str) -> property:
-    """A property proxying a deprecated flat attribute to its nested
-    section field, warning once per key per process."""
-
-    def getter(self):
-        _warn_flat_key(flat, f"{section}.{name}")
-        return getattr(getattr(self, section), name)
-
-    def setter(self, value):
-        _warn_flat_key(flat, f"{section}.{name}")
-        setattr(getattr(self, section), name, value)
-
-    getter.__name__ = flat
-    doc = f"Deprecated alias for ``{section}.{name}`` (warns once)."
-    return property(getter, setter, doc=doc)
-
-
-for _flat, (_section, _name) in FLAT_KEY_MAP.items():
-    setattr(HorseConfig, _flat, _flat_shim(_flat, _section, _name))
-del _flat, _section, _name

@@ -124,7 +124,7 @@ class Horse:
 
             self.wire = WireRuntime(
                 self.channel,
-                listen=self.config.parsed_wire_listen(),
+                listen=self.config.wire.parsed_listen(),
                 sync_quantum_s=self.config.wire.sync_quantum_s,
                 latency_budget_s=self.config.wire.latency_budget_s,
                 dilation=self.config.wire.dilation,
@@ -253,7 +253,7 @@ class Horse:
         topology/pipeline state, active flows, solver state, and
         statistics; :meth:`restore` yields a run whose results are
         bitwise-identical to one that was never interrupted.  ``path``
-        defaults to ``config.checkpoint_path``.  Returns the checkpoint
+        defaults to ``config.checkpoint.path``.  Returns the checkpoint
         header (format version, digests, metadata).
         """
         from ..runtime.checkpoint import save_checkpoint
@@ -382,7 +382,7 @@ class Horse:
 
         Slicing is behavior-preserving: repeated ``run(until=t_k)`` calls
         fire the same events at the same times as one call, so with
-        ``wire_dilation == 0`` (where every controller exchange resolves
+        ``wire.dilation == 0`` (where every controller exchange resolves
         inline) a gated run is bitwise-identical to an ungated one.
         """
         quantum = self.config.wire.sync_quantum_s

@@ -6,10 +6,9 @@ anywhere before calling :func:`repro.lint.run_lint`) to extend the
 linter — the framework discovers whatever the registry holds.
 """
 
-from . import deprecation, determinism, handlers, private, snapshot, telemetry
+from . import determinism, handlers, private, snapshot, telemetry
 
 __all__ = [
-    "deprecation",
     "determinism",
     "handlers",
     "private",

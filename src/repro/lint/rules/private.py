@@ -1,8 +1,7 @@
 """Cross-module private-member access rules (PRIV...).
 
 The observation-API redesign promoted every cross-module touch point to
-a public name; these rules keep it that way.  They are the framework
-port of ``tools/check_private_access.py`` (which now delegates here):
+a public name; these rules keep it that way:
 
 * PRIV001 — ``obj._name`` attribute access where ``obj`` is anything
   but the literal ``self`` or ``cls``: the static over-approximation of

@@ -37,15 +37,21 @@ migrated on load with deprecation warnings)::
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
       "shards":   4 | {"count": 4, "quantum_s": null,
                        "partition": "greedy" | [[...], ...],
-                       "checkpoint_dir": null}
+                       "checkpoint_dir": null},
+      "kernel":   {"queue": "heap" | "sorted",
+                   "compaction_threshold": 0.5, "min_compact_size": 64}
     }
+
+Every other scalar :class:`~repro.core.config.HorseConfig` field
+(``control_latency_s``, ``entry_expiry_interval_s``, ``table_size``,
+...) is accepted at the top level under its own name.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..core import Horse, HorseConfig
+from ..core import Horse
 from ..core.results import RunResult
 from ..errors import ExperimentError
 from ..net.generators import fat_tree, leaf_spine, linear, pods, single_switch
@@ -53,7 +59,7 @@ from ..net.io import load_topology
 from ..control.policy.spec import parse_rate
 from ..traffic.flowgen import FlowGenerator
 from ..traffic.matrix import TrafficMatrix
-from .schema import ensure_v1, shard_section, validate_scenario
+from .schema import build_config, ensure_v1, shard_section
 
 
 def build_topology(spec: dict):
@@ -97,32 +103,6 @@ def build_topology(spec: dict):
         fabric = build_ixp(spec.get("members", 16), seed=spec.get("seed", 0))
         return fabric.topology, fabric
     raise ExperimentError(f"unknown topology kind {kind!r}")
-
-
-def build_config(
-    scenario: dict, solver: Optional[str] = None
-) -> HorseConfig:
-    """A :class:`HorseConfig` from a scenario document.
-
-    ``solver`` overrides the scenario's choice (the ``repro run
-    --solver`` flag).  Legacy (v0) documents are migrated in memory
-    first, warning once per deprecated key.
-    """
-    validate_scenario(scenario)
-    doc = ensure_v1(scenario)
-    return HorseConfig(
-        engine=doc.get("engine", "flow"),
-        solver=solver or doc.get("solver", "incremental"),
-        route_cache=doc.get("route_cache", True),
-        seed=doc.get("seed", 0),
-        control=doc.get("control", "inproc"),
-        hybrid=doc.get("hybrid") or None,
-        wire=doc.get("wire") or None,
-        telemetry=doc.get("telemetry") or None,
-        checkpoint=doc.get("checkpoint") or None,
-        shard=shard_section(doc) or None,
-        kernel=doc.get("kernel") or None,
-    )
 
 
 def build_horse(

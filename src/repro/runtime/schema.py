@@ -1,11 +1,9 @@
 """Scenario schema versioning: validation, and the v0 -> v1 migrator.
 
-Scenario JSON grew the same flat-key sprawl the config did: engine
-knobs at the top level (``hybrid_select``, ``wire_client``,
-``monitor_interval_s``) next to a grab-bag ``runtime`` section
-(``checkpoint_path``, ``wire_listen``, ``trace_path``, ...).  Schema
-**v1** mirrors :class:`~repro.core.config.HorseConfig`'s nested
-sections instead::
+Schema **v1** mirrors :class:`~repro.core.config.HorseConfig`: its
+scalar fields at the top level, its nested sections as objects (the
+accepted keys and JSON types are read off the dataclasses, the enum
+and range rules are :meth:`HorseConfig.validate`'s)::
 
     {
       "schema_version": 1,
@@ -21,25 +19,26 @@ sections instead::
     }
 
 ``"shards"`` also accepts a bare integer (``"shards": 4``).  Documents
-without ``schema_version`` are treated as v0: :func:`ensure_v1`
-migrates them in memory, warning once per deprecated key per process;
-``repro migrate-scenario`` rewrites the file.  :func:`validate_scenario`
-reports problems with dotted paths (``"wire.dilation: must be >= 0"``).
+without ``schema_version`` are treated as v0 (engine knobs as flat
+top-level keys such as ``hybrid_select`` next to a grab-bag ``runtime``
+section): :func:`ensure_v1` migrates them in memory, warning once per
+deprecated key per process; ``repro migrate-scenario`` rewrites the
+file.  :func:`validate_scenario` reports problems with dotted paths
+(``"wire.dilation must be >= 0"``).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import typing
 import warnings
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.config import SECTION_TYPES, HorseConfig
 from ..errors import ExperimentError
 
 SCHEMA_VERSION = 1
-
-_NUM = (int, float)
-_OPT_NUM = (int, float, type(None))
-_OPT_STR = (str, type(None))
 
 #: v0 top-level scenario key -> (v1 section, field).
 V0_TOP_KEYS: Dict[str, Tuple[str, str]] = {
@@ -65,51 +64,44 @@ V0_RUNTIME_KEYS: Dict[str, Tuple[str, str]] = {
     "wire_dilation": ("wire", "dilation"),
 }
 
-#: v1 section -> {field: accepted types} (None values always allowed to
-#: mean "use the default", matching JSON null round-trips).
-SECTION_FIELDS: Dict[str, Dict[str, tuple]] = {
-    "hybrid": {
-        "select": (str,),
-        "sync_interval_s": _NUM,
-    },
-    "wire": {
-        "client": _OPT_STR,
-        "listen": (str,),
-        "client_routes": (list, type(None)),
-        "sync_quantum_s": _NUM,
-        "latency_budget_s": _NUM,
-        "dilation": _NUM,
-    },
-    "telemetry": {
-        "monitor_interval_s": _OPT_NUM,
-        "monitor_threshold": _NUM,
-        "monitor_mode": (str,),
-        "monitor_push_min_delta_bytes": _NUM,
-        "link_sample_interval_s": _OPT_NUM,
-        "trace_path": _OPT_STR,
-        "profile": (bool,),
-    },
-    "checkpoint": {
-        "path": _OPT_STR,
-        "interval_s": _OPT_NUM,
-    },
-    "shards": {
-        "count": (int,),
-        "quantum_s": _OPT_NUM,
-        "partition": (str, list),
-        "checkpoint_dir": _OPT_STR,
-    },
-    "kernel": {
-        "queue": (str,),
-        "compaction_threshold": _OPT_NUM,
-        "min_compact_size": (int,),
-    },
+#: Python annotation on a config field -> the JSON types it accepts
+#: (a JSON integer is a valid float; bool is only valid where declared).
+_JSON_TYPES = {
+    str: (str,),
+    int: (int,),
+    float: (int, float),
+    bool: (bool,),
+    list: (list,),
+    type(None): (type(None),),
 }
 
-_TOP_ENUMS = {
-    "engine": ("flow", "packet", "hybrid"),
-    "solver": ("incremental", "full"),
-    "control": ("inproc", "wire"),
+
+def _json_types(hint) -> tuple:
+    members = typing.get_args(hint)  # Optional[X] / Union[X, Y]
+    if members:
+        return tuple(t for member in members for t in _json_types(member))
+    return _JSON_TYPES[hint]
+
+
+def _field_types(cls) -> Dict[str, tuple]:
+    """``{field: accepted JSON types}`` read off a config dataclass, so
+    the document accepts exactly the keys the dataclass declares."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _json_types(hints[f.name])
+        for f in dataclasses.fields(cls)
+        if f.name not in SECTION_TYPES
+    }
+
+
+#: Top-level document key -> accepted JSON types (HorseConfig's scalars).
+_TOP_TYPES = _field_types(HorseConfig)
+
+#: Document section key -> (HorseConfig attribute, {field: JSON types});
+#: the document spells the ``shard`` section ``"shards"``.
+_SECTIONS = {
+    "shards" if name == "shard" else name: (name, _field_types(cls))
+    for name, cls in SECTION_TYPES.items()
 }
 
 #: Deprecated scenario keys already warned about (warn-once semantics).
@@ -229,69 +221,65 @@ def _type_names(types: tuple) -> str:
     return " or ".join(names)
 
 
-def validate_scenario(doc: dict) -> None:
-    """Check a v1 document's sections; raises
-    :class:`~repro.errors.ExperimentError` naming the offending field
-    by dotted path.  Accepts v0 documents by migrating a throwaway
-    copy first, so errors always report v1 paths.
-    """
-    doc = ensure_v1(doc, warn=False)
-    for key, allowed in _TOP_ENUMS.items():
-        if key in doc and doc[key] not in allowed:
-            raise ExperimentError(
-                f"{key}: must be one of {', '.join(allowed)}, "
-                f"got {doc[key]!r}"
-            )
-    if "until" in doc and doc["until"] is not None:
-        _check_type("until", doc["until"], _NUM)
+def _section_kwargs(section: str, value, fields: Dict[str, tuple]) -> dict:
+    """One document section, structure- and type-checked, as the
+    keyword arguments of its config dataclass."""
+    if not isinstance(value, dict):
+        raise ExperimentError(
+            f"{section}: expected an object, got {type(value).__name__}"
+        )
+    kwargs = {}
+    for field, fval in value.items():
+        types = fields.get(field)
+        if types is None:
+            raise ExperimentError(f"{section}.{field}: unknown key")
+        if fval is None and type(None) not in types:
+            # null = "use the default" for any field in JSON.
+            continue
+        _check_type(f"{section}.{field}", fval, types)
+        kwargs[field] = fval
+    return kwargs
+
+
+def _config_of(doc: dict, solver: Optional[str] = None) -> HorseConfig:
+    """Check a v1 document's structure and JSON types, then construct
+    its config: every enum and range rule is
+    :meth:`HorseConfig.validate`'s."""
+    if doc.get("until") is not None:
+        _check_type("until", doc["until"], _JSON_TYPES[float])
         if doc["until"] < 0:
             raise ExperimentError("until: must be >= 0")
-    if "seed" in doc:
-        _check_type("seed", doc["seed"], (int,))
-    for section, fields in SECTION_FIELDS.items():
-        if section not in doc:
-            continue
-        value = doc[section]
-        if section == "shards" and isinstance(value, int):
-            if isinstance(value, bool) or value < 1:
-                raise ExperimentError(
-                    f"shards: must be an integer >= 1, got {value!r}"
-                )
-            continue
-        if not isinstance(value, dict):
-            raise ExperimentError(
-                f"{section}: expected an object, got {type(value).__name__}"
-            )
-        for field, fval in value.items():
-            types = fields.get(field)
-            if types is None:
-                raise ExperimentError(f"{section}.{field}: unknown key")
-            if fval is None and type(None) not in types:
-                # null = "use the default" for any field in JSON.
-                continue
-            _check_type(f"{section}.{field}", fval, types)
-    kern = doc.get("kernel")
-    if isinstance(kern, dict):
-        queue = kern.get("queue", "heap")
-        if queue not in ("heap", "sorted"):
-            raise ExperimentError(
-                f"kernel.queue: must be 'heap' or 'sorted', got {queue!r}"
-            )
-        threshold = kern.get("compaction_threshold")
-        if threshold is not None and not (0.0 < threshold <= 1.0):
-            raise ExperimentError(
-                "kernel.compaction_threshold: must be in (0, 1] or null"
-            )
-    sh = doc.get("shards")
-    if isinstance(sh, dict):
-        count = sh.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ExperimentError(
-                f"shards.count: must be an integer >= 1, got {count!r}"
-            )
-        quantum = sh.get("quantum_s")
-        if quantum is not None and quantum <= 0:
-            raise ExperimentError("shards.quantum_s: must be > 0")
+    kwargs = {}
+    for key, types in _TOP_TYPES.items():
+        if key in doc:
+            _check_type(key, doc[key], types)
+            kwargs[key] = doc[key]
+    if solver:
+        kwargs["solver"] = solver
+    for section, (attr, fields) in _SECTIONS.items():
+        if section in doc:
+            value = shard_section(doc) if section == "shards" else doc[section]
+            kwargs[attr] = _section_kwargs(section, value, fields)
+    return HorseConfig(**kwargs)
+
+
+def validate_scenario(doc: dict) -> None:
+    """Check a document; raises :class:`~repro.errors.ExperimentError`
+    naming the offending field by dotted path.  Accepts v0 documents
+    by migrating a throwaway copy first, so errors always report v1
+    paths.
+    """
+    _config_of(ensure_v1(doc, warn=False))
+
+
+def build_config(scenario: dict, solver: Optional[str] = None) -> HorseConfig:
+    """A validated :class:`HorseConfig` from a scenario document.
+
+    ``solver`` overrides the scenario's choice (the ``repro run
+    --solver`` flag).  Legacy (v0) documents are migrated in memory
+    first, warning once per deprecated key.
+    """
+    return _config_of(ensure_v1(scenario), solver=solver)
 
 
 def shard_section(doc: dict) -> dict:
@@ -339,8 +327,6 @@ class Scenario:
     def config(self, solver=None):
         """The :class:`~repro.core.config.HorseConfig` this document
         describes (``solver`` mirrors ``repro run --solver``)."""
-        from .scenario import build_config
-
         return build_config(self.doc, solver=solver)
 
     def build(self, solver=None):

@@ -7,12 +7,11 @@ series — the data every benchmark and example reports from.
 
 :class:`~repro.core.simulator.Horse` constructs one per run and exposes
 it as ``horse.collector``; construct your own only for engine-less
-analysis.  The old :class:`StatsCollector` name is a deprecated alias.
+analysis.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from ..flowsim.flow import Flow, FlowState
@@ -115,22 +114,3 @@ class RunStatsCollector:
             key: series.time_weighted_mean()
             for key, series in self.link_utilization.items()
         }
-
-
-class StatsCollector(RunStatsCollector):
-    """Deprecated alias for :class:`RunStatsCollector`.
-
-    Runs already own a collector: use ``horse.collector`` (and
-    ``horse.telemetry`` for the unified metric/trace surface) instead of
-    constructing one directly.  This shim will be removed one release
-    after its introduction.
-    """
-
-    def __init__(self, topology: Topology) -> None:
-        warnings.warn(
-            "StatsCollector is deprecated; use horse.collector (or "
-            "repro.stats.RunStatsCollector for standalone analysis)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(topology)

@@ -247,20 +247,6 @@ class TestTableAnomalies:
         assert conflicts[0]["priority"] == 20
         assert conflicts[0]["shadowed_priority"] == 10
 
-    def test_validation_shim_warns_and_delegates(self, pipeline):
-        from repro.control.policy.validation import (
-            detect_rule_conflicts as old_detect,
-        )
-
-        pipeline.install(Match(tp_dst=80), _fwd(1), priority=10)
-        pipeline.install(
-            Match(tp_src=7), (ApplyActions((Drop(),)),), priority=10
-        )
-        with pytest.warns(DeprecationWarning):
-            findings = old_detect(pipeline)
-        assert len(findings) == 1
-        assert findings[0]["priority"] == 10
-
 
 # ----------------------------------------------------------------------
 # Walker: group fan-out

@@ -132,6 +132,24 @@ class TestRunCommand:
         path = self._scenario(tmp_path, topology={"kind": "torus"})
         assert main(["run", path]) == 1
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("telemetry.link_sample_interval_s",
+             {"telemetry": {"link_sample_interval_s": -0.5}}),
+            ("telemetry.monitor_interval_s",
+             {"telemetry": {"monitor_interval_s": -0.5}}),
+            ("entry_expiry_interval_s", {"entry_expiry_interval_s": -0.5}),
+        ],
+    )
+    def test_negative_interval_is_a_one_line_error(
+        self, tmp_path, capsys, field, overrides
+    ):
+        path = self._scenario(tmp_path, schema_version=1, **overrides)
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+
     def test_bad_scenario_json(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")
         with open(path, "w") as handle:

@@ -1,17 +1,13 @@
-"""The consolidated configuration API: nested sections + flat shims.
+"""The configuration API: one dataclass declaration per knob.
 
-Covers the api_redesign contract: nested section dataclasses are the
-real surface, every legacy flat key keeps working through a warn-once
-deprecation shim, and the shim inventory (config, scenario schema,
-lint rule) stays in sync.
+Nested section dataclasses are the whole surface: sections coerce from
+instances, dicts or None, the flat pre-section keywords are gone (not
+aliased), and every enum/range rule is ``HorseConfig.validate``'s.
 """
-
-import warnings
 
 import pytest
 
 from repro.core.config import (
-    FLAT_KEY_MAP,
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
@@ -19,16 +15,8 @@ from repro.core.config import (
     ShardConfig,
     TelemetryConfig,
     WireConfig,
-    reset_deprecation_warnings,
 )
 from repro.errors import ExperimentError
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +39,7 @@ def test_sections_accept_instances_and_dicts():
     by_instance = HorseConfig(hybrid=HybridConfig(select="top:2"))
     by_dict = HorseConfig(hybrid={"select": "top:2"})
     assert by_instance.hybrid == by_dict.hybrid
+    assert HorseConfig(hybrid=None).hybrid == HybridConfig()
 
 
 def test_section_dict_unknown_key_rejected():
@@ -103,78 +92,13 @@ def test_solver_modes_are_incremental_and_full():
         HorseConfig(solver="vector")
 
 
-# ----------------------------------------------------------------------
-# Flat-key deprecation shims
-# ----------------------------------------------------------------------
-def test_flat_kwargs_route_to_sections():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        config = HorseConfig(
-            hybrid_select="all",
-            wire_listen="0.0.0.0:6653",
-            monitor_interval_s=2.0,
-            checkpoint_path="/tmp/x.ckpt",
-        )
-    assert config.hybrid.select == "all"
-    assert config.wire.listen == "0.0.0.0:6653"
-    assert config.telemetry.monitor_interval_s == 2.0
-    assert config.checkpoint.path == "/tmp/x.ckpt"
-
-
-def test_flat_kwarg_warns_once_per_key():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        HorseConfig(hybrid_select="all")
-        HorseConfig(hybrid_select="none")
-        HorseConfig(trace_path="a.jsonl")
-    messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-    assert sum("hybrid_select" in m for m in messages) == 1
-    assert sum("trace_path" in m for m in messages) == 1
-    # ... and the replacement is named so callers know what to write.
-    assert any("hybrid.select" in m for m in messages)
-
-
-def test_flat_property_read_warns_and_aliases():
-    config = HorseConfig(hybrid={"select": "top:3"})
-    with pytest.warns(DeprecationWarning, match="hybrid.select"):
-        assert config.hybrid_select == "top:3"
-    reset_deprecation_warnings()
-    with pytest.warns(DeprecationWarning):
-        assert config.checkpoint_path is None
-
-
-def test_every_flat_key_has_a_working_shim():
-    for flat, (section, field) in FLAT_KEY_MAP.items():
-        reset_deprecation_warnings()
-        config = HorseConfig()
-        with pytest.warns(DeprecationWarning):
-            value = getattr(config, flat)
-        assert value == getattr(getattr(config, section), field)
-
-
-def test_flat_and_nested_conflict_rejected():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ExperimentError, match="both"):
-            HorseConfig(hybrid={"select": "all"}, hybrid_select="none")
-
-
 def test_unknown_kwarg_still_rejected():
-    with pytest.raises(ExperimentError, match="hybrid_selector"):
-        HorseConfig(hybrid_selector="all")
-
-
-# ----------------------------------------------------------------------
-# Shim inventory stays in sync across the codebase
-# ----------------------------------------------------------------------
-def test_lint_rule_mirrors_flat_key_map():
-    from repro.lint.rules.deprecation import FLAT_KEYS
-
-    want = {
-        flat: f"{section}.{field}"
-        for flat, (section, field) in FLAT_KEY_MAP.items()
-    }
-    assert FLAT_KEYS == want
+    # "hybrid_select" was a flat alias of hybrid.select; it is removed,
+    # not deprecated, so it fails like any other unknown keyword.
+    for removed_or_unknown in ("hybrid_select", "hybrid_selector"):
+        with pytest.raises(TypeError, match=removed_or_unknown):
+            HorseConfig(**{removed_or_unknown: "all"})
+    assert not hasattr(HorseConfig(), "hybrid_select")
 
 
 def test_prior_semantics_still_validated():
@@ -184,3 +108,12 @@ def test_prior_semantics_still_validated():
         HorseConfig(checkpoint={"interval_s": 5.0})  # needs a path
     with pytest.raises(ExperimentError):
         HorseConfig(telemetry={"monitor_mode": "stream"})
+    for interval in (-0.5, 0):
+        with pytest.raises(
+            ExperimentError, match=r"telemetry\.link_sample_interval_s"
+        ):
+            HorseConfig(telemetry={"link_sample_interval_s": interval})
+        with pytest.raises(ExperimentError, match=r"telemetry\.monitor_interval_s"):
+            HorseConfig(telemetry={"monitor_interval_s": interval})
+        with pytest.raises(ExperimentError, match="entry_expiry_interval_s"):
+            HorseConfig(entry_expiry_interval_s=interval)

@@ -207,7 +207,7 @@ def test_property_random_star_runs_conserve_bytes(seed):
     horse = Horse(
         topo,
         policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-        config=HorseConfig(link_sample_interval_s=0.25),
+        config=HorseConfig(telemetry={"link_sample_interval_s": 0.25}),
     )
     tm = TrafficMatrix.uniform(
         [h.name for h in topo.hosts], total_bps=rng.uniform(10e6, 120e6)

@@ -340,15 +340,6 @@ class TestCli:
         assert proc.returncode == 1
         assert "unknown rule" in proc.stderr
 
-    def test_private_access_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "check_private_access.py")],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO),
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
 
 # ----------------------------------------------------------------------
 # Self-check: the shipped source lints clean with the shipped baseline

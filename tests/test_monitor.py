@@ -1,7 +1,5 @@
 """Monitoring tests: counter polling, pushes, utilization, thresholds."""
 
-import warnings
-
 import pytest
 
 from repro.control import ControlChannel, Controller, NetworkMonitor
@@ -197,48 +195,13 @@ class TestSeriesHelpers:
         assert monitor.utilization_series(("s9", 1)) == [(9.0, 0.7)]
 
 
-class TestSampleShim:
-    def test_mapping_access_warns_once_per_call_site(self, running):
-        sim, topo, channel, engine = running
-        monitor = NetworkMonitor(channel, interval=1.0)
-        monitor.start()
-        sim.run(until=3.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for sample in monitor.samples:
-                assert sample["time"] == sample.time  # one call site
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "attribute access" in str(deprecations[0].message)
-
-    def test_get_contains_keys_shims(self, running):
+class TestSampleAsDict:
+    def test_as_dict_of_a_live_sample(self, running):
         sim, topo, channel, engine = running
         monitor = NetworkMonitor(channel, interval=1.0)
         monitor.start()
         sim.run(until=1.5)
-        sample = monitor.samples[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert sample.get("tx_bps") == {}
-            assert sample.get("nope", 42) == 42
-            assert "utilization" in sample
-            assert "time" in list(sample.keys())
-        with pytest.raises(KeyError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                sample["nope"]
-
-    def test_as_dict_is_warning_free(self, running):
-        sim, topo, channel, engine = running
-        monitor = NetworkMonitor(channel, interval=1.0)
-        monitor.start()
-        sim.run(until=1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            doc = monitor.samples[0].as_dict()
-        assert doc["time"] == 1.0
+        assert monitor.samples[0].as_dict()["time"] == 1.0
 
 
 class TestMonitorSampleUnit:

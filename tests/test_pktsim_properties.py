@@ -181,7 +181,7 @@ class TestResidualCapacity:
         horse = Horse(
             topo,
             policies=FORWARDING,
-            config=HorseConfig(engine="hybrid", hybrid_select=f"top:{top_k}"),
+            config=HorseConfig(engine="hybrid", hybrid={"select": f"top:{top_k}"}),
         )
         if not _submit_specs(topo, horse.engine, specs):
             return

@@ -12,7 +12,6 @@ from repro.control.policy import (
     RateLimitingSpec,
     SourceRoutingSpec,
     compile_policies,
-    detect_rule_conflicts,
     parse_policy_config,
     parse_rate,
     plan_composition,
@@ -20,6 +19,7 @@ from repro.control.policy import (
     validate_or_raise,
     validate_spec,
 )
+from repro.analysis.rules import detect_rule_conflicts
 from repro.errors import PolicyConflictError, PolicyValidationError
 from repro.net.generators import full_mesh, tree
 from repro.openflow import ApplyActions, Drop, Match, Output, attach_pipeline

@@ -133,14 +133,14 @@ class TestSnapshotSemantics:
 
     def test_default_checkpoint_path_from_config(self, tmp_path):
         path = str(tmp_path / "default.ckpt")
-        horse = small_horse(checkpoint_path=path)
+        horse = small_horse(checkpoint={"path": path})
         horse.checkpoint()
         assert os.path.exists(path)
 
     def test_interval_requires_path(self):
         with pytest.raises(ExperimentError, match="checkpoint.path"):
-            HorseConfig(checkpoint_interval_s=1.0)
+            HorseConfig(checkpoint={"interval_s": 1.0})
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ExperimentError, match="> 0"):
-            HorseConfig(checkpoint_path="x.ckpt", checkpoint_interval_s=0.0)
+            HorseConfig(checkpoint={"path": "x.ckpt", "interval_s": 0.0})

@@ -8,6 +8,7 @@ validation reports dotted paths.  The hypothesis round-trip pins the
 lossless part over the whole migratable key space.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SECTION_TYPES
 from repro.errors import ExperimentError
 from repro.runtime.schema import (
     SCHEMA_VERSION,
@@ -147,6 +149,12 @@ def test_shard_section_accepts_bare_int():
     assert shard_section(doc)["quantum_s"] == 0.5
 
 
+def test_bad_shards_values_rejected():
+    for bad in (0, True, "four", {"count": 0}, {"count": 2, "quantum_s": -1.0}):
+        with pytest.raises(ExperimentError, match="shard"):
+            validate_scenario(v0_doc(schema_version=1, shards=bad))
+
+
 def test_kernel_section_validates_and_round_trips():
     doc = v0_doc()
     doc["schema_version"] = 1
@@ -167,6 +175,8 @@ def test_kernel_section_validates_and_round_trips():
     validate_scenario(doc)
     # ...but KernelConfig treats an explicit None as "disable".
     assert build_config(doc).kernel.compaction_threshold is None
+    doc["kernel"] = {"queue": None}
+    assert build_config(doc).kernel.queue == "heap"
 
 
 def test_kernel_section_rejects_bad_values():
@@ -183,6 +193,30 @@ def test_kernel_section_rejects_bad_values():
         validate_scenario(doc)
     doc["kernel"] = {"compactor": True}
     with pytest.raises(ExperimentError, match="kernel.compactor"):
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("attr, cls", sorted(SECTION_TYPES.items()))
+def test_section_keys_are_the_dataclass_fields(attr, cls):
+    from repro.runtime.scenario import build_config
+
+    key = "shards" if attr == "shard" else attr
+    doc = v0_doc(schema_version=1, **{key: dataclasses.asdict(cls())})
+    assert getattr(build_config(doc), attr) == cls()
+    doc[key] = {"nope": 1}
+    with pytest.raises(ExperimentError, match=rf"{key}\.nope"):
+        validate_scenario(doc)
+
+
+def test_top_level_config_fields_reach_the_config():
+    from repro.runtime.scenario import build_config
+
+    doc = v0_doc(schema_version=1, control_latency_s=0.002, table_size=64)
+    config = build_config(doc)
+    assert config.control_latency_s == 0.002
+    assert config.table_size == 64
+    doc["control_latency_s"] = "slow"
+    with pytest.raises(ExperimentError, match="control_latency_s"):
         validate_scenario(doc)
 
 
@@ -233,6 +267,9 @@ def test_migration_round_trip_lossless(top, runtime):
     no-op."""
     reset_scenario_warnings()
     doc = v0_doc(**top)
+    if "checkpoint_interval_s" in runtime:
+        # Validation is the config's own: an interval needs a path.
+        runtime = {"checkpoint_path": "a.ckpt", **runtime}
     if runtime:
         doc["runtime"] = dict(runtime)
     with warnings.catch_warnings():
