@@ -128,27 +128,12 @@ def _lookup(table: FlowTable, headers: HeaderFields, in_port: int) -> Optional[F
     return None
 
 
-def _port_up(pipeline: OpenFlowPipeline, number: int) -> bool:
-    port = pipeline.switch.ports.get(number)
-    return bool(
-        port is not None and port.up and port.connected and port.link is not None and port.link.up
-    )
-
-
-def _flood_ports(pipeline: OpenFlowPipeline, in_port: int) -> List[int]:
-    return [
-        number
-        for number, port in sorted(pipeline.switch.ports.items())
-        if number != in_port and port.connected and port.up and port.link is not None and port.link.up
-    ]
-
-
 def _emit(frame: _Frame, port: int, in_port: int, pipeline: OpenFlowPipeline) -> None:
     if port == PORT_IN_PORT:
         frame.outputs.append((in_port, frame.headers))
         return
     if port in (PORT_FLOOD, PORT_ALL):
-        for number in _flood_ports(pipeline, in_port):
+        for number in pipeline.flood_ports(in_port):
             frame.outputs.append((number, frame.headers))
         return
     if port == PORT_CONTROLLER:
@@ -175,7 +160,7 @@ def _eligible_buckets(
         return [(i, b) for i, b in enumerate(group.buckets) if b.weight > 0]
     # FAST_FAILOVER: the first live bucket wins deterministically.
     for i, bucket in enumerate(group.buckets):
-        if bucket.watch_port is None or _port_up(pipeline, bucket.watch_port):
+        if bucket.watch_port is None or pipeline.port_up(bucket.watch_port):
             return [(i, bucket)]
     return []
 
@@ -200,7 +185,7 @@ def _apply_actions(
                 _emit(frame, action.port, in_port, pipeline)
         elif isinstance(action, Flood):
             for frame in frames:
-                for number in _flood_ports(pipeline, in_port):
+                for number in pipeline.flood_ports(in_port):
                     frame.outputs.append((number, frame.headers))
         elif isinstance(action, Drop):
             for frame in frames:

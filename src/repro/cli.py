@@ -93,6 +93,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             scenario.setdefault("hybrid", {})[
                 "sync_interval_s"
             ] = args.hybrid_sync_interval
+        if args.solver:
+            scenario["solver"] = args.solver
         if args.control:
             scenario["control"] = args.control
         if args.wire_client:
@@ -115,20 +117,22 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.shard_quantum is not None:
                 shards["quantum_s"] = args.shard_quantum
             scenario["shards"] = shards
-        validate_scenario(scenario)
         if args.until is not None:
             scenario["until"] = args.until
-        if int(shard_section(scenario).get("count", 1)) > 1:
+        # Validation happens where the config is constructed (build_horse
+        # / run_sharded), which also rejects a malformed shard count.
+        shard_count = shard_section(scenario).get("count", 1)
+        if isinstance(shard_count, int) and shard_count > 1:
             if args.checkpoint or args.metrics or args.trace:
                 raise ExperimentError(
                     "--checkpoint/--metrics/--trace are per-process "
                     "features; they are not available on a sharded run"
                 )
-            horse, result, count = run_scenario(scenario, solver=args.solver)
+            horse, result, count = run_scenario(scenario)
             print(f"scenario: {args.scenario} ({count} flows submitted, "
-                  f"{shard_section(scenario)['count']} shards)")
+                  f"{shard_count} shards)")
         else:
-            horse, fabric = build_horse(scenario, solver=args.solver)
+            horse, fabric = build_horse(scenario)
             count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
             print(f"scenario: {args.scenario} ({count} flows submitted)")
             try:
@@ -203,7 +207,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         wire["latency_budget_s"] = args.budget
     if args.dilation is not None:
         wire["dilation"] = args.dilation
-    horse, fabric = build_horse(scenario, solver=None)
+    horse, fabric = build_horse(scenario)
     count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
 
     def announce(address):
@@ -270,7 +274,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             scenario = json.load(handle)
         scenario = ensure_v1(scenario)
         scenario.setdefault("telemetry", {})["trace_path"] = args.out
-        horse, fabric = build_horse(scenario, solver=args.solver)
+        if args.solver:
+            scenario["solver"] = args.solver
+        horse, fabric = build_horse(scenario)
         count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
         print(f"scenario: {args.scenario} ({count} flows submitted)")
         horse.run(until=args.until or scenario.get("until"))

@@ -41,6 +41,7 @@ from ..openflow.messages import (
     TableStatsRequest,
 )
 from ..openflow.switch import OpenFlowPipeline
+from ..sim.engine import Engine
 from ..sim.kernel import Simulator
 from .transport import ControlTransport, InprocTransport
 
@@ -85,8 +86,9 @@ class ControlChannel:
         self.topology = topology
         self.controller = controller
         self.latency_s = latency_s
-        #: Data-plane engines notified on rule changes.
-        self.engines: List[object] = []
+        #: Data-plane engines notified on rule changes, synced before
+        #: statistics reads and handed asynchronous packet-outs.
+        self.engines: List[Engine] = []
         self.stats = {
             "flow_mods": 0,
             "group_mods": 0,
@@ -118,8 +120,8 @@ class ControlChannel:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def connect_engine(self, engine: object) -> None:
-        """Register a data-plane engine for rules-changed notifications."""
+    def connect_engine(self, engine: Engine) -> None:
+        """Register a data-plane engine."""
         if engine not in self.engines:
             self.engines.append(engine)
 
@@ -311,9 +313,7 @@ class ControlChannel:
         """Bring lazily-accrued data-plane counters up to now before a
         statistics read (the poster's state export to the control plane)."""
         for engine in self.engines:
-            sync = getattr(engine, "sync_statistics", None)
-            if sync is not None:
-                sync(self.sim.now)
+            engine.sync_statistics(self.sim.now)
 
     def _port_stats(self, request: PortStatsRequest) -> PortStatsReply:
         self.stats["stats_requests"] += 1
@@ -489,9 +489,7 @@ class ControlChannel:
 
     def _deliver_packet_out(self, message: PacketIn, ports: List[int]) -> None:
         for engine in self.engines:
-            handler = getattr(engine, "apply_packet_out", None)
-            if handler is not None:
-                handler(message, ports)
+            engine.apply_packet_out(message, ports)
 
     def deliver_port_status(self, message: PortStatus) -> None:
         self.transport.port_status(message)

@@ -263,8 +263,8 @@ class HorseConfig:
         Minimum tables per switch pipeline; raised automatically to what
         the compiled policy composition needs.
     entry_expiry_interval_s:
-        Flow engine: period of the rule-timeout sweep; None disables it
-        (enable when policies use idle/hard timeouts).
+        Period of the rule-timeout sweep, on every engine; None
+        disables it (enable when policies use idle/hard timeouts).
     control:
         ``"inproc"`` (the poster's in-process controller objects,
         default) or ``"wire"`` (real OpenFlow 1.3 TCP connections via

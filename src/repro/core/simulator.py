@@ -29,6 +29,7 @@ from ..hybrid.engine import HybridEngine
 from ..net.topology import Topology
 from ..openflow.switch import attach_pipeline
 from ..pktsim.engine import PacketLevelEngine
+from ..sim.engine import Engine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
 from ..sim.queue import build_event_queue
@@ -135,9 +136,7 @@ class Horse:
             self.wire.transport.bind(self.channel)
 
         if self.config.engine == "flow":
-            self.engine: Union[
-                FlowLevelEngine, PacketLevelEngine, HybridEngine
-            ] = FlowLevelEngine(
+            self.engine: Engine = FlowLevelEngine(
                 self.sim,
                 topology,
                 control=self.channel,
@@ -146,9 +145,6 @@ class Horse:
                 mean_packet_bytes=self.config.mean_packet_bytes,
                 max_hops=self.config.max_hops,
             )
-            self.channel.connect_engine(self.engine)
-            if self.config.entry_expiry_interval_s:
-                self.engine.enable_entry_expiry(self.config.entry_expiry_interval_s)
         elif self.config.engine == "hybrid":
             self.engine = HybridEngine(
                 self.sim,
@@ -163,9 +159,6 @@ class Horse:
                 mtu_bytes=self.config.mtu_bytes,
                 queue_capacity_packets=self.config.queue_capacity_packets,
             )
-            self.channel.connect_engine(self.engine)
-            if self.config.entry_expiry_interval_s:
-                self.engine.enable_entry_expiry(self.config.entry_expiry_interval_s)
         else:
             self.engine = PacketLevelEngine(
                 self.sim,
@@ -175,6 +168,9 @@ class Horse:
                 queue_capacity_packets=self.config.queue_capacity_packets,
                 max_hops=self.config.max_hops,
             )
+        self.channel.connect_engine(self.engine)
+        if self.config.entry_expiry_interval_s:
+            self.engine.enable_entry_expiry(self.config.entry_expiry_interval_s)
 
         #: Unified observation surface: metrics registry + trace/profile
         #: control over the kernel, engine, and channel.
@@ -196,12 +192,7 @@ class Horse:
             self._make_monitor(self.config.telemetry.monitor_interval_s)
 
         self.collector = RunStatsCollector(topology)
-        if isinstance(self.engine, FlowLevelEngine):
-            self.collector.attach_flow_engine(self.engine)
-        elif isinstance(self.engine, HybridEngine):
-            # Flow lifecycle events come from the fluid background; the
-            # packet foreground reports through flow objects directly.
-            self.collector.attach_flow_engine(self.engine.background)
+        self.collector.attach_flow_engine(self.engine)
         if self.config.telemetry.link_sample_interval_s:
             self.collector.enable_link_sampling(
                 self.sim, self.config.telemetry.link_sample_interval_s
@@ -336,14 +327,11 @@ class Horse:
         return self.submit_flows(flows)
 
     def fail_link(self, at: float, a: str, b: str) -> None:
-        """Schedule a link-failure input event (flow/hybrid engines)."""
-        if not isinstance(self.engine, (FlowLevelEngine, HybridEngine)):
-            raise ExperimentError("link failure injection needs the flow engine")
+        """Schedule a link-failure input event (flow/hybrid engines;
+        the packet engine raises :class:`ExperimentError`)."""
         self.engine.fail_link_at(at, a, b)
 
     def restore_link(self, at: float, a: str, b: str) -> None:
-        if not isinstance(self.engine, (FlowLevelEngine, HybridEngine)):
-            raise ExperimentError("link recovery injection needs the flow engine")
         self.engine.restore_link_at(at, a, b)
 
     def analyze(self, strict: bool = False, raise_on_error: bool = False):
@@ -369,9 +357,7 @@ class Horse:
         Call before reading port/entry counters directly mid-run (the
         monitor and the channel's stats repliers do this automatically).
         """
-        sync = getattr(self.engine, "sync_statistics", None)
-        if sync is not None:
-            sync(self.sim.now)
+        self.engine.sync_statistics(self.sim.now)
 
     # ------------------------------------------------------------------
     # Execution
@@ -405,10 +391,7 @@ class Horse:
     def run(self, until: Optional[float] = None) -> RunResult:
         """Install policies, run to completion (or ``until``), report."""
         self.start_control_plane()
-        if isinstance(self.engine, HybridEngine):
-            # Deferred (top-K) selection ranks the full submitted set at
-            # run start; idempotent across resumed runs.
-            self.engine.finalize()
+        self.engine.finalize()
         # Remembered so a checkpoint captured mid-run knows its horizon:
         # a restored run continues to the same `until` by default.
         self.last_until = until
@@ -417,8 +400,7 @@ class Horse:
             self._run_gated(until)
         else:
             self.sim.run(until=until)
-        if isinstance(self.engine, (FlowLevelEngine, HybridEngine)):
-            self.engine.finish()
+        self.engine.finish()
         wall = _time.perf_counter() - wall_start  # repro: noqa[DET001] - reported wall time; never feeds sim state
         result = RunResult(
             wall_time_s=wall,

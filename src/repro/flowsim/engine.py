@@ -59,6 +59,7 @@ from ..openflow.messages import (
     PortStatusReason,
 )
 from ..openflow.switch import OpenFlowPipeline, PipelineResult
+from ..sim.engine import Engine
 from ..sim.kernel import Simulator
 from .events import (
     FlowArrival,
@@ -93,21 +94,13 @@ SOLVER_MODES = ("incremental", "full")
 _ROUTE_CACHE_MAX = 4096
 
 
-class FlowLevelEngine:
+class FlowLevelEngine(Engine):
     """Drives flows through OpenFlow pipelines on a shared kernel.
 
     Parameters
     ----------
-    sim:
-        The shared discrete-event kernel.
-    topology:
-        The network; every switch must have a pipeline attached before
-        flows arrive (see :func:`repro.openflow.switch.attach_pipeline`).
-    control:
-        Optional control-plane channel.  Needs ``deliver_packet_in(msg)``
-        returning an optional list of output port numbers (packet-out),
-        ``deliver_port_status(msg)``, and
-        ``deliver_flow_removed_entry(...)``.
+    sim, topology, control:
+        See :class:`~repro.sim.engine.Engine`.
     max_hops:
         Per-branch hop guard against forwarding loops.
     mean_packet_bytes:
@@ -123,6 +116,8 @@ class FlowLevelEngine:
         link state changes).
     """
 
+    name = "flow"
+
     def __init__(
         self,
         sim: Simulator,
@@ -133,9 +128,7 @@ class FlowLevelEngine:
         solver: str = "incremental",
         route_cache: bool = True,
     ) -> None:
-        self.sim = sim
-        self.topology = topology
-        self.control = control
+        super().__init__(sim, topology, control)
         self.max_hops = max_hops
         self.mean_packet_bytes = mean_packet_bytes
         if solver not in SOLVER_MODES:
@@ -143,7 +136,6 @@ class FlowLevelEngine:
                 f"solver must be one of {SOLVER_MODES}, got {solver!r}"
             )
         self.solver_mode = solver
-        self.flows: Dict[int, Flow] = {}
         self.active: Dict[int, Flow] = {}
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()
@@ -183,16 +175,12 @@ class FlowLevelEngine:
         self._external_on_dir: Dict[int, float] = {}
         # Probe walks are observational: no packet-ins, no controller.
         self._probing = False
-        #: Observers: callables ``(event_name, flow)`` for 'arrival',
-        #: 'delivered', 'undelivered', 'completed', 'ended', 'rerouted'.
-        self.observers: List[Callable[[str, Flow], None]] = []
         # Telemetry (off by default; see repro.telemetry).  The bus is
         # held privately and exposed through the ``trace_bus`` property
-        # so assignment also reaches the owned solver.
+        # so assignment also reaches the owned solver; the profiler is
+        # charged "solve" and "route" (both inside the kernel's
+        # inclusive "dispatch").
         self._trace_bus = None
-        #: Per-phase profiler or None; the engine charges "solve" and
-        #: "route" (both inside the kernel's inclusive "dispatch").
-        self.profiler = None
         # Aggregate statistics.
         self.stats = {
             "arrivals": 0,
@@ -224,22 +212,8 @@ class FlowLevelEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def submit(self, flow: Flow) -> Flow:
-        """Schedule a flow to start at ``flow.start_time``."""
-        if flow.flow_id in self.flows:
-            raise SimulationError(f"flow {flow.flow_id} submitted twice")
-        if flow.start_time < self.sim.now:
-            raise SimulationError(
-                f"flow {flow.flow_id} starts at {flow.start_time} "
-                f"before now={self.sim.now}"
-            )
-        self.flows[flow.flow_id] = flow
+    def _admit(self, flow: Flow) -> None:
         self.sim.schedule(FlowArrival(flow.start_time, self, flow))
-        return flow
-
-    def submit_all(self, flows: Iterable[Flow]) -> List[Flow]:
-        """Schedule a batch of flows (a traffic-matrix worth of events)."""
-        return [self.submit(f) for f in flows]
 
     def stop_flow(self, flow: Flow) -> None:
         """Terminate a continuous flow immediately."""
@@ -276,20 +250,11 @@ class FlowLevelEngine:
         ] = list(ports)
         self.notify_rules_changed(message.dpid)
 
-    def enable_entry_expiry(self, interval: float = 1.0) -> None:
-        """Periodically expire timed-out flow entries, emitting
-        FlowRemoved messages to the control plane."""
-        self.sim.every(interval, self._expire_tick)
-
     def sync_statistics(self, now: Optional[float] = None) -> None:
         """Bring every counter up to ``now`` (monitoring/stats reads)."""
         t = self.sim.now if now is None else now
         for flow in self.active.values():
             self._accrue_flow(flow, t)
-
-    def finish(self) -> None:
-        """Accrue statistics up to the current instant (call after run)."""
-        self.sync_statistics()
 
     # ------------------------------------------------------------------
     # External demands (hybrid foreground coupling)
@@ -368,23 +333,12 @@ class FlowLevelEngine:
         return self._solver.last_scope
 
     def summary(self) -> dict:
-        """Aggregate outcome statistics (copies the counters)."""
-        out = dict(self.stats)
+        out = super().summary()
         out["active"] = len(self.active)
-        out["total_flows"] = len(self.flows)
-        out["bytes_sent"] = sum(f.bytes_sent for f in self.flows.values())
-        out["bytes_delivered"] = sum(f.bytes_delivered for f in self.flows.values())
-        out["bytes_dropped"] = sum(f.bytes_dropped for f in self.flows.values())
         return out
 
-    def engine_stats(self) -> dict:
-        """Engine/solver internals for run diagnostics.
-
-        Deterministic for a given workload (no wall-clock content), so
-        it is safe to include in byte-compared JSON reports.
-        """
-        out = {
-            "engine": "flow",
+    def _diagnostics(self) -> dict:
+        return {
             "solver_mode": self.solver_mode,
             "route_cache_enabled": self._route_cache is not None,
             "route_cache_hits": self.stats["route_cache_hits"],
@@ -394,11 +348,6 @@ class FlowLevelEngine:
             "packet_ins": self.stats["packet_ins"],
             "solver": dict(self._solver.stats),
         }
-        if self.profiler is not None:
-            # Wall-clock content: only present when profiling was
-            # explicitly enabled, so default reports stay deterministic.
-            out["profile"] = self.profiler.snapshot()
-        return out
 
     # ------------------------------------------------------------------
     # Accrual: lazy fluid statistics
@@ -551,24 +500,12 @@ class FlowLevelEngine:
         if self._reroute_flows(affected):
             self._recompute()
 
-    def _expire_tick(self, sim: Simulator, t: float) -> None:
-        any_removed = False
-        for switch in self.topology.switches:
-            pipeline = switch.pipeline
-            if pipeline is None:
-                continue
-            for table_id, entry, reason in pipeline.expire(t):
-                any_removed = True
-                if self.control is not None:
-                    self.control.deliver_flow_removed_entry(
-                        switch.dpid, table_id, entry, reason, now=t
-                    )
-        if any_removed:
-            # Routes relying on expired rules must be recomputed.
-            for flow in self.active.values():
-                if flow.route is not None:
-                    self._dirty_dpids.update(h[0] for h in flow.route.switch_hops)
-            self.notify_rules_changed(-1)
+    def _on_entries_expired(self) -> None:
+        # Routes relying on expired rules must be recomputed.
+        for flow in self.active.values():
+            if flow.route is not None:
+                self._dirty_dpids.update(h[0] for h in flow.route.switch_hops)
+        self.notify_rules_changed(-1)
 
     # ------------------------------------------------------------------
     # Routing: walking the pipelines
@@ -802,7 +739,7 @@ class FlowLevelEngine:
         route = FlowRoute()
         src = self.topology.host(flow.src)
         uplink = src.uplink_port
-        if not (uplink.up and uplink.link and uplink.link.up):
+        if not uplink.live:
             route.terminal = Terminal.NO_ROUTE
             return route
         first_dir = uplink.link.direction_from(uplink)
@@ -844,7 +781,7 @@ class FlowLevelEngine:
             for meter_id in result.meter_ids:
                 route.meter_ids.append((node.dpid, meter_id))
             out_ports = list(result.out_ports)
-            if result.to_controller or result.miss and self._punts_on_miss(node):
+            if result.to_controller:
                 extra = self._raise_packet_in(node, in_port, headers, flow, result)
                 if extra is None:
                     extra = self._packet_out_hints.pop(
@@ -865,7 +802,7 @@ class FlowLevelEngine:
                         out_ports = list(retry.out_ports)
                         headers_after = retry.headers or headers
                     else:
-                        out_ports = self._expand_reserved(node, in_port, extra)
+                        out_ports = node.pipeline.expand_reserved(in_port, extra)
                         headers_after = headers
                     if result.dropped:
                         consider(Terminal.BLACKHOLED)
@@ -910,7 +847,7 @@ class FlowLevelEngine:
         forwarded = False
         for number in out_ports:
             port = node.ports.get(number)
-            if port is None or not port.connected or not port.up or not port.link.up:
+            if port is None or not port.live:
                 consider(Terminal.NO_ROUTE)
                 continue
             direction = port.link.direction_from(port)
@@ -922,29 +859,6 @@ class FlowLevelEngine:
             forwarded = True
         if not forwarded and not out_ports:
             consider(Terminal.NO_MATCH)
-
-    @staticmethod
-    def _expand_reserved(node: Switch, in_port: int, ports: List[int]) -> List[int]:
-        """Expand reserved port numbers (FLOOD) in a packet-out list."""
-        from ..openflow.action import PORT_FLOOD
-
-        expanded: List[int] = []
-        for number in ports:
-            if number == PORT_FLOOD:
-                expanded.extend(node.pipeline.flood_ports(in_port))
-            else:
-                expanded.append(number)
-        return expanded
-
-    def _punts_on_miss(self, switch: Switch) -> bool:
-        """Whether a table miss should raise a packet-in.
-
-        OpenFlow 1.3 drops on miss by default; controllers opt in by
-        installing explicit table-miss entries with ToController, which
-        the pipeline reports via ``to_controller``, so this returns
-        False.  Kept as a hook for OF 1.0-style semantics.
-        """
-        return False
 
     def _raise_packet_in(
         self,
@@ -1087,6 +1001,9 @@ class FlowLevelEngine:
             self.sim.cancel(event)
 
     def _notify(self, name: str, flow: Flow) -> None:
+        """Report a lifecycle event ('arrival', 'delivered',
+        'undelivered', 'completed', 'ended', 'rerouted') to the trace
+        and the observers."""
         if self._trace_bus is not None:
             self._trace_bus.emit(
                 f"flow.{name}",

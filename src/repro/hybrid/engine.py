@@ -39,7 +39,7 @@ methods of this engine, keeping hybrid checkpoints picklable.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..flowsim.engine import FlowLevelEngine
@@ -47,6 +47,7 @@ from ..flowsim.flow import Flow, FlowState
 from ..net.link import LinkDirection
 from ..net.topology import Topology
 from ..pktsim.engine import PacketLevelEngine
+from ..sim.engine import Engine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
 from .selection import SelectionPolicy
@@ -70,7 +71,7 @@ DEMAND_GROWTH = 1.25
 DEMAND_FLOOR_FRACTION = 0.01
 
 
-class HybridEngine:
+class HybridEngine(Engine):
     """Co-simulates selected flows at packet granularity inside
     flow-level background traffic.
 
@@ -85,6 +86,8 @@ class HybridEngine:
         Background fair-share solver mode.
     Remaining parameters mirror the two sub-engines.
     """
+
+    name = "hybrid"
 
     def __init__(
         self,
@@ -104,9 +107,7 @@ class HybridEngine:
             raise SimulationError(
                 f"hybrid sync interval must be > 0, got {sync_interval_s}"
             )
-        self.sim = sim
-        self.topology = topology
-        self.control = control
+        super().__init__(sim, topology, control)
         self.policy = SelectionPolicy(select)
         self.sync_interval_s = sync_interval_s
         self.background = FlowLevelEngine(
@@ -127,9 +128,9 @@ class HybridEngine:
             max_hops=max_hops,
             capacity_fn=self._residual_capacity,
         )
-        #: Every submitted flow in submission order (both classes);
-        #: snapshots and result assembly read this.
-        self.flows: Dict[int, Flow] = {}
+        # Flow lifecycle events come from the fluid background (the
+        # packet foreground reports through the flow objects).
+        self.observers = self.background.observers
         # Foreground membership.  A Dict (not a set) so iteration order
         # is insertion order — DET003 forbids bare set iteration in
         # simulation scopes.
@@ -159,19 +160,12 @@ class HybridEngine:
     # ------------------------------------------------------------------
     # Submission and classification
     # ------------------------------------------------------------------
-    def submit(self, flow: Flow) -> Flow:
+    def _admit(self, flow: Flow) -> None:
         """Route a flow to the foreground or background engine."""
-        if flow.flow_id in self.flows:
-            raise SimulationError(f"flow {flow.flow_id} submitted twice")
-        self.flows[flow.flow_id] = flow
         if self.policy.deferred and not self._finalized:
             self._pending.append(flow)
-            return flow
-        self._dispatch(flow, self._classify(flow))
-        return flow
-
-    def submit_all(self, flows: Iterable[Flow]) -> List[Flow]:
-        return [self.submit(f) for f in flows]
+        else:
+            self._dispatch(flow, self._classify(flow))
 
     def finalize(self) -> None:
         """Classify deferred submissions; idempotent, called at run
@@ -327,9 +321,6 @@ class HybridEngine:
     def restore_link_at(self, time: float, a: str, b: str) -> None:
         self.background.restore_link_at(time, a, b)
 
-    def finish(self) -> None:
-        self.background.finish()
-
     # ------------------------------------------------------------------
     # Telemetry plumbing (fan out to both sub-engines)
     # ------------------------------------------------------------------
@@ -351,11 +342,6 @@ class HybridEngine:
         self.foreground.profiler = profiler
         self.background.profiler = profiler
 
-    @property
-    def observers(self) -> list:
-        """Flow lifecycle observers live on the background engine."""
-        return self.background.observers
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -373,17 +359,14 @@ class HybridEngine:
         out["background_flows"] = self.stats["background_flows"]
         return out
 
-    def engine_stats(self) -> dict:
-        """Engine internals for run diagnostics (deterministic)."""
-        out = {
-            "engine": "hybrid",
+    def _diagnostics(self) -> dict:
+        return {
             "select": self.policy.spec,
             "sync_interval_s": self.sync_interval_s,
+            **self.stats,
+            "foreground_engine": self.foreground.engine_stats(),
+            "background_engine": self.background.engine_stats(),
         }
-        out.update(self.stats)
-        out["foreground_engine"] = self.foreground.engine_stats()
-        out["background_engine"] = self.background.engine_stats()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -56,6 +56,13 @@ class Port:
         return self.link is not None
 
     @property
+    def live(self) -> bool:
+        """True when traffic can leave here: the port is up and the
+        link attached to it is up."""
+        link = self.link
+        return link is not None and self.up and link.up
+
+    @property
     def peer(self) -> Optional["Port"]:
         """The port at the other end of the attached link, if any."""
         if self.link is None:

@@ -23,6 +23,7 @@ from .action import (
     Instruction,
     MeterInstruction,
     Output,
+    PORT_FLOOD,
     PORT_IN_PORT,
     PopVlan,
     PushVlan,
@@ -169,7 +170,7 @@ class OpenFlowPipeline:
                 headers = action.apply(headers)
             elif isinstance(action, GroupAction):
                 group = self.groups.get(action.group_id)
-                chosen = group.select_buckets(headers, port_up=self._port_up)
+                chosen = group.select_buckets(headers, port_up=self.port_up)
                 for index, bucket in chosen:
                     result.group_hits.append((group, index))
                     headers = self._apply_actions(
@@ -197,12 +198,24 @@ class OpenFlowPipeline:
         return [
             number
             for number, port in sorted(self.switch.ports.items())
-            if number != in_port and port.connected and port.up and port.link.up
+            if number != in_port and port.live
         ]
 
-    def _port_up(self, number: int) -> bool:
+    def expand_reserved(self, in_port: int, ports: List[int]) -> List[int]:
+        """Expand reserved port numbers (FLOOD) in a packet-out list."""
+        expanded: List[int] = []
+        for number in ports:
+            if number == PORT_FLOOD:
+                expanded.extend(self.flood_ports(in_port))
+            else:
+                expanded.append(number)
+        return expanded
+
+    def port_up(self, number: int) -> bool:
+        """Whether port ``number`` exists and is live (fast-failover
+        watch ports, and the analyzer's read-only walk)."""
         port = self.switch.ports.get(number)
-        return bool(port and port.up and port.connected and port.link.up)
+        return port is not None and port.live
 
     # ------------------------------------------------------------------
     # Table management helpers

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from ..errors import SimulationError
 from ..net.link import LinkDirection, Port
 from ..net.node import Host, Switch
 from ..net.topology import Topology
 from ..flowsim.flow import Flow, FlowState
 from ..openflow.messages import PacketIn, PacketInReason
+from ..sim.engine import Engine
 from ..sim.kernel import Simulator
 from .packet import Packet
 from .queues import OutputQueue
@@ -29,7 +29,7 @@ from .transport import AimdTransport, Transport, make_transport
 logger = logging.getLogger(__name__)
 
 
-class PacketLevelEngine:
+class PacketLevelEngine(Engine):
     """Per-packet simulation over OpenFlow pipelines.
 
     Accepts the same :class:`~repro.flowsim.flow.Flow` objects as the
@@ -38,6 +38,8 @@ class PacketLevelEngine:
 
     Parameters
     ----------
+    sim, topology, control:
+        See :class:`~repro.sim.engine.Engine`.
     mtu_bytes:
         Packet size used by the transports.
     queue_capacity_packets:
@@ -50,6 +52,8 @@ class PacketLevelEngine:
         each direction's configured capacity.
     """
 
+    name = "packet"
+
     def __init__(
         self,
         sim: Simulator,
@@ -60,25 +64,17 @@ class PacketLevelEngine:
         max_hops: int = 64,
         capacity_fn: Optional[object] = None,
     ) -> None:
-        self.sim = sim
-        self.topology = topology
-        self.control = control
+        super().__init__(sim, topology, control)
         self.mtu_bytes = mtu_bytes
         self.queue_capacity_packets = queue_capacity_packets
         self.max_hops = max_hops
         #: Per-direction transmit-rate override passed to new queues.
         self.capacity_fn = capacity_fn
-        self.flows: Dict[int, Flow] = {}
         self.transports: Dict[int, Transport] = {}
         self._queues: Dict[LinkDirection, OutputQueue] = {}
         # Packets parked at a switch awaiting an asynchronous packet-out,
         # keyed by (dpid, in_port, flow_id); bounded per key.
         self._buffered: Dict[tuple, deque] = {}
-        #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
-        #: None; per-packet emission sites check ``is not None``.
-        self.trace_bus = None
-        #: Per-phase profiler or None (the kernel charges "dispatch").
-        self.profiler = None
         self.stats = {
             "packets_sent": 0,
             "packets_delivered": 0,
@@ -94,38 +90,8 @@ class PacketLevelEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def submit(self, flow: Flow) -> Flow:
-        """Schedule a flow's source to start at ``flow.start_time``."""
-        if flow.flow_id in self.flows:
-            raise SimulationError(f"flow {flow.flow_id} submitted twice")
-        if flow.start_time < self.sim.now:
-            raise SimulationError(
-                f"flow {flow.flow_id} starts in the past ({flow.start_time})"
-            )
-        self.flows[flow.flow_id] = flow
+    def _admit(self, flow: Flow) -> None:
         self.sim.call_at(flow.start_time, self._start_flow, flow)
-        return flow
-
-    def submit_all(self, flows: Iterable[Flow]) -> List[Flow]:
-        return [self.submit(f) for f in flows]
-
-    def summary(self) -> dict:
-        out = dict(self.stats)
-        out["total_flows"] = len(self.flows)
-        out["bytes_sent"] = sum(f.bytes_sent for f in self.flows.values())
-        out["bytes_delivered"] = sum(f.bytes_delivered for f in self.flows.values())
-        out["bytes_dropped"] = sum(f.bytes_dropped for f in self.flows.values())
-        return out
-
-    def engine_stats(self) -> dict:
-        """Engine internals for run diagnostics (deterministic)."""
-        out = {"engine": "packet"}
-        out.update(self.stats)
-        if self.profiler is not None:
-            # Wall-clock content: only present when profiling was
-            # explicitly enabled, so default reports stay deterministic.
-            out["profile"] = self.profiler.snapshot()
-        return out
 
     def queue_for(self, direction: LinkDirection) -> OutputQueue:
         """The (lazily created) output queue of a link direction."""
@@ -225,7 +191,7 @@ class PacketLevelEngine:
                     out_ports = list(retry.out_ports)
                 else:
                     result = retry
-                    out_ports = self._expand_reserved(switch, in_port, list(reply))
+                    out_ports = pipeline.expand_reserved(in_port, reply)
             elif self.control is not None and not out_ports:
                 # Asynchronous control: park the packet like a real switch
                 # buffers it, released by apply_packet_out.
@@ -265,34 +231,7 @@ class PacketLevelEngine:
         if not out_ports:
             self._policy_drop(packet, "policy")
             return
-        first = True
-        for number in out_ports:
-            port = switch.ports.get(number)
-            if (
-                port is None
-                or not port.connected
-                or not port.up
-                or not port.link.up
-            ):
-                self.stats["drops_no_route"] += 1
-                continue
-            copy = packet if first else self._clone(packet)
-            first = False
-            self.queue_for(port.link.direction_from(port)).enqueue(copy)
-
-
-    @staticmethod
-    def _expand_reserved(switch: Switch, in_port: int, ports: List[int]) -> List[int]:
-        """Expand reserved port numbers (FLOOD) in a packet-out list."""
-        from ..openflow.action import PORT_FLOOD
-
-        expanded: List[int] = []
-        for number in ports:
-            if number == PORT_FLOOD:
-                expanded.extend(switch.pipeline.flood_ports(in_port))
-            else:
-                expanded.append(number)
-        return expanded
+        self._emit_on_ports(switch, packet, out_ports)
 
     @staticmethod
     def _clone(packet: Packet) -> Packet:
@@ -325,7 +264,7 @@ class PacketLevelEngine:
         if not parked:
             return
         switch = self.topology.switch_by_dpid(message.dpid)
-        expanded = self._expand_reserved(switch, message.in_port, list(ports))
+        expanded = switch.pipeline.expand_reserved(message.in_port, ports)
         for packet in parked:
             self._emit_on_ports(switch, packet, expanded)
 
@@ -333,12 +272,7 @@ class PacketLevelEngine:
         first = True
         for number in out_ports:
             port = switch.ports.get(number)
-            if (
-                port is None
-                or not port.connected
-                or not port.up
-                or not port.link.up
-            ):
+            if port is None or not port.live:
                 self.stats["drops_no_route"] += 1
                 continue
             copy = packet if first else self._clone(packet)

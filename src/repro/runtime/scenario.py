@@ -105,11 +105,9 @@ def build_topology(spec: dict):
     raise ExperimentError(f"unknown topology kind {kind!r}")
 
 
-def build_horse(
-    scenario: dict, solver: Optional[str] = None
-) -> Tuple[Horse, object]:
+def build_horse(scenario: dict) -> Tuple[Horse, object]:
     """Build the simulation a scenario describes (traffic not submitted)."""
-    config = build_config(scenario, solver=solver)
+    config = build_config(scenario)
     topology, fabric = build_topology(scenario.get("topology", {}))
     if config.control == "wire":
         if scenario.get("policies"):
@@ -173,9 +171,7 @@ def build_traffic(spec: dict, horse: Horse, fabric, flow_filter=None) -> int:
     raise ExperimentError(f"unknown traffic kind {kind!r}")
 
 
-def run_scenario(
-    scenario: dict, solver: Optional[str] = None
-) -> Tuple[Optional[Horse], RunResult, int]:
+def run_scenario(scenario: dict) -> Tuple[Optional[Horse], RunResult, int]:
     """Build, load, and run one scenario end to end.
 
     With ``"shards": k`` for k > 1 the run executes on the sharded
@@ -186,9 +182,9 @@ def run_scenario(
     if int(shards.get("count", 1)) > 1:
         from ..shard import run_sharded
 
-        result, count = run_sharded(scenario, solver=solver)
+        result, count = run_sharded(scenario)
         return None, result, count
-    horse, fabric = build_horse(scenario, solver=solver)
+    horse, fabric = build_horse(scenario)
     count = build_traffic(scenario.get("traffic", {}), horse, fabric)
     try:
         result = horse.run(until=scenario.get("until"))

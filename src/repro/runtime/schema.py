@@ -33,7 +33,7 @@ import copy
 import dataclasses
 import typing
 import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.config import SECTION_TYPES, HorseConfig
 from ..errors import ExperimentError
@@ -241,7 +241,7 @@ def _section_kwargs(section: str, value, fields: Dict[str, tuple]) -> dict:
     return kwargs
 
 
-def _config_of(doc: dict, solver: Optional[str] = None) -> HorseConfig:
+def _config_of(doc: dict) -> HorseConfig:
     """Check a v1 document's structure and JSON types, then construct
     its config: every enum and range rule is
     :meth:`HorseConfig.validate`'s."""
@@ -254,8 +254,6 @@ def _config_of(doc: dict, solver: Optional[str] = None) -> HorseConfig:
         if key in doc:
             _check_type(key, doc[key], types)
             kwargs[key] = doc[key]
-    if solver:
-        kwargs["solver"] = solver
     for section, (attr, fields) in _SECTIONS.items():
         if section in doc:
             value = shard_section(doc) if section == "shards" else doc[section]
@@ -272,14 +270,13 @@ def validate_scenario(doc: dict) -> None:
     _config_of(ensure_v1(doc, warn=False))
 
 
-def build_config(scenario: dict, solver: Optional[str] = None) -> HorseConfig:
+def build_config(scenario: dict) -> HorseConfig:
     """A validated :class:`HorseConfig` from a scenario document.
 
-    ``solver`` overrides the scenario's choice (the ``repro run
-    --solver`` flag).  Legacy (v0) documents are migrated in memory
-    first, warning once per deprecated key.
+    Legacy (v0) documents are migrated in memory first, warning once
+    per deprecated key.
     """
-    return _config_of(ensure_v1(scenario), solver=solver)
+    return _config_of(ensure_v1(scenario))
 
 
 def shard_section(doc: dict) -> dict:
@@ -324,21 +321,21 @@ class Scenario:
         with open(path) as handle:
             return cls(json.load(handle))
 
-    def config(self, solver=None):
+    def config(self):
         """The :class:`~repro.core.config.HorseConfig` this document
-        describes (``solver`` mirrors ``repro run --solver``)."""
-        return build_config(self.doc, solver=solver)
+        describes."""
+        return build_config(self.doc)
 
-    def build(self, solver=None):
+    def build(self):
         """``(horse, fabric)`` with topology and policies in place but
         no traffic submitted."""
         from .scenario import build_horse
 
-        return build_horse(self.doc, solver=solver)
+        return build_horse(self.doc)
 
-    def run(self, solver=None):
+    def run(self):
         """Build, load, and run end to end; returns
         ``(horse, result, flow_count)``."""
         from .scenario import run_scenario
 
-        return run_scenario(self.doc, solver=solver)
+        return run_scenario(self.doc)

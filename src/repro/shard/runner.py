@@ -286,7 +286,7 @@ def _shard_worker_run(conn, payload: dict) -> dict:
         generated[0] = payload["generated"]
         submitted[0] = payload["submitted"]
     else:
-        horse, fabric = build_horse(scenario, solver=payload["solver"])
+        horse, fabric = build_horse(scenario)
         build_traffic(scenario.get("traffic", {}), horse, fabric, flow_filter=owns)
         horse.start_control_plane()
         start_round = 0
@@ -460,9 +460,7 @@ def _merge_utilization(maps: List[dict]) -> dict:
     return merged
 
 
-def run_sharded(
-    scenario: dict, solver: Optional[str] = None
-) -> Tuple[RunResult, int]:
+def run_sharded(scenario: dict) -> Tuple[RunResult, int]:
     """Run a scenario on the sharded parallel runtime.
 
     Returns ``(result, submitted_flow_count)``.  The scenario must
@@ -471,7 +469,7 @@ def run_sharded(
     criterion across processes).
     """
     scenario = ensure_v1(scenario, warn=False)
-    config: HorseConfig = build_config(scenario, solver=solver)
+    config: HorseConfig = build_config(scenario)
     count = config.shard.count
     if count < 2:
         raise ExperimentError("run_sharded needs shards.count > 1")
@@ -501,7 +499,6 @@ def run_sharded(
             {
                 "shard": shard,
                 "scenario": scenario,
-                "solver": solver,
                 "assignment": plan.assignment,
                 "boundaries": boundaries,
                 "checkpoint_dir": checkpoint_dir,

@@ -41,7 +41,7 @@ class RunStatsCollector:
     # Live collection
     # ------------------------------------------------------------------
     def attach_flow_engine(self, engine) -> None:
-        """Subscribe to a FlowLevelEngine's observer stream."""
+        """Subscribe to an engine's flow-lifecycle observer stream."""
         self._sim = engine.sim
         engine.observers.append(self._on_flow_event)
 

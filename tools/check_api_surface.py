@@ -36,8 +36,14 @@ def _signature(obj) -> str:
 
 def _describe(name: str, obj) -> dict:
     if inspect.isclass(obj):
+        # Members inherited from first-party bases count: callers see
+        # them on the class.
+        members = {}
+        for klass in reversed(obj.__mro__):
+            if klass.__module__.split(".")[0] == "repro":
+                members.update(vars(klass))
         methods = {}
-        for attr, member in sorted(vars(obj).items()):
+        for attr, member in sorted(members.items()):
             if attr.startswith("_") and attr != "__init__":
                 continue
             if inspect.isfunction(member):
