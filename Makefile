@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs run-delta telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -73,6 +73,13 @@ N ?= 10
 horsebench-pairs:
 	python3 tools/bench_pairs.py --parent $(PARENT) --workload $(W) \
 		--seeds $(SEEDS) --pairs $(N)
+
+# One run of a workload from each checkout, compared flow by flow: how
+# far apart are two runs whose digests differ?
+#   make run-delta PARENT=../parent W=ixp_replay [S=11]
+S ?= 11
+run-delta:
+	python3 tools/run_delta.py --parent $(PARENT) --workload $(W) --seed $(S)
 
 # Disabled telemetry must cost <5% on the hot path (vs BENCH_e2.json).
 telemetry-gate:

@@ -9,9 +9,8 @@ in flow events instead of packet events.
 The module is organized around one *canonical component kernel*:
 
 * :func:`solve_component` — solve one link-sharing connected component
-  (scalar progressive filling for small components, the vectorized
-  kernel for large ones; the choice depends only on component size, so
-  it is deterministic).
+  with :func:`solve_arrays`, the vectorized demand-capped filling loop
+  (the only kernel, at every component size).
 * :func:`solve` — full solve: partition the flows into link-sharing
   components and run the kernel on each.  Components are independent
   under max-min fairness, so this is exact.
@@ -45,9 +44,6 @@ EPSILON_BPS = 1e-6
 #: few subtractions already exceeds it; tolerances therefore scale with
 #: the quantity compared: ``max(EPSILON_BPS, RELATIVE_EPSILON * x)``.
 RELATIVE_EPSILON = 1e-9
-
-#: Components at or above this many flows use the vectorized kernel.
-VECTOR_COMPONENT_THRESHOLD = 48
 
 #: Last-reported rate of a flow no resolve has reported yet.  NaN is
 #: unequal to every rate, so such a flow always counts as moved.
@@ -162,109 +158,6 @@ def _partition(flows: Sequence[FlowDemand]) -> List[List[FlowDemand]]:
             order.append(root)
         bucket.append(flow)
     return [groups[root] for root in order]
-
-
-def _solve_component_scalar(
-    flows: Sequence[FlowDemand], capacities: Mapping[Hashable, float]
-) -> Dict[Hashable, float]:
-    """Weighted progressive filling over one component (scalar kernel).
-
-    Deterministic: all floating-point accumulation orders follow the
-    input flow order, so identical inputs give identical bits.
-    """
-    alloc: Dict[Hashable, float] = {}
-    active: List[FlowDemand] = []
-    pinned_flows: List[FlowDemand] = []
-    for flow in flows:
-        if flow.is_free():
-            alloc[flow.flow_id] = flow.demand_bps
-        elif flow.pinned:
-            # Pinned flows take their demand off the top; the elastic
-            # flows below share whatever budget remains.
-            alloc[flow.flow_id] = flow.demand_bps
-            pinned_flows.append(flow)
-        else:
-            alloc[flow.flow_id] = 0.0
-            active.append(flow)
-    if not active:
-        return alloc
-
-    available: Dict[Hashable, float] = {}
-    sat_slack: Dict[Hashable, float] = {}
-    members: Dict[Hashable, List[int]] = {}
-    for index, flow in enumerate(active):
-        for link in flow.links:
-            if link not in available:
-                try:
-                    available[link] = float(capacities[link])
-                except (KeyError, IndexError):
-                    raise KeyError(f"no capacity given for link {link!r}") from None
-                sat_slack[link] = saturation_eps(available[link])
-                members[link] = []
-            members[link].append(index)
-
-    if pinned_flows:
-        # Accumulate the pinned draw per link, then subtract once with a
-        # floor at zero — the same accumulation order and arithmetic as
-        # the vectorized kernel, keeping the two paths bitwise-identical.
-        pinned_draw: Dict[Hashable, float] = {}
-        for flow in pinned_flows:
-            for link in flow.links:
-                if link in available:
-                    pinned_draw[link] = pinned_draw.get(link, 0.0) + flow.demand_bps
-        for link, draw in pinned_draw.items():
-            available[link] = max(0.0, available[link] - draw)
-
-    frozen = [False] * len(active)
-    remaining = len(active)
-    # Weighted progressive filling: the "water level" rises per unit
-    # weight; each iteration freezes at least one flow, so the loop runs
-    # at most len(active) times.
-    while remaining:
-        # Largest per-unit-weight level rise that saturates a link or a
-        # demand.  Member weights are summed in ascending flow order.
-        level = float("inf")
-        link_weight: Dict[Hashable, float] = {}
-        for link, indices in members.items():
-            weight_sum = 0.0
-            for index in indices:
-                if not frozen[index]:
-                    weight_sum += active[index].weight
-            if weight_sum > 0.0:
-                link_weight[link] = weight_sum
-                level = min(level, available[link] / weight_sum)
-        for index, flow in enumerate(active):
-            if not frozen[index]:
-                level = min(
-                    level,
-                    (flow.demand_bps - alloc[flow.flow_id]) / flow.weight,
-                )
-        if level == float("inf"):  # pragma: no cover - defensive
-            break
-        level = max(level, 0.0)
-        # Raise all unfrozen flows by weight x level; draw down budgets.
-        if level > 0:
-            for link, weight_sum in link_weight.items():
-                available[link] -= level * weight_sum
-            for index, flow in enumerate(active):
-                if not frozen[index]:
-                    alloc[flow.flow_id] += level * flow.weight
-        # Freeze demand-satisfied flows and flows on saturated links.
-        newly_frozen: List[int] = []
-        for index, flow in enumerate(active):
-            if frozen[index]:
-                continue
-            if alloc[flow.flow_id] >= flow.demand_bps - demand_eps(flow.demand_bps):
-                newly_frozen.append(index)
-                continue
-            if any(available[link] <= sat_slack[link] for link in flow.links):
-                newly_frozen.append(index)
-        if not newly_frozen:  # pragma: no cover - numeric safety valve
-            break
-        for index in newly_frozen:
-            frozen[index] = True
-            remaining -= 1
-    return alloc
 
 
 class _Columns:
@@ -383,17 +276,13 @@ def _has_capacity(capacities: Mapping[Hashable, float], link: Hashable) -> bool:
 def solve_component(
     flows: Sequence[FlowDemand], capacities: Mapping[Hashable, float]
 ) -> Dict[Hashable, float]:
-    """Canonical kernel for one link-sharing component.
-
-    Small components use the scalar filling loop (lower constant cost);
-    large ones the vectorized kernel.  The switch depends only on
-    ``len(flows)``, so full and incremental solves of the same component
-    take the same path and return bitwise-identical rates.
+    """Canonical kernel for one link-sharing component: :func:`solve_arrays`
+    on columns built from ``flows`` in order.  Full and incremental
+    solves of the same component run it on the same rows and return
+    bitwise-identical rates.
     """
-    if len(flows) >= VECTOR_COMPONENT_THRESHOLD:
-        rates = _Columns(flows).solve(capacities).tolist()
-        return dict(zip([flow.flow_id for flow in flows], rates))
-    return _solve_component_scalar(flows, capacities)
+    rates = _Columns(flows).solve(capacities).tolist()
+    return dict(zip([flow.flow_id for flow in flows], rates))
 
 
 def solve(
@@ -604,7 +493,7 @@ class _Component:
         #: the next resolve.
         self.may_split = False
         self.dirty = False
-        #: Resident kernel inputs while the component is vector-sized.
+        #: Resident kernel inputs, built by the first incremental solve.
         self.columns: Optional[_Columns] = None
 
     def last_rates(self) -> List[float]:
@@ -954,12 +843,9 @@ class IncrementalSolver:
             scope += len(flows)
             if full:
                 fresh = [scratch[flow.flow_id] for flow in flows]
-            elif len(flows) < VECTOR_COMPONENT_THRESHOLD:
-                fresh = _solve_component_scalar(flows, capacities).values()
+                component.report(fresh, moved, loads)
             else:
                 component.solve_resident(capacities, moved, loads)
-                continue
-            component.report(fresh, moved, loads)
         self._dirty = []
         self._dirty_free = set()
         self._dirty_links = set()

@@ -14,27 +14,42 @@ re-split before it solves.
 
 The second half tests the index itself, not only its answers: a
 hypothesis state machine drives every mutation in random order and
-checks the component store against ``_partition``, the touched-link
-report, and a pickled copy of the solver; named regressions pin the
-twin rule, a bridge removal, the link-refcount trap and a merge that
-carries a pending split.
+checks the component store against ``_partition``, the resident columns
+against the member flows and the machine's own record of the reported
+rates, the touched-link report, and a pickled copy of the solver; named
+regressions pin the twin rule, a bridge removal, the link-refcount trap
+and a merge that carries a pending split.
+
+The kernel itself is checked against the textbook loop in
+``tests/diff/reference.py`` (a different algorithm, so to 1e-9 and not
+bitwise) while one component grows a flow at a time through every
+column-growth boundary.
 """
 
 import pickle
 import random
 from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.flowsim import fairshare
 from repro.flowsim.fairshare import (
     FlowDemand,
     IncrementalSolver,
-    affected_component,
     solve,
+    solve_arrays,
 )
+
+from .reference import solve_scalar
 
 #: ~50 switches' worth of directed link keys.
 NUM_LINKS = 100
@@ -163,25 +178,37 @@ def test_link_touch_rescopes_correctly(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_affected_component_matches_transitive_closure(seed):
-    """``affected_component`` equals the brute-force transitive closure
-    over the flow/link sharing graph."""
+def test_resolve_scope_matches_transitive_closure(seed):
+    """The flows a change re-solves are the brute-force transitive
+    closure of the changed flows over the flow/link sharing graph."""
     rng = random.Random(seed)
+    capacities = _capacities(rng)
     flows = [_random_flow(rng, fid) for fid in range(rng.randint(1, 30))]
     changed = set(
         rng.sample([f.flow_id for f in flows], rng.randint(1, len(flows)))
     )
-    got = affected_component(flows, changed)
-    # Brute force: fixed-point closure over shared links.
+    solver = IncrementalSolver()
+    for flow in flows:
+        solver.upsert(flow)
+    solver.resolve(capacities)
+    for flow in flows:
+        if flow.flow_id in changed:
+            solver.upsert(
+                FlowDemand(flow.flow_id, flow.demand_bps, flow.links,
+                           weight=flow.weight * 2)
+            )
+    solver.resolve(capacities)
+    # Brute force: fixed-point closure over shared links.  A free flow
+    # (no links, or no demand) loads nothing and couples to nothing.
     closure = set(changed)
     links: set = set()
     for flow in flows:
-        if flow.flow_id in closure:
+        if flow.flow_id in closure and not flow.is_free():
             links.update(flow.links)
     while True:
         grew = False
         for flow in flows:
-            if flow.flow_id in closure:
+            if flow.flow_id in closure or flow.is_free():
                 continue
             if any(link in links for link in flow.links):
                 closure.add(flow.flow_id)
@@ -189,7 +216,72 @@ def test_affected_component_matches_transitive_closure(seed):
                 grew = True
         if not grew:
             break
-    assert got == closure
+    assert solver.last_scope == len(closure)
+    free = {flow.flow_id for flow in flows if flow.is_free()}
+    resolved = {
+        flow_id for ids in solver.components() if not changed.isdisjoint(ids)
+        for flow_id in ids
+    }
+    assert resolved == closure - free
+
+
+# ----------------------------------------------------------------------
+# The kernel against the textbook loop
+# ----------------------------------------------------------------------
+def _as_arrays(flows, capacities):
+    """``solve_arrays`` inputs for ``flows`` over the sorted link keys."""
+    names = sorted(capacities)
+    link_index = {name: i for i, name in enumerate(names)}
+    flow_of = [i for i, flow in enumerate(flows) for _ in flow.links]
+    link_of = [link_index[link] for flow in flows for link in flow.links]
+    return dict(
+        demand=np.asarray([f.demand_bps for f in flows]),
+        link_capacity=np.asarray([capacities[name] for name in names]),
+        flow_of=np.asarray(flow_of, dtype=np.intp),
+        link_of=np.asarray(link_of, dtype=np.intp),
+        weight=np.asarray([f.weight for f in flows]),
+        pinned=np.asarray([f.pinned for f in flows]),
+    )
+
+
+def assert_matches_textbook(flows, capacities, got):
+    """``got`` (flow_id -> rate) against the scalar loop, to 1e-9."""
+    expected = solve_scalar(flows, capacities)
+    assert got.keys() == expected.keys()
+    for flow_id, rate in expected.items():
+        assert got[flow_id] == pytest.approx(rate, rel=1e-9, abs=1e-9), flow_id
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_growing_component_matches_textbook_loop(seed):
+    """One coupled component grown a flow at a time from 1 to 100
+    members - across every ``_Columns._grow`` boundary, rows and pairs -
+    with heterogeneous demands, weights and the odd pinned flow: at
+    every size ``IncrementalSolver.resolve`` (resident columns),
+    ``solve`` (fresh columns) and ``solve_arrays`` agree with the
+    textbook loop."""
+    rng = random.Random(seed)
+    capacities = {link: rng.uniform(50.0, 5000.0) for link in range(8)}
+    solver = IncrementalSolver()
+    flows = []
+    for size in range(1, 101):
+        # Link 0 keeps the component one piece.
+        links = [0] + rng.sample(range(1, 8), rng.randint(0, 3))
+        flow = FlowDemand(
+            size, rng.uniform(0.1, 400.0), links,
+            weight=rng.choice((0.5, 1.0, 1.0, 2.0, 4.0)),
+            pinned=rng.random() < 0.05,
+        )
+        flows.append(flow)
+        solver.upsert(flow)
+        solver.resolve(capacities)
+        assert_matches_textbook(flows, capacities, solver.alloc)
+        assert solve(flows, capacities) == solver.alloc  # same kernel: bitwise
+        arrays = solve_arrays(**_as_arrays(flows, capacities)).tolist()
+        assert_matches_textbook(
+            flows, capacities, dict(zip([f.flow_id for f in flows], arrays))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -225,17 +317,13 @@ class SolverIndexMachine(RuleBasedStateMachine):
     published link loads, touched links), and a pickled copy of the
     solver that receives the same remaining steps.  Every
     mutation may be followed at once by a resolve, so programs mix
-    resolve-per-event (the engine's rhythm) with batched mutations."""
-
-    #: Patched over ``VECTOR_COMPONENT_THRESHOLD`` for the run, so short
-    #: programs also exercise the resident columns (None: leave it).
-    threshold = None
+    resolve-per-event (the engine's rhythm) with batched mutations.
+    Between resolves, whatever the store did to its columns (merge,
+    split, mid-order re-insert, growth), they still describe the member
+    flows row for row and still hold the rates the machine was told."""
 
     def __init__(self):
         super().__init__()
-        self._saved_threshold = fairshare.VECTOR_COMPONENT_THRESHOLD
-        if self.threshold is not None:
-            fairshare.VECTOR_COMPONENT_THRESHOLD = self.threshold
         self.capacities = {
             link: (10e6, 100e6, 1e9, 10e9)[link % 4] for link in range(SMALL_LINKS)
         }
@@ -245,9 +333,6 @@ class SolverIndexMachine(RuleBasedStateMachine):
         self.next_id = 0
         self.removed_links = set()
         self.reported = {}  # live flows' rates as of the last resolve
-
-    def teardown(self):
-        fairshare.VECTOR_COMPONENT_THRESHOLD = self._saved_threshold
 
     def _each(self):
         return [s for s in (self.solver, self.copy) if s is not None]
@@ -325,16 +410,92 @@ class SolverIndexMachine(RuleBasedStateMachine):
             then_resolve,
         )
 
+    def _remove(self, flow_id):
+        flow = self.live.pop(flow_id)
+        self.reported.pop(flow_id, None)
+        self._note_departure(flow)
+        for solver in self._each():
+            solver.remove(flow_id)
+
     @precondition(lambda self: self.live)
     @rule(pick=st.integers(0, 10**6), then_resolve=st.booleans())
     def remove(self, pick, then_resolve):
-        flow = self.live.pop(self._pick(pick).flow_id)
-        self.reported.pop(flow.flow_id, None)
-        self._note_departure(flow)
-        for solver in self._each():
-            solver.remove(flow.flow_id)
+        self._remove(self._pick(pick).flow_id)
         if then_resolve:
             self.resolve(full=False)
+
+    # The three store operations that move rows of columns already
+    # held, forced rather than waited for.
+    def _two_components(self):
+        parts = sorted(self.solver.components(), key=lambda ids: ids[0])
+        return parts[:2] if len(parts) >= 2 else None
+
+    @precondition(lambda self: self._two_components())
+    @rule(demand=_demands, cut=st.booleans(), then_resolve=st.booleans())
+    def bridge_two_components(self, demand, cut, then_resolve):
+        """Merge two components that hold reported rates; with ``cut``,
+        take the bridge out again: a split that is real."""
+        self.resolve(full=False)
+        first, second = self._two_components()
+        bridge = FlowDemand(
+            self.next_id, demand or 1e6,
+            [self.live[first[0]].links[0], self.live[second[-1]].links[-1]],
+        )
+        self.next_id += 1
+        self._upsert(bridge, then_resolve)
+        merged = [ids for ids in self.solver.components() if bridge.flow_id in ids]
+        assert sorted(merged[0]) == sorted(first + second + [bridge.flow_id])
+        if cut:
+            repartitions = self.solver.stats["repartitions"]
+            self._remove(bridge.flow_id)
+            self.resolve(full=False)
+            assert self.solver.stats["repartitions"] == repartitions + 1
+            assert {tuple(first), tuple(second)} <= {
+                tuple(ids) for ids in self.solver.components()
+            }
+
+    @precondition(lambda self: any(len(ids) > 1 for ids in self.solver.components()))
+    @rule(pick=st.integers(0, 10**6), then_resolve=st.booleans())
+    def reroute_oldest_member(self, pick, then_resolve):
+        """A re-routed flow keeps its place in the insertion order:
+        the oldest member of a component leaves its row and comes back
+        (possibly into a merged component) ahead of the younger
+        members, not at the end."""
+        parts = [ids for ids in self.solver.components() if len(ids) > 1]
+        ids = sorted(parts, key=lambda ids: ids[0])[pick % len(parts)]
+        old, other = self.live[ids[0]], self.live[ids[-1]]
+        links = other.links if other.links != old.links else old.links + (
+            (old.links[-1] + 1) % SMALL_LINKS,
+        )
+        self._upsert(
+            FlowDemand(old.flow_id, old.demand_bps, links, old.weight, old.pinned),
+            then_resolve,
+        )
+        (home,) = [part for part in self.solver.components() if old.flow_id in part]
+        assert home == sorted(home) and home[-1] != old.flow_id
+
+    @invariant()
+    def columns_describe_the_members(self):
+        for solver in self._each():
+            # The rate columns against the machine's own record.
+            assert solver.alloc == self.reported
+            for component in solver._components():
+                columns, flows = component.columns, component.flows
+                assert component.seqs == sorted(component.seqs)
+                assert [solver._seq[f.flow_id] for f in flows] == component.seqs
+                if columns is None:
+                    continue
+                rows = columns.rows
+                assert rows == len(flows)
+                assert columns.demand[:rows].tolist() == [f.demand_bps for f in flows]
+                assert columns.weight[:rows].tolist() == [f.weight for f in flows]
+                assert columns.pinned[:rows].tolist() == [f.pinned for f in flows]
+                flat = iter(columns.flat[:columns.pairs].tolist())
+                assert [
+                    tuple(columns.links[next(flat)] for _ in range(count))
+                    for count in columns.counts[:rows].tolist()
+                ] == [f.links for f in flows]
+                assert next(flat, None) is None
 
     @rule(link=st.integers(0, SMALL_LINKS - 1),
           capacity=st.sampled_from((10e6, 1e9, 100e9)))
@@ -411,17 +572,11 @@ class SolverIndexMachine(RuleBasedStateMachine):
         assert _components(solver) == _true_components(self.live)
 
 
-class SolverIndexSmallVectorMachine(SolverIndexMachine):
-    threshold = 3
-
-
 _machine_settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
 TestSolverIndex = SolverIndexMachine.TestCase
 TestSolverIndex.settings = _machine_settings
-TestSolverIndexSmallVector = SolverIndexSmallVectorMachine.TestCase
-TestSolverIndexSmallVector.settings = _machine_settings
 
 
 def _solver_with(*flows):

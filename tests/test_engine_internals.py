@@ -1,8 +1,8 @@
 """Engine internals: solver inputs and message plumbing.
 
 These tests exercise machinery the scenario tests only touch
-incidentally: rate bookkeeping across the solver's scalar/vector
-kernel threshold, the link-direction capacity registry, and the
+incidentally: rate bookkeeping while a component drains from sixty
+flows to none, the link-direction capacity registry, and the
 control-message dataclasses.
 """
 
@@ -50,15 +50,14 @@ def quick_flow(topo, src, dst, sport, size=10_000, start=0.0):
 
 
 class TestSolverInputs:
-    def test_rates_survive_scalar_vector_boundary(self):
-        """Crossing the 48-flow vectorization threshold must not corrupt
-        rate bookkeeping (the component's resident columns are built on
-        the way up and dropped on the way down)."""
+    def test_rates_survive_a_draining_component(self):
+        """Sixty flows on one link completing one by one: every
+        departure deletes a row of the component's resident columns and
+        must not corrupt the others' rate bookkeeping."""
         topo = star_with_rules(num_hosts=4, capacity=100e6)
         sim = Simulator()
         engine = FlowLevelEngine(sim, topo)
-        # 60 concurrent flows to h2 (vector path), completing gradually
-        # down into scalar territory.
+        # 60 concurrent flows to h2, completing gradually.
         flows = [
             quick_flow(topo, "h1", "h2", sport=2000 + i, size=250_000)
             for i in range(60)

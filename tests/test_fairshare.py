@@ -1,4 +1,5 @@
-"""Max-min fairness solver tests: hand cases + properties + parity."""
+"""Max-min fairness solver tests: hand cases + properties + parity
+with the textbook loop (``tests/diff/reference.py``)."""
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from repro.flowsim.fairshare import (
     RELATIVE_EPSILON,
     FlowDemand,
     IncrementalSolver,
-    affected_component,
     demand_eps,
     saturation_eps,
     solve,
     solve_arrays,
 )
+
+from diff.reference import solve_scalar
 
 
 def fd(flow_id, demand, links):
@@ -158,9 +160,11 @@ def test_property_max_min_condition(seed):
 @settings(max_examples=120, deadline=None)
 @given(instances)
 def test_property_scalar_vector_parity(seed):
-    """The NumPy solver matches the scalar solver."""
+    """The kernel - through ``solve``'s partition and as one
+    ``solve_arrays`` call - matches the textbook scalar loop."""
     flows, caps = build_instance(seed)
-    ref = solve(flows, caps)
+    ref = solve_scalar(flows, caps)
+    assert solve(flows, caps) == pytest.approx(ref, rel=1e-9, abs=1e-9)
     link_index = {name: i for i, name in enumerate(sorted(caps))}
     fo, lo = [], []
     for i, flow in enumerate(flows):
@@ -175,7 +179,7 @@ def test_property_scalar_vector_parity(seed):
     )
     for i, flow in enumerate(flows):
         expected = ref[flow.flow_id]
-        assert vec[i] == pytest.approx(expected, rel=1e-4, abs=1e-4)
+        assert vec[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,11 +199,13 @@ def test_property_incremental_matches_full(seed):
         if pending and (not current or rng.random() < 0.6):
             flow = pending.pop()
             current.append(flow)
-            changed = {flow.flow_id}
+            incremental.upsert(flow)
         else:
             flow = current.pop(rng.randrange(len(current)))
-            changed = {flow.flow_id}
-        got = incremental.update(current, caps, changed)
+            incremental.remove(flow.flow_id)
+        incremental.resolve(caps)
+        got = incremental.alloc
+        assert got.keys() == {f.flow_id for f in current}
         want = solve(current, caps)
         for f in current:
             assert got[f.flow_id] == pytest.approx(
@@ -278,7 +284,17 @@ class TestRelativeTolerance:
         )
 
 
-class TestAffectedComponent:
+class TestResolveScope:
+    """What a change re-solves: the changed flow's component."""
+
+    @staticmethod
+    def solver_with(flows, caps):
+        solver = IncrementalSolver()
+        for flow in flows:
+            solver.upsert(flow)
+        solver.resolve(caps)
+        return solver
+
     def test_transitive_closure(self):
         flows = [
             fd("a", 1, ["l1"]),
@@ -286,17 +302,24 @@ class TestAffectedComponent:
             fd("c", 1, ["l2"]),
             fd("d", 1, ["l9"]),
         ]
-        component = affected_component(flows, ["a"])
-        assert component == {"a", "b", "c"}
+        caps = {"l1": 10, "l2": 10, "l9": 10}
+        solver = self.solver_with(flows, caps)
+        assert sorted(solver.components()) == [["a", "b", "c"], ["d"]]
+        solver.upsert(fd("a", 2, ["l1"]))
+        solver.resolve(caps)
+        assert solver.last_scope == 3  # a, b, c; d's component stays cached
 
-    def test_unknown_seed_ignored(self):
-        assert affected_component([fd("a", 1, ["l"])], ["ghost"]) == set()
+    def test_unknown_flow_ignored(self):
+        caps = {"l": 10}
+        solver = self.solver_with([fd("a", 1, ["l"])], caps)
+        solver.remove("ghost")
+        assert solver.resolve(caps) == {}
+        assert solver.last_scope == 0
+        assert solver.components() == [["a"]]
 
     def test_incremental_scope_is_smaller_for_disjoint_flows(self):
         caps = {"l1": 10, "l2": 10}
-        incremental = IncrementalSolver()
-        a = fd("a", 5, ["l1"])
-        b = fd("b", 5, ["l2"])
-        incremental.update([a], caps, {"a"})
-        incremental.update([a, b], caps, {"b"})
+        incremental = self.solver_with([fd("a", 5, ["l1"])], caps)
+        incremental.upsert(fd("b", 5, ["l2"]))
+        assert incremental.resolve(caps) == {"b": 5.0}
         assert incremental.last_scope == 1  # only b's component re-solved

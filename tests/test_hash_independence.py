@@ -22,7 +22,9 @@ import sys
 import pytest
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
-SCENARIOS = ["quickstart.json", "hybrid_demo.json", "packet_demo.json"]
+SCENARIOS = [
+    "quickstart.json", "hybrid_demo.json", "packet_demo.json", "ixp_small.json",
+]
 
 
 def _run_under_seed(scenario, seed, out_path):

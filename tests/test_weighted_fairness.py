@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.flowsim import Flow, FlowLevelEngine
 from repro.flowsim.fairshare import FlowDemand, solve, solve_arrays
+
+from diff.reference import solve_scalar
 from repro.openflow.headers import tcp_flow
 from repro.sim import Simulator
 
@@ -87,7 +89,8 @@ def test_property_weighted_scalar_vector_parity(seed):
                 weight=rng.choice([0.5, 1.0, 2.0, 4.0]),
             )
         )
-    ref = solve(flows, caps)
+    ref = solve_scalar(flows, caps)
+    assert solve(flows, caps) == pytest.approx(ref, rel=1e-9, abs=1e-9)
     link_index = {name: j for j, name in enumerate(sorted(caps))}
     fo, lo = [], []
     for i, flow in enumerate(flows):
@@ -102,7 +105,7 @@ def test_property_weighted_scalar_vector_parity(seed):
         weight=np.asarray([f.weight for f in flows]),
     )
     for i, flow in enumerate(flows):
-        assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-4, abs=1e-4)
+        assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +153,7 @@ class TestEngineWeights:
         assert bronze.rate_bps == pytest.approx(2e6)
 
     def test_vectorized_path_respects_weights(self, star4):
-        """Enough flows to trip the vector solver (threshold 48)."""
+        """Sixty weighted flows through the engine on one bottleneck."""
         sim = Simulator()
         from repro.openflow import ApplyActions, Match, Output
 
