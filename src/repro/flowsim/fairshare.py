@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from heapq import merge
+from itertools import count
 from operator import itemgetter
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -161,25 +162,29 @@ def _partition(flows: Sequence[FlowDemand]) -> List[List[FlowDemand]]:
 
 
 class _Columns:
-    """The :func:`solve_arrays` inputs of one component, as columns.
+    """One component's flows as columns: the :func:`solve_arrays`
+    inputs, and the rate last reported for each flow.
 
-    Rows follow the component's flow order; links are numbered in
-    first-appearance order.  The numbering does not reach the result
-    (``bincount`` accumulates each link's pairs in row order and the
-    water level is a ``min`` over links), the row order does; a link
-    whose last row left keeps its number and simply carries no weight.
-    Built in one pass from a flow sequence, then kept resident by
-    :class:`IncrementalSolver`: a flow joining at the end is an
-    :meth:`append`, one leaving a :meth:`delete`.  ``rate`` is not a
-    kernel input: it holds the rate last reported for each row, the one
-    copy the solver keeps while the columns are resident.
+    Rows follow the component's flow order; links are numbered locally.
+    The numbering does not reach the result (``bincount`` accumulates
+    each link's pairs in row order and the water level is a ``min``
+    over links), the row order does; a link whose last row left keeps
+    its number and simply carries no weight, until a :meth:`select`
+    renumbers.  This is the only place :class:`IncrementalSolver` keeps
+    a component's inputs and rates: a flow joining at the end is an
+    :meth:`append`, one leaving a :meth:`delete`, and rows move between
+    and within components (merge, split, a re-routed flow returning to
+    its place in the order) by :meth:`select`.  ``rate`` is not a kernel
+    input: it holds the rate last reported for each row.
     """
 
     __slots__ = ("rows", "pairs", "demand", "weight", "pinned", "rate",
                  "counts", "flat", "link_ids", "links")
 
-    def __init__(self, flows: Sequence[FlowDemand]) -> None:
-        size = max(8, 2 * len(flows))
+    def __init__(self, rows: int = 0, pairs: int = 0) -> None:
+        """Empty columns with room for ``rows`` flows crossing ``pairs``
+        links between them before growing."""
+        size = max(8, 2 * rows)
         self.rows = 0  # flows held
         self.pairs = 0  # (flow, link) incidences held
         self.demand = np.zeros(size)
@@ -188,11 +193,17 @@ class _Columns:
         self.rate = np.zeros(size)
         #: Links crossed per row; ``flat`` holds their local ids, row by row.
         self.counts = np.zeros(size, dtype=np.intp)
-        self.flat = np.zeros(4 * size, dtype=np.intp)
+        self.flat = np.zeros(max(4 * size, 2 * pairs), dtype=np.intp)
         self.link_ids: Dict[Hashable, int] = {}
         self.links: List[Hashable] = []
+
+    @classmethod
+    def of(cls, flows: Sequence[FlowDemand]) -> "_Columns":
+        """Fresh columns of ``flows``, no rate reported yet."""
+        columns = cls(len(flows))
         for flow in flows:
-            self.append(flow)
+            columns.append(flow)
+        return columns
 
     def _grow(self, *names: str) -> None:
         for name in names:
@@ -234,6 +245,27 @@ class _Columns:
         flat[start:pairs - width] = flat[start + width:pairs]
         self.rows = rows - 1
         self.pairs = pairs - width
+
+    def select(self, order: Sequence[int]) -> "_Columns":
+        """New columns holding rows ``order`` of these, in that order,
+        their links renumbered from zero (numbers no row uses go)."""
+        order = np.asarray(order, dtype=np.intp)
+        counts = self.counts[:self.rows]
+        width = counts[order]
+        ends = np.cumsum(width)
+        pairs = int(width.sum())
+        # Pair k of row r comes from pair k of the row it was.
+        first = np.cumsum(counts) - counts
+        source = np.repeat(first[order] - (ends - width), width) + np.arange(pairs)
+        used, flat = np.unique(self.flat[source], return_inverse=True)
+        out = _Columns(order.size, pairs)
+        for name in ("demand", "weight", "pinned", "rate", "counts"):
+            getattr(out, name)[:order.size] = getattr(self, name)[order]
+        out.flat[:pairs] = flat
+        out.links = [self.links[local] for local in used.tolist()]
+        out.link_ids = {link: local for local, link in enumerate(out.links)}
+        out.rows, out.pairs = order.size, pairs
+        return out
 
     def solve(self, capacities: Mapping[Hashable, float]) -> np.ndarray:
         """Rates in row order."""
@@ -281,7 +313,7 @@ def solve_component(
     solves of the same component run it on the same rows and return
     bitwise-identical rates.
     """
-    rates = _Columns(flows).solve(capacities).tolist()
+    rates = _Columns.of(flows).solve(capacities).tolist()
     return dict(zip([flow.flow_id for flow in flows], rates))
 
 
@@ -470,22 +502,21 @@ class _Component:
     """One link-sharing component of the solver's live flows.
 
     ``flows`` (with ``seqs`` alongside) is kept in insertion-sequence
-    order — the order the kernel must see.  ``link_refs`` counts the
-    member flows on each link, so a link leaves the component with its
-    last flow; ``routes`` counts members per link tuple, which is what
-    tells a harmless departure from one that may disconnect the rest.
-    The rate last reported for each member sits in ``rates`` (parallel
-    to ``flows``) or, while ``columns`` are resident, in their ``rate``
-    column instead — never in both.
+    order — the order the kernel must see — and ``columns`` holds the
+    same flows row for row: their kernel inputs and the rate last
+    reported for each.  ``link_refs`` counts the member flows on each
+    link, so a link leaves the component with its last flow; ``routes``
+    counts members per link tuple, which is what tells a harmless
+    departure from one that may disconnect the rest.
     """
 
-    __slots__ = ("flows", "seqs", "rates", "link_refs", "routes", "may_split",
-                 "dirty", "columns")
+    __slots__ = ("flows", "seqs", "columns", "link_refs", "routes", "may_split",
+                 "dirty")
 
-    def __init__(self) -> None:
+    def __init__(self, columns: Optional[_Columns] = None) -> None:
         self.flows: List[FlowDemand] = []
         self.seqs: List[int] = []
-        self.rates: Optional[List[float]] = []
+        self.columns = _Columns() if columns is None else columns
         self.link_refs: Dict[Hashable, int] = {}
         self.routes: Dict[Tuple[Hashable, ...], int] = {}
         #: A flow left whose link tuple no other member shares, so the
@@ -493,54 +524,17 @@ class _Component:
         #: the next resolve.
         self.may_split = False
         self.dirty = False
-        #: Resident kernel inputs, built by the first incremental solve.
-        self.columns: Optional[_Columns] = None
-
-    def last_rates(self) -> List[float]:
-        """The members' last reported rates, in flow order."""
-        columns = self.columns
-        if columns is None:
-            return self.rates
-        return columns.rate[:columns.rows].tolist()
-
-    def drop_columns(self) -> List[float]:
-        """Back to the list layout (returned), whichever one is held."""
-        self.rates = self.last_rates()
-        self.columns = None
-        return self.rates
 
     def report(
         self,
-        fresh: Iterable[float],
+        fresh: np.ndarray,
         moved: Dict[Hashable, float],
         loads: Dict[Hashable, float],
     ) -> None:
-        """Take the members' fresh rates (flow order) in the list
-        layout: keep them, add those unequal to the last report to
-        ``moved`` and the sum over each link's members to ``loads``."""
-        last = self.drop_columns()
-        for link in self.link_refs:
-            loads[link] = 0.0
-        for row, (flow, rate) in enumerate(zip(self.flows, fresh)):
-            if rate != last[row]:
-                moved[flow.flow_id] = last[row] = rate
-            for link in flow.links:
-                loads[link] += rate
-
-    def solve_resident(
-        self,
-        capacities: Mapping[Hashable, float],
-        moved: Dict[Hashable, float],
-        loads: Dict[Hashable, float],
-    ) -> None:
-        """Solve on the resident columns (built on first use) and report
-        as :meth:`report` does, in array operations."""
+        """Take the members' fresh rates (flow order): keep them, add
+        those unequal to the last report to ``moved`` and the sum over
+        each link's members to ``loads``."""
         columns = self.columns
-        if columns is None:
-            columns = self.columns = _Columns(self.flows)
-            columns.rate[:columns.rows] = self.rates
-            self.rates = None
-        fresh = columns.solve(capacities)
         last = columns.rate[:columns.rows]
         rows = np.flatnonzero(fresh != last)
         if rows.size:
@@ -637,8 +631,7 @@ class IncrementalSolver:
                 component = self._component_of[flow.links[0]]
                 row = bisect_left(component.seqs, seq)
                 self._flows[flow_id] = component.flows[row] = flow
-                if component.columns is not None:
-                    component.columns.set_row(row, flow)
+                component.columns.set_row(row, flow)
                 self._mark_dirty(component)
                 return
             last = self._detach(old, seq)
@@ -685,20 +678,15 @@ class IncrementalSolver:
                 component = other if component is None else self._merge(component, other)
         if component is None:
             component = _Component()
-        seqs = component.seqs
-        if not seqs or seq > seqs[-1]:
-            seqs.append(seq)
-            component.flows.append(flow)
-            if component.columns is None:
-                component.rates.append(last)
-            else:
-                component.columns.append(flow, last)
-        else:
+        columns = component.columns
+        end = columns.rows
+        row = bisect_left(component.seqs, seq)
+        component.seqs.insert(row, seq)
+        component.flows.insert(row, flow)
+        columns.append(flow, last)
+        if row != end:
             # A re-routed flow keeps its seq: back to its sorted place.
-            row = bisect_left(seqs, seq)
-            seqs.insert(row, seq)
-            component.flows.insert(row, flow)
-            component.drop_columns().insert(row, last)
+            component.columns = columns.select([*range(row), end, *range(row, end)])
         self._enroll(component, links)
         self._mark_dirty(component)
 
@@ -718,11 +706,16 @@ class IncrementalSolver:
         """Fold the smaller component into the larger; returns it."""
         if len(a.flows) < len(b.flows):
             a, b = b, a
-        a.seqs, a.flows, a.rates = map(list, zip(*merge(
-            zip(a.seqs, a.flows, a.drop_columns()),
-            zip(b.seqs, b.flows, b.drop_columns()),
+        columns = a.columns
+        for flow, last in zip(b.flows, b.columns.rate[:b.columns.rows].tolist()):
+            columns.append(flow, last)
+        # b's rows sit after a's; ``order`` is where the seqs put them.
+        a.seqs, a.flows, order = map(list, zip(*merge(
+            zip(a.seqs, a.flows, count()),
+            zip(b.seqs, b.flows, count(len(a.flows))),
             key=itemgetter(0),
         )))
+        a.columns = columns.select(order)
         component_of = self._component_of
         for link in b.link_refs:
             component_of[link] = a
@@ -743,12 +736,8 @@ class IncrementalSolver:
         row = bisect_left(component.seqs, seq)
         del component.seqs[row]
         del component.flows[row]
-        columns = component.columns
-        if columns is None:
-            last = component.rates.pop(row)
-        else:
-            last = float(columns.rate[row])
-            columns.delete(row)
+        last = float(component.columns.rate[row])
+        component.columns.delete(row)
         refs = component.link_refs
         for link in links:
             if refs[link] == 1:
@@ -775,16 +764,14 @@ class IncrementalSolver:
         parts = _partition(component.flows)
         if len(parts) == 1:
             return [component]
-        seq_of = self._seq
-        last = dict(
-            zip([flow.flow_id for flow in component.flows], component.last_rates())
-        )
+        row_of = {flow.flow_id: row for row, flow in enumerate(component.flows)}
+        seqs = component.seqs
         out = []
         for flows in parts:
-            part = _Component()
+            rows = [row_of[flow.flow_id] for flow in flows]
+            part = _Component(component.columns.select(rows))
             part.flows = flows
-            part.seqs = [seq_of[flow.flow_id] for flow in flows]
-            part.rates = [last[flow.flow_id] for flow in flows]
+            part.seqs = [seqs[row] for row in rows]
             for flow in flows:
                 self._enroll(part, flow.links)
             out.append(part)
@@ -801,10 +788,11 @@ class IncrementalSolver:
         :attr:`last_loads`, :attr:`last_touched_links` and
         :attr:`last_scope` (flows re-solved, moved or not).  With
         ``full=True`` every component is re-solved and the rates come
-        from partitioning and solving the live flows from scratch, store
-        and resident columns unused (the reference mode the differential
-        suite compares against — identical results, no reuse); they are
-        then reported through the same difference.
+        from partitioning the live flows from scratch and solving each
+        part on fresh columns, store and resident columns unused (the
+        reference mode the differential suite compares against —
+        identical results, no reuse); they are then reported through
+        the same difference.
         """
         self.stats["resolves"] += 1
         touched = self._dirty_links
@@ -842,10 +830,10 @@ class IncrementalSolver:
             flows = component.flows
             scope += len(flows)
             if full:
-                fresh = [scratch[flow.flow_id] for flow in flows]
-                component.report(fresh, moved, loads)
+                fresh = np.array([scratch[flow.flow_id] for flow in flows])
             else:
-                component.solve_resident(capacities, moved, loads)
+                fresh = component.columns.solve(capacities)
+            component.report(fresh, moved, loads)
         self._dirty = []
         self._dirty_free = set()
         self._dirty_links = set()
@@ -881,9 +869,8 @@ class IncrementalSolver:
         flow's last reported rate."""
         out = dict(self._free)
         for component in self._components():
-            out.update(
-                zip([flow.flow_id for flow in component.flows], component.last_rates())
-            )
+            rates = component.columns.rate[:component.columns.rows].tolist()
+            out.update(zip([flow.flow_id for flow in component.flows], rates))
         return {flow_id: rate for flow_id, rate in out.items() if rate == rate}
 
     def flow_count(self) -> int:

@@ -483,8 +483,6 @@ class SolverIndexMachine(RuleBasedStateMachine):
                 columns, flows = component.columns, component.flows
                 assert component.seqs == sorted(component.seqs)
                 assert [solver._seq[f.flow_id] for f in flows] == component.seqs
-                if columns is None:
-                    continue
                 rows = columns.rows
                 assert rows == len(flows)
                 assert columns.demand[:rows].tolist() == [f.demand_bps for f in flows]
@@ -657,3 +655,22 @@ def test_merge_carries_a_pending_split():
     solver.resolve(caps)
     assert _components(solver) == {frozenset({0, 1, 2, 3, 4, 7}), frozenset({6})}
     assert solver.alloc == solve(big + small + [joiner], caps)
+
+
+def test_wide_rows_survive_a_reorder():
+    """Flows crossing more links than the columns allot per row by
+    default: a mid-order re-insert and a split copy every pair."""
+    caps = {link: 10.0 + link for link in range(40)}
+    wide = [FlowDemand(i, 8.0 + i, list(range(12 * i, 12 * i + 12))) for i in range(3)]
+    bridge = FlowDemand(3, 5.0, [0, 12, 24])
+    solver = _solver_with(*wide, bridge)
+    solver.resolve(caps)
+    assert _components(solver) == {frozenset({0, 1, 2, 3})}
+    rerouted = FlowDemand(0, 8.0, list(range(11, -1, -1)))
+    solver.upsert(rerouted)  # back to row 0, ahead of three younger rows
+    solver.resolve(caps)
+    assert solver.alloc == solve([rerouted, wide[1], wide[2], bridge], caps)
+    solver.remove(3)
+    solver.resolve(caps)
+    assert _components(solver) == {frozenset({0}), frozenset({1}), frozenset({2})}
+    assert solver.alloc == solve([rerouted, wide[1], wide[2]], caps)
