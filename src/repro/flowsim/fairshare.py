@@ -179,7 +179,7 @@ class _Columns:
     """
 
     __slots__ = ("rows", "pairs", "demand", "weight", "pinned", "rate",
-                 "counts", "flat", "link_ids", "links")
+                 "counts", "flat", "link_ids", "links", "link_terms", "link_epoch")
 
     def __init__(self, rows: int = 0, pairs: int = 0) -> None:
         """Empty columns with room for ``rows`` flows crossing ``pairs``
@@ -196,6 +196,11 @@ class _Columns:
         self.flat = np.zeros(max(4 * size, 2 * pairs), dtype=np.intp)
         self.link_ids: Dict[Hashable, int] = {}
         self.links: List[Hashable] = []
+        #: What a solve derives from the link capacities
+        #: (:func:`_link_terms`), kept from one solve to the next: until
+        #: a link is numbered or the capacities' epoch moves.
+        self.link_terms: Optional[tuple] = None
+        self.link_epoch = 0
 
     @classmethod
     def of(cls, flows: Sequence[FlowDemand]) -> "_Columns":
@@ -267,22 +272,30 @@ class _Columns:
         out.rows, out.pairs = order.size, pairs
         return out
 
-    def solve(self, capacities: Mapping[Hashable, float]) -> np.ndarray:
-        """Rates in row order."""
+    def solve(
+        self, capacities: Mapping[Hashable, float], epoch: int = 0
+    ) -> np.ndarray:
+        """Rates in row order.  ``epoch`` names the state of
+        ``capacities``: terms derived under another epoch are stale."""
         links, rows = self.links, self.rows
-        try:
-            caps = np.fromiter(map(capacities.__getitem__, links), float, len(links))
-        except (KeyError, IndexError):
-            missing = [link for link in links if not _has_capacity(capacities, link)]
-            raise KeyError(f"no capacity given for link {missing[0]!r}") from None
+        link_terms = self.link_terms
+        if (link_terms is None or self.link_epoch != epoch
+                or link_terms[0].size != len(links)):
+            try:
+                caps = np.fromiter(map(capacities.__getitem__, links), float, len(links))
+            except (KeyError, IndexError):
+                missing = [link for link in links if not _has_capacity(capacities, link)]
+                raise KeyError(f"no capacity given for link {missing[0]!r}") from None
+            link_terms = self.link_terms = _link_terms(caps)
+            self.link_epoch = epoch
         pinned = self.pinned[:rows]
-        return solve_arrays(
+        return _fill(
             self.demand[:rows],
-            caps,
+            self.weight[:rows],
+            pinned if pinned.any() else None,
             np.repeat(np.arange(rows), self.counts[:rows]),
             self.flat[:self.pairs],
-            weight=self.weight[:rows],
-            pinned=pinned if pinned.any() else None,
+            *link_terms,
         )
 
     def loads(self, rates: np.ndarray) -> List[float]:
@@ -381,92 +394,97 @@ def solve_arrays(
     Returns
     -------
     np.ndarray
-        Max-min fair allocation per flow, shape (F,).  Exactly matches
-        :func:`solve` (property-tested) but runs each filling iteration
-        as O(nnz) NumPy work, which is what lets the flow-level engine
-        carry tens of thousands of concurrent flows.
+        Max-min fair allocation per flow, shape (F,).  Each filling
+        iteration is O(nnz) NumPy work and caps demands in bulk, so the
+        iterations are bounded by links + demand "plateaus", not flows,
+        which is what lets the flow-level engine carry tens of
+        thousands of concurrent flows.
     """
-    num_flows = int(demand.size)
-    num_links = int(link_capacity.size)
-    alloc = np.zeros(num_flows)
-    if num_flows == 0:
-        return alloc
+    if demand.size == 0:
+        return np.zeros(0)
     if weight is None:
-        weight = np.ones(num_flows)
-    frozen = np.zeros(num_flows, dtype=bool)
+        weight = np.ones(demand.size)
+    return _fill(demand, weight, pinned, flow_of, link_of, *_link_terms(link_capacity))
+
+
+def _link_terms(link_capacity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """What a solve derives from the link capacities alone: them as
+    floats, and each link's saturation slack - relative to the
+    capacity, so float64 rounding on multi-gigabit links registers."""
     capacity = link_capacity.astype(float)
-    avail = capacity.copy()
-    # Saturation/demand thresholds: relative to the magnitudes compared,
-    # so float64 rounding on multi-gigabit links still registers.
-    sat_eps = np.maximum(EPSILON_BPS, RELATIVE_EPSILON * capacity)
-    dem_eps = np.maximum(EPSILON_BPS, RELATIVE_EPSILON * demand)
+    return capacity, np.maximum(EPSILON_BPS, RELATIVE_EPSILON * capacity)
+
+
+def _fill(
+    demand: np.ndarray,
+    weight: np.ndarray,
+    pinned: Optional[np.ndarray],
+    flow_of: np.ndarray,
+    link_of: np.ndarray,
+    capacity: np.ndarray,
+    sat_eps: np.ndarray,
+) -> np.ndarray:
+    """:func:`solve_arrays` on prepared link terms (and a weight)."""
+    num_flows, num_links = int(demand.size), int(capacity.size)
+    # The allocation at which a flow counts as demand-satisfied.
+    done_at = demand - np.maximum(EPSILON_BPS, RELATIVE_EPSILON * demand)
+    pair_weight = weight[flow_of]
     has_link = np.zeros(num_flows, dtype=bool)
-    if flow_of.size:
-        has_link[flow_of] = True
+    has_link[flow_of] = True
     # Link-free (and zero-demand) flows are granted their demand outright.
-    free = ~has_link | (demand <= EPSILON_BPS)
-    alloc[free] = demand[free]
-    frozen[free] = True
+    frozen = ~has_link | (demand <= EPSILON_BPS)
+    avail = capacity.copy()
     if pinned is not None:
-        # Free flows never draw budget even when marked pinned (matches
-        # the scalar kernel, where is_free() takes precedence).
-        pinned = pinned & ~free
-    if pinned is not None and pinned.any():
-        alloc[pinned] = demand[pinned]
-        frozen[pinned] = True
-        if flow_of.size:
-            pin_draw = np.bincount(
+        # Free flows never draw budget even when marked pinned.
+        pinned = pinned & ~frozen
+        if pinned.any():
+            avail -= np.bincount(
                 link_of,
                 weights=np.where(pinned[flow_of], demand[flow_of], 0.0),
                 minlength=num_links,
             )
-            avail -= pin_draw
-            np.clip(avail, 0.0, None, out=avail)
+            np.maximum(avail, 0.0, out=avail)
+            frozen |= pinned
+    alloc = np.where(frozen, demand, 0.0)
+    left = num_flows - np.count_nonzero(frozen)
+    ratio = np.empty(num_links)
     # Each iteration either saturates a link or freezes every flow whose
     # remaining headroom is below the current fair increment (in bulk),
     # so iterations are bounded by links + demand "plateaus", not flows.
-    max_iter = num_flows + num_links + 8
-    for _ in range(max_iter):
-        if frozen.all():
+    for _ in range(num_flows + num_links + 8):
+        if not left:
             break
-        active_pairs = ~frozen[flow_of]
         weight_sums = np.bincount(
             link_of,
-            weights=np.where(active_pairs, weight[flow_of], 0.0),
+            weights=np.where(frozen[flow_of], 0.0, pair_weight),
             minlength=num_links,
         )
         used = weight_sums > 0
-        if not used.any():
+        # Per-unit-weight water-level rise (weighted max-min): the least
+        # budget per unit weight over the links that carry any.
+        ratio.fill(np.inf)
+        np.divide(avail, weight_sums, out=ratio, where=used)
+        level = float(ratio.min())
+        if level == np.inf:
             # Remaining flows only cross saturated-and-released links?
             # They are unconstrained now: grant the rest of their demand.
             alloc[~frozen] = demand[~frozen]
             break
-        # Per-unit-weight water-level rise (weighted max-min).
-        level = float((avail[used] / weight_sums[used]).min())
         level = max(level, 0.0)
         # Demand-capped filling: each flow rises by min(w*level, headroom).
         flow_inc = np.minimum(level * weight, demand - alloc)
-        np.clip(flow_inc, 0.0, None, out=flow_inc)
+        np.maximum(flow_inc, 0.0, out=flow_inc)
         flow_inc[frozen] = 0.0
-        pair_inc = flow_inc[flow_of]
-        draw = np.bincount(
-            link_of, weights=np.where(active_pairs, pair_inc, 0.0),
-            minlength=num_links,
-        )
-        avail -= draw
+        avail -= np.bincount(link_of, weights=flow_inc[flow_of], minlength=num_links)
         alloc += flow_inc
+        # Freeze demand-satisfied flows and every flow on a saturated link.
         saturated = used & (avail <= sat_eps)
-        flow_hit = np.zeros(num_flows, dtype=bool)
-        hit_pairs = active_pairs & saturated[link_of]
-        if hit_pairs.any():
-            flow_hit[flow_of[hit_pairs]] = True
-        demand_done = ~frozen & (alloc >= demand - dem_eps)
-        newly = (flow_hit & ~frozen) | demand_done
-        if not newly.any():
-            if level <= EPSILON_BPS:  # pragma: no cover - safety valve
-                break
-            continue
-        frozen |= newly
+        frozen |= alloc >= done_at
+        frozen[flow_of[saturated[link_of]]] = True
+        still = num_flows - np.count_nonzero(frozen)
+        if still == left and level <= EPSILON_BPS:  # pragma: no cover - safety valve
+            break
+        left = still
     return alloc
 
 
@@ -589,6 +607,9 @@ class IncrementalSolver:
         self._dirty_free: Set[Hashable] = set()
         self._dirty: List[_Component] = []
         self._dirty_links: Set[Hashable] = set()
+        #: Bumped by touch_link: capacities cached under an older epoch
+        #: are re-read.
+        self._capacity_epoch = 0
         #: Number of flows actually re-solved by the last resolve.
         self.last_scope = 0
         #: Links whose total allocation may have changed in the last
@@ -651,6 +672,8 @@ class IncrementalSolver:
     def touch_link(self, link: Hashable) -> None:
         """Mark a link dirty (e.g. its capacity changed)."""
         self._dirty_links.add(link)
+        # Any component's columns may number the link, live or not.
+        self._capacity_epoch += 1
         component = self._component_of.get(link)
         if component is not None:
             self._mark_dirty(component)
@@ -786,7 +809,9 @@ class IncrementalSolver:
         """Re-solve dirty components; returns flow_id -> rate for the
         flows whose rate moved (see the class docstring) and publishes
         :attr:`last_loads`, :attr:`last_touched_links` and
-        :attr:`last_scope` (flows re-solved, moved or not).  With
+        :attr:`last_scope` (flows re-solved, moved or not).  A capacity
+        is read again only after :meth:`touch_link`: a component keeps
+        the capacities of its links from one solve to the next.  With
         ``full=True`` every component is re-solved and the rates come
         from partitioning the live flows from scratch and solving each
         part on fresh columns, store and resident columns unused (the
@@ -832,7 +857,7 @@ class IncrementalSolver:
             if full:
                 fresh = np.array([scratch[flow.flow_id] for flow in flows])
             else:
-                fresh = component.columns.solve(capacities)
+                fresh = component.columns.solve(capacities, self._capacity_epoch)
             component.report(fresh, moved, loads)
         self._dirty = []
         self._dirty_free = set()

@@ -674,3 +674,22 @@ def test_wide_rows_survive_a_reorder():
     solver.resolve(caps)
     assert _components(solver) == {frozenset({0}), frozenset({1}), frozenset({2})}
     assert solver.alloc == solve([rerouted, wide[1], wide[2]], caps)
+
+
+def test_touched_capacity_reaches_a_link_number_no_flow_holds():
+    """The trap behind the capacity epoch: a component's columns keep
+    numbering a link after its last flow left, so no component owns the
+    link when its capacity changes - and the number is reused, cached
+    capacity and all, by the next flow to cross it."""
+    caps = {"a": 10.0, "b": 10.0}
+    keeper = FlowDemand(0, 8.0, ["b"])
+    solver = _solver_with(keeper, FlowDemand(1, 8.0, ["a", "b"]))
+    solver.resolve(caps)
+    solver.remove(1)
+    solver.resolve(caps)
+    caps["a"] = 2.0
+    solver.touch_link("a")
+    back = FlowDemand(2, 8.0, ["a", "b"])
+    solver.upsert(back)
+    solver.resolve(caps)
+    assert solver.alloc == solve([keeper, back], caps) == {0: 8.0, 2: 2.0}
