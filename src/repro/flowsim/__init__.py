@@ -1,7 +1,7 @@
 """Flow-level data-plane engine (Horse's core abstraction)."""
 
 from .engine import FlowLevelEngine
-from .fairshare import FlowDemand, IncrementalSolver, affected_component, solve
+from .fairshare import FlowDemand, IncrementalSolver, solve
 from .flow import Flow, FlowRoute, FlowState, Terminal
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "FlowState",
     "IncrementalSolver",
     "Terminal",
-    "affected_component",
     "solve",
 ]

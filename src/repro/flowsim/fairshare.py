@@ -6,30 +6,33 @@ together until a link saturates or a flow hits its demand; saturated
 flows freeze; repeat.  This is the fluid model that lets Horse advance
 in flow events instead of packet events.
 
-The module is organized around one *canonical component kernel*:
+The module has one kernel, :func:`solve_arrays` (vectorized
+demand-capped filling over a flow-link incidence list), and three ways
+to reach it:
 
-* :func:`solve_component` — solve one link-sharing connected component
-  with :func:`solve_arrays`, the vectorized demand-capped filling loop
-  (the only kernel, at every component size).
+* :func:`solve_component` — one link-sharing connected component, on
+  fresh columns built from the flows in order.
 * :func:`solve` — full solve: partition the flows into link-sharing
   components and run the kernel on each.  Components are independent
   under max-min fairness, so this is exact.
 * :class:`IncrementalSolver` — stateful solver that keeps the *exact*
-  component partition across flow arrivals/departures/re-routes,
-  re-runs the kernel only on *dirty* components, reusing cached rates
-  for untouched ones, and reports by difference: the rates that moved
-  and the load of every link it touched.
+  component partition across flow arrivals/departures/re-routes, each
+  component's kernel inputs and last reported rates resident as columns
+  (:class:`_Columns`, the only copy of either), re-runs the kernel only
+  on *dirty* components, and reports by difference: the rates that
+  moved and the load of every link it touched.
 
 Because full and incremental solves run the **same kernel on the same
-per-component inputs in the same order**, their results are bitwise
+per-component rows in the same order**, their results are bitwise
 identical — the property the differential suite (``tests/diff``)
-asserts.  :func:`solve_arrays` exposes the raw vectorized kernel.
+asserts, and checks against a different algorithm besides (the textbook
+scalar loop, ``tests/diff/reference.py``).
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
-from collections import defaultdict
 from heapq import merge
 from itertools import count
 from operator import itemgetter
@@ -49,6 +52,9 @@ RELATIVE_EPSILON = 1e-9
 #: Last-reported rate of a flow no resolve has reported yet.  NaN is
 #: unequal to every rate, so such a flow always counts as moved.
 _UNREPORTED = float("nan")
+
+_INF = float("inf")
+_FLOAT_MAX = sys.float_info.max
 
 
 def saturation_eps(capacity: float) -> float:
@@ -87,10 +93,14 @@ class FlowDemand:
         weight: float = 1.0,
         pinned: bool = False,
     ) -> None:
-        if demand_bps < 0:
+        # Written so that NaN fails each test.  An infinite demand is an
+        # uncapped flow: only a link can stop it, so it cannot be pinned.
+        if not demand_bps >= 0:
             raise ValueError(f"demand must be >= 0, got {demand_bps}")
-        if weight <= 0:
-            raise ValueError(f"weight must be > 0, got {weight}")
+        if not 0 < weight < _INF:
+            raise ValueError(f"weight must be > 0 and finite, got {weight}")
+        if pinned and demand_bps == _INF:
+            raise ValueError("a pinned flow needs a finite demand")
         self.flow_id = flow_id
         self.demand_bps = float(demand_bps)
         self.weight = float(weight)
@@ -426,8 +436,13 @@ def _fill(
 ) -> np.ndarray:
     """:func:`solve_arrays` on prepared link terms (and a weight)."""
     num_flows, num_links = int(demand.size), int(capacity.size)
-    # The allocation at which a flow counts as demand-satisfied.
-    done_at = demand - np.maximum(EPSILON_BPS, RELATIVE_EPSILON * demand)
+    # The allocation at which a flow counts as demand-satisfied.  The
+    # slack is taken of a finite number, so that an uncapped (infinite)
+    # demand is satisfied at inf - slack = inf, that is never: only a
+    # saturated link freezes it.
+    done_at = demand - np.maximum(
+        EPSILON_BPS, RELATIVE_EPSILON * np.minimum(demand, _FLOAT_MAX)
+    )
     pair_weight = weight[flow_of]
     has_link = np.zeros(num_flows, dtype=bool)
     has_link[flow_of] = True
@@ -486,34 +501,6 @@ def _fill(
             break
         left = still
     return alloc
-
-
-def affected_component(
-    flows: Sequence[FlowDemand], seeds: Iterable[Hashable]
-) -> Set[Hashable]:
-    """Flow ids transitively sharing links with any seed flow id.
-
-    This is the re-solve scope used by :class:`IncrementalSolver`: flows
-    outside the component share no link with anything inside it, so
-    their max-min rates cannot change.
-    """
-    by_id = {f.flow_id: f for f in flows}
-    link_members: Dict[Hashable, List[Hashable]] = defaultdict(list)
-    for flow in flows:
-        for link in flow.links:
-            link_members[link].append(flow.flow_id)
-    visited: Set[Hashable] = set()
-    stack = [s for s in seeds if s in by_id]
-    while stack:
-        flow_id = stack.pop()
-        if flow_id in visited:
-            continue
-        visited.add(flow_id)
-        for link in by_id[flow_id].links:
-            for other in link_members[link]:
-                if other not in visited:
-                    stack.append(other)
-    return visited
 
 
 class _Component:
@@ -904,28 +891,3 @@ class IncrementalSolver:
     def components(self) -> List[List[Hashable]]:
         """Member flow ids of every component, each in insertion order."""
         return [[flow.flow_id for flow in c.flows] for c in self._components()]
-
-    def update(
-        self,
-        flows: Sequence[FlowDemand],
-        capacities: Mapping[Hashable, float],
-        changed: Iterable[Hashable],
-    ) -> Dict[Hashable, float]:
-        """Batch-style API: take the full current flow set plus the ids
-        that changed (arrived, departed, or re-routed) and return the new
-        full allocation.  Results match :func:`solve` exactly on every
-        component containing a changed flow; untouched components keep
-        their cached (equally exact) rates.
-        """
-        current = {f.flow_id: f for f in flows}
-        for flow_id in [i for i in self._flows if i not in current]:
-            self.remove(flow_id)
-        for flow_id in changed:
-            flow = current.get(flow_id)
-            if flow is None:
-                self.remove(flow_id)
-            else:
-                self.upsert(flow)
-        self.resolve(capacities)
-        alloc = self.alloc
-        return {flow_id: alloc.get(flow_id, 0.0) for flow_id in current}

@@ -139,7 +139,8 @@ class Flow:
     reroutes: int = 0
 
     def __post_init__(self) -> None:
-        if self.demand_bps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails it too.
+        if not self.demand_bps > 0:
             raise ValueError(f"flow demand must be > 0, got {self.demand_bps}")
         if self.size_bytes is not None and self.size_bytes <= 0:
             raise ValueError(f"flow size must be > 0, got {self.size_bytes}")
@@ -147,7 +148,7 @@ class Flow:
             raise ValueError(f"flow duration must be > 0, got {self.duration_s}")
         if self.size_bytes is not None and self.duration_s is not None:
             raise ValueError("a flow is either volume-based or duration-based")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"flow weight must be > 0, got {self.weight}")
 
     @property

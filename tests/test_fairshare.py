@@ -1,6 +1,8 @@
 """Max-min fairness solver tests: hand cases + properties + parity
 with the textbook loop (``tests/diff/reference.py``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,35 @@ class TestHandCases:
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
             fd("a", -1, [])
+
+    def test_nan_inputs_rejected(self):
+        """``nan < 0`` is false, so a plain range test lets NaN through
+        to a rate that then accrues into byte counters."""
+        nan = float("nan")
+        with pytest.raises(ValueError, match="demand"):
+            fd("a", nan, ["l"])
+        with pytest.raises(ValueError, match="weight"):
+            FlowDemand("a", 1.0, ["l"], weight=nan)
+        with pytest.raises(ValueError, match="weight"):
+            FlowDemand("a", 1.0, ["l"], weight=float("inf"))
+        with pytest.raises(ValueError, match="pinned"):
+            FlowDemand("a", float("inf"), ["l"], pinned=True)
+
+    @pytest.mark.parametrize("size", [2, 47, 48, 200])
+    def test_uncapped_flow_takes_what_the_capped_ones_leave(self, size):
+        """An infinite demand is never demand-satisfied, only stopped
+        by its link - and computing that warns about nothing."""
+        capped = [fd(i, 1.0 + i / size, ["l"]) for i in range(size - 1)]
+        flows = capped[: size // 2] + [fd("open", float("inf"), ["l"])] + capped[size // 2:]
+        cap = 10.0 * size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = solve(flows, {"l": cap})
+        for flow in capped:
+            assert alloc[flow.flow_id] == flow.demand_bps
+        assert alloc["open"] == pytest.approx(
+            cap - sum(f.demand_bps for f in capped), rel=1e-12
+        )
 
     def test_empty_input(self):
         assert solve([], {}) == {}

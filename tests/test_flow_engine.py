@@ -332,6 +332,8 @@ class TestSubmitValidation:
     def test_flow_validation(self, line2):
         with pytest.raises(ValueError):
             make_flow(line2, "h1", "h2", demand=0, size=1000)
+        with pytest.raises(ValueError, match="demand"):
+            make_flow(line2, "h1", "h2", demand=float("nan"), size=1000)
         with pytest.raises(ValueError):
             make_flow(line2, "h1", "h2", demand=1e6, size=0)
         with pytest.raises(ValueError):

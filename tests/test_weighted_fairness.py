@@ -184,11 +184,12 @@ class TestEngineWeights:
         # The h2 access link is the shared bottleneck: 3x the share.
         assert sum(heavy) / sum(light) == pytest.approx(3.0, rel=0.01)
 
-    def test_flow_weight_validated(self, line2):
+    @pytest.mark.parametrize("weight", [0.0, float("nan")])
+    def test_flow_weight_validated(self, line2, weight):
         h1, h2 = line2.host("h1"), line2.host("h2")
         with pytest.raises(ValueError):
             Flow(
                 headers=tcp_flow(h1.ip, h2.ip, 1, 2),
                 src="h1", dst="h2", demand_bps=1e6, size_bytes=10,
-                weight=0.0,
+                weight=weight,
             )
