@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs run-delta telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim line-budget typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs run-delta telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -28,7 +28,7 @@ lint:
 		&& ruff check src \
 		|| echo "ruff not installed; skipping (pip install -e .[dev])"
 	python tools/check_api_surface.py
-	$(MAKE) lint-sim
+	$(MAKE) lint-sim line-budget
 
 # Simulation-correctness linter (determinism / snapshot-safety /
 # telemetry-guard / private-access / handler hygiene): must stay clean
@@ -38,6 +38,14 @@ lint-sim:
 	PYTHONPATH=src python -m repro lint src/repro \
 		--baseline tools/lint-baseline.json --format sarif \
 		--output build/lint.sarif --strict
+
+# The flow engine and its solver stay under 2 300 lines (ROADMAP item
+# 4): a solver change that needs more has to delete something first.
+FLOWSIM_LINE_BUDGET = 2300
+line-budget:
+	@lines=$$(cat src/repro/flowsim/*.py | wc -l); \
+	echo "src/repro/flowsim: $$lines lines (budget $(FLOWSIM_LINE_BUDGET))"; \
+	test $$lines -le $(FLOWSIM_LINE_BUDGET)
 
 typecheck:
 	@command -v mypy >/dev/null 2>&1 \
