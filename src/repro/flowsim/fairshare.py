@@ -477,10 +477,10 @@ def _fill(
         used = weight_sums > 0
         # Per-unit-weight water-level rise (weighted max-min): the least
         # budget per unit weight over the links that carry any.
-        ratio.fill(np.inf)
+        ratio.fill(_INF)
         np.divide(avail, weight_sums, out=ratio, where=used)
         level = float(ratio.min())
-        if level == np.inf:
+        if level == _INF:
             # Remaining flows only cross saturated-and-released links?
             # They are unconstrained now: grant the rest of their demand.
             alloc[~frozen] = demand[~frozen]

@@ -11,6 +11,8 @@ differential tests compare at ``rel=1e-9``.
 
 from typing import Dict, Hashable, List, Mapping, Sequence
 
+import numpy as np
+
 from repro.flowsim.fairshare import FlowDemand, demand_eps, saturation_eps
 
 
@@ -22,6 +24,22 @@ def solve_scalar(
     right; a from-scratch partition is one more thing the product code
     is checked against rather than trusted for."""
     return solve_component_scalar(list(flows), capacities)
+
+
+def as_arrays(flows, capacities):
+    """``solve_arrays`` inputs for ``flows`` over the sorted link keys."""
+    names = sorted(capacities)
+    link_index = {name: i for i, name in enumerate(names)}
+    flow_of = [i for i, flow in enumerate(flows) for _ in flow.links]
+    link_of = [link_index[link] for flow in flows for link in flow.links]
+    return dict(
+        demand=np.asarray([f.demand_bps for f in flows]),
+        link_capacity=np.asarray([capacities[name] for name in names]),
+        flow_of=np.asarray(flow_of, dtype=np.intp),
+        link_of=np.asarray(link_of, dtype=np.intp),
+        weight=np.asarray([f.weight for f in flows]),
+        pinned=np.asarray([f.pinned for f in flows]),
+    )
 
 
 def solve_component_scalar(

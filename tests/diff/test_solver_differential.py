@@ -49,7 +49,7 @@ from repro.flowsim.fairshare import (
     solve_arrays,
 )
 
-from .reference import solve_scalar
+from .reference import as_arrays, solve_scalar
 
 #: ~50 switches' worth of directed link keys.
 NUM_LINKS = 100
@@ -228,22 +228,6 @@ def test_resolve_scope_matches_transitive_closure(seed):
 # ----------------------------------------------------------------------
 # The kernel against the textbook loop
 # ----------------------------------------------------------------------
-def _as_arrays(flows, capacities):
-    """``solve_arrays`` inputs for ``flows`` over the sorted link keys."""
-    names = sorted(capacities)
-    link_index = {name: i for i, name in enumerate(names)}
-    flow_of = [i for i, flow in enumerate(flows) for _ in flow.links]
-    link_of = [link_index[link] for flow in flows for link in flow.links]
-    return dict(
-        demand=np.asarray([f.demand_bps for f in flows]),
-        link_capacity=np.asarray([capacities[name] for name in names]),
-        flow_of=np.asarray(flow_of, dtype=np.intp),
-        link_of=np.asarray(link_of, dtype=np.intp),
-        weight=np.asarray([f.weight for f in flows]),
-        pinned=np.asarray([f.pinned for f in flows]),
-    )
-
-
 def assert_matches_textbook(flows, capacities, got):
     """``got`` (flow_id -> rate) against the scalar loop, to 1e-9."""
     expected = solve_scalar(flows, capacities)
@@ -278,7 +262,7 @@ def test_growing_component_matches_textbook_loop(seed):
         solver.resolve(capacities)
         assert_matches_textbook(flows, capacities, solver.alloc)
         assert solve(flows, capacities) == solver.alloc  # same kernel: bitwise
-        arrays = solve_arrays(**_as_arrays(flows, capacities)).tolist()
+        arrays = solve_arrays(**as_arrays(flows, capacities)).tolist()
         assert_matches_textbook(
             flows, capacities, dict(zip([f.flow_id for f in flows], arrays))
         )

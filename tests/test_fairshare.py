@@ -19,7 +19,7 @@ from repro.flowsim.fairshare import (
     solve_arrays,
 )
 
-from diff.reference import solve_scalar
+from diff.reference import as_arrays, solve_scalar
 
 
 def fd(flow_id, demand, links):
@@ -196,21 +196,9 @@ def test_property_scalar_vector_parity(seed):
     flows, caps = build_instance(seed)
     ref = solve_scalar(flows, caps)
     assert solve(flows, caps) == pytest.approx(ref, rel=1e-9, abs=1e-9)
-    link_index = {name: i for i, name in enumerate(sorted(caps))}
-    fo, lo = [], []
+    vec = solve_arrays(**as_arrays(flows, caps))
     for i, flow in enumerate(flows):
-        for link in flow.links:
-            fo.append(i)
-            lo.append(link_index[link])
-    vec = solve_arrays(
-        np.asarray([f.demand_bps for f in flows]),
-        np.asarray([caps[name] for name in sorted(caps)]),
-        np.asarray(fo, dtype=np.intp),
-        np.asarray(lo, dtype=np.intp),
-    )
-    for i, flow in enumerate(flows):
-        expected = ref[flow.flow_id]
-        assert vec[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.flowsim import Flow, FlowLevelEngine
 from repro.flowsim.fairshare import FlowDemand, solve, solve_arrays
 
-from diff.reference import solve_scalar
+from diff.reference import as_arrays, solve_scalar
 from repro.openflow.headers import tcp_flow
 from repro.sim import Simulator
 
@@ -91,19 +91,7 @@ def test_property_weighted_scalar_vector_parity(seed):
         )
     ref = solve_scalar(flows, caps)
     assert solve(flows, caps) == pytest.approx(ref, rel=1e-9, abs=1e-9)
-    link_index = {name: j for j, name in enumerate(sorted(caps))}
-    fo, lo = [], []
-    for i, flow in enumerate(flows):
-        for link in flow.links:
-            fo.append(i)
-            lo.append(link_index[link])
-    vec = solve_arrays(
-        np.asarray([f.demand_bps for f in flows]),
-        np.asarray([caps[k] for k in sorted(caps)]),
-        np.asarray(fo, dtype=np.intp),
-        np.asarray(lo, dtype=np.intp),
-        weight=np.asarray([f.weight for f in flows]),
-    )
+    vec = solve_arrays(**as_arrays(flows, caps))
     for i, flow in enumerate(flows):
         assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-9, abs=1e-9)
 
