@@ -1,21 +1,23 @@
 """Priority flow tables with timeouts and counters.
 
 Each :class:`FlowTable` holds :class:`FlowEntry` rules ordered by
-priority.  Lookup returns the highest-priority matching entry, updating
-its counters and idle-timeout clock.  Tables enforce an optional size
-cap and support OpenFlow add/modify/delete semantics including overlap
-checking and strict/loose deletion.
+priority.  Lookup returns the highest-priority matching entry; it is a
+hash probe per match *shape* present in the table (tuple-space search),
+not a scan of the entries.  Tables enforce an optional size cap and
+support OpenFlow add/modify/delete semantics including overlap checking
+and strict/loose deletion.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import TableFullError
+from ..net.address import IPv4Network
 from .action import Instruction
 from .headers import HeaderFields
 from .match import Match
@@ -104,9 +106,57 @@ class FlowEntry:
 
 _SORT_KEY = attrgetter("sort_key")
 
+#: ``ip_src`` / ``ip_dst`` patterns carry a mask; every other header
+#: field is compared whole.
+_PREFIX_FIELDS = ("ip_src", "ip_dst")
+_HOST_MASK = (1 << 32) - 1
+
+
+def _masked(pattern) -> Tuple[Optional[int], Optional[int]]:
+    """(mask, masked value) of an ``ip_src`` / ``ip_dst`` pattern: the
+    prefix's own mask, ``/32`` for an exact address, nothing when unset."""
+    if pattern is None:
+        return None, None
+    if isinstance(pattern, IPv4Network):
+        return pattern.mask, pattern.network.value
+    return _HOST_MASK, pattern.value
+
+
+def _slot(match: Match) -> Tuple[tuple, Hashable]:
+    """Where a match lives in a table's lookup index: its shape - the
+    whole-value fields it sets, whether it sets ``in_port``, its
+    ``ip_src`` / ``ip_dst`` masks - and its key inside that shape, the
+    values themselves.  Two matches share a slot iff they accept the
+    same headers."""
+    whole = tuple(
+        name for name in match.referenced_fields if name not in _PREFIX_FIELDS
+    )
+    src_mask, src = _masked(match.ip_src)
+    dst_mask, dst = _masked(match.ip_dst)
+    uses_port = match.in_port is not None
+    # A match names its fields as the headers do: lookup reads the key
+    # off the headers with the same getter.
+    key: Hashable = attrgetter(*whole)(match) if whole else None
+    if uses_port or src_mask is not None or dst_mask is not None:
+        key = (key, match.in_port, src, dst)
+    return (whole, uses_port, src_mask, dst_mask), key
+
 
 class FlowTable:
-    """A single numbered table of priority-ordered flow entries."""
+    """A single numbered table of priority-ordered flow entries.
+
+    The entries are held twice.  ``_entries`` is the ordered view
+    (``sort_key`` order) that iteration, expiry, deletion, stats and the
+    analyzer read.  ``_shapes`` is what :meth:`lookup` reads, a
+    tuple-space index: entries grouped by the *shape* of their match
+    (:func:`_slot`) and, inside a shape, by the values matched on, each
+    bucket in ``sort_key`` order.  Every match the model can express has
+    a shape, so :meth:`lookup` never falls back to a scan: it costs one
+    hash probe per shape present (one or two in practice: a table-miss
+    rule plus the rules a policy writes), not one comparison per entry.
+    ``add``, ``delete``, ``expire`` and ``clear`` keep the two views in
+    step.
+    """
 
     def __init__(self, table_id: int = 0, max_size: Optional[int] = None) -> None:
         if table_id < 0:
@@ -116,6 +166,11 @@ class FlowTable:
         self.table_id = table_id
         self.max_size = max_size
         self._entries: List[FlowEntry] = []
+        #: shape id -> (plain, getter of the whole-value fields, uses
+        #: in_port, ip_src mask, ip_dst mask, key -> entries).  ``plain``
+        #: shapes set whole-value fields only: the getter's result is
+        #: the key.  No bucket and no shape is ever left empty.
+        self._shapes: Dict[tuple, tuple] = {}
         #: Cumulative lookup statistics (OpenFlow table-stats).
         self.lookup_count = 0
         self.matched_count = 0
@@ -130,18 +185,70 @@ class FlowTable:
     def lookup(
         self, headers: HeaderFields, in_port: Optional[int] = None
     ) -> Optional[FlowEntry]:
-        """Highest-priority entry matching the headers, or None (miss).
+        """Highest-priority entry matching the headers, or None (miss):
+        the entry a scan of the table in order would reach first.
 
         Does not touch per-entry counters; the pipeline accounts traffic
         explicitly, because a flow-level "lookup" may represent many
         packets.
         """
         self.lookup_count += 1
-        for entry in self._entries:
-            if entry.match.matches(headers, in_port):
-                self.matched_count += 1
-                return entry
-        return None
+        best: Optional[FlowEntry] = None
+        for plain, whole, uses_port, src_mask, dst_mask, buckets in self._shapes.values():
+            # A header field that is None equals no pattern: it makes a
+            # key no entry has.
+            key = None if whole is None else whole(headers)
+            if not plain:
+                # A rule on in_port cannot match an unknown ingress, nor
+                # a prefix an absent address.
+                if uses_port and in_port is None:
+                    continue
+                src = dst = None
+                if src_mask is not None:
+                    if headers.ip_src is None:
+                        continue
+                    src = headers.ip_src.value & src_mask
+                if dst_mask is not None:
+                    if headers.ip_dst is None:
+                        continue
+                    dst = headers.ip_dst.value & dst_mask
+                key = (key, in_port if uses_port else None, src, dst)
+            bucket = buckets.get(key)
+            # Every entry of a bucket matches and its head is its best;
+            # across shapes the best is again the least sort_key, not
+            # the first shape to hit.
+            if bucket is not None and (
+                best is None or bucket[0].sort_key < best.sort_key
+            ):
+                best = bucket[0]
+        if best is not None:
+            self.matched_count += 1
+        return best
+
+    def _index(self, entry: FlowEntry, shape_id: tuple, key: Hashable) -> None:
+        """Enter an installed entry into the lookup index at its slot."""
+        shape = self._shapes.get(shape_id)
+        if shape is None:
+            whole, uses_port, src_mask, dst_mask = shape_id
+            shape = self._shapes[shape_id] = (
+                not uses_port and src_mask is None and dst_mask is None,
+                attrgetter(*whole) if whole else None,
+                uses_port, src_mask, dst_mask, {},
+            )
+        insort(shape[-1].setdefault(key, []), entry, key=_SORT_KEY)
+
+    def _unindex(self, entry: FlowEntry) -> None:
+        """Take a removed entry out of the lookup index."""
+        shape_id, key = _slot(entry.match)
+        buckets = self._shapes[shape_id][-1]
+        bucket = buckets[key]
+        # By identity: ``list.remove`` compares field by field, and two
+        # live entries can be equal.
+        del bucket[next(i for i, held in enumerate(bucket) if held is entry)]
+        if not bucket:
+            del buckets[key]
+            if not buckets:
+                del self._shapes[shape_id]
 
     # ------------------------------------------------------------------
     # Mutation (FlowMod semantics)
@@ -164,11 +271,17 @@ class FlowTable:
                         f"overlap check failed: {entry.match.describe()} overlaps "
                         f"{existing.match.describe()} at priority {entry.priority}"
                     )
-        for i, existing in enumerate(self._entries):
+        shape_id, key = _slot(entry.match)
+        # An identical match can only be in the new entry's own bucket.
+        shape = self._shapes.get(shape_id)
+        for existing in shape[-1].get(key, ()) if shape is not None else ():
             if existing.priority == entry.priority and existing.match == entry.match:
                 # The replacement carries its own seq: it leaves the old
                 # entry's position for the one its sort key gives it.
-                del self._entries[i]
+                del self._entries[
+                    bisect_left(self._entries, existing.sort_key, key=_SORT_KEY)
+                ]
+                self._unindex(existing)
                 break
         else:
             if self.max_size is not None and len(self._entries) >= self.max_size:
@@ -176,6 +289,7 @@ class FlowTable:
                     f"table {self.table_id} full ({self.max_size} entries)"
                 )
         insort(self._entries, entry, key=_SORT_KEY)
+        self._index(entry, shape_id, key)
         self.version += 1
         return entry
 
@@ -218,6 +332,8 @@ class FlowTable:
             else:
                 kept.append(entry)
         self._entries = kept
+        for entry in removed:
+            self._unindex(entry)
         if removed:
             self.version += 1
         return removed
@@ -243,6 +359,8 @@ class FlowTable:
             else:
                 expired.append((entry, reason))
         self._entries = kept
+        for entry, _ in expired:
+            self._unindex(entry)
         if expired:
             self.version += 1
         return expired
@@ -268,6 +386,7 @@ class FlowTable:
         if self._entries:
             self.version += 1
         self._entries.clear()
+        self._shapes.clear()
 
     def stats(self) -> dict:
         """OpenFlow table-stats shaped snapshot."""
