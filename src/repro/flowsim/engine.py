@@ -602,9 +602,10 @@ class FlowLevelEngine(Engine):
         return (flow.src, flow.dst, headers)
 
     def _match_referenced_fields(self) -> Optional[Tuple[str, ...]]:
-        """Header fields referenced by any installed match, memoised on
-        the global pipeline version sum; None means "use full headers"
-        (a group's hash may consult any field)."""
+        """Header fields referenced by any installed match (the union of
+        the tables' own per-field counts), memoised on the global
+        pipeline version sum; None means "use full headers" (a group's
+        hash may consult any field)."""
         total = 0
         pipelines = []
         for switch in self.topology.switches:
@@ -621,8 +622,7 @@ class FlowLevelEngine(Engine):
                 full_headers = True
                 break
             for table in pipeline.tables:
-                for entry in table:
-                    referenced.update(entry.match.referenced_fields)
+                referenced.update(table.referenced_fields)
         self._key_fields_version = total
         self._key_fields = None if full_headers else tuple(sorted(referenced))
         return self._key_fields

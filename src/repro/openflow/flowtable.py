@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..errors import TableFullError
 from ..net.address import IPv4Network
@@ -142,6 +142,10 @@ def _slot(match: Match) -> Tuple[tuple, Hashable]:
     return (whole, uses_port, src_mask, dst_mask), key
 
 
+def unobserved() -> None:
+    """The change listener of a table no pipeline owns."""
+
+
 class FlowTable:
     """A single numbered table of priority-ordered flow entries.
 
@@ -154,11 +158,18 @@ class FlowTable:
     a shape, so :meth:`lookup` never falls back to a scan: it costs one
     hash probe per shape present (one or two in practice: a table-miss
     rule plus the rules a policy writes), not one comparison per entry.
-    ``add``, ``delete``, ``expire`` and ``clear`` keep the two views in
-    step.
+    ``add``, ``delete``, ``expire`` and ``clear`` keep the two views, and
+    :attr:`referenced_fields`, in step, and every mutation that can
+    change a lookup result calls ``on_change`` (the owning pipeline's
+    version bump).
     """
 
-    def __init__(self, table_id: int = 0, max_size: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        table_id: int = 0,
+        max_size: Optional[int] = None,
+        on_change: Callable[[], None] = unobserved,
+    ) -> None:
         if table_id < 0:
             raise ValueError(f"table_id must be >= 0, got {table_id}")
         if max_size is not None and max_size < 1:
@@ -174,10 +185,10 @@ class FlowTable:
         #: Cumulative lookup statistics (OpenFlow table-stats).
         self.lookup_count = 0
         self.matched_count = 0
-        #: Monotonic generation counter, bumped on every mutation that
-        #: can change lookup results.  Caches keyed on a table's version
-        #: stay valid exactly as long as its rule set is unchanged.
-        self.version = 0
+        #: Header field -> number of live entries whose match sets it
+        #: (``in_port`` is not a header field).  Read-only for callers.
+        self.referenced_fields: Dict[str, int] = {}
+        self._on_change = on_change
 
     # ------------------------------------------------------------------
     # Lookup
@@ -236,9 +247,18 @@ class FlowTable:
                 uses_port, src_mask, dst_mask, {},
             )
         insort(shape[-1].setdefault(key, []), entry, key=_SORT_KEY)
+        fields = self.referenced_fields
+        for name in entry.match.referenced_fields:
+            fields[name] = fields.get(name, 0) + 1
 
     def _unindex(self, entry: FlowEntry) -> None:
         """Take a removed entry out of the lookup index."""
+        fields = self.referenced_fields
+        for name in entry.match.referenced_fields:
+            if fields[name] == 1:
+                del fields[name]
+            else:
+                fields[name] -= 1
         shape_id, key = _slot(entry.match)
         buckets = self._shapes[shape_id][-1]
         bucket = buckets[key]
@@ -290,7 +310,7 @@ class FlowTable:
                 )
         insort(self._entries, entry, key=_SORT_KEY)
         self._index(entry, shape_id, key)
-        self.version += 1
+        self._on_change()
         return entry
 
     def modify(
@@ -311,7 +331,7 @@ class FlowTable:
                 entry.instructions = tuple(instructions)
                 touched.append(entry)
         if touched:
-            self.version += 1
+            self._on_change()
         return touched
 
     def delete(
@@ -335,7 +355,7 @@ class FlowTable:
         for entry in removed:
             self._unindex(entry)
         if removed:
-            self.version += 1
+            self._on_change()
         return removed
 
     @staticmethod
@@ -362,7 +382,7 @@ class FlowTable:
         for entry, _ in expired:
             self._unindex(entry)
         if expired:
-            self.version += 1
+            self._on_change()
         return expired
 
     # ------------------------------------------------------------------
@@ -384,9 +404,10 @@ class FlowTable:
 
     def clear(self) -> None:
         if self._entries:
-            self.version += 1
+            self._on_change()
         self._entries.clear()
         self._shapes.clear()
+        self.referenced_fields.clear()
 
     def stats(self) -> dict:
         """OpenFlow table-stats shaped snapshot."""

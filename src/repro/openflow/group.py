@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import GroupError
 from .action import Action
+from .flowtable import unobserved
 from .headers import HeaderFields
 
 
@@ -133,11 +134,11 @@ class Group:
 class GroupTable:
     """The per-switch registry of groups."""
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[], None] = unobserved) -> None:
         self._groups: Dict[int, Group] = {}
-        #: Monotonic generation counter, bumped on every mutation (used
-        #: by routing caches to detect group-mod changes).
-        self.version = 0
+        #: Called on every mutation: the owning pipeline's version bump
+        #: (routing caches detect group-mods by it).
+        self._on_change = on_change
 
     def add(
         self, group_id: int, group_type: GroupType, buckets: Sequence[Bucket]
@@ -146,7 +147,7 @@ class GroupTable:
             raise GroupError(f"group {group_id} already exists")
         group = Group(group_id, group_type, buckets)
         self._groups[group_id] = group
-        self.version += 1
+        self._on_change()
         return group
 
     def modify(
@@ -157,7 +158,7 @@ class GroupTable:
         group = Group(group_id, group_type, buckets)
         group.ref_count = self._groups[group_id].ref_count
         self._groups[group_id] = group
-        self.version += 1
+        self._on_change()
         return group
 
     def delete(self, group_id: int) -> Group:
@@ -165,7 +166,7 @@ class GroupTable:
             group = self._groups.pop(group_id)
         except KeyError:
             raise GroupError(f"cannot delete unknown group {group_id}") from None
-        self.version += 1
+        self._on_change()
         return group
 
     def get(self, group_id: int) -> Group:
@@ -186,5 +187,5 @@ class GroupTable:
 
     def clear(self) -> None:
         if self._groups:
-            self.version += 1
+            self._on_change()
         self._groups.clear()

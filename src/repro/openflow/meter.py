@@ -12,9 +12,10 @@ comparable (experiment E3/E4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..errors import MeterError
+from .flowtable import unobserved
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,18 +120,18 @@ class Meter:
 class MeterTable:
     """The per-switch registry of meters."""
 
-    def __init__(self) -> None:
+    def __init__(self, on_change: Callable[[], None] = unobserved) -> None:
         self._meters: Dict[int, Meter] = {}
-        #: Monotonic generation counter, bumped on every mutation (used
-        #: by routing caches to detect meter-mod changes).
-        self.version = 0
+        #: Called on every mutation: the owning pipeline's version bump
+        #: (routing caches detect meter-mods by it).
+        self._on_change = on_change
 
     def add(self, meter_id: int, bands: Sequence[DropBand]) -> Meter:
         if meter_id in self._meters:
             raise MeterError(f"meter {meter_id} already exists")
         meter = Meter(meter_id, bands)
         self._meters[meter_id] = meter
-        self.version += 1
+        self._on_change()
         return meter
 
     def modify(self, meter_id: int, bands: Sequence[DropBand]) -> Meter:
@@ -138,7 +139,7 @@ class MeterTable:
             raise MeterError(f"cannot modify unknown meter {meter_id}")
         meter = Meter(meter_id, bands)
         self._meters[meter_id] = meter
-        self.version += 1
+        self._on_change()
         return meter
 
     def delete(self, meter_id: int) -> Meter:
@@ -146,7 +147,7 @@ class MeterTable:
             meter = self._meters.pop(meter_id)
         except KeyError:
             raise MeterError(f"cannot delete unknown meter {meter_id}") from None
-        self.version += 1
+        self._on_change()
         return meter
 
     def get(self, meter_id: int) -> Meter:
@@ -167,5 +168,5 @@ class MeterTable:
 
     def clear(self) -> None:
         if self._meters:
-            self.version += 1
+            self._on_change()
         self._meters.clear()

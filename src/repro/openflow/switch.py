@@ -94,11 +94,22 @@ class OpenFlowPipeline:
         if num_tables < 1:
             raise OpenFlowError(f"need >= 1 table, got {num_tables}")
         self.switch = switch
+        #: Monotonic pipeline generation: its own flow tables, group
+        #: table and meter table bump it on every change (a counter
+        #: written on change, not a sum taken on read).  Routing caches
+        #: key their entries on the versions of every pipeline they
+        #: consulted, so a flow-mod/group-mod invalidates exactly the
+        #: cached routes that crossed the modified switch.
+        self.version = 0
         self.tables: List[FlowTable] = [
-            FlowTable(table_id=i, max_size=table_size) for i in range(num_tables)
+            FlowTable(table_id=i, max_size=table_size, on_change=self._bump)
+            for i in range(num_tables)
         ]
-        self.groups = GroupTable()
-        self.meters = MeterTable()
+        self.groups = GroupTable(on_change=self._bump)
+        self.meters = MeterTable(on_change=self._bump)
+
+    def _bump(self) -> None:
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Lookup path
@@ -264,19 +275,6 @@ class OpenFlowPipeline:
     @property
     def total_entries(self) -> int:
         return sum(len(t) for t in self.tables)
-
-    @property
-    def version(self) -> int:
-        """Monotonic pipeline generation: bumps whenever any flow table,
-        the group table, or the meter table changes.  Routing caches key
-        their entries on the versions of every pipeline they consulted,
-        so a flow-mod/group-mod invalidates exactly the cached routes
-        that crossed the modified switch."""
-        return (
-            sum(t.version for t in self.tables)
-            + self.groups.version
-            + self.meters.version
-        )
 
     def clear(self) -> None:
         for table in self.tables:
