@@ -509,24 +509,28 @@ class _Component:
     ``flows`` (with ``seqs`` alongside) is kept in insertion-sequence
     order — the order the kernel must see — and ``columns`` holds the
     same flows row for row: their kernel inputs and the rate last
-    reported for each.  ``link_refs`` counts the member flows on each
-    link, so a link leaves the component with its last flow; ``routes``
-    counts members per link tuple, which is what tells a harmless
-    departure from one that may disconnect the rest.
+    reported for each.  ``routes`` counts the members per route (link
+    tuple) and ``link_routes`` maps each link to the distinct routes
+    crossing it: the component as a graph of links joined by routes.
+    Both change only when a route gains its first member or loses its
+    last — a twin arriving or leaving touches a count — and a link
+    leaves the component with its last route.
     """
 
-    __slots__ = ("flows", "seqs", "columns", "link_refs", "routes", "may_split",
+    __slots__ = ("flows", "seqs", "columns", "link_routes", "routes", "may_split",
                  "dirty")
 
     def __init__(self, columns: Optional[_Columns] = None) -> None:
         self.flows: List[FlowDemand] = []
         self.seqs: List[int] = []
         self.columns = _Columns() if columns is None else columns
-        self.link_refs: Dict[Hashable, int] = {}
+        #: link -> the routes crossing it, as an insertion-ordered set.
+        self.link_routes: Dict[Hashable, Dict[Tuple[Hashable, ...], None]] = {}
         self.routes: Dict[Tuple[Hashable, ...], int] = {}
-        #: A flow left whose link tuple no other member shares, so the
-        #: members may no longer be connected; re-partitioned (once) by
-        #: the next resolve.
+        #: A route lost its last member and the links it joined are not
+        #: known to be joined without it (:meth:`joined`), so the members
+        #: may no longer be connected; re-partitioned (once) by the next
+        #: resolve.
         self.may_split = False
         self.dirty = False
 
@@ -550,10 +554,37 @@ class _Component:
             last[:] = fresh
         # The numbering outlives a link's last row (see _Columns); such a
         # link may belong to another component by now.
-        refs = self.link_refs
+        live = self.link_routes
         for link, load in zip(columns.links, columns.loads(fresh)):
-            if link in refs:
+            if link in live:
                 loads[link] = load
+
+    def joined(self, links: Sequence[Hashable]) -> bool:
+        """Whether ``links`` are still joined to one another by the
+        routes of this component: breadth-first over ``link_routes``
+        from the first link until the others are reached or the
+        reachable routes run out.  A yes or a no: no iteration order
+        can reach a rate."""
+        link_routes = self.link_routes
+        missing = set(links[1:])
+        seen_links = {links[0]}
+        seen_routes: Set[Tuple[Hashable, ...]] = set()
+        frontier = [links[0]]
+        while frontier:
+            routes = []
+            for link in frontier:
+                for route in link_routes[link]:
+                    if route not in seen_routes:
+                        seen_routes.add(route)
+                        missing.difference_update(route)
+                        if not missing:
+                            return True
+                        routes.append(route)
+            frontier = []
+            for route in routes:
+                frontier += [hop for hop in route if hop not in seen_links]
+                seen_links.update(route)
+        return False
 
 
 class IncrementalSolver:
@@ -564,9 +595,10 @@ class IncrementalSolver:
     and two flows share a component iff they are transitively
     link-sharing.  :meth:`upsert` appends to (and merges) components in
     O(links); :meth:`remove` marks its component for one re-partition
-    only when the departed flow's link tuple has no surviving twin
-    there — with a twin, every pair of links the flow joined is still
-    joined.  :meth:`resolve` runs the kernel on each component touched
+    only when the departed flow was the last on its route (with a twin,
+    every pair of links the flow joined is still joined) and a probe
+    from the route's surviving links finds them no longer joined
+    (:meth:`_Component.joined`).  :meth:`resolve` runs the kernel on each component touched
     since the last resolve, alone and in insertion order, so its rates
     are bitwise those of a from-scratch :func:`solve`; untouched
     components keep their cached — equally exact — rates.  Exactness is
@@ -701,16 +733,22 @@ class IncrementalSolver:
         self._mark_dirty(component)
 
     def _enroll(self, component: _Component, links: Tuple[Hashable, ...]) -> None:
-        """Count one member's links and route into its component."""
-        refs = component.link_refs
+        """Count one member's route into its component; a route's first
+        member also enters it on each of its links."""
+        routes = component.routes
+        count = routes.get(links)
+        if count is not None:
+            routes[links] = count + 1
+            return
+        routes[links] = 1
+        link_routes = component.link_routes
         for link in links:
-            count = refs.get(link)
-            if count is None:
-                refs[link] = 1
+            crossing = link_routes.get(link)
+            if crossing is None:
+                link_routes[link] = {links: None}
                 self._component_of[link] = component
             else:
-                refs[link] = count + 1
-        component.routes[links] = component.routes.get(links, 0) + 1
+                crossing[links] = None
 
     def _merge(self, a: _Component, b: _Component) -> _Component:
         """Fold the smaller component into the larger; returns it."""
@@ -726,10 +764,12 @@ class IncrementalSolver:
             key=itemgetter(0),
         )))
         a.columns = columns.select(order)
+        # Two components share no link before the flow that bridges
+        # them: the maps are disjoint and their union is the merged map.
         component_of = self._component_of
-        for link in b.link_refs:
+        for link in b.link_routes:
             component_of[link] = a
-        a.link_refs.update(b.link_refs)
+        a.link_routes.update(b.link_routes)
         a.routes.update(b.routes)
         a.may_split = a.may_split or b.may_split
         b.flows = []  # dead: skipped if still queued as dirty
@@ -748,27 +788,42 @@ class IncrementalSolver:
         del component.flows[row]
         last = float(component.columns.rate[row])
         component.columns.delete(row)
-        refs = component.link_refs
-        for link in links:
-            if refs[link] == 1:
-                # Last flow off the link: it leaves the component, or a
-                # later arrival on it would join flows it does not touch.
-                del refs[link]
-                del self._component_of[link]
-            else:
-                refs[link] -= 1
         routes = component.routes
-        if routes[links] == 1:
-            del routes[links]
-            component.may_split = True
-        else:
+        if routes[links] > 1:
+            # A twin stays: every pair of links the flow joined is still
+            # joined, and nothing else is recorded per flow.
             routes[links] -= 1
+        else:
+            del routes[links]
+            link_routes = component.link_routes
+            surviving = []
+            for link in links:
+                crossing = link_routes[link]
+                del crossing[links]
+                if crossing:
+                    surviving.append(link)
+                else:
+                    # Last route off the link: it leaves the component, or
+                    # a later arrival on it would join flows it does not
+                    # touch.
+                    del link_routes[link]
+                    del self._component_of[link]
+            # Whatever else the component holds hung on the route by one
+            # of its surviving links: the component is still whole iff
+            # those are still joined to one another.
+            if (
+                not component.may_split
+                and len(surviving) > 1
+                and not component.joined(surviving)
+            ):
+                component.may_split = True
         self._mark_dirty(component)
         return last
 
     def _split(self, component: _Component) -> List[_Component]:
-        """Re-partition a component a twin-less departure may have
-        disconnected; returns the true component(s)."""
+        """Re-partition a component that the departure of a route left
+        disconnected (a flow that arrived since may have joined it up
+        again); returns the true component(s)."""
         self.stats["repartitions"] += 1
         component.may_split = False
         parts = _partition(component.flows)
@@ -838,7 +893,7 @@ class IncrementalSolver:
                 moved[flow_id] = last_free[flow_id] = rate
         scope = len(free)
         for component in components:
-            touched.update(component.link_refs)
+            touched.update(component.link_routes)
             flows = component.flows
             scope += len(flows)
             if full:

@@ -615,8 +615,8 @@ def test_link_leaves_its_component_with_its_last_flow():
     solver = _solver_with(FlowDemand(0, 8.0, ["a", "b"]), survivor)
     solver.resolve(caps)
     solver.remove(0)
-    solver.resolve(caps)  # re-partition finds one part and clears the mark
-    assert solver.stats["repartitions"] == 1
+    solver.resolve(caps)  # one surviving link: nothing to probe, nothing marked
+    assert solver.stats["repartitions"] == 0
     newcomer = FlowDemand(2, 30.0, ["a"])
     solver.upsert(newcomer)
     updates = solver.resolve(caps)
