@@ -748,7 +748,7 @@ class FlowLevelEngine(Engine):
         route.directions.append(first_dir)
         # Branch queue: (node, in_port_number, headers, depth)
         queue = deque([(peer.node, peer.number, flow.headers, 0)])
-        visited: Set[Tuple[str, int, int]] = set()
+        visited: Set[Tuple[str, int, HeaderFields]] = set()
         best = Terminal.NO_MATCH
 
         def consider(terminal: Terminal) -> None:
@@ -769,7 +769,7 @@ class FlowLevelEngine(Engine):
             if depth >= self.max_hops:
                 consider(Terminal.LOOPED)
                 continue
-            state_key = (node.name, in_port, hash(headers))
+            state_key = (node.name, in_port, headers)
             if state_key in visited:
                 consider(Terminal.LOOPED)
                 continue

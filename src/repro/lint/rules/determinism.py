@@ -18,7 +18,7 @@ from ..registry import Rule, register
 
 #: Packages whose code computes simulation state (the poster's "temporally
 #: ordered set of inputs"); wall-clock and set-order hazards live here.
-SIM_STATE_SCOPES = ("sim", "flowsim", "pktsim", "runtime", "core", "wire")
+SIM_STATE_SCOPES = ("sim", "flowsim", "pktsim", "openflow", "runtime", "core", "wire")
 
 #: Dotted call origins that read the host clock.
 WALL_CLOCK_CALLS = {
@@ -181,7 +181,7 @@ class SetIterationRule(Rule):
         "iteration over a set feeds simulation state or event ordering; "
         "iterate sorted(...) (or another deterministic order) instead"
     )
-    scopes = ("sim", "flowsim", "pktsim", "runtime", "wire")
+    scopes = ("sim", "flowsim", "pktsim", "openflow", "runtime", "wire")
 
     def check(self, module: ModuleContext) -> Iterator[LintFinding]:
         set_attrs = self._set_attributes(module)

@@ -210,10 +210,8 @@ class FlowTable:
             # key no entry has.
             key = None if whole is None else whole(headers)
             if not plain:
-                # A rule on in_port cannot match an unknown ingress, nor
-                # a prefix an absent address.
-                if uses_port and in_port is None:
-                    continue
+                # A prefix cannot match an absent address.  (An unknown
+                # ingress, like any None, makes a key no entry has.)
                 src = dst = None
                 if src_mask is not None:
                     if headers.ip_src is None:
@@ -262,8 +260,8 @@ class FlowTable:
         shape_id, key = _slot(entry.match)
         buckets = self._shapes[shape_id][-1]
         bucket = buckets[key]
-        # By identity: ``list.remove`` compares field by field, and two
-        # live entries can be equal.
+        # By identity: ``list.remove`` would compare the entries passed
+        # over field by field.
         del bucket[next(i for i, held in enumerate(bucket) if held is entry)]
         if not bucket:
             del buckets[key]

@@ -27,6 +27,7 @@ column-growth boundary.
 """
 
 import pickle
+from collections import Counter
 import random
 from unittest.mock import patch
 
@@ -479,6 +480,27 @@ class SolverIndexMachine(RuleBasedStateMachine):
                 ] == [f.links for f in flows]
                 assert next(flat, None) is None
 
+    @invariant()
+    def the_probe_is_never_optimistic(self):
+        """Right after every mutation, resolved or not: the link ->
+        routes map is the one the member flows spell out, and a
+        component the probe left unmarked really is one component."""
+        for solver in self._each():
+            for component in solver._components():
+                rebuilt = {}
+                for flow in component.flows:
+                    for link in flow.links:
+                        rebuilt.setdefault(link, set()).add(flow.links)
+                assert {
+                    link: set(routes) for link, routes in component.link_routes.items()
+                } == rebuilt
+                assert all(len(routes) == len(rebuilt[link])
+                           for link, routes in component.link_routes.items())
+                assert component.routes == Counter(f.links for f in component.flows)
+                assert all(solver._component_of[link] is component for link in rebuilt)
+                if not component.may_split:
+                    assert len(fairshare._partition(component.flows)) == 1
+
     @rule(link=st.integers(0, SMALL_LINKS - 1),
           capacity=st.sampled_from((10e6, 1e9, 100e9)))
     def touch_link(self, link, capacity):
@@ -604,6 +626,56 @@ def test_removal_of_bridge_flow_splits_and_resolves_both_halves():
     # The halves are independent now: touching one leaves the other cached.
     solver.upsert(FlowDemand(0, 4.0, ["a"]))
     assert set(solver.resolve(caps)) == {0, 1}
+
+
+def test_chain_losing_its_middle_flow_is_probed_and_split():
+    """a-b, b-c, c-d without b-c: the survivors of the departed route,
+    b and c, are no longer joined.  The probe says so, the one
+    re-partition runs and finds two parts."""
+    caps = dict.fromkeys("abcd", 10.0)
+    ends = [FlowDemand(0, 8.0, ["a", "b"]), FlowDemand(2, 8.0, ["c", "d"])]
+    solver = _solver_with(ends[0], FlowDemand(1, 8.0, ["b", "c"]), ends[1])
+    solver.resolve(caps)
+    solver.remove(1)
+    (component,) = solver._components()
+    assert component.may_split
+    solver.resolve(caps)
+    assert solver.stats["repartitions"] == 1
+    assert _components(solver) == {frozenset({0}), frozenset({2})}
+    assert solver.alloc == solve(ends, caps)
+
+
+def test_ring_losing_one_flow_is_probed_and_left_whole():
+    """a-b, b-c, c-a without a-b: a and b are still joined the long way
+    round, so nothing is marked and ``_partition`` never runs."""
+    caps = {"a": 10.0, "b": 10.0, "c": 20.0}
+    rest = [FlowDemand(1, 8.0, ["b", "c"]), FlowDemand(2, 8.0, ["c", "a"])]
+    solver = _solver_with(FlowDemand(0, 8.0, ["a", "b"]), *rest)
+    solver.resolve(caps)
+    solver.remove(0)
+    with patch.object(fairshare, "_partition", side_effect=AssertionError):
+        updates = solver.resolve(caps)
+    assert solver.stats["repartitions"] == 0
+    assert set(updates) == {1, 2}
+    assert _components(solver) == {frozenset({1, 2})}
+    assert solver.alloc == solve(rest, caps)
+
+
+@pytest.mark.parametrize("departing", (["a", "b"], ["a", "d"]))
+def test_a_route_with_at_most_one_surviving_link_needs_no_probe(departing):
+    """Whatever hung on the departed route hung on its surviving links:
+    with one of them (``b``) or none there is nothing to ask."""
+    caps = dict.fromkeys("abcd", 10.0)
+    survivor = FlowDemand(1, 8.0, ["b", "c"])
+    solver = _solver_with(FlowDemand(0, 8.0, departing), survivor)
+    solver.resolve(caps)
+    with patch.object(fairshare._Component, "joined", side_effect=AssertionError):
+        solver.remove(0)
+    with patch.object(fairshare, "_partition", side_effect=AssertionError):
+        solver.resolve(caps)
+    assert solver.stats["repartitions"] == 0
+    assert _components(solver) == {frozenset({1})}
+    assert solver.alloc == solve([survivor], caps)
 
 
 def test_link_leaves_its_component_with_its_last_flow():

@@ -195,6 +195,48 @@ class TestRoutingOutcomes:
         sim.run(until=1.0)
         assert flow.route.terminal is Terminal.LOOPED
 
+    def test_colliding_header_hashes_are_not_a_loop(self, line2):
+        """s2 tags the traffic and bounces it off s1, so the walk reaches
+        (s2, port from s1) twice: untagged, then tagged.  Different
+        headers are different states even when their hashes collide."""
+        from dataclasses import replace
+
+        from repro.openflow import PORT_IN_PORT, HeaderFields, SetField
+
+        class Colliding(HeaderFields):
+            def __hash__(self):
+                return 7
+
+        s1, s2 = line2.switch("s1"), line2.switch("s2")
+        to_s2 = line2.egress_port("s1", "s2").number
+        from_s2 = line2.egress_port("s2", "s1").peer.number
+        s1.pipeline.install(Match(), (ApplyActions((Output(to_s2),)),))
+        s1.pipeline.install(
+            Match(in_port=from_s2), (ApplyActions((Output(PORT_IN_PORT),)),),
+            priority=10,
+        )
+        s2.pipeline.install(
+            Match(),
+            (ApplyActions((SetField("vlan_vid", 7), Output(PORT_IN_PORT))),),
+        )
+        s2.pipeline.install(
+            Match(vlan_vid=7),
+            (ApplyActions((Output(line2.egress_port("s2", "h2").number),)),),
+            priority=10,
+        )
+        flow = make_flow(line2, "h1", "h2", demand=1e6, size=1000)
+        plain = flow.headers
+        flow.headers = Colliding(
+            **{name: getattr(plain, name) for name in HeaderFields.__slots__}
+        )
+        assert hash(flow.headers) == hash(replace(flow.headers, vlan_vid=7))
+        sim = Simulator()
+        engine = FlowLevelEngine(sim, line2)
+        engine.submit(flow)
+        sim.run()
+        assert flow.route.terminal is Terminal.DELIVERED
+        assert flow.state is FlowState.COMPLETED
+
 
 class TestLinkFailures:
     def _build_mesh(self):

@@ -1,19 +1,25 @@
 """Flow table tests: priorities, FlowMod semantics, timeouts, counters."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TableFullError
-from repro.net import IPv4Address, IPv4Network
+from repro.errors import GroupError, MeterError, TableFullError
+from repro.net import IPv4Address, IPv4Network, MacAddress, Topology
 from repro.openflow import (
     ApplyActions,
+    Bucket,
     Drop,
+    DropBand,
     FlowEntry,
     FlowTable,
+    GroupType,
     HeaderFields,
     Match,
     Output,
+    attach_pipeline,
 )
 
 
@@ -46,6 +52,22 @@ class TestLookup:
         table.add(first)
         table.add(second)
         assert table.lookup(header()) is first
+
+    def test_ties_across_shapes_and_order_inside_a_bucket(self):
+        """Entries of different match shapes tie-break like any others
+        (the older wins, whichever shape the table met first), and a
+        later, higher-priority rule on the same match goes ahead."""
+        table = FlowTable()
+        catch_all = table.add(entry(priority=5))
+        exact = table.add(entry(priority=5, ip_dst=IPv4Address("10.0.0.1")))
+        prefix = table.add(entry(priority=5, ip_dst=IPv4Network("10.0.0.0/24")))
+        assert table.lookup(header()) is catch_all
+        table.delete(Match(), strict=True)
+        assert table.lookup(header()) is exact
+        assert table.lookup(header("10.0.0.9")) is prefix
+        raised = table.add(entry(priority=6, ip_dst=IPv4Network("10.0.0.0/24")))
+        assert table.lookup(header()) is raised
+        assert table.lookup(header("10.0.1.9")) is None
 
     def test_miss_returns_none_and_counts(self):
         table = FlowTable()
@@ -203,50 +225,107 @@ class TestIntrospection:
 
 
 # ----------------------------------------------------------------------
-# Property: the table is always its entries sorted by sort_key
+# Property: the scan is the oracle.  Whatever program of flow-mods a
+# table has been through, it is its entries sorted by sort_key, lookup
+# returns the entry a scan of them reaches first, referenced_fields
+# counts the fields the live matches set, and the owning pipeline's
+# version grew exactly when something changed.
 # ----------------------------------------------------------------------
-_ADDRESSES = [IPv4Address(f"10.0.0.{i}") for i in range(1, 5)]
-_MATCHES = [Match()] + [Match(ip_dst=a) for a in _ADDRESSES] + [
-    Match(ip_dst=IPv4Network("10.0.0.0/30")),
-    Match(in_port=1),
+_ADDRESSES = [IPv4Address(a) for a in
+              ("10.0.0.1", "10.0.0.2", "10.0.0.5", "10.0.1.1", "10.9.0.1", "11.0.0.1")]
+_MACS = [MacAddress(1), MacAddress(2)]
+# Exact addresses, prefixes of several lengths around them (a /32 prefix
+# shares an exact address's key but is not equal to it), in_port rules,
+# L2 and L4 fields: pools small enough that the rules overlap.
+_MATCHES = (
+    [Match()]
+    + [Match(ip_dst=a) for a in _ADDRESSES[:4]]
+    + [Match(ip_dst=IPv4Network(n)) for n in
+       ("10.0.0.0/30", "10.0.0.0/24", "10.0.0.0/16", "10.0.0.0/8", "0.0.0.0/0",
+        "10.0.0.1/32")]
+    + [
+        Match(in_port=1),
+        Match(in_port=2, ip_dst=_ADDRESSES[0]),
+        Match(ip_src=IPv4Network("10.0.0.0/24"), ip_dst=_ADDRESSES[1]),
+        Match(ip_src=_ADDRESSES[0]),
+        Match(eth_dst=_MACS[0]),
+        Match(eth_dst=_MACS[1], eth_type=0x0800),
+        Match(tp_dst=80),
+        Match(eth_dst=_MACS[0], ip_dst=IPv4Network("10.0.0.0/24"), tp_dst=80),
+    ]
+)
+_HEADERS = [HeaderFields()] + [
+    HeaderFields(eth_dst=mac, eth_type=eth_type, ip_src=src, ip_dst=dst, tp_dst=port)
+    for mac, eth_type, src, dst, port in (
+        (None, None, None, _ADDRESSES[0], None),
+        (None, None, None, _ADDRESSES[1], 80),
+        (_MACS[0], 0x0800, _ADDRESSES[0], _ADDRESSES[1], 80),
+        (_MACS[1], 0x0800, _ADDRESSES[1], _ADDRESSES[2], 443),
+        (_MACS[0], None, _ADDRESSES[4], _ADDRESSES[3], 80),
+        (_MACS[1], 0x0806, None, None, None),
+        (None, 0x0800, _ADDRESSES[5], _ADDRESSES[4], None),
+        (None, None, _ADDRESSES[0], _ADDRESSES[5], 80),
+    )
 ]
+_IN_PORTS = (None, 1, 2)
+_DROP = (ApplyActions((Drop(),)),)
 
+_which = st.integers(0, len(_MATCHES) - 1)
 _OPS = st.one_of(
     st.tuples(
-        st.just("add"),
-        st.integers(0, len(_MATCHES) - 1),
+        st.just("add"), _which,
         st.integers(0, 3),  # priority
         st.sampled_from((0.0, 1.0, 3.0)),  # idle timeout
+        st.integers(0, 2),  # cookie
     ),
     st.tuples(st.just("replace"), st.integers(0, 50)),
-    st.tuples(
-        st.just("delete"), st.integers(0, len(_MATCHES) - 1), st.booleans()
-    ),
+    st.tuples(st.just("delete"), _which, st.booleans(),
+              st.sampled_from((None, 0, 1, 2))),  # strict, cookie
+    st.tuples(st.just("modify"), _which, st.booleans()),
     st.tuples(st.just("expire"), st.sampled_from((0.5, 1.0, 2.5))),
+    st.one_of(  # the rarer steps share a turn, so rules come and go mostly
+        st.tuples(st.just("clear")),
+        st.tuples(st.just("pickle")),
+        st.tuples(st.sampled_from(("group", "meter")),
+                  st.sampled_from(("add", "modify", "delete")), st.integers(1, 2)),
+    ),
 )
 
 
-@settings(max_examples=150, deadline=None)
+def _registry_op(registry, verb, number, payload, error):
+    """One group / meter mod; True when it went through."""
+    try:
+        if verb == "delete":
+            registry.delete(number)
+        else:
+            getattr(registry, verb)(number, *payload)
+    except error:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
 @given(program=st.lists(_OPS, max_size=40))
-def test_property_table_is_entries_sorted_by_sort_key(program):
-    """After any program of add / replace / delete / expire, iteration
-    order is the live entries sorted by ``sort_key`` and ``lookup``
-    returns what a linear scan of that sorted list returns."""
-    table = FlowTable()
+def test_property_lookup_is_the_scan_and_version_counts_changes(program):
+    pipeline = attach_pipeline(Topology().add_switch("s1"))
+    table = pipeline.table(0)
     live = []  # the model: entries believed installed, any order
     now = 0.0
     for op in program:
+        version = pipeline.version
+        changed = False
         if op[0] == "add":
-            _, which, priority, idle = op
+            _, which, priority, idle, cookie = op
             new = FlowEntry(
                 match=_MATCHES[which], priority=priority,
-                idle_timeout=idle, install_time=now,
+                idle_timeout=idle, cookie=cookie, install_time=now,
             )
             live = [
                 e for e in live
                 if not (e.priority == priority and e.match == new.match)
             ]
             live.append(table.add(new))
+            changed = True
         elif op[0] == "replace" and live:
             old = live.pop(op[1] % len(live))
             new = FlowEntry(
@@ -254,23 +333,57 @@ def test_property_table_is_entries_sorted_by_sort_key(program):
             )
             assert new.seq > old.seq
             live.append(table.add(new))
-            assert old not in list(table)
+            assert all(e is not old for e in table)
+            changed = True
         elif op[0] == "delete":
-            removed = table.delete(_MATCHES[op[1]], strict=op[2])
+            _, which, strict, cookie = op
+            removed = table.delete(_MATCHES[which], strict=strict, cookie=cookie)
+            assert all(cookie is None or e.cookie == cookie for e in removed)
             live = [e for e in live if all(e is not r for r in removed)]
+            changed = bool(removed)
+        elif op[0] == "modify":
+            touched = table.modify(_MATCHES[op[1]], _DROP, strict=op[2])
+            assert all(e.instructions == _DROP for e in touched)
+            changed = bool(touched)
         elif op[0] == "expire":
             now += op[1]
             gone = [e for e, _ in table.expire(now)]
             assert all(e.expired(now) for e in gone)
             live = [e for e in live if all(e is not g for g in gone)]
             assert not any(e.expired(now) for e in live)
+            changed = bool(gone)
+        elif op[0] == "clear":
+            changed = bool(live)
+            table.clear()
+            live = []
+        elif op[0] == "pickle":
+            # The program continues on the copy: its index, its field
+            # counts and the pipeline its tables report to came along.
+            before = list(table)
+            pipeline = pickle.loads(pickle.dumps(pipeline))
+            table = pipeline.table(0)
+            twin = {id(old): new for old, new in zip(before, table)}
+            live = [twin[id(e)] for e in live]
+        elif op[0] == "group":
+            changed = _registry_op(
+                pipeline.groups, op[1], op[2],
+                (GroupType.ALL, [Bucket([Output(1)])]), GroupError,
+            )
+        elif op[0] == "meter":
+            changed = _registry_op(
+                pipeline.meters, op[1], op[2], ([DropBand(1e6)],), MeterError
+            )
+        assert (pipeline.version > version) == changed
         want = sorted(live, key=lambda e: e.sort_key)
         got = list(table)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
-        for address in _ADDRESSES:
-            for in_port in (None, 1):
-                headers = HeaderFields(ip_dst=address)
+        assert set(table.referenced_fields) == {
+            name for e in want for name in e.match.referenced_fields
+        }
+        assert all(count > 0 for count in table.referenced_fields.values())
+        for headers in _HEADERS:
+            for in_port in _IN_PORTS:
                 scan = next(
                     (e for e in want if e.match.matches(headers, in_port)), None
                 )
