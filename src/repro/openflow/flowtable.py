@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import TableFullError
 from ..net.address import IPv4Network
@@ -142,6 +142,20 @@ def _slot(match: Match) -> Tuple[tuple, Hashable]:
     return (whole, uses_port, src_mask, dst_mask), key
 
 
+class _Shape(NamedTuple):
+    """The entries of one match shape (see :func:`_slot`)."""
+
+    #: Whole-value fields only: the getter's result is the key.
+    plain: bool
+    #: Reads the whole-value fields off headers or a match; None if none.
+    whole: Optional[Callable]
+    uses_port: bool
+    src_mask: Optional[int]
+    dst_mask: Optional[int]
+    #: key -> the entries matching on it, in ``sort_key`` order.
+    buckets: Dict[Hashable, List[FlowEntry]]
+
+
 def unobserved() -> None:
     """The change listener of a table no pipeline owns."""
 
@@ -177,11 +191,8 @@ class FlowTable:
         self.table_id = table_id
         self.max_size = max_size
         self._entries: List[FlowEntry] = []
-        #: shape id -> (plain, getter of the whole-value fields, uses
-        #: in_port, ip_src mask, ip_dst mask, key -> entries).  ``plain``
-        #: shapes set whole-value fields only: the getter's result is
-        #: the key.  No bucket and no shape is ever left empty.
-        self._shapes: Dict[tuple, tuple] = {}
+        #: By shape id.  No bucket and no shape is ever left empty.
+        self._shapes: Dict[tuple, _Shape] = {}
         #: Cumulative lookup statistics (OpenFlow table-stats).
         self.lookup_count = 0
         self.matched_count = 0
@@ -206,12 +217,11 @@ class FlowTable:
         self.lookup_count += 1
         best: Optional[FlowEntry] = None
         for plain, whole, uses_port, src_mask, dst_mask, buckets in self._shapes.values():
-            # A header field that is None equals no pattern: it makes a
-            # key no entry has.
+            # A header field (or an ingress) that is None equals no
+            # pattern: it makes a key no entry has.
             key = None if whole is None else whole(headers)
             if not plain:
-                # A prefix cannot match an absent address.  (An unknown
-                # ingress, like any None, makes a key no entry has.)
+                # A prefix cannot match an absent address.
                 src = dst = None
                 if src_mask is not None:
                     if headers.ip_src is None:
@@ -239,12 +249,12 @@ class FlowTable:
         shape = self._shapes.get(shape_id)
         if shape is None:
             whole, uses_port, src_mask, dst_mask = shape_id
-            shape = self._shapes[shape_id] = (
+            shape = self._shapes[shape_id] = _Shape(
                 not uses_port and src_mask is None and dst_mask is None,
                 attrgetter(*whole) if whole else None,
                 uses_port, src_mask, dst_mask, {},
             )
-        insort(shape[-1].setdefault(key, []), entry, key=_SORT_KEY)
+        insort(shape.buckets.setdefault(key, []), entry, key=_SORT_KEY)
         fields = self.referenced_fields
         for name in entry.match.referenced_fields:
             fields[name] = fields.get(name, 0) + 1
@@ -258,7 +268,7 @@ class FlowTable:
             else:
                 fields[name] -= 1
         shape_id, key = _slot(entry.match)
-        buckets = self._shapes[shape_id][-1]
+        buckets = self._shapes[shape_id].buckets
         bucket = buckets[key]
         # By identity: ``list.remove`` would compare the entries passed
         # over field by field.
@@ -292,7 +302,7 @@ class FlowTable:
         shape_id, key = _slot(entry.match)
         # An identical match can only be in the new entry's own bucket.
         shape = self._shapes.get(shape_id)
-        for existing in shape[-1].get(key, ()) if shape is not None else ():
+        for existing in shape.buckets.get(key, ()) if shape is not None else ():
             if existing.priority == entry.priority and existing.match == entry.match:
                 # The replacement carries its own seq: it leaves the old
                 # entry's position for the one its sort key gives it.
