@@ -17,8 +17,9 @@ hypothesis state machine drives every mutation in random order and
 checks the component store against ``_partition``, the resident columns
 against the member flows and the machine's own record of the reported
 rates, the touched-link report, and a pickled copy of the solver; named
-regressions pin the twin rule, a bridge removal, the link-refcount trap
-and a merge that carries a pending split.
+regressions pin the twin rule, the probe that follows it (chain, ring,
+at most one surviving link), a bridge removal, the link trap and a
+merge that carries a pending split.
 
 The kernel itself is checked against the textbook loop in
 ``tests/diff/reference.py`` (a different algorithm, so to 1e-9 and not
