@@ -39,13 +39,21 @@ lint-sim:
 		--baseline tools/lint-baseline.json --format sarif \
 		--output build/lint.sarif --strict
 
-# The flow engine and its solver stay under 2 300 lines (ROADMAP item
-# 4): a solver change that needs more has to delete something first.
-FLOWSIM_LINE_BUDGET = 2300
+# Line budgets, "paths:budget" per entry.  The flow engine and its
+# solver stay under 2 300 lines (ROADMAP item 4): a solver change that
+# needs more has to delete something first.  The CLI plus the one path
+# from a scenario document to a run (ROADMAP item 5) stay where PR 19
+# landed them: the next flag is a row of cli.OVERRIDES, not a ladder.
+LINE_BUDGETS = \
+	"src/repro/flowsim/*.py:2300" \
+	"src/repro/cli.py src/repro/runtime/scenario.py:1100"
 line-budget:
-	@lines=$$(cat src/repro/flowsim/*.py | wc -l); \
-	echo "src/repro/flowsim: $$lines lines (budget $(FLOWSIM_LINE_BUDGET))"; \
-	test $$lines -le $(FLOWSIM_LINE_BUDGET)
+	@for entry in $(LINE_BUDGETS); do \
+		paths=$${entry%:*}; budget=$${entry##*:}; \
+		lines=$$(cat $$paths | wc -l); \
+		echo "$$paths: $$lines lines (budget $$budget)"; \
+		test $$lines -le $$budget || exit 1; \
+	done
 
 typecheck:
 	@command -v mypy >/dev/null 2>&1 \

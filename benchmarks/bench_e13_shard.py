@@ -26,7 +26,7 @@ import os
 import sys
 import time
 
-from repro.runtime.scenario import reset_id_counters, run_scenario
+from repro.runtime.scenario import run_scenario
 
 from .harness import record, rows, write_table
 
@@ -59,7 +59,6 @@ SCENARIO = {
 def _run(shards: int):
     scenario = copy.deepcopy(SCENARIO)
     scenario["shards"] = shards
-    reset_id_counters()
     start = time.perf_counter()
     _horse, result, count = run_scenario(scenario)
     wall = time.perf_counter() - start

@@ -19,6 +19,14 @@ experiments are shareable files rather than scripts (schema in
 :mod:`repro.runtime.scenario`).  A *sweep spec* adds a parameter grid
 and pool settings on top of a base scenario (schema in
 :mod:`repro.runtime.sweep`).
+
+``run``, ``serve`` and ``trace record`` all do the same thing with a
+scenario file: load it as a v1 document, apply the command line's
+overrides as edits of that document, and hand it to
+:func:`repro.runtime.scenario.run_scenario`.  Every flag that changes
+what is simulated is a row of :data:`OVERRIDES` — (flag, dotted
+document path, ...) — so a flag, a sweep grid axis and a key written in
+the file by hand are the same edit; a new flag is a new row.
 """
 
 from __future__ import annotations
@@ -26,37 +34,198 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .core import Horse, HorseConfig
+from .core import Horse
 from .errors import ExperimentError, HorseError
 from .net.io import load_topology, save_topology
 from .runtime.scenario import (
     build_horse,
     build_topology as _build_topology,
-    build_traffic as _build_traffic,
     reset_id_counters,
     run_scenario,
 )
 from .runtime.schema import (
     SCHEMA_VERSION,
-    ensure_v1,
+    build_config,
+    load_scenario,
     migrate_scenario,
-    shard_section,
+    set_dotted,
     validate_scenario,
 )
 from .stats.export import flows_to_csv, result_to_json, run_digest, summary_text
 
 
+class Override(NamedTuple):
+    """A flag that edits the scenario document: ``--flag VALUE`` applies
+    the constant edits in ``implies``, then sets ``path`` to ``VALUE``
+    (through ``convert``, when given)."""
+
+    flag: str
+    path: str
+    type: object  # str, int, float, bool (a switch), or a tuple of choices
+    help: str
+    metavar: Optional[str] = None
+    implies: Tuple[Tuple[str, object], ...] = ()
+    convert: Optional[Callable] = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+_SOLVER = Override("--solver", "solver", ("incremental", "full"),
+                   "flow-engine rate solver (overrides the scenario)")
+_UNTIL = Override("--until", "until", float,
+                  "stop at this simulated time (seconds)")
+
+#: Subcommand -> its document-editing flags, in the order they apply.
+OVERRIDES: Dict[str, Tuple[Override, ...]] = {
+    "run": (
+        _SOLVER,
+        _UNTIL,
+        Override("--checkpoint", "checkpoint.path", str,
+                 "checkpoint the simulation state here (at the end, or "
+                 "periodically with --checkpoint-interval)", "PATH"),
+        Override("--checkpoint-interval", "checkpoint.interval_s", float,
+                 "simulated seconds between periodic checkpoints", "SECONDS"),
+        Override("--trace", "telemetry.trace_path", str,
+                 "record a structured JSONL trace of the run here", "PATH"),
+        Override("--profile", "telemetry.profile", bool,
+                 "account per-phase wall clock (reported in engine_stats)"),
+        Override("--hybrid-select", "hybrid.select", str,
+                 "run selected flows at packet granularity (hybrid engine): "
+                 "none, all, top:K, or match:field=value[,...]", "SPEC",
+                 implies=(("engine", "hybrid"),)),
+        Override("--hybrid-sync-interval", "hybrid.sync_interval_s", float,
+                 "hybrid foreground/background coupling cadence", "SECONDS"),
+        Override("--shards", "shards.count", int,
+                 "run on the sharded parallel runtime with K domains (1 = the "
+                 "ordinary single-process engine, bitwise-identical)", "K"),
+        Override("--shard-quantum", "shards.quantum_s", float,
+                 "shard synchronization quantum (default: derived from the "
+                 "minimum cross-shard link latency)", "SECONDS"),
+        Override("--kernel-compaction-threshold",
+                 "kernel.compaction_threshold", float,
+                 "stale fraction of the event heap that triggers compaction "
+                 "(0 or negative disables compaction)", "FRACTION",
+                 convert=lambda value: value if value > 0 else None),
+        Override("--control", "control", ("inproc", "wire"),
+                 "control-plane transport (overrides the scenario)"),
+        Override("--wire-client", "wire.client", ("learning", "static"),
+                 "run the built-in wire controller against this run's own "
+                 "listener (implies --control wire)",
+                 implies=(("control", "wire"),)),
+        Override("--wire-listen", "wire.listen", str,
+                 "wire control listen address (port 0 picks a free port)",
+                 "HOST:PORT"),
+    ),
+    "serve": (
+        Override("--listen", "wire.listen", str,
+                 "listen address (default from the scenario, else "
+                 "127.0.0.1:0)", "HOST:PORT"),
+        _UNTIL,
+        Override("--budget", "wire.latency_budget_s", float,
+                 "wall-clock budget for controller connect/answers "
+                 "(wire.latency_budget_s)", "SECONDS"),
+        Override("--dilation", "wire.dilation", float,
+                 "simulated seconds charged per wall second of controller "
+                 "thinking time (0 = synchronous)", "FACTOR"),
+    ),
+    "trace record": (
+        Override("--out", "telemetry.trace_path", str,
+                 "JSONL trace output path", required=True),
+        _SOLVER,
+        _UNTIL,
+    ),
+}
+
+#: The overrides `run --restore` still honours: it has no document to
+#: edit, so cmd_run applies these three to the restored horse itself.
+_RESTORE_FLAGS = ("--until", "--trace", "--profile")
+
+
+def _add_overrides(parser: argparse.ArgumentParser, command: str) -> None:
+    for row in OVERRIDES[command]:
+        if row.type is bool:
+            kind = {"action": "store_true", "default": None}
+        elif isinstance(row.type, tuple):
+            kind = {"choices": row.type}
+        else:
+            kind = {"type": row.type, "metavar": row.metavar}
+        parser.add_argument(
+            row.flag, help=row.help, required=row.required, **kind
+        )
+
+
+def override_edits(
+    args: argparse.Namespace, rows: Tuple[Override, ...]
+) -> List[Tuple[str, object]]:
+    """The ``(dotted path, value)`` document edits of the flags given on
+    the command line.  A flag is given when its value is not None, so a
+    zero reaches the validator like a zero written in the file."""
+    edits: List[Tuple[str, object]] = []
+    for row in rows:
+        value = getattr(args, row.dest)
+        if value is not None:
+            edits.extend(row.implies)
+            edits.append((row.path, row.convert(value) if row.convert else value))
+    return edits
+
+
+def _load(args: argparse.Namespace, command: str, edits=()) -> dict:
+    """The scenario file as a v1 document, edited first by the command's
+    own constant ``edits``, then by its override flags."""
+    document = load_scenario(args.scenario)
+    for path, value in (*edits, *override_edits(args, OVERRIDES[command])):
+        set_dotted(document, path, value)
+    return document
+
+
+def _refuse_sharded(document: dict) -> None:
+    """Checkpoints, the metrics exposition and the trace count are read
+    off this process's horse; a sharded run's live in its workers."""
+    if build_config(document).shard.count > 1:
+        raise ExperimentError(
+            "--checkpoint/--metrics/--trace are per-process features; "
+            "they are not available on a sharded run"
+        )
+
+
+def _print_submitted(path: str, horse: Horse, count: int) -> None:
+    """``before_run`` (with ``path`` bound): say what was built before a
+    long run starts."""
+    print(f"scenario: {path} ({count} flows submitted)", flush=True)
+
+
+def _close_trace(horse: Horse) -> None:
+    bus = horse.telemetry.trace
+    emitted = bus.emitted
+    horse.telemetry.disable_tracing()
+    if bus.path:
+        print(f"wrote {emitted + 1} trace records to {bus.path}")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    # Rewind the process-global id counters so two identical invocations
-    # emit identical documents (ids included) even in one process.
-    reset_id_counters()
     if args.restore:
         if args.scenario:
             raise ExperimentError(
                 "pass a scenario file or --restore, not both"
             )
+        refused = [
+            row.flag
+            for row in OVERRIDES["run"]
+            if row.flag not in _RESTORE_FLAGS
+            and getattr(args, row.dest) is not None
+        ]
+        if refused:
+            raise ExperimentError(
+                f"{', '.join(refused)} edit a scenario document; a restored "
+                "run has none, so --restore cannot honour them"
+            )
+        reset_id_counters()
         horse = Horse.restore(args.restore)
         print(f"restored checkpoint: {args.restore} (t={horse.sim.now:g} s)")
         if args.trace:
@@ -71,78 +240,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         if not args.scenario:
             raise ExperimentError("a scenario file (or --restore) is required")
-        with open(args.scenario) as handle:
-            scenario = json.load(handle)
-        # Legacy (v0) documents migrate in memory, warning once per key;
-        # CLI overrides are applied to the v1 sections.
-        scenario = ensure_v1(scenario)
-        if args.checkpoint:
-            section = scenario.setdefault("checkpoint", {})
-            section["path"] = args.checkpoint
-            if args.checkpoint_interval:
-                section["interval_s"] = args.checkpoint_interval
-        if args.trace:
-            scenario.setdefault("telemetry", {})["trace_path"] = args.trace
-        if args.profile:
-            scenario.setdefault("telemetry", {})["profile"] = True
-        if args.hybrid_select:
-            # Selecting a foreground implies the hybrid engine.
-            scenario["engine"] = "hybrid"
-            scenario.setdefault("hybrid", {})["select"] = args.hybrid_select
-        if args.hybrid_sync_interval:
-            scenario.setdefault("hybrid", {})[
-                "sync_interval_s"
-            ] = args.hybrid_sync_interval
-        if args.solver:
-            scenario["solver"] = args.solver
-        if args.control:
-            scenario["control"] = args.control
-        if args.wire_client:
-            scenario["control"] = "wire"
-            scenario.setdefault("wire", {})["client"] = args.wire_client
-        if args.wire_listen:
-            scenario.setdefault("wire", {})["listen"] = args.wire_listen
-        if args.kernel_queue:
-            scenario.setdefault("kernel", {})["queue"] = args.kernel_queue
-        if args.kernel_compaction_threshold is not None:
-            # <= 0 on the command line means "disable compaction".
-            threshold = args.kernel_compaction_threshold
-            scenario.setdefault("kernel", {})["compaction_threshold"] = (
-                threshold if threshold > 0 else None
-            )
-        if args.shards is not None or args.shard_quantum is not None:
-            shards = shard_section(scenario)
-            if args.shards is not None:
-                shards["count"] = args.shards
-            if args.shard_quantum is not None:
-                shards["quantum_s"] = args.shard_quantum
-            scenario["shards"] = shards
-        if args.until is not None:
-            scenario["until"] = args.until
-        # Validation happens where the config is constructed (build_horse
-        # / run_sharded), which also rejects a malformed shard count.
-        shard_count = shard_section(scenario).get("count", 1)
-        if isinstance(shard_count, int) and shard_count > 1:
-            if args.checkpoint or args.metrics or args.trace:
-                raise ExperimentError(
-                    "--checkpoint/--metrics/--trace are per-process "
-                    "features; they are not available on a sharded run"
-                )
-            horse, result, count = run_scenario(scenario)
+        document = _load(args, "run")
+        if args.checkpoint or args.metrics or args.trace:
+            _refuse_sharded(document)
+        horse, result, count = run_scenario(
+            document, before_run=partial(_print_submitted, args.scenario)
+        )
+        if horse is None:
             print(f"scenario: {args.scenario} ({count} flows submitted, "
-                  f"{shard_count} shards)")
-        else:
-            horse, fabric = build_horse(scenario)
-            count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
-            print(f"scenario: {args.scenario} ({count} flows submitted)")
-            try:
-                result = horse.run(until=scenario.get("until"))
-            finally:
-                horse.shutdown_wire()
-            if args.checkpoint and not args.checkpoint_interval:
-                # No periodic ticker: snapshot the final state explicitly.
-                horse.checkpoint(args.checkpoint)
-                print(f"wrote checkpoint to {args.checkpoint}")
+                  f"{document['shards']['count']} shards)")
+        elif args.checkpoint and args.checkpoint_interval is None:
+            # No periodic ticker: snapshot the final state explicitly.
+            horse.checkpoint(args.checkpoint)
+            print(f"wrote checkpoint to {args.checkpoint}")
     print(summary_text(result))
     if args.check_digest:
         digest = run_digest(result)
@@ -183,44 +293,28 @@ def cmd_run(args: argparse.Namespace) -> int:
             handle.write(horse.telemetry.prometheus())
         print(f"wrote metrics exposition to {args.metrics}")
     if horse is not None and horse.telemetry.tracing_enabled:
-        bus = horse.telemetry.trace
-        emitted = bus.emitted
-        horse.telemetry.disable_tracing()
-        if bus.path:
-            print(f"wrote {emitted + 1} trace records to {bus.path}")
+        _close_trace(horse)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run a scenario as an OpenFlow 1.3 datapath agent: listen for an
     external controller, then simulate against it."""
-    reset_id_counters()
-    with open(args.scenario) as handle:
-        scenario = json.load(handle)
-    scenario = ensure_v1(scenario)
-    scenario["control"] = "wire"
-    wire = scenario.setdefault("wire", {})
-    wire.pop("client", None)  # serve = external controller
-    if args.listen:
-        wire["listen"] = args.listen
-    if args.budget:
-        wire["latency_budget_s"] = args.budget
-    if args.dilation is not None:
-        wire["dilation"] = args.dilation
-    horse, fabric = build_horse(scenario)
-    count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
+    # serve = an external controller is coming: no built-in client.
+    document = _load(
+        args, "serve", edits=(("control", "wire"), ("wire.client", None))
+    )
 
-    def announce(address):
-        host, port = address
-        print(f"listening on {host}:{port} "
-              f"({len(horse.topology.switches)} datapaths)", flush=True)
+    def before_run(horse: Horse, count: int) -> None:
+        def announce(address):
+            host, port = address
+            print(f"listening on {host}:{port} "
+                  f"({len(horse.topology.switches)} datapaths)", flush=True)
 
-    horse.wire.on_listening = announce
-    print(f"scenario: {args.scenario} ({count} flows submitted)", flush=True)
-    try:
-        result = horse.run(until=args.until or scenario.get("until"))
-    finally:
-        horse.shutdown_wire()
+        horse.wire.on_listening = announce
+        _print_submitted(args.scenario, horse, count)
+
+    horse, result, _count = run_scenario(document, before_run=before_run)
     print(summary_text(result))
     metrics = horse.telemetry.snapshot()
     print(f"wire.active_connections "
@@ -269,20 +363,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import read_trace, summarize_trace
 
     if args.trace_command == "record":
-        reset_id_counters()
-        with open(args.scenario) as handle:
-            scenario = json.load(handle)
-        scenario = ensure_v1(scenario)
-        scenario.setdefault("telemetry", {})["trace_path"] = args.out
-        if args.solver:
-            scenario["solver"] = args.solver
-        horse, fabric = build_horse(scenario)
-        count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
-        print(f"scenario: {args.scenario} ({count} flows submitted)")
-        horse.run(until=args.until or scenario.get("until"))
-        emitted = horse.telemetry.trace.emitted
-        horse.telemetry.disable_tracing()
-        print(f"wrote {emitted + 1} trace records to {args.out}")
+        document = _load(args, "trace record")
+        _refuse_sharded(document)
+        horse, _result, _count = run_scenario(
+            document, before_run=partial(_print_submitted, args.scenario)
+        )
+        _close_trace(horse)
         return 0
 
     records = read_trace(args.trace_file)
@@ -362,16 +448,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Statically verify the forwarding state a scenario would install."""
     from .analysis import analyze_network
 
-    with open(args.scenario) as handle:
-        scenario = json.load(handle)
-    topology, _ = _build_topology(scenario.get("topology", {}))
-    config = HorseConfig(
-        engine=scenario.get("engine", "flow"),
-        seed=scenario.get("seed", 0),
-    )
-    horse = Horse(
-        topology, policies=scenario.get("policies") or {}, config=config
-    )
+    # The simulation `repro run` would build from this file: same
+    # migration, same validation, same pipeline shape.
+    horse, _fabric = build_horse(load_scenario(args.scenario))
+    if horse.wire is not None:
+        raise ExperimentError(
+            "analyze verifies what an in-process controller installs "
+            "proactively; with control='wire' the controller is on the "
+            "other end of a connection"
+        )
+    topology = horse.topology
     horse.start_control_plane()
     # Failures are applied *after* proactive install, so rules that
     # predate the failure go stale — exactly the defect class the
@@ -524,82 +610,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--flows-csv", help="write per-flow records here")
     run_p.add_argument("--json", help="write the full run document here")
     run_p.add_argument(
-        "--solver",
-        choices=["incremental", "full"],
-        help="flow-engine rate solver (overrides the scenario)",
-    )
-    run_p.add_argument(
-        "--until", type=float, help="stop at this simulated time (seconds)"
-    )
-    run_p.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        help="checkpoint the simulation state here (at the end, or "
-        "periodically with --checkpoint-interval)",
-    )
-    run_p.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        metavar="SECONDS",
-        help="simulated seconds between periodic checkpoints",
-    )
-    run_p.add_argument(
         "--restore",
         metavar="PATH",
         help="resume from a checkpoint instead of building a scenario",
     )
     run_p.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="record a structured JSONL trace of the run here",
-    )
-    run_p.add_argument(
         "--metrics",
         metavar="PATH",
         help="write a Prometheus-style metrics exposition here at the end",
-    )
-    run_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="account per-phase wall clock (reported in engine_stats)",
-    )
-    run_p.add_argument(
-        "--hybrid-select",
-        metavar="SPEC",
-        help="run selected flows at packet granularity (hybrid engine): "
-        "none, all, top:K, or match:field=value[,...]",
-    )
-    run_p.add_argument(
-        "--hybrid-sync-interval",
-        type=float,
-        metavar="SECONDS",
-        help="hybrid foreground/background coupling cadence",
-    )
-    run_p.add_argument(
-        "--shards",
-        type=int,
-        metavar="K",
-        help="run on the sharded parallel runtime with K domains "
-        "(1 = the ordinary single-process engine, bitwise-identical)",
-    )
-    run_p.add_argument(
-        "--shard-quantum",
-        type=float,
-        metavar="SECONDS",
-        help="shard synchronization quantum (default: derived from the "
-        "minimum cross-shard link latency)",
-    )
-    run_p.add_argument(
-        "--kernel-queue",
-        choices=["heap", "sorted"],
-        help="pending-event-set implementation (overrides the scenario)",
-    )
-    run_p.add_argument(
-        "--kernel-compaction-threshold",
-        type=float,
-        metavar="FRACTION",
-        help="stale fraction of the event heap that triggers compaction "
-        "(0 or negative disables compaction)",
     )
     run_p.add_argument(
         "--check-digest",
@@ -610,22 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         "or (with no value) against GOLDEN_DIGESTS.json next to the "
         "scenario file; mismatch exits 3",
     )
-    run_p.add_argument(
-        "--control",
-        choices=["inproc", "wire"],
-        help="control-plane transport (overrides the scenario)",
-    )
-    run_p.add_argument(
-        "--wire-client",
-        choices=["learning", "static"],
-        help="run the built-in wire controller against this run's own "
-        "listener (implies --control wire)",
-    )
-    run_p.add_argument(
-        "--wire-listen",
-        metavar="HOST:PORT",
-        help="wire control listen address (port 0 picks a free port)",
-    )
+    _add_overrides(run_p, "run")
     run_p.set_defaults(func=cmd_run)
 
     serve_p = sub.add_parser(
@@ -634,28 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
         "external controller",
     )
     serve_p.add_argument("scenario", help="scenario JSON path")
-    serve_p.add_argument(
-        "--listen",
-        metavar="HOST:PORT",
-        help="listen address (default from the scenario, else 127.0.0.1:0)",
-    )
-    serve_p.add_argument(
-        "--until", type=float, help="stop at this simulated time (seconds)"
-    )
-    serve_p.add_argument(
-        "--budget",
-        type=float,
-        metavar="SECONDS",
-        help="wall-clock budget for controller connect/answers "
-        "(wire.latency_budget_s)",
-    )
-    serve_p.add_argument(
-        "--dilation",
-        type=float,
-        metavar="FACTOR",
-        help="simulated seconds charged per wall second of controller "
-        "thinking time (0 = synchronous)",
-    )
+    _add_overrides(serve_p, "serve")
     serve_p.add_argument("--json", help="write the full run document here")
     serve_p.set_defaults(func=cmd_serve)
 
@@ -692,17 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run a scenario with tracing enabled"
     )
     record_p.add_argument("scenario", help="scenario JSON path")
-    record_p.add_argument(
-        "--out", required=True, help="JSONL trace output path"
-    )
-    record_p.add_argument(
-        "--solver",
-        choices=["incremental", "full"],
-        help="flow-engine rate solver (overrides the scenario)",
-    )
-    record_p.add_argument(
-        "--until", type=float, help="stop at this simulated time (seconds)"
-    )
+    _add_overrides(record_p, "trace record")
     record_p.set_defaults(func=cmd_trace)
     inspect_p = trace_sub.add_parser(
         "inspect", help="print trace records as JSON lines"

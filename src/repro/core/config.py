@@ -145,14 +145,11 @@ class CheckpointConfig:
 
 @dataclass
 class KernelConfig:
-    """Event-kernel knobs: pending-event-set implementation and
-    stale-tombstone compaction (see :mod:`repro.sim.queue`).
+    """Event-kernel knobs: stale-tombstone compaction of the pending
+    event heap (see :mod:`repro.sim.queue`).
 
     Attributes
     ----------
-    queue:
-        Pending-event-set implementation: ``"heap"`` (production binary
-        heap) or ``"sorted"`` (the naive E6 ablation baseline).
     compaction_threshold:
         Stale (cancelled-tombstone) fraction of the raw heap above
         which the kernel rebuilds the pending set without tombstones.
@@ -163,7 +160,6 @@ class KernelConfig:
         Raw heap size below which compaction never triggers.
     """
 
-    queue: str = "heap"
     compaction_threshold: Optional[float] = 0.5
     min_compact_size: int = 64
 
@@ -212,6 +208,15 @@ SECTION_TYPES = {
 }
 
 
+def reject_unknown(keys, known, prefix: str = "") -> None:
+    """Raise on the first of ``keys`` that is not in ``known``: the one
+    rule, and the one message, for a misspelt section field or scenario
+    key (the scenario schema calls this too)."""
+    for key in keys:
+        if key not in known:
+            raise ExperimentError(f"{prefix}{key}: unknown key")
+
+
 def _coerce_section(value, section: str):
     """Accept a section instance, a plain dict, or None (defaults)."""
     cls = SECTION_TYPES[section]
@@ -220,12 +225,7 @@ def _coerce_section(value, section: str):
     if isinstance(value, cls):
         return value
     if isinstance(value, dict):
-        fields = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(value) - fields)
-        if unknown:
-            raise ExperimentError(
-                f"unknown {section} config key(s): {', '.join(unknown)}"
-            )
+        reject_unknown(value, cls.__dataclass_fields__, f"{section}.")
         return cls(**value)
     raise ExperimentError(
         f"{section} must be a {cls.__name__}, a dict, or None, "
@@ -376,10 +376,6 @@ class HorseConfig:
                     "checkpoint.interval_s needs a checkpoint.path"
                 )
         kern = self.kernel
-        if kern.queue not in ("heap", "sorted"):
-            raise ExperimentError(
-                f"kernel.queue must be 'heap' or 'sorted', got {kern.queue!r}"
-            )
         if kern.compaction_threshold is not None and not (
             0.0 < kern.compaction_threshold <= 1.0
         ):

@@ -32,7 +32,7 @@ from ..pktsim.engine import PacketLevelEngine
 from ..sim.engine import Engine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
-from ..sim.queue import build_event_queue
+from ..sim.queue import HeapEventQueue
 from ..sim.rng import RngRegistry
 from ..stats.collector import RunStatsCollector
 from ..telemetry import Telemetry
@@ -73,8 +73,7 @@ class Horse:
         self.rngs = RngRegistry(self.config.seed)
         kcfg = self.config.kernel
         self.sim = Simulator(
-            queue=build_event_queue(
-                kcfg.queue,
+            queue=HeapEventQueue(
                 compaction_threshold=kcfg.compaction_threshold,
                 min_compact_size=kcfg.min_compact_size,
             )

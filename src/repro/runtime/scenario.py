@@ -2,10 +2,11 @@
 
 One JSON *scenario* describes topology, policies, traffic, engine, and
 runtime knobs — everything a run needs, so experiments are shareable
-files rather than scripts.  The builders here are shared by the ``repro
-run`` CLI and the sweep workers: both must construct byte-identical
-simulations from the same document for sweep results to be independent
-of where a job executes.
+files rather than scripts.  :func:`run_scenario` is the only place a
+document becomes a run: ``repro run``, ``serve``, ``trace record``, the
+sweep workers and :meth:`Scenario.run` all call it, so the same
+document builds the same simulation wherever it executes (the shard
+workers share :func:`build_scenario` for the same reason).
 
 Schema v1 (see :mod:`repro.runtime.schema`; legacy v0 documents with
 flat ``hybrid_*``/``wire_*`` keys and a ``runtime`` section are
@@ -38,8 +39,7 @@ migrated on load with deprecation warnings)::
       "shards":   4 | {"count": 4, "quantum_s": null,
                        "partition": "greedy" | [[...], ...],
                        "checkpoint_dir": null},
-      "kernel":   {"queue": "heap" | "sorted",
-                   "compaction_threshold": 0.5, "min_compact_size": 64}
+      "kernel":   {"compaction_threshold": 0.5, "min_compact_size": 64}
     }
 
 Every other scalar :class:`~repro.core.config.HorseConfig` field
@@ -49,7 +49,7 @@ Every other scalar :class:`~repro.core.config.HorseConfig` field
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core import Horse
 from ..core.results import RunResult
@@ -59,7 +59,7 @@ from ..net.io import load_topology
 from ..control.policy.spec import parse_rate
 from ..traffic.flowgen import FlowGenerator
 from ..traffic.matrix import TrafficMatrix
-from .schema import build_config, ensure_v1, shard_section
+from .schema import build_config, ensure_v1
 
 
 def build_topology(spec: dict):
@@ -136,11 +136,7 @@ def build_traffic(spec: dict, horse: Horse, fabric, flow_filter=None) -> int:
         from ..traffic.trace_io import load_trace
 
         flows = load_trace(spec["file"])
-        if flow_filter is not None:
-            flows = [f for f in flows if flow_filter(f)]
-        horse.submit_flows(flows)
-        return len(flows)
-    if kind == "matrix":
+    elif kind == "matrix":
         model = spec.get("model", "uniform")
         total = parse_rate(spec.get("total", "1 Gbps"))
         hosts = [h.name for h in horse.topology.hosts]
@@ -164,28 +160,54 @@ def build_traffic(spec: dict, horse: Horse, fabric, flow_filter=None) -> int:
             flows = generator.constant_rate_flows(matrix, duration_s=horizon)
         else:
             flows = generator.from_matrix(matrix, horizon_s=horizon)
-        if flow_filter is not None:
-            flows = [f for f in flows if flow_filter(f)]
-        horse.submit_flows(flows)
-        return len(flows)
-    raise ExperimentError(f"unknown traffic kind {kind!r}")
+    else:
+        raise ExperimentError(f"unknown traffic kind {kind!r}")
+    if flow_filter is not None:
+        flows = [f for f in flows if flow_filter(f)]
+    horse.submit_flows(flows)
+    return len(flows)
 
 
-def run_scenario(scenario: dict) -> Tuple[Optional[Horse], RunResult, int]:
-    """Build, load, and run one scenario end to end.
+def build_scenario(scenario: dict, flow_filter=None) -> Tuple[Horse, int]:
+    """Build the simulation a scenario describes and submit its traffic
+    (through ``flow_filter``, see :func:`build_traffic`); returns
+    ``(horse, flow_count)``."""
+    horse, fabric = build_horse(scenario)
+    count = build_traffic(scenario.get("traffic", {}), horse, fabric, flow_filter)
+    return horse, count
+
+
+def run_scenario(
+    scenario: dict,
+    *,
+    before_run: Optional[Callable[[Horse, int], None]] = None,
+) -> Tuple[Optional[Horse], RunResult, int]:
+    """Build, load, and run one scenario document end to end; returns
+    ``(horse, result, flow_count)``.  The document is not mutated.
+
+    The whole sequence lives here: the process-global id counters are
+    rewound (two runs of one document give identical ids in any
+    process), a legacy document is migrated once, the document is
+    validated, and the wire listener is released when the run ends.
+    ``before_run(horse, flow_count)`` is called between build and run,
+    for a caller that must see the built simulation before a long run
+    blocks (``repro serve`` announces its listen address from it).
 
     With ``"shards": k`` for k > 1 the run executes on the sharded
-    parallel runtime (see :mod:`repro.shard`) and the returned horse is
-    None — the k simulations lived in worker processes.
+    parallel runtime (see :mod:`repro.shard`): the k simulations live
+    in worker processes, so ``before_run`` is not called and the
+    returned horse is None.
     """
-    shards = shard_section(ensure_v1(scenario, warn=False))
-    if int(shards.get("count", 1)) > 1:
+    reset_id_counters()
+    scenario = ensure_v1(scenario)
+    if build_config(scenario).shard.count > 1:
         from ..shard import run_sharded
 
         result, count = run_sharded(scenario)
         return None, result, count
-    horse, fabric = build_horse(scenario)
-    count = build_traffic(scenario.get("traffic", {}), horse, fabric)
+    horse, count = build_scenario(scenario)
+    if before_run is not None:
+        before_run(horse, count)
     try:
         result = horse.run(until=scenario.get("until"))
     finally:

@@ -15,27 +15,34 @@ and range rules are :meth:`HorseConfig.validate`'s)::
       "telemetry": {"monitor_interval_s": 0.5, "trace_path": ..., ...},
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
       "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"},
-      "kernel":    {"queue": "heap", "compaction_threshold": 0.5}
+      "kernel":    {"compaction_threshold": 0.5, "min_compact_size": 64}
     }
 
-``"shards"`` also accepts a bare integer (``"shards": 4``).  Documents
-without ``schema_version`` are treated as v0 (engine knobs as flat
-top-level keys such as ``hybrid_select`` next to a grab-bag ``runtime``
-section): :func:`ensure_v1` migrates them in memory, warning once per
-deprecated key per process; ``repro migrate-scenario`` rewrites the
-file.  :func:`validate_scenario` reports problems with dotted paths
-(``"wire.dilation must be >= 0"``).
+``"shards"`` also accepts a bare integer (``"shards": 4``), which
+:func:`ensure_v1` rewrites to ``{"count": 4}``.  Documents without
+``schema_version`` are treated as v0 (engine knobs as flat top-level
+keys such as ``hybrid_select`` next to a grab-bag ``runtime`` section):
+:func:`ensure_v1` migrates them in memory, warning once per deprecated
+key per process; ``repro migrate-scenario`` rewrites the file.
+:func:`validate_scenario` reports problems with dotted paths
+(``"wire.dilation must be >= 0"``, ``"bogus_key: unknown key"``); any
+top-level key that is not named above and does not start with ``_``
+(a comment) is an error.
+
+An *override* — a CLI flag, a sweep grid axis — is an edit of the v1
+document by dotted path: :func:`set_dotted`, after :func:`ensure_v1`.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import typing
 import warnings
-from typing import Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
-from ..core.config import SECTION_TYPES, HorseConfig
+from ..core.config import SECTION_TYPES, HorseConfig, reject_unknown
 from ..errors import ExperimentError
 
 SCHEMA_VERSION = 1
@@ -103,6 +110,9 @@ _SECTIONS = {
     "shards" if name == "shard" else name: (name, _field_types(cls))
     for name, cls in SECTION_TYPES.items()
 }
+
+#: Top-level document keys that are not config fields.
+_DOCUMENT_KEYS = ("schema_version", "until", "topology", "policies", "traffic")
 
 #: Deprecated scenario keys already warned about (warn-once semantics).
 _WARNED_SCENARIO_KEYS: Set[str] = set()
@@ -182,22 +192,47 @@ def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
 
 
 def ensure_v1(doc: dict, warn: bool = True) -> dict:
-    """``doc`` migrated to v1 (a copy when migration was needed).
+    """``doc`` as a v1 document whose ``"shards"`` is an object: ``doc``
+    itself when it already is one, else a copy (the input is never
+    mutated).
 
     With ``warn`` (the default) each legacy key found triggers a
     once-per-process :class:`DeprecationWarning` naming its new home.
     """
-    if scenario_version(doc) == SCHEMA_VERSION:
-        return doc
-    migrated, notes = migrate_scenario(doc)
-    if warn:
-        for note in notes:
-            old, _, new = note.partition(" -> ")
-            if old == "schema_version":
-                continue
-            section, _, field = new.partition(".")
-            _warn_scenario_key(old, section, field)
-    return migrated
+    if scenario_version(doc) != SCHEMA_VERSION:
+        doc, notes = migrate_scenario(doc)
+        if warn:
+            for note in notes:
+                old, _, new = note.partition(" -> ")
+                if old == "schema_version":
+                    continue
+                section, _, field = new.partition(".")
+                _warn_scenario_key(old, section, field)
+    if not isinstance(doc.get("shards", {}), dict):
+        doc = {**doc, "shards": shard_section(doc)}
+    return doc
+
+
+def load_scenario(path: str) -> dict:
+    """The scenario file at ``path`` as a v1 document (see
+    :func:`ensure_v1`), owned by the caller and ready for edits."""
+    with open(path) as handle:
+        return ensure_v1(json.load(handle))
+
+
+def set_dotted(doc: dict, dotted: str, value: Any) -> None:
+    """Set ``doc["a"]["b"]["c"]`` for dotted path ``"a.b.c"``: the one
+    way an override (CLI flag, sweep grid axis) is written into a v1
+    document."""
+    parts = dotted.split(".")
+    node = doc
+    for part in parts[:-1]:
+        nxt = node.get(part)
+        if not isinstance(nxt, dict):
+            nxt = {}
+            node[part] = nxt
+        node = nxt
+    node[parts[-1]] = value
 
 
 def _check_type(path: str, value, types: tuple) -> None:
@@ -228,11 +263,10 @@ def _section_kwargs(section: str, value, fields: Dict[str, tuple]) -> dict:
         raise ExperimentError(
             f"{section}: expected an object, got {type(value).__name__}"
         )
+    reject_unknown(value, fields, f"{section}.")
     kwargs = {}
     for field, fval in value.items():
-        types = fields.get(field)
-        if types is None:
-            raise ExperimentError(f"{section}.{field}: unknown key")
+        types = fields[field]
         if fval is None and type(None) not in types:
             # null = "use the default" for any field in JSON.
             continue
@@ -245,6 +279,10 @@ def _config_of(doc: dict) -> HorseConfig:
     """Check a v1 document's structure and JSON types, then construct
     its config: every enum and range rule is
     :meth:`HorseConfig.validate`'s."""
+    reject_unknown(
+        (key for key in doc if not key.startswith("_")),
+        (*_TOP_TYPES, *_SECTIONS, *_DOCUMENT_KEYS),
+    )
     if doc.get("until") is not None:
         _check_type("until", doc["until"], _JSON_TYPES[float])
         if doc["until"] < 0:
@@ -256,8 +294,9 @@ def _config_of(doc: dict) -> HorseConfig:
             kwargs[key] = doc[key]
     for section, (attr, fields) in _SECTIONS.items():
         if section in doc:
-            value = shard_section(doc) if section == "shards" else doc[section]
-            kwargs[attr] = _section_kwargs(section, value, fields)
+            kwargs[attr] = SECTION_TYPES[attr](
+                **_section_kwargs(section, doc[section], fields)
+            )
     return HorseConfig(**kwargs)
 
 
@@ -316,10 +355,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":
-        import json
-
-        with open(path) as handle:
-            return cls(json.load(handle))
+        return cls(load_scenario(path))
 
     def config(self):
         """The :class:`~repro.core.config.HorseConfig` this document

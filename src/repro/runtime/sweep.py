@@ -1,7 +1,8 @@
 """Parameter sweeps: template x grid -> jobs -> one deterministic report.
 
 A *sweep spec* is a JSON document holding a base scenario, a parameter
-grid (dotted paths into the scenario), and runtime knobs::
+grid (dotted paths into the v1 scenario document, the same paths the
+CLI's override flags edit), and runtime knobs::
 
     {
       "name": "solver-scale",
@@ -13,7 +14,8 @@ grid (dotted paths into the scenario), and runtime knobs::
                   "checkpoint_interval_s": 5.0}
     }
 
-Expansion is the cartesian product of the grid in key order; job
+Expansion is the cartesian product of the grid in key order (an axis
+that names no scenario key is an error, not N identical jobs); job
 ``index`` is the product rank, and each job's RNG seed is derived as
 ``spawn_seed(sweep_seed, index)`` so results are independent of
 execution order, worker assignment, and retries.  Jobs run on the
@@ -39,7 +41,7 @@ from ..errors import SweepError
 from ..sim.rng import spawn_seed
 from .pool import run_jobs
 from .scenario import reset_id_counters, run_scenario
-from .schema import ensure_v1
+from .schema import ensure_v1, set_dotted, validate_scenario
 
 MANIFEST_VERSION = 1
 
@@ -121,39 +123,30 @@ class SweepSpec:
         }
 
 
-def _set_dotted(doc: dict, dotted: str, value: Any) -> None:
-    """Set ``doc["a"]["b"]["c"]`` for dotted path ``"a.b.c"``."""
-    parts = dotted.split(".")
-    node = doc
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
-
-
 def expand_jobs(spec: SweepSpec) -> List[SweepJob]:
     """The cartesian product of the grid, in deterministic index order.
 
     Every job gets its own RNG seed via stable spawn-key hashing of
     (sweep seed, job index) — unless ``seed`` is itself a grid axis, in
-    which case the grid value wins.
+    which case the grid value wins.  Grid axes edit the migrated (v1)
+    base, and every job's document is validated here, before anything
+    runs.
     """
-    sweep_seed = int(spec.runtime.get("seed", spec.base.get("seed", 0)))
+    base = ensure_v1(spec.base, warn=False)
+    sweep_seed = int(spec.runtime.get("seed", base.get("seed", 0)))
     keys = list(spec.grid)
     jobs: List[SweepJob] = []
     for index, combo in enumerate(itertools.product(*(spec.grid[k] for k in keys))):
         params = dict(zip(keys, combo))
-        scenario = copy.deepcopy(spec.base)
+        scenario = copy.deepcopy(base)
         for key, value in params.items():
-            _set_dotted(scenario, key, value)
+            set_dotted(scenario, key, value)
         if "seed" in params:
             seed = int(params["seed"])
         else:
             seed = spawn_seed(sweep_seed, "job", index)
             scenario["seed"] = seed
+        validate_scenario(scenario)
         jobs.append(
             SweepJob(index=index, params=params, seed=seed, scenario=scenario)
         )
@@ -180,22 +173,22 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
     ):
         os._exit(FAULT_EXIT_CODE)
 
-    reset_id_counters()
-    scenario = ensure_v1(copy.deepcopy(payload["scenario"]), warn=False)
+    scenario = copy.deepcopy(ensure_v1(payload["scenario"], warn=False))
     # Per-phase wall clock on by default so every job manifests where its
     # time went; the spec can opt out with {"telemetry": {"profile": false}}.
-    scenario.setdefault("telemetry", {}).setdefault("profile", True)
+    if "profile" not in scenario.get("telemetry", {}):
+        set_dotted(scenario, "telemetry.profile", True)
     ckpt_path = payload.get("checkpoint_path")
     interval = payload.get("checkpoint_interval_s")
     if ckpt_path and interval:
-        section = scenario.setdefault("checkpoint", {})
-        section["path"] = ckpt_path
-        section["interval_s"] = interval
+        set_dotted(scenario, "checkpoint.path", ckpt_path)
+        set_dotted(scenario, "checkpoint.interval_s", interval)
 
     resumed = False
     if ckpt_path and os.path.exists(ckpt_path):
         from .checkpoint import load_checkpoint
 
+        reset_id_counters()  # as run_scenario does: no fork inheritance
         horse = load_checkpoint(ckpt_path)
         result = horse.run(until=scenario.get("until"))
         flows = len(horse.engine.flows)

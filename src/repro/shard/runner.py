@@ -46,9 +46,8 @@ from ..flowsim.flow import Flow, FlowRoute
 from ..runtime.pool import process_context
 from ..runtime.scenario import (
     build_config,
-    build_horse,
+    build_scenario,
     build_topology,
-    build_traffic,
     reset_id_counters,
 )
 from ..runtime.schema import ensure_v1
@@ -286,8 +285,7 @@ def _shard_worker_run(conn, payload: dict) -> dict:
         generated[0] = payload["generated"]
         submitted[0] = payload["submitted"]
     else:
-        horse, fabric = build_horse(scenario)
-        build_traffic(scenario.get("traffic", {}), horse, fabric, flow_filter=owns)
+        horse, _count = build_scenario(scenario, flow_filter=owns)
         horse.start_control_plane()
         start_round = 0
 

@@ -8,19 +8,13 @@ from .event import CallbackEvent, Event, PeriodicEvent
 from .faults import FaultProfile, FaultRecord, LinkFaultInjector
 from .kernel import Simulator
 from .process import ProcessHandle, spawn
-from .queue import (
-    EventQueue,
-    HeapEventQueue,
-    SortedListEventQueue,
-    build_event_queue,
-)
+from .queue import EventQueue, HeapEventQueue, SortedListEventQueue
 from .rng import RngRegistry, spawn_seed
 
 __all__ = [
     "CallbackEvent",
     "Event",
     "EventQueue",
-    "build_event_queue",
     "FaultProfile",
     "FaultRecord",
     "LinkFaultInjector",

@@ -217,24 +217,3 @@ class SortedListEventQueue:
 
     def clear(self) -> None:
         self._events.clear()
-
-
-def build_event_queue(
-    kind: str = "heap",
-    compaction_threshold: Optional[float] = DEFAULT_COMPACTION_THRESHOLD,
-    min_compact_size: int = DEFAULT_MIN_COMPACT_SIZE,
-) -> EventQueue:
-    """Construct a pending-event set from configuration values.
-
-    ``kind`` is ``"heap"`` (production) or ``"sorted"`` (the E6
-    ablation baseline, which ignores the compaction knobs — it has no
-    amortized structure to rebuild).
-    """
-    if kind == "heap":
-        return HeapEventQueue(
-            compaction_threshold=compaction_threshold,
-            min_compact_size=min_compact_size,
-        )
-    if kind == "sorted":
-        return SortedListEventQueue()
-    raise ValueError(f"unknown event queue kind {kind!r}")

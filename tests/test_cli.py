@@ -1,10 +1,23 @@
-"""CLI tests: topo/info/run subcommands end to end."""
+"""CLI tests: the subcommands end to end, and the override table that
+every document-editing flag of run / serve / trace record is a row of."""
 
 import json
+import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import OVERRIDES, build_parser, main, override_edits
+from repro.runtime.scenario import run_scenario
+from repro.runtime.schema import (
+    _DOCUMENT_KEYS,
+    _SECTIONS,
+    _TOP_TYPES,
+    build_config,
+    load_scenario,
+    reset_scenario_warnings,
+    set_dotted,
+)
+from repro.stats.export import run_digest
 
 
 @pytest.fixture
@@ -332,3 +345,266 @@ class TestSweepCommands:
     def test_resume_missing_dir(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Overrides: every document-editing flag is a row of one table
+# ----------------------------------------------------------------------
+QUICKSTART = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "scenarios", "quickstart.json"
+)
+ROWS = [
+    pytest.param(command, row, id=f"{command} {row.flag}")
+    for command, rows in OVERRIDES.items()
+    for row in rows
+]
+#: A value the validator accepts, for the rows whose type does not pick one.
+SAMPLE_TEXT = {
+    "hybrid.select": "top:2",
+    "wire.listen": "127.0.0.1:0",
+    "checkpoint.path": "run.ckpt",
+    "telemetry.trace_path": "run.trace.jsonl",
+}
+
+
+def _sample(row):
+    """(command-line words after the flag, the value the document gets)."""
+    if row.type is bool:
+        return [], True
+    if isinstance(row.type, tuple):
+        return [row.type[-1]], row.type[-1]
+    if row.type is str:
+        return [SAMPLE_TEXT[row.path]], SAMPLE_TEXT[row.path]
+    value = {int: 2, float: 0.25}[row.type]
+    return [str(value)], value
+
+
+def _parse(command, *words):
+    required = [
+        word
+        for row in OVERRIDES[command]
+        if row.required and row.flag not in words
+        for word in (row.flag, SAMPLE_TEXT[row.path])
+    ]
+    return build_parser().parse_args(
+        [*command.split(), QUICKSTART, *required, *words]
+    )
+
+
+class TestOverrideTable:
+    @pytest.mark.parametrize("command, row", ROWS)
+    def test_flag_is_exactly_the_rows_edits(self, command, row):
+        words, value = _sample(row)
+        args = _parse(command, row.flag, *words)
+        assert override_edits(args, (row,)) == [*row.implies, (row.path, value)]
+        # Only this flag was given: no other row of the command edits.
+        others = [r for r in OVERRIDES[command] if r != row and not r.required]
+        assert override_edits(args, tuple(others)) == []
+
+        document = load_scenario(QUICKSTART)
+        if row.path == "checkpoint.interval_s":
+            set_dotted(document, "checkpoint.path", "run.ckpt")  # its precondition
+        for path, edit in override_edits(args, (row,)):
+            set_dotted(document, path, edit)
+        config = build_config(document)
+        head, _, field = row.path.partition(".")
+        if row.path == "until":
+            assert document["until"] == value
+        elif field:
+            section = getattr(config, _SECTIONS[head][0])
+            assert getattr(section, field) == value
+        else:
+            assert getattr(config, head) == value
+        for path, implied in row.implies:
+            assert getattr(config, path) == implied
+
+    @pytest.mark.parametrize("command, row", ROWS)
+    def test_path_resolves_in_the_schema(self, command, row):
+        """A renamed config field cannot leave a dangling flag."""
+        head, _, field = row.path.partition(".")
+        if field:
+            assert field in _SECTIONS[head][1]
+        else:
+            assert head in _TOP_TYPES or head in _DOCUMENT_KEYS
+        for path, _value in row.implies:
+            assert path in _TOP_TYPES
+
+    def test_cli_surface_is_pinned(self):
+        """The flags of the three scenario-running commands, as a literal
+        list (what tools/api-surface.json is to the library)."""
+        expected = {
+            "run": {
+                "--flows-csv", "--json", "--solver", "--until", "--checkpoint",
+                "--checkpoint-interval", "--restore", "--trace", "--metrics",
+                "--profile", "--hybrid-select", "--hybrid-sync-interval",
+                "--shards", "--shard-quantum", "--kernel-compaction-threshold",
+                "--check-digest", "--control", "--wire-client", "--wire-listen",
+            },
+            "serve": {"--listen", "--until", "--budget", "--dilation", "--json"},
+            "trace record": {"--out", "--solver", "--until"},
+        }
+        parser = build_parser()
+        for command, flags in expected.items():
+            sub = parser
+            for word in command.split():
+                choices = next(
+                    a.choices for a in sub._actions if isinstance(a.choices, dict)
+                )
+                sub = choices[word]
+            found = {
+                opt for a in sub._actions for opt in a.option_strings
+            } - {"-h", "--help"}
+            assert found == flags, command
+
+    def test_compaction_threshold_zero_means_disabled(self):
+        args = _parse("run", "--kernel-compaction-threshold", "0")
+        assert override_edits(args, OVERRIDES["run"]) == [
+            ("kernel.compaction_threshold", None)
+        ]
+
+    def test_flag_and_hand_edit_are_the_same_run(self, capsys):
+        document = load_scenario(QUICKSTART)
+        document["engine"] = "hybrid"
+        document["hybrid"] = {"select": "top:2"}
+        document["until"] = 1.0
+        _horse, result, _count = run_scenario(document)
+        rc = main(
+            ["run", QUICKSTART, "--hybrid-select", "top:2", "--until", "1",
+             "--check-digest", run_digest(result)]
+        )
+        assert rc == 0, capsys.readouterr().err
+
+
+class TestZeroIsAValue:
+    """A zero on the command line reaches the validator (or the run) like
+    a zero written in the file; it is never taken for "flag not given"."""
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["run", QUICKSTART, "--checkpoint", "x.ckpt",
+              "--checkpoint-interval", "0"],
+             "checkpoint.interval_s must be > 0"),
+            (["run", QUICKSTART, "--hybrid-select", "all",
+              "--hybrid-sync-interval", "0"],
+             "hybrid.sync_interval_s must be > 0"),
+            (["serve", QUICKSTART, "--budget", "0"],
+             "wire.latency_budget_s must be > 0"),
+        ],
+    )
+    def test_zero_is_validated(self, words, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(words) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+    def test_serve_until_zero_is_an_edit(self):
+        args = _parse("serve", "--until", "0")
+        assert override_edits(args, OVERRIDES["serve"]) == [("until", 0.0)]
+
+    def test_trace_record_until_zero_stops_at_zero(self, tmp_path):
+        from repro.telemetry import read_trace, summarize_trace
+
+        trace = str(tmp_path / "t.jsonl")
+        assert main(
+            ["trace", "record", QUICKSTART, "--out", trace, "--until", "0"]
+        ) == 0
+        assert summarize_trace(read_trace(trace))["sim_time"]["max"] == 0
+
+
+class TestRestoreRefusesDocumentFlags:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            row
+            for row in OVERRIDES["run"]
+            if row.flag not in ("--until", "--trace", "--profile")
+        ],
+        ids=lambda row: row.flag,
+    )
+    def test_refused_by_name(self, row, tmp_path, capsys):
+        # Refused before the checkpoint is even opened.
+        words, _value = _sample(row)
+        rc = main(["run", "--restore", str(tmp_path / "no.ckpt"), row.flag, *words])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert row.flag in err and "--restore" in err
+
+    def test_trace_and_profile_still_apply_to_the_restored_horse(self, tmp_path):
+        scenario = TestRunCommand()._scenario(tmp_path, until=5.0)
+        ckpt = str(tmp_path / "state.ckpt")
+        assert main(["run", scenario, "--until", "1.0", "--checkpoint", ckpt]) == 0
+        trace = str(tmp_path / "rest.jsonl")
+        out = str(tmp_path / "rest.json")
+        assert main(
+            ["run", "--restore", ckpt, "--trace", trace, "--profile", "--json", out]
+        ) == 0
+        assert os.path.getsize(trace) > 0
+        with open(out) as handle:
+            assert "profile" in json.load(handle)["engine_stats"]
+
+
+class TestShardedDocuments:
+    def _sharded(self, tmp_path):
+        return TestRunCommand()._scenario(
+            tmp_path, schema_version=1, shards=2,
+            topology={"kind": "pods", "pods": 2, "hosts_per_pod": 2},
+        )
+
+    def test_trace_record_refuses_a_sharded_document(self, tmp_path, capsys):
+        path = self._sharded(tmp_path)
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["trace", "record", path, "--out", trace]) == 1
+        assert "not available on a sharded run" in capsys.readouterr().err
+        assert not os.path.exists(trace)
+
+    def test_serve_refuses_a_sharded_document(self, tmp_path, capsys):
+        assert main(["serve", self._sharded(tmp_path)]) == 1
+        assert "sharded run" in capsys.readouterr().err
+
+    def test_shard_flags_edit_a_bare_integer_count(self, tmp_path):
+        """`"shards": 2` plus --shard-quantum keeps the count."""
+        path = self._sharded(tmp_path)
+        args = build_parser().parse_args(["run", path, "--shard-quantum", "0.5"])
+        document = load_scenario(path)
+        for dotted, value in override_edits(args, OVERRIDES["run"]):
+            set_dotted(document, dotted, value)
+        assert document["shards"] == {"count": 2, "quantum_s": 0.5}
+
+
+class TestAnalyzeBuildsWhatRunBuilds:
+    def _tables_seen(self, monkeypatch, path):
+        import repro.analysis
+
+        seen = []
+        real = repro.analysis.analyze_network
+
+        def spy(topology, **kwargs):
+            seen.extend(len(s.pipeline.tables) for s in topology.switches)
+            return real(topology, **kwargs)
+
+        monkeypatch.setattr(repro.analysis, "analyze_network", spy)
+        assert main(["analyze", path]) == 0
+        return seen
+
+    def test_pipeline_tables_reach_the_analyzed_network(self, tmp_path, monkeypatch):
+        path = TestRunCommand()._scenario(
+            tmp_path, schema_version=1, pipeline_tables=3
+        )
+        assert self._tables_seen(monkeypatch, path) == [3]
+
+    def test_v0_document_is_migrated_with_its_warning(self, tmp_path, monkeypatch):
+        reset_scenario_warnings()
+        path = TestRunCommand()._scenario(tmp_path, monitor_interval_s=1.0)
+        with pytest.warns(DeprecationWarning, match="monitor_interval_s"):
+            assert self._tables_seen(monkeypatch, path) == [1]
+
+    def test_invalid_document_is_an_error_not_an_analysis(self, tmp_path, capsys):
+        path = TestRunCommand()._scenario(tmp_path, schema_version=1, bogus_key=1)
+        assert main(["analyze", path]) == 1
+        assert capsys.readouterr().err == "error: bogus_key: unknown key\n"
+
+    def test_wire_control_has_nothing_to_analyze(self, capsys):
+        wire_demo = os.path.join(os.path.dirname(QUICKSTART), "wire_demo.json")
+        assert main(["analyze", wire_demo]) == 1
+        assert "control='wire'" in capsys.readouterr().err

@@ -31,7 +31,6 @@ def test_default_sections():
     assert config.shard == ShardConfig()
     assert config.shard.count == 1
     assert config.kernel == KernelConfig()
-    assert config.kernel.queue == "heap"
     assert config.kernel.compaction_threshold == 0.5
 
 
@@ -58,13 +57,11 @@ def test_shard_section_validation():
 
 
 def test_kernel_section_validation():
-    config = HorseConfig(kernel={"queue": "sorted"})
-    assert config.kernel.queue == "sorted"
     assert HorseConfig(
         kernel={"compaction_threshold": None}
     ).kernel.compaction_threshold is None
-    with pytest.raises(ExperimentError, match="queue"):
-        HorseConfig(kernel={"queue": "fibonacci"})
+    with pytest.raises(ExperimentError, match="kernel.queue: unknown key"):
+        HorseConfig(kernel={"queue": "heap"})  # the knob is gone
     with pytest.raises(ExperimentError, match="compaction_threshold"):
         HorseConfig(kernel={"compaction_threshold": 1.5})
     with pytest.raises(ExperimentError, match="compaction_threshold"):

@@ -56,6 +56,18 @@ def test_scenario_matches_golden_digest(name):
     )
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name in GOLDEN if "base" not in _load(name))
+)
+def test_cli_run_and_run_scenario_agree(name, capsys):
+    """`repro run FILE` is run_scenario of the loaded document: both
+    land on the one committed digest."""
+    from repro.cli import main
+
+    path = os.path.join(SCENARIO_DIR, name)
+    assert main(["run", path, "--check-digest"]) == 0, capsys.readouterr().err
+
+
 def test_every_runnable_scenario_is_pinned():
     """New example scenarios must ship with a pinned digest (the
     deliberately mis-composed analyzer fixture is exempt)."""

@@ -97,6 +97,34 @@ class TestExpansion:
         with pytest.raises(SweepError, match="non-empty list"):
             SweepSpec.from_dict({"base": {}, "grid": {"x": []}})
 
+    def test_grid_axis_that_names_no_scenario_key_is_an_error(self):
+        """A typo used to expand to N identical jobs."""
+        from repro.errors import ExperimentError
+
+        for axis, message in [
+            ("solvr", "solvr: unknown key"),
+            ("hybrid.selec", "hybrid.selec: unknown key"),
+        ]:
+            spec = SweepSpec.from_dict(
+                {"base": BASE_SCENARIO, "grid": {axis: ["a", "b"]}}
+            )
+            with pytest.raises(ExperimentError, match=f"^{message}$"):
+                expand_jobs(spec)
+
+    def test_grid_axes_edit_the_migrated_document(self):
+        """A bare-integer "shards" keeps its count under a shards.* axis."""
+        spec = SweepSpec.from_dict(
+            {
+                "base": dict(BASE_SCENARIO, shards=2),
+                "grid": {"shards.quantum_s": [0.5, 1.0]},
+            }
+        )
+        assert [job.scenario["shards"] for job in expand_jobs(spec)] == [
+            {"count": 2, "quantum_s": 0.5},
+            {"count": 2, "quantum_s": 1.0},
+        ]
+        assert spec.base["shards"] == 2  # the spec itself is untouched
+
     def test_base_file_resolved_relative_to_spec(self, tmp_path):
         with open(tmp_path / "base.json", "w") as handle:
             json.dump(BASE_SCENARIO, handle)

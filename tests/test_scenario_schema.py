@@ -10,6 +10,7 @@ lossless part over the whole migratable key space.
 
 import dataclasses
 import json
+import os
 import warnings
 
 import pytest
@@ -133,6 +134,36 @@ def test_validate_rejects_unknown_section_key():
         validate_scenario(bad)
 
 
+def test_validate_rejects_unknown_top_level_key():
+    bad = v0_doc(schema_version=1, bogus_key=1)
+    with pytest.raises(ExperimentError, match="^bogus_key: unknown key$"):
+        validate_scenario(bad)
+    # "_"-prefixed keys are comments (the shipped examples carry one).
+    validate_scenario(v0_doc(schema_version=1, _comment=["why"], _note="x"))
+
+
+def test_every_shipped_scenario_validates():
+    from repro.runtime.schema import load_scenario
+    from repro.runtime.sweep import SweepSpec, expand_jobs
+
+    directory = os.path.join(
+        os.path.dirname(__file__), "..", "examples", "scenarios"
+    )
+    checked = 0
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if name == "GOLDEN_DIGESTS.json":
+            continue
+        with open(path) as handle:
+            is_sweep = "grid" in json.load(handle)
+        if is_sweep:
+            assert expand_jobs(SweepSpec.from_file(path))  # validates each job
+        else:
+            validate_scenario(load_scenario(path))
+        checked += 1
+    assert checked >= 8
+
+
 def test_validate_rejects_future_schema_version():
     bad = v0_doc()
     bad["schema_version"] = 99
@@ -158,16 +189,11 @@ def test_bad_shards_values_rejected():
 def test_kernel_section_validates_and_round_trips():
     doc = v0_doc()
     doc["schema_version"] = 1
-    doc["kernel"] = {
-        "queue": "heap",
-        "compaction_threshold": 0.25,
-        "min_compact_size": 16,
-    }
+    doc["kernel"] = {"compaction_threshold": 0.25, "min_compact_size": 16}
     validate_scenario(doc)
     from repro.runtime.scenario import build_config
 
     config = build_config(doc)
-    assert config.kernel.queue == "heap"
     assert config.kernel.compaction_threshold == 0.25
     assert config.kernel.min_compact_size == 16
     # null means "use the default" per the JSON convention...
@@ -175,20 +201,21 @@ def test_kernel_section_validates_and_round_trips():
     validate_scenario(doc)
     # ...but KernelConfig treats an explicit None as "disable".
     assert build_config(doc).kernel.compaction_threshold is None
-    doc["kernel"] = {"queue": None}
-    assert build_config(doc).kernel.queue == "heap"
+    doc["kernel"] = {"min_compact_size": None}
+    assert build_config(doc).kernel.min_compact_size == 64
 
 
 def test_kernel_section_rejects_bad_values():
     doc = v0_doc()
     doc["schema_version"] = 1
-    doc["kernel"] = {"queue": "fibonacci"}
-    with pytest.raises(ExperimentError, match="kernel.queue"):
+    # The pending-event set is the heap; the knob that chose it is gone.
+    doc["kernel"] = {"queue": "heap"}
+    with pytest.raises(ExperimentError, match="kernel.queue: unknown key"):
         validate_scenario(doc)
     doc["kernel"] = {"compaction_threshold": 2.0}
     with pytest.raises(ExperimentError, match="kernel.compaction_threshold"):
         validate_scenario(doc)
-    doc["kernel"] = {"queue": "heap", "min_compact_size": "lots"}
+    doc["kernel"] = {"min_compact_size": "lots"}
     with pytest.raises(ExperimentError, match="kernel.min_compact_size"):
         validate_scenario(doc)
     doc["kernel"] = {"compactor": True}

@@ -23,7 +23,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.runtime.scenario import reset_id_counters, run_scenario  # noqa: E402
+from repro.runtime.scenario import run_scenario  # noqa: E402
 from repro.shard.runner import FAULT_ENV, FAULT_MARKER_ENV  # noqa: E402
 
 GOLDEN_SCENARIOS = ["quickstart", "hybrid_demo", "wire_demo"]
@@ -61,7 +61,6 @@ def check_digest_parity() -> None:
         with open(path) as handle:
             scenario = json.load(handle)
         scenario["shards"] = 1
-        reset_id_counters()
         horse, result, _count = run_scenario(scenario)
         assert horse is not None, f"{name}: --shards 1 entered the shard runtime"
         from repro.stats.export import run_digest
@@ -88,7 +87,6 @@ def flow_fingerprint(result) -> list:
 
 def check_crash_restart() -> None:
     # Clean k=4 baseline.
-    reset_id_counters()
     _horse, clean, clean_count = run_scenario(json.loads(json.dumps(POD_SCENARIO)))
     stats = clean.engine_stats
     assert stats["engine"] == "sharded" and stats["shards"] == 4, stats
@@ -100,7 +98,6 @@ def check_crash_restart() -> None:
     os.environ[FAULT_ENV] = "2:1"
     os.environ[FAULT_MARKER_ENV] = marker
     try:
-        reset_id_counters()
         _horse, crashed, crashed_count = run_scenario(
             json.loads(json.dumps(POD_SCENARIO))
         )
