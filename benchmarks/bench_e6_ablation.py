@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.core.config import HorseConfig
 from repro.flowsim import Flow, FlowLevelEngine
 from repro.net.generators import single_switch
 from repro.net.topology import Topology
@@ -122,9 +123,8 @@ def _run_solver(incremental: bool):
     _install_star_rules(topo, groups)
     flows = _cluster_flows(topo, groups)
     sim = Simulator()
-    engine = FlowLevelEngine(
-        sim, topo, solver="incremental" if incremental else "full"
-    )
+    config = HorseConfig(solver="incremental" if incremental else "full")
+    engine = FlowLevelEngine(sim, topo, config=config)
     engine.submit_all(flows)
     start = time.perf_counter()
     sim.run(until=120.0)

@@ -38,6 +38,7 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Horse
+from .core.config import SOLVER_MODES
 from .errors import ExperimentError, HorseError
 from .net.io import load_topology, save_topology
 from .runtime.scenario import (
@@ -76,7 +77,7 @@ class Override(NamedTuple):
         return self.flag.lstrip("-").replace("-", "_")
 
 
-_SOLVER = Override("--solver", "solver", ("incremental", "full"),
+_SOLVER = Override("--solver", "solver", SOLVER_MODES,
                    "flow-engine rate solver (overrides the scenario)")
 _UNTIL = Override("--until", "until", float,
                   "stop at this simulated time (seconds)")
@@ -556,22 +557,18 @@ def cmd_migrate_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro topo`` options copied into the topology spec when given.
+_TOPO_SPEC_KEYS = (
+    "k", "pods", "hosts_per_pod", "members", "switches", "hosts", "seed",
+)
+
+
 def cmd_topo(args: argparse.Namespace) -> int:
     spec = {"kind": args.kind}
-    if args.k is not None:
-        spec["k"] = args.k
-    if args.pods is not None:
-        spec["pods"] = args.pods
-    if args.hosts_per_pod is not None:
-        spec["hosts_per_pod"] = args.hosts_per_pod
-    if args.members is not None:
-        spec["members"] = args.members
-    if args.switches is not None:
-        spec["switches"] = args.switches
-    if args.hosts is not None:
-        spec["hosts"] = args.hosts
-    if args.seed is not None:
-        spec["seed"] = args.seed
+    for key in _TOPO_SPEC_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            spec[key] = value
     topology, _ = _build_topology(spec)
     save_topology(topology, args.out)
     print(f"wrote {topology.summary()} to {args.out}")
@@ -691,29 +688,30 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_p.add_argument("trace_file", help="JSONL trace path")
     summarize_p.set_defaults(func=cmd_trace)
 
+    # What `sweep` and `resume` both say about the pool they run on.
+    pool_flags = argparse.ArgumentParser(add_help=False)
+    pool_flags.add_argument(
+        "--workers", type=int, help="pool size (overrides the spec)"
+    )
+    pool_flags.add_argument(
+        "--quiet", action="store_true", help="suppress per-job progress lines"
+    )
+
     sweep_p = sub.add_parser(
-        "sweep", help="expand and run a parameter sweep on a worker pool"
+        "sweep",
+        parents=[pool_flags],
+        help="expand and run a parameter sweep on a worker pool",
     )
     sweep_p.add_argument("spec", help="sweep spec JSON path")
     sweep_p.add_argument("--out", required=True, help="sweep output directory")
-    sweep_p.add_argument(
-        "--workers", type=int, help="pool size (overrides the spec)"
-    )
-    sweep_p.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress lines"
-    )
     sweep_p.set_defaults(func=cmd_sweep)
 
     resume_p = sub.add_parser(
-        "resume", help="re-run only the unfinished jobs of a sweep directory"
+        "resume",
+        parents=[pool_flags],
+        help="re-run only the unfinished jobs of a sweep directory",
     )
     resume_p.add_argument("dir", help="sweep output directory (with manifest.json)")
-    resume_p.add_argument(
-        "--workers", type=int, help="pool size (overrides the spec)"
-    )
-    resume_p.add_argument(
-        "--quiet", action="store_true", help="suppress per-job progress lines"
-    )
     resume_p.set_defaults(func=cmd_resume)
 
     an_p = sub.add_parser(

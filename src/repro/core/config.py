@@ -197,6 +197,9 @@ class ShardConfig:
     checkpoint_dir: Optional[str] = None
 
 
+#: Valid values of ``HorseConfig.solver``.
+SOLVER_MODES = ("incremental", "full")
+
 #: Section attribute name -> its dataclass type.
 SECTION_TYPES = {
     "hybrid": HybridConfig,
@@ -311,17 +314,20 @@ class HorseConfig:
     def validate(self) -> None:
         """Check cross-field consistency; raises
         :class:`~repro.errors.ExperimentError` on the first violation.
-        Called by the constructor; call again after mutating sections.
+        Called by the constructor and again by ``Horse``, so a config
+        mutated in between is still checked.  The components a config
+        is handed to (engines, the wire runtime, the time gate) read
+        their fields and re-check nothing.
         """
         if self.engine not in ("flow", "packet", "hybrid"):
             raise ExperimentError(
                 f"engine must be 'flow', 'packet', or 'hybrid', got {self.engine!r}"
             )
-        if self.solver not in ("incremental", "full"):
+        if self.solver not in SOLVER_MODES:
             raise ExperimentError(
                 f"solver must be 'incremental' or 'full', got {self.solver!r}"
             )
-        if self.engine == "hybrid" and self.hybrid.sync_interval_s <= 0:
+        if self.hybrid.sync_interval_s <= 0:
             raise ExperimentError("hybrid.sync_interval_s must be > 0")
         tel = self.telemetry
         if tel.monitor_mode not in ("poll", "push"):

@@ -42,6 +42,15 @@ from .config import HorseConfig
 from .results import RunResult
 
 
+#: ``HorseConfig.engine`` -> the engine class; each is built as
+#: ``cls(sim, topology, channel, config)`` and reads its own knobs.
+ENGINES = {
+    "flow": FlowLevelEngine,
+    "packet": PacketLevelEngine,
+    "hybrid": HybridEngine,
+}
+
+
 class Horse:
     """One simulation instance.
 
@@ -70,6 +79,10 @@ class Horse:
     ) -> None:
         self.topology = topology
         self.config = config or HorseConfig()
+        # Once more here: sections may have been mutated since the
+        # config's own constructor checked them, and nothing built from
+        # it below re-checks a field.
+        self.config.validate()
         self.rngs = RngRegistry(self.config.seed)
         kcfg = self.config.kernel
         self.sim = Simulator(
@@ -122,51 +135,13 @@ class Horse:
         if self.config.control == "wire":
             from ..wire.transport import WireRuntime
 
-            self.wire = WireRuntime(
-                self.channel,
-                listen=self.config.wire.parsed_listen(),
-                sync_quantum_s=self.config.wire.sync_quantum_s,
-                latency_budget_s=self.config.wire.latency_budget_s,
-                dilation=self.config.wire.dilation,
-                client_mode=self.config.wire.client,
-                client_routes=self.config.wire.client_routes,
-            )
+            self.wire = WireRuntime(self.channel, self.config.wire)
             self.channel.transport = self.wire.transport
             self.wire.transport.bind(self.channel)
 
-        if self.config.engine == "flow":
-            self.engine: Engine = FlowLevelEngine(
-                self.sim,
-                topology,
-                control=self.channel,
-                solver=self.config.solver,
-                route_cache=self.config.route_cache,
-                mean_packet_bytes=self.config.mean_packet_bytes,
-                max_hops=self.config.max_hops,
-            )
-        elif self.config.engine == "hybrid":
-            self.engine = HybridEngine(
-                self.sim,
-                topology,
-                control=self.channel,
-                select=self.config.hybrid.select,
-                sync_interval_s=self.config.hybrid.sync_interval_s,
-                solver=self.config.solver,
-                route_cache=self.config.route_cache,
-                mean_packet_bytes=self.config.mean_packet_bytes,
-                max_hops=self.config.max_hops,
-                mtu_bytes=self.config.mtu_bytes,
-                queue_capacity_packets=self.config.queue_capacity_packets,
-            )
-        else:
-            self.engine = PacketLevelEngine(
-                self.sim,
-                topology,
-                control=self.channel,
-                mtu_bytes=self.config.mtu_bytes,
-                queue_capacity_packets=self.config.queue_capacity_packets,
-                max_hops=self.config.max_hops,
-            )
+        self.engine: Engine = ENGINES[self.config.engine](
+            self.sim, topology, self.channel, self.config
+        )
         self.channel.connect_engine(self.engine)
         if self.config.entry_expiry_interval_s:
             self.engine.enable_entry_expiry(self.config.entry_expiry_interval_s)
@@ -191,7 +166,6 @@ class Horse:
             self._make_monitor(self.config.telemetry.monitor_interval_s)
 
         self.collector = RunStatsCollector(topology)
-        self.collector.attach_flow_engine(self.engine)
         if self.config.telemetry.link_sample_interval_s:
             self.collector.enable_link_sampling(
                 self.sim, self.config.telemetry.link_sample_interval_s
@@ -370,7 +344,7 @@ class Horse:
         ``wire.dilation == 0`` (where every controller exchange resolves
         inline) a gated run is bitwise-identical to an ungated one.
         """
-        quantum = self.config.wire.sync_quantum_s
+        quantum = self.wire.gate.sync_quantum_s
         if until is not None:
             while True:
                 step = min(self.sim.now + quantum, until)

@@ -47,7 +47,8 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tupl
 
 import numpy as np
 
-from ..errors import SimulationError, TopologyError
+from ..core.config import HorseConfig
+from ..errors import TopologyError
 from ..net.link import LinkDirection
 from ..net.node import Host, Switch
 from ..net.topology import Topology
@@ -87,9 +88,6 @@ _TERMINAL_RANK = {
 #: Rate changes smaller than this (bps) don't trigger re-accrual.
 _RATE_EPS = 1e-6
 
-#: Valid values for the ``solver`` engine parameter.
-SOLVER_MODES = ("incremental", "full")
-
 #: Route-cache entries are dropped wholesale beyond this many classes.
 _ROUTE_CACHE_MAX = 4096
 
@@ -101,19 +99,19 @@ class FlowLevelEngine(Engine):
     ----------
     sim, topology, control:
         See :class:`~repro.sim.engine.Engine`.
-    max_hops:
-        Per-branch hop guard against forwarding loops.
-    mean_packet_bytes:
-        Fluid-to-packet conversion factor for packet counters.
-    solver:
-        Rate-solver strategy.  ``"incremental"`` (default) re-solves
-        only the link-sharing components an event touched;  ``"full"``
-        re-partitions and re-solves every component through the same
-        kernel (reference mode — bitwise-identical rates, no reuse).
-    route_cache:
-        Reuse pipeline walks across flows whose headers are equivalent
-        under the installed rules (invalidated by table versions and
-        link state changes).
+    config:
+        The run's :class:`~repro.core.config.HorseConfig` (None means
+        ``HorseConfig()``).  The engine reads ``max_hops`` (per-branch
+        hop guard against forwarding loops), ``mean_packet_bytes``
+        (fluid-to-packet conversion factor for packet counters),
+        ``solver`` (``"incremental"`` re-solves only the link-sharing
+        components an event touched; ``"full"`` re-partitions and
+        re-solves every component through the same kernel: reference
+        mode, bitwise-identical rates, no reuse) and ``route_cache``
+        (reuse pipeline walks across flows whose headers are equivalent
+        under the installed rules; invalidated by table versions and
+        link state changes).  It checks none of them:
+        ``HorseConfig.validate`` has.
     """
 
     name = "flow"
@@ -123,26 +121,20 @@ class FlowLevelEngine(Engine):
         sim: Simulator,
         topology: Topology,
         control: Optional[object] = None,
-        max_hops: int = 64,
-        mean_packet_bytes: int = 1000,
-        solver: str = "incremental",
-        route_cache: bool = True,
+        config: Optional[HorseConfig] = None,
     ) -> None:
         super().__init__(sim, topology, control)
-        self.max_hops = max_hops
-        self.mean_packet_bytes = mean_packet_bytes
-        if solver not in SOLVER_MODES:
-            raise SimulationError(
-                f"solver must be one of {SOLVER_MODES}, got {solver!r}"
-            )
-        self.solver_mode = solver
+        config = config or HorseConfig()
+        self.max_hops = config.max_hops
+        self.mean_packet_bytes = config.mean_packet_bytes
+        self.solver_mode = config.solver
         self.active: Dict[int, Flow] = {}
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()
         # Routing cache: header-class key -> (route, pipeline version
         # deps, link epoch).  None when disabled.
         self._route_cache: Optional[Dict[Tuple, Tuple[FlowRoute, Tuple, int]]] = (
-            {} if route_cache else None
+            {} if config.route_cache else None
         )
         self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules

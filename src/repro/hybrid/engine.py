@@ -41,7 +41,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SimulationError
+from ..core.config import HorseConfig
 from ..flowsim.engine import FlowLevelEngine
 from ..flowsim.flow import Flow, FlowState
 from ..net.link import LinkDirection
@@ -77,14 +77,15 @@ class HybridEngine(Engine):
 
     Parameters
     ----------
-    select:
-        Foreground selection spec (see
-        :class:`~repro.hybrid.selection.SelectionPolicy`).
-    sync_interval_s:
-        Cadence of the foreground/background coupling exchange.
-    solver:
-        Background fair-share solver mode.
-    Remaining parameters mirror the two sub-engines.
+    sim, topology, control:
+        See :class:`~repro.sim.engine.Engine`.
+    config:
+        The run's :class:`~repro.core.config.HorseConfig` (None means
+        ``HorseConfig()``).  The engine reads ``hybrid.select`` (the
+        foreground selection spec, see
+        :class:`~repro.hybrid.selection.SelectionPolicy`) and
+        ``hybrid.sync_interval_s`` (cadence of the coupling exchange)
+        and hands the same object to both sub-engines.
     """
 
     name = "hybrid"
@@ -94,38 +95,15 @@ class HybridEngine(Engine):
         sim: Simulator,
         topology: Topology,
         control: Optional[object] = None,
-        select: str = "none",
-        sync_interval_s: float = 0.05,
-        solver: str = "incremental",
-        route_cache: bool = True,
-        mean_packet_bytes: int = 1000,
-        max_hops: int = 64,
-        mtu_bytes: int = 1500,
-        queue_capacity_packets: int = 100,
+        config: Optional[HorseConfig] = None,
     ) -> None:
-        if sync_interval_s <= 0:
-            raise SimulationError(
-                f"hybrid sync interval must be > 0, got {sync_interval_s}"
-            )
         super().__init__(sim, topology, control)
-        self.policy = SelectionPolicy(select)
-        self.sync_interval_s = sync_interval_s
-        self.background = FlowLevelEngine(
-            sim,
-            topology,
-            control=control,
-            max_hops=max_hops,
-            mean_packet_bytes=mean_packet_bytes,
-            solver=solver,
-            route_cache=route_cache,
-        )
+        config = config or HorseConfig()
+        self.policy = SelectionPolicy(config.hybrid.select)
+        self.sync_interval_s = config.hybrid.sync_interval_s
+        self.background = FlowLevelEngine(sim, topology, control, config)
         self.foreground = PacketLevelEngine(
-            sim,
-            topology,
-            control=control,
-            mtu_bytes=mtu_bytes,
-            queue_capacity_packets=queue_capacity_packets,
-            max_hops=max_hops,
+            sim, topology, control, config,
             capacity_fn=self._residual_capacity,
         )
         # Flow lifecycle events come from the fluid background (the

@@ -15,6 +15,7 @@ import logging
 from collections import deque
 from typing import Dict, List, Optional
 
+from ..core.config import HorseConfig
 from ..net.link import LinkDirection, Port
 from ..net.node import Host, Switch
 from ..net.topology import Topology
@@ -40,12 +41,12 @@ class PacketLevelEngine(Engine):
     ----------
     sim, topology, control:
         See :class:`~repro.sim.engine.Engine`.
-    mtu_bytes:
-        Packet size used by the transports.
-    queue_capacity_packets:
-        Drop-tail depth of every output queue.
-    max_hops:
-        Hop guard against forwarding loops.
+    config:
+        The run's :class:`~repro.core.config.HorseConfig` (None means
+        ``HorseConfig()``).  The engine reads ``mtu_bytes`` (packet
+        size used by the transports), ``queue_capacity_packets``
+        (drop-tail depth of every output queue) and ``max_hops`` (hop
+        guard against forwarding loops).
     capacity_fn:
         Optional ``(direction) -> bps`` transmit-rate override threaded
         into every output queue (hybrid residual capacity); None uses
@@ -59,15 +60,14 @@ class PacketLevelEngine(Engine):
         sim: Simulator,
         topology: Topology,
         control: Optional[object] = None,
-        mtu_bytes: int = 1500,
-        queue_capacity_packets: int = 100,
-        max_hops: int = 64,
+        config: Optional[HorseConfig] = None,
         capacity_fn: Optional[object] = None,
     ) -> None:
         super().__init__(sim, topology, control)
-        self.mtu_bytes = mtu_bytes
-        self.queue_capacity_packets = queue_capacity_packets
-        self.max_hops = max_hops
+        config = config or HorseConfig()
+        self.mtu_bytes = config.mtu_bytes
+        self.queue_capacity_packets = config.queue_capacity_packets
+        self.max_hops = config.max_hops
         #: Per-direction transmit-rate override passed to new queues.
         self.capacity_fn = capacity_fn
         self.transports: Dict[int, Transport] = {}

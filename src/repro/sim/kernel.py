@@ -12,15 +12,12 @@ module").
 from __future__ import annotations
 
 import itertools
-import logging
 import time as _time
 from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import SchedulingError
 from .event import CallbackEvent, Event, PeriodicEvent
 from .queue import EventQueue, HeapEventQueue
-
-logger = logging.getLogger(__name__)
 
 #: Rescheduling a timer to within this of its current firing time is a
 #: no-op (the flow-engine completion path relies on this fast path to
@@ -81,9 +78,6 @@ class Simulator:
     queue:
         Pending-event set implementation; defaults to the binary heap.
         The sorted-list variant exists for the E6 ablation.
-    trace:
-        When true, every fired event is logged at DEBUG level and counted
-        per event type (see :attr:`fired_by_type`).
 
     Examples
     --------
@@ -95,21 +89,19 @@ class Simulator:
     [1.5]
     """
 
-    def __init__(self, queue: Optional[EventQueue] = None, trace: bool = False) -> None:
+    def __init__(self, queue: Optional[EventQueue] = None) -> None:
         self._queue: EventQueue = queue if queue is not None else HeapEventQueue()
         self._live_pending = 0  # non-daemon events still queued
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
-        self.trace = trace
         #: Total number of events fired so far (skipped cancellations excluded).
         self.fired_count = 0
-        #: Per-event-type fire counts, populated when ``trace`` is enabled.
-        self.fired_by_type: dict = {}
         #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
         #: None; every emission site checks ``is not None``, so the
-        #: disabled path costs one attribute read.
+        #: disabled path costs one attribute read.  Each fired event is
+        #: a ``kernel.event`` record carrying the event type.
         self.trace_bus = None
         #: Per-phase profiler (:class:`repro.telemetry.PhaseProfiler`) or
         #: None.  The kernel charges the inclusive "dispatch" phase.
@@ -336,10 +328,6 @@ class Simulator:
                 pass
             if self.trace_bus is not None:
                 self.trace_bus.emit("kernel.event", event=type(event).__name__)
-            if self.trace:
-                name = type(event).__name__
-                self.fired_by_type[name] = self.fired_by_type.get(name, 0) + 1
-                logger.debug("fired %r at t=%.6f", event, self._now)
             return event
         return None
 
@@ -416,5 +404,4 @@ class Simulator:
         self._live_pending = 0
         self._now = 0.0
         self.fired_count = 0
-        self.fired_by_type = {}
         self._seq = itertools.count()

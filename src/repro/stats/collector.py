@@ -1,9 +1,8 @@
 """Statistics collection across a run.
 
-:class:`RunStatsCollector` hooks the flow-level engine's observer list
-(or samples the packet engine's flows after a run) and records flow
-outcomes, completion times, throughputs, and per-link utilization
-series — the data every benchmark and example reports from.
+:class:`RunStatsCollector` samples per-link utilization series during
+a run and, handed an engine's flows after it, reports completion times,
+throughputs and fairness.
 
 :class:`~repro.core.simulator.Horse` constructs one per run and exposes
 it as ``horse.collector``; construct your own only for engine-less
@@ -12,7 +11,7 @@ analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..flowsim.flow import Flow, FlowState
 from ..net.topology import Topology
@@ -24,33 +23,19 @@ from .timeseries import TimeSeries
 class RunStatsCollector:
     """Record flow outcomes and link utilization.
 
-    Use :meth:`attach_flow_engine` for live collection from the
-    flow-level engine, and/or :meth:`sample_links` (e.g. on a periodic
-    event) for utilization series; :meth:`harvest_flows` works for any
-    engine after the run.
+    Use :meth:`enable_link_sampling` (or :meth:`sample_links` on your
+    own event) for utilization series; :meth:`harvest_flows` takes the
+    flows of any engine after the run.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.flow_events: List[Tuple[float, str, int]] = []
         self.completed: List[Flow] = []
         self.link_utilization: Dict[Tuple[str, int], TimeSeries] = {}
-        self._sim: Optional[Simulator] = None
 
     # ------------------------------------------------------------------
     # Live collection
     # ------------------------------------------------------------------
-    def attach_flow_engine(self, engine) -> None:
-        """Subscribe to an engine's flow-lifecycle observer stream."""
-        self._sim = engine.sim
-        engine.observers.append(self._on_flow_event)
-
-    def _on_flow_event(self, name: str, flow: Flow) -> None:
-        time = self._sim.now if self._sim is not None else 0.0
-        self.flow_events.append((time, name, flow.flow_id))
-        if name == "completed":
-            self.completed.append(flow)
-
     def enable_link_sampling(self, sim: Simulator, interval: float = 1.0) -> None:
         """Sample allocated utilization of every link periodically."""
         sim.every(interval, self._sample_tick)
@@ -69,7 +54,7 @@ class RunStatsCollector:
             series.append(time, direction.utilization)
 
     # ------------------------------------------------------------------
-    # Post-hoc harvesting (works with either engine)
+    # Post-hoc harvesting (works with any engine)
     # ------------------------------------------------------------------
     def harvest_flows(self, flows) -> None:
         """Collect completed flows from an engine's flow map."""

@@ -4,16 +4,19 @@ Tests, CI, and the self-driven loopback demo need a controller on the
 other end of the TCP socket without installing one.  This client speaks
 the codec's OpenFlow 1.3 profile over plain blocking sockets (one
 connection per datapath, handshakes performed in sequence so datapath
-binding is deterministic) and implements two modes:
+binding is deterministic) and hosts an ordinary
+:class:`~repro.control.controller.Controller` whose channel is the
+client itself (``datapath_ids()`` and ``send(message)`` over those
+sockets); the mode picks the app it runs:
 
-* ``learning`` — mirrors :class:`repro.control.apps.L2LearningApp`
-  rule-for-rule: a priority-0 table-miss punt on every datapath, MAC
-  learning on packet-ins, reactive priority-10 forwarding installs.
-  Because the behavior is identical, a wire run with this client
-  produces the same run digest as an in-proc L2LearningApp run.
-* ``static`` — installs a fixed route list proactively and answers any
-  stray packet-in with an empty packet-out ("no decision"), so the
-  simulation never stalls on the latency budget.
+* ``learning`` — :class:`repro.control.apps.L2LearningApp` itself, so
+  a wire run with this client produces the same run digest as an
+  in-proc L2LearningApp run: it is the same code on the far side of a
+  socket.
+* ``static`` — :class:`StaticRoutesApp`: installs a fixed route list
+  proactively and claims no packet-in; a stray one is answered with an
+  empty packet-out ("no decision"), so the simulation never stalls on
+  the latency budget.
 
 The client is also runnable against an external ``repro serve`` via the
 ``repro wire-client`` CLI.
@@ -28,12 +31,13 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..control.app import ControllerApp
+from ..control.apps import L2LearningApp
+from ..control.controller import Controller
 from ..errors import WireError
 from ..net.address import MacAddress
-from ..openflow.action import ApplyActions, Output, PORT_FLOOD, ToController
+from ..openflow.action import ApplyActions, Output
 from ..openflow.match import Match
 from ..openflow.messages import (
-    BarrierReply,
     BarrierRequest,
     EchoReply,
     EchoRequest,
@@ -41,7 +45,6 @@ from ..openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowModCommand,
     FlowRemoved,
     Hello,
     Message,
@@ -53,10 +56,42 @@ from .codec import WIRE_VERSION, FrameReader, decode, encode
 
 logger = logging.getLogger(__name__)
 
-#: The cookie the first app added to a Controller would get; using the
-#: same value keeps wire-installed rules bitwise-identical to rules the
-#: in-process L2LearningApp installs.
-CLIENT_COOKIE = ControllerApp.COOKIE_BASE + 1
+#: A route dict's match keys -> how each value is parsed.
+_ROUTE_MATCH_FIELDS = (
+    ("eth_dst", MacAddress),
+    ("eth_src", MacAddress),
+    ("in_port", int),
+)
+
+
+class StaticRoutesApp(ControllerApp):
+    """Install a fixed route list once; claim no packet-in.
+
+    ``routes`` are dicts with ``dpid``, ``out_port`` and optional
+    ``eth_dst`` / ``eth_src`` / ``in_port`` / ``priority`` keys (the
+    ``wire.client_routes`` scenario field).
+    """
+
+    def __init__(
+        self, routes: List[dict], priority: int = 10, name: str = "static-routes"
+    ) -> None:
+        super().__init__(name)
+        self.routes = list(routes)
+        self.priority = priority
+
+    def start(self) -> None:
+        for route in self.routes:
+            fields = {
+                key: parse(route[key])
+                for key, parse in _ROUTE_MATCH_FIELDS
+                if key in route
+            }
+            self.add_flow(
+                route["dpid"],
+                Match(**fields),
+                (ApplyActions((Output(int(route["out_port"])),)),),
+                priority=int(route.get("priority", self.priority)),
+            )
 
 
 class _Link:
@@ -83,10 +118,14 @@ class WireControllerClient:
         For static mode: dicts with ``dpid``, ``out_port`` and optional
         ``eth_dst``/``priority`` keys.
     idle_timeout, priority:
-        Learning-mode install parameters (mirror L2LearningApp).
+        Handed to the app (static mode: the default route priority).
     restored_ok:
         When True (gateway-internal use), honor the server's
         ``auxiliary_id=1`` restored flag by skipping proactive installs.
+    mac_table:
+        Learning mode: seeds the app's table, so a restored run's
+        client resumes with what it had learned at checkpoint time (see
+        WireRuntime.__getstate__).
     """
 
     def __init__(
@@ -101,25 +140,23 @@ class WireControllerClient:
         restored_ok: bool = True,
         mac_table: Optional[Dict[Tuple[int, MacAddress], int]] = None,
     ) -> None:
-        if mode not in ("learning", "static"):
-            raise WireError(
-                f"unknown client mode {mode!r} (expected 'learning' or 'static')"
-            )
         self.host = host
         self.port = port
-        self.mode = mode
-        self.routes = list(routes or [])
-        self.idle_timeout = idle_timeout
-        self.priority = priority
         self.connect_timeout_s = connect_timeout_s
         self.restored_ok = restored_ok
         self.restored = False
-        #: (dpid, mac) -> port, exactly like L2LearningApp.mac_table.
-        #: Seedable so a restored run's client resumes with the state it
-        #: had at checkpoint time (see WireRuntime.__getstate__).
-        self.mac_table: Dict[Tuple[int, MacAddress], int] = dict(
-            mac_table or {}
-        )
+        #: The client is its controller's channel: apps see
+        #: :meth:`datapath_ids` and :meth:`send` and nothing else.
+        self.controller = Controller("wire-client")
+        self.controller.attach(self)
+        if mode == "learning":
+            app = L2LearningApp(idle_timeout=idle_timeout, priority=priority)
+            app.mac_table.update(mac_table or {})
+        else:  # "static": config validation and the CLI admit no third
+            app = StaticRoutesApp(routes or [], priority)
+        #: The one app this mode runs (first on the controller, so its
+        #: cookie is the one an in-process run's first app gets).
+        self.app = self.controller.add_app(app)
         self.stats = {
             "packet_ins": 0,
             "flow_mods": 0,
@@ -156,8 +193,8 @@ class WireControllerClient:
     def __getstate__(self) -> dict:
         raise TypeError(
             "WireControllerClient holds live sockets and is never part of "
-            "a checkpoint; WireRuntime snapshots only its mac_table and "
-            "reconnects a fresh client on restore"
+            "a checkpoint; WireRuntime snapshots only the learning app's "
+            "mac_table and reconnects a fresh client on restore"
         )
 
     def close(self) -> None:
@@ -167,6 +204,24 @@ class WireControllerClient:
             except OSError:
                 pass
         self._links = []
+
+    # ------------------------------------------------------------------
+    # What a ControllerApp calls on its channel, over the sockets
+    # ------------------------------------------------------------------
+    def datapath_ids(self) -> List[int]:
+        """The datapaths that connected, in connection order."""
+        return [link.dpid for link in self._links]
+
+    def send(self, message: Message) -> None:
+        """Southbound send onto the addressed datapath's connection."""
+        for link in self._links:
+            if link.dpid == message.dpid:
+                break
+        else:
+            raise WireError(f"no connection for dpid {message.dpid}")
+        if isinstance(message, FlowMod):
+            self.stats["flow_mods"] += 1
+        self._send(link, message)
 
     # ------------------------------------------------------------------
     # Handshake
@@ -180,7 +235,7 @@ class WireControllerClient:
         for _ in range(count - 1):
             self._open_link()
         if not self.restored:
-            self._proactive_installs()
+            self.controller.start()  # every app's proactive installs
         # Fence: the server marks a connection settled on barrier, so
         # the simulation only starts once installs are applied.
         for link in self._links:
@@ -234,58 +289,6 @@ class WireControllerClient:
                 f"unexpected {type(message).__name__} during handshake"
             )
 
-    def _proactive_installs(self) -> None:
-        if self.mode == "learning":
-            # Mirror L2LearningApp.start(): a table-miss punt per dpid.
-            instructions = (ApplyActions((ToController(),)),)
-            for link in self._links:
-                self._install(
-                    link, Match(), instructions, priority=0
-                )
-        else:
-            by_dpid = {link.dpid: link for link in self._links}
-            for route in self.routes:
-                dpid = route["dpid"]
-                link = by_dpid.get(dpid)
-                if link is None:
-                    raise WireError(f"static route names unknown dpid {dpid}")
-                match_kwargs = {}
-                if "eth_dst" in route:
-                    match_kwargs["eth_dst"] = MacAddress(route["eth_dst"])
-                if "eth_src" in route:
-                    match_kwargs["eth_src"] = MacAddress(route["eth_src"])
-                if "in_port" in route:
-                    match_kwargs["in_port"] = int(route["in_port"])
-                self._install(
-                    link,
-                    Match(**match_kwargs),
-                    (ApplyActions((Output(int(route["out_port"])),)),),
-                    priority=int(route.get("priority", self.priority)),
-                )
-
-    def _install(
-        self,
-        link: _Link,
-        match: Match,
-        instructions,
-        priority: int,
-        idle_timeout: float = 0.0,
-    ) -> None:
-        self.stats["flow_mods"] += 1
-        self._send(
-            link,
-            FlowMod(
-                dpid=link.dpid,
-                command=FlowModCommand.ADD,
-                table_id=0,
-                match=match,
-                priority=priority,
-                instructions=tuple(instructions),
-                idle_timeout=idle_timeout,
-                cookie=CLIENT_COOKIE,
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Serve loop
     # ------------------------------------------------------------------
@@ -332,7 +335,10 @@ class WireControllerClient:
     def _handle(self, link: _Link, message: Message) -> None:
         if isinstance(message, PacketIn):
             self.stats["packet_ins"] += 1
-            self._on_packet_in(link, message)
+            # Whatever an app installs goes out before the answering
+            # packet-out; TCP keeps the order, so the switch applies it
+            # first, as when the app runs in-process.
+            self._answer(link, message, self.controller.on_packet_in(message))
         elif isinstance(message, EchoRequest):
             self._echo(link, message)
         elif isinstance(message, ErrorMsg):
@@ -341,9 +347,9 @@ class WireControllerClient:
                 "server error: %s: %s", message.error_type, message.detail
             )
         elif isinstance(message, PortStatus):
-            self._on_port_status(link, message)
+            self.controller.on_port_status(message)
         elif isinstance(message, FlowRemoved):
-            self._on_flow_removed(message)
+            self.controller.on_flow_removed(message)
         # BarrierReply / stats replies / duplicate Hello: nothing to do.
 
     def _echo(self, link: _Link, message: EchoRequest) -> None:
@@ -354,37 +360,6 @@ class WireControllerClient:
                 dpid=message.dpid, xid=message.xid, payload=message.payload
             ),
         )
-
-    # -- packet-in handling (mirrors L2LearningApp.on_packet_in) -------
-    def _on_packet_in(self, link: _Link, message: PacketIn) -> None:
-        if self.mode == "static":
-            self._answer(link, message, None)
-            return
-        headers = message.headers
-        if headers is None:
-            self._answer(link, message, None)
-            return
-        if headers.eth_src is not None:
-            self.mac_table[(message.dpid, headers.eth_src)] = message.in_port
-        if headers.eth_dst is None or headers.eth_dst.is_broadcast:
-            self._answer(link, message, [PORT_FLOOD])
-            return
-        out_port = self.mac_table.get((message.dpid, headers.eth_dst))
-        if out_port is None:
-            self._answer(link, message, [PORT_FLOOD])
-            return
-        # Destination learned: install and forward directly.  The
-        # FlowMod goes first so the switch applies it before the
-        # answering packet-out (TCP preserves the order), matching the
-        # in-proc app that installs inside on_packet_in.
-        self._install(
-            link,
-            Match(eth_dst=headers.eth_dst),
-            (ApplyActions((Output(out_port),)),),
-            priority=self.priority,
-            idle_timeout=self.idle_timeout,
-        )
-        self._answer(link, message, [out_port])
 
     def _answer(
         self, link: _Link, message: PacketIn, ports: Optional[List[int]]
@@ -401,37 +376,6 @@ class WireControllerClient:
                 buffer_id=message.xid,
             ),
         )
-
-    def _on_port_status(self, link: _Link, message: PortStatus) -> None:
-        if self.mode != "learning" or message.link_up:
-            return
-        # Mirror L2LearningApp.on_port_status: purge learnings and rules
-        # through the dead port.
-        stale = [
-            key
-            for key, port in self.mac_table.items()
-            if key[0] == message.dpid and port == message.port_no
-        ]
-        for key in stale:
-            del self.mac_table[key]
-            self.stats["flow_mods"] += 1
-            self._send(
-                link,
-                FlowMod(
-                    dpid=message.dpid,
-                    command=FlowModCommand.DELETE,
-                    table_id=0,
-                    match=Match(eth_dst=key[1]),
-                    cookie=CLIENT_COOKIE,
-                ),
-            )
-
-    def _on_flow_removed(self, message: FlowRemoved) -> None:
-        if self.mode != "learning" or message.cookie != CLIENT_COOKIE:
-            return
-        eth_dst = message.match.eth_dst
-        if eth_dst is not None:
-            self.mac_table.pop((message.dpid, eth_dst), None)
 
     # ------------------------------------------------------------------
     # Socket primitives

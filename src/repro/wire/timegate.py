@@ -31,29 +31,19 @@ import threading
 import time
 from typing import Dict, Optional
 
+from ..core.config import WireConfig
+
 
 class TimeGate:
-    """Synchronization point between the kernel and the wire."""
+    """Synchronization point between the kernel and the wire, timed by
+    ``sync_quantum_s`` / ``latency_budget_s`` / ``dilation`` of a
+    :class:`~repro.core.config.WireConfig` (``HorseConfig.validate``
+    holds their range rules)."""
 
-    def __init__(
-        self,
-        sync_quantum_s: float = 0.05,
-        latency_budget_s: float = 5.0,
-        dilation: float = 0.0,
-    ) -> None:
-        if sync_quantum_s <= 0:
-            raise ValueError(
-                f"sync_quantum_s must be > 0, got {sync_quantum_s}"
-            )
-        if latency_budget_s <= 0:
-            raise ValueError(
-                f"latency_budget_s must be > 0, got {latency_budget_s}"
-            )
-        if dilation < 0:
-            raise ValueError(f"dilation must be >= 0, got {dilation}")
-        self.sync_quantum_s = float(sync_quantum_s)
-        self.latency_budget_s = float(latency_budget_s)
-        self.dilation = float(dilation)
+    def __init__(self, wire_config: WireConfig) -> None:
+        self.sync_quantum_s = float(wire_config.sync_quantum_s)
+        self.latency_budget_s = float(wire_config.latency_budget_s)
+        self.dilation = float(wire_config.dilation)
         self._cond = threading.Condition()
         #: xid -> wall-clock start of the outstanding round trip.
         self._outstanding: Dict[int, float] = {}

@@ -36,6 +36,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..control.transport import ControlTransport
+from ..core.config import WireConfig
 from ..errors import ControlPlaneError, WireError
 from ..openflow.messages import (
     ErrorMsg,
@@ -83,17 +84,13 @@ class WireRuntime:
     ----------
     channel:
         The control channel whose northbound events go on the wire.
-    listen:
-        ``(host, port)`` to listen on; port 0 picks a free port.
-    sync_quantum_s, latency_budget_s, dilation:
-        Time-gate configuration (see :class:`TimeGate`).
-    client_mode:
-        None to wait for an external controller, or
-        ``"learning"``/``"static"`` to run the built-in client in a
-        thread against our own listener (the self-driven loopback used
-        by tests, CI, and ``examples/scenarios/wire_demo.json``).
-    client_routes:
-        Static routes for ``client_mode="static"``.
+    wire_config:
+        The run's :class:`~repro.core.config.WireConfig`: ``listen``,
+        the three time-gate fields (see :class:`TimeGate`), and
+        ``client`` / ``client_routes`` (None waits for an external
+        controller; a mode runs the built-in client in a thread against
+        our own listener, the self-driven loopback used by tests, CI,
+        and ``examples/scenarios/wire_demo.json``).
     restored:
         True when this runtime was rebuilt from a checkpoint: new
         connections advertise ``auxiliary_id=1`` so controllers skip
@@ -103,24 +100,14 @@ class WireRuntime:
     def __init__(
         self,
         channel,
-        listen: Tuple[str, int] = ("127.0.0.1", 0),
-        sync_quantum_s: float = 0.05,
-        latency_budget_s: float = 5.0,
-        dilation: float = 0.0,
-        client_mode: Optional[str] = None,
-        client_routes: Optional[list] = None,
+        wire_config: WireConfig,
         restored: bool = False,
     ) -> None:
-        if client_mode not in (None, "learning", "static"):
-            raise WireError(
-                f"unknown built-in client mode {client_mode!r} "
-                f"(expected 'learning' or 'static')"
-            )
         self.channel = channel
-        self.listen = (str(listen[0]), int(listen[1]))
-        self.gate = TimeGate(sync_quantum_s, latency_budget_s, dilation)
-        self.client_mode = client_mode
-        self.client_routes = list(client_routes or [])
+        self.listen = wire_config.parsed_listen()
+        self.gate = TimeGate(wire_config)
+        self.client_mode = wire_config.client
+        self.client_routes = list(wire_config.client_routes or [])
         self.restored = restored
         self.transport = WireTransport(self)
         self.bound_address: Optional[Tuple[str, int]] = None
@@ -144,9 +131,9 @@ class WireRuntime:
         self._client: Optional[WireControllerClient] = None
         self._client_thread: Optional[threading.Thread] = None
         #: Built-in client state carried across a checkpoint (the client
-        #: itself lives outside the snapshot; its learned MAC table is
-        #: plain data and restoring it keeps restored runs bitwise-
-        #: identical to uninterrupted ones).
+        #: itself lives outside the snapshot; its learning app's MAC
+        #: table is plain data and restoring it keeps restored runs
+        #: bitwise-identical to uninterrupted ones).
         self._client_state: Optional[dict] = None
 
     # ------------------------------------------------------------------
@@ -406,9 +393,9 @@ class WireRuntime:
         state: drop them.  A restored runtime re-establishes connections
         lazily on the next run()."""
         state = self.__dict__.copy()
-        if self._client is not None:
+        if self.client_mode == "learning" and self._client is not None:
             state["_client_state"] = {
-                "mac_table": dict(self._client.mac_table)
+                "mac_table": dict(self._client.app.mac_table)
             }
         state["_server"] = None
         state["_client"] = None

@@ -379,3 +379,73 @@ class TestControllerCore:
         a = controller.add_app(L2LearningApp(name="a"))
         b = controller.add_app(L2LearningApp(name="b"))
         assert a.cookie != b.cookie
+
+
+class TestWireClientApps:
+    """The built-in wire client hosts a Controller; its mode picks the
+    app (learning parity is tests/diff/test_wire_differential.py's)."""
+
+    def test_static_routes_app_installs_in_process(self):
+        """StaticRoutesApp is an ordinary app: it runs on the in-proc
+        channel as it does behind the client's sockets."""
+        from repro.wire.client import StaticRoutesApp
+
+        topo = tree(2, 2)
+        s1 = topo.switch("s1")
+        h1 = topo.host("h1")
+        routes = [
+            {"dpid": s1.dpid, "out_port": 1, "eth_dst": str(h1.mac)},
+            {"dpid": s1.dpid, "out_port": 2, "in_port": 1, "priority": 20},
+        ]
+        wire(topo, StaticRoutesApp(routes))
+        entries = list(s1.pipeline.tables[0])
+        assert sorted(e.priority for e in entries) == [10, 20]
+        by_priority = {e.priority: e for e in entries}
+        assert by_priority[10].match.eth_dst == h1.mac
+        assert by_priority[20].match.in_port == 1
+
+    def test_static_mode_over_the_wire(self):
+        """`wire.client: static` delivers along the listed routes, the
+        rules carry the first app's cookie, and no packet-in is raised."""
+        from repro import Horse, HorseConfig
+        from repro.control.app import ControllerApp
+        from repro.net.generators import linear
+
+        topo = linear(2, hosts_per_switch=1)
+        # (switch, destination host, next hop): h1 hangs off s1, h2 off s2.
+        hops = (
+            ("s1", "h1", "h1"), ("s1", "h2", "s2"),
+            ("s2", "h2", "h2"), ("s2", "h1", "s1"),
+        )
+        routes = [
+            {
+                "dpid": topo.switch(switch).dpid,
+                "out_port": topo.egress_port(switch, via).number,
+                "eth_dst": str(topo.host(dst).mac),
+            }
+            for switch, dst, via in hops
+        ]
+        horse = Horse(
+            topo,
+            config=HorseConfig(
+                control="wire",
+                wire={
+                    "client": "static",
+                    "client_routes": routes,
+                    "latency_budget_s": 60.0,
+                },
+            ),
+        )
+        horse.submit_flows([make_flow(topo, "h1", "h2")])
+        try:
+            result = horse.run()
+        finally:
+            horse.shutdown_wire()
+        assert result.delivered_fraction == 1.0
+        assert result.metrics["wire.packet_ins_sent"] == 0
+        cookies = {
+            entry.cookie
+            for switch in topo.switches
+            for entry in switch.pipeline.tables[0]
+        }
+        assert cookies == {ControllerApp.COOKIE_BASE + 1}

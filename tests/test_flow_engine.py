@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import HorseConfig
 from repro.flowsim import FlowLevelEngine, FlowState, Terminal
 from repro.openflow import (
     ApplyActions,
@@ -189,7 +190,7 @@ class TestRoutingOutcomes:
                 Match(), (ApplyActions((Output(out.number),)),)
             )
         sim = Simulator()
-        engine = FlowLevelEngine(sim, topo, max_hops=10)
+        engine = FlowLevelEngine(sim, topo, config=HorseConfig(max_hops=10))
         flow = make_flow(topo, "h1", "h2", demand=1e6, size=1000)
         engine.submit(flow)
         sim.run(until=1.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import HorseConfig
 from repro.flowsim import Flow, FlowState
 from repro.net import Topology
 from repro.openflow import HeaderFields, attach_pipeline
@@ -121,7 +122,9 @@ class TestPacketEngineCorners:
         """Congestion losses are retransmitted: delivered == size."""
         install_path(line2, "h1", "h2")
         sim = Simulator()
-        engine = PacketLevelEngine(sim, line2, queue_capacity_packets=5)
+        engine = PacketLevelEngine(
+            sim, line2, config=HorseConfig(queue_capacity_packets=5)
+        )
         h1, h2 = line2.host("h1"), line2.host("h2")
         flow = Flow(
             headers=tcp_flow(h1.ip, h2.ip, 1000, 80),

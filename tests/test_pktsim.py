@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import HorseConfig
 from repro.flowsim import FlowState
 from repro.openflow import (
     ApplyActions,
@@ -175,7 +176,9 @@ class TestQueueMechanics:
         from repro.openflow import HeaderFields
 
         sim = Simulator()
-        engine = PacketLevelEngine(sim, line2, queue_capacity_packets=2)
+        engine = PacketLevelEngine(
+            sim, line2, config=HorseConfig(queue_capacity_packets=2)
+        )
         uplink = line2.host("h1").uplink_port
         direction = uplink.link.direction_from(uplink)
         queue = engine.queue_for(direction)

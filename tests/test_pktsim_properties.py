@@ -72,7 +72,9 @@ class TestByteConservation:
                 if src != dst:
                     install_ip_path(topo, src, dst)
         sim = Simulator()
-        engine = PacketLevelEngine(sim, topo, queue_capacity_packets=8)
+        engine = PacketLevelEngine(
+            sim, topo, config=HorseConfig(queue_capacity_packets=8)
+        )
         if not _submit_specs(topo, engine, specs):
             return
         sim.run(until=30.0)

@@ -12,8 +12,8 @@ never moves.
 
 import pytest
 
+from repro.core.config import SOLVER_MODES, HorseConfig
 from repro.flowsim import FlowLevelEngine, FlowState
-from repro.flowsim.engine import SOLVER_MODES
 from repro.net.generators import single_switch
 from repro.openflow import attach_pipeline
 from repro.sim import Simulator
@@ -67,7 +67,7 @@ def _churn(mode):
     external-demand changes; the sums are checked after every event."""
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, solver=mode)
+    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
     flows = [
         make_flow(topo, "h1", "h2", demand=8e6, size=1_000_000),
         make_flow(topo, "h3", "h2", demand=8e6, size=500_000, start=0.2, sport=1001),
@@ -122,7 +122,7 @@ def test_clearing_the_last_external_restores_background_load(mode):
     the directions the last one crossed must still lose its share."""
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, solver=mode)
+    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
     flow = make_flow(topo, "h1", "h2", demand=8e6, duration=5.0)
     engine.submit(flow)
     sim.run(until=1.0)
@@ -145,7 +145,7 @@ def test_clearing_the_last_external_restores_background_load(mode):
 def _starved(mode):
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, solver=mode)
+    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
     # The whole h1 -> h2 path is pinned away before the flow arrives.
     engine.set_external_demand("fg", CAPACITY, _path(topo, "h1", "h2"), pinned=True)
     starved = make_flow(topo, "h1", "h2", demand=7e6 / 3, size=1_000_000,

@@ -180,11 +180,16 @@ def test_reset_clears_state():
 
 
 def test_trace_counts_event_types():
-    sim = Simulator(trace=True)
+    from repro.telemetry import TraceBus, summarize_trace
+
+    sim = Simulator()
+    sim.trace_bus = TraceBus(sim)  # no path: records buffer in .events
     sim.call_at(1.0, lambda s: None)
     sim.call_at(2.0, lambda s: None)
     sim.run()
-    assert sim.fired_by_type["CallbackEvent"] == 2
+    fired = [r for r in sim.trace_bus.events if r["kind"] == "kernel.event"]
+    assert [r["event"] for r in fired] == ["CallbackEvent"] * 2
+    assert summarize_trace(fired)["kinds"]["kernel.event"]["count"] == 2
 
 
 def test_nested_scheduling_during_run():

@@ -113,7 +113,6 @@ class TestCollector:
         sim = Simulator()
         engine = FlowLevelEngine(sim, line2)
         collector = RunStatsCollector(line2)
-        collector.attach_flow_engine(engine)
         collector.enable_link_sampling(sim, interval=0.5)
         h1, h2 = line2.host("h1"), line2.host("h2")
         flow = Flow(
@@ -125,6 +124,7 @@ class TestCollector:
         )
         engine.submit(flow)
         sim.run()
+        collector.harvest_flows(engine.flows)
         assert collector.completed == [flow]
         assert collector.fct_summary()["count"] == 1
         assert collector.fairness() == 1.0
@@ -152,3 +152,26 @@ class TestCollector:
         collector.harvest_flows({flow.flow_id: flow})
         collector.harvest_flows({flow.flow_id: flow})  # no duplicates
         assert collector.completed == [flow]
+
+    def test_horse_collects_nothing_per_flow(self):
+        """RunResult is built from engine.flows; the collector Horse
+        owns observes no engine and holds nothing that grows with the
+        number of flows (so neither does a checkpoint, through it)."""
+        from repro import Horse
+        from repro.net.generators import tree
+
+        from workloads import make_flow
+
+        topo = tree(2, 2)
+        horse = Horse(topo, policies={"forwarding": "shortest-path"})
+        assert horse.engine.observers == []
+        horse.submit_flows(
+            make_flow(topo, "h1", "h4", demand=1e6, size=10_000, sport=1000 + i)
+            for i in range(20)
+        )
+        result = horse.run()
+        assert result.row()["completed"] == 20
+        assert horse.engine.observers == []
+        state = dict(vars(horse.collector))
+        assert state.pop("topology") is topo
+        assert state == {"completed": [], "link_utilization": {}}
