@@ -45,7 +45,7 @@ class Simulator:
 
     def __init__(self, queue: Optional[EventQueue] = None) -> None:
         self._queue: EventQueue = queue if queue is not None else HeapEventQueue()
-        self._live_pending = 0  # non-daemon events still queued
+        self._live_pending = 0  # live non-daemon events (see _settle)
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
@@ -135,15 +135,14 @@ class Simulator:
         exceed its compaction threshold, is rebuilt in place (see
         :meth:`repro.sim.queue.HeapEventQueue.compact`).  Returns True
         when this call cancelled the event, False when it was already
-        cancelled.  Prefer this over ``event.cancel()`` for events that
-        are cancelled en masse (rate-change churn); direct
-        ``event.cancel()`` still works but leaves the tombstone
-        unaccounted until it is popped.
+        cancelled.  A direct ``event.cancel()`` works too, but its
+        tombstone stays unaccounted until it leaves the pending set.
         """
         if event.cancelled:
             return False
         event.cancel()
         if event.queued:
+            self._settle(event)
             note = getattr(self._queue, "note_cancel", None)
             if note is not None and note(event):
                 self._compact()
@@ -169,18 +168,19 @@ class Simulator:
             raise SchedulingError(
                 f"cannot reschedule event to t={new_time} before now={self._now}"
             )
-        if event.queued and not event.cancelled:
-            if abs(event.time - new_time) < RESCHEDULE_EPSILON:
-                return event
-            # Kill the queued entry before noting it, so a compaction
-            # the note triggers drops it; the re-stamp below keeps it
-            # dead once the event is revived.  Setting the flag rather
-            # than calling ``cancel`` keeps subclass overrides (a
-            # periodic series' cascading cancellation) out of a retiming.
-            event.cancelled = True
-            note = getattr(self._queue, "note_cancel", None)
-            if note is not None and note(event):
-                self._compact()
+        if event.queued:
+            if not event.cancelled:
+                if abs(event.time - new_time) < RESCHEDULE_EPSILON:
+                    return event
+                # Kill the entry before noting it, so a compaction the
+                # note triggers drops it (the re-stamp below keeps it dead
+                # once revived); the flag, not ``cancel``, keeps a periodic
+                # series' cascading cancellation out of a retiming.
+                event.cancelled = True
+                note = getattr(self._queue, "note_cancel", None)
+                if note is not None and note(event):
+                    self._compact()
+            self._settle(event)
         event.cancelled = False
         event.time = float(new_time)
         self.schedule(event)
@@ -191,15 +191,21 @@ class Simulator:
         queue = self._queue
         bus = self.trace_bus
         if bus is not None:
-            with bus.span(
-                "kernel.compact",
-                raw=len(queue),
-                stale=queue.stale,
-            ):
+            with bus.span("kernel.compact", raw=len(queue), stale=queue.stale):
                 dropped = queue.compact()
         else:
             dropped = queue.compact()
         for event in dropped:
+            if event.cancelled:
+                self._settle(event)
+
+    def _settle(self, event: Event) -> None:
+        """Drop a queued event that will not fire from the live count,
+        once: at cancel or retiming, or, cancelled directly (a periodic
+        series' cascade), when its entry leaves the set.  Dead entries
+        never move the count, so compaction cannot end a run early."""
+        if event.queued:
+            event.queued = False
             if not event.daemon:
                 self._live_pending -= 1
 
@@ -302,8 +308,8 @@ class Simulator:
                 return None
             if not event.cancelled and seq == event.seq:
                 return event
-            if not event.daemon:
-                self._live_pending -= 1
+            if event.cancelled:
+                self._settle(event)
 
     def _fire(self, event: Event) -> None:
         """Fire a live event just taken off the pending set."""

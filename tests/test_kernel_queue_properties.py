@@ -5,7 +5,8 @@ Three invariants back the kernel work:
 1. **The kernel fires what an oracle says** — :class:`Simulator`, on
    either queue class, driven by random programs of schedule, cancel,
    reschedule (of queued, fired and cancelled events), periodic series,
-   ``step`` and ``run(until)``, fires events in the order of ``sorted()``
+   ``step``, ``run(until)`` and open-ended ``run()`` (which stops once
+   only daemon series are live), fires events in the order of ``sorted()``
    over the live ``(time, priority, seq)`` keys of a model that knows
    nothing of heaps, entries or compaction, and reports the model's
    ``pending``, ``pending_raw`` and ``fired_count`` after every step.
@@ -64,10 +65,13 @@ class _Oracle:
     def cancel(self, item):
         self.keys.pop(item, None)
 
-    def fire_next(self, until=None):
-        """Fire the smallest live key (not past ``until``); False if none."""
+    def fire_next(self, until=None, open_ended=False):
+        """Fire the smallest live key (not past ``until``); False if none.
+        ``open_ended`` also stops once only series (daemons) are live."""
         live = sorted((key, item) for item, key in self.keys.items())
         if not live or (until is not None and live[0][0][0] > until):
+            return False
+        if open_ended and all(item in self.series for item in self.keys):
             return False
         (time, priority, _), item = live[0]
         del self.keys[item]
@@ -86,6 +90,7 @@ _OPS = ["schedule"] * 3 + ["cancel"] * 2 + ["reschedule"] * 3 + [
     "periodic",
     "step",
     "run",
+    "drain",
 ]
 _PROGRAM = st.lists(
     st.tuples(
@@ -112,6 +117,19 @@ _PROGRAM = st.lists(
     # A compaction after a retiming must drop the superseded entry too.
     program=[("schedule", 1.0, 0, 0)] * 4
     + [("reschedule", 2.0, 0, 0), ("cancel", 0.0, 1, 0)],
+    threshold=0.25,
+)
+@example(
+    # A cancelled event's dead entry must not keep a daemon series
+    # ticking through an open-ended run, compacted away or not.
+    program=[("periodic", 0.0, 0, 0), ("schedule", 2.0, 0, 0),
+             ("cancel", 0.0, 1, 0), ("drain", 0.0, 0, 0)],
+    threshold=None,
+)
+@example(
+    program=[("periodic", 0.0, 0, 0), ("schedule", 2.0, 0, 0),
+             ("schedule", 1.0, 0, 0), ("reschedule", 0.5, 1, 0),
+             ("drain", 0.0, 0, 0)],
     threshold=0.25,
 )
 def test_property_kernel_matches_sorted_oracle(program, threshold):
@@ -190,6 +208,11 @@ def test_property_kernel_matches_sorted_oracle(program, threshold):
             while oracle.fire_next(until=now + dt):
                 pass
             now += dt  # run(until) leaves the clock at the horizon
+        elif op == "drain":
+            for sim in sims:
+                sim.run()
+            while oracle.fire_next(open_ended=True):
+                now = oracle.fired[-1][1]
 
         assert heap.now == listed.now == now
         assert logs[0] == logs[1] == oracle.fired

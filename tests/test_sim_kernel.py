@@ -148,6 +148,29 @@ def test_daemon_events_do_not_keep_run_alive():
     assert sim.now == 2.5
 
 
+@pytest.mark.parametrize("queue_cls", [HeapEventQueue, SortedListEventQueue])
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("op", ["cancel", "reschedule"])
+def test_dead_event_does_not_keep_daemons_alive(op, compact, queue_cls):
+    """An open-ended run ends at the last live non-daemon event, however
+    long a cancelled or retimed event's dead entry stays queued."""
+    sim = Simulator(queue=queue_cls())
+    hits = []
+    sim.every(1.0, lambda s, t: hits.append(t))
+    sim.call_at(2.5, lambda s: None)
+    late = sim.call_at(100.0, lambda s: None)
+    if op == "cancel":
+        sim.cancel(late)
+    else:
+        sim.reschedule(late, 2.0)
+    if compact and queue_cls is HeapEventQueue:
+        sim._compact()
+    fired = sim.run()
+    assert sim.now == 2.5
+    assert hits == [1.0, 2.0]
+    assert fired == (3 if op == "cancel" else 4)
+
+
 def test_periodic_stop_via_stopiteration():
     sim = Simulator()
     hits = []
