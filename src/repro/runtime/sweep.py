@@ -230,10 +230,13 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
 # ----------------------------------------------------------------------
 # Manifest + execution
 # ----------------------------------------------------------------------
-def _write_json(path: str, doc: dict) -> None:
+def _write_json(path: str, doc: dict, sort_keys: bool = False) -> None:
+    """Atomic write.  Only the report sorts its keys: the manifest keeps
+    insertion order, which is the grid's axis order, and so the job
+    index order a resume re-expands."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
+        json.dump(doc, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
     os.replace(tmp, path)
 
@@ -320,7 +323,7 @@ def resume_sweep(
     ]
     if not pending:
         report = aggregate_report(out_dir)
-        _write_json(os.path.join(out_dir, "report.json"), report)
+        _write_json(os.path.join(out_dir, "report.json"), report, sort_keys=True)
         return report
     return _execute(spec, jobs, pending, out_dir, manifest,
                     workers=workers, on_event=on_event)
@@ -399,7 +402,7 @@ def _execute(
     _write_json(_manifest_path(out_dir), manifest)
 
     report = aggregate_report(out_dir)
-    _write_json(os.path.join(out_dir, "report.json"), report)
+    _write_json(os.path.join(out_dir, "report.json"), report, sort_keys=True)
     return report
 
 

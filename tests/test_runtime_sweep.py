@@ -33,7 +33,9 @@ def make_spec(**runtime):
     doc = {
         "name": "unit",
         "base": BASE_SCENARIO,
-        "grid": {"solver": ["incremental", "full"], "topology.hosts": [4, 5]},
+        # Axes out of alphabetical order: a resume must re-expand the
+        # jobs in the spec's order, not in the manifest file's key order.
+        "grid": {"traffic.total": ["50 Mbps", "80 Mbps"], "topology.hosts": [4, 5]},
         "runtime": dict(
             {"seed": 9, "retries": 2, "backoff_s": 0.01, "timeout_s": 120},
             **runtime,
@@ -68,13 +70,13 @@ class TestExpansion:
         jobs = expand_jobs(make_spec())
         assert [job.index for job in jobs] == [0, 1, 2, 3]
         assert [job.params for job in jobs] == [
-            {"solver": "incremental", "topology.hosts": 4},
-            {"solver": "incremental", "topology.hosts": 5},
-            {"solver": "full", "topology.hosts": 4},
-            {"solver": "full", "topology.hosts": 5},
+            {"traffic.total": "50 Mbps", "topology.hosts": 4},
+            {"traffic.total": "50 Mbps", "topology.hosts": 5},
+            {"traffic.total": "80 Mbps", "topology.hosts": 4},
+            {"traffic.total": "80 Mbps", "topology.hosts": 5},
         ]
         assert jobs[1].scenario["topology"]["hosts"] == 5
-        assert jobs[2].scenario["solver"] == "full"
+        assert jobs[2].scenario["traffic"]["total"] == "80 Mbps"
 
     def test_per_job_seeds_are_spawned_from_sweep_seed(self):
         jobs = expand_jobs(make_spec())
@@ -243,9 +245,7 @@ class TestSweepExecution:
         assert [e["status"] for e in manifest["jobs"]] == ["done"] * 4
         assert report["summary"]["failed"] == []
         for entry in report["results"]:
-            assert entry["result"]["engine_stats"]["solver_mode"] in (
-                "incremental", "full",
-            )
+            assert entry["result"]["engine_stats"]["engine"] == "flow"
 
     def test_resume_reruns_only_unfinished_jobs(self, tmp_path):
         out = str(tmp_path / "sweep")
