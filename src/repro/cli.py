@@ -528,22 +528,22 @@ def cmd_migrate_scenario(args: argparse.Namespace) -> int:
     """Rewrite a legacy (v0) scenario document to schema v1."""
     with open(args.scenario) as handle:
         doc = json.load(handle)
-    if "grid" in doc and "base" in doc:
-        # A sweep spec: the scenario lives under "base"; the top-level
-        # "runtime" section is the pool's (retries/backoff/workers).
-        migrated = dict(doc)
-        migrated["base"], notes = migrate_scenario(doc["base"])
-        validate_scenario(migrated["base"])
-        notes = [f"base.{note}" for note in notes]
-    else:
-        migrated, notes = migrate_scenario(doc)
-        validate_scenario(migrated)
+    # A sweep spec: the scenario lives under "base"; the top-level
+    # "runtime" section is the pool's (retries/backoff/workers).
+    prefix = "base." if "grid" in doc and "base" in doc else ""
+    scenario = doc["base"] if prefix else doc
+    migrated, moves = migrate_scenario(scenario)
+    validate_scenario(migrated)
+    if prefix:
+        migrated = {**doc, "base": migrated}
     text = json.dumps(migrated, indent=2) + "\n"
-    for note in notes:
-        print(f"  {note}", file=sys.stderr)
-    if not notes:
+    for old, section, field in moves:
+        print(f"  {prefix}{old} -> {section}.{field}", file=sys.stderr)
+    if scenario.get("schema_version", 0) == SCHEMA_VERSION:
         print(f"{args.scenario}: already at schema v{SCHEMA_VERSION}",
               file=sys.stderr)
+    else:
+        print(f"  {prefix}schema_version -> {SCHEMA_VERSION}", file=sys.stderr)
     if args.in_place:
         with open(args.scenario, "w") as handle:
             handle.write(text)

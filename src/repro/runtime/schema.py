@@ -145,11 +145,12 @@ def scenario_version(doc: dict) -> int:
     return version
 
 
-def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
-    """A v1 copy of ``doc``, plus a list of ``old -> new`` move notes.
+def migrate_scenario(doc: dict) -> Tuple[dict, List[Tuple[str, str, str]]]:
+    """A v1 copy of ``doc``, plus the ``(old key, section, field)``
+    moves it made (``runtime.``-prefixed for the v0 runtime section).
 
-    v1 documents come back unchanged (and an empty note list).  The
-    input is never mutated.
+    v1 documents come back unchanged (and no moves).  The input is
+    never mutated.
     """
     version = scenario_version(doc)
     if version > SCHEMA_VERSION:
@@ -160,7 +161,7 @@ def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
     out = copy.deepcopy(doc)
     if version == SCHEMA_VERSION:
         return out, []
-    notes: List[str] = []
+    moves: List[Tuple[str, str, str]] = []
 
     def move(value, section: str, field: str, old: str) -> None:
         target = out.setdefault(section, {})
@@ -170,7 +171,7 @@ def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
             )
         # An explicit v1-style value wins over the legacy flat key.
         target.setdefault(field, value)
-        notes.append(f"{old} -> {section}.{field}")
+        moves.append((old, section, field))
 
     for old, (section, field) in V0_TOP_KEYS.items():
         if old in out:
@@ -187,8 +188,7 @@ def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
         unknown = ", ".join(sorted(runtime))
         raise ExperimentError(f"runtime: unknown key(s): {unknown}")
     out["schema_version"] = SCHEMA_VERSION
-    notes.append(f"schema_version -> {SCHEMA_VERSION}")
-    return out, notes
+    return out, moves
 
 
 def ensure_v1(doc: dict, warn: bool = True) -> dict:
@@ -200,14 +200,10 @@ def ensure_v1(doc: dict, warn: bool = True) -> dict:
     once-per-process :class:`DeprecationWarning` naming its new home.
     """
     if scenario_version(doc) != SCHEMA_VERSION:
-        doc, notes = migrate_scenario(doc)
+        doc, moves = migrate_scenario(doc)
         if warn:
-            for note in notes:
-                old, _, new = note.partition(" -> ")
-                if old == "schema_version":
-                    continue
-                section, _, field = new.partition(".")
-                _warn_scenario_key(old, section, field)
+            for move in moves:
+                _warn_scenario_key(*move)
     if not isinstance(doc.get("shards", {}), dict):
         doc = {**doc, "shards": shard_section(doc)}
     return doc

@@ -59,18 +59,21 @@ def v0_doc(**extra) -> dict:
 # Migration
 # ----------------------------------------------------------------------
 def test_v0_top_keys_move_into_sections():
-    doc, notes = migrate_scenario(
+    doc, moves = migrate_scenario(
         v0_doc(hybrid_select="top:2", monitor_interval_s=1.0)
     )
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["hybrid"]["select"] == "top:2"
     assert doc["telemetry"]["monitor_interval_s"] == 1.0
     assert "hybrid_select" not in doc
-    assert any("schema_version" in note for note in notes)
+    assert moves == [
+        ("hybrid_select", "hybrid", "select"),
+        ("monitor_interval_s", "telemetry", "monitor_interval_s"),
+    ]
 
 
 def test_v0_runtime_section_moves_and_dissolves():
-    doc, _notes = migrate_scenario(
+    doc, _moves = migrate_scenario(
         v0_doc(
             runtime={
                 "trace_path": "run.jsonl",
@@ -301,7 +304,7 @@ def test_migration_round_trip_lossless(top, runtime):
         doc["runtime"] = dict(runtime)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
-        migrated, _notes = migrate_scenario(doc)
+        migrated, _moves = migrate_scenario(doc)
         validate_scenario(migrated)
         again, _ = migrate_scenario(migrated)
     assert again == migrated
