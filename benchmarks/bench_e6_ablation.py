@@ -3,7 +3,8 @@
 (a) Pending-event set: binary heap vs naive sorted list, on the push/pop
     mix a flow-churn workload produces.  Expected shape: the heap wins
     and the gap widens with queue size (O(log n) vs O(n) insert).
-(b) Max-min re-solve: full solve vs incremental connected-component
+(b) Max-min re-solve: full solve (the test-side reference,
+    ``tests/diff/reference.py``) vs the incremental connected-component
     solve, on spatially clustered traffic (disjoint clusters).  Expected
     shape: identical allocations (asserted), with the incremental solver
     touching only the changed cluster (scope << total flows).
@@ -14,13 +15,14 @@ import time
 
 import pytest
 
-from repro.core.config import HorseConfig
 from repro.flowsim import Flow, FlowLevelEngine
 from repro.net.generators import single_switch
 from repro.net.topology import Topology
 from repro.openflow import ApplyActions, Match, Output, attach_pipeline
 from repro.openflow.headers import tcp_flow
 from repro.sim import Event, HeapEventQueue, Simulator, SortedListEventQueue
+
+from tests.diff.reference import solve_from_scratch
 
 from .harness import record, rows, write_table
 
@@ -123,8 +125,9 @@ def _run_solver(incremental: bool):
     _install_star_rules(topo, groups)
     flows = _cluster_flows(topo, groups)
     sim = Simulator()
-    config = HorseConfig(solver="incremental" if incremental else "full")
-    engine = FlowLevelEngine(sim, topo, config=config)
+    engine = FlowLevelEngine(sim, topo)
+    if not incremental:
+        solve_from_scratch(engine)
     engine.submit_all(flows)
     start = time.perf_counter()
     sim.run(until=120.0)

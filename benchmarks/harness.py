@@ -119,18 +119,21 @@ def run_engine(
     engine: str,
     policies: Optional[dict] = None,
     until: Optional[float] = None,
-    solver: Optional[str] = None,
+    from_scratch: bool = False,
     config_overrides: Optional[dict] = None,
 ) -> RunResult:
-    """Run one engine over a prepared workload and return the result."""
+    """Run one engine over a prepared workload and return the result.
+    ``from_scratch`` puts the flow engine on the test-side reference
+    that re-solves every component at every event."""
     topology = getattr(fabric_or_topo, "topology", fabric_or_topo)
     if policies is None:
         policies = {"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}}
-    overrides = dict(config_overrides or {})
-    if solver is not None:
-        overrides["solver"] = solver
-    config = HorseConfig(engine=engine, **overrides)
+    config = HorseConfig(engine=engine, **(config_overrides or {}))
     horse = Horse(topology, policies=policies, config=config)
+    if from_scratch:
+        from tests.diff.reference import solve_from_scratch
+
+        solve_from_scratch(horse.engine)
     horse.submit_flows(flows)
     return horse.run(until=until)
 
@@ -197,11 +200,13 @@ def timed_solver_run(
     topo: Topology, flows: List[Flow], solver: str, until: float
 ) -> Tuple[float, List[float]]:
     """Run the flow engine over a prepared (rules-installed) workload
-    and return (wall seconds, final per-flow rate vector in flow order)."""
+    and return (wall seconds, final per-flow rate vector in flow order).
+    ``solver`` is ``"incremental"`` (the engine as shipped) or ``"full"``
+    (the from-scratch reference)."""
     ordered = sorted(flows, key=lambda f: f.flow_id)
     start = time.perf_counter()
     run_engine(topo, flows, engine="flow", policies={}, until=until,
-               solver=solver)
+               from_scratch=solver == "full")
     wall = time.perf_counter() - start
     return wall, [f.rate_bps for f in ordered]
 

@@ -28,7 +28,6 @@ from .core.config import (
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
-    KernelConfig,
     ShardConfig,
     TelemetryConfig,
     WireConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "TelemetryConfig",
     "CheckpointConfig",
     "ShardConfig",
-    "KernelConfig",
     # Scenario documents
     "SCHEMA_VERSION",
     "Scenario",

@@ -35,10 +35,9 @@ import argparse
 import json
 import sys
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Horse
-from .core.config import SOLVER_MODES
 from .errors import ExperimentError, HorseError
 from .net.io import load_topology, save_topology
 from .runtime.scenario import (
@@ -60,8 +59,7 @@ from .stats.export import flows_to_csv, result_to_json, run_digest, summary_text
 
 class Override(NamedTuple):
     """A flag that edits the scenario document: ``--flag VALUE`` applies
-    the constant edits in ``implies``, then sets ``path`` to ``VALUE``
-    (through ``convert``, when given)."""
+    the constant edits in ``implies``, then sets ``path`` to ``VALUE``."""
 
     flag: str
     path: str
@@ -69,7 +67,6 @@ class Override(NamedTuple):
     help: str
     metavar: Optional[str] = None
     implies: Tuple[Tuple[str, object], ...] = ()
-    convert: Optional[Callable] = None
     required: bool = False
 
     @property
@@ -77,15 +74,12 @@ class Override(NamedTuple):
         return self.flag.lstrip("-").replace("-", "_")
 
 
-_SOLVER = Override("--solver", "solver", SOLVER_MODES,
-                   "flow-engine rate solver (overrides the scenario)")
 _UNTIL = Override("--until", "until", float,
                   "stop at this simulated time (seconds)")
 
 #: Subcommand -> its document-editing flags, in the order they apply.
 OVERRIDES: Dict[str, Tuple[Override, ...]] = {
     "run": (
-        _SOLVER,
         _UNTIL,
         Override("--checkpoint", "checkpoint.path", str,
                  "checkpoint the simulation state here (at the end, or "
@@ -108,11 +102,6 @@ OVERRIDES: Dict[str, Tuple[Override, ...]] = {
         Override("--shard-quantum", "shards.quantum_s", float,
                  "shard synchronization quantum (default: derived from the "
                  "minimum cross-shard link latency)", "SECONDS"),
-        Override("--kernel-compaction-threshold",
-                 "kernel.compaction_threshold", float,
-                 "stale fraction of the event heap that triggers compaction "
-                 "(0 or negative disables compaction)", "FRACTION",
-                 convert=lambda value: value if value > 0 else None),
         Override("--control", "control", ("inproc", "wire"),
                  "control-plane transport (overrides the scenario)"),
         Override("--wire-client", "wire.client", ("learning", "static"),
@@ -138,7 +127,6 @@ OVERRIDES: Dict[str, Tuple[Override, ...]] = {
     "trace record": (
         Override("--out", "telemetry.trace_path", str,
                  "JSONL trace output path", required=True),
-        _SOLVER,
         _UNTIL,
     ),
 }
@@ -172,7 +160,7 @@ def override_edits(
         value = getattr(args, row.dest)
         if value is not None:
             edits.extend(row.implies)
-            edits.append((row.path, row.convert(value) if row.convert else value))
+            edits.append((row.path, value))
     return edits
 
 

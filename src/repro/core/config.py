@@ -2,8 +2,7 @@
 
 :class:`HorseConfig` groups the run knobs into nested sections —
 :class:`HybridConfig`, :class:`WireConfig`, :class:`TelemetryConfig`,
-:class:`CheckpointConfig`, :class:`ShardConfig`, and
-:class:`KernelConfig`::
+:class:`CheckpointConfig`, and :class:`ShardConfig`::
 
     HorseConfig(engine="hybrid",
                 hybrid=HybridConfig(select="top:4"),
@@ -144,27 +143,6 @@ class CheckpointConfig:
 
 
 @dataclass
-class KernelConfig:
-    """Event-kernel knobs: stale-tombstone compaction of the pending
-    event heap (see :mod:`repro.sim.queue`).
-
-    Attributes
-    ----------
-    compaction_threshold:
-        Stale (cancelled-tombstone) fraction of the raw heap above
-        which the kernel rebuilds the pending set without tombstones.
-        The default 0.5 bounds the heap at ~2x the live events under
-        cancellation churn; None disables compaction (pure lazy
-        deletion, the pre-E14 behavior).
-    min_compact_size:
-        Raw heap size below which compaction never triggers.
-    """
-
-    compaction_threshold: Optional[float] = 0.5
-    min_compact_size: int = 64
-
-
-@dataclass
 class ShardConfig:
     """Sharded parallel-runtime knobs (see :mod:`repro.shard`).
 
@@ -197,9 +175,6 @@ class ShardConfig:
     checkpoint_dir: Optional[str] = None
 
 
-#: Valid values of ``HorseConfig.solver``.
-SOLVER_MODES = ("incremental", "full")
-
 #: Section attribute name -> its dataclass type.
 SECTION_TYPES = {
     "hybrid": HybridConfig,
@@ -207,7 +182,6 @@ SECTION_TYPES = {
     "telemetry": TelemetryConfig,
     "checkpoint": CheckpointConfig,
     "shard": ShardConfig,
-    "kernel": KernelConfig,
 }
 
 
@@ -252,14 +226,6 @@ class HorseConfig:
     control_latency_s:
         One-way control channel delay; 0 means the poster's synchronous
         abstraction.
-    solver:
-        Flow engine only: rate-solver strategy.  ``"incremental"``
-        (default) re-solves only the link-sharing components an event
-        touched; ``"full"`` re-solves everything through the same
-        kernel (reference mode, bitwise-identical rates).
-    route_cache:
-        Flow engine only: reuse pipeline walks across flows whose
-        headers are equivalent under the installed rules.
     mtu_bytes / queue_capacity_packets:
         Packet engine parameters.
     pipeline_tables:
@@ -275,19 +241,17 @@ class HorseConfig:
         ``control_latency_s == 0`` — latency comes from the wall clock
         through the time gate — and is incompatible with in-process
         policies/controllers.
-    hybrid / wire / telemetry / checkpoint / shard / kernel:
+    hybrid / wire / telemetry / checkpoint / shard:
         Nested sections; see :class:`HybridConfig`,
         :class:`WireConfig`, :class:`TelemetryConfig`,
-        :class:`CheckpointConfig`, :class:`ShardConfig`,
-        :class:`KernelConfig`.  Each accepts an instance, a plain
-        dict, or None (the section's defaults).
+        :class:`CheckpointConfig` and :class:`ShardConfig`.  Each
+        accepts an instance, a plain dict, or None (the section's
+        defaults).
     """
 
     engine: str = "flow"
     seed: int = 0
     control_latency_s: float = 0.0
-    solver: str = "incremental"
-    route_cache: bool = True
     mtu_bytes: int = 1500
     queue_capacity_packets: int = 100
     pipeline_tables: int = 1
@@ -301,7 +265,6 @@ class HorseConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     shard: ShardConfig = field(default_factory=ShardConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self) -> None:
         for section in SECTION_TYPES:
@@ -322,10 +285,6 @@ class HorseConfig:
         if self.engine not in ("flow", "packet", "hybrid"):
             raise ExperimentError(
                 f"engine must be 'flow', 'packet', or 'hybrid', got {self.engine!r}"
-            )
-        if self.solver not in SOLVER_MODES:
-            raise ExperimentError(
-                f"solver must be 'incremental' or 'full', got {self.solver!r}"
             )
         if self.hybrid.sync_interval_s <= 0:
             raise ExperimentError("hybrid.sync_interval_s must be > 0")
@@ -381,19 +340,6 @@ class HorseConfig:
                 raise ExperimentError(
                     "checkpoint.interval_s needs a checkpoint.path"
                 )
-        kern = self.kernel
-        if kern.compaction_threshold is not None and not (
-            0.0 < kern.compaction_threshold <= 1.0
-        ):
-            raise ExperimentError(
-                "kernel.compaction_threshold must be in (0, 1] or None, "
-                f"got {kern.compaction_threshold!r}"
-            )
-        if kern.min_compact_size < 0:
-            raise ExperimentError(
-                "kernel.min_compact_size must be >= 0, "
-                f"got {kern.min_compact_size!r}"
-            )
         sh = self.shard
         if sh.count < 1:
             raise ExperimentError(f"shard.count must be >= 1, got {sh.count}")

@@ -32,7 +32,6 @@ from ..pktsim.engine import PacketLevelEngine
 from ..sim.engine import Engine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
-from ..sim.queue import HeapEventQueue
 from ..sim.rng import RngRegistry
 from ..stats.collector import RunStatsCollector
 from ..telemetry import Telemetry
@@ -84,13 +83,7 @@ class Horse:
         # it below re-checks a field.
         self.config.validate()
         self.rngs = RngRegistry(self.config.seed)
-        kcfg = self.config.kernel
-        self.sim = Simulator(
-            queue=HeapEventQueue(
-                compaction_threshold=kcfg.compaction_threshold,
-                min_compact_size=kcfg.min_compact_size,
-            )
-        )
+        self.sim = Simulator()
         self.compiled: Optional[CompiledPolicy] = None
 
         if policies is not None and controller is not None:

@@ -24,13 +24,12 @@ closing the control loop the poster's architecture shows.
 Two hot-path accelerators keep per-event cost proportional to what the
 event touched rather than to the whole network:
 
-* **Incremental re-solving** (default).  The engine feeds flow/link
-  updates into a persistent :class:`~repro.flowsim.fairshare
+* **Incremental re-solving.**  The engine feeds flow/link updates
+  into a persistent :class:`~repro.flowsim.fairshare
   .IncrementalSolver`, which keeps the exact link-sharing components
   and re-runs the max-min kernel only on components an event touched.
-  ``solver="full"`` re-partitions and re-solves everything through the
-  *same* kernel, so both modes produce bitwise-identical rate vectors
-  (asserted by ``tests/diff``).
+  ``tests/diff`` pins the rates bitwise against re-solving everything
+  from scratch through the *same* kernel.
 * **Route caching.**  Flows whose headers are equivalent under the
   installed rules (same projection onto every matched field) reuse a
   cached pipeline walk.  Cache entries record the version of every
@@ -98,14 +97,8 @@ class FlowLevelEngine(Engine):
         The run's :class:`~repro.core.config.HorseConfig` (None means
         ``HorseConfig()``).  The engine reads ``max_hops`` (per-branch
         hop guard against forwarding loops), ``mean_packet_bytes``
-        (fluid-to-packet conversion factor for packet counters),
-        ``solver`` (``"incremental"`` re-solves only the link-sharing
-        components an event touched; ``"full"`` re-partitions and
-        re-solves every component through the same kernel: reference
-        mode, bitwise-identical rates, no reuse) and ``route_cache``
-        (reuse pipeline walks across flows whose headers are equivalent
-        under the installed rules; invalidated by table versions and
-        link state changes).  It checks none of them:
+        and ``mean_packet_bytes`` (fluid-to-packet conversion factor
+        for packet counters).  It checks neither:
         ``HorseConfig.validate`` has.
     """
 
@@ -122,15 +115,12 @@ class FlowLevelEngine(Engine):
         config = config or HorseConfig()
         self.max_hops = config.max_hops
         self.mean_packet_bytes = config.mean_packet_bytes
-        self.solver_mode = config.solver
         self.active: Dict[int, Flow] = {}
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()
         # Routing cache: header-class key -> (route, pipeline version
-        # deps, link epoch).  None when disabled.
-        self._route_cache: Optional[Dict[Tuple, Tuple[FlowRoute, Tuple, int]]] = (
-            {} if config.route_cache else None
-        )
+        # deps, link epoch).
+        self._route_cache: Dict[Tuple, Tuple[FlowRoute, Tuple, int]] = {}
         self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules
         # reference, memoised on the global pipeline version sum.
@@ -326,8 +316,6 @@ class FlowLevelEngine(Engine):
 
     def _diagnostics(self) -> dict:
         return {
-            "solver_mode": self.solver_mode,
-            "route_cache_enabled": self._route_cache is not None,
             "route_cache_hits": self.stats["route_cache_hits"],
             "route_cache_misses": self.stats["route_cache_misses"],
             "rate_solves": self.stats["rate_solves"],
@@ -516,7 +504,7 @@ class FlowLevelEngine(Engine):
         self._accrue_flow(flow, self.sim.now)
         route: Optional[FlowRoute] = None
         cache_key: Optional[Tuple] = None
-        if self._route_cache is not None and not self._flow_hinted(flow):
+        if not self._flow_hinted(flow):
             cache_key = self._route_cache_key(flow)
             route = self._route_cache_lookup(cache_key)
         if route is None:
@@ -618,7 +606,6 @@ class FlowLevelEngine(Engine):
 
     def _route_cache_lookup(self, key: Tuple) -> Optional[FlowRoute]:
         cache = self._route_cache
-        assert cache is not None
         entry = cache.get(key)
         if entry is not None:
             route, deps, epoch = entry
@@ -650,7 +637,6 @@ class FlowLevelEngine(Engine):
             if pipeline is None or pipeline.version != version:
                 return
         cache = self._route_cache
-        assert cache is not None
         if len(cache) >= _ROUTE_CACHE_MAX:
             cache.clear()
         cache[key] = (
@@ -858,19 +844,13 @@ class FlowLevelEngine(Engine):
     def _recompute_indexed(self, now: float) -> None:
         """Re-solve through the persistent component index.
 
-        ``solver="incremental"`` re-runs the kernel only on components
-        an event touched; ``solver="full"`` re-runs it on every
-        component.  Either way the kernel sees each component's flows in
-        the same (insertion) order, so the rate vectors are bitwise
-        identical — incremental mode just skips the redundant work — and
-        either way the solver answers by difference: the load of every
-        link it touched, and the rates that moved.  Only those are
-        applied, so an event costs what it changes.
+        The kernel re-runs only on components an event touched, and
+        answers by difference: the load of every link it touched, and
+        the rates that moved.  Only those are applied, so an event costs
+        what it changes.
         """
         solver = self._solver
-        moved = solver.resolve(
-            self._dir_caps, full=self.solver_mode == "full"
-        )
+        moved = solver.resolve(self._dir_caps)
         touched = solver.last_touched_links
         load_of = solver.last_loads.get
         dir_list = self._dir_list

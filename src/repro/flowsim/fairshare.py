@@ -916,7 +916,6 @@ class IncrementalSolver:
             live = len(self._components())
             self.trace_bus.emit(
                 "solver.resolve",
-                full=full,
                 components_solved=len(components),
                 components_cached=max(0, live - len(components)),
                 flows=scope,

@@ -15,8 +15,6 @@ migrated on load with deprecation warnings)::
     {
       "schema_version": 1,
       "engine": "flow" | "packet" | "hybrid",
-      "solver": "incremental" | "full",              # flow engine only
-      "route_cache": true,                           # flow engine only
       "seed": 0,
       "until": 60.0,
       "topology": {"kind": "fat-tree", "k": 4} | ... | {"file": "topo.json"},
@@ -38,8 +36,7 @@ migrated on load with deprecation warnings)::
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
       "shards":   4 | {"count": 4, "quantum_s": null,
                        "partition": "greedy" | [[...], ...],
-                       "checkpoint_dir": null},
-      "kernel":   {"compaction_threshold": 0.5, "min_compact_size": 64}
+                       "checkpoint_dir": null}
     }
 
 Every other scalar :class:`~repro.core.config.HorseConfig` field

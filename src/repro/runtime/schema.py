@@ -7,15 +7,14 @@ and range rules are :meth:`HorseConfig.validate`'s)::
 
     {
       "schema_version": 1,
-      "engine": "flow", "solver": "incremental", "seed": 0,
+      "engine": "flow", "seed": 0,
       "until": 60.0, "control": "inproc",
       "topology": {...}, "policies": {...}, "traffic": {...},
       "hybrid":    {"select": "top:4", "sync_interval_s": 0.05},
       "wire":      {"client": "learning", "listen": "127.0.0.1:0", ...},
       "telemetry": {"monitor_interval_s": 0.5, "trace_path": ..., ...},
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
-      "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"},
-      "kernel":    {"compaction_threshold": 0.5, "min_compact_size": 64}
+      "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"}
     }
 
 ``"shards"`` also accepts a bare integer (``"shards": 4``), which

@@ -7,7 +7,7 @@ CLI's override flags edit), and runtime knobs::
     {
       "name": "solver-scale",
       "base": { ...scenario... },          # or "base_file": "pod.json"
-      "grid": {"solver": ["incremental", "full"],
+      "grid": {"traffic.total": ["500 Mbps", "1 Gbps"],
                "topology.k": [4, 6]},
       "runtime": {"seed": 7, "workers": 2, "timeout_s": 120,
                   "retries": 2, "backoff_s": 0.5,

@@ -1,14 +1,22 @@
-"""Test-side oracle: the textbook progressive-filling loop.
+"""Test-side oracles: the textbook progressive-filling loop, and the
+flow engine's two reference paths.
 
-This is the scalar kernel ``repro.flowsim.fairshare`` shipped until the
-vectorised :func:`~repro.flowsim.fairshare.solve_arrays` became the only
-one, moved here verbatim.  It freezes one demand level per iteration
-where the product kernel caps demands in bulk, so the two round
-differently: on heterogeneous demands they agree to a few ulp (1.3e-15
-relative measured over the benchmark workloads), not bitwise.  The
-differential tests compare at ``rel=1e-9``.
+:func:`solve_scalar` is the scalar kernel ``repro.flowsim.fairshare``
+shipped until the vectorised :func:`~repro.flowsim.fairshare.solve_arrays`
+became the only one, moved here verbatim.  It freezes one demand level
+per iteration where the product kernel caps demands in bulk, so the two
+round differently: on heterogeneous demands they agree to a few ulp
+(1.3e-15 relative measured over the benchmark workloads), not bitwise.
+The differential tests compare at ``rel=1e-9``.
+
+:func:`solve_from_scratch` and :func:`without_route_cache` turn a built
+flow engine into a reference run: every event re-solves every component
+from scratch, or every flow walks the pipelines.  Neither is a mode of
+the product; the differential suites and the E2 / E6b benchmarks pin
+the production path bitwise against them.
 """
 
+import functools
 from typing import Dict, Hashable, List, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +32,22 @@ def solve_scalar(
     right; a from-scratch partition is one more thing the product code
     is checked against rather than trusted for."""
     return solve_component_scalar(list(flows), capacities)
+
+
+def solve_from_scratch(engine):
+    """Make a built flow engine re-solve every component from scratch at
+    every event (``IncrementalSolver.resolve(..., full=True)``): fresh
+    partition, fresh columns, the same kernel.  Returns ``engine``."""
+    solver = engine._solver
+    solver.resolve = functools.partial(type(solver).resolve, solver, full=True)
+    return engine
+
+
+def without_route_cache(engine):
+    """Make every route-cache lookup of a built flow engine miss, so each
+    flow walks the pipelines itself.  Returns ``engine``."""
+    engine._route_cache_lookup = lambda key: None
+    return engine
 
 
 def as_arrays(flows, capacities):

@@ -1,12 +1,13 @@
-"""Differential tests at the engine level: ``solver="incremental"`` vs
-``solver="full"``.
+"""Differential tests at the engine level: the incremental re-solve vs
+re-solving everything from scratch (:func:`.reference.solve_from_scratch`),
+and the route cache vs a walk per flow (:func:`.reference.without_route_cache`).
 
 The solver-level suite proves the index math is exact; this one proves
 the *engine integration* is — demand caching, per-direction allocated
-totals, link flips, and the routing cache must not make the default hot
-path drift from the reference mode.  Every scenario is run under both
-modes and the complete per-flow dynamics fingerprint must match exactly
-(bitwise rates, identical completion times and byte counts).
+totals, link flips, and the routing cache must not make the production
+path drift from the reference.  Every scenario is run both ways and the
+complete per-flow dynamics fingerprint must match exactly (bitwise
+rates, identical completion times and byte counts).
 """
 
 import random
@@ -18,6 +19,8 @@ from repro.net.generators import fat_tree
 from repro.openflow.headers import tcp_flow
 from repro.sim.rng import RngRegistry
 from repro.traffic import FlowGenConfig, IxpTraceSynthesizer
+
+from .reference import solve_from_scratch, without_route_cache
 
 
 def _fingerprint(flows, result, engine_stats):
@@ -39,14 +42,14 @@ def _fingerprint(flows, result, engine_stats):
         "stats": {
             k: v
             for k, v in engine_stats.items()
-            # Cache hit/miss split may legitimately differ between runs
-            # only if cache config differed; keep them to catch drift.
+            # The cache hit/miss split differs only against the
+            # cacheless reference; keep it to catch drift.
             if k != "time_advanced_s"
         },
     }
 
 
-def _run_ixp(solver: str, with_failure: bool = False):
+def _run_ixp(from_scratch: bool, with_failure: bool = False):
     fabric = build_ixp(8, seed=17)
     synth = IxpTraceSynthesizer(
         fabric,
@@ -59,8 +62,10 @@ def _run_ixp(solver: str, with_failure: bool = False):
     horse = Horse(
         fabric.topology,
         policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-        config=HorseConfig(engine="flow", seed=17, solver=solver),
+        config=HorseConfig(engine="flow", seed=17),
     )
+    if from_scratch:
+        solve_from_scratch(horse.engine)
     horse.submit_flows(flows)
     if with_failure:
         switch_names = {s.name for s in fabric.topology.switches}
@@ -76,18 +81,18 @@ def _run_ixp(solver: str, with_failure: bool = False):
 
 
 def test_ixp_replay_identical_across_solvers():
-    assert _run_ixp("incremental") == _run_ixp("full")
+    assert _run_ixp(False) == _run_ixp(True)
 
 
 def test_ixp_replay_with_link_flap_identical_across_solvers():
     """Link failure + recovery mid-run: reroutes, route-cache epoch
     bumps, and capacity touches all hit the incremental index."""
-    got = _run_ixp("incremental", with_failure=True)
-    want = _run_ixp("full", with_failure=True)
+    got = _run_ixp(False, with_failure=True)
+    want = _run_ixp(True, with_failure=True)
     assert got == want
 
 
-def _run_fat_tree(solver: str):
+def _run_fat_tree(from_scratch: bool):
     topo = fat_tree(4)
     hosts = topo.hosts
     rng = random.Random(23)
@@ -107,8 +112,10 @@ def _run_fat_tree(solver: str):
     horse = Horse(
         topo,
         policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-        config=HorseConfig(engine="flow", seed=23, solver=solver),
+        config=HorseConfig(engine="flow", seed=23),
     )
+    if from_scratch:
+        solve_from_scratch(horse.engine)
     horse.submit_flows(flows)
     result = horse.run(until=60.0)
     return _fingerprint(flows, result, horse.engine.stats)
@@ -117,12 +124,12 @@ def _run_fat_tree(solver: str):
 def test_fat_tree_identical_across_solvers():
     """Shared-core topology: one big link-sharing component, plus many
     partial overlaps — the opposite regime from the disjoint pods."""
-    assert _run_fat_tree("incremental") == _run_fat_tree("full")
+    assert _run_fat_tree(False) == _run_fat_tree(True)
 
 
 def test_route_cache_off_matches_on():
-    """The routing cache must be a pure memoization: disabling it
-    changes nothing but the hit counters."""
+    """The routing cache must be a pure memoization: a run whose every
+    lookup misses differs in nothing but the hit counters."""
 
     def run(route_cache: bool):
         fabric = build_ixp(6, seed=9)
@@ -135,8 +142,10 @@ def test_route_cache_off_matches_on():
             policies={
                 "forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}
             },
-            config=HorseConfig(engine="flow", seed=9, route_cache=route_cache),
+            config=HorseConfig(engine="flow", seed=9),
         )
+        if not route_cache:
+            without_route_cache(horse.engine)
         horse.submit_flows(flows)
         result = horse.run(until=20.0)
         fp = _fingerprint(flows, result, horse.engine.stats)

@@ -6,7 +6,7 @@ workload (same flow ids, same headers, same topology):
 * **Empty foreground is pure flowsim, bitwise.**  ``select="none"``
   must schedule zero extra events, so event counts, end times, byte
   counters, and solved rates are exactly those of
-  ``engine="incremental"`` flowsim — not approximately: ``==`` on
+  ``engine="flow"`` — not approximately: ``==`` on
   unrounded floats.
 * **All-foreground is pure pktsim in packet dynamics.**  With no
   background flows the fair-share load on every link is zero, the
@@ -75,9 +75,7 @@ def _flow_fingerprint(flows):
 
 class TestEmptyForeground:
     def test_bitwise_identical_to_incremental_flowsim(self):
-        ref_horse, ref_result, ref_flows = _run(
-            "flow", _crossload_flows, solver="incremental"
-        )
+        ref_horse, ref_result, ref_flows = _run("flow", _crossload_flows)
         hy_horse, hy_result, hy_flows = _run(
             "hybrid", _crossload_flows, hybrid={"select": "none"}
         )
@@ -94,7 +92,7 @@ class TestEmptyForeground:
         assert len(hy_horse.engine.foreground.flows) == 0
 
     def test_empty_foreground_summary_matches_flowsim_bytes(self):
-        _, ref_result, _ = _run("flow", _crossload_flows, solver="incremental")
+        _, ref_result, _ = _run("flow", _crossload_flows)
         _, hy_result, _ = _run("hybrid", _crossload_flows, hybrid={"select": "none"})
         for key in ("bytes_sent", "bytes_delivered", "total_flows"):
             assert hy_result.engine_summary[key] == ref_result.engine_summary[key]

@@ -176,7 +176,6 @@ class TestRunCommand:
         with open(json_path) as handle:
             stats = json.load(handle)["engine_stats"]
         assert stats["engine"] == "flow"
-        assert stats["solver_mode"] == "incremental"
         for key in ("route_cache_hits", "route_cache_misses", "rate_solves"):
             assert isinstance(stats[key], int)
         assert "resolves" in stats["solver"]
@@ -297,7 +296,7 @@ class TestSweepCommands:
                     "kind": "matrix", "total": "50 Mbps", "horizon_s": 1.0
                 },
             },
-            "grid": {"solver": ["incremental", "full"], "seed": [1, 2]},
+            "grid": {"topology.hosts": [4, 5], "seed": [1, 2]},
             "runtime": dict(
                 {"retries": 2, "backoff_s": 0.01, "timeout_s": 120}, **runtime
             ),
@@ -434,14 +433,14 @@ class TestOverrideTable:
         list (what tools/api-surface.json is to the library)."""
         expected = {
             "run": {
-                "--flows-csv", "--json", "--solver", "--until", "--checkpoint",
+                "--flows-csv", "--json", "--until", "--checkpoint",
                 "--checkpoint-interval", "--restore", "--trace", "--metrics",
                 "--profile", "--hybrid-select", "--hybrid-sync-interval",
-                "--shards", "--shard-quantum", "--kernel-compaction-threshold",
-                "--check-digest", "--control", "--wire-client", "--wire-listen",
+                "--shards", "--shard-quantum", "--check-digest", "--control",
+                "--wire-client", "--wire-listen",
             },
             "serve": {"--listen", "--until", "--budget", "--dilation", "--json"},
-            "trace record": {"--out", "--solver", "--until"},
+            "trace record": {"--out", "--until"},
         }
         parser = build_parser()
         for command, flags in expected.items():
@@ -456,11 +455,21 @@ class TestOverrideTable:
             } - {"-h", "--help"}
             assert found == flags, command
 
-    def test_compaction_threshold_zero_means_disabled(self):
-        args = _parse("run", "--kernel-compaction-threshold", "0")
-        assert override_edits(args, OVERRIDES["run"]) == [
-            ("kernel.compaction_threshold", None)
-        ]
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["run", QUICKSTART, "--solver", "full"],
+            ["run", QUICKSTART, "--kernel-compaction-threshold", "0.5"],
+            ["trace", "record", QUICKSTART, "--out", "t.jsonl", "--solver", "full"],
+        ],
+    )
+    def test_implementation_flags_are_gone(self, words, capsys):
+        """Flags that picked how a run is computed, not what is
+        simulated, are argparse errors like any unknown flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(words)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_flag_and_hand_edit_are_the_same_run(self, capsys):
         document = load_scenario(QUICKSTART)

@@ -11,7 +11,6 @@ from repro.core.config import (
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
-    KernelConfig,
     ShardConfig,
     TelemetryConfig,
     WireConfig,
@@ -30,8 +29,6 @@ def test_default_sections():
     assert config.checkpoint == CheckpointConfig()
     assert config.shard == ShardConfig()
     assert config.shard.count == 1
-    assert config.kernel == KernelConfig()
-    assert config.kernel.compaction_threshold == 0.5
 
 
 def test_sections_accept_instances_and_dicts():
@@ -56,22 +53,6 @@ def test_shard_section_validation():
         HorseConfig(shard={"count": 2, "partition": "metis"})
 
 
-def test_kernel_section_validation():
-    assert HorseConfig(
-        kernel={"compaction_threshold": None}
-    ).kernel.compaction_threshold is None
-    with pytest.raises(ExperimentError, match="kernel.queue: unknown key"):
-        HorseConfig(kernel={"queue": "heap"})  # the knob is gone
-    with pytest.raises(ExperimentError, match="compaction_threshold"):
-        HorseConfig(kernel={"compaction_threshold": 1.5})
-    with pytest.raises(ExperimentError, match="compaction_threshold"):
-        HorseConfig(kernel={"compaction_threshold": 0.0})
-    with pytest.raises(ExperimentError, match="min_compact_size"):
-        HorseConfig(kernel={"min_compact_size": -1})
-    with pytest.raises(ExperimentError, match="unknown"):
-        HorseConfig(kernel={"threshold": 0.5})
-
-
 def test_sharding_requires_flow_engine_inproc_control():
     with pytest.raises(ExperimentError, match="flow"):
         HorseConfig(engine="packet", shard={"count": 2})
@@ -79,20 +60,54 @@ def test_sharding_requires_flow_engine_inproc_control():
         HorseConfig(control="wire", shard={"count": 2})
 
 
-def test_solver_modes_are_incremental_and_full():
-    from repro.core.config import SOLVER_MODES
-
-    assert SOLVER_MODES == ("incremental", "full")
-    for mode in SOLVER_MODES:
-        assert HorseConfig(solver=mode).solver == mode
-    with pytest.raises(ExperimentError, match="solver"):
-        HorseConfig(solver="vector")
+def test_knob_ledger():
+    """Every knob's dotted path, read off the config dataclasses.  A new
+    knob is a reviewed line here, as a new export is in
+    ``tools/api-surface.json``."""
+    assert _knob_paths() == [
+        "checkpoint.interval_s",
+        "checkpoint.path",
+        "control",
+        "control_latency_s",
+        "engine",
+        "entry_expiry_interval_s",
+        "hybrid.select",
+        "hybrid.sync_interval_s",
+        "max_hops",
+        "mean_packet_bytes",
+        "mtu_bytes",
+        "pipeline_tables",
+        "queue_capacity_packets",
+        "seed",
+        "shard.checkpoint_dir",
+        "shard.count",
+        "shard.partition",
+        "shard.quantum_s",
+        "table_size",
+        "telemetry.link_sample_interval_s",
+        "telemetry.monitor_interval_s",
+        "telemetry.monitor_mode",
+        "telemetry.monitor_push_min_delta_bytes",
+        "telemetry.monitor_threshold",
+        "telemetry.profile",
+        "telemetry.trace_path",
+        "wire.client",
+        "wire.client_routes",
+        "wire.dilation",
+        "wire.latency_budget_s",
+        "wire.listen",
+        "wire.sync_quantum_s",
+    ]
 
 
 def test_unknown_kwarg_still_rejected():
     # "hybrid_select" was a flat alias of hybrid.select; it is removed,
     # not deprecated, so it fails like any other unknown keyword.
-    for removed_or_unknown in ("hybrid_select", "hybrid_selector"):
+    # The solver, route-cache and kernel knobs picked between
+    # implementations of the same simulation; they are gone the same way.
+    for removed_or_unknown in (
+        "hybrid_select", "hybrid_selector", "solver", "route_cache", "kernel"
+    ):
         with pytest.raises(TypeError, match=removed_or_unknown):
             HorseConfig(**{removed_or_unknown: "all"})
     assert not hasattr(HorseConfig(), "hybrid_select")
@@ -119,17 +134,24 @@ def test_prior_semantics_still_validated():
 # ----------------------------------------------------------------------
 # Components are built from the config
 # ----------------------------------------------------------------------
-def _knob_names():
-    """Every name a config field goes by: HorseConfig's own fields
-    (scalars and section attributes) and each section's fields."""
+def _knob_paths():
+    """The sorted dotted path of every knob: HorseConfig's scalar fields
+    and each section's fields under the section's name."""
     from repro.core.config import SECTION_TYPES
 
-    names = list(HorseConfig.__dataclass_fields__)
-    for section in SECTION_TYPES.values():
-        names += section.__dataclass_fields__
-    # 36 knobs = everything but the six section attributes themselves.
-    assert len(names) - len(SECTION_TYPES) == 36
-    return set(names)
+    paths = [name for name in HorseConfig.__dataclass_fields__
+             if name not in SECTION_TYPES]
+    for section, cls in SECTION_TYPES.items():
+        paths += [f"{section}.{name}" for name in cls.__dataclass_fields__]
+    return sorted(paths)
+
+
+def _knob_names():
+    """Every name a config field goes by: the knobs' own names and the
+    section attributes."""
+    from repro.core.config import SECTION_TYPES
+
+    return {path.rpartition(".")[2] for path in _knob_paths()} | set(SECTION_TYPES)
 
 
 def test_no_component_restates_a_knob():
@@ -164,8 +186,6 @@ def test_standalone_engines_carry_the_default_config(line2):
     def check_flow(engine):
         assert engine.max_hops == default.max_hops
         assert engine.mean_packet_bytes == default.mean_packet_bytes
-        assert engine.solver_mode == default.solver
-        assert (engine._route_cache is not None) == default.route_cache
 
     def check_packet(engine):
         assert engine.mtu_bytes == default.mtu_bytes
@@ -181,11 +201,11 @@ def test_standalone_engines_carry_the_default_config(line2):
     check_packet(hybrid.foreground)
 
     # And a given config reaches both halves of the hybrid.
-    custom = HorseConfig(max_hops=7, mtu_bytes=900, solver="full")
+    custom = HorseConfig(max_hops=7, mtu_bytes=900, mean_packet_bytes=500)
     hybrid = HybridEngine(Simulator(), line2, config=custom)
     assert hybrid.background.max_hops == hybrid.foreground.max_hops == 7
     assert hybrid.foreground.mtu_bytes == 900
-    assert hybrid.background.solver_mode == "full"
+    assert hybrid.background.mean_packet_bytes == 500
 
 
 def test_one_check_typed(line2):
@@ -209,6 +229,6 @@ def test_one_check_typed(line2):
         Horse(line2, config=mutated)
 
     mutated = HorseConfig()
-    mutated.solver = "vector"
-    with pytest.raises(ExperimentError, match="solver"):
+    mutated.engine = "vector"
+    with pytest.raises(ExperimentError, match="engine"):
         Horse(line2, config=mutated)

@@ -58,7 +58,7 @@ def incremental_replay():
     horse = Horse(
         fabric.topology,
         policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-        config=HorseConfig(engine="flow", seed=31, solver="incremental"),
+        config=HorseConfig(engine="flow", seed=31),
     )
     horse.submit_flows(flows)
     horse.start_control_plane()
@@ -87,8 +87,8 @@ class TestDeterminism:
         assert full_run("flow") == full_run("flow")
 
     def test_incremental_solver_replay_is_bit_identical(self):
-        """Two seeded replays under solver="incremental" (the default hot
-        path, routing cache on) must produce the identical event log —
+        """Two seeded replays on the production hot path (incremental
+        re-solve, routing cache) must produce the identical event log —
         same event types at the same instants, in the same order — and
         identical final counters, bitwise."""
         log_a, counters_a = incremental_replay()

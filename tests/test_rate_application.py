@@ -4,24 +4,33 @@
 publishes the load of every link it touched; the engine writes those
 loads to ``LinkDirection.allocated_bps``, applies the moved rates and
 rebuilds the external demands' share of the touched directions.  These
-tests pin what that bookkeeping must add up to after every event, in
-both solver modes, and the two cases a by-difference engine gets wrong
+tests pin what that bookkeeping must add up to after every event, on
+the incremental re-solve and on the from-scratch reference
+(``diff.reference.solve_from_scratch``), and the two cases a by-difference engine gets wrong
 first: the last external demand leaving, and a starved flow whose rate
 never moves.
 """
 
 import pytest
 
-from repro.core.config import SOLVER_MODES, HorseConfig
 from repro.flowsim import FlowLevelEngine, FlowState
 from repro.net.generators import single_switch
 from repro.openflow import attach_pipeline
 from repro.sim import Simulator
 
 from conftest import install_ip_path
+from diff.reference import solve_from_scratch
 from workloads import make_flow
 
 CAPACITY = 10e6
+
+#: The production re-solve, and the from-scratch reference.
+MODES = ("incremental", "full")
+
+
+def _engine(sim, topo, mode):
+    engine = FlowLevelEngine(sim, topo)
+    return solve_from_scratch(engine) if mode == "full" else engine
 
 
 def _star():
@@ -67,7 +76,7 @@ def _churn(mode):
     external-demand changes; the sums are checked after every event."""
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
+    engine = _engine(sim, topo, mode)
     flows = [
         make_flow(topo, "h1", "h2", demand=8e6, size=1_000_000),
         make_flow(topo, "h3", "h2", demand=8e6, size=500_000, start=0.2, sport=1001),
@@ -112,17 +121,17 @@ def _churn(mode):
 
 
 def test_loads_and_background_load_add_up_after_every_event():
-    incremental, full = (_churn(mode) for mode in SOLVER_MODES)
+    incremental, full = (_churn(mode) for mode in MODES)
     assert incremental == full  # bitwise: one apply path for both modes
 
 
-@pytest.mark.parametrize("mode", SOLVER_MODES)
+@pytest.mark.parametrize("mode", MODES)
 def test_clearing_the_last_external_restores_background_load(mode):
     """With no external left the engine has no external to iterate, but
     the directions the last one crossed must still lose its share."""
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
+    engine = _engine(sim, topo, mode)
     flow = make_flow(topo, "h1", "h2", demand=8e6, duration=5.0)
     engine.submit(flow)
     sim.run(until=1.0)
@@ -145,7 +154,7 @@ def test_clearing_the_last_external_restores_background_load(mode):
 def _starved(mode):
     topo = _star()
     sim = Simulator()
-    engine = FlowLevelEngine(sim, topo, config=HorseConfig(solver=mode))
+    engine = _engine(sim, topo, mode)
     # The whole h1 -> h2 path is pinned away before the flow arrives.
     engine.set_external_demand("fg", CAPACITY, _path(topo, "h1", "h2"), pinned=True)
     starved = make_flow(topo, "h1", "h2", demand=7e6 / 3, size=1_000_000,
@@ -169,6 +178,24 @@ def test_starved_flow_drops_the_same_bytes_in_both_modes():
     final sync: its drop counter accrues in one piece either way.  (A
     full solve used to re-accrue it at every event, the incremental one
     only at the end: 612500.0000000001 against 612500.0 bytes here.)"""
-    incremental, full = (_starved(mode) for mode in SOLVER_MODES)
+    incremental, full = (_starved(mode) for mode in MODES)
     assert incremental == full
     assert incremental == pytest.approx(7e6 / 3 * 2.1 / 8)
+
+
+def test_the_reference_re_solves_every_flow():
+    """The reference engages: an arrival in one component re-solves the
+    other component's flow too, where the production path leaves it."""
+    scopes = {}
+    for mode in MODES:
+        topo = _star()
+        sim = Simulator()
+        engine = _engine(sim, topo, mode)
+        engine.submit_all([
+            make_flow(topo, "h1", "h2", demand=8e6, duration=5.0),
+            make_flow(topo, "h3", "h4", demand=8e6, duration=5.0, start=1.0,
+                      sport=1001),
+        ])
+        sim.run(until=2.0)
+        scopes[mode] = engine.last_solve_scope
+    assert scopes == {"incremental": 1, "full": 2}

@@ -189,41 +189,18 @@ def test_bad_shards_values_rejected():
             validate_scenario(v0_doc(schema_version=1, shards=bad))
 
 
-def test_kernel_section_validates_and_round_trips():
-    doc = v0_doc()
-    doc["schema_version"] = 1
-    doc["kernel"] = {"compaction_threshold": 0.25, "min_compact_size": 16}
-    validate_scenario(doc)
-    from repro.runtime.scenario import build_config
-
-    config = build_config(doc)
-    assert config.kernel.compaction_threshold == 0.25
-    assert config.kernel.min_compact_size == 16
-    # null means "use the default" per the JSON convention...
-    doc["kernel"] = {"compaction_threshold": None}
-    validate_scenario(doc)
-    # ...but KernelConfig treats an explicit None as "disable".
-    assert build_config(doc).kernel.compaction_threshold is None
-    doc["kernel"] = {"min_compact_size": None}
-    assert build_config(doc).kernel.min_compact_size == 64
-
-
-def test_kernel_section_rejects_bad_values():
-    doc = v0_doc()
-    doc["schema_version"] = 1
-    # The pending-event set is the heap; the knob that chose it is gone.
-    doc["kernel"] = {"queue": "heap"}
-    with pytest.raises(ExperimentError, match="kernel.queue: unknown key"):
-        validate_scenario(doc)
-    doc["kernel"] = {"compaction_threshold": 2.0}
-    with pytest.raises(ExperimentError, match="kernel.compaction_threshold"):
-        validate_scenario(doc)
-    doc["kernel"] = {"min_compact_size": "lots"}
-    with pytest.raises(ExperimentError, match="kernel.min_compact_size"):
-        validate_scenario(doc)
-    doc["kernel"] = {"compactor": True}
-    with pytest.raises(ExperimentError, match="kernel.compactor"):
-        validate_scenario(doc)
+def test_implementation_knobs_are_unknown_keys():
+    """The solver, route cache and event-heap compaction pick how a run
+    is computed, not what is simulated; a document naming them gets the
+    same error as any misspelt key (``kernel.queue`` went the same way
+    before them)."""
+    for key, value in (
+        ("solver", "full"),
+        ("route_cache", False),
+        ("kernel", {"compaction_threshold": 0.5}),
+    ):
+        with pytest.raises(ExperimentError, match=f"^{key}: unknown key$"):
+            validate_scenario(v0_doc(schema_version=1, **{key: value}))
 
 
 @pytest.mark.parametrize("attr, cls", sorted(SECTION_TYPES.items()))
