@@ -40,12 +40,12 @@ lint-sim:
 		--output build/lint.sarif --strict
 
 # Line budgets, "paths:budget" per entry.  The flow engine and its
-# solver stay where PR 21 landed them (ROADMAP item 4): a solver change
-# that needs more has to delete something first.  The CLI plus the one
-# path from a scenario document to a run stay where PR 19 landed them:
-# the next flag is a row of cli.OVERRIDES, not a ladder.  The facade
-# stays where PR 20 landed it: the next knob is a HorseConfig field the
-# component reads, not a keyword Horse.__init__ threads.  The one
+# solver, the CLI plus the one path from a scenario document to a run,
+# and the facade stay where the solver / route-cache / compaction knobs'
+# deletion landed them: a solver change that needs more has to delete
+# something first, the next flag is a row of cli.OVERRIDES, not a
+# ladder, and the next knob is a HorseConfig field the component reads,
+# not a keyword Horse.__init__ threads.  The one
 # OpenFlow interpreter, its analyzer enumeration and the one punt
 # protocol stay where PR 21 landed them: a second reading of the rules
 # has to displace the first.  The event kernel (kernel, queue, event)
@@ -53,9 +53,9 @@ lint-sim:
 # reschedule re-stamps the handle, so a second copy path or comparison
 # protocol has nowhere to go.
 LINE_BUDGETS = \
-	"src/repro/flowsim/*.py:2240" \
-	"src/repro/cli.py src/repro/runtime/scenario.py:1100" \
-	"src/repro/core/simulator.py:400" \
+	"src/repro/flowsim/*.py:2220" \
+	"src/repro/cli.py src/repro/runtime/scenario.py:1080" \
+	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
 	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:790"
 line-budget:

@@ -96,10 +96,9 @@ class FlowLevelEngine(Engine):
     config:
         The run's :class:`~repro.core.config.HorseConfig` (None means
         ``HorseConfig()``).  The engine reads ``max_hops`` (per-branch
-        hop guard against forwarding loops), ``mean_packet_bytes``
-        and ``mean_packet_bytes`` (fluid-to-packet conversion factor
-        for packet counters).  It checks neither:
-        ``HorseConfig.validate`` has.
+        hop guard against forwarding loops) and ``mean_packet_bytes``
+        (fluid-to-packet conversion factor for packet counters).  It
+        checks neither: ``HorseConfig.validate`` has.
     """
 
     name = "flow"

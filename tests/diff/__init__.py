@@ -2,8 +2,8 @@
 solver hot path.
 
 These tests compare the incremental solver against from-scratch solves
-(bitwise), the flow engine's ``solver="incremental"`` mode against
-``solver="full"`` (identical rates and completion times), and the
-flow-level engine against the packet-level baseline (within the E3
-accuracy tolerance).  See docs/testing.md.
+(bitwise), the flow engine against its from-scratch reference
+(``reference.solve_from_scratch``: identical rates and completion
+times), and the flow-level engine against the packet-level baseline
+(within the E3 accuracy tolerance).  See docs/testing.md.
 """

@@ -5,8 +5,8 @@ pytest-speed version pins its hardest small scenario (star-crossload:
 four hosts on one switch, crossing demands that oversubscribe both
 directions of h2's access link) and asserts the flow-level fluid model
 lands within the same tolerance of the packet-level AIMD baseline.  It
-runs under the default ``solver="incremental"`` hot path, so it also
-guards the default configuration against accuracy drift.
+runs the flow engine as shipped (incremental re-solve, route cache), so
+it also guards the production path against accuracy drift.
 """
 
 from repro import Horse, HorseConfig
