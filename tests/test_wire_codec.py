@@ -408,6 +408,248 @@ _RICH_MESSAGE = FlowMod(
 )
 
 
+# ----------------------------------------------------------------------
+# Golden frames: the repro profile, byte for byte
+# ----------------------------------------------------------------------
+
+# The round-trip properties cannot see a layout change that edits the
+# writer and the reader together; external controllers and
+# docs/wire-protocol.md can.  One frame per message class (fixed dpid
+# and xid, optional fields set), plus the rich FlowMod above.
+_DPID = 0x0102030405060708
+_XID = 0x0A0B0C0D
+
+_ALL_HEADERS = HeaderFields(
+    eth_src=MacAddress("00:00:00:00:00:01"),
+    eth_dst=MacAddress("00:00:00:00:00:02"),
+    eth_type=0x0800,
+    vlan_vid=100,
+    ip_src=IPv4Address("10.0.0.1"),
+    ip_dst=IPv4Address("10.0.0.2"),
+    ip_proto=6,
+    tp_src=1234,
+    tp_dst=80,
+)
+
+# One entry per tagged-value code, 0 through 14, in code order.
+_ALL_VALUE_TAGS = {
+    "none": None,
+    "false": False,
+    "true": True,
+    "int": -2,
+    "float": 0.5,
+    "str": "s",
+    "bytes": b"\x00\xff",
+    "mac": MacAddress("00:11:22:33:44:55"),
+    "ip": IPv4Address("10.0.0.1"),
+    "net": IPv4Network("192.168.0.0/16"),
+    "match": Match(tp_dst=80),
+    "headers": HeaderFields(ip_proto=6),
+    "list": [1],
+    "tuple": (2,),
+    "dict": {"": 3},
+}
+
+# name -> (message, frame hex: the 8-byte header, then the body).
+GOLDEN_FRAMES = {
+    "Hello": (
+        Hello(dpid=_DPID, xid=_XID, version=4),
+        "040000110a0b0c0d"
+        "010203040506070804",
+    ),
+    "ErrorMsg": (
+        ErrorMsg(
+            dpid=_DPID, xid=_XID, error_type="WireError", detail="bad",
+            failed_xid=9,
+        ),
+        "040100280a0b0c0d"
+        "010203040506070800000009576972654572726f720000000362616400000009",
+    ),
+    "EchoRequest": (
+        EchoRequest(dpid=_DPID, xid=_XID, payload=b"ping"),
+        "040200180a0b0c0d"
+        "01020304050607080000000470696e67",
+    ),
+    "EchoReply": (
+        EchoReply(dpid=_DPID, xid=_XID, payload=b"pong"),
+        "040300180a0b0c0d"
+        "010203040506070800000004706f6e67",
+    ),
+    "FeaturesRequest": (
+        FeaturesRequest(dpid=_DPID, xid=_XID),
+        "040500100a0b0c0d"
+        "0102030405060708",
+    ),
+    "FeaturesReply": (
+        FeaturesReply(
+            dpid=_DPID, xid=_XID, n_buffers=256, n_tables=2, auxiliary_id=1,
+            capabilities=0x4F, reserved=12,
+        ),
+        "0406001e0a0b0c0d"
+        "01020304050607080000010002010000004f0000000c",
+    ),
+    "PacketIn": (
+        PacketIn(
+            dpid=_DPID, xid=_XID, in_port=3, reason=PacketInReason.ACTION,
+            headers=_ALL_HEADERS, rate_bps=1e6, size_bytes=1500, flow_id=42,
+        ),
+        "040a004e0a0b0c0d"
+        "010203040506070800000003010101ff00000000000100000000000208000064"
+        "0a0000010a0000020604d20050412e84800000000000000000000005dc010000"
+        "00000000002a",
+    ),
+    "FlowRemoved": (
+        FlowRemoved(
+            dpid=_DPID, xid=_XID, table_id=1,
+            match=Match(in_port=2, eth_dst=MacAddress("00:00:00:00:00:02")),
+            priority=10, reason=FlowRemovedReason.HARD_TIMEOUT, cookie=7,
+            duration_s=2.5, packet_count=10, byte_count=15000,
+        ),
+        "040b00420a0b0c0d"
+        "0102030405060708010005000000020000000000020000000a01000000000000"
+        "00074004000000000000000000000000000a0000000000003a98",
+    ),
+    "PortStatus": (
+        PortStatus(
+            dpid=_DPID, xid=_XID, port_no=4, reason=PortStatusReason.DELETE,
+            link_up=False,
+        ),
+        "040c00160a0b0c0d"
+        "0102030405060708000000040100",
+    ),
+    "PacketOut": (
+        PacketOut(
+            dpid=_DPID, xid=_XID, in_port=1, headers=_ALL_HEADERS,
+            out_ports=(2, -2), buffer_id=77,
+        ),
+        "040d00430a0b0c0d"
+        "0102030405060708000000010101ff000000000001000000000002080000640a"
+        "0000010a0000020604d20050000200000002fffffffe010000004d",
+    ),
+    "FlowMod": (
+        FlowMod(
+            dpid=_DPID, xid=_XID, command=FlowModCommand.DELETE_STRICT,
+            table_id=1, match=Match(vlan_vid=10, ip_proto=17, tp_src=53),
+            priority=5,
+            instructions=(
+                ApplyActions(
+                    (
+                        Flood(),
+                        Drop(),
+                        ToController(),
+                        GroupAction(5),
+                        SetField("ip_src", IPv4Address("10.0.0.9")),
+                    )
+                ),
+            ),
+            idle_timeout=0.25, cookie=3, check_overlap=True,
+        ),
+        "040e004a0a0b0c0d"
+        "010203040506070804010190000a110035000000050001000005010203050000"
+        "00050404080a0000093fd0000000000000000000000000000000000000000000"
+        "0301",
+    ),
+    "GroupMod": (
+        GroupMod(
+            dpid=_DPID, xid=_XID, command=GroupModCommand.MODIFY, group_id=6,
+            group_type=GroupType.FAST_FAILOVER,
+            buckets=(
+                Bucket((Output(1),), watch_port=1),
+                Bucket((Output(2), PopVlan()), weight=0),
+            ),
+        ),
+        "040f00350a0b0c0d"
+        "0102030405060708010000000603000200000001010000000100010000000001"
+        "00000000000002000000000207",
+    ),
+    "MeterMod": (
+        MeterMod(
+            dpid=_DPID, xid=_XID, command=MeterModCommand.MODIFY, meter_id=3,
+            bands=(DropBand(30e6, burst_bits=1e4), DropBand(80e6)),
+        ),
+        "041d00370a0b0c0d"
+        "010203040506070801000000030002417c9c380000000040c388000000000041"
+        "9312d0000000000000000000000000",
+    ),
+    "BarrierRequest": (
+        BarrierRequest(dpid=_DPID, xid=_XID),
+        "041400100a0b0c0d"
+        "0102030405060708",
+    ),
+    "BarrierReply": (
+        BarrierReply(dpid=_DPID, xid=_XID),
+        "041500100a0b0c0d"
+        "0102030405060708",
+    ),
+    "FlowStatsRequest": (
+        FlowStatsRequest(
+            dpid=_DPID, xid=_XID, table_id=0, match=Match(tp_src=22), cookie=5
+        ),
+        "041200220a0b0c0d"
+        "0102030405060708000101000101000016010000000000000005",
+    ),
+    "TableStatsRequest": (
+        TableStatsRequest(dpid=_DPID, xid=_XID),
+        "041200120a0b0c0d"
+        "01020304050607080003",
+    ),
+    "PortStatsRequest": (
+        PortStatsRequest(dpid=_DPID, xid=_XID, port_no=2),
+        "041200170a0b0c0d"
+        "010203040506070800040100000002",
+    ),
+    "FlowStatsReply": (
+        FlowStatsReply(dpid=_DPID, xid=_XID, stats=[_ALL_VALUE_TAGS]),
+        "041301100a0b0c0d"
+        "01020304050607080001000000010e0000000f05000000046e6f6e6500050000"
+        "000566616c736501050000000474727565020500000003696e7403ffffffffff"
+        "fffffe0500000005666c6f6174043fe000000000000005000000037374720500"
+        "0000017305000000056279746573060000000200ff05000000036d6163070011"
+        "2233445505000000026970080a00000105000000036e657409c0a80000100500"
+        "0000056d617463680a020000500500000007686561646572730b004006050000"
+        "00046c6973740c0000000103000000000000000105000000057475706c650d00"
+        "0000010300000000000000020500000004646963740e00000001050000000003"
+        "0000000000000003",
+    ),
+    "TableStatsReply": (
+        TableStatsReply(
+            dpid=_DPID, xid=_XID, stats=[{"table_id": 0, "active": 3}]
+        ),
+        "041300450a0b0c0d"
+        "01020304050607080003000000010e0000000205000000087461626c655f6964"
+        "0300000000000000000500000006616374697665030000000000000003",
+    ),
+    "PortStatsReply": (
+        PortStatsReply(
+            dpid=_DPID, xid=_XID, stats=[{"port": 1, "rx_bytes": 100}, {"port": 2}]
+        ),
+        "0413005a0a0b0c0d"
+        "01020304050607080004000000020e000000020500000004706f727403000000"
+        "0000000001050000000872785f62797465730300000000000000640e00000001"
+        "0500000004706f7274030000000000000002",
+    ),
+    "rich": (
+        _RICH_MESSAGE,
+        "040e007000000063"
+        "00000000000000070002026f00000003001122334455ffffffffffff0800010a"
+        "00000008000a0102030050000000640003000004000000000404030300000000"
+        "00000007060009070103020000000c3ff8000000000000403e00000000000000"
+        "000000deadbeef00",
+    ),
+}
+
+
+def test_every_message_class_has_a_golden_frame():
+    assert {type(m) for m, _ in GOLDEN_FRAMES.values()} == set(MESSAGE_STRATEGIES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_golden_frame(name):
+    message, frame_hex = GOLDEN_FRAMES[name]
+    assert encode(message).hex() == frame_hex
+    assert decode(bytes.fromhex(frame_hex)) == message
+
+
 def test_truncation_at_every_byte_raises():
     frame = encode(_RICH_MESSAGE)
     for cut in range(len(frame)):
