@@ -36,7 +36,7 @@ class RateLimit:
     burst_bits: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
+        if not self.rate_bps > 0:
             raise ControlPlaneError(f"rate must be > 0, got {self.rate_bps}")
 
 

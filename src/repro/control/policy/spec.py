@@ -37,7 +37,7 @@ def parse_rate(rate: Union[str, float, int]) -> float:
     """
     if isinstance(rate, (int, float)):
         value = float(rate)
-        if value <= 0:
+        if not value > 0:  # NaN fails it too
             raise PolicyValidationError(f"rate must be > 0, got {rate}")
         return value
     match = _RATE_RE.match(rate)

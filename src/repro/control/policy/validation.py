@@ -88,7 +88,7 @@ def validate_spec(spec: PolicySpec, topology: Optional[Topology] = None) -> None
         if spec.path is not None:
             _require_path(topology, spec.path, spec.src, spec.dst)
     elif isinstance(spec, RateLimitingSpec):
-        if spec.rate_bps <= 0:
+        if not spec.rate_bps > 0:
             raise PolicyValidationError(
                 f"rate limit must be > 0 bps, got {spec.rate_bps}"
             )

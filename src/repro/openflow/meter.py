@@ -26,9 +26,10 @@ class DropBand:
     burst_bits: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails it too.
+        if not self.rate_bps > 0:
             raise MeterError(f"band rate must be > 0, got {self.rate_bps}")
-        if self.burst_bits < 0:
+        if not self.burst_bits >= 0:
             raise MeterError(f"burst must be >= 0, got {self.burst_bits}")
 
 

@@ -281,8 +281,9 @@ class TestRateLimiter:
             controller.start()
 
     def test_invalid_rate(self):
-        with pytest.raises(ControlPlaneError):
-            RateLimit(match=Match(), rate_bps=0)
+        for rate in (0, float("nan")):
+            with pytest.raises(ControlPlaneError):
+                RateLimit(match=Match(), rate_bps=rate)
 
 
 class TestAppPeeringAndSourceRouting:

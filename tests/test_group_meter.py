@@ -182,6 +182,12 @@ class TestMeter:
             DropBand(rate_bps=0)
         with pytest.raises(MeterError):
             DropBand(rate_bps=1e6, burst_bits=-1)
+        nan = float("nan")
+        with pytest.raises(MeterError):
+            DropBand(rate_bps=nan)
+        with pytest.raises(MeterError):
+            DropBand(rate_bps=1e6, burst_bits=nan)
+        assert DropBand(rate_bps=float("inf")).rate_bps == float("inf")
         with pytest.raises(MeterError):
             Meter(1, [DropBand(rate_bps=1e6)]).cap_rate(-1)
 

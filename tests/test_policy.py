@@ -1,5 +1,8 @@
 """Policy layer tests: specs, validation, composition, compiler."""
 
+import json
+import os
+
 import pytest
 
 from repro.control.policy import (
@@ -23,6 +26,11 @@ from repro.analysis.rules import detect_rule_conflicts
 from repro.errors import PolicyConflictError, PolicyValidationError
 from repro.net.generators import full_mesh, tree
 from repro.openflow import ApplyActions, Drop, Match, Output, attach_pipeline
+from repro.runtime.scenario import run_scenario
+
+IXP_SMALL = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "scenarios", "ixp_small.json"
+)
 
 
 @pytest.fixture
@@ -45,7 +53,7 @@ class TestParseRate:
     def test_accepted_forms(self, text, expected):
         assert parse_rate(text) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("bad", ["", "fast", "-5 Mbps", 0, -1])
+    @pytest.mark.parametrize("bad", ["", "fast", "-5 Mbps", 0, -1, float("nan")])
     def test_rejected_forms(self, bad):
         with pytest.raises(PolicyValidationError):
             parse_rate(bad)
@@ -102,6 +110,7 @@ class TestValidation:
             BlackholingSpec(target="h4", direction="sideways"),
             BlackholingSpec(target="not-an-address"),
             SourceRoutingSpec(src="h1", dst="h4", path=("h1", "h4")),
+            RateLimitingSpec(rate_bps=float("nan")),
         ],
     )
     def test_bad_specs_rejected(self, topo, spec):
@@ -116,6 +125,14 @@ class TestValidation:
         spec = SourceRoutingSpec(src="h1", dst="h4", path=("h1", "s3", "h4"))
         with pytest.raises(PolicyValidationError):
             validate_spec(spec, topo)
+
+    def test_nan_rate_limit_in_a_document_rejected(self):
+        # json.load reads a bare NaN.  It used to pass every ``rate <= 0``
+        # guard and build a meter that capped nothing.
+        with open(IXP_SMALL) as handle:
+            text = handle.read().replace('"30 Mbps"', "NaN", 1)
+        with pytest.raises(PolicyValidationError):
+            run_scenario(json.loads(text))
 
 
 class TestComposition:

@@ -789,6 +789,17 @@ def test_out_of_range_vlan_id_on_the_wire_raises():
         decode(bytes(tampered))
 
 
+def test_nan_meter_band_on_the_wire_raises():
+    # MeterMod body: dpid(8) + command(1) + meter_id(4) + band count(2),
+    # then the first band's rate f64.  DropBand refuses a NaN rate, so
+    # the decoder must too.
+    frame = encode(MeterMod(dpid=1, xid=1, bands=(DropBand(rate_bps=1e6),)))
+    tampered = _offset_of(frame, 0x41, HEADER_SIZE + 15)
+    struct.pack_into("!d", tampered, HEADER_SIZE + 15, float("nan"))
+    with pytest.raises(WireError):
+        decode(bytes(tampered))
+
+
 def test_unknown_instruction_tag_raises():
     # The instruction tag directly precedes the action count.
     frame = _single_action_frame(Drop())
