@@ -656,7 +656,15 @@ def _r_value(r: _Reader):
     if tag == 13:
         return tuple(_r_value(r) for _ in range(r.u32()))
     if tag == 14:
-        return {_r_value(r): _r_value(r) for _ in range(r.u32())}
+        result = {}
+        for _ in range(r.u32()):
+            key = _r_value(r)
+            value = _r_value(r)
+            try:
+                result[key] = value
+            except TypeError:
+                raise WireError(f"dict key {key!r} is unhashable") from None
+        return result
     raise WireError(f"unknown value tag {tag}")
 
 
@@ -1049,7 +1057,10 @@ def decode(frame: bytes) -> Message:
             f"unknown message type {wire_type}"
             + (f" subtype {subtype}" if subtype is not None else "")
         )
-    message = reader(r, dpid, xid)
+    try:
+        message = reader(r, dpid, xid)
+    except RecursionError:
+        raise WireError("body nested too deeply") from None
     r.expect_end()
     return message
 

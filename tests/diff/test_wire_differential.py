@@ -15,8 +15,9 @@ process must not change the simulation:
   are wall-clock state; the snapshot carries only the client's MAC
   table and reconnects lazily.
 * **Garbage resilience.**  A rogue connection feeding the server
-  malformed frames gets ``ErrorMsg`` replies (or a disconnect once the
-  stream cannot be re-framed) and leaves the simulation untouched.
+  malformed frames, bodies included, gets ``ErrorMsg`` replies (or a
+  disconnect once the stream cannot be re-framed) and leaves the
+  simulation untouched.
 """
 
 import socket
@@ -27,7 +28,7 @@ from repro import Horse, HorseConfig
 from repro.control.apps import L2LearningApp
 from repro.control.controller import Controller
 from repro.net.generators import tree
-from repro.openflow.messages import ErrorMsg, Hello
+from repro.openflow.messages import ErrorMsg, FlowStatsReply, Hello
 from repro.runtime import load_checkpoint, save_checkpoint
 from repro.runtime.scenario import reset_id_counters
 from repro.stats.export import run_digest
@@ -151,6 +152,18 @@ class TestWireGarbageResilience:
                 greeting = self._drain_frames(rogue, reader, want=1)
                 assert [type(m) for m in greeting] == [Hello]
 
+                # A well-framed stats reply whose dict key decodes as a
+                # list: the key's tag byte (body offset 19) says list
+                # instead of str.  Unhashable, so a WireError like any
+                # other bad body, not a dead connection.
+                frame = bytearray(
+                    encode(FlowStatsReply(dpid=1, xid=8, stats=[{"": 0}]))
+                )
+                frame[HEADER_SIZE + 19] = 12
+                rogue.sendall(bytes(frame))
+                replies = self._drain_frames(rogue, reader, want=1)
+                assert [type(m) for m in replies] == [ErrorMsg]
+
                 # A well-framed frame with an unknown type code: the
                 # boundary holds, so the server answers with ErrorMsg
                 # and keeps the connection.
@@ -173,7 +186,7 @@ class TestWireGarbageResilience:
         finally:
             horse.shutdown_wire()
 
-        assert result.metrics["wire.decode_errors"] >= 2.0
+        assert result.metrics["wire.decode_errors"] >= 3.0
 
         # The rogue bytes must not have leaked into the simulation.
         inproc = _build_inproc()

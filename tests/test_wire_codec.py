@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WireError
@@ -821,6 +821,56 @@ def test_ip_prefix_longer_than_32_raises():
     tampered[prefix_offset] = 33
     with pytest.raises(WireError):
         decode(bytes(tampered))
+
+
+def test_deeply_nested_value_raises():
+    # A PortStatsReply whose one entry is {None: [[[...[None]...]]]}: five
+    # bytes per list level, so one frame nests far past the interpreter's
+    # recursion limit.
+    depth = 12_000
+    body = struct.pack("!QHIBIB", 1, codec.OFPMP_PORT_STATS, 1, 14, 1, 0)
+    body += struct.pack("!BI", 12, 1) * depth + b"\x00"
+    frame = struct.pack(
+        "!BBHI", WIRE_VERSION, codec.OFPT_MULTIPART_REPLY, HEADER_SIZE + len(body), 0
+    )
+    with pytest.raises(WireError, match="nested"):
+        decode(frame + body)
+
+
+# Mutated bytes lean toward small values: those are the tag, flag and
+# code bytes whose neighbours change meaning.
+wire_bytes = st.integers(0, 15) | u8
+
+
+@given(
+    message=any_message,
+    edits=st.lists(st.tuples(st.integers(0, 2**16), wire_bytes), max_size=3),
+    cut=st.none() | st.integers(0, 2**16),
+)
+@example(
+    # A stats dict key "" whose tag byte (body offset 19: dpid, subtype,
+    # entry count, dict tag, dict length) now says list: the key decodes
+    # as [], which no dict can hold.
+    message=FlowStatsReply(dpid=1, xid=1, stats=[{"": 0}]),
+    edits=[(19, 12)],
+    cut=None,
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_frames_decode_or_raise_wire_error(message, edits, cut):
+    # Any body byte changed, or the body cut short (the length field
+    # kept honest), either decodes or raises WireError: nothing else may
+    # escape to the server loop.
+    frame = bytearray(encode(message))
+    body_size = len(frame) - HEADER_SIZE
+    for position, value in edits:
+        frame[HEADER_SIZE + position % body_size] = value
+    if cut is not None:
+        del frame[HEADER_SIZE + cut % (body_size + 1) :]
+    struct.pack_into("!H", frame, 2, len(frame))
+    try:
+        decode(bytes(frame))
+    except WireError:
+        pass
 
 
 # ----------------------------------------------------------------------
