@@ -9,13 +9,16 @@ with the 64-bit datapath id (real OpenFlow keeps the dpid implicit per
 connection; carrying it makes the codec a symmetric, self-contained
 mapping onto :mod:`repro.openflow.messages`, whose dataclasses stay the
 single source of truth).  Multipart requests/replies carry the standard
-subtype right after the dpid.
+subtype right after the dpid.  The rest of each body is written down
+once, in :data:`_MESSAGES`, which :func:`encode` and :func:`decode` both
+walk.
 
 Every decoding failure — truncated body, trailing bytes, unknown type,
-unsupported version, out-of-range field — raises
-:class:`~repro.errors.WireError`; the server loop turns that into an
-ErrorMsg frame instead of crashing.  :func:`encode` raises the same
-type for values that do not fit their wire field.
+unsupported version, out-of-range field, a value the message's own
+dataclass rejects — raises :class:`~repro.errors.WireError`; the server
+loop turns that into an ErrorMsg frame instead of crashing.
+:func:`encode` raises the same type for values that do not fit their
+wire field.
 
 All integers are big-endian (network order).  Floats are IEEE-754
 binary64, so ``decode(encode(m)) == m`` is bitwise for every message.
@@ -24,56 +27,23 @@ binary64, so ``decode(encode(m)) == m`` is bitwise for every message.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from ..errors import WireError
+from ..errors import OpenFlowError, WireError
 from ..net.address import IPv4Address, IPv4Network, MacAddress
 from ..openflow.action import (
-    Action,
-    ApplyActions,
-    Drop,
-    Flood,
-    GotoTable,
-    GroupAction,
-    Instruction,
-    MeterInstruction,
-    Output,
-    PopVlan,
-    PushVlan,
-    SetField,
-    ToController,
+    ApplyActions, Drop, Flood, GotoTable, GroupAction, MeterInstruction, Output,
+    PopVlan, PushVlan, SetField, ToController,
 )
 from ..openflow.group import Bucket, GroupType
 from ..openflow.headers import HeaderFields
 from ..openflow.match import Match
 from ..openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    EchoReply,
-    EchoRequest,
-    ErrorMsg,
-    FeaturesReply,
-    FeaturesRequest,
-    FlowMod,
-    FlowModCommand,
-    FlowRemoved,
-    FlowRemovedReason,
-    FlowStatsReply,
-    FlowStatsRequest,
-    GroupMod,
-    GroupModCommand,
-    Hello,
-    Message,
-    MeterMod,
-    MeterModCommand,
-    PacketIn,
-    PacketInReason,
-    PacketOut,
-    PortStatsReply,
-    PortStatsRequest,
-    PortStatus,
-    PortStatusReason,
-    TableStatsReply,
+    BarrierReply, BarrierRequest, EchoReply, EchoRequest, ErrorMsg, FeaturesReply,
+    FeaturesRequest, FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason,
+    FlowStatsReply, FlowStatsRequest, GroupMod, GroupModCommand, Hello, Message,
+    MeterMod, MeterModCommand, PacketIn, PacketInReason, PacketOut, PortStatsReply,
+    PortStatsRequest, PortStatus, PortStatusReason, TableStatsReply,
     TableStatsRequest,
 )
 from ..openflow.meter import DropBand
@@ -112,894 +82,462 @@ OFPMP_FLOW = 1
 OFPMP_TABLE = 3
 OFPMP_PORT_STATS = 4
 
-_ENUM_CODES = {
-    FlowModCommand: {
-        FlowModCommand.ADD: 0,
-        FlowModCommand.MODIFY: 1,
-        FlowModCommand.MODIFY_STRICT: 2,
-        FlowModCommand.DELETE: 3,
-        FlowModCommand.DELETE_STRICT: 4,
-    },
-    GroupModCommand: {
-        GroupModCommand.ADD: 0,
-        GroupModCommand.MODIFY: 1,
-        GroupModCommand.DELETE: 2,
-    },
-    MeterModCommand: {
-        MeterModCommand.ADD: 0,
-        MeterModCommand.MODIFY: 1,
-        MeterModCommand.DELETE: 2,
-    },
-    GroupType: {
-        GroupType.ALL: 0,
-        GroupType.SELECT: 1,
-        GroupType.INDIRECT: 2,
-        GroupType.FAST_FAILOVER: 3,
-    },
-    PacketInReason: {
-        PacketInReason.NO_MATCH: 0,
-        PacketInReason.ACTION: 1,
-    },
-    FlowRemovedReason: {
-        FlowRemovedReason.IDLE_TIMEOUT: 0,
-        FlowRemovedReason.HARD_TIMEOUT: 1,
-        FlowRemovedReason.DELETE: 2,
-    },
-    PortStatusReason: {
-        PortStatusReason.ADD: 0,
-        PortStatusReason.DELETE: 1,
-        PortStatusReason.MODIFY: 2,
-    },
-}
-_ENUM_DECODE = {
-    enum_cls: {code: member for member, code in mapping.items()}
-    for enum_cls, mapping in _ENUM_CODES.items()
-}
-
 
 # ----------------------------------------------------------------------
-# Primitive writer / reader
+# Wire types
 # ----------------------------------------------------------------------
-
-
-class _Writer:
-    """Accumulates a message body with range-checked primitives."""
-
-    def __init__(self) -> None:
-        self._parts: List[bytes] = []
-
-    def _int(self, value, bits: int, signed: bool, label: str) -> None:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise WireError(f"{label} must be an int, got {value!r}")
-        try:
-            self._parts.append(
-                value.to_bytes(bits // 8, "big", signed=signed)
-            )
-        except OverflowError:
-            raise WireError(
-                f"{label} out of range for {'i' if signed else 'u'}{bits}: "
-                f"{value}"
-            ) from None
-
-    def u8(self, value: int, label: str = "field") -> None:
-        self._int(value, 8, False, label)
-
-    def u16(self, value: int, label: str = "field") -> None:
-        self._int(value, 16, False, label)
-
-    def u32(self, value: int, label: str = "field") -> None:
-        self._int(value, 32, False, label)
-
-    def u64(self, value: int, label: str = "field") -> None:
-        self._int(value, 64, False, label)
-
-    def i32(self, value: int, label: str = "field") -> None:
-        self._int(value, 32, True, label)
-
-    def i64(self, value: int, label: str = "field") -> None:
-        self._int(value, 64, True, label)
-
-    def f64(self, value: float, label: str = "field") -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise WireError(f"{label} must be a float, got {value!r}")
-        self._parts.append(struct.pack("!d", float(value)))
-
-    def boolean(self, value: bool) -> None:
-        self._parts.append(b"\x01" if value else b"\x00")
-
-    def raw(self, data: bytes) -> None:
-        self._parts.append(data)
-
-    def blob(self, data: bytes, label: str = "bytes") -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            raise WireError(f"{label} must be bytes, got {data!r}")
-        self.u32(len(data), label + " length")
-        self._parts.append(bytes(data))
-
-    def text(self, value: str, label: str = "string") -> None:
-        if not isinstance(value, str):
-            raise WireError(f"{label} must be a str, got {value!r}")
-        self.blob(value.encode("utf-8"), label)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+#
+# A wire type is a ``(write, read)`` pair: ``write(out, value)`` appends
+# the value's bytes to the list ``out``, ``read(r)`` consumes them from
+# a :class:`_Reader` and returns the value.  A field is a ``(name, wire
+# type)`` pair; a struct's fields are listed in wire order.
 
 
 class _Reader:
-    """Consumes a message body; every under/overrun is a WireError."""
+    """A cursor over one body; every overrun is a WireError."""
+
+    __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
+        self.data = data
+        self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        pos = self.pos
+        end = pos + n
+        if end > len(self.data):
             raise WireError(
-                f"truncated body: wanted {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
+                f"truncated body: wanted {n} bytes at offset {pos}, "
+                f"have {len(self.data) - pos}"
             )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self.pos = end
+        return self.data[pos:end]
 
-    def _int(self, bits: int, signed: bool) -> int:
-        return int.from_bytes(self.take(bits // 8), "big", signed=signed)
 
-    def u8(self) -> int:
-        return self._int(8, False)
+WireType = Tuple[Callable[[List[bytes], Any], None], Callable[[_Reader], Any]]
+Fields = Tuple[Tuple[str, WireType], ...]
 
-    def u16(self) -> int:
-        return self._int(16, False)
 
-    def u32(self) -> int:
-        return self._int(32, False)
+def _check(value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise WireError(f"expected a {cls.__name__}, got {value!r}")
 
-    def u64(self) -> int:
-        return self._int(64, False)
 
-    def i32(self) -> int:
-        return self._int(32, True)
+def _number(name: str, code: str, types: Any = int) -> WireType:
+    """A big-endian number; ``code`` is its :mod:`struct` format."""
+    packer = struct.Struct("!" + code)
+    pack, unpack, size = packer.pack, packer.unpack, packer.size
 
-    def i64(self) -> int:
-        return self._int(64, True)
-
-    def f64(self) -> float:
-        return struct.unpack("!d", self.take(8))[0]
-
-    def boolean(self) -> bool:
-        return self.take(1) != b"\x00"
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def text(self) -> str:
+    def write(out: List[bytes], value) -> None:
+        if value.__class__ is bool or not isinstance(value, types):
+            raise WireError(f"expected {name}, got {value!r}")
         try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"invalid utf-8 string: {exc}") from None
+            out.append(pack(value))
+        except (struct.error, OverflowError):
+            raise WireError(f"out of range for {name}: {value}") from None
 
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise WireError(
-                f"{len(self._data) - self._pos} trailing bytes after body"
-            )
+    return write, lambda r: unpack(r.take(size))[0]
 
 
-# ----------------------------------------------------------------------
-# Shared field encodings
-# ----------------------------------------------------------------------
-
-
-def _enum_code(value, label: str) -> int:
-    mapping = _ENUM_CODES.get(type(value))
-    if mapping is None or value not in mapping:
-        raise WireError(f"{label}: unsupported enum value {value!r}")
-    return mapping[value]
-
-
-def _enum_member(enum_cls, code: int, label: str):
-    try:
-        return _ENUM_DECODE[enum_cls][code]
-    except KeyError:
-        raise WireError(f"{label}: unknown code {code}") from None
-
-
-def _w_mac(w: _Writer, mac: MacAddress) -> None:
-    w.raw(int(mac).to_bytes(6, "big"))
-
-
-def _r_mac(r: _Reader) -> MacAddress:
-    return MacAddress(int.from_bytes(r.take(6), "big"))
-
-
-def _w_ipmatch(w: _Writer, value) -> None:
-    if isinstance(value, IPv4Network):
-        w.u8(1)
-        w.u32(int(value.network), "ip network")
-        w.u8(value.prefix_len, "prefix length")
-    elif isinstance(value, IPv4Address):
-        w.u8(0)
-        w.u32(int(value), "ip address")
-    else:
-        raise WireError(f"ip match must be IPv4Address/IPv4Network, got {value!r}")
-
-
-def _r_ipmatch(r: _Reader):
-    tag = r.u8()
-    if tag == 0:
-        return IPv4Address(r.u32())
-    if tag == 1:
-        address = r.u32()
-        prefix = r.u8()
-        if prefix > 32:
-            raise WireError(f"prefix length out of range: {prefix}")
-        return IPv4Network((address, prefix))
-    raise WireError(f"unknown ip-match tag {tag}")
-
-
-#: (field name, writer, reader) triples in wire order for Match.
-_MATCH_FIELDS: Tuple[Tuple[str, Callable, Callable], ...] = (
-    ("in_port", lambda w, v: w.i32(v, "in_port"), _Reader.i32),
-    ("eth_src", _w_mac, _r_mac),
-    ("eth_dst", _w_mac, _r_mac),
-    ("eth_type", lambda w, v: w.u16(v, "eth_type"), _Reader.u16),
-    ("vlan_vid", lambda w, v: w.u16(v, "vlan_vid"), _Reader.u16),
-    ("ip_src", _w_ipmatch, _r_ipmatch),
-    ("ip_dst", _w_ipmatch, _r_ipmatch),
-    ("ip_proto", lambda w, v: w.u8(v, "ip_proto"), _Reader.u8),
-    ("tp_src", lambda w, v: w.u16(v, "tp_src"), _Reader.u16),
-    ("tp_dst", lambda w, v: w.u16(v, "tp_dst"), _Reader.u16),
-)
-
-#: Same for HeaderFields (no in_port; addresses are exact, not prefixes).
-_HEADER_FIELDS: Tuple[Tuple[str, Callable, Callable], ...] = (
-    ("eth_src", _w_mac, _r_mac),
-    ("eth_dst", _w_mac, _r_mac),
-    ("eth_type", lambda w, v: w.u16(v, "eth_type"), _Reader.u16),
-    ("vlan_vid", lambda w, v: w.u16(v, "vlan_vid"), _Reader.u16),
-    ("ip_src", lambda w, v: w.u32(int(v), "ip_src"), lambda r: IPv4Address(r.u32())),
-    ("ip_dst", lambda w, v: w.u32(int(v), "ip_dst"), lambda r: IPv4Address(r.u32())),
-    ("ip_proto", lambda w, v: w.u8(v, "ip_proto"), _Reader.u8),
-    ("tp_src", lambda w, v: w.u16(v, "tp_src"), _Reader.u16),
-    ("tp_dst", lambda w, v: w.u16(v, "tp_dst"), _Reader.u16),
+_U8 = _number("u8", "B")
+_U16 = _number("u16", "H")
+_U32 = _number("u32", "I")
+_U64 = _number("u64", "Q")
+_I32 = _number("i32", "i")
+_I64 = _number("i64", "q")
+_F64 = _number("f64", "d", (int, float))
+_write_u16, _read_u16 = _U16
+_BOOL: WireType = (
+    lambda out, value: out.append(b"\x01" if value else b"\x00"),
+    lambda r: r.take(1) != b"\x00",
 )
 
 
-def _w_fieldset(w: _Writer, obj, spec) -> None:
-    """Presence bitmap + the set fields, in declared order."""
-    bitmap = 0
-    for index, (name, _writer, _reader) in enumerate(spec):
-        if getattr(obj, name) is not None:
-            bitmap |= 1 << index
-    w.u16(bitmap, "field bitmap")
-    for index, (name, writer, _reader) in enumerate(spec):
-        if bitmap & (1 << index):
-            writer(w, getattr(obj, name))
+def _write_blob(out: List[bytes], value) -> None:
+    if not isinstance(value, (bytes, bytearray)):
+        raise WireError(f"expected bytes, got {value!r}")
+    _U32[0](out, len(value))
+    out.append(bytes(value))
 
 
-def _r_fieldset(r: _Reader, spec) -> dict:
-    bitmap = r.u16()
-    if bitmap >> len(spec):
-        raise WireError(f"unknown bits in field bitmap: {bitmap:#06x}")
-    fields = {}
-    for index, (name, _writer, reader) in enumerate(spec):
-        if bitmap & (1 << index):
-            fields[name] = reader(r)
-    return fields
-
-
-def _w_match(w: _Writer, match: Match) -> None:
-    if not isinstance(match, Match):
-        raise WireError(f"expected a Match, got {match!r}")
-    _w_fieldset(w, match, _MATCH_FIELDS)
-
-
-def _r_match(r: _Reader) -> Match:
-    return Match(**_r_fieldset(r, _MATCH_FIELDS))
-
-
-def _w_headers(w: _Writer, headers: HeaderFields) -> None:
-    if not isinstance(headers, HeaderFields):
-        raise WireError(f"expected HeaderFields, got {headers!r}")
-    _w_fieldset(w, headers, _HEADER_FIELDS)
-
-
-def _r_headers(r: _Reader) -> HeaderFields:
-    return HeaderFields(**_r_fieldset(r, _HEADER_FIELDS))
-
-
-def _w_opt(w: _Writer, value, writer) -> None:
-    if value is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        writer(w, value)
-
-
-def _r_opt(r: _Reader, reader):
-    flag = r.u8()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise WireError(f"optional flag must be 0/1, got {flag}")
-    return reader(r)
-
-
-# ----------------------------------------------------------------------
-# Actions / instructions / buckets / bands
-# ----------------------------------------------------------------------
-
-_ACTION_TAGS: Dict[type, int] = {
-    Output: 0,
-    Flood: 1,
-    Drop: 2,
-    ToController: 3,
-    SetField: 4,
-    GroupAction: 5,
-    PushVlan: 6,
-    PopVlan: 7,
-}
-
-
-def _w_action(w: _Writer, action: Action) -> None:
-    tag = _ACTION_TAGS.get(type(action))
-    if tag is None:
-        raise WireError(f"unsupported action {action!r}")
-    w.u8(tag)
-    if isinstance(action, Output):
-        w.i32(action.port, "output port")
-    elif isinstance(action, SetField):
-        try:
-            field_code = SetField.ALLOWED_FIELDS.index(action.field_name)
-        except ValueError:
-            raise WireError(
-                f"unknown set-field name {action.field_name!r}"
-            ) from None
-        w.u8(field_code)
-        _w_value(w, action.value)
-    elif isinstance(action, GroupAction):
-        w.u32(action.group_id, "group id")
-    elif isinstance(action, PushVlan):
-        w.u16(action.vlan_vid, "vlan id")
-
-
-def _r_action(r: _Reader) -> Action:
-    tag = r.u8()
-    if tag == 0:
-        return Output(r.i32())
-    if tag == 1:
-        return Flood()
-    if tag == 2:
-        return Drop()
-    if tag == 3:
-        return ToController()
-    if tag == 4:
-        field_code = r.u8()
-        if field_code >= len(SetField.ALLOWED_FIELDS):
-            raise WireError(f"unknown set-field code {field_code}")
-        return SetField(SetField.ALLOWED_FIELDS[field_code], _r_value(r))
-    if tag == 5:
-        return GroupAction(r.u32())
-    if tag == 6:
-        vid = r.u16()
-        if not 1 <= vid <= 4094:
-            raise WireError(f"vlan id out of range: {vid}")
-        return PushVlan(vid)
-    if tag == 7:
-        return PopVlan()
-    raise WireError(f"unknown action tag {tag}")
-
-
-def _w_actions(w: _Writer, actions) -> None:
-    w.u16(len(actions), "action count")
-    for action in actions:
-        _w_action(w, action)
-
-
-def _r_actions(r: _Reader) -> Tuple[Action, ...]:
-    return tuple(_r_action(r) for _ in range(r.u16()))
-
-
-def _w_instruction(w: _Writer, instruction: Instruction) -> None:
-    if isinstance(instruction, ApplyActions):
-        w.u8(0)
-        _w_actions(w, instruction.actions)
-    elif isinstance(instruction, GotoTable):
-        w.u8(1)
-        w.u8(instruction.table_id, "goto table")
-    elif isinstance(instruction, MeterInstruction):
-        w.u8(2)
-        w.u32(instruction.meter_id, "meter id")
-    else:
-        raise WireError(f"unsupported instruction {instruction!r}")
-
-
-def _r_instruction(r: _Reader) -> Instruction:
-    tag = r.u8()
-    if tag == 0:
-        return ApplyActions(_r_actions(r))
-    if tag == 1:
-        return GotoTable(r.u8())
-    if tag == 2:
-        return MeterInstruction(r.u32())
-    raise WireError(f"unknown instruction tag {tag}")
-
-
-def _w_instructions(w: _Writer, instructions) -> None:
-    w.u16(len(instructions), "instruction count")
-    for instruction in instructions:
-        _w_instruction(w, instruction)
-
-
-def _r_instructions(r: _Reader) -> Tuple[Instruction, ...]:
-    return tuple(_r_instruction(r) for _ in range(r.u16()))
-
-
-def _w_bucket(w: _Writer, bucket: Bucket) -> None:
-    w.u32(bucket.weight, "bucket weight")
-    _w_opt(w, bucket.watch_port, lambda w_, v: w_.i32(v, "watch port"))
-    _w_actions(w, bucket.actions)
-
-
-def _r_bucket(r: _Reader) -> Bucket:
-    weight = r.u32()
-    watch_port = _r_opt(r, _Reader.i32)
-    return Bucket(_r_actions(r), weight=weight, watch_port=watch_port)
-
-
-def _w_band(w: _Writer, band: DropBand) -> None:
-    w.f64(band.rate_bps, "band rate")
-    w.f64(band.burst_bits, "band burst")
-
-
-def _r_band(r: _Reader) -> DropBand:
-    rate = r.f64()
-    burst = r.f64()
+def _write_text(out: List[bytes], value) -> None:
+    _check(value, str)
     try:
-        return DropBand(rate_bps=rate, burst_bits=burst)
-    except Exception as exc:
-        raise WireError(f"invalid drop band: {exc}") from None
+        _write_blob(out, value.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise WireError(f"string is not utf-8 encodable: {exc}") from None
+
+
+def _read_text(r: _Reader) -> str:
+    try:
+        return _BLOB[1](r).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"invalid utf-8 string: {exc}") from None
+
+
+_BLOB: WireType = (_write_blob, lambda r: r.take(_U32[1](r)))
+_TEXT: WireType = (_write_text, _read_text)
+
+
+def _address(cls: type, size: int) -> WireType:
+    """A MAC or IPv4 address as its ``size``-byte integer."""
+
+    def write(out: List[bytes], value) -> None:
+        _check(value, cls)
+        out.append(int(value).to_bytes(size, "big"))
+
+    return write, lambda r: cls(int.from_bytes(r.take(size), "big"))
+
+
+_MAC = _address(MacAddress, 6)
+_IPV4 = _address(IPv4Address, 4)
+
+
+def _write_network(out: List[bytes], value) -> None:
+    _check(value, IPv4Network)
+    _IPV4[0](out, value.network)
+    _U8[0](out, value.prefix_len)
+
+
+def _read_network(r: _Reader) -> IPv4Network:
+    address = _U32[1](r)
+    prefix = _U8[1](r)
+    if prefix > 32:
+        raise WireError(f"prefix length out of range: {prefix}")
+    return IPv4Network((address, prefix))
+
+
+_IPV4_NETWORK: WireType = (_write_network, _read_network)
+
+
+def _opt(item: WireType) -> WireType:
+    """A u8 presence flag (0/1), then the value when present."""
+    write_item, read_item = item
+
+    def write(out: List[bytes], value) -> None:
+        if value is None:
+            out.append(b"\x00")
+        else:
+            out.append(b"\x01")
+            write_item(out, value)
+
+    def read(r: _Reader):
+        flag = r.take(1)[0]
+        if flag > 1:
+            raise WireError(f"optional flag must be 0/1, got {flag}")
+        return read_item(r) if flag else None
+
+    return write, read
+
+
+def _seq(count: WireType, item: WireType, container: type = tuple) -> WireType:
+    """A ``count`` of items, then the items."""
+    write_count, read_count = count
+    write_item, read_item = item
+
+    def write(out: List[bytes], value) -> None:
+        write_count(out, len(value))
+        for element in value:
+            write_item(out, element)
+
+    def read(r: _Reader):
+        return container([read_item(r) for _ in range(read_count(r))])
+
+    return write, read
+
+
+def _choice(options: tuple) -> WireType:
+    """A u8: the value's position in ``options``."""
+    codes = {option: bytes((index,)) for index, option in enumerate(options)}
+
+    def write(out: List[bytes], value) -> None:
+        try:
+            out.append(codes[value])
+        except (KeyError, TypeError):
+            raise WireError(f"{value!r} is not one of {options}") from None
+
+    def read(r: _Reader):
+        code = r.take(1)[0]
+        if code >= len(options):
+            raise WireError(f"unknown code {code} (of {len(options)})")
+        return options[code]
+
+    return write, read
+
+
+def _write_fields(out: List[bytes], value, fields: Fields) -> None:
+    for name, (write, _read) in fields:
+        try:
+            write(out, getattr(value, name))
+        except WireError as exc:
+            raise WireError(f"{name}: {exc}") from None
+
+
+def _read_fields(r: _Reader, fields: Fields, values: dict) -> dict:
+    for name, (_write, read) in fields:
+        try:
+            values[name] = read(r)
+        except WireError as exc:
+            raise WireError(f"{name}: {exc}") from None
+    return values
+
+
+def _build(cls: type, values: dict):
+    """``cls(**values)``; the dataclass's own validation is a WireError."""
+    try:
+        return cls(**values)
+    except (ValueError, OpenFlowError) as exc:
+        raise WireError(f"invalid {cls.__name__}: {exc}") from None
+
+
+def _struct(cls: type, *fields: Tuple[str, WireType]) -> WireType:
+    """The fields of a ``cls`` instance, in order."""
+
+    def write(out: List[bytes], value) -> None:
+        _check(value, cls)
+        _write_fields(out, value, fields)
+
+    return write, lambda r: _build(cls, _read_fields(r, fields, {}))
+
+
+def _fieldset(cls: type, *fields: Tuple[str, WireType]) -> WireType:
+    """A u16 presence bitmap, then the fields that are not None."""
+
+    def write(out: List[bytes], value) -> None:
+        _check(value, cls)
+        bitmap = 0
+        present = []
+        for index, field in enumerate(fields):
+            if getattr(value, field[0]) is not None:
+                bitmap |= 1 << index
+                present.append(field)
+        _write_u16(out, bitmap)
+        _write_fields(out, value, present)
+
+    def read(r: _Reader):
+        bitmap = _read_u16(r)
+        if bitmap >> len(fields):
+            raise WireError(f"unknown bits in field bitmap: {bitmap:#06x}")
+        present = tuple(
+            field for index, field in enumerate(fields) if bitmap >> index & 1
+        )
+        return _build(cls, _read_fields(r, present, {}))
+
+    return write, read
+
+
+def _tagged(*alternatives: Tuple[Callable[[Any], bool], WireType]) -> WireType:
+    """A u8 tag naming the first alternative whose test accepts the
+    value, then the value in that alternative's wire type."""
+    writers = [
+        (accepts, bytes((tag,)), write)
+        for tag, (accepts, (write, _read)) in enumerate(alternatives)
+    ]
+    readers = [read for _accepts, (_write, read) in alternatives]
+
+    def write(out: List[bytes], value) -> None:
+        for accepts, tag, write_value in writers:
+            if accepts(value):
+                out.append(tag)
+                write_value(out, value)
+                return
+        raise WireError(f"{value!r} has no wire encoding here")
+
+    def read(r: _Reader):
+        tag = r.take(1)[0]
+        if tag >= len(readers):
+            raise WireError(f"unknown tag {tag} (of {len(readers)})")
+        return readers[tag](r)
+
+    return write, read
+
+
+def _is(cls) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, cls)
+
+
+def _case(cls: type, *fields: Tuple[str, WireType]):
+    """A :func:`_tagged` alternative: instances of ``cls``, as a struct."""
+    return _is(cls), _struct(cls, *fields)
+
+
+def _constant(value) -> WireType:
+    """No bytes at all: the tag alone names ``value``."""
+    return (lambda out, _value: None), (lambda r: value)
+
+
+def _only(cls: type, item: WireType) -> WireType:
+    """``item``, restricted to instances of ``cls`` both ways."""
+    write_item, read_item = item
+
+    def write(out: List[bytes], value) -> None:
+        _check(value, cls)
+        write_item(out, value)
+
+    def read(r: _Reader):
+        value = read_item(r)
+        _check(value, cls)
+        return value
+
+    return write, read
 
 
 # ----------------------------------------------------------------------
-# Tagged value codec (stats dicts, set-field values)
+# Matches, the tagged value codec, actions and instructions
 # ----------------------------------------------------------------------
 
 
-def _w_value(w: _Writer, value) -> None:
-    if value is None:
-        w.u8(0)
-    elif value is False:
-        w.u8(1)
-    elif value is True:
-        w.u8(2)
-    elif isinstance(value, int):
-        w.u8(3)
-        w.i64(value, "int value")
-    elif isinstance(value, float):
-        w.u8(4)
-        w.f64(value, "float value")
-    elif isinstance(value, str):
-        w.u8(5)
-        w.text(value)
-    elif isinstance(value, (bytes, bytearray)):
-        w.u8(6)
-        w.blob(bytes(value))
-    elif isinstance(value, MacAddress):
-        w.u8(7)
-        _w_mac(w, value)
-    elif isinstance(value, IPv4Address):
-        w.u8(8)
-        w.u32(int(value), "ip value")
-    elif isinstance(value, IPv4Network):
-        w.u8(9)
-        w.u32(int(value.network), "network value")
-        w.u8(value.prefix_len, "prefix length")
-    elif isinstance(value, Match):
-        w.u8(10)
-        _w_match(w, value)
-    elif isinstance(value, HeaderFields):
-        w.u8(11)
-        _w_headers(w, value)
-    elif isinstance(value, list):
-        w.u8(12)
-        w.u32(len(value), "list length")
-        for item in value:
-            _w_value(w, item)
-    elif isinstance(value, tuple):
-        w.u8(13)
-        w.u32(len(value), "tuple length")
-        for item in value:
-            _w_value(w, item)
-    elif isinstance(value, dict):
-        w.u8(14)
-        w.u32(len(value), "dict length")
-        for key, item in value.items():
-            _w_value(w, key)
-            _w_value(w, item)
-    else:
-        raise WireError(f"value {value!r} is not wire-encodable")
-
-
-def _r_value(r: _Reader):
-    tag = r.u8()
-    if tag == 0:
-        return None
-    if tag == 1:
-        return False
-    if tag == 2:
-        return True
-    if tag == 3:
-        return r.i64()
-    if tag == 4:
-        return r.f64()
-    if tag == 5:
-        return r.text()
-    if tag == 6:
-        return r.blob()
-    if tag == 7:
-        return _r_mac(r)
-    if tag == 8:
-        return IPv4Address(r.u32())
-    if tag == 9:
-        address = r.u32()
-        prefix = r.u8()
-        if prefix > 32:
-            raise WireError(f"prefix length out of range: {prefix}")
-        return IPv4Network((address, prefix))
-    if tag == 10:
-        return _r_match(r)
-    if tag == 11:
-        return _r_headers(r)
-    if tag == 12:
-        return [_r_value(r) for _ in range(r.u32())]
-    if tag == 13:
-        return tuple(_r_value(r) for _ in range(r.u32()))
-    if tag == 14:
-        result = {}
-        for _ in range(r.u32()):
-            key = _r_value(r)
-            value = _r_value(r)
-            try:
-                result[key] = value
-            except TypeError:
-                raise WireError(f"dict key {key!r} is unhashable") from None
-        return result
-    raise WireError(f"unknown value tag {tag}")
-
-
-def _w_stats(w: _Writer, stats: List[dict]) -> None:
-    w.u32(len(stats), "stats count")
-    for entry in stats:
-        if not isinstance(entry, dict):
-            raise WireError(f"stats entries must be dicts, got {entry!r}")
-        _w_value(w, entry)
-
-
-def _r_stats(r: _Reader) -> List[dict]:
-    count = r.u32()
-    out = []
-    for _ in range(count):
-        entry = _r_value(r)
-        if not isinstance(entry, dict):
-            raise WireError(f"stats entry decoded as {type(entry).__name__}")
-        out.append(entry)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Per-message bodies
-# ----------------------------------------------------------------------
-
-
-def _w_hello(w: _Writer, m: Hello) -> None:
-    w.u8(m.version, "hello version")
-
-
-def _r_hello(r: _Reader, dpid: int, xid: int) -> Hello:
-    return Hello(dpid=dpid, xid=xid, version=r.u8())
-
-
-def _w_echo(w: _Writer, m) -> None:
-    w.blob(m.payload, "echo payload")
-
-
-def _w_features_reply(w: _Writer, m: FeaturesReply) -> None:
-    w.u32(m.n_buffers, "n_buffers")
-    w.u8(m.n_tables, "n_tables")
-    w.u8(m.auxiliary_id, "auxiliary_id")
-    w.u32(m.capabilities, "capabilities")
-    w.u32(m.reserved, "reserved")
-
-
-def _r_features_reply(r: _Reader, dpid: int, xid: int) -> FeaturesReply:
-    return FeaturesReply(
-        dpid=dpid,
-        xid=xid,
-        n_buffers=r.u32(),
-        n_tables=r.u8(),
-        auxiliary_id=r.u8(),
-        capabilities=r.u32(),
-        reserved=r.u32(),
+def _header_fields(ip: WireType) -> Fields:
+    """HeaderFields' fields; a Match's IP fields may also be prefixes."""
+    return (
+        ("eth_src", _MAC), ("eth_dst", _MAC), ("eth_type", _U16),
+        ("vlan_vid", _U16), ("ip_src", ip), ("ip_dst", ip), ("ip_proto", _U8),
+        ("tp_src", _U16), ("tp_dst", _U16),
     )
 
 
-def _w_flow_mod(w: _Writer, m: FlowMod) -> None:
-    w.u8(_enum_code(m.command, "flow-mod command"))
-    w.u8(m.table_id, "table id")
-    _w_match(w, m.match)
-    w.u32(m.priority, "priority")
-    _w_instructions(w, m.instructions)
-    w.f64(m.idle_timeout, "idle timeout")
-    w.f64(m.hard_timeout, "hard timeout")
-    w.u64(m.cookie, "cookie")
-    w.boolean(m.check_overlap)
+_IP_MATCH = _tagged((_is(IPv4Address), _IPV4), (_is(IPv4Network), _IPV4_NETWORK))
+_MATCH = _fieldset(Match, ("in_port", _I32), *_header_fields(_IP_MATCH))
+_HEADERS = _fieldset(HeaderFields, *_header_fields(_IPV4))
 
 
-def _r_flow_mod(r: _Reader, dpid: int, xid: int) -> FlowMod:
-    return FlowMod(
-        dpid=dpid,
-        xid=xid,
-        command=_enum_member(FlowModCommand, r.u8(), "flow-mod command"),
-        table_id=r.u8(),
-        match=_r_match(r),
-        priority=r.u32(),
-        instructions=_r_instructions(r),
-        idle_timeout=r.f64(),
-        hard_timeout=r.f64(),
-        cookie=r.u64(),
-        check_overlap=r.boolean(),
-    )
+def _write_dict(out: List[bytes], value: dict) -> None:
+    _U32[0](out, len(value))
+    for key, item in value.items():
+        _write_value(out, key)
+        _write_value(out, item)
 
 
-def _w_group_mod(w: _Writer, m: GroupMod) -> None:
-    w.u8(_enum_code(m.command, "group-mod command"))
-    w.u32(m.group_id, "group id")
-    w.u8(_enum_code(m.group_type, "group type"))
-    w.u16(len(m.buckets), "bucket count")
-    for bucket in m.buckets:
-        _w_bucket(w, bucket)
+def _read_dict(r: _Reader) -> dict:
+    result = {}
+    for _ in range(_U32[1](r)):
+        key = _read_value(r)
+        item = _read_value(r)
+        try:
+            result[key] = item
+        except TypeError:
+            raise WireError(f"dict key {key!r} is unhashable") from None
+    return result
 
 
-def _r_group_mod(r: _Reader, dpid: int, xid: int) -> GroupMod:
-    return GroupMod(
-        dpid=dpid,
-        xid=xid,
-        command=_enum_member(GroupModCommand, r.u8(), "group-mod command"),
-        group_id=r.u32(),
-        group_type=_enum_member(GroupType, r.u8(), "group type"),
-        buckets=tuple(_r_bucket(r) for _ in range(r.u16())),
-    )
+# The value codec is recursive: containers hold values.
+_VALUE_REF: WireType = (lambda out, v: _write_value(out, v), lambda r: _read_value(r))
 
+#: Stats entries and SetField values: tags 0..14 in this order.
+_VALUE = _tagged(
+    (lambda value: value is None, _constant(None)),
+    (lambda value: value is False, _constant(False)),
+    (lambda value: value is True, _constant(True)),
+    (_is(int), _I64),
+    (_is(float), _F64),
+    (_is(str), _TEXT),
+    (_is((bytes, bytearray)), _BLOB),
+    (_is(MacAddress), _MAC),
+    (_is(IPv4Address), _IPV4),
+    (_is(IPv4Network), _IPV4_NETWORK),
+    (_is(Match), _MATCH),
+    (_is(HeaderFields), _HEADERS),
+    (_is(list), _seq(_U32, _VALUE_REF, list)),
+    (_is(tuple), _seq(_U32, _VALUE_REF)),
+    (_is(dict), (_write_dict, _read_dict)),
+)
+_write_value, _read_value = _VALUE
 
-def _w_meter_mod(w: _Writer, m: MeterMod) -> None:
-    w.u8(_enum_code(m.command, "meter-mod command"))
-    w.u32(m.meter_id, "meter id")
-    w.u16(len(m.bands), "band count")
-    for band in m.bands:
-        _w_band(w, band)
-
-
-def _r_meter_mod(r: _Reader, dpid: int, xid: int) -> MeterMod:
-    return MeterMod(
-        dpid=dpid,
-        xid=xid,
-        command=_enum_member(MeterModCommand, r.u8(), "meter-mod command"),
-        meter_id=r.u32(),
-        bands=tuple(_r_band(r) for _ in range(r.u16())),
-    )
-
-
-def _w_packet_out(w: _Writer, m: PacketOut) -> None:
-    w.i32(m.in_port, "in_port")
-    _w_opt(w, m.headers, _w_headers)
-    w.u16(len(m.out_ports), "out-port count")
-    for port in m.out_ports:
-        w.i32(port, "out port")
-    _w_opt(w, m.buffer_id, lambda w_, v: w_.u32(v, "buffer id"))
-
-
-def _r_packet_out(r: _Reader, dpid: int, xid: int) -> PacketOut:
-    return PacketOut(
-        dpid=dpid,
-        xid=xid,
-        in_port=r.i32(),
-        headers=_r_opt(r, _r_headers),
-        out_ports=tuple(r.i32() for _ in range(r.u16())),
-        buffer_id=_r_opt(r, _Reader.u32),
-    )
-
-
-def _w_packet_in(w: _Writer, m: PacketIn) -> None:
-    w.i32(m.in_port, "in_port")
-    w.u8(_enum_code(m.reason, "packet-in reason"))
-    _w_opt(w, m.headers, _w_headers)
-    w.f64(m.rate_bps, "rate")
-    w.i64(m.size_bytes, "size")
-    _w_opt(w, m.flow_id, lambda w_, v: w_.i64(v, "flow id"))
-
-
-def _r_packet_in(r: _Reader, dpid: int, xid: int) -> PacketIn:
-    return PacketIn(
-        dpid=dpid,
-        xid=xid,
-        in_port=r.i32(),
-        reason=_enum_member(PacketInReason, r.u8(), "packet-in reason"),
-        headers=_r_opt(r, _r_headers),
-        rate_bps=r.f64(),
-        size_bytes=r.i64(),
-        flow_id=_r_opt(r, _Reader.i64),
-    )
-
-
-def _w_flow_removed(w: _Writer, m: FlowRemoved) -> None:
-    w.u8(m.table_id, "table id")
-    _w_match(w, m.match)
-    w.u32(m.priority, "priority")
-    w.u8(_enum_code(m.reason, "flow-removed reason"))
-    w.u64(m.cookie, "cookie")
-    w.f64(m.duration_s, "duration")
-    w.i64(m.packet_count, "packet count")
-    w.i64(m.byte_count, "byte count")
-
-
-def _r_flow_removed(r: _Reader, dpid: int, xid: int) -> FlowRemoved:
-    return FlowRemoved(
-        dpid=dpid,
-        xid=xid,
-        table_id=r.u8(),
-        match=_r_match(r),
-        priority=r.u32(),
-        reason=_enum_member(FlowRemovedReason, r.u8(), "flow-removed reason"),
-        cookie=r.u64(),
-        duration_s=r.f64(),
-        packet_count=r.i64(),
-        byte_count=r.i64(),
-    )
-
-
-def _w_port_status(w: _Writer, m: PortStatus) -> None:
-    w.i32(m.port_no, "port number")
-    w.u8(_enum_code(m.reason, "port-status reason"))
-    w.boolean(m.link_up)
-
-
-def _r_port_status(r: _Reader, dpid: int, xid: int) -> PortStatus:
-    return PortStatus(
-        dpid=dpid,
-        xid=xid,
-        port_no=r.i32(),
-        reason=_enum_member(PortStatusReason, r.u8(), "port-status reason"),
-        link_up=r.boolean(),
-    )
-
-
-def _w_error(w: _Writer, m: ErrorMsg) -> None:
-    w.text(m.error_type, "error type")
-    w.text(m.detail, "error detail")
-    w.u32(m.failed_xid, "failed xid")
-
-
-def _r_error(r: _Reader, dpid: int, xid: int) -> ErrorMsg:
-    return ErrorMsg(
-        dpid=dpid,
-        xid=xid,
-        error_type=r.text(),
-        detail=r.text(),
-        failed_xid=r.u32(),
-    )
-
-
-def _w_flow_stats_request(w: _Writer, m: FlowStatsRequest) -> None:
-    _w_opt(w, m.table_id, lambda w_, v: w_.u8(v, "table id"))
-    _w_opt(w, m.match, _w_match)
-    _w_opt(w, m.cookie, lambda w_, v: w_.u64(v, "cookie"))
-
-
-def _r_flow_stats_request(r: _Reader, dpid: int, xid: int) -> FlowStatsRequest:
-    return FlowStatsRequest(
-        dpid=dpid,
-        xid=xid,
-        table_id=_r_opt(r, _Reader.u8),
-        match=_r_opt(r, _r_match),
-        cookie=_r_opt(r, _Reader.u64),
-    )
-
-
-def _w_port_stats_request(w: _Writer, m: PortStatsRequest) -> None:
-    _w_opt(w, m.port_no, lambda w_, v: w_.i32(v, "port number"))
-
-
-def _r_port_stats_request(r: _Reader, dpid: int, xid: int) -> PortStatsRequest:
-    return PortStatsRequest(dpid=dpid, xid=xid, port_no=_r_opt(r, _Reader.i32))
-
-
-def _w_nothing(w: _Writer, m: Message) -> None:
-    pass
-
-
-def _stats_reply_codec(cls):
-    def _w(w: _Writer, m) -> None:
-        _w_stats(w, m.stats)
-
-    def _r(r: _Reader, dpid: int, xid: int):
-        return cls(dpid=dpid, xid=xid, stats=_r_stats(r))
-
-    return _w, _r
-
-
-_w_port_stats_reply, _r_port_stats_reply = _stats_reply_codec(PortStatsReply)
-_w_flow_stats_reply, _r_flow_stats_reply = _stats_reply_codec(FlowStatsReply)
-_w_table_stats_reply, _r_table_stats_reply = _stats_reply_codec(TableStatsReply)
-
-
-def _simple_decoder(cls):
-    def _r(r: _Reader, dpid: int, xid: int):
-        return cls(dpid=dpid, xid=xid)
-
-    return _r
-
-
-def _echo_decoder(cls):
-    def _r(r: _Reader, dpid: int, xid: int):
-        return cls(dpid=dpid, xid=xid, payload=r.blob())
-
-    return _r
-
-
-#: message class -> (wire type, multipart subtype or None, body writer)
-_ENCODERS: Dict[Type[Message], Tuple[int, Optional[int], Callable]] = {
-    Hello: (OFPT_HELLO, None, _w_hello),
-    ErrorMsg: (OFPT_ERROR, None, _w_error),
-    EchoRequest: (OFPT_ECHO_REQUEST, None, _w_echo),
-    EchoReply: (OFPT_ECHO_REPLY, None, _w_echo),
-    FeaturesRequest: (OFPT_FEATURES_REQUEST, None, _w_nothing),
-    FeaturesReply: (OFPT_FEATURES_REPLY, None, _w_features_reply),
-    PacketIn: (OFPT_PACKET_IN, None, _w_packet_in),
-    FlowRemoved: (OFPT_FLOW_REMOVED, None, _w_flow_removed),
-    PortStatus: (OFPT_PORT_STATUS, None, _w_port_status),
-    PacketOut: (OFPT_PACKET_OUT, None, _w_packet_out),
-    FlowMod: (OFPT_FLOW_MOD, None, _w_flow_mod),
-    GroupMod: (OFPT_GROUP_MOD, None, _w_group_mod),
-    MeterMod: (OFPT_METER_MOD, None, _w_meter_mod),
-    BarrierRequest: (OFPT_BARRIER_REQUEST, None, _w_nothing),
-    BarrierReply: (OFPT_BARRIER_REPLY, None, _w_nothing),
-    FlowStatsRequest: (OFPT_MULTIPART_REQUEST, OFPMP_FLOW, _w_flow_stats_request),
-    TableStatsRequest: (OFPT_MULTIPART_REQUEST, OFPMP_TABLE, _w_nothing),
-    PortStatsRequest: (
-        OFPT_MULTIPART_REQUEST,
-        OFPMP_PORT_STATS,
-        _w_port_stats_request,
+#: Action tags 0..7 and instruction tags 0..2, in this order.
+_ACTIONS = _seq(_U16, _tagged(
+    _case(Output, ("port", _I32)),
+    _case(Flood),
+    _case(Drop),
+    _case(ToController),
+    _case(
+        SetField, ("field_name", _choice(SetField.ALLOWED_FIELDS)), ("value", _VALUE)
     ),
-    FlowStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_FLOW, _w_flow_stats_reply),
-    TableStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_TABLE, _w_table_stats_reply),
-    PortStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_PORT_STATS, _w_port_stats_reply),
+    _case(GroupAction, ("group_id", _U32)),
+    _case(PushVlan, ("vlan_vid", _U16)),
+    _case(PopVlan),
+))
+_INSTRUCTIONS = _seq(_U16, _tagged(
+    _case(ApplyActions, ("actions", _ACTIONS)),
+    _case(GotoTable, ("table_id", _U8)),
+    _case(MeterInstruction, ("meter_id", _U32)),
+))
+_BUCKETS = _seq(_U16, _struct(
+    Bucket, ("weight", _U32), ("watch_port", _opt(_I32)), ("actions", _ACTIONS)
+))
+_BANDS = _seq(_U16, _struct(DropBand, ("rate_bps", _F64), ("burst_bits", _F64)))
+_STATS: Fields = (("stats", _seq(_U32, _only(dict, _VALUE), list)),)
+
+
+# ----------------------------------------------------------------------
+# The messages
+# ----------------------------------------------------------------------
+
+#: message class -> (wire type, multipart subtype or None, body fields
+#: after the dpid and subtype, in wire order).  The one body layout.
+_MESSAGES: Dict[Type[Message], Tuple[int, Optional[int], Fields]] = {
+    Hello: (OFPT_HELLO, None, (("version", _U8),)),
+    ErrorMsg: (OFPT_ERROR, None, (
+        ("error_type", _TEXT), ("detail", _TEXT), ("failed_xid", _U32),
+    )),
+    EchoRequest: (OFPT_ECHO_REQUEST, None, (("payload", _BLOB),)),
+    EchoReply: (OFPT_ECHO_REPLY, None, (("payload", _BLOB),)),
+    FeaturesRequest: (OFPT_FEATURES_REQUEST, None, ()),
+    FeaturesReply: (OFPT_FEATURES_REPLY, None, (
+        ("n_buffers", _U32), ("n_tables", _U8), ("auxiliary_id", _U8),
+        ("capabilities", _U32), ("reserved", _U32),
+    )),
+    PacketIn: (OFPT_PACKET_IN, None, (
+        ("in_port", _I32), ("reason", _choice(tuple(PacketInReason))),
+        ("headers", _opt(_HEADERS)), ("rate_bps", _F64), ("size_bytes", _I64),
+        ("flow_id", _opt(_I64)),
+    )),
+    FlowRemoved: (OFPT_FLOW_REMOVED, None, (
+        ("table_id", _U8), ("match", _MATCH), ("priority", _U32),
+        ("reason", _choice(tuple(FlowRemovedReason))), ("cookie", _U64),
+        ("duration_s", _F64), ("packet_count", _I64), ("byte_count", _I64),
+    )),
+    PortStatus: (OFPT_PORT_STATUS, None, (
+        ("port_no", _I32), ("reason", _choice(tuple(PortStatusReason))),
+        ("link_up", _BOOL),
+    )),
+    PacketOut: (OFPT_PACKET_OUT, None, (
+        ("in_port", _I32), ("headers", _opt(_HEADERS)),
+        ("out_ports", _seq(_U16, _I32)), ("buffer_id", _opt(_U32)),
+    )),
+    FlowMod: (OFPT_FLOW_MOD, None, (
+        ("command", _choice(tuple(FlowModCommand))), ("table_id", _U8),
+        ("match", _MATCH), ("priority", _U32), ("instructions", _INSTRUCTIONS),
+        ("idle_timeout", _F64), ("hard_timeout", _F64), ("cookie", _U64),
+        ("check_overlap", _BOOL),
+    )),
+    GroupMod: (OFPT_GROUP_MOD, None, (
+        ("command", _choice(tuple(GroupModCommand))), ("group_id", _U32),
+        ("group_type", _choice(tuple(GroupType))), ("buckets", _BUCKETS),
+    )),
+    MeterMod: (OFPT_METER_MOD, None, (
+        ("command", _choice(tuple(MeterModCommand))), ("meter_id", _U32),
+        ("bands", _BANDS),
+    )),
+    BarrierRequest: (OFPT_BARRIER_REQUEST, None, ()),
+    BarrierReply: (OFPT_BARRIER_REPLY, None, ()),
+    FlowStatsRequest: (OFPT_MULTIPART_REQUEST, OFPMP_FLOW, (
+        ("table_id", _opt(_U8)), ("match", _opt(_MATCH)), ("cookie", _opt(_U64)),
+    )),
+    TableStatsRequest: (OFPT_MULTIPART_REQUEST, OFPMP_TABLE, ()),
+    PortStatsRequest: (
+        OFPT_MULTIPART_REQUEST, OFPMP_PORT_STATS, (("port_no", _opt(_I32)),)
+    ),
+    FlowStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_FLOW, _STATS),
+    TableStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_TABLE, _STATS),
+    PortStatsReply: (OFPT_MULTIPART_REPLY, OFPMP_PORT_STATS, _STATS),
 }
 
-#: (wire type, subtype or None) -> body reader
-_DECODERS: Dict[Tuple[int, Optional[int]], Callable] = {
-    (OFPT_HELLO, None): _r_hello,
-    (OFPT_ERROR, None): _r_error,
-    (OFPT_ECHO_REQUEST, None): _echo_decoder(EchoRequest),
-    (OFPT_ECHO_REPLY, None): _echo_decoder(EchoReply),
-    (OFPT_FEATURES_REQUEST, None): _simple_decoder(FeaturesRequest),
-    (OFPT_FEATURES_REPLY, None): _r_features_reply,
-    (OFPT_PACKET_IN, None): _r_packet_in,
-    (OFPT_FLOW_REMOVED, None): _r_flow_removed,
-    (OFPT_PORT_STATUS, None): _r_port_status,
-    (OFPT_PACKET_OUT, None): _r_packet_out,
-    (OFPT_FLOW_MOD, None): _r_flow_mod,
-    (OFPT_GROUP_MOD, None): _r_group_mod,
-    (OFPT_METER_MOD, None): _r_meter_mod,
-    (OFPT_BARRIER_REQUEST, None): _simple_decoder(BarrierRequest),
-    (OFPT_BARRIER_REPLY, None): _simple_decoder(BarrierReply),
-    (OFPT_MULTIPART_REQUEST, OFPMP_FLOW): _r_flow_stats_request,
-    (OFPT_MULTIPART_REQUEST, OFPMP_TABLE): _simple_decoder(TableStatsRequest),
-    (OFPT_MULTIPART_REQUEST, OFPMP_PORT_STATS): _r_port_stats_request,
-    (OFPT_MULTIPART_REPLY, OFPMP_FLOW): _r_flow_stats_reply,
-    (OFPT_MULTIPART_REPLY, OFPMP_TABLE): _r_table_stats_reply,
-    (OFPT_MULTIPART_REPLY, OFPMP_PORT_STATS): _r_port_stats_reply,
+#: (wire type, subtype or None) -> (message class, body fields)
+_DECODERS = {
+    (wire_type, subtype): (cls, fields)
+    for cls, (wire_type, subtype, fields) in _MESSAGES.items()
 }
+_MULTIPART = {wire_type for wire_type, subtype in _DECODERS if subtype is not None}
 
 
 # ----------------------------------------------------------------------
@@ -1009,18 +547,18 @@ _DECODERS: Dict[Tuple[int, Optional[int]], Callable] = {
 
 def encode(message: Message) -> bytes:
     """One complete wire frame for an in-memory control message."""
-    entry = _ENCODERS.get(type(message))
+    entry = _MESSAGES.get(type(message))
     if entry is None:
         raise WireError(
             f"message type {type(message).__name__} has no wire encoding"
         )
-    wire_type, subtype, writer = entry
-    w = _Writer()
-    w.u64(message.dpid, "dpid")
+    wire_type, subtype, fields = entry
+    out: List[bytes] = []
+    _write_fields(out, message, (("dpid", _U64),))
     if subtype is not None:
-        w.u16(subtype, "multipart subtype")
-    writer(w, message)
-    body = w.getvalue()
+        _write_u16(out, subtype)
+    _write_fields(out, message, fields)
+    body = b"".join(out)
     length = HEADER_SIZE + len(body)
     if length > MAX_FRAME_SIZE:
         raise WireError(
@@ -1047,22 +585,22 @@ def decode(frame: bytes) -> Message:
             f"frame length field says {length}, got {len(frame)} bytes"
         )
     r = _Reader(frame[HEADER_SIZE:])
-    dpid = r.u64()
-    subtype: Optional[int] = None
-    if wire_type in (OFPT_MULTIPART_REQUEST, OFPT_MULTIPART_REPLY):
-        subtype = r.u16()
-    reader = _DECODERS.get((wire_type, subtype))
-    if reader is None:
+    dpid = _U64[1](r)
+    subtype = _read_u16(r) if wire_type in _MULTIPART else None
+    entry = _DECODERS.get((wire_type, subtype))
+    if entry is None:
         raise WireError(
             f"unknown message type {wire_type}"
             + (f" subtype {subtype}" if subtype is not None else "")
         )
+    cls, fields = entry
     try:
-        message = reader(r, dpid, xid)
+        values = _read_fields(r, fields, {"dpid": dpid, "xid": xid})
     except RecursionError:
         raise WireError("body nested too deeply") from None
-    r.expect_end()
-    return message
+    if r.pos != len(r.data):
+        raise WireError(f"{len(r.data) - r.pos} trailing bytes after body")
+    return _build(cls, values)
 
 
 class FrameReader:

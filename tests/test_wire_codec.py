@@ -333,7 +333,7 @@ def test_every_encoder_class_has_a_strategy():
     # The strategy table above must track the codec's encoder table so
     # a message class added to the wire protocol without a round-trip
     # property fails here, not in production.
-    assert set(MESSAGE_STRATEGIES) == set(codec._ENCODERS)
+    assert set(MESSAGE_STRATEGIES) == set(codec._MESSAGES)
 
 
 @given(any_message)
