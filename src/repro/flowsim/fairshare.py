@@ -7,20 +7,19 @@ flows freeze; repeat.  This is the fluid model that lets Horse advance
 in flow events instead of packet events.
 
 The module has one kernel, :func:`solve_arrays` (vectorized
-demand-capped filling over a flow-link incidence list), and three ways
+demand-capped filling over a flow-link incidence list), and two ways
 to reach it:
 
-* :func:`solve_component` — one link-sharing connected component, on
-  fresh columns built from the flows in order.
 * :func:`solve` — full solve: partition the flows into link-sharing
-  components and run the kernel on each.  Components are independent
-  under max-min fairness, so this is exact.
+  components and run the kernel on fresh columns of each.  Components
+  are independent under max-min fairness, so this is exact.
 * :class:`IncrementalSolver` — stateful solver that keeps the *exact*
   component partition across flow arrivals/departures/re-routes, each
   component's kernel inputs and last reported rates resident as columns
   (:class:`_Columns`, the only copy of either), re-runs the kernel only
-  on *dirty* components, and reports by difference: the rates that
-  moved and the load of every link it touched.
+  on *dirty* components that are not provably *settled* (no link
+  saturates: every flow at its demand), and reports by difference: the
+  rates that moved and the load of every link it touched.
 
 Because full and incremental solves run the **same kernel on the same
 per-component rows in the same order**, their results are bitwise
@@ -212,14 +211,6 @@ class _Columns:
         self.link_terms: Optional[tuple] = None
         self.link_epoch = 0
 
-    @classmethod
-    def of(cls, flows: Sequence[FlowDemand]) -> "_Columns":
-        """Fresh columns of ``flows``, no rate reported yet."""
-        columns = cls(len(flows))
-        for flow in flows:
-            columns.append(flow)
-        return columns
-
     def _grow(self, *names: str) -> None:
         for name in names:
             column = getattr(self, name)
@@ -284,8 +275,8 @@ class _Columns:
 
     def solve(
         self, capacities: Mapping[Hashable, float], epoch: int = 0
-    ) -> np.ndarray:
-        """Rates in row order.  ``epoch`` names the state of
+    ) -> Tuple[np.ndarray, Optional[tuple]]:
+        """:func:`_fill` on the rows.  ``epoch`` names the state of
         ``capacities``: terms derived under another epoch are stale."""
         links, rows = self.links, self.rows
         link_terms = self.link_terms
@@ -294,8 +285,12 @@ class _Columns:
             try:
                 caps = np.fromiter(map(capacities.__getitem__, links), float, len(links))
             except (KeyError, IndexError):
-                missing = [link for link in links if not _has_capacity(capacities, link)]
-                raise KeyError(f"no capacity given for link {missing[0]!r}") from None
+                for link in links:  # name the first link without one
+                    try:
+                        capacities[link]
+                    except (KeyError, IndexError):
+                        raise KeyError(f"no capacity given for link {link!r}") from None
+                raise
             link_terms = self.link_terms = _link_terms(caps)
             self.link_epoch = epoch
         pinned = self.pinned[:rows]
@@ -318,26 +313,6 @@ class _Columns:
             weights=np.repeat(rates, self.counts[:self.rows]),
             minlength=len(self.links),
         ).tolist()
-
-
-def _has_capacity(capacities: Mapping[Hashable, float], link: Hashable) -> bool:
-    try:
-        capacities[link]
-        return True
-    except (KeyError, IndexError):
-        return False
-
-
-def solve_component(
-    flows: Sequence[FlowDemand], capacities: Mapping[Hashable, float]
-) -> Dict[Hashable, float]:
-    """Canonical kernel for one link-sharing component: :func:`solve_arrays`
-    on columns built from ``flows`` in order.  Full and incremental
-    solves of the same component run it on the same rows and return
-    bitwise-identical rates.
-    """
-    rates = _Columns.of(flows).solve(capacities).tolist()
-    return dict(zip([flow.flow_id for flow in flows], rates))
 
 
 def solve(
@@ -372,8 +347,14 @@ def solve(
             alloc[flow.flow_id] = flow.demand_bps
         else:
             constrained.append(flow)
+    # The kernel on fresh columns of each component, its flows in order:
+    # incremental solves run it on the same rows, so the bits agree.
     for component in _partition(constrained):
-        alloc.update(solve_component(component, capacities))
+        columns = _Columns(len(component))
+        for flow in component:
+            columns.append(flow)
+        rates = columns.solve(capacities)[0].tolist()
+        alloc.update(zip([flow.flow_id for flow in component], rates))
     return alloc
 
 
@@ -404,17 +385,13 @@ def solve_arrays(
     Returns
     -------
     np.ndarray
-        Max-min fair allocation per flow, shape (F,).  Each filling
-        iteration is O(nnz) NumPy work and caps demands in bulk, so the
-        iterations are bounded by links + demand "plateaus", not flows,
-        which is what lets the flow-level engine carry tens of
-        thousands of concurrent flows.
+        Max-min fair allocation per flow, shape (F,).
     """
     if demand.size == 0:
         return np.zeros(0)
     if weight is None:
         weight = np.ones(demand.size)
-    return _fill(demand, weight, pinned, flow_of, link_of, *_link_terms(link_capacity))
+    return _fill(demand, weight, pinned, flow_of, link_of, *_link_terms(link_capacity))[0]
 
 
 def _link_terms(link_capacity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -433,8 +410,10 @@ def _fill(
     link_of: np.ndarray,
     capacity: np.ndarray,
     sat_eps: np.ndarray,
-) -> np.ndarray:
-    """:func:`solve_arrays` on prepared link terms (and a weight)."""
+) -> Tuple[np.ndarray, Optional[tuple]]:
+    """:func:`solve_arrays` on prepared link terms (and a weight), and
+    the first round's ``(weight sums, level)`` when it filled every row
+    from nothing to exactly its demand (else None; see :class:`_Component`)."""
     num_flows, num_links = int(demand.size), int(capacity.size)
     # The allocation at which a flow counts as demand-satisfied.  The
     # slack is taken of a finite number, so that an uncapped (infinite)
@@ -466,7 +445,7 @@ def _fill(
     # Each iteration either saturates a link or freezes every flow whose
     # remaining headroom is below the current fair increment (in bulk),
     # so iterations are bounded by links + demand "plateaus", not flows.
-    for _ in range(num_flows + num_links + 8):
+    for round_ in range(num_flows + num_links + 8):
         if not left:
             break
         weight_sums = np.bincount(
@@ -490,17 +469,23 @@ def _fill(
         flow_inc = np.minimum(level * weight, demand - alloc)
         np.maximum(flow_inc, 0.0, out=flow_inc)
         flow_inc[frozen] = 0.0
-        avail -= np.bincount(link_of, weights=flow_inc[flow_of], minlength=num_links)
         alloc += flow_inc
-        # Freeze demand-satisfied flows and every flow on a saturated link.
-        saturated = used & (avail <= sat_eps)
+        # Freeze demand-satisfied flows; when that is every flow, the
+        # budgets are not read again.
         frozen |= alloc >= done_at
+        if np.count_nonzero(frozen) == num_flows:
+            if not round_ and left == num_flows and not np.count_nonzero(alloc != demand):
+                return alloc, (weight_sums, level)
+            break
+        # Freeze every flow on a saturated link.
+        avail -= np.bincount(link_of, weights=flow_inc[flow_of], minlength=num_links)
+        saturated = used & (avail <= sat_eps)
         frozen[flow_of[saturated[link_of]]] = True
         still = num_flows - np.count_nonzero(frozen)
         if still == left and level <= EPSILON_BPS:  # pragma: no cover - safety valve
             break
         left = still
-    return alloc
+    return alloc, None
 
 
 class _Component:
@@ -515,10 +500,14 @@ class _Component:
     Both change only when a route gains its first member or loses its
     last — a twin arriving or leaving touches a count — and a link
     leaves the component with its last route.
+
+    It is *settled* while ``level`` and ``bound``, kept from a kernel run
+    that left every row at its demand, prove it would again (no kernel
+    run; docs/fluid-model.md, "Settled components").
     """
 
     __slots__ = ("flows", "seqs", "columns", "link_routes", "routes", "may_split",
-                 "dirty")
+                 "dirty", "level", "bound", "arrivals")
 
     def __init__(self, columns: Optional[_Columns] = None) -> None:
         self.flows: List[FlowDemand] = []
@@ -533,6 +522,47 @@ class _Component:
         #: resolve.
         self.may_split = False
         self.dirty = False
+        self.settle(None)
+
+    def settle(self, first: Optional[tuple]) -> None:
+        """Keep a kernel run's first round (:func:`_fill`); None unsettles."""
+        #: (weight, demand, link numbers) of each row appended since.
+        self.arrivals: List[Tuple[float, float, List[int]]] = []
+        self.level: Optional[float] = None if first is None else first[1]
+        self.bound: List[float] = [] if first is None else first[0].tolist()
+
+    def arrive(self, flow: FlowDemand) -> None:
+        """Add the row just appended for ``flow`` to the bounds."""
+        if self.level is None or flow.pinned:
+            self.level = None
+            return
+        columns, bound = self.columns, self.bound
+        bound += [0.0] * (len(columns.links) - len(bound))
+        ids = [columns.link_ids[link] for link in flow.links]
+        for local in ids:
+            bound[local] += flow.weight
+        self.arrivals.append((flow.weight, flow.demand_bps, ids))
+
+    def settled(self, capacities: Mapping[Hashable, float], epoch: int) -> Optional[np.ndarray]:
+        """The demands, when the bounds prove the kernel would return
+        them (``L·w ≥ d`` on the arrivals, or on every row if the
+        arrivals lowered ``L``); None when it has to run."""
+        level, columns = self.level, self.columns
+        if level is None or columns.link_epoch != epoch:
+            return None
+        rows, arrivals, links = columns.rows, self.arrivals, columns.links
+        if arrivals:
+            for _, _, ids in arrivals:
+                for local in ids:
+                    level = min(level, capacities[links[local]] / self.bound[local])
+            self.arrivals = []
+            if level < self.level:
+                self.level = level
+                if not (level * columns.weight[:rows] >= columns.demand[:rows]).all():
+                    return None
+            elif any(level * weight < demand for weight, demand, _ in arrivals):
+                return None
+        return columns.demand[:rows]
 
     def report(
         self,
@@ -600,8 +630,9 @@ class IncrementalSolver:
     from the route's surviving links finds them no longer joined
     (:meth:`_Component.joined`).  :meth:`resolve` runs the kernel on each component touched
     since the last resolve, alone and in insertion order, so its rates
-    are bitwise those of a from-scratch :func:`solve`; untouched
-    components keep their cached — equally exact — rates.  Exactness is
+    are bitwise those of a from-scratch :func:`solve` (a settled one
+    keeps its demands: :class:`_Component`); untouched components keep
+    their cached — equally exact — rates.  Exactness is
     what makes that hold: solving two disconnected sets as one would
     change the arithmetic, not only the scope.
 
@@ -642,6 +673,7 @@ class IncrementalSolver:
         self.stats = {
             "resolves": 0,
             "component_solves": 0,
+            "settled": 0,  # of those, answered by the bounds: no kernel run
             "flows_resolved": 0,
             "rates_moved": 0,
             "repartitions": 0,
@@ -672,6 +704,7 @@ class IncrementalSolver:
                 row = bisect_left(component.seqs, seq)
                 self._flows[flow_id] = component.flows[row] = flow
                 component.columns.set_row(row, flow)
+                component.settle(None)
                 self._mark_dirty(component)
                 return
             last = self._detach(old, seq)
@@ -696,11 +729,6 @@ class IncrementalSolver:
         component = self._component_of.get(link)
         if component is not None:
             self._mark_dirty(component)
-
-    def reset(self) -> None:
-        bus = self.trace_bus
-        self.__init__()
-        self.trace_bus = bus
 
     def _mark_dirty(self, component: _Component) -> None:
         if not component.dirty:
@@ -729,6 +757,9 @@ class IncrementalSolver:
         if row != end:
             # A re-routed flow keeps its seq: back to its sorted place.
             component.columns = columns.select([*range(row), end, *range(row, end)])
+            component.settle(None)
+        else:
+            component.arrive(flow)
         self._enroll(component, links)
         self._mark_dirty(component)
 
@@ -764,6 +795,7 @@ class IncrementalSolver:
             key=itemgetter(0),
         )))
         a.columns = columns.select(order)
+        a.settle(None)
         # Two components share no link before the flow that bridges
         # them: the maps are disjoint and their union is the merged map.
         component_of = self._component_of
@@ -892,14 +924,19 @@ class IncrementalSolver:
             if rate != last_free[flow_id]:
                 moved[flow_id] = last_free[flow_id] = rate
         scope = len(free)
+        settled, epoch = 0, self._capacity_epoch
         for component in components:
             touched.update(component.link_routes)
             flows = component.flows
             scope += len(flows)
             if full:
                 fresh = np.array([scratch[flow.flow_id] for flow in flows])
+                component.settle(None)
+            elif (fresh := component.settled(capacities, epoch)) is not None:
+                settled += 1
             else:
-                fresh = component.columns.solve(capacities, self._capacity_epoch)
+                fresh, first = component.columns.solve(capacities, epoch)
+                component.settle(first)
             component.report(fresh, moved, loads)
         self._dirty = []
         self._dirty_free = set()
@@ -908,6 +945,7 @@ class IncrementalSolver:
         self.last_touched_links = touched
         self.last_loads = loads
         self.stats["component_solves"] += len(components)
+        self.stats["settled"] += settled
         self.stats["flows_resolved"] += scope
         self.stats["rates_moved"] += len(moved)
         if self.trace_bus is not None:
@@ -917,6 +955,7 @@ class IncrementalSolver:
             self.trace_bus.emit(
                 "solver.resolve",
                 components_solved=len(components),
+                components_settled=settled,
                 components_cached=max(0, live - len(components)),
                 flows=scope,
                 moved=len(moved),
@@ -938,9 +977,6 @@ class IncrementalSolver:
             rates = component.columns.rate[:component.columns.rows].tolist()
             out.update(zip([flow.flow_id for flow in component.flows], rates))
         return {flow_id: rate for flow_id, rate in out.items() if rate == rate}
-
-    def flow_count(self) -> int:
-        return len(self._flows)
 
     def components(self) -> List[List[Hashable]]:
         """Member flow ids of every component, each in insertion order."""

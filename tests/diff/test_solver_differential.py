@@ -19,7 +19,12 @@ against the member flows and the machine's own record of the reported
 rates, the touched-link report, and a pickled copy of the solver; named
 regressions pin the twin rule, the probe that follows it (chain, ring,
 at most one surviving link), a bridge removal, the link trap and a
-merge that carries a pending split.
+merge that carries a pending split.  The same machine on wide links
+without pinned flows (``SettledIndexMachine``) keeps most components
+*settled* - answered from bounds, without the kernel - and an
+invariant checks those bounds; named tests pin an arrival one ulp past
+the bound, departures under rounding weights, and the full resolve
+that never settles.
 
 The kernel itself is checked against the textbook loop in
 ``tests/diff/reference.py`` (a different algorithm, so to 1e-9 and not
@@ -500,12 +505,48 @@ class SolverIndexMachine(RuleBasedStateMachine):
                 if not component.may_split:
                     assert len(fairshare._partition(component.flows)) == 1
 
+    @invariant()
+    def settled_components_keep_their_proof(self):
+        """A settled component with no arrival pending, under the
+        capacities it settled with: ``L·w ≥ d`` on every row, its
+        weight-sum bounds at or above the sums the kernel would form,
+        and ``L`` at or below the kernel's first-round level - so the
+        kernel would hand back the demands.  Departures since the
+        settling solve included."""
+        for solver in self._each():
+            for component in solver._components():
+                columns = component.columns
+                if (component.level is None or component.arrivals
+                        or columns.link_epoch != solver._capacity_epoch):
+                    continue
+                rows = columns.rows
+                weight, demand = columns.weight[:rows], columns.demand[:rows]
+                assert (component.level * weight >= demand).all()
+                sums = np.bincount(
+                    columns.flat[:columns.pairs],
+                    weights=np.repeat(weight, columns.counts[:rows]),
+                    minlength=len(columns.links),
+                )
+                assert (sums <= np.array(component.bound)).all()
+                used = sums > 0
+                caps = np.array([self.capacities[link] for link in columns.links])
+                assert component.level <= (caps[used] / sums[used]).min()
+
     @rule(link=st.integers(0, SMALL_LINKS - 1),
           capacity=st.sampled_from((10e6, 1e9, 100e9)))
     def touch_link(self, link, capacity):
         self.capacities[link] = capacity
         for solver in self._each():
             solver.touch_link(link)
+
+    @rule(group=st.sampled_from(_GROUPS[:3]), capacity=st.sampled_from((100e9, 10e12)))
+    def widen(self, group, capacity):
+        """Lift a neighbourhood's links to 100G (lighter components
+        settle) or 10T (every component inside settles): arrivals and
+        departures are then answered from the bounds, until one does
+        not fit."""
+        for link in group:
+            self.touch_link(link, capacity)
 
     @rule()
     def checkpoint(self):
@@ -526,7 +567,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
             assert self.copy.last_loads == solver.last_loads
         # (b) bitwise equal to a from-scratch solve of the live flows.
         assert alloc == solve(list(self.live.values()), self.capacities)
-        assert solver.flow_count() == len(self.live)
+        assert len(solver._flows) == len(self.live)
         # (e) reported by difference: exactly the live flows whose rate
         # is new or bitwise different from the last resolve's - however
         # the flow was re-routed, merged or split since - each with its
@@ -580,6 +621,49 @@ _machine_settings = settings(
 )
 TestSolverIndex = SolverIndexMachine.TestCase
 TestSolverIndex.settings = _machine_settings
+
+
+class SettledIndexMachine(SolverIndexMachine):
+    """The same machine where most components settle: links of 1G,
+    100G and 10T, and no pinned flow (one pinned row unsettles its
+    component).  Arrivals that fit and arrivals that do not, departures,
+    merges, splits and re-routes then meet settled components, and the
+    machine's checks hold them to ``solve`` bit for bit."""
+
+    def __init__(self):
+        super().__init__()
+        self.capacities = {
+            link: (1e9, 100e9, 10e12)[link % 3] for link in range(SMALL_LINKS)
+        }
+
+    def _upsert(self, flow, then_resolve=False):
+        super()._upsert(
+            FlowDemand(flow.flow_id, flow.demand_bps, flow.links, flow.weight),
+            then_resolve,
+        )
+
+    def _settled(self):
+        return [c for c in self.solver._components() if c.level is not None]
+
+    @precondition(lambda self: self._settled())
+    @rule(pick=st.integers(0, 10**6), weight=_weights, ulps=st.sampled_from((-1, 0, 1)),
+          then_resolve=st.booleans())
+    def arrive_at_the_level(self, pick, weight, ulps, then_resolve):
+        """A flow onto a settled component's links whose demand is its
+        ``L·w`` give or take an ulp: the bounds prove it, or the kernel
+        runs."""
+        settled = self._settled()
+        component = settled[pick % len(settled)]
+        share = float(component.level * weight)
+        demand = float(np.nextafter(share, ulps * np.inf)) if ulps else share
+        self._upsert(
+            FlowDemand(self.next_id, demand, component.flows[0].links, weight), then_resolve
+        )
+        self.next_id += 1
+
+
+TestSettledIndex = SettledIndexMachine.TestCase
+TestSettledIndex.settings = _machine_settings
 
 
 def _solver_with(*flows):
@@ -748,3 +832,104 @@ def test_touched_capacity_reaches_a_link_number_no_flow_holds():
     solver.upsert(back)
     solver.resolve(caps)
     assert solver.alloc == solve([keeper, back], caps) == {0: 8.0, 2: 2.0}
+
+
+# ----------------------------------------------------------------------
+# Settled components: rates kept without a kernel run
+# ----------------------------------------------------------------------
+class _Bus:
+    """A trace sink that keeps the ``solver.resolve`` records."""
+
+    def __init__(self):
+        self.resolves = []
+
+    def emit(self, kind, **fields):
+        if kind == "solver.resolve":
+            self.resolves.append(fields)
+
+
+@pytest.mark.parametrize("ulps", (0, 1))
+@pytest.mark.parametrize(
+    "first_links, caps, arrival_links",
+    (
+        (["a"], {"a": 10.0}, ["a"]),  # L falls to 10 / 1.7: every row is tested
+        (["a", "b"], {"a": 10.0, "b": 100.0}, ["b"]),  # L holds: the arrival alone
+    ),
+)
+def test_arrival_short_of_its_demand_by_an_ulp_runs_the_kernel(
+    first_links, caps, arrival_links, ulps
+):
+    """A settled component takes an arrival of weight 0.7 whose
+    demand is ``L·w`` itself (proved: no kernel run, the demand is the
+    rate) or one ulp above it (not proved: the kernel runs and the
+    arrival gets the partial rate ``L·w``).  Bitwise as ``solve`` both
+    ways."""
+    first = FlowDemand(0, 1.0, first_links)
+    solver = _solver_with(first)
+    solver.resolve(caps)
+    (component,) = solver._components()
+    assert component.level == 10.0 and solver.stats["settled"] == 0
+    level = min(
+        caps[link] / (1.0 + 0.7 if link in arrival_links else 1.0)
+        for link in {*first_links, *arrival_links}
+    )
+    share = level * 0.7
+    demand = share if not ulps else float(np.nextafter(share, np.inf))
+    arrival = FlowDemand(1, demand, arrival_links, weight=0.7)
+    solver.upsert(arrival)
+    assert solver.resolve(caps) == {1: share}
+    assert solver.alloc == solve([first, arrival], caps) == {0: 1.0, 1: share}
+    assert solver.stats["settled"] == 1 - ulps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_departures_from_a_settled_component_stay_bitwise(seed):
+    """Weights 0.1 and 0.7 make each link's weight sum round, and every
+    demand is exactly ``L·w``: the tightest a settled row can be.  Each
+    departure, from anywhere in the order, is answered without the
+    kernel, and the rates stay bitwise those of ``solve`` - which they
+    could not if dropping a term could raise a rounded sum."""
+    rng = random.Random(seed)
+    caps = {"a": 1e9, "b": 3e9, "c": 7e9}
+    # Every route crosses ``a``: one component to the last flow.
+    routes = (("a",), ("a", "b"), ("a", "c"), ("a", "b", "c"))
+    rows = [(rng.choice(routes), rng.choice((0.1, 0.7))) for _ in range(40)]
+    sums = {}
+    for links, weight in rows:
+        for link in links:
+            sums[link] = sums.get(link, 0.0) + weight
+    level = min(caps[link] / total for link, total in sums.items())
+    live = [
+        FlowDemand(fid, level * weight, links, weight=weight)
+        for fid, (links, weight) in enumerate(rows)
+    ]
+    solver = _solver_with(*live)
+    solver.resolve(caps)
+    assert solver._components()[0].level == level
+    assert solver.alloc == {flow.flow_id: flow.demand_bps for flow in live}
+    for step, gone in enumerate(rng.sample(range(40), 39), start=1):
+        live = [flow for flow in live if flow.flow_id != gone]
+        solver.remove(gone)
+        solver.resolve(caps)
+        assert solver.stats["settled"] == step
+        assert solver.alloc == solve(live, caps)
+
+
+def test_full_resolve_never_settles():
+    """``resolve(full=True)`` is the oracle: it never answers from the
+    bounds, and it drops what an incremental resolve had settled."""
+    caps = {"a": 1e9, "b": 1e9}
+    solver = _solver_with(*(FlowDemand(fid, 1e6, ["a", "b"][: 1 + fid % 2]) for fid in range(6)))
+    solver.trace_bus = bus = _Bus()
+    solver.resolve(caps)
+    solver.upsert(FlowDemand(6, 1e6, ["b"]))
+    solver.resolve(caps)
+    (component,) = solver._components()
+    assert component.level is not None and solver.stats["settled"] == 1
+    for step in range(7, 12):
+        solver.upsert(FlowDemand(step, 1e6, ["a"]))
+        solver.remove(step - 7)
+        solver.resolve(caps, full=True)
+        assert all(component.level is None for component in solver._components())
+    assert solver.stats["settled"] == 1
+    assert [record["components_settled"] for record in bus.resolves] == [0, 1, 0, 0, 0, 0, 0]
