@@ -39,8 +39,6 @@ event touched rather than to the whole network:
 
 from __future__ import annotations
 
-import logging
-import time as _time
 from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -66,8 +64,6 @@ from .events import (
 )
 from .fairshare import FlowDemand, IncrementalSolver
 from .flow import Flow, FlowRoute, FlowState, Terminal
-
-logger = logging.getLogger(__name__)
 
 #: Rank used to keep the most meaningful terminal across flood branches.
 _TERMINAL_RANK = {
@@ -158,18 +154,10 @@ class FlowLevelEngine(Engine):
         # inclusive "dispatch").
         self._trace_bus = None
         # Aggregate statistics.
-        self.stats = {
-            "arrivals": 0,
-            "delivered": 0,
-            "undelivered": 0,
-            "completed": 0,
-            "ended": 0,
-            "reroutes": 0,
-            "packet_ins": 0,
-            "rate_solves": 0,
-            "route_cache_hits": 0,
-            "route_cache_misses": 0,
-        }
+        self.stats = dict.fromkeys((
+            "arrivals", "delivered", "undelivered", "completed", "ended", "reroutes",
+            "packet_ins", "rate_solves", "route_cache_hits", "route_cache_misses",
+        ), 0)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -314,14 +302,10 @@ class FlowLevelEngine(Engine):
         return out
 
     def _diagnostics(self) -> dict:
-        return {
-            "route_cache_hits": self.stats["route_cache_hits"],
-            "route_cache_misses": self.stats["route_cache_misses"],
-            "rate_solves": self.stats["rate_solves"],
-            "reroutes": self.stats["reroutes"],
-            "packet_ins": self.stats["packet_ins"],
-            "solver": dict(self._solver.stats),
-        }
+        names = ("route_cache_hits", "route_cache_misses", "rate_solves", "reroutes",
+                 "packet_ins")
+        return {**{name: self.stats[name] for name in names},
+                "solver": dict(self._solver.stats)}
 
     # ------------------------------------------------------------------
     # Accrual: lazy fluid statistics
@@ -492,11 +476,8 @@ class FlowLevelEngine(Engine):
         if profiler is None:
             self._route_inner(flow)
             return
-        _t0 = _time.perf_counter()  # repro: noqa[DET001] - profiler timing; never feeds sim state
-        try:
+        with profiler.phase("route"):
             self._route_inner(flow)
-        finally:
-            profiler.add("route", _time.perf_counter() - _t0)  # repro: noqa[DET001] - profiler timing; never feeds sim state
 
     def _route_inner(self, flow: Flow) -> None:
         # Charge traffic at the old rate/route before it changes.
@@ -667,9 +648,7 @@ class FlowLevelEngine(Engine):
             self._dir_index[direction] = index
             self._dir_list.append(direction)
             if index >= self._dir_caps.size:
-                grown = np.zeros(self._dir_caps.size * 2)
-                grown[: self._dir_caps.size] = self._dir_caps
-                self._dir_caps = grown
+                self._dir_caps = np.concatenate((self._dir_caps, np.zeros_like(self._dir_caps)))
             self._dir_caps[index] = direction.capacity_bps
         return index
 
@@ -834,11 +813,8 @@ class FlowLevelEngine(Engine):
         if profiler is None:
             self._recompute_indexed(self.sim.now)
             return
-        _t0 = _time.perf_counter()  # repro: noqa[DET001] - profiler timing; never feeds sim state
-        try:
+        with profiler.phase("solve"):
             self._recompute_indexed(self.sim.now)
-        finally:
-            profiler.add("solve", _time.perf_counter() - _t0)  # repro: noqa[DET001] - profiler timing; never feeds sim state
 
     def _recompute_indexed(self, now: float) -> None:
         """Re-solve through the persistent component index.
@@ -859,12 +835,21 @@ class FlowLevelEngine(Engine):
             dir_list[index].allocated_bps = load_of(index, 0.0)
         active = self.active
         external_rates = self._external_rates
+        completions = self._completions
         for flow_id, rate in moved.items():
             flow = active.get(flow_id)
             if flow is None:
                 external_rates[flow_id] = rate
-            else:
-                self._apply_rate(flow, rate, now)
+                continue
+            # Accrue at the old rate first.  Below _RATE_EPS the rate stays;
+            # a sized flow (ACTIVE: blocked ones left the solver) gets a
+            # projection if it has none.
+            moving = abs(rate - flow.rate_bps) > _RATE_EPS
+            if moving or (flow_id not in completions and flow.size_bytes is not None):
+                self._accrue_flow(flow, now)
+                if moving:
+                    flow.rate_bps = rate
+                self._schedule_completion(flow)
         # The externals' share of the touched directions, from scratch
         # in registration (= solver insertion) order.  An unmoved
         # external is not in ``moved`` and keeps its rate; a cleared one
@@ -879,17 +864,8 @@ class FlowLevelEngine(Engine):
                     if index in touched:
                         external_on_dir[index] = external_on_dir.get(index, 0.0) + rate
 
-    def _apply_rate(self, flow: Flow, rate: float, now: float) -> None:
-        """Set a flow's rate, accruing at the old rate first."""
-        if abs(rate - flow.rate_bps) > _RATE_EPS:
-            self._accrue_flow(flow, now)
-            flow.rate_bps = rate
-            self._schedule_completion(flow)
-        elif flow.flow_id not in self._completions:
-            self._schedule_completion(flow)
-
     def _schedule_completion(self, flow: Flow) -> None:
-        """(Re)project the completion event for a volume flow.
+        """(Re)project the completion event of a just-accrued volume flow.
 
         The churn-heavy fast path: an existing projection is moved with
         ``Simulator.reschedule`` (one push; an unchanged completion
@@ -899,8 +875,6 @@ class FlowLevelEngine(Engine):
         """
         if flow.size_bytes is None or flow.state is not FlowState.ACTIVE:
             return
-        # Projection needs fresh byte counters (no-op when already fresh).
-        self._accrue_flow(flow, self.sim.now)
         when = flow.projected_completion(self.sim.now)
         if when is None:
             self._cancel_completion(flow)

@@ -88,10 +88,6 @@ class FlowRoute:
     def delivered(self) -> bool:
         return self.terminal is Terminal.DELIVERED
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.switch_hops)
-
 
 @dataclass
 class Flow:
