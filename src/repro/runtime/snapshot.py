@@ -31,9 +31,10 @@ from ..errors import CheckpointError
 if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
     from ..core.simulator import Horse
 
-#: Version of the captured-state layout (bumped when the object graph
-#: changes incompatibly; the reader refuses newer snapshots).
-SNAPSHOT_VERSION = 1
+#: Version of the captured-state layout, bumped when the object graph
+#: changes incompatibly; the reader refuses every other version.  2: the
+#: fair-share solver's components carry their settled-state bounds.
+SNAPSHOT_VERSION = 2
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:
@@ -116,10 +117,13 @@ class SimulationSnapshot:
         watermarks so post-restore objects get fresh ids even in a
         brand-new process.
         """
-        if self.version > SNAPSHOT_VERSION:
+        if self.version != SNAPSHOT_VERSION:
+            # An older layout unpickles without the attributes added
+            # since, and would fail mid-run instead of here.
+            age = "newer" if self.version > SNAPSHOT_VERSION else "older"
             raise CheckpointError(
-                f"snapshot version {self.version} is newer than this "
-                f"build supports ({SNAPSHOT_VERSION})"
+                f"snapshot version {self.version} is {age} than this "
+                f"build's ({SNAPSHOT_VERSION}); only that one can resume"
             )
         from ..flowsim.flow import advance_flow_ids
         from ..openflow.flowtable import advance_entry_seq

@@ -15,7 +15,7 @@ from repro.runtime import (
     read_checkpoint_header,
     save_checkpoint,
 )
-from repro.runtime.checkpoint import MAGIC
+from repro.runtime.checkpoint import MAGIC, write_checkpoint
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -94,6 +94,24 @@ class TestContainer:
         snapshot.version += 1
         with pytest.raises(CheckpointError, match="newer"):
             snapshot.resume()
+
+    def test_version_1_snapshot_rejected(self, tmp_path):
+        """Layout 1 predates the solver components' settled-state slots:
+        unpickled, its components lack them and the run would fail
+        mid-way.  Resuming refuses it up front."""
+        horse = small_horse()
+        horse.run(until=0.5)
+        components = horse.engine._solver._components()
+        assert components
+        for component in components:  # the object graph layout 1 pickled
+            del component.level, component.bound, component.arrivals
+        snapshot = SimulationSnapshot.capture(horse)
+        snapshot.version = 1
+        path = str(tmp_path / "v1.ckpt")
+        write_checkpoint(snapshot, path)
+        assert read_checkpoint_header(path)["snapshot_version"] == 1
+        with pytest.raises(CheckpointError, match="snapshot version 1 is older"):
+            load_checkpoint(path)
 
 
 class TestSnapshotSemantics:
