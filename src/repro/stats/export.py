@@ -115,6 +115,12 @@ def _without_solver_counters(stats: dict) -> dict:
     }
 
 
+#: Kernel metrics ``run_digest`` leaves out besides ``sim.queue_*``.
+_KERNEL_COUNTS = frozenset(
+    ("sim.pending_raw", "sim.fired_events", "sim.pending_events")
+)
+
+
 def run_digest(result: "RunResult") -> str:
     """A stable content digest of a run's results.
 
@@ -132,7 +138,10 @@ def run_digest(result: "RunResult") -> str:
     ``sim.pending_raw``) describe the pending-set *implementation* —
     compaction cadence, tombstone counts — not simulated behavior, so
     they are excluded too: runs that differ only in compaction tuning
-    hash identically.
+    hash identically.  So are the kernel's event counts (``events``,
+    ``sim.fired_events``, ``sim.pending_events``): how many kernel
+    events a model spends on one packet hop or one timer is how it is
+    implemented, not what it simulates.
     The fair-share solver's work counters (``engine_stats[...]["solver"]``
     — ``resolves``, ``component_solves``, ``flows_resolved``,
     ``rates_moved`` — also
@@ -145,6 +154,7 @@ def run_digest(result: "RunResult") -> str:
     """
     doc = result_to_dict(result)
     doc.pop("wall_time_s", None)
+    doc.pop("events", None)
     doc["engine_stats"] = _without_solver_counters(doc["engine_stats"])
     doc["metrics"] = {
         key: value
@@ -152,7 +162,7 @@ def run_digest(result: "RunResult") -> str:
         if not (
             key.startswith("wire.")
             or key.startswith("sim.queue_")
-            or key == "sim.pending_raw"
+            or key in _KERNEL_COUNTS
             or (key.startswith("engine.") and ".solver." in key)
         )
     }

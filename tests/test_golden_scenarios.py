@@ -93,13 +93,18 @@ def test_digest_ignores_wall_clock():
 
 
 def test_digest_covers_simulated_behaviour_only():
-    """Solver work counters describe the component index, not the run:
-    two results differing only in them hash equal (flat and nested under
-    a hybrid run's ``background_engine``, and the metrics flattened from
-    them), while a one-bit change in a flow's delivered bytes does not."""
+    """Solver work counters describe the component index and kernel
+    event counts the event model, not the run: two results differing
+    only in them hash equal (flat and nested under a hybrid run's
+    ``background_engine``, and the metrics flattened from them), while
+    a one-bit change in a flow's delivered bytes does not."""
     reset_id_counters()
     _, result, _ = run_scenario(_scenario_for("hybrid_demo.json"))
     before = run_digest(result)
+    result.events += 7
+    for key in ("sim.fired_events", "sim.pending_events"):
+        result.metrics[key] += 7
+    assert run_digest(result) == before
     solver = result.engine_stats["background_engine"]["solver"]
     assert solver["resolves"] > 0
     for key in solver:
@@ -111,7 +116,7 @@ def test_digest_covers_simulated_behaviour_only():
         result.metrics[key] += 7
     result.metrics["engine.solver.flows_resolved"] = 99
     assert run_digest(result) == before
-    # The engine's own event count is behaviour and stays hashed.
+    # The engine's own rate-solve count is behaviour and stays hashed.
     result.engine_stats["background_engine"]["rate_solves"] += 1
     assert run_digest(result) != before
     result.engine_stats["background_engine"]["rate_solves"] -= 1
