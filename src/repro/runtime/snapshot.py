@@ -34,7 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: Version of the captured-state layout, bumped when the object graph
 #: changes incompatibly; the reader refuses every other version.  2: the
 #: fair-share solver's components carry their settled-state bounds.
-SNAPSHOT_VERSION = 2
+#: 3: packet output queues keep the time their transmitter frees and
+#: one start event in place of a busy flag and per-packet tx-done events.
+SNAPSHOT_VERSION = 3
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

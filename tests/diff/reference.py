@@ -1,5 +1,5 @@
-"""Test-side oracles: the textbook progressive-filling loop, and the
-flow engine's two reference paths.
+"""Test-side oracles: the textbook progressive-filling loop, the
+flow engine's two reference paths, and the two-event output queue.
 
 :func:`solve_scalar` is the scalar kernel ``repro.flowsim.fairshare``
 shipped until the vectorised :func:`~repro.flowsim.fairshare.solve_arrays`
@@ -14,14 +14,25 @@ flow engine into a reference run: every event re-solves every component
 from scratch, or every flow walks the pipelines.  Neither is a mode of
 the product; the differential suites and the E2 / E6b benchmarks pin
 the production path bitwise against them.
+
+:class:`TwoEventOutputQueue` is the drop-tail queue
+``repro.pktsim.queues`` shipped until a packet hop became one kernel
+event, moved here verbatim: each packet costs a transmission-end event
+and then an arrival event, and a packet lost in flight is neither
+delivered nor dropped.  ``test_queue_differential.py`` pins the one-event
+queue against it on links that stay up.
 """
 
 import functools
-from typing import Dict, Hashable, List, Mapping, Sequence
+from collections import deque
+from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.flowsim.fairshare import FlowDemand, demand_eps, saturation_eps
+from repro.net.link import LinkDirection
+from repro.pktsim.packet import Packet
+from repro.sim.kernel import Simulator
 
 
 def solve_scalar(
@@ -168,3 +179,139 @@ def solve_component_scalar(
             frozen[index] = True
             remaining -= 1
     return alloc
+
+
+class TwoEventOutputQueue:
+    """A FIFO bound to one link direction.
+
+    Parameters
+    ----------
+    capacity_packets:
+        Maximum queued packets (the in-flight transmission excluded).
+    on_arrival:
+        Callback ``(packet, dst_port)`` invoked when a packet finishes
+        propagating to the far end.
+    on_drop:
+        Callback ``(packet, direction)`` for tail drops.
+    capacity_fn:
+        Optional ``(direction) -> bps`` override of the transmit rate,
+        sampled per packet.  The hybrid engine supplies the *residual*
+        capacity (link rate minus flow-level background load) here; when
+        None the direction's configured capacity is used.
+    """
+
+    __slots__ = (
+        "sim",
+        "direction",
+        "capacity_packets",
+        "on_arrival",
+        "on_drop",
+        "capacity_fn",
+        "_queue",
+        "_busy",
+        "enqueued",
+        "dropped",
+        "transmitted_bytes",
+        "busy_time",
+        "_busy_since",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        direction: LinkDirection,
+        capacity_packets: int,
+        on_arrival: Callable[[Packet, object], None],
+        on_drop: Callable[[Packet, LinkDirection], None],
+        capacity_fn: Optional[Callable[[LinkDirection], float]] = None,
+    ) -> None:
+        if capacity_packets < 1:
+            raise ValueError(f"queue capacity must be >= 1, got {capacity_packets}")
+        self.sim = sim
+        self.direction = direction
+        self.capacity_packets = capacity_packets
+        self.on_arrival = on_arrival
+        self.on_drop = on_drop
+        self.capacity_fn = capacity_fn
+        self._queue: Deque[Packet] = deque()
+        self._busy = False
+        self.enqueued = 0
+        self.dropped = 0
+        self.transmitted_bytes = 0
+        #: Total seconds the transmitter was busy (for utilization).
+        self.busy_time = 0.0
+        self._busy_since: Optional[float] = None
+
+    @property
+    def depth(self) -> int:
+        return len(self._queue)
+
+    def enqueue(self, packet: Packet) -> bool:
+        """Queue a packet for transmission; False when tail-dropped."""
+        if not self.direction.up:
+            self._drop(packet)
+            return False
+        if len(self._queue) >= self.capacity_packets:
+            self._drop(packet)
+            return False
+        self._queue.append(packet)
+        self.enqueued += 1
+        if not self._busy:
+            self._start_next()
+        return True
+
+    def _drop(self, packet: Packet) -> None:
+        self.dropped += 1
+        self.direction.src_port.tx_dropped += 1
+        self.on_drop(packet, self.direction)
+
+    def _start_next(self) -> None:
+        if not self._queue:
+            self._busy = False
+            if self._busy_since is not None:
+                self.busy_time += self.sim.now - self._busy_since
+                self._busy_since = None
+            return
+        if not self._busy:
+            self._busy = True
+            self._busy_since = self.sim.now
+        packet = self._queue.popleft()
+        capacity_fn = self.capacity_fn
+        rate = (
+            self.direction.capacity_bps
+            if capacity_fn is None
+            else capacity_fn(self.direction)
+        )
+        tx_time = packet.size_bytes * 8.0 / rate
+        # tx_time rides along with the callback: under a time-varying
+        # residual capacity the rate sampled at completion would differ
+        # from the one the transmission actually used.
+        self.sim.call_in(tx_time, self._on_tx_done, packet, tx_time)
+
+    def _on_tx_done(self, sim: Simulator, packet: Packet, tx_time: float) -> None:
+        self.transmitted_bytes += packet.size_bytes
+        src_port = self.direction.src_port
+        dst_port = self.direction.dst_port
+        src_port.tx_packets += 1
+        src_port.tx_bytes += packet.size_bytes
+        delay = self.direction.delay_s
+        packet.accumulated_delay += delay + tx_time
+        packet.hops += 1
+        if self.direction.up:
+            sim.call_in(delay, self._on_propagated, packet)
+        # else: packet lost in flight (link failed mid-transmission)
+        self._start_next()
+
+    def _on_propagated(self, sim: Simulator, packet: Packet) -> None:
+        dst_port = self.direction.dst_port
+        dst_port.rx_packets += 1
+        dst_port.rx_bytes += packet.size_bytes
+        self.on_arrival(packet, dst_port)
+
+    def utilization(self, now: float, since: float = 0.0) -> float:
+        """Fraction of [since, now] the transmitter was busy."""
+        busy = self.busy_time
+        if self._busy_since is not None:
+            busy += now - self._busy_since
+        window = now - since
+        return busy / window if window > 0 else 0.0

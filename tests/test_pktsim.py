@@ -181,6 +181,32 @@ def test_hop_guard_counts_switches_like_the_flow_engine(
         assert (flow.bytes_delivered > 0) is delivered, engine_cls.name
 
 
+def test_a_packet_lost_in_flight_is_dropped():
+    """A packet on the wire when its link is cut is a drop: it counts in
+    the flow's dropped bytes and gives the source loss feedback, so the
+    AIMD window gets its slot back.  It used to be neither delivered
+    nor dropped (1 500 bytes missing from the flow's balance)."""
+    topo = linear(2, hosts_per_switch=1, capacity_bps=10e6)
+    horse = Horse(
+        topo,
+        policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
+        config=HorseConfig(engine="hybrid", hybrid={"select": "all"}),
+    )
+    flow = make_flow(topo, "h1", "h2", demand=10e6, size=2_000_000)
+    horse.submit_flows([flow])
+    horse.fail_link(0.5, "s1", "s2")
+    horse.restore_link(0.6, "s1", "s2")
+    horse.run(until=5.0)
+    foreground = horse.engine.foreground
+    assert foreground.stats["drops_congestion"] == 1  # the one on the wire
+    assert flow.bytes_sent == flow.bytes_delivered + flow.bytes_dropped
+    # The flow still stalls after the cut: the packets s1 dropped while
+    # the link was down are policy drops, which give no loss feedback.
+    assert foreground.transports[flow.flow_id].in_flight == foreground.stats[
+        "drops_policy"
+    ]
+
+
 class _PacketOutTo:
     """A synchronous control plane that answers every packet-in with a
     packet-out to one port."""
@@ -351,6 +377,31 @@ class TestQueueMechanics:
         # Busy 10 ms out of 10 ms+delay total.
         assert queue.utilization(now=0.01) == pytest.approx(1.0, rel=1e-3)
         assert 0.4 < queue.utilization(now=0.02) < 0.6
+
+    def test_multicast_copies_each_count_their_own_hops(self, star4):
+        """A packet output on two ports: the copy for the second port is
+        cloned after the first copy started on the wire, and must not
+        carry that copy's hop or delay."""
+        s1 = star4.switch("s1")
+        ports = [star4.egress_port("s1", name).number for name in ("h2", "h3")]
+        s1.pipeline.install(
+            Match(), (ApplyActions(tuple(Output(n) for n in ports)),)
+        )
+        sim = Simulator()
+        engine = PacketLevelEngine(sim, star4)
+        seen = {}
+        forward = engine._on_packet_arrival
+
+        def record(packet, dst_port):
+            seen[dst_port.node.name] = (packet.hops, packet.accumulated_delay)
+            forward(packet, dst_port)
+
+        engine._on_packet_arrival = record
+        engine.submit(make_flow(star4, "h1", "h2", demand=1e6, size=1000,
+                                elastic=False))
+        sim.run(until=1.0)
+        assert seen["h2"] == seen["h3"]
+        assert seen["h2"][0] == 2
 
     def test_submit_validation(self, line2):
         sim = Simulator()

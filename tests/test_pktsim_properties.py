@@ -3,8 +3,8 @@
 The hybrid coupler assumes three things about the packet substrate:
 
 1. **Byte conservation through queues** — every byte a source injects
-   is delivered, dropped, or never arrives at a down link; port and
-   queue counters agree along every direction.
+   is delivered or dropped (a packet lost in flight on a down link
+   included); port and queue counters agree along every direction.
 2. **FIFO per port** — an output queue never reorders packets, even
    under a time-varying transmit rate (exactly what the hybrid
    residual-capacity hook supplies).
