@@ -38,7 +38,6 @@ methods of this engine, keeping hybrid checkpoints picklable.
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import HorseConfig
@@ -51,8 +50,6 @@ from ..sim.engine import Engine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
 from .selection import SelectionPolicy
-
-logger = logging.getLogger(__name__)
 
 #: Fraction of a link's configured rate the foreground always keeps,
 #: however much background load the solver reports.  Guards against a

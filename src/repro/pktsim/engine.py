@@ -11,7 +11,6 @@ ground truth.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -26,8 +25,6 @@ from ..sim.kernel import Simulator
 from .packet import Packet
 from .queues import OutputQueue
 from .transport import AimdTransport, Transport, make_transport
-
-logger = logging.getLogger(__name__)
 
 
 class PacketLevelEngine(Engine):
