@@ -18,7 +18,11 @@ def run(flows, order):
 
 
 ORDER = [["arrival", 1], ["arrival", 2], ["completed", 1], ["completed", 2]]
-PARENT = run({"1": [1000.0, 2.0, 5e6], "2": [500.0, None, 0.0]}, ORDER)
+# bytes_sent, bytes_delivered, bytes_dropped, end_time, rate_bps
+PARENT = run(
+    {"1": [1000.0, 1000.0, 0.0, 2.0, 5e6], "2": [600.0, 500.0, 100.0, None, 0.0]},
+    ORDER,
+)
 
 
 def test_identical_runs_have_no_rows():
@@ -28,16 +32,25 @@ def test_identical_runs_have_no_rows():
 
 
 def test_relative_differences_and_their_maxima():
-    change = run({"1": [1000.0, 2.0 + 2e-12, 5e6], "2": [501.0, None, 0.0]}, ORDER)
+    change = run(
+        {"1": [1000.0, 1000.0, 0.0, 2.0 + 2e-12, 5e6],
+         "2": [600.0, 501.0, 99.0, None, 0.0]},
+        ORDER,
+    )
     delta = run_delta.compare(PARENT, change)
-    assert delta["rows"]["1"] == pytest.approx([0.0, 1e-12, 0.0], rel=1e-3)
-    assert delta["rows"]["2"] == pytest.approx([1 / 501.0, 0.0, 0.0])
+    assert delta["rows"]["1"] == pytest.approx([0.0, 0.0, 0.0, 1e-12, 0.0], rel=1e-3)
+    assert delta["rows"]["2"] == pytest.approx([0.0, 1 / 501.0, 1 / 100.0, 0.0, 0.0])
     assert delta["maxima"]["bytes_delivered"] == pytest.approx(1 / 501.0)
+    assert delta["maxima"]["bytes_dropped"] == pytest.approx(1 / 100.0)
+    assert delta["maxima"]["bytes_sent"] == 0.0
     assert delta["maxima"]["end_time"] == pytest.approx(1e-12, rel=1e-3)
 
 
 def test_a_flow_finishing_on_one_side_only_is_infinitely_different():
-    change = run({"1": [1000.0, 2.0, 5e6], "2": [500.0, 3.0, 0.0]}, ORDER)
+    change = run(
+        {"1": [1000.0, 1000.0, 0.0, 2.0, 5e6], "2": [600.0, 500.0, 100.0, 3.0, 0.0]},
+        ORDER,
+    )
     assert run_delta.compare(PARENT, change)["maxima"]["end_time"] == float("inf")
 
 
@@ -49,4 +62,4 @@ def test_swapped_completions_count_both_flows_as_reordered():
 
 def test_different_flow_ids_are_refused():
     with pytest.raises(ValueError):
-        run_delta.compare(PARENT, run({"1": [0.0, None, 0.0]}, []))
+        run_delta.compare(PARENT, run({"1": [0.0, 0.0, 0.0, None, 0.0]}, []))

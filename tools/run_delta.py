@@ -7,11 +7,11 @@ Runs one horsebench workload once from each checkout (a child process
 per side, the checkout's own ``benchmarks/horsebench/workloads.py``
 building it, so both sides get the same flows under the same ids) and
 compares the two runs flow by flow: the relative difference in
-delivered bytes, completion time and final rate of every flow that
-differs, then the maxima, the number of flows whose lifecycle events
-(arrival, completion, re-route, ...) fall at different places in the
-run's event sequence, and the run counters side by side.  Exits 1 when
-a maximum exceeds ``--tolerance``.
+sent, delivered and dropped bytes, completion time and final rate of
+every flow that differs, then the maxima, the number of flows whose
+lifecycle events (arrival, completion, re-route, ...) fall at different
+places in the run's event sequence, and the run counters side by side.
+Exits 1 when a maximum exceeds ``--tolerance``.
 
 A digest is a hash: it says *that* two runs differ, not whether the
 difference is a rounding change in the last bits or a different
@@ -28,7 +28,7 @@ import sys
 from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FIELDS = ("bytes_delivered", "end_time", "rate_bps")
+FIELDS = ("bytes_sent", "bytes_delivered", "bytes_dropped", "end_time", "rate_bps")
 
 
 def child(checkout: str, workload: str, seed: int) -> dict:
