@@ -111,16 +111,15 @@ class OutputQueue:
                 self._drop(packet)
                 return False
             queue.append(packet)
-            self.enqueued += 1
             if len(queue) == 1:
                 self._arm(sim)
-            return True
+        else:
+            # The transmitter is idle (or frees at this instant): its
+            # last busy period ended at _free_at and a new one starts now.
+            self._busy_time += self._free_at - self._busy_since
+            self._busy_since = sim.now
+            self._transmit(sim, packet)
         self.enqueued += 1
-        # The transmitter is idle (or frees at this instant): its last
-        # busy period ended at _free_at and a new one starts now.
-        self._busy_time += self._free_at - self._busy_since
-        self._busy_since = sim.now
-        self._transmit(sim, packet)
         return True
 
     def _drop(self, packet: Packet) -> None:
