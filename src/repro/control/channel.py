@@ -256,6 +256,8 @@ class ControlChannel:
                 strict=mod.command is FlowModCommand.MODIFY_STRICT,
             )
         else:
+            # FlowRemoved reports the entries' counters: accrue first.
+            self._sync_engines()
             removed = table.delete(
                 mod.match,
                 priority=mod.priority,

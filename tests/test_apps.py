@@ -19,7 +19,7 @@ from repro.control.apps import (
 from repro.errors import ControlPlaneError
 from repro.flowsim import Flow, FlowLevelEngine, FlowState, Terminal
 from repro.net import IPv4Address, IPv4Network
-from repro.net.generators import fat_tree, tree
+from repro.net.generators import fat_tree, linear, tree
 from repro.openflow import Match, attach_pipeline
 from repro.openflow.headers import tcp_flow
 from repro.sim import Simulator
@@ -98,6 +98,28 @@ class TestL2Learning:
         s1 = topo.switch("s1")
         # s1's entry toward h4 went through the failed port and is purged.
         assert (s1.dpid, h4_mac) not in app.mac_table
+
+    def test_deleted_rules_report_traffic_up_to_the_delete(self):
+        """A flow-mod DELETE reads counters the engine accrues lazily, so
+        its FlowRemoved messages must see the traffic up to that instant."""
+        topo = linear(2)
+        removed = []
+
+        class Recording(L2LearningApp):
+            def on_flow_removed(self, message):
+                removed.append(message)
+
+        app = Recording()
+        sim, controller, channel, engine = wire(topo, app)
+        engine.submit(make_flow(topo, "h2", "h1", size=1000, sport=80, dport=1000))
+        # Constant 1 Mb/s from 0.1 s: 250 000 B by 2.1 s.
+        engine.submit(make_flow(topo, "h1", "h2", size=None, start=0.1))
+        s1 = topo.switch("s1").dpid
+        sim.call_at(2.1, lambda s: app.delete_flows(s1, Match()))
+        sim.run(until=3.0)
+        # The steady flow's walk on s1 matched the table-miss rule (its
+        # punt) and the learned rule; the miss rule also carried h2->h1.
+        assert sorted(m.byte_count for m in removed) == [250_000, 251_000]
 
 
 class TestShortestPath:
