@@ -4,17 +4,19 @@ Instead of moving packets, the engine advances a fluid model between
 *flow events* (arrivals, completions, link failures, rule changes):
 
 1. **Accrue** — charge a flow's current rate for the elapsed interval
-   into flow/entry/port/meter counters.  Accrual is *lazy per flow*: a
-   flow is charged only when its rate is about to change, when it
-   finishes, or when statistics are read ("traffic statistics and the
-   state of the topology are updated after every event" — the poster's
-   contract is preserved observationally while costing O(changed) per
-   event instead of O(active)).
+   into flow and meter counters.  Accrual is *lazy per flow*: a flow is
+   charged only when its rate is about to change, when it finishes, or
+   when statistics are read ("traffic statistics and the state of the
+   topology are updated after every event" — the poster's contract is
+   preserved observationally while costing O(changed) per event instead
+   of O(active)).  Port, entry and group counters are *settled* later
+   still, when read, re-walked or retired.
 2. **Apply** the event — route a new flow through the OpenFlow
    pipelines, retire a finished one, flip a link, or re-walk flows whose
    rules changed.
 3. **Re-solve** max-min fair rates (vectorized progressive filling) and
-   reproject completion times for flows whose rate moved.
+   reproject completion times for flows whose rate moved; a timer moves
+   only when its projection comes earlier.
 
 Routing walks the real switch pipelines (tables, groups, meters), so
 controller-installed rules — not simulator shortcuts — decide paths;
@@ -53,7 +55,7 @@ from ..openflow.headers import HeaderFields
 from ..openflow.messages import PacketIn, PortStatus, PortStatusReason
 from ..openflow.switch import OpenFlowPipeline
 from ..sim.engine import Engine
-from ..sim.kernel import Simulator
+from ..sim.kernel import RESCHEDULE_EPSILON, Simulator
 from .events import (
     FlowArrival,
     FlowCompletion,
@@ -114,7 +116,8 @@ class FlowLevelEngine(Engine):
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()
         # Routing cache: header-class key -> (route, pipeline version
-        # deps, link epoch).
+        # deps, link epoch).  The flows of a class share the one route:
+        # nothing changes a route after its walk.
         self._route_cache: Dict[Tuple, Tuple[FlowRoute, Tuple, int]] = {}
         self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules
@@ -132,8 +135,11 @@ class FlowLevelEngine(Engine):
         # Consumed once by the next walk, emulating the buffered packet a
         # real switch would release on PacketOut.
         self._packet_out_hints: Dict[Tuple[int, int, int], List[int]] = {}
-        # Per-flow lazy accrual timestamps.
+        # Per-flow lazy accrual timestamps, and the route counters owed
+        # since the last settle: flow id -> (bytes, packets, the end of
+        # the last interval that carried traffic).
         self._accrued: Dict[int, float] = {}
+        self._owed: Dict[int, Tuple[int, int, float]] = {}
         # Link-direction registry: solver link keys index these.
         self._dir_index: Dict[LinkDirection, int] = {}
         self._dir_list: List[LinkDirection] = []
@@ -219,6 +225,8 @@ class FlowLevelEngine(Engine):
         t = self.sim.now if now is None else now
         for flow in self.active.values():
             self._accrue_flow(flow, t)
+        for flow_id in list(self._owed):
+            self._settle(self.active[flow_id])
 
     # ------------------------------------------------------------------
     # External demands (hybrid foreground coupling)
@@ -297,9 +305,7 @@ class FlowLevelEngine(Engine):
         return self._solver.last_scope
 
     def summary(self) -> dict:
-        out = super().summary()
-        out["active"] = len(self.active)
-        return out
+        return {**super().summary(), "active": len(self.active)}
 
     def _diagnostics(self) -> dict:
         names = ("route_cache_hits", "route_cache_misses", "rate_solves", "reroutes",
@@ -312,7 +318,8 @@ class FlowLevelEngine(Engine):
     # ------------------------------------------------------------------
     def _accrue_flow(self, flow: Flow, now: float) -> None:
         """Charge a flow's traffic since its last accrual at the current
-        rate into flow, port, entry, group, and meter counters."""
+        rate into its own and its meters' counters; its route's port,
+        entry and group counters are owed theirs until :meth:`_settle`."""
         last = self._accrued.get(flow.flow_id)
         if last is None or now <= last:
             return
@@ -327,17 +334,9 @@ class FlowLevelEngine(Engine):
             flow.bytes_sent += sent
             if route.delivered:
                 flow.bytes_delivered += sent
-            sent_int = int(sent)
             packets = max(1, int(sent / self.mean_packet_bytes)) if sent >= 1 else 0
-            for direction in route.directions:
-                direction.src_port.tx_bytes += sent_int
-                direction.src_port.tx_packets += packets
-                direction.dst_port.rx_bytes += sent_int
-                direction.dst_port.rx_packets += packets
-            for entry in route.entries:
-                entry.account(sent_int, packets, now=now)
-            for group, index in route.group_hits:
-                group.account(index, sent_int)
+            owed_bytes, owed_packets, _ = self._owed.get(flow.flow_id, (0, 0, 0.0))
+            self._owed[flow.flow_id] = (owed_bytes + int(sent), owed_packets + packets, now)
         if not flow.elastic and flow.demand_bps > rate:
             flow.bytes_dropped += (flow.demand_bps - rate) * dt / 8.0
         for dpid, meter_id in route.meter_ids:
@@ -345,6 +344,24 @@ class FlowLevelEngine(Engine):
             if pipeline is not None and meter_id in pipeline.meters:
                 offered = flow.demand_bps if not flow.elastic else rate
                 pipeline.meters.get(meter_id).account_fluid(offered, dt)
+
+    def _settle(self, flow: Flow) -> None:
+        """Pay a flow's owed bytes and packets to its route's ports,
+        entries and groups: integer sums, the same in any order."""
+        owed = self._owed.pop(flow.flow_id, None)
+        if owed is None:
+            return
+        sent, packets, last = owed
+        route = flow.route
+        for direction in route.directions:
+            direction.src_port.tx_bytes += sent
+            direction.src_port.tx_packets += packets
+            direction.dst_port.rx_bytes += sent
+            direction.dst_port.rx_packets += packets
+        for entry in route.entries:
+            entry.account(sent, packets, now=last)
+        for group, index in route.group_hits:
+            group.account(index, sent)
 
     def _pipeline_by_dpid(self, dpid: int) -> Optional[OpenFlowPipeline]:
         try:
@@ -396,6 +413,7 @@ class FlowLevelEngine(Engine):
         self._recompute()
 
     def _retire(self, flow: Flow) -> None:
+        self._settle(flow)
         self.active.pop(flow.flow_id, None)
         completion = self._completions.pop(flow.flow_id, None)
         if completion is not None and completion.queued:
@@ -405,10 +423,7 @@ class FlowLevelEngine(Engine):
         self._solver.remove(flow.flow_id)
 
     def on_link_state(self, a: str, b: str, up: bool) -> None:
-        if up:
-            link = self.topology.restore_link(a, b)
-        else:
-            link = self.topology.fail_link(a, b)
+        link = (self.topology.restore_link if up else self.topology.fail_link)(a, b)
         # Any cached route may cross the flipped link (coarse but safe).
         self._link_epoch += 1
         # Registered capacities can drift (e.g. a degraded link model);
@@ -482,6 +497,7 @@ class FlowLevelEngine(Engine):
     def _route_inner(self, flow: Flow) -> None:
         # Charge traffic at the old rate/route before it changes.
         self._accrue_flow(flow, self.sim.now)
+        self._settle(flow)
         route: Optional[FlowRoute] = None
         cache_key: Optional[Tuple] = None
         if not self._flow_hinted(flow):
@@ -597,7 +613,7 @@ class FlowLevelEngine(Engine):
                 self.stats["route_cache_hits"] += 1
                 if self._trace_bus is not None:
                     self._trace_bus.emit("engine.route_cache", hit=True)
-                return self._clone_route(route)
+                return route
             del cache[key]
         self.stats["route_cache_misses"] += 1
         if self._trace_bus is not None:
@@ -619,26 +635,7 @@ class FlowLevelEngine(Engine):
         cache = self._route_cache
         if len(cache) >= _ROUTE_CACHE_MAX:
             cache.clear()
-        cache[key] = (
-            self._clone_route(route),
-            tuple(self._walk_dpids.items()),
-            self._link_epoch,
-        )
-
-    @staticmethod
-    def _clone_route(route: FlowRoute) -> FlowRoute:
-        """Copy a route's list containers; the FlowEntry/LinkDirection/
-        Group objects stay shared so accounting lands on the real
-        counters, exactly as a fresh walk matching the same rules."""
-        return FlowRoute(
-            directions=list(route.directions),
-            switch_hops=list(route.switch_hops),
-            terminal=route.terminal,
-            meter_ids=list(route.meter_ids),
-            punted=route.punted,
-            entries=list(route.entries),
-            group_hits=list(route.group_hits),
-        )
+        cache[key] = (route, tuple(self._walk_dpids.items()), self._link_epoch)
 
     def _register_direction(self, direction: LinkDirection) -> int:
         """Index a link direction for the solver, recording capacity."""
@@ -865,33 +862,34 @@ class FlowLevelEngine(Engine):
                         external_on_dir[index] = external_on_dir.get(index, 0.0) + rate
 
     def _schedule_completion(self, flow: Flow) -> None:
-        """(Re)project the completion event of a just-accrued volume flow.
-
-        The churn-heavy fast path: an existing projection is moved with
-        ``Simulator.reschedule`` (one push; an unchanged completion
-        time schedules nothing at all) instead of cancel-and-push, so
-        reroute storms cannot fill the heap faster than compaction
-        drains it.
+        """(Re)project the completion of a just-accrued volume flow: its
+        *due* time, kept when within ``RESCHEDULE_EPSILON``.  A queued
+        timer moves only earlier, and then exactly; one left early
+        re-arms at its due time when it fires (``FlowCompletion.fire``).
         """
         if flow.size_bytes is None or flow.state is not FlowState.ACTIVE:
             return
         when = flow.projected_completion(self.sim.now)
         if when is None:
-            self._cancel_completion(flow)
+            event = self._completions.pop(flow.flow_id, None)
+            if event is not None:
+                self.sim.cancel(event)
             return
         when = max(when, self.sim.now)
-        existing = self._completions.get(flow.flow_id)
-        if existing is not None and not existing.cancelled:
-            self._completions[flow.flow_id] = self.sim.reschedule(existing, when)
-            return
-        event = FlowCompletion(when, self, flow)
-        self._completions[flow.flow_id] = event
-        self.sim.schedule(event)
-
-    def _cancel_completion(self, flow: Flow) -> None:
-        event = self._completions.pop(flow.flow_id, None)
-        if event is not None:
-            self.sim.cancel(event)
+        event = self._completions.get(flow.flow_id)
+        if event is None:
+            event = self._completions[flow.flow_id] = FlowCompletion(when, self, flow)
+            self.sim.schedule(event)
+        elif not event.queued:
+            # Fired at its due time (or its flow was blocked): re-arm.
+            event.due = when
+            self.sim.reschedule(event, when)
+        elif abs(event.due - when) >= RESCHEDULE_EPSILON:
+            event.due = when
+            if when < event.time:
+                if event.time - when < RESCHEDULE_EPSILON:
+                    self.sim.cancel(event)  # else reschedule keeps event.time
+                self.sim.reschedule(event, when)
 
     def _notify(self, name: str, flow: Flow) -> None:
         """Report a lifecycle event ('arrival', 'delivered',

@@ -38,18 +38,24 @@ class FlowArrival(Event):
 
 
 class FlowCompletion(Event):
-    """A volume flow drained its last byte (projected; re-scheduled when
-    rates change)."""
+    """A volume flow drained its last byte at ``due``, its projection.
+    The event may be queued earlier than that, never later."""
 
-    __slots__ = ("engine", "flow")
+    __slots__ = ("engine", "flow", "due")
 
     def __init__(self, time: float, engine: "FlowLevelEngine", flow: "Flow") -> None:
         super().__init__(time, priority=PRIO_COMPLETION)
         self.engine = engine
         self.flow = flow
+        self.due = time
 
     def fire(self, sim) -> None:
-        self.engine.on_completion(self.flow)
+        if self.time < self.due:
+            # Ahead of a projection that moved later: wait for it,
+            # accruing nothing (that would split the byte sum).
+            sim.reschedule(self, self.due)
+        else:
+            self.engine.on_completion(self.flow)
 
 
 class FlowEnd(Event):

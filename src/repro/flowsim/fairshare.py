@@ -106,13 +106,7 @@ class FlowDemand:
         self.pinned = bool(pinned)
         # A flood-replicated flow may cross the same direction once only;
         # de-duplicate while preserving order for determinism.
-        seen: Set[Hashable] = set()
-        unique: List[Hashable] = []
-        for link in links:
-            if link not in seen:
-                seen.add(link)
-                unique.append(link)
-        self.links = tuple(unique)
+        self.links = tuple(dict.fromkeys(links))
 
     def is_free(self) -> bool:
         """True when the flow is granted its demand outright (no links

@@ -36,7 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: fair-share solver's components carry their settled-state bounds.
 #: 3: packet output queues keep the time their transmitter frees and
 #: one start event in place of a busy flag and per-packet tx-done events.
-SNAPSHOT_VERSION = 3
+#: 4: a flow completion carries its due time, and the flow engine the
+#: route counters each flow owes since its last settle.
+SNAPSHOT_VERSION = 4
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

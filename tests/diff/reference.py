@@ -1,5 +1,5 @@
 """Test-side oracles: the textbook progressive-filling loop, the
-flow engine's two reference paths, and the two-event output queue.
+flow engine's three reference paths, and the two-event output queue.
 
 :func:`solve_scalar` is the scalar kernel ``repro.flowsim.fairshare``
 shipped until the vectorised :func:`~repro.flowsim.fairshare.solve_arrays`
@@ -15,6 +15,14 @@ from scratch, or every flow walks the pipelines.  Neither is a mode of
 the product; the differential suites and the E2 / E6b benchmarks pin
 the production path bitwise against them.
 
+:func:`eager_apply` turns a built flow engine back into the one that
+applied a moved rate eagerly, moved here verbatim: every accrual charges
+the route's port, entry and group counters at once, and every projection
+moves the flow's completion event with ``Simulator.reschedule``, later
+as well as earlier.  The product keeps a *due* time, moves a timer only
+earlier and settles route counters when they are read;
+``test_kernel_reschedule_differential.py`` pins it against this path.
+
 :class:`TwoEventOutputQueue` is the drop-tail queue
 ``repro.pktsim.queues`` shipped until a packet hop became one kernel
 event, moved here verbatim: each packet costs a transmission-end event
@@ -24,12 +32,15 @@ queue against it on links that stay up.
 """
 
 import functools
+import types
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.flowsim.events import FlowCompletion
 from repro.flowsim.fairshare import FlowDemand, demand_eps, saturation_eps
+from repro.flowsim.flow import FlowState
 from repro.net.link import LinkDirection
 from repro.pktsim.packet import Packet
 from repro.sim.kernel import Simulator
@@ -59,6 +70,85 @@ def without_route_cache(engine):
     flow walks the pipelines itself.  Returns ``engine``."""
     engine._route_cache_lookup = lambda key: None
     return engine
+
+
+def eager_apply(engine):
+    """Make a built flow engine charge route counters at every accrual
+    and retime completion events on every projection.  Returns
+    ``engine``."""
+    engine._accrue_flow = types.MethodType(_eager_accrue_flow, engine)
+    engine._schedule_completion = types.MethodType(_eager_schedule_completion, engine)
+    return engine
+
+
+class EagerCompletion(FlowCompletion):
+    """A completion event that is always due when it fires: it hands
+    the flow to ``on_completion``, which re-projects a flow with bytes
+    left."""
+
+    __slots__ = ()
+
+    def fire(self, sim) -> None:
+        self.engine.on_completion(self.flow)
+
+
+def _eager_accrue_flow(self, flow, now):
+    """Charge a flow's traffic since its last accrual at the current
+    rate into flow, port, entry, group, and meter counters."""
+    last = self._accrued.get(flow.flow_id)
+    if last is None or now <= last:
+        return
+    dt = now - last
+    self._accrued[flow.flow_id] = now
+    route = flow.route
+    if route is None:
+        return
+    rate = flow.rate_bps
+    sent = rate * dt / 8.0
+    if sent > 0:
+        flow.bytes_sent += sent
+        if route.delivered:
+            flow.bytes_delivered += sent
+        sent_int = int(sent)
+        packets = max(1, int(sent / self.mean_packet_bytes)) if sent >= 1 else 0
+        for direction in route.directions:
+            direction.src_port.tx_bytes += sent_int
+            direction.src_port.tx_packets += packets
+            direction.dst_port.rx_bytes += sent_int
+            direction.dst_port.rx_packets += packets
+        for entry in route.entries:
+            entry.account(sent_int, packets, now=now)
+        for group, index in route.group_hits:
+            group.account(index, sent_int)
+    if not flow.elastic and flow.demand_bps > rate:
+        flow.bytes_dropped += (flow.demand_bps - rate) * dt / 8.0
+    for dpid, meter_id in route.meter_ids:
+        pipeline = self._pipeline_by_dpid(dpid)
+        if pipeline is not None and meter_id in pipeline.meters:
+            offered = flow.demand_bps if not flow.elastic else rate
+            pipeline.meters.get(meter_id).account_fluid(offered, dt)
+
+
+def _eager_schedule_completion(self, flow):
+    """(Re)project the completion event of a just-accrued volume flow:
+    an existing projection is moved with ``Simulator.reschedule`` (an
+    unchanged completion time schedules nothing at all)."""
+    if flow.size_bytes is None or flow.state is not FlowState.ACTIVE:
+        return
+    when = flow.projected_completion(self.sim.now)
+    if when is None:
+        event = self._completions.pop(flow.flow_id, None)
+        if event is not None:
+            self.sim.cancel(event)
+        return
+    when = max(when, self.sim.now)
+    existing = self._completions.get(flow.flow_id)
+    if existing is not None and not existing.cancelled:
+        self._completions[flow.flow_id] = self.sim.reschedule(existing, when)
+        return
+    event = EagerCompletion(when, self, flow)
+    self._completions[flow.flow_id] = event
+    self.sim.schedule(event)
 
 
 def as_arrays(flows, capacities):

@@ -1,92 +1,102 @@
-"""Differential test: reschedulable completion timers vs the seed path.
+"""Differential tests: lazy rate application vs the eager reference.
 
-The flow engine's ``_schedule_completion`` moved from cancel-and-push
-(tombstone a ``FlowCompletion``, allocate a fresh one, push) onto
-``Simulator.reschedule``.  That swap is only safe if it is invisible to
-simulated behavior: the sequence-number consumption, firing order, and
-therefore every per-flow tuple must be bitwise identical.  This test
-reinstates the seed implementation via monkeypatching and runs a
-reroute storm (repeated link flaps over shared paths, maximal
-completion-projection churn) under both, asserting exact equality.
+A moved rate costs the flow engine its flow's own state only.  The
+flow's completion timer moves only earlier (one that fires ahead of the
+flow's due time re-arms there, accruing nothing), and what its route's
+port, entry and group counters are owed is settled when they are read:
+by ``sync_statistics``, before a re-walk and at retire.
+``reference.eager_apply`` restores the path that retimed every
+projection with ``Simulator.reschedule`` and charged every counter at
+each accrual.  The two must simulate the same network bitwise: the same
+per-flow tuples, the same counters read after a sync, the same stats
+replies and ``FlowRemoved`` messages.  Kernel event counts are not
+compared: early fires count there.
 """
 
-from contextlib import contextmanager
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Horse, HorseConfig
-from repro.flowsim.engine import FlowLevelEngine
-from repro.flowsim.events import FlowCompletion
-from repro.flowsim.flow import FlowState
+from repro.control import ControlChannel, Controller
+from repro.control.apps import L2LearningApp
+from repro.flowsim import Flow, FlowLevelEngine
 from repro.ixp import build_ixp
+from repro.net.generators import fat_tree, linear
+from repro.openflow import attach_pipeline
+from repro.openflow.headers import tcp_flow
+from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 from repro.traffic import FlowGenConfig, IxpTraceSynthesizer
 
-
-def _seed_schedule_completion(self, flow):
-    """The pre-reschedule implementation: cancel-and-push with an
-    unchanged-time fast path (verbatim seed semantics)."""
-    if flow.size_bytes is None or flow.state is not FlowState.ACTIVE:
-        return
-    self._accrue_flow(flow, self.sim.now)
-    when = flow.projected_completion(self.sim.now)
-    if when is None:
-        _seed_cancel_completion(self, flow)
-        return
-    when = max(when, self.sim.now)
-    existing = self._completions.get(flow.flow_id)
-    if (
-        existing is not None
-        and not existing.cancelled
-        and abs(existing.time - when) < 1e-9
-    ):
-        return
-    _seed_cancel_completion(self, flow)
-    event = FlowCompletion(when, self, flow)
-    self._completions[flow.flow_id] = event
-    self.sim.schedule(event)
+from .reference import eager_apply
 
 
-def _seed_cancel_completion(self, flow):
-    event = self._completions.pop(flow.flow_id, None)
-    if event is not None:
-        event.cancel()
-
-
-@contextmanager
-def _seed_completion_path():
-    saved = (
-        FlowLevelEngine._schedule_completion,
-        FlowLevelEngine._cancel_completion,
-    )
-    FlowLevelEngine._schedule_completion = _seed_schedule_completion
-    FlowLevelEngine._cancel_completion = _seed_cancel_completion
-    try:
-        yield
-    finally:
+def _flow_rows(flows):
+    return [
         (
-            FlowLevelEngine._schedule_completion,
-            FlowLevelEngine._cancel_completion,
-        ) = saved
+            f.state.name,
+            f.end_time,
+            f.bytes_sent,
+            f.bytes_delivered,
+            f.bytes_dropped,
+            f.rate_bps,
+            tuple(d.key for d in f.route.directions) if f.route else (),
+        )
+        for f in flows
+    ]
 
 
-def _fingerprint(flows, result):
+def _counters(topology):
+    """Every port, entry (with ``last_used``) and group bucket counter;
+    read after a sync."""
+    ports = [
+        (node.name, number, port.tx_bytes, port.tx_packets, port.rx_bytes,
+         port.rx_packets)
+        for node in topology.nodes
+        for number, port in sorted(node.ports.items())
+    ]
+    entries, groups = [], []
+    for switch in topology.switches:
+        for table in switch.pipeline.tables:
+            entries += [
+                (switch.name, table.table_id, repr(entry.match), entry.priority,
+                 entry.byte_count, entry.packet_count, entry.last_used)
+                for entry in table
+            ]
+        groups += [
+            (switch.name, group.group_id, tuple(group.bucket_bytes))
+            for group in switch.pipeline.groups.groups
+        ]
+    return {"ports": ports, "entries": entries, "groups": groups}
+
+
+def _horse_run(horse, flows, until, flaps):
+    horse.submit_flows(flows)
+    for t, a, b in flaps:
+        horse.fail_link(t, a, b)
+        horse.restore_link(t + 0.15, a, b)
+    result = horse.run(until=until)  # finish() syncs the counters
     return {
-        "events": result.events,
         "sim_time_s": result.sim_time_s,
-        "flows": [
-            (
-                f.state.name if hasattr(f.state, "name") else str(f.state),
-                f.end_time,
-                f.bytes_sent,
-                f.bytes_delivered,
-                f.rate_bps,
-                tuple(d.key for d in f.route.directions) if f.route else (),
-            )
-            for f in flows
-        ],
+        "flows": _flow_rows(flows),
+        **_counters(horse.topology),
     }
 
 
-def _run_reroute_storm():
+def _core_flaps(topology, start=0.2, step=0.1):
+    switch_names = {s.name for s in topology.switches}
+    flaps, t = [], start
+    for link in topology.links:
+        a, b = link.endpoints[0].name, link.endpoints[1].name
+        if {a, b} <= switch_names:
+            flaps.append((t, a, b))
+            t += step
+    return flaps
+
+
+def _reroute_storm(eager):
     fabric = build_ixp(8, seed=23)
     synth = IxpTraceSynthesizer(
         fabric,
@@ -101,27 +111,191 @@ def _run_reroute_storm():
         policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
         config=HorseConfig(engine="flow", seed=23),
     )
-    horse.submit_flows(flows)
+    if eager:
+        eager_apply(horse.engine)
     # A reroute storm: flap every switch-to-switch link in sequence, so
     # completion projections are torn up and re-issued over and over.
-    switch_names = {s.name for s in fabric.topology.switches}
-    core_links = [
-        link
-        for link in fabric.topology.links
-        if {link.endpoints[0].name, link.endpoints[1].name} <= switch_names
-    ]
-    t = 0.2
-    for link in core_links:
-        a, b = link.endpoints[0].name, link.endpoints[1].name
-        horse.fail_link(t, a, b)
-        horse.restore_link(t + 0.15, a, b)
-        t += 0.1
-    result = horse.run(until=30.0)
-    return _fingerprint(flows, result)
+    return _horse_run(horse, flows, 30.0, _core_flaps(fabric.topology))
 
 
-def test_reroute_storm_matches_seed_completion_path():
-    with _seed_completion_path():
-        want = _run_reroute_storm()
-    got = _run_reroute_storm()
-    assert got == want
+def test_reroute_storm_matches_eager_apply():
+    assert _reroute_storm(eager=False) == _reroute_storm(eager=True)
+
+
+def _ecmp_storm(eager):
+    topo = fat_tree(4)
+    hosts = topo.hosts
+    rng = random.Random(29)
+    flows = []
+    for i in range(80):
+        src, dst = rng.sample(hosts, 2)
+        flows.append(Flow(
+            headers=tcp_flow(src.ip, dst.ip, 4000 + i, 80),
+            src=src.name,
+            dst=dst.name,
+            demand_bps=rng.choice((50e6, 200e6, 1e9)),
+            size_bytes=rng.randint(500_000, 20_000_000),
+            start_time=round(rng.random() * 1.0, 6),
+        ))
+    horse = Horse(
+        topo,
+        policies={"load_balancing": {"mode": "ecmp", "match_on": "ip_dst"}},
+        config=HorseConfig(engine="flow", seed=29),
+    )
+    if eager:
+        eager_apply(horse.engine)
+    return _horse_run(horse, flows, 30.0, _core_flaps(topo, start=0.1, step=0.05))
+
+
+def test_ecmp_group_counters_match_eager_apply():
+    """SELECT groups: bucket counters settle like ports and entries."""
+    lazy = _ecmp_storm(eager=False)
+    assert any(sum(buckets) for _, _, buckets in lazy["groups"])
+    assert lazy == _ecmp_storm(eager=True)
+
+
+# ---------------------------------------------------------------------
+# Hypothesis: a shared bottleneck under reactive learning with idle
+# timeouts, read and swept at random instants.
+# ---------------------------------------------------------------------
+#: 8 Mb/s everywhere: shares of 1-8 Mb/s demands land on round rates.
+CAPACITY_BPS = 8e6
+#: Sizes are multiples of this (1/8 s at 1 Mb/s), plus a few bytes that
+#: differ per flow so that no two completions are due at one instant
+#: (see test_a_completion_tie_keeps_bytes_and_counters).
+SIZE_UNIT = 15_625
+HORIZON_S = 4.0
+
+flow_st = st.tuples(
+    st.integers(min_value=0, max_value=5),  # source host index
+    st.integers(min_value=1, max_value=5),  # destination offset
+    st.sampled_from([1e6, 2e6, 4e6, 8e6]),
+    st.one_of(
+        st.tuples(st.just("size"), st.integers(min_value=1, max_value=24)),
+        st.tuples(st.just("duration"), st.sampled_from([None, 0.25, 0.5, 1.0])),
+    ),
+    # Arrival gap after the previous flow: zero, on the 1/8 s grid, any,
+    # or "done": the instant the previous flow completes if it has its
+    # demand all along (exactly the engine's projection).
+    st.one_of(st.just(0.0), st.sampled_from([0.125, 0.25, 0.5, "done"]),
+              st.floats(min_value=0.0, max_value=0.6)),
+)
+instant_st = st.one_of(
+    st.sampled_from([0.125 * k for k in range(1, 32)]),
+    st.floats(min_value=0.0, max_value=HORIZON_S),
+)
+
+
+def _learning_flows(topo, specs, spread):
+    hosts = topo.hosts
+    flows, start = [], 0.0
+    for i, (src, offset, demand, (kind, extent), gap) in enumerate(specs):
+        if gap != "done":
+            start += gap
+        elif flows and flows[-1].size_bytes is not None:
+            start = flows[-1].start_time + flows[-1].size_bytes * 8.0 / flows[-1].demand_bps
+        s, d = hosts[src], hosts[(src + offset) % len(hosts)]
+        flows.append(Flow(
+            headers=tcp_flow(s.ip, d.ip, 5000 + i, 80, eth_src=s.mac, eth_dst=d.mac),
+            src=s.name,
+            dst=d.name,
+            demand_bps=demand,
+            size_bytes=extent * SIZE_UNIT + spread * (7 * i + 1) if kind == "size" else None,
+            duration_s=extent if kind == "duration" else None,
+            start_time=start,
+            elastic=i % 3 != 2,
+        ))
+    return flows
+
+
+def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
+    topo = linear(2, hosts_per_switch=3, capacity_bps=CAPACITY_BPS)
+    for switch in topo.switches:
+        attach_pipeline(switch, num_tables=1)
+    removed = []
+
+    class Recording(L2LearningApp):
+        def on_flow_removed(self, message):
+            removed.append((message.dpid, repr(message.match), message.reason.name,
+                            message.duration_s, message.packet_count,
+                            message.byte_count))
+            super().on_flow_removed(message)
+
+    sim = Simulator()
+    controller = Controller()
+    controller.add_app(Recording(idle_timeout=idle_timeout))
+    channel = ControlChannel(sim, topo, controller=controller)
+    engine = FlowLevelEngine(sim, topo, control=channel)
+    if eager:
+        eager_apply(engine)
+    channel.connect_engine(engine)
+    controller.start()
+    flows = _learning_flows(topo, specs, spread)
+    for flow in flows:
+        engine.submit(flow)
+
+    replies = []
+    dpids = [switch.dpid for switch in topo.switches]
+
+    def read(s):
+        for dpid in dpids:
+            replies.append(("port", s.now, [
+                sorted(stat.items()) for stat in channel.port_stats(dpid).stats
+            ]))
+            replies.append(("flow", s.now, [
+                (repr(stat["match"]), stat["priority"], stat["packet_count"],
+                 stat["byte_count"])
+                for stat in channel.flow_stats(dpid).stats
+            ]))
+
+    for t in reads:
+        sim.call_at(t, read)
+    for t in sweeps:
+        sim.call_at(t, lambda s: engine._expire_tick(s, s.now))
+    sim.run(until=HORIZON_S)
+    engine.finish()
+    return {
+        "now": sim.now,
+        "flows": _flow_rows(flows),
+        "replies": replies,
+        "removed": removed,
+        **_counters(topo),
+    }
+
+
+@given(
+    specs=st.lists(flow_st, min_size=1, max_size=8),
+    reads=st.lists(instant_st, max_size=4),
+    sweeps=st.lists(instant_st, max_size=4),
+    idle_timeout=st.sampled_from([0.0, 0.25, 0.5]),
+)
+@settings(max_examples=60, deadline=None)
+# Two sized flows on the bottleneck from one instant, a third arriving
+# when the first would finish alone, reads and sweeps on the grid.
+@example(
+    specs=[(0, 3, 8e6, ("size", 8), 0.0), (1, 3, 8e6, ("size", 8), 0.0),
+           (2, 2, 4e6, ("size", 4), "done"), (0, 4, 1e6, ("duration", None), 0.0)],
+    reads=[0.25, 0.5], sweeps=[0.5, 1.0], idle_timeout=0.25,
+)
+def test_lazy_apply_matches_eager_apply(specs, reads, sweeps, idle_timeout):
+    lazy = _learning_run(specs, reads, sweeps, idle_timeout, eager=False)
+    assert lazy == _learning_run(specs, reads, sweeps, idle_timeout, eager=True)
+
+
+def test_a_completion_tie_keeps_bytes_and_counters():
+    """Where the two paths may part: completions due at one instant
+    fire in the order their timers were last stamped.  Two identical
+    flows arrive together: eager, the first one's timer is retimed when
+    the second arrives and fires first; lazy, it stays armed for the
+    instant the first would finish alone, fires there early, re-arms
+    behind the second one's and fires second.  Each flow's last rate
+    is then the other's; end times, bytes and every counter agree."""
+    specs = [(0, 3, 8e6, ("size", 8), 0.0), (1, 3, 8e6, ("size", 8), 0.0),
+             (2, 2, 4e6, ("size", 4), 0.25), (0, 4, 1e6, ("duration", None), 0.0)]
+    args = (specs, [0.25, 0.5], [0.5, 1.0], 0.25)
+    lazy = _learning_run(*args, eager=False, spread=0)
+    eager = _learning_run(*args, eager=True, spread=0)
+    assert [row[5] for row in lazy["flows"][:2]] == [row[5] for row in eager["flows"][1::-1]]
+    for run in (lazy, eager):
+        run["flows"] = [row[:5] + row[6:] for row in run["flows"]]
+    assert lazy == eager
