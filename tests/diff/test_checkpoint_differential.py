@@ -14,6 +14,9 @@ import os
 from repro import Horse
 from repro.runtime import load_checkpoint, save_checkpoint
 from repro.runtime.scenario import build_horse, build_traffic, reset_id_counters
+from repro.stats.export import run_digest
+
+from .test_kernel_reschedule_differential import _counters
 
 SCENARIO = {
     "schema_version": 1,
@@ -137,6 +140,35 @@ class TestCheckpointRoundTrip:
         restored = Horse.restore(path)
         assert restored.sim.now < 3.0  # a genuinely mid-run snapshot
         got = _fingerprint(restored, restored.run(until=3.0))
+        assert got == want
+
+    def test_snapshot_with_owed_counters_and_an_early_timer(self, tmp_path):
+        """The flow engine settles route counters when they are read and
+        lets a completion timer fire before its due time: a periodic
+        snapshot taken while a flow owes counters and a timer is queued
+        early resumes into the uninterrupted run's digest, flows and
+        port / entry counters."""
+        path = str(tmp_path / "owed.ckpt")
+        scenario = dict(
+            SCENARIO,
+            traffic=dict(SCENARIO["traffic"], total="3 Gbps"),
+            checkpoint={"path": path, "interval_s": 1.1},
+        )
+        full = _build(scenario)
+        result = full.run(until=3.0)
+        want = (_fingerprint(full, result), run_digest(result), _counters(full.topology))
+
+        restored = Horse.restore(path)
+        engine = restored.engine
+        assert restored.sim.now == 2.2  # the last tick, mid-run
+        assert engine._owed
+        assert any(
+            event.queued and event.time < event.due
+            for event in engine._completions.values()
+        )
+        result = restored.run(until=3.0)
+        got = (_fingerprint(restored, result), run_digest(result),
+               _counters(restored.topology))
         assert got == want
 
     def test_hybrid_segmented_round_trip_identical(self, tmp_path):
