@@ -28,6 +28,7 @@ PARENT = run(
 def test_identical_runs_have_no_rows():
     delta = run_delta.compare(PARENT, PARENT)
     assert delta["rows"] == {} and delta["reordered"] == []
+    assert delta["ports"] == [] and delta["entries"] == []
     assert set(delta["maxima"].values()) == {0.0}
 
 
@@ -58,6 +59,22 @@ def test_swapped_completions_count_both_flows_as_reordered():
     swapped = ORDER[:2] + [ORDER[3], ORDER[2]]
     delta = run_delta.compare(PARENT, run(PARENT["flows"], swapped))
     assert delta["reordered"] == ["1", "2"] and delta["rows"] == {}
+
+
+def test_counters_are_compared_per_port_and_per_entry():
+    ports = {"s1:1": [100, 1, 0, 0], "s1:2": [0, 0, 100, 1]}
+    entries = {"s1/0/0": ["Match()", 0, 100, 1]}
+    parent = dict(PARENT, ports=ports, entries=entries)
+    assert run_delta.compare(parent, parent)["ports"] == []
+    change = dict(
+        PARENT,
+        ports={"s1:1": [100, 1, 0, 0], "s1:2": [0, 0, 101, 1]},
+        entries={"s1/0/0": ["Match()", 0, 100, 1], "s1/0/1": ["Match()", 0, 0, 0]},
+    )
+    delta = run_delta.compare(parent, change)
+    assert delta["ports"] == ["s1:2"]
+    assert delta["entries"] == ["s1/0/1"]  # present on one side only
+    assert delta["rows"] == {}
 
 
 def test_different_flow_ids_are_refused():

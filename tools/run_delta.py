@@ -10,8 +10,10 @@ compares the two runs flow by flow: the relative difference in
 sent, delivered and dropped bytes, completion time and final rate of
 every flow that differs, then the maxima, the number of flows whose
 lifecycle events (arrival, completion, re-route, ...) fall at different
-places in the run's event sequence, and the run counters side by side.
-Exits 1 when a maximum exceeds ``--tolerance``.
+places in the run's event sequence, how many switch ports (tx / rx
+bytes and packets) and flow entries (byte and packet counts) end the
+run with different counters, and the run counters side by side.  Exits
+1 when a maximum exceeds ``--tolerance``.
 
 A digest is a hash: it says *that* two runs differ, not whether the
 difference is a rounding change in the last bits or a different
@@ -50,12 +52,27 @@ def child(checkout: str, workload: str, seed: int) -> dict:
     )
     job.submit()
     result = job.horse.run(until=job.until)
+    topology = job.horse.topology
     return {
         "flows": {
             str(flow.flow_id): [getattr(flow, name) for name in FIELDS]
             for flow in job.flows
         },
         "order": order,
+        "ports": {
+            f"{node.name}:{number}": [port.tx_bytes, port.tx_packets,
+                                      port.rx_bytes, port.rx_packets]
+            for node in topology.nodes
+            for number, port in sorted(node.ports.items())
+        },
+        "entries": {
+            f"{switch.name}/{table.table_id}/{index}": [
+                repr(entry.match), entry.priority, entry.byte_count, entry.packet_count
+            ]
+            for switch in topology.switches if switch.pipeline is not None
+            for table in switch.pipeline.tables
+            for index, entry in enumerate(table)
+        },
         "run_digest": run_digest(result),
         "counters": {
             "events": result.events,
@@ -82,9 +99,18 @@ def positions(order: List[List]) -> Dict[str, List]:
     return out
 
 
+def differing(parent: dict, change: dict, kind: str) -> List[str]:
+    """The ports or entries (``kind``) whose counters differ between the
+    runs, or that one run does not have."""
+    before, after = parent.get(kind, {}), change.get(kind, {})
+    return sorted(key for key in before.keys() | after.keys()
+                  if before.get(key) != after.get(key))
+
+
 def compare(parent: dict, change: dict) -> dict:
     """Per-flow relative differences (flows that differ only), their
-    maxima per field, and the flows whose event order changed."""
+    maxima per field, the flows whose event order changed, and the
+    ports and entries whose counters differ."""
     if parent["flows"].keys() != change["flows"].keys():
         raise ValueError("the two runs did not submit the same flow ids")
     rows = {}
@@ -101,7 +127,9 @@ def compare(parent: dict, change: dict) -> dict:
          if before.get(flow_id) != after.get(flow_id)),
         key=int,
     )
-    return {"rows": rows, "maxima": maxima, "reordered": reordered}
+    return {"rows": rows, "maxima": maxima, "reordered": reordered,
+            "ports": differing(parent, change, "ports"),
+            "entries": differing(parent, change, "entries")}
 
 
 def run_side(checkout: str, workload: str, seed: int) -> dict:
@@ -148,6 +176,10 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: event order changed for "
           f"{len(delta['reordered'])} of {flows} flows"
           + (f" (first: {delta['reordered'][:5]})" if delta["reordered"] else ""))
+    for kind in ("ports", "entries"):
+        keys = delta[kind]
+        print(f"{args.workload} seed {args.seed}: counters differ for {len(keys)} "
+              f"of {len(parent[kind])} {kind}" + (f" (first: {keys[:5]})" if keys else ""))
     same = parent["run_digest"] == change["run_digest"]
     print(f"{args.workload} seed {args.seed}: run_digest "
           f"{'same' if same else 'CHANGED'}: parent {parent['run_digest'][:12]} "
