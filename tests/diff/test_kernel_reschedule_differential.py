@@ -24,7 +24,7 @@ from repro.control.apps import L2LearningApp
 from repro.flowsim import Flow, FlowLevelEngine
 from repro.ixp import build_ixp
 from repro.net.generators import fat_tree, linear
-from repro.openflow import attach_pipeline
+from repro.openflow import ApplyActions, Drop, Match, attach_pipeline
 from repro.openflow.headers import tcp_flow
 from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
@@ -208,7 +208,7 @@ def _learning_flows(topo, specs, spread):
     return flows
 
 
-def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
+def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1, drops=()):
     topo = linear(2, hosts_per_switch=3, capacity_bps=CAPACITY_BPS)
     for switch in topo.switches:
         attach_pipeline(switch, num_tables=1)
@@ -223,7 +223,8 @@ def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
 
     sim = Simulator()
     controller = Controller()
-    controller.add_app(Recording(idle_timeout=idle_timeout))
+    app = Recording(idle_timeout=idle_timeout)
+    controller.add_app(app)
     channel = ControlChannel(sim, topo, controller=controller)
     engine = FlowLevelEngine(sim, topo, control=channel)
     if eager:
@@ -252,6 +253,12 @@ def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
         sim.call_at(t, read)
     for t in sweeps:
         sim.call_at(t, lambda s: engine._expire_tick(s, s.now))
+    # A blackhole rule for one host's MAC on s1: the flows towards it are
+    # re-walked onto a shorter route with no stats read in between.
+    for t, host in drops:
+        mac = topo.hosts[host].mac
+        sim.call_at(t, lambda s, mac=mac: app.add_flow(
+            dpids[0], Match(eth_dst=mac), (ApplyActions((Drop(),)),), priority=100))
     sim.run(until=HORIZON_S)
     engine.finish()
     return {
@@ -268,6 +275,8 @@ def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
     reads=st.lists(instant_st, max_size=4),
     sweeps=st.lists(instant_st, max_size=4),
     idle_timeout=st.sampled_from([0.0, 0.25, 0.5]),
+    drops=st.lists(st.tuples(instant_st, st.integers(min_value=3, max_value=5)),
+                   max_size=2),
 )
 @settings(max_examples=60, deadline=None)
 # Two sized flows on the bottleneck from one instant, a third arriving
@@ -275,11 +284,12 @@ def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1):
 @example(
     specs=[(0, 3, 8e6, ("size", 8), 0.0), (1, 3, 8e6, ("size", 8), 0.0),
            (2, 2, 4e6, ("size", 4), "done"), (0, 4, 1e6, ("duration", None), 0.0)],
-    reads=[0.25, 0.5], sweeps=[0.5, 1.0], idle_timeout=0.25,
+    reads=[0.25, 0.5], sweeps=[0.5, 1.0], idle_timeout=0.25, drops=[(1.5, 3)],
 )
-def test_lazy_apply_matches_eager_apply(specs, reads, sweeps, idle_timeout):
-    lazy = _learning_run(specs, reads, sweeps, idle_timeout, eager=False)
-    assert lazy == _learning_run(specs, reads, sweeps, idle_timeout, eager=True)
+def test_lazy_apply_matches_eager_apply(specs, reads, sweeps, idle_timeout, drops):
+    args = (specs, reads, sweeps, idle_timeout)
+    lazy = _learning_run(*args, eager=False, drops=drops)
+    assert lazy == _learning_run(*args, eager=True, drops=drops)
 
 
 def test_a_completion_tie_keeps_bytes_and_counters():

@@ -22,6 +22,7 @@ from repro.openflow.messages import (
     next_xid,
 )
 from repro.sim import Simulator
+from repro.sim.kernel import RESCHEDULE_EPSILON
 
 
 def star_with_rules(num_hosts=4, capacity=1e9):
@@ -78,6 +79,66 @@ class TestSolverInputs:
         sim.run()
         for direction, index in engine._dir_index.items():
             assert engine._dir_caps[index] == direction.capacity_bps
+
+
+class TestCompletionTimers:
+    """A completion timer moves only earlier; a due time that moves later
+    waits for the timer to fire early."""
+
+    @staticmethod
+    def armed():
+        topo = star_with_rules()
+        sim = Simulator()
+        engine = FlowLevelEngine(sim, topo)
+        flow = quick_flow(topo, "h1", "h2", 1000, size=1_000_000)
+        engine.submit(flow)
+        sim.step()  # the arrival: routed at 100 Mb/s, completion armed
+        return engine, sim, flow, engine._completions[flow.flow_id]
+
+    def test_an_early_fire_re_arms_at_the_due_time_without_accruing(self):
+        engine, sim, flow, event = self.armed()
+        queued = event.time
+        flow.rate_bps = 50e6
+        engine._schedule_completion(flow)
+        assert event.time == queued and event.due == 2 * queued
+        assert sim.step() is event and sim.now == queued
+        assert event.queued and event.time == event.due and flow.bytes_sent == 0.0
+
+    def test_a_move_earlier_inside_the_kernel_epsilon_is_exact(self):
+        """``Simulator.reschedule`` keeps a time within its epsilon; the
+        engine must not, or the flow would complete after its due time."""
+        engine, sim, flow, event = self.armed()
+        queued = event.time
+        flow.rate_bps = 50e6
+        engine._schedule_completion(flow)  # due later: the timer stays
+        flow.rate_bps = flow.size_bytes * 8.0 / (queued - RESCHEDULE_EPSILON / 4)
+        engine._schedule_completion(flow)
+        when = flow.size_bytes * 8.0 / flow.rate_bps
+        assert queued - RESCHEDULE_EPSILON < when < queued
+        assert event.time == event.due == when
+
+
+class TestOwedCounters:
+    def test_an_entry_was_last_used_when_traffic_last_crossed_it(self):
+        """Route counters are settled when read, but ``last_used`` is
+        the end of the last interval that carried traffic, not the
+        read: here a pinned external demand starves the flow from 1 s."""
+        topo = star_with_rules(capacity=100e6)
+        sim = Simulator()
+        engine = FlowLevelEngine(sim, topo)
+        flow = quick_flow(topo, "h1", "h2", 1000, size=None)
+        engine.submit(flow)
+
+        def starve(s):
+            engine.set_external_demand("fg", 100e6, flow.route.directions, pinned=True)
+            engine.recompute_rates()
+
+        sim.call_at(1.0, starve)
+        sim.run(until=2.0)
+        engine.sync_statistics()
+        assert flow.rate_bps == 0.0
+        (entry,) = flow.route.entries
+        assert (entry.byte_count, entry.last_used) == (12_500_000, 1.0)
 
 
 class TestMessages:
