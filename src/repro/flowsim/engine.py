@@ -334,7 +334,7 @@ class FlowLevelEngine(Engine):
             flow.bytes_sent += sent
             if route.delivered:
                 flow.bytes_delivered += sent
-            packets = max(1, int(sent / self.mean_packet_bytes)) if sent >= 1 else 0
+            packets = (int(sent / self.mean_packet_bytes) or 1) if sent >= 1 else 0
             owed_bytes, owed_packets, _ = self._owed.get(flow.flow_id, (0, 0, 0.0))
             self._owed[flow.flow_id] = (owed_bytes + int(sent), owed_packets + packets, now)
         if not flow.elastic and flow.demand_bps > rate:
@@ -869,13 +869,14 @@ class FlowLevelEngine(Engine):
         """
         if flow.size_bytes is None or flow.state is not FlowState.ACTIVE:
             return
-        when = flow.projected_completion(self.sim.now)
+        now = self.sim.now
+        when = flow.projected_completion(now)
         if when is None:
             event = self._completions.pop(flow.flow_id, None)
             if event is not None:
                 self.sim.cancel(event)
             return
-        when = max(when, self.sim.now)
+        when = max(when, now)
         event = self._completions.get(flow.flow_id)
         if event is None:
             event = self._completions[flow.flow_id] = FlowCompletion(when, self, flow)
