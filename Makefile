@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim line-budget typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs run-delta telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim line-budget typecheck check bench bench-quick horsebench horsebench-compare horsebench-pairs run-delta telemetry-gate sweep-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -56,7 +56,7 @@ lint-sim:
 # room to come back.
 LINE_BUDGETS = \
 	"src/repro/flowsim/*.py:2220" \
-	"src/repro/cli.py src/repro/runtime/scenario.py:1080" \
+	"src/repro/cli.py src/repro/runtime/scenario.py:1020" \
 	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
 	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:790" \
@@ -126,13 +126,6 @@ sweep-smoke:
 		assert r['execution']['retried'] == [2], r['execution']; \
 		assert not r['summary']['failed'], r['summary']; \
 		print('sweep-smoke: crash retried, 4/4 jobs completed')"
-
-# Sharded-runtime smoke: k=1 must reproduce the committed golden
-# digests bit for bit, and a k=4 run with one injected shard crash
-# must restart the shard and finish with results identical to a clean
-# k=4 run.
-shard-smoke:
-	python tools/shard_smoke.py
 
 # External control-plane smoke: `repro serve` + `repro wire-client` in
 # separate processes over a real TCP socket; asserts clean shutdown

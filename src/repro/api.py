@@ -28,7 +28,6 @@ from .core.config import (
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
-    ShardConfig,
     TelemetryConfig,
     WireConfig,
 )
@@ -59,7 +58,6 @@ from .runtime.schema import (
     validate_scenario,
 )
 from .runtime.sweep import SweepSpec, run_sweep
-from .shard import MIN_QUANTUM_S, ShardPlan, partition_topology, run_sharded
 from .sim import Simulator
 from .telemetry import TraceBus
 from .traffic import FlowGenerator, TrafficMatrix
@@ -75,7 +73,6 @@ __all__ = [
     "WireConfig",
     "TelemetryConfig",
     "CheckpointConfig",
-    "ShardConfig",
     # Scenario documents
     "SCHEMA_VERSION",
     "Scenario",
@@ -87,11 +84,6 @@ __all__ = [
     "migrate_scenario",
     "run_scenario",
     "validate_scenario",
-    # Sharded parallel runtime
-    "MIN_QUANTUM_S",
-    "ShardPlan",
-    "partition_topology",
-    "run_sharded",
     # Sweeps
     "SweepSpec",
     "run_sweep",

@@ -48,7 +48,6 @@ from .runtime.scenario import (
 )
 from .runtime.schema import (
     SCHEMA_VERSION,
-    build_config,
     load_scenario,
     migrate_scenario,
     set_dotted,
@@ -96,12 +95,6 @@ OVERRIDES: Dict[str, Tuple[Override, ...]] = {
                  implies=(("engine", "hybrid"),)),
         Override("--hybrid-sync-interval", "hybrid.sync_interval_s", float,
                  "hybrid foreground/background coupling cadence", "SECONDS"),
-        Override("--shards", "shards.count", int,
-                 "run on the sharded parallel runtime with K domains (1 = the "
-                 "ordinary single-process engine, bitwise-identical)", "K"),
-        Override("--shard-quantum", "shards.quantum_s", float,
-                 "shard synchronization quantum (default: derived from the "
-                 "minimum cross-shard link latency)", "SECONDS"),
         Override("--control", "control", ("inproc", "wire"),
                  "control-plane transport (overrides the scenario)"),
         Override("--wire-client", "wire.client", ("learning", "static"),
@@ -173,16 +166,6 @@ def _load(args: argparse.Namespace, command: str, edits=()) -> dict:
     return document
 
 
-def _refuse_sharded(document: dict) -> None:
-    """Checkpoints, the metrics exposition and the trace count are read
-    off this process's horse; a sharded run's live in its workers."""
-    if build_config(document).shard.count > 1:
-        raise ExperimentError(
-            "--checkpoint/--metrics/--trace are per-process features; "
-            "they are not available on a sharded run"
-        )
-
-
 def _print_submitted(path: str, horse: Horse, count: int) -> None:
     """``before_run`` (with ``path`` bound): say what was built before a
     long run starts."""
@@ -229,16 +212,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         if not args.scenario:
             raise ExperimentError("a scenario file (or --restore) is required")
-        document = _load(args, "run")
-        if args.checkpoint or args.metrics or args.trace:
-            _refuse_sharded(document)
-        horse, result, count = run_scenario(
-            document, before_run=partial(_print_submitted, args.scenario)
+        horse, result, _count = run_scenario(
+            _load(args, "run"),
+            before_run=partial(_print_submitted, args.scenario),
         )
-        if horse is None:
-            print(f"scenario: {args.scenario} ({count} flows submitted, "
-                  f"{document['shards']['count']} shards)")
-        elif args.checkpoint and args.checkpoint_interval is None:
+        if args.checkpoint and args.checkpoint_interval is None:
             # No periodic ticker: snapshot the final state explicitly.
             horse.checkpoint(args.checkpoint)
             print(f"wrote checkpoint to {args.checkpoint}")
@@ -277,11 +255,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         result_to_json(result, args.json)
         print(f"wrote run document to {args.json}")
-    if args.metrics and horse is not None:
+    if args.metrics:
         with open(args.metrics, "w") as handle:
             handle.write(horse.telemetry.prometheus())
         print(f"wrote metrics exposition to {args.metrics}")
-    if horse is not None and horse.telemetry.tracing_enabled:
+    if horse.telemetry.tracing_enabled:
         _close_trace(horse)
     return 0
 
@@ -352,10 +330,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import read_trace, summarize_trace
 
     if args.trace_command == "record":
-        document = _load(args, "trace record")
-        _refuse_sharded(document)
         horse, _result, _count = run_scenario(
-            document, before_run=partial(_print_submitted, args.scenario)
+            _load(args, "trace record"),
+            before_run=partial(_print_submitted, args.scenario),
         )
         _close_trace(horse)
         return 0

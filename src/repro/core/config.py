@@ -1,8 +1,8 @@
 """Configuration for the Horse simulator façade.
 
 :class:`HorseConfig` groups the run knobs into nested sections —
-:class:`HybridConfig`, :class:`WireConfig`, :class:`TelemetryConfig`,
-:class:`CheckpointConfig`, and :class:`ShardConfig`::
+:class:`HybridConfig`, :class:`WireConfig`, :class:`TelemetryConfig`
+and :class:`CheckpointConfig`::
 
     HorseConfig(engine="hybrid",
                 hybrid=HybridConfig(select="top:4"),
@@ -17,7 +17,7 @@ and range rule lives in :meth:`HorseConfig.validate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import ExperimentError
 
@@ -142,46 +142,12 @@ class CheckpointConfig:
     interval_s: Optional[float] = None
 
 
-@dataclass
-class ShardConfig:
-    """Sharded parallel-runtime knobs (see :mod:`repro.shard`).
-
-    Attributes
-    ----------
-    count:
-        Number of shard domains.  1 (default) runs the ordinary
-        single-process engine — bitwise-identical results.  k > 1
-        partitions the topology into k domains, runs each in a worker
-        process with its own kernel/clock/solver, and synchronizes
-        conservatively at quantum boundaries.
-    quantum_s:
-        Synchronization quantum (simulated seconds).  None derives it
-        from the minimum cross-shard link latency (the conservative
-        lookahead), floored at :data:`repro.shard.MIN_QUANTUM_S`; with
-        no cross-shard links the whole horizon is one quantum.
-    partition:
-        ``"greedy"`` (METIS-style greedy edge-cut over link
-        capacities) or an explicit list of node-name lists, one per
-        shard (hosts follow their attachment switch when omitted).
-    checkpoint_dir:
-        When set, every shard checkpoints its state here at each
-        quantum boundary, so a crashed shard restarts from its last
-        boundary instead of replaying from t=0.
-    """
-
-    count: int = 1
-    quantum_s: Optional[float] = None
-    partition: Union[str, list] = "greedy"
-    checkpoint_dir: Optional[str] = None
-
-
 #: Section attribute name -> its dataclass type.
 SECTION_TYPES = {
     "hybrid": HybridConfig,
     "wire": WireConfig,
     "telemetry": TelemetryConfig,
     "checkpoint": CheckpointConfig,
-    "shard": ShardConfig,
 }
 
 
@@ -241,12 +207,11 @@ class HorseConfig:
         ``control_latency_s == 0`` — latency comes from the wall clock
         through the time gate — and is incompatible with in-process
         policies/controllers.
-    hybrid / wire / telemetry / checkpoint / shard:
+    hybrid / wire / telemetry / checkpoint:
         Nested sections; see :class:`HybridConfig`,
-        :class:`WireConfig`, :class:`TelemetryConfig`,
-        :class:`CheckpointConfig` and :class:`ShardConfig`.  Each
-        accepts an instance, a plain dict, or None (the section's
-        defaults).
+        :class:`WireConfig`, :class:`TelemetryConfig` and
+        :class:`CheckpointConfig`.  Each accepts an instance, a plain
+        dict, or None (the section's defaults).
     """
 
     engine: str = "flow"
@@ -264,7 +229,6 @@ class HorseConfig:
     wire: WireConfig = field(default_factory=WireConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-    shard: ShardConfig = field(default_factory=ShardConfig)
 
     def __post_init__(self) -> None:
         for section in SECTION_TYPES:
@@ -339,23 +303,4 @@ class HorseConfig:
             if not self.checkpoint.path:
                 raise ExperimentError(
                     "checkpoint.interval_s needs a checkpoint.path"
-                )
-        sh = self.shard
-        if sh.count < 1:
-            raise ExperimentError(f"shard.count must be >= 1, got {sh.count}")
-        if sh.quantum_s is not None and sh.quantum_s <= 0:
-            raise ExperimentError("shard.quantum_s must be > 0")
-        if not (sh.partition == "greedy" or isinstance(sh.partition, (list, tuple))):
-            raise ExperimentError(
-                "shard.partition must be 'greedy' or a list of node-name "
-                f"lists, got {sh.partition!r}"
-            )
-        if sh.count > 1:
-            if self.engine != "flow":
-                raise ExperimentError(
-                    "sharded runs (shard.count > 1) require engine='flow'"
-                )
-            if self.control != "inproc":
-                raise ExperimentError(
-                    "sharded runs (shard.count > 1) require control='inproc'"
                 )

@@ -71,8 +71,7 @@ def pods(
     Pod ``p`` has switch ``p{p}s`` and hosts ``p{p}h0 .. p{p}h{n-1}``
     (the naming the benchmark harness uses).  There are no inter-pod
     links, so with pod-local traffic the pods are fully independent —
-    the ideal substrate for the sharded runtime's speedup gate and any
-    embarrassingly-parallel scaling study.
+    the substrate for an embarrassingly-parallel scaling study.
     """
     if num_pods < 1 or hosts_per_pod < 1:
         raise TopologyError(

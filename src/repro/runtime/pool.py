@@ -62,17 +62,10 @@ class JobOutcome:
     out_path: Optional[str] = None
 
 
-def process_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (fast, test-friendly), spawn otherwise.
-
-    Shared by the sweep pool and the shard runtime so every child
-    process in the codebase starts the same way.
-    """
+def _context() -> multiprocessing.context.BaseContext:
+    """Fork where available (fast, test-friendly), spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-_context = process_context
 
 
 def run_jobs(

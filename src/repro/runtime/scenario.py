@@ -5,8 +5,7 @@ runtime knobs — everything a run needs, so experiments are shareable
 files rather than scripts.  :func:`run_scenario` is the only place a
 document becomes a run: ``repro run``, ``serve``, ``trace record``, the
 sweep workers and :meth:`Scenario.run` all call it, so the same
-document builds the same simulation wherever it executes (the shard
-workers share :func:`build_scenario` for the same reason).
+document builds the same simulation wherever it executes.
 
 Schema v1 (see :mod:`repro.runtime.schema`; legacy v0 documents with
 flat ``hybrid_*``/``wire_*`` keys and a ``runtime`` section are
@@ -33,10 +32,7 @@ migrated on load with deprecation warnings)::
                     "monitor_push_min_delta_bytes": 0.0,
                     "link_sample_interval_s": null,
                     "trace_path": "run.trace.jsonl", "profile": false},
-      "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
-      "shards":   4 | {"count": 4, "quantum_s": null,
-                       "partition": "greedy" | [[...], ...],
-                       "checkpoint_dir": null}
+      "checkpoint": {"path": "run.ckpt", "interval_s": 5.0}
     }
 
 Every other scalar :class:`~repro.core.config.HorseConfig` field
@@ -120,14 +116,8 @@ def build_horse(scenario: dict) -> Tuple[Horse, object]:
     return horse, fabric
 
 
-def build_traffic(spec: dict, horse: Horse, fabric, flow_filter=None) -> int:
-    """Generate and submit the scenario's traffic; returns flow count.
-
-    ``flow_filter`` (flow -> bool) drops flows *after* generation, so
-    ids stay identical to an unfiltered build — the shard runtime uses
-    this to give every worker the full deterministic id sequence while
-    submitting only its own domain's flows.
-    """
+def build_traffic(spec: dict, horse: Horse, fabric) -> int:
+    """Generate and submit the scenario's traffic; returns flow count."""
     kind = spec.get("kind", "matrix")
     if kind == "trace":
         from ..traffic.trace_io import load_trace
@@ -159,26 +149,15 @@ def build_traffic(spec: dict, horse: Horse, fabric, flow_filter=None) -> int:
             flows = generator.from_matrix(matrix, horizon_s=horizon)
     else:
         raise ExperimentError(f"unknown traffic kind {kind!r}")
-    if flow_filter is not None:
-        flows = [f for f in flows if flow_filter(f)]
     horse.submit_flows(flows)
     return len(flows)
-
-
-def build_scenario(scenario: dict, flow_filter=None) -> Tuple[Horse, int]:
-    """Build the simulation a scenario describes and submit its traffic
-    (through ``flow_filter``, see :func:`build_traffic`); returns
-    ``(horse, flow_count)``."""
-    horse, fabric = build_horse(scenario)
-    count = build_traffic(scenario.get("traffic", {}), horse, fabric, flow_filter)
-    return horse, count
 
 
 def run_scenario(
     scenario: dict,
     *,
     before_run: Optional[Callable[[Horse, int], None]] = None,
-) -> Tuple[Optional[Horse], RunResult, int]:
+) -> Tuple[Horse, RunResult, int]:
     """Build, load, and run one scenario document end to end; returns
     ``(horse, result, flow_count)``.  The document is not mutated.
 
@@ -189,20 +168,11 @@ def run_scenario(
     ``before_run(horse, flow_count)`` is called between build and run,
     for a caller that must see the built simulation before a long run
     blocks (``repro serve`` announces its listen address from it).
-
-    With ``"shards": k`` for k > 1 the run executes on the sharded
-    parallel runtime (see :mod:`repro.shard`): the k simulations live
-    in worker processes, so ``before_run`` is not called and the
-    returned horse is None.
     """
     reset_id_counters()
     scenario = ensure_v1(scenario)
-    if build_config(scenario).shard.count > 1:
-        from ..shard import run_sharded
-
-        result, count = run_sharded(scenario)
-        return None, result, count
-    horse, count = build_scenario(scenario)
+    horse, fabric = build_horse(scenario)
+    count = build_traffic(scenario.get("traffic", {}), horse, fabric)
     if before_run is not None:
         before_run(horse, count)
     try:

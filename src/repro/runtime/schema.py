@@ -13,12 +13,10 @@ and range rules are :meth:`HorseConfig.validate`'s)::
       "hybrid":    {"select": "top:4", "sync_interval_s": 0.05},
       "wire":      {"client": "learning", "listen": "127.0.0.1:0", ...},
       "telemetry": {"monitor_interval_s": 0.5, "trace_path": ..., ...},
-      "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
-      "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"}
+      "checkpoint": {"path": "run.ckpt", "interval_s": 5.0}
     }
 
-``"shards"`` also accepts a bare integer (``"shards": 4``), which
-:func:`ensure_v1` rewrites to ``{"count": 4}``.  Documents without
+Documents without
 ``schema_version`` are treated as v0 (engine knobs as flat top-level
 keys such as ``hybrid_select`` next to a grab-bag ``runtime`` section):
 :func:`ensure_v1` migrates them in memory, warning once per deprecated
@@ -103,12 +101,8 @@ def _field_types(cls) -> Dict[str, tuple]:
 #: Top-level document key -> accepted JSON types (HorseConfig's scalars).
 _TOP_TYPES = _field_types(HorseConfig)
 
-#: Document section key -> (HorseConfig attribute, {field: JSON types});
-#: the document spells the ``shard`` section ``"shards"``.
-_SECTIONS = {
-    "shards" if name == "shard" else name: (name, _field_types(cls))
-    for name, cls in SECTION_TYPES.items()
-}
+#: Document section key (= HorseConfig attribute) -> {field: JSON types}.
+_SECTIONS = {name: _field_types(cls) for name, cls in SECTION_TYPES.items()}
 
 #: Top-level document keys that are not config fields.
 _DOCUMENT_KEYS = ("schema_version", "until", "topology", "policies", "traffic")
@@ -191,9 +185,8 @@ def migrate_scenario(doc: dict) -> Tuple[dict, List[Tuple[str, str, str]]]:
 
 
 def ensure_v1(doc: dict, warn: bool = True) -> dict:
-    """``doc`` as a v1 document whose ``"shards"`` is an object: ``doc``
-    itself when it already is one, else a copy (the input is never
-    mutated).
+    """``doc`` as a v1 document: ``doc`` itself when it already is one,
+    else a migrated copy (the input is never mutated).
 
     With ``warn`` (the default) each legacy key found triggers a
     once-per-process :class:`DeprecationWarning` naming its new home.
@@ -203,8 +196,6 @@ def ensure_v1(doc: dict, warn: bool = True) -> dict:
         if warn:
             for move in moves:
                 _warn_scenario_key(*move)
-    if not isinstance(doc.get("shards", {}), dict):
-        doc = {**doc, "shards": shard_section(doc)}
     return doc
 
 
@@ -287,9 +278,9 @@ def _config_of(doc: dict) -> HorseConfig:
         if key in doc:
             _check_type(key, doc[key], types)
             kwargs[key] = doc[key]
-    for section, (attr, fields) in _SECTIONS.items():
+    for section, fields in _SECTIONS.items():
         if section in doc:
-            kwargs[attr] = SECTION_TYPES[attr](
+            kwargs[section] = SECTION_TYPES[section](
                 **_section_kwargs(section, doc[section], fields)
             )
     return HorseConfig(**kwargs)
@@ -311,23 +302,6 @@ def build_config(scenario: dict) -> HorseConfig:
     per deprecated key.
     """
     return _config_of(ensure_v1(scenario))
-
-
-def shard_section(doc: dict) -> dict:
-    """The document's ``"shards"`` value normalized to a dict
-    (``"shards": 4`` means ``{"count": 4}``)."""
-    value = doc.get("shards")
-    if value is None:
-        return {}
-    if isinstance(value, bool):
-        raise ExperimentError(f"shards: must be an integer >= 1, got {value!r}")
-    if isinstance(value, int):
-        return {"count": value}
-    if isinstance(value, dict):
-        return dict(value)
-    raise ExperimentError(
-        f"shards: expected an object or integer, got {type(value).__name__}"
-    )
 
 
 class Scenario:

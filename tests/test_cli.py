@@ -410,7 +410,7 @@ class TestOverrideTable:
         if row.path == "until":
             assert document["until"] == value
         elif field:
-            section = getattr(config, _SECTIONS[head][0])
+            section = getattr(config, head)
             assert getattr(section, field) == value
         else:
             assert getattr(config, head) == value
@@ -422,7 +422,7 @@ class TestOverrideTable:
         """A renamed config field cannot leave a dangling flag."""
         head, _, field = row.path.partition(".")
         if field:
-            assert field in _SECTIONS[head][1]
+            assert field in _SECTIONS[head]
         else:
             assert head in _TOP_TYPES or head in _DOCUMENT_KEYS
         for path, _value in row.implies:
@@ -436,7 +436,7 @@ class TestOverrideTable:
                 "--flows-csv", "--json", "--until", "--checkpoint",
                 "--checkpoint-interval", "--restore", "--trace", "--metrics",
                 "--profile", "--hybrid-select", "--hybrid-sync-interval",
-                "--shards", "--shard-quantum", "--check-digest", "--control",
+                "--check-digest", "--control",
                 "--wire-client", "--wire-listen",
             },
             "serve": {"--listen", "--until", "--budget", "--dilation", "--json"},
@@ -460,6 +460,7 @@ class TestOverrideTable:
         [
             ["run", QUICKSTART, "--solver", "full"],
             ["run", QUICKSTART, "--kernel-compaction-threshold", "0.5"],
+            ["run", QUICKSTART, "--shards", "2"],
             ["trace", "record", QUICKSTART, "--out", "t.jsonl", "--solver", "full"],
         ],
     )
@@ -554,6 +555,9 @@ class TestRestoreRefusesDocumentFlags:
 
 
 class TestShardedDocuments:
+    """A document written for the removed sharded runtime is refused by
+    name, never run unsharded as if the key were not there."""
+
     def _sharded(self, tmp_path):
         return TestRunCommand()._scenario(
             tmp_path, schema_version=1, shards=2,
@@ -564,21 +568,16 @@ class TestShardedDocuments:
         path = self._sharded(tmp_path)
         trace = str(tmp_path / "t.jsonl")
         assert main(["trace", "record", path, "--out", trace]) == 1
-        assert "not available on a sharded run" in capsys.readouterr().err
+        assert "shards: unknown key" in capsys.readouterr().err
         assert not os.path.exists(trace)
 
     def test_serve_refuses_a_sharded_document(self, tmp_path, capsys):
         assert main(["serve", self._sharded(tmp_path)]) == 1
-        assert "sharded run" in capsys.readouterr().err
+        assert "shards: unknown key" in capsys.readouterr().err
 
-    def test_shard_flags_edit_a_bare_integer_count(self, tmp_path):
-        """`"shards": 2` plus --shard-quantum keeps the count."""
-        path = self._sharded(tmp_path)
-        args = build_parser().parse_args(["run", path, "--shard-quantum", "0.5"])
-        document = load_scenario(path)
-        for dotted, value in override_edits(args, OVERRIDES["run"]):
-            set_dotted(document, dotted, value)
-        assert document["shards"] == {"count": 2, "quantum_s": 0.5}
+    def test_run_refuses_a_sharded_document(self, tmp_path, capsys):
+        assert main(["run", self._sharded(tmp_path)]) == 1
+        assert "shards: unknown key" in capsys.readouterr().err
 
 
 class TestAnalyzeBuildsWhatRunBuilds:

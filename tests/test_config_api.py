@@ -11,7 +11,6 @@ from repro.core.config import (
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
-    ShardConfig,
     TelemetryConfig,
     WireConfig,
 )
@@ -27,8 +26,6 @@ def test_default_sections():
     assert config.wire == WireConfig()
     assert config.telemetry == TelemetryConfig()
     assert config.checkpoint == CheckpointConfig()
-    assert config.shard == ShardConfig()
-    assert config.shard.count == 1
 
 
 def test_sections_accept_instances_and_dicts():
@@ -41,23 +38,6 @@ def test_sections_accept_instances_and_dicts():
 def test_section_dict_unknown_key_rejected():
     with pytest.raises(ExperimentError, match="unknown"):
         HorseConfig(wire={"listne": "127.0.0.1:0"})
-
-
-def test_shard_section_validation():
-    assert HorseConfig(shard={"count": 2}).shard.count == 2
-    with pytest.raises(ExperimentError, match="count"):
-        HorseConfig(shard={"count": 0})
-    with pytest.raises(ExperimentError, match="quantum"):
-        HorseConfig(shard={"count": 2, "quantum_s": -1.0})
-    with pytest.raises(ExperimentError, match="partition"):
-        HorseConfig(shard={"count": 2, "partition": "metis"})
-
-
-def test_sharding_requires_flow_engine_inproc_control():
-    with pytest.raises(ExperimentError, match="flow"):
-        HorseConfig(engine="packet", shard={"count": 2})
-    with pytest.raises(ExperimentError, match="control"):
-        HorseConfig(control="wire", shard={"count": 2})
 
 
 def test_knob_ledger():
@@ -79,10 +59,6 @@ def test_knob_ledger():
         "pipeline_tables",
         "queue_capacity_packets",
         "seed",
-        "shard.checkpoint_dir",
-        "shard.count",
-        "shard.partition",
-        "shard.quantum_s",
         "table_size",
         "telemetry.link_sample_interval_s",
         "telemetry.monitor_interval_s",

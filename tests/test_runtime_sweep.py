@@ -114,18 +114,18 @@ class TestExpansion:
                 expand_jobs(spec)
 
     def test_grid_axes_edit_the_migrated_document(self):
-        """A bare-integer "shards" keeps its count under a shards.* axis."""
+        """A v0 flat key keeps its value under an axis of its v1 section."""
         spec = SweepSpec.from_dict(
             {
-                "base": dict(BASE_SCENARIO, shards=2),
-                "grid": {"shards.quantum_s": [0.5, 1.0]},
+                "base": dict(BASE_SCENARIO, hybrid_select="top:2"),
+                "grid": {"hybrid.sync_interval_s": [0.5, 1.0]},
             }
         )
-        assert [job.scenario["shards"] for job in expand_jobs(spec)] == [
-            {"count": 2, "quantum_s": 0.5},
-            {"count": 2, "quantum_s": 1.0},
+        assert [job.scenario["hybrid"] for job in expand_jobs(spec)] == [
+            {"select": "top:2", "sync_interval_s": 0.5},
+            {"select": "top:2", "sync_interval_s": 1.0},
         ]
-        assert spec.base["shards"] == 2  # the spec itself is untouched
+        assert spec.base["hybrid_select"] == "top:2"  # the spec itself is untouched
 
     def test_base_file_resolved_relative_to_spec(self, tmp_path):
         with open(tmp_path / "base.json", "w") as handle:

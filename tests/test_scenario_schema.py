@@ -28,7 +28,6 @@ from repro.runtime.schema import (
     migrate_scenario,
     reset_scenario_warnings,
     scenario_version,
-    shard_section,
     validate_scenario,
 )
 
@@ -174,18 +173,11 @@ def test_validate_rejects_future_schema_version():
         validate_scenario(bad)
 
 
-def test_shard_section_accepts_bare_int():
-    doc = v0_doc()
-    doc["schema_version"] = 1
-    doc["shards"] = 4
-    assert shard_section(doc) == {"count": 4}
-    doc["shards"] = {"count": 2, "quantum_s": 0.5}
-    assert shard_section(doc)["quantum_s"] == 0.5
-
-
 def test_bad_shards_values_rejected():
-    for bad in (0, True, "four", {"count": 0}, {"count": 2, "quantum_s": -1.0}):
-        with pytest.raises(ExperimentError, match="shard"):
+    """The sharded runtime is gone, so every ``"shards"`` value is bad:
+    a document written for it is refused by name, never run unsharded."""
+    for bad in (0, True, "four", 2, {"count": 2, "quantum_s": 0.5}):
+        with pytest.raises(ExperimentError, match="^shards: unknown key$"):
             validate_scenario(v0_doc(schema_version=1, shards=bad))
 
 
@@ -207,11 +199,10 @@ def test_implementation_knobs_are_unknown_keys():
 def test_section_keys_are_the_dataclass_fields(attr, cls):
     from repro.runtime.scenario import build_config
 
-    key = "shards" if attr == "shard" else attr
-    doc = v0_doc(schema_version=1, **{key: dataclasses.asdict(cls())})
+    doc = v0_doc(schema_version=1, **{attr: dataclasses.asdict(cls())})
     assert getattr(build_config(doc), attr) == cls()
-    doc[key] = {"nope": 1}
-    with pytest.raises(ExperimentError, match=rf"{key}\.nope"):
+    doc[attr] = {"nope": 1}
+    with pytest.raises(ExperimentError, match=rf"{attr}\.nope"):
         validate_scenario(doc)
 
 
