@@ -49,9 +49,10 @@ lint-sim:
 # OpenFlow interpreter, its analyzer enumeration and the one punt
 # protocol stay where PR 21 landed them: a second reading of the rules
 # has to displace the first.  The event kernel (kernel, queue, event)
-# stays at its tuple-entry size: the pending set orders plain tuples and
-# reschedule re-stamps the handle, so a second copy path or comparison
-# protocol has nowhere to go.  The wire codec describes each message body
+# stays at its tuple-entry, one-queue size: the pending set orders plain
+# tuples, reschedule re-stamps the handle and a late push takes a
+# reserved seq, so a second queue class, copy path or tie rule has
+# nowhere to go.  The wire codec describes each message body
 # once, in its _MESSAGES table: a hand-written writer/reader pair has no
 # room to come back.
 LINE_BUDGETS = \
@@ -59,7 +60,7 @@ LINE_BUDGETS = \
 	"src/repro/cli.py src/repro/runtime/scenario.py:1020" \
 	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
-	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:790" \
+	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:729" \
 	"src/repro/wire/codec.py:650"
 line-budget:
 	@for entry in $(LINE_BUDGETS); do \

@@ -20,9 +20,9 @@ from repro.net.generators import single_switch
 from repro.net.topology import Topology
 from repro.openflow import ApplyActions, Match, Output, attach_pipeline
 from repro.openflow.headers import tcp_flow
-from repro.sim import Event, HeapEventQueue, Simulator, SortedListEventQueue
+from repro.sim import Event, HeapEventQueue, Simulator
 
-from tests.diff.reference import solve_from_scratch
+from tests.diff.reference import SortedListEventQueue, solve_from_scratch
 
 from .harness import record, rows, write_table
 

@@ -886,11 +886,11 @@ class FlowLevelEngine(Engine):
             event.due = when
             self.sim.reschedule(event, when)
         elif abs(event.due - when) >= RESCHEDULE_EPSILON:
-            event.due = when
-            if when < event.time:
+            event.due, event.due_seq = when, self.sim.reserve()
+            if when <= event.time:  # a return to event.time is re-stamped too
                 if event.time - when < RESCHEDULE_EPSILON:
                     self.sim.cancel(event)  # else reschedule keeps event.time
-                self.sim.reschedule(event, when)
+                self.sim.reschedule(event, when, seq=event.due_seq)
 
     def _notify(self, name: str, flow: Flow) -> None:
         """Report a lifecycle event ('arrival', 'delivered',

@@ -39,21 +39,23 @@ class FlowArrival(Event):
 
 class FlowCompletion(Event):
     """A volume flow drained its last byte at ``due``, its projection.
-    The event may be queued earlier than that, never later."""
+    The event may be queued earlier than that, never later, and is pushed
+    at ``due`` under ``due_seq``, the seq reserved when ``due`` moved."""
 
-    __slots__ = ("engine", "flow", "due")
+    __slots__ = ("engine", "flow", "due", "due_seq")
 
     def __init__(self, time: float, engine: "FlowLevelEngine", flow: "Flow") -> None:
         super().__init__(time, priority=PRIO_COMPLETION)
         self.engine = engine
         self.flow = flow
         self.due = time
+        self.due_seq = None
 
     def fire(self, sim) -> None:
         if self.time < self.due:
             # Ahead of a projection that moved later: wait for it,
             # accruing nothing (that would split the byte sum).
-            sim.reschedule(self, self.due)
+            sim.reschedule(self, self.due, seq=self.due_seq)
         else:
             self.engine.on_completion(self.flow)
 

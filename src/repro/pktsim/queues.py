@@ -11,7 +11,10 @@ transmitter idle and nobody waiting starts at once and its arrival is
 scheduled then.  Packets that must wait sit in the FIFO behind one
 start event armed at ``_free_at``, which starts the head and re-arms
 while the FIFO is non-empty, so the transmit rate is still sampled at
-the instant each transmission begins.
+the instant each transmission begins.  The start event is pushed under
+the sequence number reserved when the transmission before it began, so
+it breaks ties at ``_free_at`` as a transmission-end event scheduled
+then would.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class OutputQueue:
         "_queue",
         "_start",
         "_free_at",
+        "_free_seq",
         "_busy_since",
         "_busy_time",
         "enqueued",
@@ -85,8 +89,10 @@ class OutputQueue:
         #: not here); non-empty exactly while ``_start`` is queued.
         self._queue: Deque[Packet] = deque()
         self._start = CallbackEvent(0.0, self._on_start)
-        #: When the current (or last) transmission ends.
+        #: When the current (or last) transmission ends, and the seq
+        #: reserved when it began.
         self._free_at = 0.0
+        self._free_seq = 0
         #: Start of the busy period that ends at ``_free_at``; the busy
         #: periods before it sum to ``_busy_time``.
         self._busy_since = 0.0
@@ -138,7 +144,7 @@ class OutputQueue:
         # it is firing), so it is re-stamped and pushed as it stands.
         start = self._start
         start.time = self._free_at
-        sim.schedule(start)
+        sim.schedule(start, seq=self._free_seq)
 
     def _transmit(self, sim: Simulator, packet: Packet) -> None:
         """Start ``packet`` now and schedule its arrival."""
@@ -152,6 +158,7 @@ class OutputQueue:
         tx_time = packet.size_bytes * 8.0 / rate
         delay = direction.delay_s
         self._free_at = sim.now + tx_time
+        self._free_seq = sim.reserve()
         sim.call_at(
             self._free_at + delay, self._on_arrival, packet, delay + tx_time
         )

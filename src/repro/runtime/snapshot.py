@@ -37,8 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: 3: packet output queues keep the time their transmitter frees and
 #: one start event in place of a busy flag and per-packet tx-done events.
 #: 4: a flow completion carries its due time, and the flow engine the
-#: route counters each flow owes since its last settle.
-SNAPSHOT_VERSION = 4
+#: route counters each flow owes since its last settle.  5: a flow
+#: completion carries the seq reserved for its due time, and an output
+#: queue the seq reserved when its current transmission began.
+SNAPSHOT_VERSION = 5
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import time as _time
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SchedulingError
 from .event import CallbackEvent, Event, PeriodicEvent
-from .queue import EventQueue, HeapEventQueue
+from .queue import HeapEventQueue
 
 #: Rescheduling a timer to within this of its current firing time is a
 #: no-op (the flow-engine completion path relies on this fast path to
@@ -30,8 +30,8 @@ class Simulator:
     Parameters
     ----------
     queue:
-        Pending-event set implementation; defaults to the binary heap.
-        The sorted-list variant exists for the E6 ablation.
+        Pending-event set; defaults to a :class:`HeapEventQueue` with
+        the default compaction threshold.
 
     Examples
     --------
@@ -43,8 +43,8 @@ class Simulator:
     [1.5]
     """
 
-    def __init__(self, queue: Optional[EventQueue] = None) -> None:
-        self._queue: EventQueue = queue if queue is not None else HeapEventQueue()
+    def __init__(self, queue: Optional[HeapEventQueue] = None) -> None:
+        self._queue = queue if queue is not None else HeapEventQueue()
         self._live_pending = 0  # live non-daemon events (see _settle)
         self._now = 0.0
         self._seq = itertools.count()
@@ -77,9 +77,7 @@ class Simulator:
         removal are excluded; use :attr:`pending_raw` for the raw
         pending-set size.
         """
-        queue = self._queue
-        live = getattr(queue, "live", None)
-        return live if live is not None else len(queue)
+        return self._queue.live
 
     @property
     def pending_raw(self) -> int:
@@ -101,26 +99,31 @@ class Simulator:
             "pending_events": self.pending,
             "pending_raw": len(self._queue),
         }
-        health = getattr(self._queue, "health", None)
-        if health is not None:
-            for key, value in health().items():
-                snap[f"queue_{key}"] = value
+        for key, value in self._queue.health().items():
+            snap[f"queue_{key}"] = value
         return snap
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, event: Event) -> Event:
+    def reserve(self) -> int:
+        """Take the next sequence number now, for a push made later
+        (``schedule`` / ``reschedule`` with ``seq=``): the event then
+        breaks ties as if it had been scheduled at this call."""
+        return next(self._seq)
+
+    def schedule(self, event: Event, seq: Optional[int] = None) -> Event:
         """Insert an event into the pending set.
 
         The event's sequence number is re-stamped so that insertion order
-        breaks time/priority ties deterministically.
+        breaks time/priority ties deterministically: with the next one,
+        or with ``seq``, a number :meth:`reserve` handed out.
         """
         if event.time < self._now:
             raise SchedulingError(
                 f"cannot schedule event at t={event.time} before now={self._now}"
             )
-        event.seq = next(self._seq)
+        event.seq = next(self._seq) if seq is None else seq
         if not event.daemon:
             self._live_pending += 1
         event.queued = True
@@ -143,12 +146,13 @@ class Simulator:
         event.cancel()
         if event.queued:
             self._settle(event)
-            note = getattr(self._queue, "note_cancel", None)
-            if note is not None and note(event):
+            if self._queue.note_cancel(event):
                 self._compact()
         return True
 
-    def reschedule(self, event: Event, new_time: float) -> Event:
+    def reschedule(
+        self, event: Event, new_time: float, seq: Optional[int] = None
+    ) -> Event:
         """Move a timer to ``new_time``; returns ``event``.
 
         The first-class alternative to the cancel-and-push idiom for
@@ -163,6 +167,8 @@ class Simulator:
           counted stale, like a cancellation, for compaction;
         - still queued within :data:`RESCHEDULE_EPSILON` of
           ``new_time``: nothing is scheduled.
+
+        ``seq`` is passed on to :meth:`schedule`.
         """
         if new_time < self._now:
             raise SchedulingError(
@@ -177,13 +183,12 @@ class Simulator:
                 # once revived); the flag, not ``cancel``, keeps a periodic
                 # series' cascading cancellation out of a retiming.
                 event.cancelled = True
-                note = getattr(self._queue, "note_cancel", None)
-                if note is not None and note(event):
+                if self._queue.note_cancel(event):
                     self._compact()
             self._settle(event)
         event.cancelled = False
         event.time = float(new_time)
-        self.schedule(event)
+        self.schedule(event, seq)
         return event
 
     def _compact(self) -> None:
@@ -342,10 +347,6 @@ class Simulator:
         current event."""
         self._stopped = True
 
-    def drain(self, events: Iterable[Event]) -> List[Event]:
-        """Schedule a batch of events and return them (convenience)."""
-        return [self.schedule(e) for e in events]
-
     def __getstate__(self) -> dict:
         """Pickle support for checkpoint/restore.
 
@@ -358,13 +359,3 @@ class Simulator:
         state["_running"] = False
         state["_stopped"] = False
         return state
-
-    def reset(self) -> None:
-        """Clear the event set and rewind the clock to zero."""
-        if self._running:
-            raise SchedulingError("cannot reset a running simulator")
-        self._queue.clear()
-        self._live_pending = 0
-        self._now = 0.0
-        self.fired_count = 0
-        self._seq = itertools.count()

@@ -1,8 +1,9 @@
-"""Pending-event set implementations.
+"""The pending-event set.
 
-Both queues hold *entries* — ``(time, priority, seq, event)`` tuples —
-rather than events.  The kernel stamps a unique ``seq`` on every
-schedule, so ``heapq``/``bisect`` order entries by comparing tuples in
+:class:`HeapEventQueue` holds *entries* — ``(time, priority, seq,
+event)`` tuples — rather than events.  The kernel stamps a unique
+``seq`` on every schedule (the next one, or one ``Simulator.reserve``
+handed out earlier), so ``heapq`` orders entries by comparing tuples in
 C and a comparison never reaches the event.
 
 An entry is **live** while its event is not cancelled and the entry's
@@ -15,16 +16,12 @@ rebuilds itself (*compaction*) once dead entries exceed a configurable
 fraction of the heap.  Compaction only drops entries that would never
 have fired, preserving the ``(time, priority, seq)`` pop order, so run
 digests are unchanged.
-
-:class:`SortedListEventQueue` is a deliberately naive insertion-sorted
-list kept for the E6 ablation benchmark and as the kernel tests' oracle.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Tuple
 
 from .event import Event
 
@@ -39,24 +36,6 @@ DEFAULT_COMPACTION_THRESHOLD = 0.5
 #: Default raw size below which compaction never triggers — rebuilding
 #: a tiny heap costs more than popping a handful of tombstones.
 DEFAULT_MIN_COMPACT_SIZE = 64
-
-
-class EventQueue(Protocol):
-    """Interface the kernel requires of a pending-event set."""
-
-    def push(self, event: Event) -> None:
-        """Insert an entry for ``event`` under its current key."""
-        ...
-
-    def pop_entry(self) -> Entry:
-        """Remove and return the earliest entry. Raises IndexError if empty."""
-        ...
-
-    def __len__(self) -> int: ...
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        ...
 
 
 class HeapEventQueue:
@@ -144,10 +123,6 @@ class HeapEventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def clear(self) -> None:
-        self._heap.clear()
-        self._stale = 0
-
     # ------------------------------------------------------------------
     # Live/stale accounting
     # ------------------------------------------------------------------
@@ -211,30 +186,3 @@ class HeapEventQueue:
             "stale_discarded": self.stale_discarded,
             "peak_size": self.peak_size,
         }
-
-
-class SortedListEventQueue:
-    """Insertion-sorted list queue (ablation baseline, O(n) insert)."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self) -> None:
-        self._events: List[Entry] = []
-
-    def push(self, event: Event) -> None:
-        bisect.insort(self._events, (event.time, event.priority, event.seq, event))
-
-    def pop_entry(self) -> Entry:
-        return self._events.pop(0)
-
-    def pop(self) -> Event:
-        return self.pop_entry()[3]
-
-    def peek(self) -> Optional[Event]:
-        return self._events[0][3] if self._events else None
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()

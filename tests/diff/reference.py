@@ -1,5 +1,6 @@
 """Test-side oracles: the textbook progressive-filling loop, the
-flow engine's three reference paths, and the two-event output queue.
+flow engine's three reference paths, the two-event output queue and the
+sorted-list pending-event set.
 
 :func:`solve_scalar` is the scalar kernel ``repro.flowsim.fairshare``
 shipped until the vectorised :func:`~repro.flowsim.fairshare.solve_arrays`
@@ -29,8 +30,14 @@ event, moved here verbatim: each packet costs a transmission-end event
 and then an arrival event, and a packet lost in flight is neither
 delivered nor dropped.  ``test_queue_differential.py`` pins the one-event
 queue against it on links that stay up.
+
+:class:`SortedListEventQueue` is the insertion-sorted pending-event set
+``repro.sim.queue`` shipped beside the heap, moved here: the E6
+ablation's baseline and the kernel tests' second queue.  It never
+compacts, so its ``live`` is its raw size.
 """
 
+import bisect
 import functools
 import types
 from collections import deque
@@ -43,7 +50,9 @@ from repro.flowsim.fairshare import FlowDemand, demand_eps, saturation_eps
 from repro.flowsim.flow import FlowState
 from repro.net.link import LinkDirection
 from repro.pktsim.packet import Packet
+from repro.sim.event import Event
 from repro.sim.kernel import Simulator
+from repro.sim.queue import Entry
 
 
 def solve_scalar(
@@ -405,3 +414,38 @@ class TwoEventOutputQueue:
             busy += now - self._busy_since
         window = now - since
         return busy / window if window > 0 else 0.0
+
+
+class SortedListEventQueue:
+    """Insertion-sorted list queue (ablation baseline, O(n) insert)."""
+
+    __slots__ = ("_events",)
+
+    def __init__(self) -> None:
+        self._events: List[Entry] = []
+
+    def push(self, event: Event) -> None:
+        bisect.insort(self._events, (event.time, event.priority, event.seq, event))
+
+    def pop_entry(self) -> Entry:
+        return self._events.pop(0)
+
+    def pop(self) -> Event:
+        return self.pop_entry()[3]
+
+    def peek(self) -> Optional[Event]:
+        return self._events[0][3] if self._events else None
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    @property
+    def live(self) -> int:
+        return len(self._events)
+
+    def note_cancel(self, event: Event) -> bool:
+        """Never asks the kernel for a compaction."""
+        return False
+
+    def health(self) -> dict:
+        return {}

@@ -11,7 +11,9 @@ an uninterrupted execution of the same scenario.
 import glob
 import os
 
-from repro import Horse
+from repro import Flow, Horse
+from repro.net.generators import linear
+from repro.openflow.headers import tcp_flow
 from repro.runtime import load_checkpoint, save_checkpoint
 from repro.runtime.scenario import build_horse, build_traffic, reset_id_counters
 from repro.stats.export import run_digest
@@ -170,6 +172,46 @@ class TestCheckpointRoundTrip:
         got = (_fingerprint(restored, result), run_digest(result),
                _counters(restored.topology))
         assert got == want
+
+    def test_snapshot_while_an_early_timer_holds_a_reserved_seq(self, tmp_path):
+        """Two equal flows share a link from one instant and tie at
+        their completion.  The first one's timer sits early, holding the
+        seq reserved when the second one's arrival moved its due time,
+        so it fires first.  A snapshot taken there resumes into the
+        uninterrupted run, the tie's order (each flow's last rate)
+        included."""
+
+        def build():
+            reset_id_counters()
+            topo = linear(2, hosts_per_switch=2, capacity_bps=8e6)
+            horse = Horse(
+                topo,
+                policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
+            )
+            horse.submit_flows([
+                Flow(headers=tcp_flow(topo.host(src).ip, topo.host(dst).ip, 5000 + i, 80),
+                     src=src, dst=dst, demand_bps=8e6, size_bytes=125_000)
+                for i, (src, dst) in enumerate((("h1", "h3"), ("h2", "h4")))
+            ])
+            return horse
+
+        straight = build()
+        result = straight.run(until=1.0)
+        want = _fingerprint(straight, result)
+        assert [row[5] for row in want["flows"]] == [4e6, 8e6]
+        assert want["flows"][0][2] == want["flows"][1][2] == 0.25
+
+        path = str(tmp_path / "tie.ckpt")
+        source = build()
+        source.run(until=0.1)
+        save_checkpoint(source, path)
+        restored = load_checkpoint(path)
+        first, second = (restored.engine._completions[f.flow_id]
+                         for f in sorted(restored.engine.flows.values(),
+                                         key=lambda f: f.flow_id))
+        assert first.time < first.due == second.time
+        assert first.due_seq < second.seq
+        assert _fingerprint(restored, restored.run(until=1.0)) == want
 
     def test_hybrid_segmented_round_trip_identical(self, tmp_path):
         """The hybrid engine's full coupled state — packet queues and

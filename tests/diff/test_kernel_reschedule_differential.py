@@ -160,9 +160,8 @@ def test_ecmp_group_counters_match_eager_apply():
 # ---------------------------------------------------------------------
 #: 8 Mb/s everywhere: shares of 1-8 Mb/s demands land on round rates.
 CAPACITY_BPS = 8e6
-#: Sizes are multiples of this (1/8 s at 1 Mb/s), plus a few bytes that
-#: differ per flow so that no two completions are due at one instant
-#: (see test_a_completion_tie_keeps_bytes_and_counters).
+#: Sizes are multiples of this (1/8 s at 1 Mb/s), so completions often
+#: fall due at one instant.
 SIZE_UNIT = 15_625
 HORIZON_S = 4.0
 
@@ -186,7 +185,7 @@ instant_st = st.one_of(
 )
 
 
-def _learning_flows(topo, specs, spread):
+def _learning_flows(topo, specs):
     hosts = topo.hosts
     flows, start = [], 0.0
     for i, (src, offset, demand, (kind, extent), gap) in enumerate(specs):
@@ -200,7 +199,7 @@ def _learning_flows(topo, specs, spread):
             src=s.name,
             dst=d.name,
             demand_bps=demand,
-            size_bytes=extent * SIZE_UNIT + spread * (7 * i + 1) if kind == "size" else None,
+            size_bytes=extent * SIZE_UNIT if kind == "size" else None,
             duration_s=extent if kind == "duration" else None,
             start_time=start,
             elastic=i % 3 != 2,
@@ -208,7 +207,7 @@ def _learning_flows(topo, specs, spread):
     return flows
 
 
-def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1, drops=()):
+def _learning_run(specs, reads, sweeps, idle_timeout, eager, drops=()):
     topo = linear(2, hosts_per_switch=3, capacity_bps=CAPACITY_BPS)
     for switch in topo.switches:
         attach_pipeline(switch, num_tables=1)
@@ -231,7 +230,7 @@ def _learning_run(specs, reads, sweeps, idle_timeout, eager, spread=1, drops=())
         eager_apply(engine)
     channel.connect_engine(engine)
     controller.start()
-    flows = _learning_flows(topo, specs, spread)
+    flows = _learning_flows(topo, specs)
     for flow in flows:
         engine.submit(flow)
 
@@ -293,19 +292,51 @@ def test_lazy_apply_matches_eager_apply(specs, reads, sweeps, idle_timeout, drop
 
 
 def test_a_completion_tie_keeps_bytes_and_counters():
-    """Where the two paths may part: completions due at one instant
-    fire in the order their timers were last stamped.  Two identical
-    flows arrive together: eager, the first one's timer is retimed when
-    the second arrives and fires first; lazy, it stays armed for the
-    instant the first would finish alone, fires there early, re-arms
-    behind the second one's and fires second.  Each flow's last rate
-    is then the other's; end times, bytes and every counter agree."""
+    """Completions due at one instant fire in eager's order.  Two
+    identical flows arrive together: eager, the first one's timer is
+    retimed when the second arrives and fires first; lazy, it stays
+    armed for the instant the first would finish alone, fires there
+    early and re-arms under the seq reserved when its due time moved,
+    ahead of the second one's, so it fires first too.  Each flow's last
+    rate, end time, bytes and every counter agree."""
     specs = [(0, 3, 8e6, ("size", 8), 0.0), (1, 3, 8e6, ("size", 8), 0.0),
              (2, 2, 4e6, ("size", 4), 0.25), (0, 4, 1e6, ("duration", None), 0.0)]
     args = (specs, [0.25, 0.5], [0.5, 1.0], 0.25)
-    lazy = _learning_run(*args, eager=False, spread=0)
-    eager = _learning_run(*args, eager=True, spread=0)
-    assert [row[5] for row in lazy["flows"][:2]] == [row[5] for row in eager["flows"][1::-1]]
-    for run in (lazy, eager):
-        run["flows"] = [row[:5] + row[6:] for row in run["flows"]]
-    assert lazy == eager
+    assert _learning_run(*args, eager=False) == _learning_run(*args, eager=True)
+
+
+def _due_back_at_its_timer(eager):
+    topo = linear(2, hosts_per_switch=2, capacity_bps=CAPACITY_BPS)
+    horse = Horse(
+        topo, policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}}
+    )
+    if eager:
+        eager_apply(horse.engine)
+    ip = {name: topo.host(name).ip for name in ("h1", "h2", "h3", "h4")}
+    horse.submit_flows([
+        Flow(headers=tcp_flow(ip[src], ip[dst], 5000 + i, 80), src=src, dst=dst,
+             demand_bps=8e6, **extent)
+        for i, (src, dst, extent) in enumerate((
+            ("h1", "h3", {"size_bytes": 125_000}),
+            ("h2", "h4", {"duration_s": 1.0}),
+            ("h4", "h2", {"size_bytes": 125_000}),
+        ))
+    ])
+    order = []
+    horse.engine.observers.append(lambda name, flow: order.append((name, flow.src)))
+    horse.sim.call_at(0.0, lambda s: topo.switch("s1").pipeline.install(
+        Match(ip_dst=ip["h4"]), (ApplyActions((Drop(),)),), priority=100))
+    horse.run(until=1.0)
+    return order
+
+
+def test_a_due_time_back_at_its_timer_is_restamped():
+    """h1's flow is due at 0.125 s alone.  h2's flow joins its link at
+    t=0 and moves its due time later, and h4's flow, due at 0.125 s on
+    the reverse direction, arrives.  A drop rule installed at t=0 takes
+    h2's flow off the link, and h1's due time returns exactly to the
+    instant its timer waits at: the timer must be pushed again under the
+    seq reserved then, behind h4's, as eager's retiming would."""
+    lazy = _due_back_at_its_timer(eager=False)
+    assert [src for name, src in lazy if name == "completed"] == ["h4", "h1"]
+    assert lazy == _due_back_at_its_timer(eager=True)

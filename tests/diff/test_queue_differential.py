@@ -120,3 +120,44 @@ def test_one_event_queue_matches_the_two_event_queue(sizes, gaps, depth, steps, 
     reference = _run(TwoEventOutputQueue, sizes, gaps, depth, steps, delay_s)
     assert reference["arrivals"] or reference["drops"]
     assert _run(OutputQueue, sizes, gaps, depth, steps, delay_s) == reference
+
+
+def _two_queues(queue_cls):
+    """Two queues whose transmitters free at one instant, each with a
+    waiter enqueued after the other's transmission began."""
+    topo = linear(2, hosts_per_switch=1, capacity_bps=CAPACITY_BPS, delay_s=10e-6)
+    sim = Simulator()
+    arrivals = []
+    queues = {}
+    for host in ("h1", "h2"):
+        port = topo.host(host).uplink_port
+        queues[host] = queue_cls(
+            sim,
+            port.link.direction_from(port),
+            capacity_packets=4,
+            on_arrival=lambda packet, dst_port: arrivals.append((sim.now, packet.packet_id)),
+            on_drop=lambda packet, d: None,
+        )
+
+    def offer(sim_, host, packet_id):
+        queues[host].enqueue(Packet(headers=HeaderFields(), size_bytes=1000, flow_id=1,
+                                    src=host, dst="h1", packet_id=packet_id))
+
+    # h1 starts first and h2 second, both free at 0.8 ms; h2's waiter
+    # is offered before h1's.
+    sim.call_at(0.0, offer, "h1", 1)
+    sim.call_at(0.0, offer, "h2", 2)
+    sim.call_at(1e-4, offer, "h2", 4)
+    sim.call_at(2e-4, offer, "h1", 3)
+    sim.run()
+    return arrivals
+
+
+def test_two_queues_free_at_one_instant_start_in_transmission_order():
+    """The queue whose transmission began first starts its waiter first,
+    whichever waiter was offered first, as its transmission-end event
+    would: the waiters' arrivals tie and keep that order."""
+    reference = _two_queues(TwoEventOutputQueue)
+    assert [packet_id for _, packet_id in reference] == [1, 2, 3, 4]
+    assert reference[2][0] == reference[3][0]
+    assert _two_queues(OutputQueue) == reference

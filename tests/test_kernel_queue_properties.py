@@ -5,7 +5,8 @@ Three invariants back the kernel work:
 1. **The kernel fires what an oracle says** — :class:`Simulator`, on
    either queue class, driven by random programs of schedule, cancel,
    reschedule (of queued, fired and cancelled events), periodic series,
-   ``step``, ``run(until)`` and open-ended ``run()`` (which stops once
+   a sequence number reserved at one step and pushed under at a later
+   one, ``step``, ``run(until)`` and open-ended ``run()`` (which stops once
    only daemon series are live), fires events in the order of ``sorted()``
    over the live ``(time, priority, seq)`` keys of a model that knows
    nothing of heaps, entries or compaction, and reports the model's
@@ -28,21 +29,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    CallbackEvent,
-    Event,
-    HeapEventQueue,
-    Simulator,
-    SortedListEventQueue,
-)
+from repro.sim import CallbackEvent, Event, HeapEventQueue, Simulator
 from repro.sim.kernel import RESCHEDULE_EPSILON
+
+from diff.reference import SortedListEventQueue
 
 
 class _Oracle:
     """The kernel's contract, computed with ``sorted()``.
 
     Every live item has one key ``(time, priority, seq)``; each
-    schedule, re-arm and periodic successor takes the next ``seq``; a
+    schedule, re-arm, periodic successor and reservation takes the next
+    ``seq``, and a push under a reservation uses the reserved one; a
     retiming of a live item to within ``RESCHEDULE_EPSILON`` of its time
     changes nothing; the next item to fire is the smallest live key.
     A periodic series is one item whose successor is keyed on firing.
@@ -54,13 +52,16 @@ class _Oracle:
         self.series = {}  # periodic item -> (interval, until)
         self.fired = []  # (item, time) in firing order
 
-    def schedule(self, item, time, priority=0):
-        self.keys[item] = (time, priority, next(self._seq))
+    def reserve(self):
+        return next(self._seq)
 
-    def reschedule(self, item, time, priority):
+    def schedule(self, item, time, priority=0, seq=None):
+        self.keys[item] = (time, priority, next(self._seq) if seq is None else seq)
+
+    def reschedule(self, item, time, priority, seq=None):
         key = self.keys.get(item)
         if key is None or abs(key[0] - time) >= RESCHEDULE_EPSILON:
-            self.schedule(item, time, priority)
+            self.schedule(item, time, priority, seq)
 
     def cancel(self, item):
         self.keys.pop(item, None)
@@ -85,8 +86,9 @@ class _Oracle:
 
 # Steps are (op, dt, pick, priority).  Writes outnumber firings, so the
 # heap fills with dead entries and compactions land on cancels and
-# retimings alike.
-_OPS = ["schedule"] * 3 + ["cancel"] * 2 + ["reschedule"] * 3 + [
+# retimings alike.  "reserve" takes a seq, or with an odd pick pushes
+# at the oldest one still held: a new item, or a retiming of an old one.
+_OPS = ["schedule"] * 3 + ["cancel"] * 2 + ["reschedule"] * 3 + ["reserve"] * 2 + [
     "periodic",
     "step",
     "run",
@@ -132,6 +134,14 @@ _PROGRAM = st.lists(
              ("drain", 0.0, 0, 0)],
     threshold=0.25,
 )
+@example(
+    # A seq reserved before four ties and pushed under after a
+    # compaction fires first of them.
+    program=[("reserve", 0.0, 0, 0)] + [("schedule", 1.0, 0, 0)] * 4
+    + [("cancel", 0.0, 0, 0), ("cancel", 0.0, 1, 0), ("reserve", 1.0, 1, 0),
+       ("drain", 0.0, 0, 0)],
+    threshold=0.25,
+)
 def test_property_kernel_matches_sorted_oracle(program, threshold):
     """Both queue classes fire the oracle's order and agree with its
     counters after every step of a random program."""
@@ -144,6 +154,7 @@ def test_property_kernel_matches_sorted_oracle(program, threshold):
     oracle = _Oracle()
     handles = []  # per item: one handle per simulator
     priorities = []
+    reserved = []  # seqs taken and not yet pushed under, oldest first
     now = 0.0
 
     def record(sim, item, log):
@@ -197,6 +208,28 @@ def test_property_kernel_matches_sorted_oracle(program, threshold):
                 oracle.cancel(target)
             else:
                 oracle.reschedule(target, now + dt, priorities[target])
+        elif op == "reserve" and not (reserved and pick % 2):
+            seq = oracle.reserve()
+            assert [sim.reserve() for sim in sims] == [seq, seq]
+            reserved.append(seq)
+        elif op == "reserve":
+            seq = reserved.pop(0)
+            target = pick // 2 % len(handles) if handles and pick % 4 == 3 else None
+            if target is None or target in oracle.series:
+                events = [
+                    sim.schedule(
+                        CallbackEvent(now + dt, record, item, log, priority=priority),
+                        seq=seq,
+                    )
+                    for sim, log in zip(sims, logs)
+                ]
+                handles.append(events)
+                priorities.append(priority)
+                oracle.schedule(item, now + dt, priority, seq)
+            else:
+                for sim, event in zip(sims, handles[target]):
+                    sim.reschedule(event, now + dt, seq=seq)
+                oracle.reschedule(target, now + dt, priorities[target], seq)
         elif op == "step":
             for sim in sims:
                 sim.step()

@@ -8,31 +8,10 @@ from repro.net import Topology
 from repro.openflow import HeaderFields, attach_pipeline
 from repro.openflow.headers import tcp_flow
 from repro.pktsim import PacketLevelEngine, Packet
-from repro.sim import CallbackEvent, Simulator
+from repro.sim import Simulator
 
 
 class TestKernelHelpers:
-    def test_drain_schedules_batch(self):
-        sim = Simulator()
-        hits = []
-        events = [
-            CallbackEvent(float(t), lambda s, t=t: hits.append(t))
-            for t in (3, 1, 2)
-        ]
-        sim.drain(events)
-        sim.run()
-        assert hits == [1, 2, 3]
-
-    def test_reset_rejected_while_running(self):
-        sim = Simulator()
-
-        def boom(s):
-            with pytest.raises(Exception):
-                s.reset()
-
-        sim.call_at(1.0, boom)
-        sim.run()
-
     def test_reentrant_run_rejected(self):
         sim = Simulator()
 

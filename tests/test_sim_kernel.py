@@ -5,14 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.sim import (
-    CallbackEvent,
-    Event,
-    HeapEventQueue,
-    PeriodicEvent,
-    Simulator,
-    SortedListEventQueue,
-)
+from repro.sim import CallbackEvent, Event, HeapEventQueue, PeriodicEvent, Simulator
+
+from diff.reference import SortedListEventQueue
 
 
 class Recorder(Event):
@@ -190,16 +185,6 @@ def test_periodic_stop_via_stopiteration():
 def test_periodic_invalid_interval():
     with pytest.raises(ValueError):
         PeriodicEvent(0.0, 0.0, lambda s, t: None)
-
-
-def test_reset_clears_state():
-    sim = Simulator()
-    sim.call_at(1.0, lambda s: None)
-    sim.run()
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending == 0
-    assert sim.fired_count == 0
 
 
 def test_trace_counts_event_types():
