@@ -54,14 +54,18 @@ lint-sim:
 # reserved seq, so a second queue class, copy path or tie rule has
 # nowhere to go.  The wire codec describes each message body
 # once, in its _MESSAGES table: a hand-written writer/reader pair has no
-# room to come back.
+# room to come back.  Telemetry plus the monitor keep only what a run
+# produces or reads (pull sources, a path-or-memory trace bus, one
+# sample history, the kernel's one profiler): owned metrics, a stream
+# mode or a second history has no room to come back.
 LINE_BUDGETS = \
 	"src/repro/flowsim/*.py:2220" \
 	"src/repro/cli.py src/repro/runtime/scenario.py:1020" \
 	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
 	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:729" \
-	"src/repro/wire/codec.py:650"
+	"src/repro/wire/codec.py:650" \
+	"src/repro/telemetry/*.py src/repro/control/monitor.py:718"
 line-budget:
 	@for entry in $(LINE_BUDGETS); do \
 		paths=$${entry%:*}; budget=$${entry##*:}; \

@@ -35,8 +35,8 @@ BASELINE_CASE = "smoke_hotpath_incremental"
 
 def measure() -> tuple[float, float]:
     """Best-of-N *normalized* time of the smoke hot-path workload
-    (telemetry off — engines are constructed with their trace/profiler
-    slots None, exactly what every default run pays).
+    (telemetry off — trace slots and the kernel's profiler are None,
+    exactly what every default run pays).
 
     Each round pairs the workload with a calibration sample taken
     immediately before it, so transient host load inflates numerator

@@ -45,9 +45,6 @@ class NetworkMonitor:
     threshold:
         Egress utilization above which a link appears in the sample's
         ``congested`` list.
-    keep_history:
-        Retain every sample in :attr:`samples` (disable for very long
-        runs to bound memory; per-port maxima stay available either way).
     mode:
         ``"poll"`` or ``"push"`` (see module docstring).
     min_delta_bytes:
@@ -60,7 +57,6 @@ class NetworkMonitor:
         channel,
         interval: float = 1.0,
         threshold: float = 0.9,
-        keep_history: bool = True,
         mode: str = "poll",
         min_delta_bytes: float = 0.0,
     ) -> None:
@@ -71,7 +67,6 @@ class NetworkMonitor:
         self.channel = channel
         self.interval = interval
         self.threshold = threshold
-        self.keep_history = keep_history
         self.mode = mode
         self.min_delta_bytes = min_delta_bytes
         self._last_counters: Dict[PortKey, Tuple[int, int]] = {}
@@ -81,15 +76,9 @@ class NetworkMonitor:
         self._started = False
         self._active = False
         self._subscription = None
-        # Incremental aggregates (kept regardless of history retention).
-        self._sample_count = 0
+        # Per-port maxima, kept as samples arrive: metrics_snapshot runs
+        # inside every Horse.run, so it must not scan the history.
         self._max_util: Dict[PortKey, float] = {}
-        self._series: Dict[PortKey, List[Tuple[float, float]]] = {}
-        # Mutation sentinels: when callers edit `samples` directly the
-        # incremental aggregates can no longer be trusted and the query
-        # helpers fall back to a history scan.
-        self._recorded = 0
-        self._last_sample: Optional[MonitorSample] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -179,18 +168,12 @@ class NetworkMonitor:
         )
 
     def _record(self, sample: MonitorSample) -> None:
-        """History, incremental aggregates, and delivery — shared by both
-        modes so their observable effects are identical."""
-        self._sample_count += 1
+        """History, per-port maxima, and delivery — shared by both modes
+        so their observable effects are identical."""
         for key, value in sample.utilization.items():
             if value > self._max_util.get(key, 0.0):
                 self._max_util[key] = value
-            if self.keep_history:
-                self._series.setdefault(key, []).append((sample.time, value))
-        if self.keep_history:
-            self.samples.append(sample)
-            self._recorded += 1
-            self._last_sample = sample
+        self.samples.append(sample)
         controller = self.channel.controller
         if controller is not None and hasattr(controller, "on_monitor_sample"):
             controller.on_monitor_sample(sample)
@@ -200,54 +183,18 @@ class NetworkMonitor:
     # ------------------------------------------------------------------
     # Query helpers
     # ------------------------------------------------------------------
-    def _history_mutated(self) -> bool:
-        """True when `samples` no longer matches what _record built (a
-        caller appended, removed, or replaced entries)."""
-        if not self.keep_history:
-            return False
-        if len(self.samples) != self._recorded:
-            return True
-        return bool(self.samples) and self.samples[-1] is not self._last_sample
-
-    @staticmethod
-    def _utilization_of(sample) -> Dict[PortKey, float]:
-        # History scans tolerate raw-dict samples callers may have
-        # spliced in alongside MonitorSample objects.
-        if isinstance(sample, MonitorSample):
-            return sample.utilization
-        return sample["utilization"]
-
+    # `samples` is the one history: the monitor appends to it and nobody
+    # else edits it, so the per-port maxima always agree with a scan.
     def utilization_series(self, key: PortKey) -> List[Tuple[float, float]]:
-        """(time, utilization) points for one egress port.
-
-        Served from the incrementally maintained per-port series; falls
-        back to scanning :attr:`samples` when the history list was
-        mutated externally.  (In-place edits of an existing sample's
-        dicts are not detected — replace the sample instead.)
-        """
-        if self._history_mutated():
-            return [
-                (s.time if isinstance(s, MonitorSample) else s["time"], u[key])
-                for s in self.samples
-                if key in (u := self._utilization_of(s))
-            ]
-        return list(self._series.get(key, ()))
+        """(time, utilization) points for one egress port."""
+        return [
+            (sample.time, sample.utilization[key])
+            for sample in self.samples
+            if key in sample.utilization
+        ]
 
     def max_utilization(self) -> Dict[PortKey, float]:
-        """Per-port maximum utilization across the run.
-
-        O(ports), not O(samples): maxima are maintained incrementally as
-        samples arrive (and survive ``keep_history=False``); the history
-        scan only runs as a fallback after external mutation of
-        :attr:`samples`.
-        """
-        if self._history_mutated():
-            out: Dict[PortKey, float] = {}
-            for sample in self.samples:
-                for key, value in self._utilization_of(sample).items():
-                    if value > out.get(key, 0.0):
-                        out[key] = value
-            return out
+        """Per-port maximum utilization across the run (O(ports))."""
         return dict(self._max_util)
 
     def metrics_snapshot(self) -> dict:
@@ -255,10 +202,9 @@ class NetworkMonitor:
         method; see :class:`repro.telemetry.MetricsRegistry`)."""
         out = {
             "mode": self.mode,
-            "samples": self._sample_count,
+            "samples": len(self.samples),
             "max_utilization": self.max_utilization(),
         }
-        last = self._last_sample
-        if last is not None:
-            out["congested_ports"] = len(last.congested)
+        if self.samples:
+            out["congested_ports"] = len(self.samples[-1].congested)
         return out

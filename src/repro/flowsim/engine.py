@@ -155,8 +155,8 @@ class FlowLevelEngine(Engine):
         self._probing = False
         # Telemetry (off by default; see repro.telemetry).  The bus is
         # held privately and exposed through the ``trace_bus`` property
-        # so assignment also reaches the owned solver; the profiler is
-        # charged "solve" and "route" (both inside the kernel's
+        # so assignment also reaches the owned solver; the kernel's
+        # profiler is charged "solve" and "route" (both inside its
         # inclusive "dispatch").
         self._trace_bus = None
         # Aggregate statistics.
@@ -487,7 +487,7 @@ class FlowLevelEngine(Engine):
     # ------------------------------------------------------------------
     def _route(self, flow: Flow) -> None:
         """(Re)walk a flow through the data plane and update its state."""
-        profiler = self.profiler
+        profiler = self.sim.profiler
         if profiler is None:
             self._route_inner(flow)
             return
@@ -806,7 +806,7 @@ class FlowLevelEngine(Engine):
     def _recompute(self) -> None:
         """Re-solve max-min rates and reproject completions."""
         self.stats["rate_solves"] += 1
-        profiler = self.profiler
+        profiler = self.sim.profiler
         if profiler is None:
             self._recompute_indexed(self.sim.now)
             return

@@ -308,15 +308,6 @@ class HybridEngine(Engine):
         self.foreground.trace_bus = bus
         self.background.trace_bus = bus
 
-    @property
-    def profiler(self):
-        return self.foreground.profiler
-
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        self.foreground.profiler = profiler
-        self.background.profiler = profiler
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

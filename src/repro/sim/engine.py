@@ -48,8 +48,6 @@ class Engine:
     #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
     #: None; emission sites check ``is not None``.
     trace_bus = None
-    #: Per-phase profiler or None (the kernel charges "dispatch").
-    profiler = None
 
     def __init__(
         self,
@@ -232,10 +230,11 @@ class Engine:
         """
         out = {"engine": self.name}
         out.update(self._diagnostics())
-        if self.profiler is not None:
+        profiler = self.sim.profiler
+        if profiler is not None:
             # Wall-clock content: only present when profiling was
             # explicitly enabled, so default reports stay deterministic.
-            out["profile"] = self.profiler.snapshot()
+            out["profile"] = profiler.snapshot()
         return out
 
     def _diagnostics(self) -> dict:

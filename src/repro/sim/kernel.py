@@ -57,8 +57,8 @@ class Simulator:
         #: disabled path costs one attribute read.  Each fired event is
         #: a ``kernel.event`` record carrying the event type.
         self.trace_bus = None
-        #: Per-phase profiler (:class:`repro.telemetry.PhaseProfiler`) or
-        #: None.  The kernel charges the inclusive "dispatch" phase.
+        #: The run's profiler (:class:`repro.telemetry.PhaseProfiler`) or
+        #: None: "dispatch" is charged here, "solve"/"route" by the engine.
         self.profiler = None
 
     # ------------------------------------------------------------------

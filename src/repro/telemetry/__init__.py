@@ -2,25 +2,13 @@
 
 from .hub import Telemetry
 from .profile import PhaseProfiler
-from .registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricsRegistry,
-)
+from .registry import MetricsRegistry
 from .sample import MonitorSample, PortKey
 from .trace import TRACE_SCHEMA_VERSION, TraceBus, read_trace, summarize_trace
 
 __all__ = [
     "Telemetry",
     "MetricsRegistry",
-    "Metric",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
     "TraceBus",
     "read_trace",
     "summarize_trace",

@@ -1,18 +1,19 @@
 """The unified observation entry point.
 
 One :class:`Telemetry` per simulation owns the metrics registry and
-controls tracing/profiling for every bound subsystem.  Subsystems opt in
-by exposing ``trace_bus`` and/or ``profiler`` attributes (``None`` when
-disabled); :meth:`Telemetry.bind` records them, and enable/disable calls
-swap the shared :class:`~repro.telemetry.trace.TraceBus` /
-:class:`~repro.telemetry.profile.PhaseProfiler` in and out of those
-slots.  :class:`~repro.core.simulator.Horse` constructs and binds one
+controls tracing and profiling.  Subsystems that trace expose a
+``trace_bus`` attribute (``None`` when disabled); :meth:`Telemetry.bind`
+records them, and enable/disable calls swap the shared
+:class:`~repro.telemetry.trace.TraceBus` in and out of those slots.
+The :class:`~repro.telemetry.profile.PhaseProfiler` lives on the kernel
+(``sim.profiler``), where the kernel and the flow engine charge it.
+:class:`~repro.core.simulator.Horse` constructs and binds one
 automatically — ``horse.telemetry`` is the user-facing handle.
 """
 
 from __future__ import annotations
 
-from typing import IO, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .profile import PhaseProfiler
 from .registry import MetricsRegistry
@@ -25,10 +26,12 @@ class Telemetry:
     Examples
     --------
     >>> from repro.sim import Simulator
+    >>> from repro.telemetry import summarize_trace
     >>> telemetry = Telemetry(Simulator())
     >>> bus = telemetry.enable_tracing()   # in-memory buffer
     >>> bus.emit("example", detail=1)
-    >>> telemetry.disable_tracing()["example"]["count"]
+    >>> telemetry.disable_tracing()
+    >>> summarize_trace(bus.events)["kinds"]["example"]["count"]
     1
     """
 
@@ -36,24 +39,21 @@ class Telemetry:
         self._sim = sim
         self.registry = MetricsRegistry()
         self.trace: Optional[TraceBus] = None
-        self.profiler: Optional[PhaseProfiler] = None
         self._sinks: List[object] = []
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def bind(self, *sinks: object) -> None:
-        """Register subsystems whose ``trace_bus``/``profiler`` slots
-        this hub manages.  Already-enabled tracing/profiling is applied
-        to newly bound sinks immediately."""
+        """Register subsystems whose ``trace_bus`` slots this hub
+        manages.  Already-enabled tracing is applied to newly bound
+        sinks immediately."""
         for sink in sinks:
             if sink is None or sink in self._sinks:
                 continue
             self._sinks.append(sink)
             if self.trace is not None and hasattr(sink, "trace_bus"):
                 sink.trace_bus = self.trace
-            if self.profiler is not None and hasattr(sink, "profiler"):
-                sink.profiler = self.profiler
 
     # ------------------------------------------------------------------
     # Tracing
@@ -62,67 +62,46 @@ class Telemetry:
     def tracing_enabled(self) -> bool:
         return self.trace is not None
 
-    def enable_tracing(
-        self,
-        path: Optional[str] = None,
-        stream: Optional[IO[str]] = None,
-    ) -> TraceBus:
+    def enable_tracing(self, path: Optional[str] = None) -> TraceBus:
         """Start tracing every bound subsystem.
 
-        ``path`` appends JSONL records there; with neither ``path`` nor
-        ``stream`` the records buffer in ``bus.events``.  Idempotent
-        while already enabled (returns the live bus).
+        ``path`` writes JSONL records there; without it the records
+        buffer in ``bus.events``.  Idempotent while already enabled
+        (returns the live bus).
         """
         if self.trace is not None:
             return self.trace
-        bus = TraceBus(self._sim, path=path, stream=stream)
+        bus = TraceBus(self._sim, path=path)
         self.trace = bus
         for sink in self._sinks:
             if hasattr(sink, "trace_bus"):
                 sink.trace_bus = bus
         return bus
 
-    def disable_tracing(self) -> Optional[dict]:
-        """Stop tracing; returns the closed trace's per-kind summary
-        (None when tracing was not enabled)."""
+    def disable_tracing(self) -> None:
+        """Stop tracing and close the bus (a no-op when tracing was not
+        enabled).  ``summarize_trace(read_trace(path))`` summarizes a
+        recorded trace; ``summarize_trace(bus.events)`` an in-memory
+        one."""
         bus = self.trace
         if bus is None:
-            return None
+            return
         self.trace = None
         for sink in self._sinks:
             if getattr(sink, "trace_bus", None) is bus:
                 sink.trace_bus = None
         bus.close()
-        from .trace import summarize_trace
-
-        return summarize_trace(bus.events)["kinds"] if bus.events else {}
 
     # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
-    @property
-    def profiling_enabled(self) -> bool:
-        return self.profiler is not None
-
     def enable_profiling(self) -> PhaseProfiler:
-        """Start per-phase wall-clock accounting on bound subsystems."""
-        if self.profiler is None:
-            self.profiler = PhaseProfiler()
-            for sink in self._sinks:
-                if hasattr(sink, "profiler"):
-                    sink.profiler = self.profiler
-        return self.profiler
-
-    def disable_profiling(self) -> Optional[Dict[str, dict]]:
-        """Stop profiling; returns the final per-phase snapshot."""
-        profiler = self.profiler
-        if profiler is None:
-            return None
-        self.profiler = None
-        for sink in self._sinks:
-            if getattr(sink, "profiler", None) is profiler:
-                sink.profiler = None
-        return profiler.snapshot()
+        """Start per-phase wall-clock accounting on the kernel (the
+        kernel charges ``dispatch``, the flow engine ``solve`` and
+        ``route``).  Idempotent while already enabled."""
+        if self._sim.profiler is None:
+            self._sim.profiler = PhaseProfiler()
+        return self._sim.profiler
 
     # ------------------------------------------------------------------
     # Reads

@@ -1,19 +1,13 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: pull sources under one dotted namespace.
 
-One queryable surface over every statistic the simulator produces.  Two
-kinds of metric live here:
-
-* **Owned metrics** — :class:`Counter`/:class:`Gauge`/:class:`Histogram`
-  objects created through the registry and incremented by whoever holds
-  them.  These are for control-rate events (monitor pushes, checkpoint
-  writes), not per-event hot paths.
-* **Pull sources** — callables registered with :meth:`MetricsRegistry
-  .register_source` that return a plain dict of values when the registry
-  is snapshot.  The data-plane engines keep their counters in flat dicts
-  (a per-event registry call would slow the hot path); the registry
-  pulls them at read time, so ``engine_stats``, route-cache counters,
-  channel message counts, and monitor utilization all appear under one
-  namespace without costing the simulation anything.
+One queryable surface over every statistic the simulator produces.
+Each source is a callable registered with :meth:`MetricsRegistry
+.register_source` that returns a plain dict of values when the registry
+is snapshot.  The data-plane engines keep their counters in flat dicts
+(a per-event registry call would slow the hot path); the registry pulls
+them at read time, so ``engine_stats``, route-cache counters, channel
+message counts, and monitor utilization all appear under one namespace
+without costing the simulation anything.
 
 A snapshot flattens everything into dotted names
 (``engine.route_cache_hits``, ``channel.flow_mods``,
@@ -24,124 +18,9 @@ same data as a Prometheus-style text exposition.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List
 
 from ..errors import TelemetryError
-
-Number = Union[int, float]
-
-#: Default histogram bucket upper bounds (seconds-flavoured log scale).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0
-)
-
-
-class Metric:
-    """Base class: a named observable with help text."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        if not name:
-            raise TelemetryError("metric name must be non-empty")
-        self.name = name
-        self.help = help
-
-    def value_snapshot(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}={self.value_snapshot()!r}>"
-
-
-class Counter(Metric):
-    """A monotonically increasing value."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self.value: float = 0.0
-
-    def inc(self, amount: Number = 1) -> None:
-        if amount < 0:
-            raise TelemetryError(
-                f"counter {self.name} cannot decrease (inc {amount})"
-            )
-        self.value += amount
-
-    def value_snapshot(self) -> float:
-        return self.value
-
-
-class Gauge(Metric):
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self.value: float = 0.0
-
-    def set(self, value: Number) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
-
-    def value_snapshot(self) -> float:
-        return self.value
-
-
-class Histogram(Metric):
-    """A distribution: cumulative buckets plus count/sum/min/max."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help)
-        if not buckets or list(buckets) != sorted(buckets):
-            raise TelemetryError(
-                f"histogram {name} buckets must be sorted and non-empty"
-            )
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
-        self.bucket_counts: List[int] = [0] * len(self.bounds)
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: Number) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-
-    def value_snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "buckets": {
-                bound: count
-                for bound, count in zip(self.bounds, self.bucket_counts)
-            },
-        }
 
 
 def _flatten(prefix: str, value, out: Dict[str, object]) -> None:
@@ -156,75 +35,19 @@ def _flatten(prefix: str, value, out: Dict[str, object]) -> None:
 
 
 class MetricsRegistry:
-    """Named metrics plus pull-sources, snapshot-able as one namespace.
+    """Pull sources, snapshot-able as one namespace.
 
     Examples
     --------
     >>> registry = MetricsRegistry()
-    >>> registry.counter("checkpoint.writes").inc()
     >>> registry.register_source("engine", lambda: {"arrivals": 3})
     >>> registry.snapshot()["engine.arrivals"]
     3
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
         self._sources: Dict[str, Callable[[], dict]] = {}
 
-    # ------------------------------------------------------------------
-    # Owned metrics
-    # ------------------------------------------------------------------
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
-        metric = self._metrics.get(name)
-        if metric is not None:
-            if not isinstance(metric, cls):
-                raise TelemetryError(
-                    f"metric {name!r} already registered as {metric.kind}, "
-                    f"not {cls.kind}"
-                )
-            return metric
-        metric = cls(name, help, **kwargs)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        """Get or create a counter."""
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """Get or create a gauge."""
-        return self._get_or_create(Gauge, name, help)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Get or create a histogram."""
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
-
-    def get(self, name: str) -> Metric:
-        try:
-            return self._metrics[name]
-        except KeyError:
-            raise TelemetryError(f"no metric named {name!r}") from None
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    # ------------------------------------------------------------------
-    # Pull sources
-    # ------------------------------------------------------------------
     def register_source(
         self, prefix: str, supplier: Callable[[], dict]
     ) -> None:
@@ -240,20 +63,9 @@ class MetricsRegistry:
             raise TelemetryError(f"source prefix {prefix!r} already registered")
         self._sources[prefix] = supplier
 
-    def unregister_source(self, prefix: str) -> None:
-        self._sources.pop(prefix, None)
-
-    def sources(self) -> List[str]:
-        return sorted(self._sources)
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """Every metric and source value, flattened to dotted names."""
+        """Every source value, flattened to dotted names."""
         out: Dict[str, object] = {}
-        for name in sorted(self._metrics):
-            out[name] = self._metrics[name].value_snapshot()
         for prefix in sorted(self._sources):
             _flatten(prefix, self._sources[prefix](), out)
         return out
@@ -261,33 +73,12 @@ class MetricsRegistry:
     def to_prometheus(self) -> str:
         """A Prometheus-style text exposition of the registry.
 
-        Owned metrics carry ``# TYPE``/``# HELP`` headers; pull-source
-        values are exported as untyped samples.  Non-numeric values
-        (mode strings and the like) are emitted as comments so the
-        document stays machine-parseable.
+        Every value is an untyped sample.  Non-numeric values (mode
+        strings and the like) are emitted as comments so the document
+        stays machine-parseable.
         """
         lines: List[str] = []
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            prom = _prom_name(name)
-            if metric.help:
-                lines.append(f"# HELP {prom} {metric.help}")
-            lines.append(f"# TYPE {prom} {metric.kind}")
-            if isinstance(metric, Histogram):
-                cumulative = 0
-                for bound, count in zip(metric.bounds, metric.bucket_counts):
-                    cumulative = count
-                    lines.append(
-                        f'{prom}_bucket{{le="{_prom_float(bound)}"}} {cumulative}'
-                    )
-                lines.append(f'{prom}_bucket{{le="+Inf"}} {metric.count}')
-                lines.append(f"{prom}_sum {_prom_float(metric.sum)}")
-                lines.append(f"{prom}_count {metric.count}")
-            else:
-                lines.append(f"{prom} {_prom_float(metric.value_snapshot())}")
         for key, value in self.snapshot().items():
-            if key in self._metrics:
-                continue  # already rendered with type info above
             prom = _prom_name(key)
             if isinstance(value, bool):
                 lines.append(f"{prom} {int(value)}")

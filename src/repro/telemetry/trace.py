@@ -23,8 +23,6 @@ import time
 from contextlib import contextmanager
 from typing import IO, Dict, Iterator, List, Optional
 
-from ..errors import TelemetryError
-
 #: Bumped when the record layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
 
@@ -40,22 +38,11 @@ class TraceBus:
     path:
         JSONL output path.  ``None`` buffers records in :attr:`events`
         instead (bounded only by memory — meant for tests/inspection).
-    stream:
-        An already-open text stream to write to (mutually exclusive
-        with ``path``).
     """
 
-    def __init__(
-        self,
-        sim=None,
-        path: Optional[str] = None,
-        stream: Optional[IO[str]] = None,
-    ) -> None:
-        if path is not None and stream is not None:
-            raise TelemetryError("pass path or stream, not both")
+    def __init__(self, sim=None, path: Optional[str] = None) -> None:
         self._sim = sim
         self.path = path
-        self._stream = stream
         self._handle: Optional[IO[str]] = None
         self.events: List[dict] = []
         self.emitted = 0
@@ -81,7 +68,7 @@ class TraceBus:
         }
         record.update(fields)
         self.emitted += 1
-        sink = self._stream if self._stream is not None else self._writer()
+        sink = self._writer()
         if sink is not None:
             sink.write(json.dumps(record, default=str))
             sink.write("\n")
@@ -113,12 +100,6 @@ class TraceBus:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-        elif self._stream is not None:
-            self._stream.flush()
-
     def close(self) -> None:
         """Emit a closing record and release the file handle (if owned)."""
         self.emit("trace.close", emitted=self.emitted)
@@ -131,27 +112,16 @@ class TraceBus:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        # File handles and foreign streams don't survive pickling; the
-        # restored bus re-opens its path in append mode on next emit.
+        # A file handle doesn't survive pickling; the restored bus
+        # re-opens its path in append mode on next emit.
         state["_handle"] = None
-        state["_stream"] = None
         return state
 
 
-def read_trace(source) -> List[dict]:
-    """Parse a JSONL trace (path or open stream) into records."""
-    own = isinstance(source, str)
-    handle = open(source) if own else source
-    try:
-        records = []
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-        return records
-    finally:
-        if own:
-            handle.close()
+def read_trace(path: str) -> List[dict]:
+    """Parse a JSONL trace file into records."""
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def summarize_trace(records: List[dict]) -> dict:

@@ -145,6 +145,16 @@ class TestSnapshotSemantics:
         assert finished.events == want.events
         assert finished.engine_summary == want.engine_summary
 
+    def test_profiled_run_keeps_charging_phases_after_restore(self, tmp_path):
+        horse = small_horse(telemetry={"profile": True})
+        horse.run(until=0.2)
+        before = horse.sim.profiler.snapshot()
+        path = str(tmp_path / "profiled.ckpt")
+        save_checkpoint(horse, path)
+        profile = load_checkpoint(path).run(until=5.0).engine_stats["profile"]
+        for phase in ("dispatch", "solve", "route"):
+            assert profile[phase]["count"] > before[phase]["count"] > 0
+
     def test_checkpoint_without_path_raises(self):
         with pytest.raises(ExperimentError, match="checkpoint path"):
             small_horse().checkpoint()
