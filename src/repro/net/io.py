@@ -14,7 +14,7 @@ from typing import IO, Union
 
 from ..errors import TopologyError
 from .address import IPv4Address, MacAddress
-from .topology import Topology
+from .topology import Topology, require_networkx
 
 #: Schema version written into every document.
 SCHEMA_VERSION = 1
@@ -134,8 +134,7 @@ def save_graphml(topology: Topology, path: str) -> None:
     Lossy relative to the JSON schema: port numbers are attributes and
     host addresses are strings, sufficient for visualization.
     """
-    import networkx as nx
-
+    nx = require_networkx()
     graph = nx.Graph(name=topology.name)
     for host in topology.hosts:
         graph.add_node(host.name, kind="host", mac=str(host.mac), ip=str(host.ip))

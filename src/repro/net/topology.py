@@ -8,7 +8,8 @@ block of the poster's data plane.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+import heapq
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import LinkError, NodeNotFoundError, TopologyError
 from .address import IPv4Address, MacAddress, ip_from_index, mac_from_index
@@ -327,29 +328,55 @@ class Topology:
         return paths
 
     def k_shortest_paths(self, src: NodeRef, dst: NodeRef, k: int) -> List[List[str]]:
-        """Up to ``k`` shortest simple paths by hop count (Yen-style via
-        repeated Dijkstra on a copy; adequate for control-plane use)."""
-        import networkx  # deferred: ``import repro`` stays networkx-free
+        """Up to ``k`` shortest simple paths by hop count, shortest first.
 
+        Yen's algorithm over the up links, parallel links collapsed to
+        one neighbour.  Each spur is a bidirectional BFS, and candidates
+        of one length leave the heap in the order they were found, so
+        the list (and its tie order) is the one
+        ``networkx.shortest_simple_paths`` gives on
+        ``to_networkx(up_only=True)``.  Raises TopologyError when
+        unreachable."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         src_name = self.node(src).name
         dst_name = self.node(dst).name
-        graph = self.to_networkx(up_only=True)
-        try:
-            generator = networkx.shortest_simple_paths(graph, src_name, dst_name)
-        except (networkx.NetworkXNoPath, networkx.NodeNotFound):
-            raise TopologyError(f"no path from {src_name} to {dst_name}") from None
-        paths: List[List[str]] = []
-        try:
-            for path in generator:
-                paths.append(path)
-                if len(paths) >= k:
-                    break
-        except networkx.NetworkXNoPath:
-            pass
-        if not paths:
+        # Neighbours in the order of each pair's first up link.
+        adj: Dict[str, Dict[str, None]] = {name: {} for name in self._nodes}
+        for link in self._links:
+            if link.up:
+                a, b = link.endpoints
+                adj[a.name][b.name] = None
+                adj[b.name][a.name] = None
+        first = _bidirectional_bfs(adj, src_name, dst_name, set(), set())
+        if first is None:
             raise TopologyError(f"no path from {src_name} to {dst_name}")
+        paths = [first]
+        queued = {tuple(first)}
+        candidates: List[Tuple[int, int, List[str]]] = []
+        while len(paths) < k:
+            prev = paths[-1]
+            # Both sets grow across the spur nodes of ``prev``, as in Yen.
+            ignore_nodes: Set[str] = set()
+            ignore_edges: Set[Tuple[str, str]] = set()
+            for i in range(1, len(prev)):
+                root = prev[:i]
+                for path in paths:
+                    if path[:i] == root:
+                        ignore_edges.add((path[i - 1], path[i]))
+                        ignore_edges.add((path[i], path[i - 1]))
+                spur = _bidirectional_bfs(
+                    adj, root[-1], dst_name, ignore_nodes, ignore_edges
+                )
+                if spur is not None:
+                    path = root[:-1] + spur
+                    if tuple(path) not in queued:
+                        queued.add(tuple(path))
+                        heapq.heappush(candidates, (len(path), len(queued), path))
+                ignore_nodes.add(root[-1])
+            if not candidates:
+                break
+            paths.append(heapq.heappop(candidates)[2])
         return paths
 
     def path_links(self, path: Sequence[NodeRef]) -> List[LinkDirection]:
@@ -367,7 +394,7 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self, up_only: bool = False) -> "nx.Graph":
         """Export to a networkx graph (node names, capacity/delay attrs)."""
-        import networkx
+        networkx = require_networkx()
 
         multi = self._has_parallel_links()
         graph = networkx.MultiGraph() if multi else networkx.Graph()
@@ -403,6 +430,57 @@ class Topology:
             f"<Topology {s['name']!r} hosts={s['hosts']} "
             f"switches={s['switches']} links={s['links']}>"
         )
+
+
+def require_networkx():
+    """Import networkx, which only the interop exports use, or raise an
+    ImportError naming the extra that installs it."""
+    try:
+        import networkx
+    except ImportError:
+        raise ImportError(
+            "networkx is not installed; to_networkx and GraphML export "
+            "need it: pip install 'repro[graph]'"
+        ) from None
+    return networkx
+
+
+def _bidirectional_bfs(
+    adj: Dict[str, Dict[str, None]],
+    source: str,
+    target: str,
+    ignore_nodes: Set[str],
+    ignore_edges: Set[Tuple[str, str]],
+) -> Optional[List[str]]:
+    """One hop-count shortest path avoiding the ignored nodes and edges,
+    or None.  Grows the smaller fringe a level at a time and stops at
+    the first node both searches have seen, forward side first on equal
+    fringes: the tie order of networkx's ``_bidirectional_pred_succ``."""
+    if source == target:
+        return [source]
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    fringes = [[source], [target]]
+    while fringes[0] and fringes[1]:
+        side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+        mine, theirs = (pred, succ) if side == 0 else (succ, pred)
+        level, fringes[side] = fringes[side], []
+        for v in level:
+            for w in adj[v]:
+                if w in ignore_nodes or (v, w) in ignore_edges:
+                    continue
+                if w not in mine:
+                    mine[w] = v
+                    fringes[side].append(w)
+                if w in theirs:
+                    path = [w]
+                    while pred[path[-1]] is not None:
+                        path.append(pred[path[-1]])
+                    path.reverse()
+                    while succ[path[-1]] is not None:
+                        path.append(succ[path[-1]])
+                    return path
+    return None
 
 
 def invalidate_paths_on_change(topology: Topology) -> None:

@@ -342,6 +342,36 @@ class TestAppPeeringAndSourceRouting:
         assert len(http.route.directions) == 4  # detour via s3
         assert len(ssh.route.directions) == 3  # direct
 
+    def test_peering_without_a_path_over_parallel_links(self):
+        from repro.net import Topology
+
+        topo = Topology()
+        for name in ("s1", "s2", "s3"):
+            topo.add_switch(name)
+        topo.add_link("s1", "s2")
+        topo.add_link("s1", "s2")
+        topo.add_link("s1", "s3")
+        topo.add_link("s3", "s2")
+        topo.add_host("h1")
+        topo.add_host("h2")
+        topo.add_link("h1", "s1")
+        topo.add_link("h2", "s2")
+        peering = AppPeeringApp(
+            rules=[PeeringRule(src_host="h1", dst_host="h2", app="http")]
+        )
+        sim, controller, channel, engine = wire(
+            topo, peering, ShortestPathApp(match_on="ip_dst")
+        )
+        for name in ("s1", "s3", "s2"):
+            tables = topo.switch(name).pipeline.tables
+            priorities = [e.priority for t in tables for e in t]
+            assert priorities.count(peering.priority) == 1, name
+        http = make_flow(topo, "h1", "h2", dport=80)
+        engine.submit(http)
+        sim.run()
+        assert http.delivered
+        assert len(http.route.directions) == 4  # the second path, via s3
+
     def test_source_route_pins_pair(self):
         from repro.net.generators import full_mesh
 

@@ -110,8 +110,7 @@ class TestJsonRoundTrip:
 
 class TestGraphml:
     def test_graphml_export_loads_in_networkx(self, tmp_path):
-        import networkx as nx
-
+        nx = pytest.importorskip("networkx")
         topo = fat_tree(4)
         path = str(tmp_path / "topo.graphml")
         save_graphml(topo, path)

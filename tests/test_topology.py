@@ -186,6 +186,30 @@ class TestPaths:
         assert paths[0] == ["s1", "s2"]
         assert len(paths) == 3
         assert all(len(p) >= 2 for p in paths)
+        assert topo.k_shortest_paths("s2", "s2", 4) == [["s2"]]
+        with pytest.raises(ValueError):
+            topo.k_shortest_paths("s1", "s2", 0)
+        for other in ("s2", "s3", "s4"):
+            topo.fail_link("s1", other)
+        with pytest.raises(TopologyError):
+            topo.k_shortest_paths("s1", "s2", 2)
+
+    def test_k_shortest_paths_collapses_parallel_links(self):
+        topo = Topology()
+        for name in ("s1", "s2", "s3"):
+            topo.add_switch(name)
+        topo.add_link("s1", "s2")
+        topo.add_link("s1", "s2")
+        topo.add_link("s1", "s3")
+        topo.add_link("s3", "s2")
+        assert topo.k_shortest_paths("s1", "s2", 2) == [
+            ["s1", "s2"],
+            ["s1", "s3", "s2"],
+        ]
+        assert topo.k_shortest_paths("s1", "s2", 5) == [
+            ["s1", "s2"],
+            ["s1", "s3", "s2"],
+        ]
 
     def test_path_links_returns_directions(self):
         topo = linear(2, hosts_per_switch=1)
@@ -242,10 +266,24 @@ class TestGenerators:
         assert a.shortest_path("h1", "h10")
 
     def test_networkx_export(self):
+        pytest.importorskip("networkx")
         topo = fat_tree(4)
         graph = topo.to_networkx()
         assert graph.number_of_nodes() == 36
         assert graph.number_of_edges() == 48
+
+    def test_interop_without_networkx_names_the_extra(self, monkeypatch, tmp_path):
+        import sys
+
+        from repro.net import save_graphml
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        topo = linear(2)
+        with pytest.raises(ImportError, match=r"repro\[graph\]"):
+            topo.to_networkx()
+        with pytest.raises(ImportError, match=r"repro\[graph\]"):
+            save_graphml(topo, str(tmp_path / "topo.graphml"))
+        assert topo.k_shortest_paths("s1", "s2", 2) == [["s1", "s2"]]
 
     def test_generator_invalid_args(self):
         with pytest.raises(TopologyError):
@@ -257,8 +295,10 @@ class TestGenerators:
 
 
 def test_importing_the_api_does_not_import_networkx():
-    """networkx loads on the first k-shortest-path query or export, not
-    with ``import repro``: it is most of the package's import time."""
+    """networkx loads only for ``to_networkx`` and GraphML export: not
+    with ``import repro``, where it would be most of the import time,
+    and not on a run, not even one whose application-peering rule asks
+    for k shortest paths."""
     import os
     import subprocess
     import sys
@@ -266,11 +306,24 @@ def test_importing_the_api_does_not_import_networkx():
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    code = "import sys, repro.api; sys.exit('networkx' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
+    scenario = os.path.join(
+        os.path.dirname(__file__), "..", "examples", "scenarios", "ixp_small.json"
     )
-    assert done.returncode == 0, done.stderr or "networkx was imported"
+    run = (
+        "import json, sys\n"
+        "from repro.runtime.scenario import run_scenario\n"
+        f"doc = json.load(open({scenario!r}))\n"
+        "doc['policies']['application_peering'] = "
+        "[{'src': 'm64514', 'dst': 'm64512', 'app': 'http'}]\n"
+        "_, result, count = run_scenario(doc)\n"
+        "assert count > 0 and result.flows\n"
+        "sys.exit('networkx' in sys.modules)\n"
+    )
+    for code in ("import sys, repro.api; sys.exit('networkx' in sys.modules)", run):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr or "networkx was imported"
