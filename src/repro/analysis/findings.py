@@ -27,7 +27,7 @@ SEVERITY_TO_SARIF = {
     SEVERITY_INFO: "note",
 }
 
-#: SARIF version pinned by the shared reporters.
+#: SARIF version pinned by the SARIF reporter.
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -43,8 +43,8 @@ def severity_rank(severity: str) -> int:
 def fingerprint_of(rule: str, location: Dict[str, object], message: str) -> str:
     """Stable 16-hex-digit identity of one finding.
 
-    The fingerprint keys baselines and CI report merging: it is a pure
-    function of the rule id, the location envelope (file/line or
+    The fingerprint lets two reports be compared finding by finding: it
+    is a pure function of the rule id, the location envelope (file/line or
     switch/table), and the message — independent of discovery order.
     """
     parts = [rule, message]
@@ -60,10 +60,10 @@ def envelope(
     message: str,
     location: Dict[str, object],
 ) -> Dict[str, object]:
-    """The JSON envelope shared by ``repro analyze`` and ``repro lint``.
+    """The JSON envelope of one ``repro analyze`` finding.
 
-    Every finding either tool emits renders to this shape, so CI can
-    concatenate the two reports into one stream keyed by fingerprint.
+    Every finding renders to this shape, so a report's findings can be
+    compared across runs by fingerprint.
     """
     return {
         "rule": rule,
@@ -77,7 +77,6 @@ def envelope(
 def sarif_document(
     envelopes: List[Dict[str, object]],
     rules: List[Dict[str, str]],
-    tool_name: str,
 ) -> Dict[str, object]:
     """Render finding envelopes as a single-run SARIF 2.1.0 document.
 
@@ -88,26 +87,11 @@ def sarif_document(
     results = []
     for record in envelopes:
         location = record.get("location") or {}
-        physical: Dict[str, object] = {}
-        if "file" in location:
-            region: Dict[str, object] = {}
-            if "line" in location:
-                region["startLine"] = location["line"]
-            if "column" in location:
-                region["startColumn"] = location["column"]
-            physical = {
-                "artifactLocation": {"uri": str(location["file"])},
-            }
-            if region:
-                physical["region"] = region
-        else:
-            # Data-plane findings locate in the network, not a file; the
-            # logical location carries the switch/table coordinates.
-            physical = {
-                "artifactLocation": {
-                    "uri": str(location.get("switch", "network"))
-                },
-            }
+        # Data-plane findings locate in the network, not a file: the
+        # artifact is the switch (or the network as a whole).
+        physical = {
+            "artifactLocation": {"uri": str(location.get("switch", "network"))},
+        }
         results.append(
             {
                 "ruleId": record["rule"],
@@ -128,7 +112,7 @@ def sarif_document(
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
+                        "name": "repro-analyze",
                         "informationUri": (
                             "https://github.com/repro/horse"
                         ),
@@ -214,7 +198,7 @@ class Finding:
         return fingerprint_of(self.rule, self.location(), self.message)
 
     def to_envelope(self) -> Dict[str, object]:
-        """Render to the envelope shared with ``repro lint``."""
+        """Render to the JSON finding envelope (:func:`envelope`)."""
         return envelope(self.rule, self.severity, self.message, self.location())
 
     def to_dict(self) -> Dict[str, object]:
@@ -305,7 +289,7 @@ class AnalysisReport:
         }
 
     def to_sarif(self) -> Dict[str, object]:
-        """SARIF 2.1.0 rendering (same run shape as ``repro lint``)."""
+        """SARIF 2.1.0 rendering: one run of the ``repro-analyze`` tool."""
         findings = self.sorted_findings()
         seen: Dict[str, Dict[str, str]] = {}
         for finding in findings:
@@ -322,7 +306,6 @@ class AnalysisReport:
         return sarif_document(
             [f.to_envelope() for f in findings],
             [seen[key] for key in sorted(seen)],
-            tool_name="repro-analyze",
         )
 
     def summary_text(self) -> str:

@@ -448,45 +448,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"wrote SARIF report to {args.sarif}")
     print(report.summary_text())
     # The exit status gates only under --strict; otherwise findings flow
-    # to the report and CI merges analyze+lint reports before gating.
+    # to the JSON/SARIF report and whoever reads it does the gating.
     return 1 if (args.strict and not report.ok) else 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the simulation-correctness linter over source paths."""
-    from .lint import all_rules, run_lint, write_baseline
-
-    if args.list_rules:
-        for rule in sorted(all_rules(), key=lambda r: r.id):
-            print(f"{rule.id}  {rule.name:24s} [{rule.severity}]")
-            print(f"        {rule.description}")
-        return 0
-    report = run_lint(
-        args.paths or ["src"],
-        select=args.select or (),
-        ignore=args.ignore or (),
-        baseline=args.baseline,
-    )
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report)
-        print(f"wrote {count} fingerprint(s) to {args.write_baseline}")
-        return 0
-    if args.format == "json":
-        output = json.dumps(report.to_dict(), indent=2)
-    elif args.format == "sarif":
-        output = json.dumps(report.to_sarif(), indent=2)
-    else:
-        output = report.summary_text()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(output)
-            handle.write("\n")
-        print(report.summary_text())
-        print(f"wrote {args.format} report to {args.output}")
-    else:
-        print(output)
-    # Same gate semantics as `repro analyze`: non-zero only with --strict.
-    return report.exit_code(strict=args.strict)
 
 
 def cmd_migrate_scenario(args: argparse.Namespace) -> int:
@@ -703,65 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="exit non-zero when the report has findings (default: exit 0 "
-        "and let CI gate on the merged report)",
+        "and leave the gating to the report's reader)",
     )
     an_p.set_defaults(func=cmd_analyze)
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="statically lint source for simulation-correctness defects",
-    )
-    lint_p.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src)",
-    )
-    lint_p.add_argument(
-        "--select",
-        action="append",
-        metavar="RULE",
-        help="only run rules matching this id prefix (repeatable, "
-        "e.g. DET or DET003)",
-    )
-    lint_p.add_argument(
-        "--ignore",
-        action="append",
-        metavar="RULE",
-        help="skip rules matching this id prefix (repeatable)",
-    )
-    lint_p.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (default: text)",
-    )
-    lint_p.add_argument(
-        "--output",
-        metavar="PATH",
-        help="write the report here instead of stdout",
-    )
-    lint_p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="suppress findings whose fingerprint is in this baseline file",
-    )
-    lint_p.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="record current findings as the new baseline and exit",
-    )
-    lint_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero when the report has findings (default: exit 0 "
-        "and let CI gate on the merged report)",
-    )
-    lint_p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
-    lint_p.set_defaults(func=cmd_lint)
 
     mig_p = sub.add_parser(
         "migrate-scenario",

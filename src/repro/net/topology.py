@@ -481,8 +481,3 @@ def _bidirectional_bfs(
                         path.append(succ[path[-1]])
                     return path
     return None
-
-
-def invalidate_paths_on_change(topology: Topology) -> None:
-    """Explicitly clear the path cache (e.g. after manual link edits)."""
-    topology._path_cache.clear()  # private-ok: same-module helper

@@ -1,37 +1,28 @@
-"""Simulation-correctness lint framework (repro.lint).
+"""The simulation-correctness linter (tools/simlint).
 
 Fixture-driven rule tests (one positive + one negative module per rule
-family under ``tests/lint_fixtures/``), suppression and baseline
-semantics, reporter output (JSON/SARIF golden shape), CLI gate
-semantics, and the self-check that the shipped source lints clean
-against the shipped (empty) baseline.
+family under ``tests/lint_fixtures/``), rule scopes, suppression
+semantics, the command's exit status, and the self-check that the
+shipped source lints clean.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.findings import fingerprint_of
-from repro.lint import (
-    LintConfigError,
-    LintReport,
-    all_rules,
-    lint_source,
-    load_baseline,
-    run_lint,
-    select_rules,
-    write_baseline,
-)
-from repro.lint.engine import BARE_NOQA_RULE, SYNTAX_RULE
-
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
+sys.path.insert(0, str(REPO / "tools"))
+
+from simlint import RULES, LintReport, lint_source, run_lint  # noqa: E402
+from simlint.engine import BARE_NOQA_RULE, SYNTAX_RULE  # noqa: E402
 
 
 def lint_fixture(relpath: str) -> LintReport:
@@ -97,38 +88,58 @@ class TestRuleFamilies:
         # The same wall-clock source outside a sim scope is not DET001's
         # business (host-side tooling may read the clock).
         source = (FIXTURES / "determinism/sim/bad_wall_clock.py").read_text()
-        report = LintReport(rules_run=1)
-        lint_source("tools/whatever.py", source, select_rules(["DET001"]), report)
-        assert report.ok
+        report = LintReport()
+        lint_source("tools/whatever.py", source, RULES, report)
+        assert not report.by_rule("DET001")
 
 
 # ----------------------------------------------------------------------
-# Registry / selection
+# Scopes are read below the repro package, never above it
+# ----------------------------------------------------------------------
+
+
+class TestScopes:
+    def test_checkout_under_a_scope_named_directory_is_out_of_scope(
+        self, tmp_path
+    ):
+        # A checkout under .../sim/ must not put telemetry code in DET001's
+        # sim scope; only the components below repro/ decide.
+        target = tmp_path / "sim" / "repro" / "telemetry" / "trace.py"
+        target.parent.mkdir(parents=True)
+        shutil.copy(REPO / "src" / "repro" / "telemetry" / "trace.py", target)
+        report = run_lint([str(target)])
+        assert report.ok, report.summary_text()
+
+    def test_scoped_module_below_repro_is_in_scope(self, tmp_path):
+        target = tmp_path / "repro" / "sim" / "bad_wall_clock.py"
+        target.parent.mkdir(parents=True)
+        shutil.copy(FIXTURES / "determinism/sim/bad_wall_clock.py", target)
+        report = run_lint([str(target)])
+        assert len(report.by_rule("DET001")) == 2
+
+    def test_telemetry_package_is_exempt_from_tel001(self):
+        source = (FIXTURES / "telemetry/bad_unguarded.py").read_text()
+        report = LintReport()
+        lint_source("src/repro/telemetry/bus.py", source, RULES, report)
+        assert not report.by_rule("TEL001")
+
+
+# ----------------------------------------------------------------------
+# The RULES tuple
 # ----------------------------------------------------------------------
 
 
 class TestRegistry:
     def test_all_five_families_registered(self):
-        families = {rule.id.rstrip("0123456789") for rule in all_rules()}
+        families = {rule.id.rstrip("0123456789") for rule in RULES}
         assert {"DET", "SNAP", "TEL", "PRIV", "EVT"} <= families
 
     def test_rule_ids_are_stable_format(self):
-        for rule in all_rules():
-            assert rule.id[-3:].isdigit()
+        ids = [rule.id for rule in RULES]
+        assert len(set(ids)) == len(ids)
+        for rule in RULES:
+            assert re.fullmatch(r"[A-Z]+[0-9]{3}", rule.id), rule.id
             assert rule.description
-
-    def test_select_family_prefix(self):
-        rules = select_rules(select=["DET"])
-        assert {rule.id for rule in rules} == {"DET001", "DET002", "DET003"}
-
-    def test_ignore_single_rule(self):
-        rules = select_rules(ignore=["DET003"])
-        ids = {rule.id for rule in rules}
-        assert "DET003" not in ids and "DET001" in ids
-
-    def test_unknown_selector_raises(self):
-        with pytest.raises(LintConfigError):
-            select_rules(select=["NOPE"])
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +178,7 @@ def stamp(event):
 class TestSuppressions:
     def run(self, source: str) -> LintReport:
         report = LintReport()
-        lint_source("pkg/sim/mod.py", source, all_rules(), report)
+        lint_source("pkg/sim/mod.py", source, RULES, report)
         return report
 
     def test_noqa_with_reason_suppresses(self):
@@ -188,114 +199,23 @@ class TestSuppressions:
         report = self.run(WRONG_RULE_SRC)
         assert "DET001" in rules_found(report)
 
-    def test_legacy_private_ok_still_honored(self):
-        source = "def f(other):\n    return other._seq  # private-ok\n"
-        report = LintReport()
-        lint_source("pkg/mod.py", source, all_rules(), report)
-        assert report.ok
-
     def test_syntax_error_is_lint001(self):
         report = LintReport()
-        lint_source("pkg/mod.py", "def broken(:\n", all_rules(), report)
+        lint_source("pkg/mod.py", "def broken(:\n", RULES, report)
         assert rules_found(report) == {SYNTAX_RULE}
 
 
 # ----------------------------------------------------------------------
-# Baseline semantics
+# The command: paths in, exit 1 on any finding
 # ----------------------------------------------------------------------
 
 
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        target = FIXTURES / "determinism" / "sim" / "bad_wall_clock.py"
-        before = run_lint([str(target)])
-        assert not before.ok
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), before)
-        after = run_lint([str(target)], baseline=str(baseline))
-        assert after.ok
-        assert after.baselined == len(before.findings)
-
-    def test_empty_baseline_filters_nothing(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 1, "fingerprints": []}\n')
-        target = FIXTURES / "determinism" / "sim" / "bad_wall_clock.py"
-        report = run_lint([str(target)], baseline=str(baseline))
-        assert not report.ok
-        assert report.baselined == 0
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("[1, 2, 3]\n")
-        with pytest.raises(LintConfigError):
-            run_lint(["src/repro/lint"], baseline=str(baseline))
-
-    def test_shipped_baseline_is_empty(self):
-        shipped = json.loads((REPO / "tools" / "lint-baseline.json").read_text())
-        assert shipped["fingerprints"] == []
-
-
-# ----------------------------------------------------------------------
-# Reporters: shared envelope, JSON, SARIF golden shape
-# ----------------------------------------------------------------------
-
-
-class TestReporters:
-    def report(self) -> LintReport:
-        return lint_fixture("determinism/sim/bad_wall_clock.py")
-
-    def test_envelope_matches_analysis_schema(self):
-        finding = self.report().sorted_findings()[0]
-        env = finding.to_envelope()
-        assert set(env) == {
-            "rule", "severity", "message", "location", "fingerprint"
-        }
-        assert env["fingerprint"] == fingerprint_of(
-            env["rule"], env["location"], env["message"]
-        )
-
-    def test_json_document_shape(self):
-        document = self.report().to_dict()
-        assert document["errors"] == 2
-        assert all(
-            set(f) == {"rule", "severity", "message", "location", "fingerprint"}
-            for f in document["findings"]
-        )
-
-    def test_sarif_golden_shape(self):
-        sarif = self.report().to_sarif()
-        assert sarif["version"] == "2.1.0"
-        (run,) = sarif["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        assert {rule["id"] for rule in driver["rules"]} == {"DET001"}
-        result = run["results"][0]
-        assert result["ruleId"] == "DET001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith(
-            "bad_wall_clock.py"
-        )
-        assert location["region"]["startLine"] > 0
-        assert result["partialFingerprints"]["reproFingerprint/v1"]
-
-    def test_sarif_tool_name_differs_from_analyzer(self):
-        from repro.analysis.findings import AnalysisReport
-
-        doc = AnalysisReport().to_sarif()
-        assert doc["runs"][0]["tool"]["driver"]["name"] == "repro-analyze"
-
-
-# ----------------------------------------------------------------------
-# CLI: gate semantics shared with `repro analyze`
-# ----------------------------------------------------------------------
-
-
-def run_cli(*argv: str):
+def run_python(*argv: str):
+    # src is on the path too, so an import of repro would succeed and show.
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "tools"), str(REPO / "src")])
     return subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         cwd=str(REPO),
@@ -304,56 +224,43 @@ def run_cli(*argv: str):
 
 
 class TestCli:
-    def test_findings_exit_zero_without_strict(self):
-        proc = run_cli(
-            "lint", str(FIXTURES / "determinism" / "sim" / "bad_wall_clock.py")
+    def test_findings_exit_nonzero(self):
+        proc = run_python(
+            "-m",
+            "simlint",
+            str(FIXTURES / "determinism" / "sim" / "bad_wall_clock.py"),
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 1
         assert "DET001" in proc.stdout
 
-    def test_findings_exit_nonzero_with_strict(self):
-        proc = run_cli(
-            "lint",
-            str(FIXTURES / "determinism" / "sim" / "bad_wall_clock.py"),
-            "--strict",
+    def test_clean_source_exits_zero(self):
+        proc = run_python("-m", "simlint", "src/repro")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_missing_path_fails_with_message(self):
+        proc = run_python("-m", "simlint", "src/no_such_package")
+        assert proc.returncode not in (0, 1)
+        assert "no such file or directory: src/no_such_package" in proc.stderr
+
+    def test_imports_no_repro_module(self):
+        proc = run_python(
+            "-c",
+            "import sys; from simlint.__main__ import main; "
+            "main(['src/repro']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))",
         )
-        assert proc.returncode == 1
-
-    def test_sarif_format(self):
-        proc = run_cli(
-            "lint",
-            str(FIXTURES / "determinism" / "sim" / "bad_wall_clock.py"),
-            "--format",
-            "sarif",
-        )
-        document = json.loads(proc.stdout)
-        assert document["version"] == "2.1.0"
-
-    def test_list_rules(self):
-        proc = run_cli("lint", "--list-rules")
-        assert proc.returncode == 0
-        for rule_id in ("DET001", "SNAP001", "TEL001", "PRIV001", "EVT001"):
-            assert rule_id in proc.stdout
-
-    def test_unknown_rule_fails_loudly(self):
-        proc = run_cli("lint", "src/repro/lint", "--select", "NOPE")
-        assert proc.returncode == 1
-        assert "unknown rule" in proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout + proc.stderr
 
 
 # ----------------------------------------------------------------------
-# Self-check: the shipped source lints clean with the shipped baseline
+# Self-check: the shipped source lints clean
 # ----------------------------------------------------------------------
 
 
 class TestSelfCheck:
     def test_src_is_clean(self):
-        report = run_lint(
-            [str(REPO / "src" / "repro")],
-            baseline=str(REPO / "tools" / "lint-baseline.json"),
-        )
+        report = run_lint([str(REPO / "src" / "repro")])
         assert report.ok, report.summary_text()
-        assert report.baselined == 0
         assert report.files_checked > 100
 
     def test_every_suppression_in_src_carries_a_reason(self):

@@ -18,10 +18,6 @@ NOQA_PATTERN = re.compile(
     r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s*]+)\]\s*(?:[-:]\s*(?P<reason>\S.*))?"
 )
 
-#: Legacy suppression marker honored by the PRIV rules (predates the
-#: framework; new code should use ``# repro: noqa[PRIV001] - reason``).
-LEGACY_PRIVATE_OK = "private-ok"
-
 
 class Suppression:
     """One parsed noqa comment: the rule ids it covers and its reason."""
@@ -42,15 +38,19 @@ class ModuleContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
-        self.source = source
         self.tree = tree
         self.lines: List[str] = source.splitlines()
-        #: Normalized path components ("src", "repro", "flowsim", ...)
-        #: with the trailing filename included minus extension.
-        parts = re.split(r"[\\/]", path)
-        if parts and parts[-1].endswith(".py"):
+        parts = [part for part in re.split(r"[\\/]", path) if part]
+        if parts[-1].endswith(".py"):
             parts[-1] = parts[-1][:-3]
-        self.path_parts: Tuple[str, ...] = tuple(p for p in parts if p)
+        directories = parts[:-1]
+        if "repro" in directories:
+            del parts[: len(directories) - directories[::-1].index("repro")]
+        #: Path components below the last ``repro`` directory, filename
+        #: stem last ("flowsim", "engine"); the whole path when there is
+        #: no such directory.  Rule scopes read only these, so the
+        #: directories a checkout sits under never put a module in scope.
+        self.package_parts: Tuple[str, ...] = tuple(parts)
         self._parent: Dict[ast.AST, ast.AST] = {}
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -104,11 +104,6 @@ class ModuleContext:
 
     def suppression_at(self, line: int) -> Optional[Suppression]:
         return self.suppressions.get(line)
-
-    def line_text(self, line: int) -> str:
-        if 0 < line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 class ImportTable:

@@ -1,8 +1,9 @@
-"""The lint driver: walk files, run rules, apply suppressions/baseline.
+"""The lint driver: walk files, run every rule, apply suppressions.
 
-:func:`run_lint` is the programmatic entry point behind ``repro lint``:
+:func:`run_lint` is the programmatic entry point behind
+``python -m simlint``:
 
->>> from repro.lint import run_lint
+>>> from simlint import run_lint
 >>> report = run_lint(["src/repro"])          # doctest: +SKIP
 >>> report.ok                                  # doctest: +SKIP
 True
@@ -14,32 +15,59 @@ A finding is dropped when its line carries ``# repro: noqa[RULE]`` (or
 (``# repro: noqa[DET001] - profiler wall clock, never feeds sim state``);
 a reason-less suppression is itself reported as LINT002 so intentional
 exceptions stay documented.
-
-Baseline semantics
-------------------
-A baseline file is a JSON document of known-finding fingerprints;
-findings whose fingerprint appears there are counted but not reported.
-The shipped baseline is empty — the codebase lints clean — and exists
-so downstream forks can adopt the linter incrementally.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Sequence
 
 from .context import ModuleContext
-from .findings import LintFinding, LintReport
-from .registry import LintConfigError, Rule, select_rules
+from .rule import LintFinding, Rule
+from .rules import RULES
 
 #: Rule id reserved for unparsable files.
 SYNTAX_RULE = "LINT001"
 #: Rule id reserved for reason-less suppressions.
 BARE_NOQA_RULE = "LINT002"
 
-BASELINE_VERSION = 1
+
+@dataclass
+class LintReport:
+    """The full result of one lint run."""
+
+    findings: List[LintFinding] = field(default_factory=list)
+    files_checked: int = 0
+    #: Findings suppressed by ``# repro: noqa[...]`` comments.
+    suppressed: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+    def by_rule(self, rule: str) -> List[LintFinding]:
+        return [f for f in self.findings if f.rule == rule]
+
+    def summary_text(self) -> str:
+        lines = [
+            f"checked {self.files_checked} file(s) against {len(RULES)} "
+            f"rule(s) ({self.suppressed} suppressed)"
+        ]
+        lines.extend(
+            str(finding)
+            for finding in sorted(
+                self.findings,
+                key=lambda f: (f.file, f.line, f.column, f.rule, f.message),
+            )
+        )
+        lines.append(
+            f"{len(self.findings)} finding(s)"
+            if self.findings
+            else "no findings: simulation-correctness lint clean"
+        )
+        return "\n".join(lines)
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -50,7 +78,7 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
             found.append(root)
             continue
         if not os.path.isdir(root):
-            raise LintConfigError(f"no such file or directory: {root}")
+            raise FileNotFoundError(f"no such file or directory: {root}")
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames[:] = sorted(
                 d for d in dirnames if d != "__pycache__"
@@ -59,30 +87,6 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
                 if filename.endswith(".py"):
                     found.append(os.path.join(dirpath, filename))
     return found
-
-
-def load_baseline(path: str) -> set:
-    """Read a baseline file -> set of fingerprints."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "fingerprints" not in document:
-        raise LintConfigError(
-            f"baseline {path}: expected an object with a 'fingerprints' list"
-        )
-    return set(document["fingerprints"])
-
-
-def write_baseline(path: str, report: LintReport) -> int:
-    """Persist every current finding's fingerprint; returns the count."""
-    fingerprints = sorted({f.fingerprint for f in report.findings})
-    with open(path, "w") as handle:
-        json.dump(
-            {"version": BASELINE_VERSION, "fingerprints": fingerprints},
-            handle,
-            indent=2,
-        )
-        handle.write("\n")
-    return len(fingerprints)
 
 
 def lint_source(
@@ -98,7 +102,6 @@ def lint_source(
         report.findings.append(
             LintFinding(
                 rule=SYNTAX_RULE,
-                severity="error",
                 message=f"file does not parse: {exc.msg}",
                 file=path,
                 line=exc.lineno or 1,
@@ -107,7 +110,6 @@ def lint_source(
         )
         return
     module = ModuleContext(path, source, tree)
-    kept: List[LintFinding] = []
     used_suppressions: set = set()
     for rule in rules:
         if not rule.applies(module):
@@ -118,15 +120,14 @@ def lint_source(
                 report.suppressed += 1
                 used_suppressions.add(suppression.line)
                 continue
-            kept.append(finding)
+            report.findings.append(finding)
     # A suppression that fires without a reason string is itself a
     # finding: intentional exceptions must say why they are exceptions.
     for line, suppression in module.suppressions.items():
         if line in used_suppressions and not suppression.reason:
-            kept.append(
+            report.findings.append(
                 LintFinding(
                     rule=BARE_NOQA_RULE,
-                    severity="warning",
                     message=(
                         "suppression without a reason: append "
                         "'- <why this is an intentional exception>'"
@@ -135,31 +136,14 @@ def lint_source(
                     line=line,
                 )
             )
-    report.findings.extend(kept)
 
 
-def run_lint(
-    paths: Sequence[str],
-    select: Iterable[str] = (),
-    ignore: Iterable[str] = (),
-    baseline: Optional[str] = None,
-) -> LintReport:
-    """Lint ``paths`` and return the aggregated report."""
-    rules = select_rules(select=select, ignore=ignore)
-    report = LintReport(rules_run=len(rules))
+def run_lint(paths: Sequence[str]) -> LintReport:
+    """Lint ``paths`` with every rule and return the aggregated report."""
+    report = LintReport()
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
-        lint_source(path, source, rules, report)
+        lint_source(path, source, RULES, report)
         report.files_checked += 1
-    if baseline is not None:
-        known = load_baseline(baseline)
-        if known:
-            fresh = []
-            for finding in report.findings:
-                if finding.fingerprint in known:
-                    report.baselined += 1
-                else:
-                    fresh.append(finding)
-            report.findings = fresh
     return report

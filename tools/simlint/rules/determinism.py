@@ -13,8 +13,7 @@ import ast
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from ..context import ModuleContext
-from ..findings import LintFinding
-from ..registry import Rule, register
+from ..rule import LintFinding, Rule
 
 #: Packages whose code computes simulation state (the poster's "temporally
 #: ordered set of inputs"); wall-clock and set-order hazards live here.
@@ -45,11 +44,8 @@ NP_RANDOM_ALLOWED = {"default_rng", "Generator", "SeedSequence", "RandomState"}
 RANDOM_ALLOWED = {"Random"}
 
 
-@register
 class WallClockRule(Rule):
     id = "DET001"
-    name = "no-wall-clock"
-    severity = "error"
     description = (
         "simulation-state code reads the host clock; time must come from "
         "the kernel (sim.now) or the event being fired"
@@ -71,11 +67,8 @@ class WallClockRule(Rule):
                 )
 
 
-@register
 class GlobalRngRule(Rule):
     id = "DET002"
-    name = "no-global-rng"
-    severity = "error"
     description = (
         "draw from the process-global RNG (random.* / numpy.random.*); "
         "use a named stream from RngRegistry so seeds stay independent"
@@ -172,11 +165,8 @@ def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
     return False
 
 
-@register
 class SetIterationRule(Rule):
     id = "DET003"
-    name = "no-unordered-iteration"
-    severity = "error"
     description = (
         "iteration over a set feeds simulation state or event ordering; "
         "iterate sorted(...) (or another deterministic order) instead"

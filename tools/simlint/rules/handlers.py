@@ -17,8 +17,7 @@ import ast
 from typing import Iterator, Optional
 
 from ..context import ModuleContext
-from ..findings import LintFinding
-from ..registry import Rule, register
+from ..rule import LintFinding, Rule
 
 #: Topology-mutating methods.
 MUTATORS = {
@@ -66,11 +65,8 @@ def _is_kernel_callback(func: ast.FunctionDef) -> bool:
     return bool(params) and params[0] == "sim"
 
 
-@register
 class TopologyMutationRule(Rule):
     id = "EVT001"
-    name = "no-topology-mutation-in-handlers"
-    severity = "error"
     description = (
         "kernel callback mutates topology directly instead of routing "
         "through the engine's documented mutation points "

@@ -12,8 +12,7 @@ a public name; these rules keep it that way:
 
 Same-class access through another instance (``other._seq`` in
 ``__lt__``) is rare and legitimate; mark those lines with
-``# repro: noqa[PRIV001] - <why>`` (the legacy ``# private-ok`` marker
-is still honored).
+``# repro: noqa[PRIV001] - <why>``.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import LEGACY_PRIVATE_OK, ModuleContext
-from ..findings import LintFinding
-from ..registry import Rule, register
+from ..context import ModuleContext
+from ..rule import LintFinding, Rule
 
 #: (receiver name, attribute) pairs that are documented APIs despite the
 #: leading underscore — not another *repro* module's private member.
@@ -38,20 +36,12 @@ def _is_private(name: str) -> bool:
     )
 
 
-def _legacy_suppressed(module: ModuleContext, line: int) -> bool:
-    return LEGACY_PRIVATE_OK in module.line_text(line)
-
-
-@register
 class PrivateAttributeRule(Rule):
     id = "PRIV001"
-    name = "no-private-attribute-access"
-    severity = "error"
     description = (
         "cross-module access to a _private attribute; promote the "
         "member to a public name"
     )
-    scopes = ()
 
     def check(self, module: ModuleContext) -> Iterator[LintFinding]:
         for node in ast.walk(module.tree):
@@ -67,8 +57,6 @@ class PrivateAttributeRule(Rule):
                 and (value.id, node.attr) in ALLOWED_PAIRS
             ):
                 continue
-            if _legacy_suppressed(module, node.lineno):
-                continue
             receiver = (
                 value.id
                 if isinstance(value, ast.Name)
@@ -83,15 +71,11 @@ class PrivateAttributeRule(Rule):
             )
 
 
-@register
 class PrivateImportRule(Rule):
     id = "PRIV002"
-    name = "no-private-imports"
-    severity = "error"
     description = (
         "`from x import _name` imports a private member across modules"
     )
-    scopes = ()
 
     def check(self, module: ModuleContext) -> Iterator[LintFinding]:
         for node in ast.walk(module.tree):
@@ -99,8 +83,6 @@ class PrivateImportRule(Rule):
                 continue
             for alias in node.names:
                 if not _is_private(alias.name):
-                    continue
-                if _legacy_suppressed(module, node.lineno):
                     continue
                 origin = node.module or "." * node.level
                 yield self.finding(

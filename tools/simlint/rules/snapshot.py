@@ -18,8 +18,7 @@ import ast
 from typing import Iterator, Optional
 
 from ..context import ModuleContext
-from ..findings import LintFinding
-from ..registry import Rule, register
+from ..rule import LintFinding, Rule
 
 #: Constructors whose results never survive a pickle round trip.
 UNPICKLABLE_CALLS = {
@@ -41,11 +40,8 @@ def _class_defines(cls: ast.ClassDef, *names: str) -> bool:
     )
 
 
-@register
 class UnpicklableAttributeRule(Rule):
     id = "SNAP001"
-    name = "no-unpicklable-attributes"
-    severity = "error"
     description = (
         "instance attribute holds an unpicklable value (lambda, open "
         "handle, lock, generator); checkpointing the object graph will "
@@ -116,17 +112,13 @@ class UnpicklableAttributeRule(Rule):
         return None
 
 
-@register
 class CounterWatermarkRule(Rule):
     id = "SNAP002"
-    name = "id-counter-watermark"
-    severity = "error"
     description = (
         "module-level itertools.count() id counter lacks watermark "
         "plumbing (reset_* + advance_* functions); restored runs would "
         "reuse ids of restored objects"
     )
-    scopes = ()
 
     def check(self, module: ModuleContext) -> Iterator[LintFinding]:
         counters = []

@@ -15,8 +15,7 @@ import ast
 from typing import Iterator, Optional
 
 from ..context import ModuleContext
-from ..findings import LintFinding
-from ..registry import Rule, register
+from ..rule import LintFinding, Rule
 
 #: Receiver names that hold a maybe-None telemetry sink.
 GUARDED_RECEIVERS = {"trace_bus", "_trace_bus", "profiler", "_profiler"}
@@ -61,26 +60,16 @@ def _ends_control_flow(body) -> bool:
     return isinstance(tail, (ast.Return, ast.Raise, ast.Continue, ast.Break))
 
 
-@register
 class UnguardedEmissionRule(Rule):
     id = "TEL001"
-    name = "zero-cost-guard"
-    severity = "error"
     description = (
         "telemetry emission (trace_bus/profiler) not wrapped in the "
         "zero-cost `is not None` guard; crashes when telemetry is "
         "disabled and defeats the <5% overhead gate"
     )
-    scopes = ()
-
-    def applies(self, module: ModuleContext) -> bool:
-        # The telemetry package itself implements the sinks: the bus
-        # emitting on itself is the one legitimate unguarded caller.
-        parts = module.path_parts
-        for index, part in enumerate(parts[:-1]):
-            if part == "repro" and parts[index + 1] == "telemetry":
-                return False
-        return True
+    # The telemetry package itself implements the sinks: the bus
+    # emitting on itself is the one legitimate unguarded caller.
+    exempt = ("telemetry",)
 
     def check(self, module: ModuleContext) -> Iterator[LintFinding]:
         for node in ast.walk(module.tree):
