@@ -34,9 +34,8 @@ event touched rather than to the whole network:
   from scratch through the *same* kernel.
 * **Route caching.**  Flows whose headers are equivalent under the
   installed rules (same projection onto every matched field) reuse a
-  cached pipeline walk.  Cache entries record the version of every
-  pipeline they consulted plus a link epoch, so a flow-mod/group-mod/
-  port-status invalidates exactly the affected header classes.
+  cached pipeline walk, valid while every pipeline it consulted keeps
+  its version and the topology its ``link_generation``.
 """
 
 from __future__ import annotations
@@ -116,10 +115,9 @@ class FlowLevelEngine(Engine):
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()
         # Routing cache: header-class key -> (route, pipeline version
-        # deps, link epoch).  The flows of a class share the one route:
-        # nothing changes a route after its walk.
+        # deps, topology link generation).  The flows of a class share
+        # the one route: nothing changes a route after its walk.
         self._route_cache: Dict[Tuple, Tuple[FlowRoute, Tuple, int]] = {}
-        self._link_epoch = 0
         # Cache-key projection: which header fields the installed rules
         # reference, memoised on the global pipeline version sum.
         self._key_fields: Optional[Tuple[str, ...]] = None
@@ -423,9 +421,8 @@ class FlowLevelEngine(Engine):
         self._solver.remove(flow.flow_id)
 
     def on_link_state(self, a: str, b: str, up: bool) -> None:
+        # Bumps topology.link_generation: every cached route goes stale.
         link = (self.topology.restore_link if up else self.topology.fail_link)(a, b)
-        # Any cached route may cross the flipped link (coarse but safe).
-        self._link_epoch += 1
         # Registered capacities can drift (e.g. a degraded link model);
         # refresh them and mark changed links dirty for the solver.
         for index, direction in enumerate(self._dir_list):
@@ -604,8 +601,8 @@ class FlowLevelEngine(Engine):
         cache = self._route_cache
         entry = cache.get(key)
         if entry is not None:
-            route, deps, epoch = entry
-            if epoch == self._link_epoch and all(
+            route, deps, generation = entry
+            if generation == self.topology.link_generation and all(
                 (pipeline := self._pipeline_by_dpid(dpid)) is not None
                 and pipeline.version == version
                 for dpid, version in deps
@@ -628,14 +625,15 @@ class FlowLevelEngine(Engine):
         a rule set that changed underneath the walk."""
         if route.punted or self.stats["packet_ins"] != packet_ins_before:
             return
-        for dpid, version in self._walk_dpids.items():
+        walked = self._walk_dpids.items()
+        for dpid, version in walked:
             pipeline = self._pipeline_by_dpid(dpid)
             if pipeline is None or pipeline.version != version:
                 return
         cache = self._route_cache
         if len(cache) >= _ROUTE_CACHE_MAX:
             cache.clear()
-        cache[key] = (route, tuple(self._walk_dpids.items()), self._link_epoch)
+        cache[key] = (route, tuple(walked), self.topology.link_generation)
 
     def _register_direction(self, direction: LinkDirection) -> int:
         """Index a link direction for the solver, recording capacity."""

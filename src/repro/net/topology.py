@@ -50,6 +50,9 @@ class Topology:
         #: Adjacency: node name -> {neighbor name: list of links}
         self._adj: Dict[str, Dict[str, List[Link]]] = {}
         self._path_cache: Dict[Tuple[str, str], List[List[str]]] = {}
+        #: Bumped by every :meth:`fail_link` / :meth:`restore_link`:
+        #: engines stamp what they derived from link liveness with it.
+        self.link_generation = 0
 
     # ------------------------------------------------------------------
     # Node management
@@ -254,6 +257,7 @@ class Topology:
         link = self.link_between(a, b)
         link.set_up(False)
         self._path_cache.clear()
+        self.link_generation += 1
         return link
 
     def restore_link(self, a: NodeRef, b: NodeRef) -> Link:
@@ -261,6 +265,7 @@ class Topology:
         link = self.link_between(a, b)
         link.set_up(True)
         self._path_cache.clear()
+        self.link_generation += 1
         return link
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ ground truth.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import HorseConfig
@@ -22,9 +23,16 @@ from ..flowsim.flow import Flow, FlowState
 from ..openflow.headers import HeaderFields
 from ..sim.engine import Engine
 from ..sim.kernel import Simulator
-from .packet import Packet
+from .packet import Packet, next_packet_id
 from .queues import OutputQueue
 from .transport import AimdTransport, Transport, make_transport
+
+#: Forwarding decisions are dropped wholesale beyond this many keys.
+_DECISION_MEMO_MAX = 4096
+
+#: Where a decision sends a packet: per output, the queue (None for a
+#: missing or down port) and the headers the copy leaves with.
+Egress = List[Tuple[Optional[OutputQueue], HeaderFields]]
 
 
 class PacketLevelEngine(Engine):
@@ -72,6 +80,9 @@ class PacketLevelEngine(Engine):
         # Packets parked at a switch awaiting an asynchronous packet-out,
         # keyed by (dpid, in_port, flow_id); bounded per key.
         self._buffered: Dict[tuple, deque] = {}
+        # Forwarding decisions by (pipeline, in_port, flow id): ((version,
+        # link generation, headers), result, egress, (table, hit) lookups).
+        self._decisions: Dict[tuple, tuple] = {}
         self.stats = {
             "packets_sent": 0,
             "packets_delivered": 0,
@@ -132,10 +143,8 @@ class PacketLevelEngine(Engine):
         self.stats["packets_sent"] += 1
         if self.trace_bus is not None:
             self.trace_bus.emit(
-                "packet.enqueue",
-                packet=packet.packet_id,
-                flow=packet.flow_id,
-                size=packet.size_bytes,
+                "packet.enqueue", packet=packet.packet_id,
+                flow=packet.flow_id, size=packet.size_bytes,
             )
         flow.bytes_sent += packet.size_bytes
         host = self.topology.host(flow.src)
@@ -180,23 +189,39 @@ class PacketLevelEngine(Engine):
 
     def _switch_process(self, switch: Switch, packet: Packet, in_port: int) -> None:
         pipeline = switch.pipeline
-        result = pipeline.process(packet.headers, in_port)
-        if result.to_controller:
-            answer = self._resolve_punt(
-                switch,
-                in_port,
-                packet.headers,
-                packet.flow_id,
-                packet.size_bytes,
-                result,
-            )
-            if answer is not None:
-                result = answer
-            elif self.control is not None and not result.outputs:
-                # Asynchronous control: park the packet like a real switch
-                # buffers it, released by apply_packet_out.
-                self._buffer_packet(switch, packet, in_port)
-                return
+        # The flow id (cheap to hash) locates a decision; a hit needs its headers.
+        key = (pipeline, in_port, packet.flow_id)
+        stamp = (pipeline.version, self.topology.link_generation, packet.headers)
+        memo = self._decisions.get(key)
+        if memo is not None and memo[0] == stamp:
+            _, result, egress, lookups = memo
+            # A hit counts the table lookups the pipeline would have made.
+            for table, matched in lookups:
+                table.lookup_count += 1
+                table.matched_count += matched
+        else:
+            result = pipeline.process(packet.headers, in_port)
+            punted = result.to_controller
+            if punted:
+                answer = self._resolve_punt(
+                    switch, in_port, packet.headers, packet.flow_id,
+                    packet.size_bytes, result
+                )
+                if answer is not None:
+                    result = answer
+                elif self.control is not None and not result.outputs:
+                    # Asynchronous control: park the packet like a real
+                    # switch buffers it, released by apply_packet_out.
+                    self._buffer_packet(switch, packet, in_port)
+                    return
+            egress = self._resolve(switch, result.outputs)
+            if not punted:
+                lookups = [(pipeline.tables[t], 1) for t in result.matched_tables]
+                if result.missed_table is not None:
+                    lookups.append((pipeline.tables[result.missed_table], 0))
+                if len(self._decisions) >= _DECISION_MEMO_MAX:
+                    self._decisions.clear()
+                self._decisions[key] = (stamp, result, egress, lookups)
         # Account matched entries (per-packet granularity).
         for entry in result.matched_entries:
             entry.account(packet.size_bytes, 1, now=self.sim.now)
@@ -210,32 +235,13 @@ class PacketLevelEngine(Engine):
             meter = pipeline.meters.get(meter_id)
             if not meter.admit_packet(packet.size_bytes, self.sim.now):
                 self.stats["drops_meter"] += 1
-                if self.trace_bus is not None:
-                    self.trace_bus.emit(
-                        "packet.drop",
-                        reason="meter",
-                        packet=packet.packet_id,
-                        flow=packet.flow_id,
-                    )
+                self._trace_drop(packet, "meter")
                 self._loss_feedback(packet)
                 return
         if not result.outputs:
             self._policy_drop(packet, "policy")
             return
-        self._emit_on_ports(switch, packet, result.outputs)
-
-    @staticmethod
-    def _clone(packet: Packet) -> Packet:
-        return Packet(
-            headers=packet.headers,
-            size_bytes=packet.size_bytes,
-            flow_id=packet.flow_id,
-            src=packet.src,
-            dst=packet.dst,
-            sent_at=packet.sent_at,
-            accumulated_delay=packet.accumulated_delay,
-            hops=packet.hops,
-        )
+        self._emit(packet, egress)
 
     _BUFFER_LIMIT = 16
 
@@ -256,28 +262,36 @@ class PacketLevelEngine(Engine):
             return
         switch = self.topology.switch_by_dpid(message.dpid)
         for packet in parked:
-            self._emit_on_ports(
-                switch,
-                packet,
-                self._packet_out(switch, message.in_port, packet.headers, ports),
-            )
+            outputs = self._packet_out(switch, message.in_port, packet.headers, ports)
+            self._emit(packet, self._resolve(switch, outputs))
 
-    def _emit_on_ports(
-        self,
-        switch: Switch,
-        packet: Packet,
-        outputs: List[Tuple[int, HeaderFields]],
-    ) -> None:
-        first = True
+    def _resolve(
+        self, switch: Switch, outputs: List[Tuple[int, HeaderFields]]
+    ) -> Egress:
+        """The egress of ``(port, headers)`` outputs leaving ``switch``."""
+        egress: Egress = []
         for number, headers in outputs:
             port = switch.ports.get(number)
             if port is None or not port.live:
+                egress.append((None, headers))
+            else:
+                egress.append((self.queue_for(port.link.direction_from(port)), headers))
+        return egress
+
+    def _emit(self, packet: Packet, egress: Egress) -> None:
+        """Send ``packet`` (and a copy per further output) out on
+        ``egress``; a packet of which no copy leaves is lost here."""
+        sent = False
+        for queue, headers in egress:
+            if queue is None:
                 self.stats["drops_no_route"] += 1
                 continue
-            copy = packet if first else self._clone(packet)
-            first = False
+            copy = replace(packet, packet_id=next_packet_id()) if sent else packet
+            sent = True
             copy.headers = headers
-            self.queue_for(port.link.direction_from(port)).enqueue(copy)
+            queue.enqueue(copy)
+        if not sent:
+            self._lost(packet, "no_route")
 
     # ------------------------------------------------------------------
     # Sinks: delivery and drops
@@ -301,14 +315,7 @@ class PacketLevelEngine(Engine):
 
     def _on_congestion_drop(self, packet: Packet, direction: LinkDirection) -> None:
         self.stats["drops_congestion"] += 1
-        if self.trace_bus is not None:
-            self.trace_bus.emit(
-                "packet.drop",
-                reason="congestion",
-                packet=packet.packet_id,
-                flow=packet.flow_id,
-                link=str(direction),
-            )
+        self._trace_drop(packet, "congestion", link=str(direction))
         self._loss_feedback(packet)
 
     def _loss_feedback(self, packet: Packet) -> None:
@@ -316,10 +323,8 @@ class PacketLevelEngine(Engine):
         transport = self.transports.get(packet.flow_id)
         if transport is None:
             return
-        if isinstance(transport, AimdTransport):
-            delay = max(2.0 * packet.accumulated_delay, transport.srtt, 1e-6)
-        else:
-            delay = max(2.0 * packet.accumulated_delay, 1e-6)
+        srtt = transport.srtt if isinstance(transport, AimdTransport) else 0.0
+        delay = max(2.0 * packet.accumulated_delay, srtt, 1e-6)
         self.sim.call_in(delay, self._loss_event, packet)
 
     def _loss_event(self, sim, packet: Packet) -> None:
@@ -333,19 +338,19 @@ class PacketLevelEngine(Engine):
         Real TCP would stall waiting for a timeout here; the oracle gives
         no feedback, so AIMD windows stall exactly the same way.
         """
-        if kind == "loop":
-            self.stats["drops_loop"] += 1
-        elif kind == "no_route":
-            self.stats["drops_no_route"] += 1
-        else:
-            self.stats["drops_policy"] += 1
-        if self.trace_bus is not None:
-            self.trace_bus.emit(
-                "packet.drop",
-                reason=kind,
-                packet=packet.packet_id,
-                flow=packet.flow_id,
-            )
+        self.stats["drops_" + kind] += 1
+        self._lost(packet, kind)
+
+    def _lost(self, packet: Packet, kind: str) -> None:
+        """Charge a dropped packet to its flow's ``bytes_dropped``."""
+        self._trace_drop(packet, kind)
         flow = self.flows.get(packet.flow_id)
         if flow is not None:
             flow.bytes_dropped += packet.size_bytes
+
+    def _trace_drop(self, packet: Packet, reason: str, **extra) -> None:
+        if self.trace_bus is not None:
+            self.trace_bus.emit(
+                "packet.drop", reason=reason, packet=packet.packet_id,
+                flow=packet.flow_id, **extra,
+            )

@@ -39,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: 4: a flow completion carries its due time, and the flow engine the
 #: route counters each flow owes since its last settle.  5: a flow
 #: completion carries the seq reserved for its due time, and an output
-#: queue the seq reserved when its current transmission began.
-SNAPSHOT_VERSION = 5
+#: queue the seq reserved when its current transmission began.  6: the
+#: topology carries its link generation (the flow engine's private link
+#: epoch is gone) and the packet engine its forwarding-decision memo.
+SNAPSHOT_VERSION = 6
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:
