@@ -5,16 +5,14 @@ egress port; the head packet transmits for ``size*8/capacity`` seconds,
 then propagates for the link delay before arriving at the peer node.
 Queue overflow drops the tail (drop-tail discipline).
 
-A packet hop is one kernel event, its arrival: the queue knows when its
-current transmission ends (``_free_at``), so a packet that finds the
-transmitter idle and nobody waiting starts at once and its arrival is
-scheduled then.  Packets that must wait sit in the FIFO behind one
-start event armed at ``_free_at``, which starts the head and re-arms
-while the FIFO is non-empty, so the transmit rate is still sampled at
-the instant each transmission begins.  The start event is pushed under
-the sequence number reserved when the transmission before it began, so
-it breaks ties at ``_free_at`` as a transmission-end event scheduled
-then would.
+A packet hop is one kernel event, its arrival.  At a fixed rate the
+departures are Lindley's recursion, ``start = max(now, free_at)``,
+``free_at = start + tx``: the arrival is scheduled when the packet is
+accepted (so arrivals at one instant fire in acceptance order), and the
+FIFO holds the start instants after ``now``.  With ``capacity_fn`` (the
+hybrid's time-varying residual capacity) the rate is sampled when a
+transmission begins: waiting packets sit behind one start event armed
+at ``free_at`` under the seq reserved when the transmission began.
 """
 
 from __future__ import annotations
@@ -40,14 +38,13 @@ class OutputQueue:
         propagating to the far end.
     on_drop:
         Callback ``(packet, direction)`` for tail drops, packets offered
-        to a down link, and packets lost in flight (the link was down
-        when they would have arrived).
+        to a down link and packets lost in flight (down at arrival).
     capacity_fn:
         Optional ``(direction) -> bps`` override of the transmit rate,
         sampled per packet when its transmission starts.  The hybrid
         engine supplies the *residual* capacity (link rate minus
         flow-level background load) here; when None the direction's
-        configured capacity is used.
+        configured capacity is used and no start events are spent.
     """
 
     __slots__ = (
@@ -85,12 +82,12 @@ class OutputQueue:
         self.on_arrival = on_arrival
         self.on_drop = on_drop
         self.capacity_fn = capacity_fn
-        #: Packets waiting for the transmitter (the one on the wire is
-        #: not here); non-empty exactly while ``_start`` is queued.
-        self._queue: Deque[Packet] = deque()
+        #: The FIFO (the packet on the wire excluded): start instants without
+        #: ``capacity_fn``, else packets, non-empty exactly while ``_start`` is queued.
+        self._queue: Deque = deque()
         self._start = CallbackEvent(0.0, self._on_start)
-        #: When the current (or last) transmission ends, and the seq
-        #: reserved when it began.
+        #: When the last accepted transmission ends, and the seq reserved
+        #: when it began (with ``capacity_fn``).
         self._free_at = 0.0
         self._free_seq = 0
         #: Start of the busy period that ends at ``_free_at``; the busy
@@ -103,29 +100,39 @@ class OutputQueue:
 
     @property
     def depth(self) -> int:
-        return len(self._queue)
+        queue = self._queue
+        if self.capacity_fn is None:
+            now = self.sim.now  # a packet that started by now has left
+            while queue and queue[0] <= now:
+                queue.popleft()
+        return len(queue)
 
     def enqueue(self, packet: Packet) -> bool:
         """Queue a packet for transmission; False when dropped."""
-        if not self.direction.up:
+        now = self.sim.now
+        queue = self._queue
+        limit = self.capacity_packets
+        # depth <= len(queue): passed start instants are popped when it counts.
+        if not self.direction.link.up or len(queue) >= limit and self.depth >= limit:
             self._drop(packet)
             return False
-        queue = self._queue
-        sim = self.sim
-        if queue or self._free_at > sim.now:
-            if len(queue) >= self.capacity_packets:
-                self._drop(packet)
-                return False
+        self.enqueued += 1
+        free_at = self._free_at
+        fixed_rate = self.capacity_fn is None
+        if free_at <= now and (fixed_rate or not queue):
+            # Idle (or freeing now): the last busy period ended at _free_at.
+            self._busy_time += free_at - self._busy_since
+            self._busy_since = now
+            self._transmit(self.sim, packet, now)
+        elif fixed_rate:
+            queue.append(free_at)
+            self._transmit(self.sim, packet, free_at)
+        else:
             queue.append(packet)
             if len(queue) == 1:
-                self._arm(sim)
-        else:
-            # The transmitter is idle (or frees at this instant): its
-            # last busy period ended at _free_at and a new one starts now.
-            self._busy_time += self._free_at - self._busy_since
-            self._busy_since = sim.now
-            self._transmit(sim, packet)
-        self.enqueued += 1
+                # The FIFO was empty, so the start event is not queued.
+                self._start.time = free_at
+                self.sim.schedule(self._start, seq=self._free_seq)
         return True
 
     def _drop(self, packet: Packet) -> None:
@@ -135,30 +142,23 @@ class OutputQueue:
 
     def _on_start(self, sim: Simulator) -> None:
         queue = self._queue
-        self._transmit(sim, queue.popleft())
+        self._transmit(sim, queue.popleft(), sim.now)
         if queue:
-            self._arm(sim)
+            self._start.time = self._free_at
+            sim.schedule(self._start, seq=self._free_seq)
 
-    def _arm(self, sim: Simulator) -> None:
-        # The start event is never queued here (the FIFO was empty, or
-        # it is firing), so it is re-stamped and pushed as it stands.
-        start = self._start
-        start.time = self._free_at
-        sim.schedule(start, seq=self._free_seq)
-
-    def _transmit(self, sim: Simulator, packet: Packet) -> None:
-        """Start ``packet`` now and schedule its arrival."""
-        direction = self.direction
+    def _transmit(self, sim: Simulator, packet: Packet, start: float) -> None:
+        """Transmit ``packet`` from ``start`` on; schedule its arrival."""
+        link = self.direction.link  # plain attributes: no property call per hop
         capacity_fn = self.capacity_fn
-        rate = (
-            direction.capacity_bps
-            if capacity_fn is None
-            else capacity_fn(direction)
-        )
+        if capacity_fn is None:
+            rate = link.capacity_bps
+        else:
+            rate = capacity_fn(self.direction)
+            self._free_seq = sim.reserve()
         tx_time = packet.size_bytes * 8.0 / rate
-        delay = direction.delay_s
-        self._free_at = sim.now + tx_time
-        self._free_seq = sim.reserve()
+        delay = link.delay_s
+        self._free_at = start + tx_time
         sim.call_at(
             self._free_at + delay, self._on_arrival, packet, delay + tx_time
         )
@@ -175,7 +175,7 @@ class OutputQueue:
         # transmission started must not inherit this hop).
         packet.accumulated_delay += hop_delay
         packet.hops += 1
-        if not direction.up:
+        if not direction.link.up:
             # Lost in flight: the link was cut before the packet arrived.
             self._drop(packet)
             return
@@ -185,7 +185,7 @@ class OutputQueue:
         self.on_arrival(packet, dst_port)
 
     def _busy(self) -> bool:
-        return bool(self._queue) or self.sim.now < self._free_at
+        return self.depth > 0 or self.sim.now < self._free_at
 
     @property
     def busy_time(self) -> float:

@@ -42,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: queue the seq reserved when its current transmission began.  6: the
 #: topology carries its link generation (the flow engine's private link
 #: epoch is gone) and the packet engine its forwarding-decision memo.
-SNAPSHOT_VERSION = 6
+#: 7: an output queue without ``capacity_fn`` keeps the start instants
+#: of its waiting packets (their arrivals are scheduled), not the packets.
+SNAPSHOT_VERSION = 7
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

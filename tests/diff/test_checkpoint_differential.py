@@ -11,7 +11,7 @@ an uninterrupted execution of the same scenario.
 import glob
 import os
 
-from repro import Flow, Horse
+from repro import Flow, Horse, HorseConfig
 from repro.net.generators import linear
 from repro.openflow.headers import tcp_flow
 from repro.runtime import load_checkpoint, save_checkpoint
@@ -212,6 +212,46 @@ class TestCheckpointRoundTrip:
         assert first.time < first.due == second.time
         assert first.due_seq < second.seq
         assert _fingerprint(restored, restored.run(until=1.0)) == want
+
+    def test_packet_snapshot_while_packets_wait_in_a_queue(self, tmp_path):
+        """Two flows overload a packet-engine link, so its queue holds
+        the start instants of packets whose arrivals are already
+        scheduled.  A snapshot taken then resumes into the uninterrupted
+        run's digest, flows, engine stats and port / entry counters."""
+
+        def build():
+            reset_id_counters()
+            topo = linear(2, hosts_per_switch=2, capacity_bps=8e6)
+            horse = Horse(
+                topo,
+                policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
+                config=HorseConfig(engine="packet", seed=3),
+            )
+            horse.submit_flows([
+                Flow(headers=tcp_flow(topo.host(src).ip, topo.host(dst).ip, 5000 + i, 80),
+                     src=src, dst=dst, demand_bps=6e6, size_bytes=100_000)
+                for i, (src, dst) in enumerate((("h1", "h3"), ("h2", "h4")))
+            ])
+            return horse
+
+        def finish(horse):
+            result = horse.run(until=1.0)
+            return (_fingerprint(horse, result), run_digest(result),
+                    _counters(horse.topology))
+
+        plain = build()
+        plain.run(until=0.1)
+        want = finish(plain)
+        assert [row[1] for row in want[0]["flows"]] == ["COMPLETED"] * 2
+
+        path = str(tmp_path / "queued.ckpt")
+        source = build()
+        source.run(until=0.1)
+        save_checkpoint(source, path)
+        restored = load_checkpoint(path)
+        waiting = [queue.depth for queue in restored.engine._queues.values()]
+        assert max(waiting) > 1
+        assert finish(restored) == want
 
     def test_hybrid_segmented_round_trip_identical(self, tmp_path):
         """The hybrid engine's full coupled state — packet queues and

@@ -1,4 +1,4 @@
-"""``tools/bench_pairs.py``: the paired-run verdict on canned samples."""
+"""``tools/bench_pairs.py`` and ``tools/bench_ledger.py`` on canned samples."""
 
 import importlib.util
 import os
@@ -69,3 +69,49 @@ def test_unpaired_or_single_samples_are_refused():
         verdict([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         verdict([1.0], [1.0], "lower")
+
+
+def _entry(wall_s, digest):
+    return {"end_to_end": {"wall_s": wall_s, "fct_acc_hybrid": None},
+            "info": {"run_digest": digest}}
+
+
+def test_seed_rows_keep_every_run_and_the_digests_seen():
+    sides = {"parent": [_entry(p, "aa") for p in PARENT],
+             "change": [_entry(p * 0.6, "bb") for p in PARENT]}
+    rows = bench_pairs.seed_rows(
+        sides, {"wall_s": "lower", "fct_acc_hybrid": "higher"}
+    )
+    assert rows["verdicts"]["wall_s"]["verdict"] == "gain"
+    assert rows["verdicts"]["fct_acc_hybrid"] is None  # not measured
+    assert [run["wall_s"] for run in rows["runs"]["parent"]] == PARENT
+    assert rows["run_digest"] == {"parent": ["aa"], "change": ["bb"]}
+
+
+def test_ledger_entry_puts_both_sides_and_the_pairs_side_by_side():
+    spec = importlib.util.spec_from_file_location(
+        "bench_ledger", os.path.join(ROOT, "tools", "bench_ledger.py")
+    )
+    bench_ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ledger)
+
+    def report(wall_s, events, digest):
+        return {"env": {"calibration_score": 1.5}, "seed": 11, "workloads": {
+            "packet_reference": {"end_to_end": {"wall_s": wall_s},
+                                 "per_layer": {"sim.events": events},
+                                 "info": {"run_digest": digest}}}}
+
+    sides = {"parent": [_entry(p, "aa") for p in PARENT],
+             "change": [_entry(p * 0.6, "bb") for p in PARENT]}
+    rows = bench_pairs.seed_rows(sides, {"wall_s": "lower"})
+    pairs = {"workload": "packet_reference", "seeds": {"11": rows}}
+    entry = bench_ledger.entry(
+        7, "title", {"parent": report(2.0, 303, "aa"), "change": report(1.5, 221, "bb")},
+        [pairs],
+    )
+    workload = entry["workloads"]["packet_reference"]
+    assert workload["end_to_end"]["wall_s"] == {"parent": 2.0, "change": 1.5}
+    assert workload["per_layer"]["sim.events"] == {"parent": 303, "change": 221}
+    assert workload["run_digest"] == {"parent": "aa", "change": "bb"}
+    assert workload["pairs"][0]["11"]["verdicts"]["wall_s"]["wins"] == 10
+    assert entry["env"]["change"]["calibration_score"] == 1.5

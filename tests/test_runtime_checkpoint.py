@@ -113,6 +113,21 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="snapshot version 1 is older"):
             load_checkpoint(path)
 
+    def test_version_6_packet_snapshot_rejected(self, tmp_path):
+        """Layout 6 kept waiting packets in an output queue's FIFO behind
+        a start event; layout 7 keeps their start instants, so a queue
+        resumed from 6 would compare a packet with a time mid-run.
+        Resuming refuses it up front."""
+        horse = small_horse(engine="packet")
+        horse.run(until=0.3)
+        snapshot = SimulationSnapshot.capture(horse)
+        snapshot.version = 6
+        path = str(tmp_path / "v6.ckpt")
+        write_checkpoint(snapshot, path)
+        assert read_checkpoint_header(path)["snapshot_version"] == 6
+        with pytest.raises(CheckpointError, match="snapshot version 6 is older"):
+            load_checkpoint(path)
+
 
 class TestSnapshotSemantics:
     def test_new_flow_ids_do_not_collide_after_restore(self, tmp_path):

@@ -1,7 +1,7 @@
 """Interleaved parent/change pairs of one horsebench workload.
 
     python3 tools/bench_pairs.py --parent ../parent --workload pod_hotpath \\
-        [--change .] [--seeds 11 12] [--pairs 10]
+        [--change .] [--seeds 11 12] [--pairs 10] [--json PATH]
 
 For each seed, runs ``--pairs`` pairs of the benchmark as its driver
 runs it (``benchmarks/horsebench/run.py --workload W --seed S --seconds
@@ -13,6 +13,8 @@ only when one side wins at least nine tenths of all pairs run, ties
 counting for neither, and the medians differ by more than the distance
 between the parent's own quartiles.  A ``run_digest`` that differs
 between the sides is flagged: the change altered simulated results.
+``--json`` also writes those rows, per seed, with every run's
+end-to-end figures and digest (``tools/bench_ledger.py`` reads it).
 
 Both checkouts must sit on one filesystem: an unmodified copy of
 ``src/`` on another mount imported 0.08 s slower (``setup_s`` +22 % with
@@ -28,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 from statistics import quantiles
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "horsebench", "run.py")
@@ -84,20 +86,42 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
             return json.load(handle)["workloads"][workload]
 
 
-def print_seed(seed: int, sides: Dict[str, List[dict]], better: Dict[str, str]) -> None:
-    print(f"seed {seed}: {len(sides['parent'])} pairs")
-    print(f"  {'metric':17s} {'parent median [q1, q3]':>32s} "
-          f"{'change median [q1, q3]':>32s} {'wins/ties/pairs':>15s} "
-          f"{'change/parent':>13s}  verdict")
+def seed_rows(sides: Dict[str, List[dict]], better: Dict[str, str]) -> dict:
+    """One seed's verdict per end-to-end metric (None where the workload
+    does not measure it), each run's figures and the digests seen."""
+    verdicts: Dict[str, Optional[dict]] = {}
     for metric, direction in better.items():
         samples = {
             side: [entry["end_to_end"][metric] for entry in entries]
             for side, entries in sides.items()
         }
-        if any(value is None for values in samples.values() for value in values):
+        measured = all(v is not None for values in samples.values() for v in values)
+        verdicts[metric] = (
+            verdict(samples["parent"], samples["change"], direction)
+            if measured else None
+        )
+    runs = {
+        side: [dict(entry["end_to_end"], run_digest=entry["info"]["run_digest"])
+               for entry in entries]
+        for side, entries in sides.items()
+    }
+    return {
+        "verdicts": verdicts,
+        "runs": runs,
+        "run_digest": {side: sorted({str(run["run_digest"]) for run in side_runs})
+                       for side, side_runs in runs.items()},
+    }
+
+
+def print_seed(seed: int, rows: dict) -> None:
+    print(f"seed {seed}: {len(rows['runs']['parent'])} pairs")
+    print(f"  {'metric':17s} {'parent median [q1, q3]':>32s} "
+          f"{'change median [q1, q3]':>32s} {'wins/ties/pairs':>15s} "
+          f"{'change/parent':>13s}  verdict")
+    for metric, v in rows["verdicts"].items():
+        if v is None:
             print(f"  {metric:17s} not measured on this workload")
             continue
-        v = verdict(samples["parent"], samples["change"], direction)
         shown = {
             side: "{:.6g} [{:.6g}, {:.6g}]".format(*v[side])
             for side in ("parent", "change")
@@ -106,10 +130,7 @@ def print_seed(seed: int, sides: Dict[str, List[dict]], better: Dict[str, str]) 
         print(f"  {metric:17s} {shown['parent']:>32s} {shown['change']:>32s} "
               f"{v['wins']:>7d}/{v['ties']}/{v['pairs']:<5d} {ratio:>13s}  "
               f"{v['verdict']} (gap {v['gap']:.4g} vs parent IQR {v['parent_iqr']:.4g})")
-    digests = {
-        side: sorted({str(entry["info"]["run_digest"]) for entry in entries})
-        for side, entries in sides.items()
-    }
+    digests = rows["run_digest"]
     changed = digests["parent"] != digests["change"]
     print(f"  run_digest {'CHANGED' if changed else 'same'}: "
           f"parent {[d[:12] for d in digests['parent']]} "
@@ -125,6 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", metavar="PATH", help="also write the per-seed rows")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": os.path.abspath(args.parent),
@@ -141,6 +163,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
 
     correct = True
+    written = {"workload": args.workload, "checkouts": checkouts, "seeds": {}}
     for seed in args.seeds:
         sides: Dict[str, List[dict]] = {"parent": [], "change": []}
         for pair in range(args.pairs):
@@ -152,7 +175,13 @@ def main(argv=None) -> int:
                 print(f"seed {seed} pair {pair + 1} {side:6s} "
                       f"wall_s {entry['end_to_end']['wall_s']!s:.6} "
                       f"correct={entry['correct']}", flush=True)
-        print_seed(seed, sides, better)
+        rows = seed_rows(sides, better)
+        print_seed(seed, rows)
+        written["seeds"][str(seed)] = rows
+        if args.json:  # rewritten per seed: a cut-short run keeps what it measured
+            with open(args.json, "w") as handle:
+                json.dump(written, handle, indent=1, sort_keys=True)
+                handle.write("\n")
     return 0 if correct else 1
 
 
