@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import Horse, HorseConfig, RunResult
 from repro.flowsim import Flow
@@ -136,6 +137,23 @@ def run_engine(
         solve_from_scratch(horse.engine)
     horse.submit_flows(flows)
     return horse.run(until=until)
+
+
+#: Timed runs per E1 / E2 point: one run on a shared box varied up to 3x.
+REPEATS = 3
+
+
+def median_run(build: Callable[[], tuple], engine: str, until: float):
+    """Run the workload ``build()`` returns (``(fabric, flows)``, built
+    afresh for every run: a run consumes its flows) ``REPEATS`` times on
+    ``engine``.  Returns the last build, the last result and the median
+    wall time; everything but the wall time is the same in every run."""
+    walls = []
+    for _ in range(REPEATS):
+        fabric, flows = build()
+        result = run_engine(fabric, flows, engine=engine, until=until)
+        walls.append(result.wall_time_s)
+    return fabric, flows, result, statistics.median(walls)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ from .blackhole import BlackholeApp
 from .firewall import AclRule, FirewallApp, allow, deny
 from .l2_learning import L2LearningApp
 from .load_balancer import EcmpLoadBalancerApp, ReactiveLoadBalancerApp
-from .mirror import MirrorApp, MirrorRule
 from .path_protection import PathProtectionApp
 from .rate_limiter import RateLimit, RateLimiterApp
 from .shortest_path import ShortestPathApp
@@ -19,8 +18,6 @@ __all__ = [
     "EcmpLoadBalancerApp",
     "FirewallApp",
     "L2LearningApp",
-    "MirrorApp",
-    "MirrorRule",
     "PathProtectionApp",
     "PeeringRule",
     "RateLimit",

@@ -1,7 +1,7 @@
 """Flow-level data-plane engine (Horse's core abstraction)."""
 
 from .engine import FlowLevelEngine
-from .fairshare import FlowDemand, IncrementalSolver, solve
+from .fairshare import FlowDemand, IncrementalSolver
 from .flow import Flow, FlowRoute, FlowState, Terminal
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "FlowState",
     "IncrementalSolver",
     "Terminal",
-    "solve",
 ]

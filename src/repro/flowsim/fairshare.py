@@ -6,26 +6,23 @@ together until a link saturates or a flow hits its demand; saturated
 flows freeze; repeat.  This is the fluid model that lets Horse advance
 in flow events instead of packet events.
 
-The module has one kernel, :func:`solve_arrays` (vectorized
-demand-capped filling over a flow-link incidence list), and two ways
-to reach it:
+The module has one kernel, :func:`_fill` (vectorized demand-capped
+filling over a flow-link incidence list), and one way to reach it,
+:class:`IncrementalSolver`: a stateful solver that keeps the *exact*
+component partition across flow arrivals/departures/re-routes, each
+component's kernel inputs and last reported rates resident as columns
+(:class:`_Columns`, the only copy of either), re-runs the kernel only
+on *dirty* components that are not provably *settled* (no link
+saturates: every flow at its demand), and reports by difference: the
+rates that moved and the load of every link it touched.
 
-* :func:`solve` — full solve: partition the flows into link-sharing
-  components and run the kernel on fresh columns of each.  Components
-  are independent under max-min fairness, so this is exact.
-* :class:`IncrementalSolver` — stateful solver that keeps the *exact*
-  component partition across flow arrivals/departures/re-routes, each
-  component's kernel inputs and last reported rates resident as columns
-  (:class:`_Columns`, the only copy of either), re-runs the kernel only
-  on *dirty* components that are not provably *settled* (no link
-  saturates: every flow at its demand), and reports by difference: the
-  rates that moved and the load of every link it touched.
-
-Because full and incremental solves run the **same kernel on the same
-per-component rows in the same order**, their results are bitwise
-identical — the property the differential suite (``tests/diff``)
-asserts, and checks against a different algorithm besides (the textbook
-scalar loop, ``tests/diff/reference.py``).
+The tests hold the references (``tests/diff/reference.py``): a
+from-scratch solve that partitions the live flows and runs the same
+kernel on fresh columns of each part (bitwise equal, since components
+are independent under max-min fairness and each sees the same rows in
+the same order), the textbook scalar loop (a different algorithm), and
+a max-min certificate that every flow-engine resolve in the suite
+checks itself against (``tests/diff/certificate.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from bisect import bisect_left
 from heapq import merge
 from itertools import count
 from operator import itemgetter
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -165,8 +162,8 @@ def _partition(flows: Sequence[FlowDemand]) -> List[List[FlowDemand]]:
 
 
 class _Columns:
-    """One component's flows as columns: the :func:`solve_arrays`
-    inputs, and the rate last reported for each flow.
+    """One component's flows as columns: the :func:`_fill` inputs,
+    and the rate last reported for each flow.
 
     Rows follow the component's flow order; links are numbered locally.
     The numbering does not reach the result (``bincount`` accumulates
@@ -267,7 +264,7 @@ class _Columns:
         out.rows, out.pairs = order.size, pairs
         return out
 
-    def solve(
+    def fill(
         self, capacities: Mapping[Hashable, float], epoch: int = 0
     ) -> Tuple[np.ndarray, Optional[tuple]]:
         """:func:`_fill` on the rows.  ``epoch`` names the state of
@@ -309,85 +306,6 @@ class _Columns:
         ).tolist()
 
 
-def solve(
-    flows: Iterable[FlowDemand], capacities: Mapping[Hashable, float]
-) -> Dict[Hashable, float]:
-    """Compute max-min fair rates (full solve).
-
-    Parameters
-    ----------
-    flows:
-        The competing flows.  Flows with no links are granted their full
-        demand (they traverse nothing that can be congested).
-    capacities:
-        Capacity in bps for every link key referenced by the flows.
-
-    Returns
-    -------
-    dict
-        flow_id -> allocated rate (bps).
-
-    Examples
-    --------
-    >>> a = FlowDemand("a", 10.0, ["l"])
-    >>> b = FlowDemand("b", 10.0, ["l"])
-    >>> solve([a, b], {"l": 10.0})
-    {'a': 5.0, 'b': 5.0}
-    """
-    alloc: Dict[Hashable, float] = {}
-    constrained: List[FlowDemand] = []
-    for flow in flows:
-        if flow.is_free():
-            alloc[flow.flow_id] = flow.demand_bps
-        else:
-            constrained.append(flow)
-    # The kernel on fresh columns of each component, its flows in order:
-    # incremental solves run it on the same rows, so the bits agree.
-    for component in _partition(constrained):
-        columns = _Columns(len(component))
-        for flow in component:
-            columns.append(flow)
-        rates = columns.solve(capacities)[0].tolist()
-        alloc.update(zip([flow.flow_id for flow in component], rates))
-    return alloc
-
-
-def solve_arrays(
-    demand: np.ndarray,
-    link_capacity: np.ndarray,
-    flow_of: np.ndarray,
-    link_of: np.ndarray,
-    weight: np.ndarray = None,
-    pinned: np.ndarray = None,
-) -> np.ndarray:
-    """Vectorized progressive filling over a flow-link incidence list.
-
-    Parameters
-    ----------
-    demand:
-        Demand cap per flow, shape (F,).
-    link_capacity:
-        Capacity per link, shape (L,).
-    flow_of / link_of:
-        Parallel arrays of the incidence pairs: entry k says flow
-        ``flow_of[k]`` crosses link ``link_of[k]``.
-    pinned:
-        Optional boolean mask, shape (F,).  Pinned flows receive their
-        demand outright; their draw is removed from the link budgets
-        (floored at zero) before progressive filling starts.
-
-    Returns
-    -------
-    np.ndarray
-        Max-min fair allocation per flow, shape (F,).
-    """
-    if demand.size == 0:
-        return np.zeros(0)
-    if weight is None:
-        weight = np.ones(demand.size)
-    return _fill(demand, weight, pinned, flow_of, link_of, *_link_terms(link_capacity))[0]
-
-
 def _link_terms(link_capacity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """What a solve derives from the link capacities alone: them as
     floats, and each link's saturation slack - relative to the
@@ -405,7 +323,9 @@ def _fill(
     capacity: np.ndarray,
     sat_eps: np.ndarray,
 ) -> Tuple[np.ndarray, Optional[tuple]]:
-    """:func:`solve_arrays` on prepared link terms (and a weight), and
+    """Progressive filling on prepared link terms: the rate of every
+    row (``flow_of`` / ``link_of`` are the parallel arrays of its
+    flow-link pairs; ``pinned`` rows take their demand off the top), and
     the first round's ``(weight sums, level)`` when it filled every row
     from nothing to exactly its demand (else None; see :class:`_Component`)."""
     num_flows, num_links = int(demand.size), int(capacity.size)
@@ -624,8 +544,8 @@ class IncrementalSolver:
     from the route's surviving links finds them no longer joined
     (:meth:`_Component.joined`).  :meth:`resolve` runs the kernel on each component touched
     since the last resolve, alone and in insertion order, so its rates
-    are bitwise those of a from-scratch :func:`solve` (a settled one
-    keeps its demands: :class:`_Component`); untouched components keep
+    are bitwise those of a from-scratch solve (a settled one keeps its
+    demands: :class:`_Component`); untouched components keep
     their cached — equally exact — rates.  Exactness is
     what makes that hold: solving two disconnected sets as one would
     change the arithmetic, not only the scope.
@@ -871,26 +791,17 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def resolve(
-        self, capacities: Mapping[Hashable, float], full: bool = False
-    ) -> Dict[Hashable, float]:
+    def resolve(self, capacities: Mapping[Hashable, float]) -> Dict[Hashable, float]:
         """Re-solve dirty components; returns flow_id -> rate for the
         flows whose rate moved (see the class docstring) and publishes
         :attr:`last_loads`, :attr:`last_touched_links` and
         :attr:`last_scope` (flows re-solved, moved or not).  A capacity
         is read again only after :meth:`touch_link`: a component keeps
-        the capacities of its links from one solve to the next.  With
-        ``full=True`` every component is re-solved and the rates come
-        from partitioning the live flows from scratch and solving each
-        part on fresh columns, store and resident columns unused (the
-        reference mode the differential suite compares against —
-        identical results, no reuse); they are then reported through
-        the same difference.
+        the capacities of its links from one solve to the next.
         """
         self.stats["resolves"] += 1
         touched = self._dirty_links
-        # Store upkeep, whichever way the rates are computed: every
-        # dirty component becomes exact.
+        # Store upkeep: every dirty component becomes exact.
         components: List[_Component] = []
         for component in self._dirty:
             component.dirty = False
@@ -899,16 +810,12 @@ class IncrementalSolver:
                     self._split(component) if component.may_split else (component,)
                 )
         flow_of = self._flows
-        if full:
-            components = self._components()
-            scratch = solve(flow_of.values(), capacities)
         # Insertion order keeps the returned dict (and therefore the
         # order rates are applied in) independent of set hashing: free
         # flows first, then components oldest member first, as a
         # from-scratch partition orders them.  The order decides
         # reporting, never a value.
-        free = sorted(self._free if full else self._dirty_free,
-                      key=self._seq.__getitem__)
+        free = sorted(self._dirty_free, key=self._seq.__getitem__)
         components.sort(key=lambda component: component.seqs[0])
         moved: Dict[Hashable, float] = {}
         loads: Dict[Hashable, float] = {}
@@ -921,15 +828,11 @@ class IncrementalSolver:
         settled, epoch = 0, self._capacity_epoch
         for component in components:
             touched.update(component.link_routes)
-            flows = component.flows
-            scope += len(flows)
-            if full:
-                fresh = np.array([scratch[flow.flow_id] for flow in flows])
-                component.settle(None)
-            elif (fresh := component.settled(capacities, epoch)) is not None:
+            scope += len(component.flows)
+            if (fresh := component.settled(capacities, epoch)) is not None:
                 settled += 1
             else:
-                fresh, first = component.columns.solve(capacities, epoch)
+                fresh, first = component.columns.fill(capacities, epoch)
                 component.settle(first)
             component.report(fresh, moved, loads)
         self._dirty = []

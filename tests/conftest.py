@@ -1,4 +1,5 @@
-"""Shared fixtures: small topologies with attached pipelines."""
+"""Shared fixtures: small topologies with attached pipelines, and the
+max-min certificate every flow-engine resolve checks itself against."""
 
 from __future__ import annotations
 
@@ -6,9 +7,73 @@ import random
 
 import pytest
 
+from repro.flowsim import FlowLevelEngine
 from repro.net.generators import fat_tree, linear, single_switch
 from repro.openflow import ApplyActions, Match, Output, attach_pipeline
 from repro.sim import Simulator
+
+from diff.certificate import engine_violations
+
+#: Above this many live solver flows the certificate checks every
+#: ``_CERTIFY_EVERY``-th resolve only.
+_CERTIFY_ALL_UP_TO = 300
+_CERTIFY_EVERY = 50
+
+#: The session's tally: resolves checked, resolves that broke the
+#: certificate, and the tests that opted out.
+_TALLY = pytest.StashKey[dict]()
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "no_certificate: the test builds a state that is not max-min on "
+        "purpose; its flow-engine resolves are not checked",
+    )
+    config.stash[_TALLY] = {"resolves": 0, "violations": 0, "opted_out": []}
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    tally = config.stash[_TALLY]
+    if tally["resolves"] or tally["opted_out"]:
+        terminalreporter.write_line(
+            f"max-min certificate: {tally['resolves']} flow-engine resolves "
+            f"checked, {tally['violations']} violations; "
+            f"opted out: {', '.join(tally['opted_out']) or 'none'}"
+        )
+
+
+@pytest.fixture(autouse=True)
+def maxmin_certificate(request, monkeypatch):
+    """Check every flow-engine resolve of the test against the max-min
+    certificate (``tests/diff/certificate.py``); a violation fails the
+    test at teardown, with the first ones found."""
+    tally = request.config.stash[_TALLY]
+    if request.node.get_closest_marker("no_certificate") is not None:
+        tally["opted_out"].append(request.node.nodeid)
+        yield
+        return
+    recompute = FlowLevelEngine._recompute_indexed
+    found = []
+    resolves = 0
+
+    def certified(engine, now):
+        nonlocal resolves
+        recompute(engine, now)
+        resolves += 1
+        if len(engine._solver._flows) > _CERTIFY_ALL_UP_TO and resolves % _CERTIFY_EVERY:
+            return
+        tally["resolves"] += 1
+        broken = engine_violations(engine)
+        if broken:
+            tally["violations"] += 1
+            found.append(f"t={now}: " + "; ".join(broken[:3]))
+
+    monkeypatch.setattr(FlowLevelEngine, "_recompute_indexed", certified)
+    yield
+    if found:
+        pytest.fail(f"max-min certificate broken at {len(found)} resolve(s): "
+                    + " | ".join(found[:3]), pytrace=False)
 
 
 @pytest.fixture

@@ -1,14 +1,24 @@
-"""Test-side oracles: the textbook progressive-filling loop, the
-flow engine's three reference paths, the two-event output queue and the
-sorted-list pending-event set.
+"""Test-side oracles: the from-scratch solve, the textbook
+progressive-filling loop, the flow engine's three reference paths, the
+two-event output queue and the sorted-list pending-event set.
+
+:func:`solve` and :func:`solve_arrays` are the from-scratch ways into
+the product's kernel (``repro.flowsim.fairshare._fill``), moved here
+from ``fairshare.py`` when ``IncrementalSolver`` became the product's
+only way: ``solve`` partitions the flows into link-sharing components
+and fills each on fresh columns, so it is bitwise what the incremental
+solver answers; ``solve_arrays`` fills one incidence list as it is.
+:func:`resolve_from_scratch` is the solver's former ``full`` resolve:
+the rates of every live flow from ``solve``, reported through the
+solver's own difference.
 
 :func:`solve_scalar` is the scalar kernel ``repro.flowsim.fairshare``
-shipped until the vectorised :func:`~repro.flowsim.fairshare.solve_arrays`
-became the only one, moved here verbatim.  It freezes one demand level
-per iteration where the product kernel caps demands in bulk, so the two
-round differently: on heterogeneous demands they agree to a few ulp
-(1.3e-15 relative measured over the benchmark workloads), not bitwise.
-The differential tests compare at ``rel=1e-9``.
+shipped until the vectorised one became the only one, moved here
+verbatim.  It freezes one demand level per iteration where the product
+kernel caps demands in bulk, so the two round differently: on
+heterogeneous demands they agree to a few ulp (1.3e-15 relative
+measured over the benchmark workloads), not bitwise.  The differential
+tests compare at ``rel=1e-9``.
 
 :func:`solve_from_scratch` and :func:`without_route_cache` turn a built
 flow engine into a reference run: every event re-solves every component
@@ -41,18 +51,79 @@ import bisect
 import functools
 import types
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import (
+    Callable, Deque, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence,
+)
 
 import numpy as np
 
 from repro.flowsim.events import FlowCompletion
-from repro.flowsim.fairshare import FlowDemand, demand_eps, saturation_eps
+from repro.flowsim.fairshare import (
+    FlowDemand,
+    IncrementalSolver,
+    _Columns,
+    _fill,
+    _link_terms,
+    _partition,
+    demand_eps,
+    saturation_eps,
+)
 from repro.flowsim.flow import FlowState
 from repro.net.link import LinkDirection
 from repro.pktsim.packet import Packet
 from repro.sim.event import Event
 from repro.sim.kernel import Simulator
 from repro.sim.queue import Entry
+
+
+def solve(
+    flows: Iterable[FlowDemand], capacities: Mapping[Hashable, float]
+) -> Dict[Hashable, float]:
+    """Max-min fair rates (flow_id -> bps) from scratch: flows with no
+    links (or no demand) get their demand, the rest are partitioned
+    into link-sharing components and each is filled on fresh columns,
+    its flows in order.  The incremental solver fills the same rows, so
+    the bits agree.
+
+    >>> a = FlowDemand("a", 10.0, ["l"])
+    >>> b = FlowDemand("b", 10.0, ["l"])
+    >>> solve([a, b], {"l": 10.0})
+    {'a': 5.0, 'b': 5.0}
+    """
+    alloc: Dict[Hashable, float] = {}
+    constrained: List[FlowDemand] = []
+    for flow in flows:
+        if flow.is_free():
+            alloc[flow.flow_id] = flow.demand_bps
+        else:
+            constrained.append(flow)
+    for component in _partition(constrained):
+        columns = _Columns(len(component))
+        for flow in component:
+            columns.append(flow)
+        rates = columns.fill(capacities)[0].tolist()
+        alloc.update(zip([flow.flow_id for flow in component], rates))
+    return alloc
+
+
+def solve_arrays(
+    demand: np.ndarray,
+    link_capacity: np.ndarray,
+    flow_of: np.ndarray,
+    link_of: np.ndarray,
+    weight: np.ndarray = None,
+    pinned: np.ndarray = None,
+) -> np.ndarray:
+    """The kernel on one flow-link incidence list, unpartitioned: entry
+    k of ``flow_of`` / ``link_of`` says flow ``flow_of[k]`` crosses link
+    ``link_of[k]``.  Pinned flows (optional boolean mask) receive their
+    demand outright; their draw leaves the link budgets (floored at
+    zero) before filling starts.  Returns the rate per flow."""
+    if demand.size == 0:
+        return np.zeros(0)
+    if weight is None:
+        weight = np.ones(demand.size)
+    return _fill(demand, weight, pinned, flow_of, link_of, *_link_terms(link_capacity))[0]
 
 
 def solve_scalar(
@@ -65,12 +136,65 @@ def solve_scalar(
     return solve_component_scalar(list(flows), capacities)
 
 
+def resolve_from_scratch(
+    solver: IncrementalSolver, capacities: Mapping[Hashable, float]
+) -> Dict[Hashable, float]:
+    """``solver.resolve(capacities)`` with every rate from :func:`solve`
+    over all live flows, store and resident columns unused for them:
+    every component counts as re-solved and none settles.  The store
+    upkeep (splits), the report by difference and the published state
+    are the solver's own, so the answer must be bitwise the same."""
+    solver.stats["resolves"] += 1
+    touched = solver._dirty_links
+    for component in solver._dirty:
+        component.dirty = False
+        if component.flows and component.may_split:
+            solver._split(component)
+    flow_of = solver._flows
+    scratch = solve(flow_of.values(), capacities)
+    components = sorted(solver._components(), key=lambda component: component.seqs[0])
+    moved: Dict[Hashable, float] = {}
+    loads: Dict[Hashable, float] = {}
+    last_free = solver._free
+    for flow_id in sorted(last_free, key=solver._seq.__getitem__):
+        rate = flow_of[flow_id].demand_bps
+        if rate != last_free[flow_id]:
+            moved[flow_id] = last_free[flow_id] = rate
+    scope = len(last_free)
+    for component in components:
+        touched.update(component.link_routes)
+        scope += len(component.flows)
+        component.settle(None)
+        component.report(
+            np.array([scratch[flow.flow_id] for flow in component.flows]), moved, loads
+        )
+    solver._dirty = []
+    solver._dirty_free = set()
+    solver._dirty_links = set()
+    solver.last_scope = scope
+    solver.last_touched_links = touched
+    solver.last_loads = loads
+    solver.stats["component_solves"] += len(components)
+    solver.stats["flows_resolved"] += scope
+    solver.stats["rates_moved"] += len(moved)
+    if solver.trace_bus is not None:
+        solver.trace_bus.emit(
+            "solver.resolve",
+            components_solved=len(components),
+            components_settled=0,
+            components_cached=0,
+            flows=scope,
+            moved=len(moved),
+        )
+    return moved
+
+
 def solve_from_scratch(engine):
     """Make a built flow engine re-solve every component from scratch at
-    every event (``IncrementalSolver.resolve(..., full=True)``): fresh
-    partition, fresh columns, the same kernel.  Returns ``engine``."""
+    every event (:func:`resolve_from_scratch`): fresh partition, fresh
+    columns, the same kernel.  Returns ``engine``."""
     solver = engine._solver
-    solver.resolve = functools.partial(type(solver).resolve, solver, full=True)
+    solver.resolve = functools.partial(resolve_from_scratch, solver)
     return engine
 
 
@@ -161,7 +285,7 @@ def _eager_schedule_completion(self, flow):
 
 
 def as_arrays(flows, capacities):
-    """``solve_arrays`` inputs for ``flows`` over the sorted link keys."""
+    """:func:`solve_arrays` inputs for ``flows`` over the sorted link keys."""
     names = sorted(capacities)
     link_index = {name: i for i, name in enumerate(names)}
     flow_of = [i for i, flow in enumerate(flows) for _ in flow.links]

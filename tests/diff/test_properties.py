@@ -6,10 +6,11 @@ satisfy:
 1. feasibility: no link direction carries more than its capacity;
 2. demand caps: no flow exceeds its own demand;
 3. optimality: every flow held below its demand is blocked by at least
-   one saturated link (otherwise its rate could rise, contradicting
-   max-min fairness).
+   one saturated link on which no unpinned flow has a higher share
+   (otherwise its rate could rise, contradicting max-min fairness);
+   the max-min certificate (``certificate.py``) states this one.
 
-Both the stateless :func:`solve` and the stateful
+Both the from-scratch :func:`.reference.solve` and the stateful
 :class:`IncrementalSolver` must satisfy them, and must agree bitwise.
 """
 
@@ -18,7 +19,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flowsim.fairshare import FlowDemand, IncrementalSolver, solve
+from repro.flowsim.fairshare import FlowDemand, IncrementalSolver
+
+from .certificate import violations
+from .reference import solve
 
 #: Tolerances for re-derived sums: the solver's own thresholds are
 #: relative (RELATIVE_EPSILON), and re-accumulating allocations adds a
@@ -88,17 +92,10 @@ def assert_maxmin_invariants(flows, capacities, alloc):
         assert total <= capacities[link] + _slack(capacities[link]), (
             link, total, capacities[link]
         )
-    # (3) optimality: an unsatisfied flow crosses a saturated link.
-    for flow in flows:
-        rate = alloc[flow.flow_id]
-        if rate >= flow.demand_bps - _slack(flow.demand_bps):
-            continue
-        assert flow.links, f"link-free flow {flow} held below demand"
-        saturated = any(
-            link_total[link] >= capacities[link] - _slack(capacities[link])
-            for link in flow.links
-        )
-        assert saturated, (flow, rate, link_total)
+    # (3) optimality, and (1) and (2) again, as the max-min certificate
+    # states them: an unsatisfied flow has the highest share on one of
+    # its saturated links.
+    assert violations(flows, alloc, capacities) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,14 +49,9 @@ from hypothesis.stateful import (
 )
 
 from repro.flowsim import fairshare
-from repro.flowsim.fairshare import (
-    FlowDemand,
-    IncrementalSolver,
-    solve,
-    solve_arrays,
-)
+from repro.flowsim.fairshare import FlowDemand, IncrementalSolver
 
-from .reference import as_arrays, solve_scalar
+from .reference import as_arrays, resolve_from_scratch, solve, solve_arrays, solve_scalar
 
 #: ~50 switches' worth of directed link keys.
 NUM_LINKS = 100
@@ -278,6 +273,13 @@ def test_growing_component_matches_textbook_loop(seed):
 # ----------------------------------------------------------------------
 # The index itself: exact components, touched links, checkpoints
 # ----------------------------------------------------------------------
+def _resolve(solver: IncrementalSolver, capacities: dict, full: bool) -> dict:
+    """A resolve of the product, or with ``full`` the from-scratch one."""
+    if full:
+        return resolve_from_scratch(solver, capacities)
+    return solver.resolve(capacities)
+
+
 def _components(solver: IncrementalSolver) -> set:
     return {frozenset(ids) for ids in solver.components()}
 
@@ -556,11 +558,11 @@ class SolverIndexMachine(RuleBasedStateMachine):
     def resolve(self, full):
         solver = self.solver
         before = self.reported
-        updates = solver.resolve(self.capacities, full=full)
+        updates = _resolve(solver, self.capacities, full)
         alloc = self.reported = solver.alloc
         # (d) the unpickled twin took the same steps: same bits, same order.
         if self.copy is not None:
-            assert list(self.copy.resolve(self.capacities, full=full).items()) == list(
+            assert list(_resolve(self.copy, self.capacities, full).items()) == list(
                 updates.items()
             )
             assert self.copy.alloc == alloc
@@ -916,7 +918,7 @@ def test_departures_from_a_settled_component_stay_bitwise(seed):
 
 
 def test_full_resolve_never_settles():
-    """``resolve(full=True)`` is the oracle: it never answers from the
+    """``resolve_from_scratch`` is the oracle: it never answers from the
     bounds, and it drops what an incremental resolve had settled."""
     caps = {"a": 1e9, "b": 1e9}
     solver = _solver_with(*(FlowDemand(fid, 1e6, ["a", "b"][: 1 + fid % 2]) for fid in range(6)))
@@ -929,7 +931,7 @@ def test_full_resolve_never_settles():
     for step in range(7, 12):
         solver.upsert(FlowDemand(step, 1e6, ["a"]))
         solver.remove(step - 7)
-        solver.resolve(caps, full=True)
+        resolve_from_scratch(solver, caps)
         assert all(component.level is None for component in solver._components())
     assert solver.stats["settled"] == 1
     assert [record["components_settled"] for record in bus.resolves] == [0, 1, 0, 0, 0, 0, 0]

@@ -1,6 +1,8 @@
-"""``tools/bench_pairs.py`` and ``tools/bench_ledger.py`` on canned samples."""
+"""``tools/bench_pairs.py`` and ``tools/bench_ledger.py`` on canned samples,
+``tools/bench_history.py`` on the committed ledger."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -64,6 +66,20 @@ def test_identical_simulated_statistic_claims_nothing():
     assert v["ratio"] == 1.0
 
 
+def test_five_clean_wins_are_too_few_to_claim(capsys):
+    """Five of five won with a gap far outside the parent's spread
+    still claim nothing, and the printed table says why."""
+    parent, change = PARENT[:5], [p * 0.6 for p in PARENT[:5]]
+    v = verdict(parent, change, "lower")
+    assert (v["wins"], v["pairs"]) == (5, 5) and v["gap"] > v["parent_iqr"]
+    assert v["verdict"] == "no claim"
+    sides = {"parent": [_entry(p, "aa") for p in parent],
+             "change": [_entry(c, "aa") for c in change]}
+    bench_pairs.print_seed(11, bench_pairs.seed_rows(sides, {"wall_s": "lower"}))
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "wall_s" in line]
+    assert line.endswith("no claim (gap 0.804 vs parent IQR 0.02; fewer than 10 pairs)")
+
+
 def test_unpaired_or_single_samples_are_refused():
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0], "lower")
@@ -115,3 +131,35 @@ def test_ledger_entry_puts_both_sides_and_the_pairs_side_by_side():
     assert workload["run_digest"] == {"parent": "aa", "change": "bb"}
     assert workload["pairs"][0]["11"]["verdicts"]["wall_s"]["wins"] == 10
     assert entry["env"]["change"]["calibration_score"] == 1.5
+
+
+def test_history_reads_the_committed_ledger_and_marks_backfill(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bench_history", os.path.join(ROOT, "tools", "bench_history.py")
+    )
+    bench_history = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_history)
+    ledger = os.path.join(ROOT, "benchmarks", "ledger")
+    rows = bench_history.trend(bench_history.load(ledger), "wall_s")
+    (row,) = rows["packet_reference"]
+    assert (row["pr"], row["backfill"]) == (41, False)
+    assert row["ratio"] == pytest.approx(1.9943288959984784 / 2.2133324969981913)
+    assert row["rounds"][-1] == {"11": ("gain", 10, 10), "13": ("gain", 10, 10)}
+    (row,) = rows["reactive_l2"]  # pairs only, no traced report
+    assert row["parent"] is None and row["rounds"][0]["11"] == ("gain", 5, 5)
+    events = bench_history.trend(bench_history.load(ledger), "sim.events")
+    assert list(events) == ["packet_reference"]  # per-layer figures too
+    assert events["packet_reference"][0]["change"] == 221861
+
+    # A backfilled entry sorts by PR and prints with its mark.
+    with open(os.path.join(ledger, "BENCH_41.json")) as handle:
+        (tmp_path / "BENCH_41.json").write_text(handle.read())
+    (tmp_path / "BENCH_9.json").write_text(json.dumps({
+        "pr": 9, "backfill": True, "workloads": {
+            "packet_reference": {"end_to_end": {"wall_s": {"parent": 3.0, "change": 2.4}}}}}))
+    assert bench_history.main(["--ledger", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "across 2 ledger entries" in out
+    lines = out.split("packet_reference")[1].splitlines()
+    assert lines[2].split()[:4] == ["9*", "3", "2.4", "0.8000"]
+    assert lines[3].split()[:4] == ["41", "2.21333", "1.99433", "0.9011"]

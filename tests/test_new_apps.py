@@ -1,4 +1,4 @@
-"""Tests for the extension apps: firewall, mirror, path protection, VLANs."""
+"""Tests for the extension apps: firewall, path protection, VLANs; and\ntraffic mirrored by an ALL group."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.control import ControlChannel, Controller
 from repro.control.apps import (
     AclRule,
     FirewallApp,
-    MirrorApp,
-    MirrorRule,
     PathProtectionApp,
     ShortestPathApp,
     allow,
@@ -19,6 +17,9 @@ from repro.net import IPv4Address
 from repro.net.generators import full_mesh, single_switch, tree
 from repro.openflow import (
     ApplyActions,
+    Bucket,
+    GroupAction,
+    GroupType,
     HeaderFields,
     Match,
     Output,
@@ -191,18 +192,17 @@ class TestFirewall:
 
 class TestMirror:
     def test_mirrored_traffic_reaches_tap_and_destination(self):
+        """An ALL group copies the flow to h2 and to the tap h3, above
+        the forwarding rule the app installed."""
         topo = single_switch(3, capacity_bps=100e6)
-        mirror = MirrorApp(
-            rules=[
-                MirrorRule(
-                    switch_name="s1",
-                    match=Match(ip_dst=topo.host("h2").ip),
-                    tap_host="h3",
-                )
-            ]
-        )
-        forwarding = ShortestPathApp(match_on="ip_dst")
-        sim, controller, engine = wire(topo, mirror, forwarding)
+        sim, controller, engine = wire(topo, ShortestPathApp(match_on="ip_dst"))
+        pipeline = topo.switch("s1").pipeline
+        pipeline.groups.add(1, GroupType.ALL, [
+            Bucket((Output(topo.egress_port("s1", host).number),))
+            for host in ("h2", "h3")
+        ])
+        pipeline.install(Match(ip_dst=topo.host("h2").ip),
+                         (ApplyActions((GroupAction(1),)),), priority=150)
         flow = make_flow(topo, "h1", "h2", demand_bps=10e6,
                          duration_s=2.0, size_bytes=None)
         engine.submit(flow)
@@ -216,44 +216,6 @@ class TestMirror:
         assert topo.host("h3").uplink_port.rx_bytes == pytest.approx(
             expected, rel=0.01
         )
-
-    def test_tap_must_be_local(self):
-        topo = tree(2, 2)
-        mirror = MirrorApp(
-            rules=[
-                MirrorRule(
-                    switch_name="s1",
-                    match=Match(ip_dst=topo.host("h4").ip),
-                    tap_host="h1",  # attached to a leaf, not s1
-                )
-            ]
-        )
-        for s in topo.switches:
-            attach_pipeline(s)
-        sim = Simulator()
-        controller = Controller()
-        controller.add_app(mirror)
-        ControlChannel(sim, topo, controller=controller)
-        with pytest.raises(ControlPlaneError):
-            controller.start()
-
-    def test_match_without_destination_rejected(self):
-        topo = single_switch(3)
-        mirror = MirrorApp(
-            rules=[
-                MirrorRule(
-                    switch_name="s1", match=Match(tp_dst=80), tap_host="h3"
-                )
-            ]
-        )
-        for s in topo.switches:
-            attach_pipeline(s)
-        sim = Simulator()
-        controller = Controller()
-        controller.add_app(mirror)
-        ControlChannel(sim, topo, controller=controller)
-        with pytest.raises(ControlPlaneError):
-            controller.start()
 
 
 class TestPathProtection:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flowsim import Flow, FlowLevelEngine
-from repro.flowsim.fairshare import FlowDemand, solve, solve_arrays
+from repro.flowsim.fairshare import FlowDemand
 
-from diff.reference import as_arrays, solve_scalar
+from diff.reference import as_arrays, solve, solve_arrays, solve_scalar
 from repro.openflow.headers import tcp_flow
 from repro.sim import Simulator
 

@@ -9,9 +9,10 @@ runs it (``benchmarks/horsebench/run.py --workload W --seed S --seconds
 goes first, and prints per end-to-end metric each side's median and
 quartiles, wins/ties, the ratio with its base and the verdict of the
 ``choosing-metrics`` guide, section 8: a gain (or a loss) is claimed
-only when one side wins at least nine tenths of all pairs run, ties
-counting for neither, and the medians differ by more than the distance
-between the parent's own quartiles.  A ``run_digest`` that differs
+only when at least ten pairs ran, one side wins at least nine tenths
+of them, ties counting for neither, and the medians differ by more than
+the distance between the parent's own quartiles.  Fewer pairs print
+"no claim" and say so.  A ``run_digest`` that differs
 between the sides is flagged: the change altered simulated results.
 ``--json`` also writes those rows, per seed, with every run's
 end-to-end figures and digest (``tools/bench_ledger.py`` reads it).
@@ -35,6 +36,9 @@ from typing import Dict, List, Optional, Sequence
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_PY = os.path.join("benchmarks", "horsebench", "run.py")
 SECONDS = 15  # BENCHMARK.json's run_seconds: what the driver passes
+#: Fewer pairs than this claim nothing, however they fall: on a noisy
+#: box five straight wins happen by chance.
+MIN_PAIRS = 10
 
 
 def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> dict:
@@ -50,7 +54,9 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> di
     c_q1, c_median, c_q3 = quantiles(change, n=4, method="inclusive")
     gap = sign * (c_median - p_median)  # > 0: the change's median is better
     spread = p_q3 - p_q1
-    if 10 * wins >= 9 * pairs and gap > spread:
+    if pairs < MIN_PAIRS:
+        outcome = "no claim"
+    elif 10 * wins >= 9 * pairs and gap > spread:
         outcome = "gain"
     elif 10 * (pairs - wins - ties) >= 9 * pairs and -gap > spread:
         outcome = "loss"
@@ -129,7 +135,8 @@ def print_seed(seed: int, rows: dict) -> None:
         ratio = "-" if v["ratio"] is None else f"{v['ratio']:.4f} x"
         print(f"  {metric:17s} {shown['parent']:>32s} {shown['change']:>32s} "
               f"{v['wins']:>7d}/{v['ties']}/{v['pairs']:<5d} {ratio:>13s}  "
-              f"{v['verdict']} (gap {v['gap']:.4g} vs parent IQR {v['parent_iqr']:.4g})")
+              f"{v['verdict']} (gap {v['gap']:.4g} vs parent IQR {v['parent_iqr']:.4g}"
+              + (f"; fewer than {MIN_PAIRS} pairs)" if v["pairs"] < MIN_PAIRS else ")"))
     digests = rows["run_digest"]
     changed = digests["parent"] != digests["change"]
     print(f"  run_digest {'CHANGED' if changed else 'same'}: "
