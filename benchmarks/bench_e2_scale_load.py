@@ -17,14 +17,12 @@ import statistics
 import pytest
 
 from .harness import (
-    calibration_score,
     ixp_workload,
     median_run,
     pod_workload,
     record,
     rows,
     timed_solver_run,
-    update_baseline,
     write_table,
 )
 
@@ -128,19 +126,6 @@ def bench_e2_hotpath_report(benchmark):
     inc_s = by_solver["incremental"]["wall_median_s"]
     speedup = full_s / inc_s
     assert speedup >= 3.0, (by_solver, speedup)
-    # Refresh the committed regression baseline (normalized by machine
-    # calibration so the numbers transfer across hosts).
-    score = calibration_score()
-    update_baseline(
-        {
-            "e2_hotpath_incremental_2k": {
-                "wall_s": inc_s,
-                "normalized": round(inc_s / score, 3),
-            },
-            "e2_hotpath_speedup": {"value": round(speedup, 2)},
-        },
-        score,
-    )
     write_table("E2-hotpath", "solver hot path at 2k concurrent flows")
 
 

@@ -160,8 +160,10 @@ class Horse:
 
         self.collector = RunStatsCollector(topology)
         if self.config.telemetry.link_sample_interval_s:
+            # The flow and hybrid engines sum link loads on read.
+            sync = None if self.config.engine == "packet" else self.engine._sync_loads  # repro: noqa[PRIV001] - loads pull, off the API
             self.collector.enable_link_sampling(
-                self.sim, self.config.telemetry.link_sample_interval_s
+                self.sim, self.config.telemetry.link_sample_interval_s, sync
             )
 
         self._started = False

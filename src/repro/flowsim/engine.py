@@ -219,12 +219,26 @@ class FlowLevelEngine(Engine):
         self.notify_rules_changed(message.dpid)
 
     def sync_statistics(self, now: Optional[float] = None) -> None:
-        """Bring every counter up to ``now`` (monitoring/stats reads)."""
+        """Bring every counter and link load up to ``now``
+        (monitoring/stats reads)."""
         t = self.sim.now if now is None else now
         for flow in self.active.values():
             self._accrue_flow(flow, t)
         for flow_id in list(self._owed):
             self._settle(self.active[flow_id])
+        self._sync_loads()
+
+    def _sync_loads(self) -> Dict[int, float]:
+        """Write ``allocated_bps`` of every direction whose load the
+        resolves since the last pull may have moved
+        (:meth:`IncrementalSolver.pull_loads`); returns those loads by
+        direction index.  Loads are summed on read: a resolve only
+        records what it made stale."""
+        loads = self._solver.pull_loads()
+        dir_list = self._dir_list
+        for index, load in loads.items():
+            dir_list[index].allocated_bps = load
+        return loads
 
     # ------------------------------------------------------------------
     # External demands (hybrid foreground coupling)
@@ -279,6 +293,7 @@ class FlowLevelEngine(Engine):
         index = self._dir_index.get(direction)
         if index is None:
             return 0.0
+        self._sync_loads()
         load = direction.allocated_bps - self._external_on_dir.get(index, 0.0)
         return max(0.0, load)
 
@@ -815,19 +830,12 @@ class FlowLevelEngine(Engine):
         """Re-solve through the persistent component index.
 
         The kernel re-runs only on components an event touched, and
-        answers by difference: the load of every link it touched, and
-        the rates that moved.  Only those are applied, so an event costs
-        what it changes.
+        answers by difference: the rates that moved.  Only those are
+        applied, so an event costs what it changes.  Link loads are not
+        summed here but when read (:meth:`_sync_loads`), except that the
+        externals' share needs them at once.
         """
-        solver = self._solver
-        moved = solver.resolve(self._dir_caps)
-        touched = solver.last_touched_links
-        load_of = solver.last_loads.get
-        dir_list = self._dir_list
-        # A touched direction outside every re-solved component lost
-        # its last flow: it carries nothing.
-        for index in touched:
-            dir_list[index].allocated_bps = load_of(index, 0.0)
+        moved = self._solver.resolve(self._dir_caps)
         active = self.active
         external_rates = self._external_rates
         completions = self._completions
@@ -845,12 +853,14 @@ class FlowLevelEngine(Engine):
                 if moving:
                     flow.rate_bps = rate
                 self._schedule_completion(flow)
-        # The externals' share of the touched directions, from scratch
-        # in registration (= solver insertion) order.  An unmoved
-        # external is not in ``moved`` and keeps its rate; a cleared one
-        # is in neither dict, but the directions it left are touched.
+        # The externals' share of the directions whose load a pull
+        # wrote, from scratch in registration (= solver insertion)
+        # order.  An unmoved external is not in ``moved`` and keeps its
+        # rate; a cleared one is in neither dict, but the directions it
+        # left are pulled.
         external_on_dir = self._external_on_dir
         if external_on_dir or self._external_links:
+            touched = self._sync_loads()
             for index in touched:
                 external_on_dir.pop(index, None)
             for key, links in self._external_links.items():

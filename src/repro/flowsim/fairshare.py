@@ -14,7 +14,8 @@ component's kernel inputs and last reported rates resident as columns
 (:class:`_Columns`, the only copy of either), re-runs the kernel only
 on *dirty* components that are not provably *settled* (no link
 saturates: every flow at its demand), and reports by difference: the
-rates that moved and the load of every link it touched.
+rates that moved.  Link loads are summed on read (:meth:`IncrementalSolver
+.pull_loads`), once per component re-solved since the last read.
 
 The tests hold the references (``tests/diff/reference.py``): a
 from-scratch solve that partitions the live flows and runs the same
@@ -109,6 +110,11 @@ class FlowDemand:
         """True when the flow is granted its demand outright (no links
         that could congest, or effectively zero demand)."""
         return not self.links or self.demand_bps <= EPSILON_BPS
+
+    def free_rate(self) -> float:
+        """A free flow's rate: its demand, except that an uncapped flow
+        has only the rate its links give it - none without a link."""
+        return self.demand_bps if self.demand_bps != _INF else 0.0
 
     def same_inputs(self, other: "FlowDemand") -> bool:
         """True when the solver inputs are identical (rates can't move)."""
@@ -294,14 +300,16 @@ class _Columns:
             *link_terms,
         )
 
-    def loads(self, rates: np.ndarray) -> List[float]:
-        """Each link's sum of ``rates`` over the rows crossing it, by
-        link number.  ``bincount`` adds a link's pairs one at a time in
-        row order: the additions, and the order, of a Python loop over
-        the flows and their links, so the sums are the same bits."""
+    def loads(self) -> List[float]:
+        """Each link's sum of the rates last reported for the rows
+        crossing it, by link number.  ``bincount`` adds a link's pairs
+        one at a time in row order: the additions, and the order, of a
+        Python loop over the flows and their links, so the sums are the
+        same bits."""
+        rows = self.rows
         return np.bincount(
             self.flat[:self.pairs],
-            weights=np.repeat(rates, self.counts[:self.rows]),
+            weights=np.repeat(self.rate[:rows], self.counts[:rows]),
             minlength=len(self.links),
         ).tolist()
 
@@ -478,15 +486,9 @@ class _Component:
                 return None
         return columns.demand[:rows]
 
-    def report(
-        self,
-        fresh: np.ndarray,
-        moved: Dict[Hashable, float],
-        loads: Dict[Hashable, float],
-    ) -> None:
-        """Take the members' fresh rates (flow order): keep them, add
-        those unequal to the last report to ``moved`` and the sum over
-        each link's members to ``loads``."""
+    def report(self, fresh: np.ndarray, moved: Dict[Hashable, float]) -> None:
+        """Take the members' fresh rates (flow order): keep them and add
+        those unequal to the last report to ``moved``."""
         columns = self.columns
         last = columns.rate[:columns.rows]
         rows = np.flatnonzero(fresh != last)
@@ -496,10 +498,16 @@ class _Component:
                 zip([flows[row].flow_id for row in rows.tolist()], fresh[rows].tolist())
             )
             last[:] = fresh
+
+    def loads(self, loads: Dict[Hashable, float]) -> None:
+        """Add each live link's load (:meth:`_Columns.loads`) to
+        ``loads``: the rows as they stand, so the bits of the last
+        report while nothing mutated the component since."""
+        columns = self.columns
         # The numbering outlives a link's last row (see _Columns); such a
         # link may belong to another component by now.
         live = self.link_routes
-        for link, load in zip(columns.links, columns.loads(fresh)):
+        for link, load in zip(columns.links, columns.loads()):
             if link in live:
                 loads[link] = load
 
@@ -552,12 +560,14 @@ class IncrementalSolver:
 
     :meth:`resolve` reports by difference: it returns the rates that
     moved — bitwise unequal to the rate last reported for the flow, or
-    the flow's first — and publishes the load of every link of the
-    components it re-solved (:attr:`last_loads`).  A flow's last
-    reported rate is held once: with its component, or in ``_free`` for
-    a flow granted its demand outright; it follows the flow through
-    re-routes, merges and splits, so "moved" never depends on how the
-    store is laid out.
+    the flow's first.  A flow's last reported rate is held once: with
+    its component, or in ``_free`` for a flow granted its demand
+    outright; it follows the flow through re-routes, merges and splits,
+    so "moved" never depends on how the store is laid out.
+
+    Link loads are kept lazily: a resolve only records what it made
+    stale - the components it re-solved and the links flows left - and
+    :meth:`pull_loads` sums the record when a load is read.
     """
 
     def __init__(self) -> None:
@@ -576,14 +586,11 @@ class IncrementalSolver:
         self._capacity_epoch = 0
         #: Number of flows actually re-solved by the last resolve.
         self.last_scope = 0
-        #: Links whose total allocation may have changed in the last
-        #: resolve (callers maintaining per-link totals reset these).
-        self.last_touched_links: Set[Hashable] = set()
-        #: Load of every link of the components the last resolve
-        #: re-solved: the member rates summed in flow order, a flow
-        #: counting once per link of ``FlowDemand.links``.  A touched
-        #: link absent here carries no constrained flow any more.
-        self.last_loads: Dict[Hashable, float] = {}
+        #: Loads not yet pulled: the live components re-solved since the
+        #: last pull, each once, and the links flows left or capacities
+        #: moved on by then.
+        self._unpulled: Dict[_Component, None] = {}
+        self._unpulled_links: Set[Hashable] = set()
         self.stats = {
             "resolves": 0,
             "component_solves": 0,
@@ -719,6 +726,7 @@ class IncrementalSolver:
         a.routes.update(b.routes)
         a.may_split = a.may_split or b.may_split
         b.flows = []  # dead: skipped if still queued as dirty
+        self._unpulled.pop(b, None)  # a is dirty: its next resolve records all
         return a
 
     def _detach(self, flow: FlowDemand, seq: int) -> float:
@@ -763,6 +771,8 @@ class IncrementalSolver:
                 and not component.joined(surviving)
             ):
                 component.may_split = True
+        if not component.flows:
+            self._unpulled.pop(component, None)  # dead: its links are dirty
         self._mark_dirty(component)
         return last
 
@@ -775,6 +785,7 @@ class IncrementalSolver:
         parts = _partition(component.flows)
         if len(parts) == 1:
             return [component]
+        self._unpulled.pop(component, None)  # the parts are resolved now
         row_of = {flow.flow_id: row for row, flow in enumerate(component.flows)}
         seqs = component.seqs
         out = []
@@ -793,14 +804,13 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def resolve(self, capacities: Mapping[Hashable, float]) -> Dict[Hashable, float]:
         """Re-solve dirty components; returns flow_id -> rate for the
-        flows whose rate moved (see the class docstring) and publishes
-        :attr:`last_loads`, :attr:`last_touched_links` and
-        :attr:`last_scope` (flows re-solved, moved or not).  A capacity
-        is read again only after :meth:`touch_link`: a component keeps
-        the capacities of its links from one solve to the next.
+        flows whose rate moved (see the class docstring), publishes
+        :attr:`last_scope` (flows re-solved, moved or not) and records
+        the loads it made stale for :meth:`pull_loads`.  A capacity is
+        read again only after :meth:`touch_link`: a component keeps the
+        capacities of its links from one solve to the next.
         """
         self.stats["resolves"] += 1
-        touched = self._dirty_links
         # Store upkeep: every dirty component becomes exact.
         components: List[_Component] = []
         for component in self._dirty:
@@ -818,29 +828,28 @@ class IncrementalSolver:
         free = sorted(self._dirty_free, key=self._seq.__getitem__)
         components.sort(key=lambda component: component.seqs[0])
         moved: Dict[Hashable, float] = {}
-        loads: Dict[Hashable, float] = {}
         last_free = self._free
         for flow_id in free:
-            rate = flow_of[flow_id].demand_bps
+            rate = flow_of[flow_id].free_rate()
             if rate != last_free[flow_id]:
                 moved[flow_id] = last_free[flow_id] = rate
         scope = len(free)
         settled, epoch = 0, self._capacity_epoch
+        unpulled = self._unpulled
         for component in components:
-            touched.update(component.link_routes)
             scope += len(component.flows)
             if (fresh := component.settled(capacities, epoch)) is not None:
                 settled += 1
             else:
                 fresh, first = component.columns.fill(capacities, epoch)
                 component.settle(first)
-            component.report(fresh, moved, loads)
+            component.report(fresh, moved)
+            unpulled[component] = None
+        self._unpulled_links |= self._dirty_links
         self._dirty = []
         self._dirty_free = set()
         self._dirty_links = set()
         self.last_scope = scope
-        self.last_touched_links = touched
-        self.last_loads = loads
         self.stats["component_solves"] += len(components)
         self.stats["settled"] += settled
         self.stats["flows_resolved"] += scope
@@ -858,6 +867,25 @@ class IncrementalSolver:
                 moved=len(moved),
             )
         return moved
+
+    def pull_loads(self) -> Dict[Hashable, float]:
+        """The load of every link a resolve may have moved since the
+        last pull: each recorded component's live links summed once
+        (:meth:`_Component.loads`, the bits an eager sum at its last
+        resolve gives), 0.0 on a recorded link no component owns.  A
+        component mutated since its resolve stays recorded for the pull
+        after its next one.  Each link appears once, so the order of the
+        answer reaches no value."""
+        loads = dict.fromkeys(self._unpulled_links.difference(self._component_of), 0.0)
+        kept: Dict[_Component, None] = {}
+        for component in self._unpulled:
+            if component.dirty:
+                kept[component] = None
+            else:
+                component.loads(loads)
+        self._unpulled = kept
+        self._unpulled_links = set()
+        return loads
 
     # ------------------------------------------------------------------
     # Introspection / compatibility

@@ -287,6 +287,11 @@ class HybridEngine(Engine):
     def sync_statistics(self, now: Optional[float] = None) -> None:
         self.background.sync_statistics(now)
 
+    def _sync_loads(self) -> None:
+        """Pull the background engine's link loads (the foreground's
+        packet queues keep none)."""
+        self.background._sync_loads()  # repro: noqa[PRIV001] - the engine pair's own pull, kept off the API surface
+
     def enable_entry_expiry(self, interval: float = 1.0) -> None:
         self.background.enable_entry_expiry(interval)
 

@@ -94,8 +94,11 @@ class LinkDirection:
     """One direction of a link: ``src_port`` → ``dst_port``.
 
     The flow-level engine writes ``allocated_bps`` (sum of max-min rates
-    crossing this direction); the statistics collector samples
-    :attr:`utilization` from it.
+    crossing this direction) when loads are read, not at every event:
+    after its ``sync_statistics`` (or a ``Horse.sync_statistics``), in
+    ``background_load`` and before each link-sampling tick of the
+    statistics collector, which samples :attr:`utilization` from it.
+    Between those reads the field may lag the last resolve.
     """
 
     __slots__ = ("link", "src_port", "dst_port", "allocated_bps")

@@ -44,7 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: epoch is gone) and the packet engine its forwarding-decision memo.
 #: 7: an output queue without ``capacity_fn`` keeps the start instants
 #: of its waiting packets (their arrivals are scheduled), not the packets.
-SNAPSHOT_VERSION = 7
+#: 8: the fair-share solver records the loads it made stale (pulled on
+#: read) in place of the last resolve's loads and touched links, and the
+#: stats collector keeps the engine's pull for its sampling tick.
+SNAPSHOT_VERSION = 8
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

@@ -11,7 +11,7 @@ analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..flowsim.flow import Flow, FlowState
 from ..net.topology import Topology
@@ -32,15 +32,24 @@ class RunStatsCollector:
         self.topology = topology
         self.completed: List[Flow] = []
         self.link_utilization: Dict[Tuple[str, int], TimeSeries] = {}
+        self._sync: Optional[Callable[[], object]] = None
 
     # ------------------------------------------------------------------
     # Live collection
     # ------------------------------------------------------------------
-    def enable_link_sampling(self, sim: Simulator, interval: float = 1.0) -> None:
-        """Sample allocated utilization of every link periodically."""
+    def enable_link_sampling(
+        self, sim: Simulator, interval: float = 1.0,
+        sync: Optional[Callable[[], object]] = None,
+    ) -> None:
+        """Sample allocated utilization of every link periodically;
+        ``sync``, when given, runs before each sample (an engine that
+        sums its link loads when they are read)."""
+        self._sync = sync
         sim.every(interval, self._sample_tick)
 
     def _sample_tick(self, sim: Simulator, time: float) -> None:
+        if self._sync is not None:
+            self._sync()
         self.sample_links(time)
 
     def sample_links(self, time: float) -> None:

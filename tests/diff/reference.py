@@ -1,5 +1,5 @@
 """Test-side oracles: the from-scratch solve, the textbook
-progressive-filling loop, the flow engine's three reference paths, the
+progressive-filling loop, the flow engine's four reference paths, the
 two-event output queue and the sorted-list pending-event set.
 
 :func:`solve` and :func:`solve_arrays` are the from-scratch ways into
@@ -25,6 +25,10 @@ flow engine into a reference run: every event re-solves every component
 from scratch, or every flow walks the pipelines.  Neither is a mode of
 the product; the differential suites and the E2 / E6b benchmarks pin
 the production path bitwise against them.
+
+:func:`eager_loads` makes a built flow engine write its link loads
+after every resolve, where the product sums them when they are read
+(``FlowLevelEngine._sync_loads``).
 
 :func:`eager_apply` turns a built flow engine back into the one that
 applied a moved rate eagerly, moved here verbatim: every accrual charges
@@ -94,7 +98,7 @@ def solve(
     constrained: List[FlowDemand] = []
     for flow in flows:
         if flow.is_free():
-            alloc[flow.flow_id] = flow.demand_bps
+            alloc[flow.flow_id] = flow.free_rate()
         else:
             constrained.append(flow)
     for component in _partition(constrained):
@@ -142,10 +146,11 @@ def resolve_from_scratch(
     """``solver.resolve(capacities)`` with every rate from :func:`solve`
     over all live flows, store and resident columns unused for them:
     every component counts as re-solved and none settles.  The store
-    upkeep (splits), the report by difference and the published state
-    are the solver's own, so the answer must be bitwise the same."""
+    upkeep (splits), the report by difference, the published state and
+    the record of stale loads (every live component, and the links
+    flows left) are the solver's own, so the answer, and every load
+    pulled after it, must be bitwise the same."""
     solver.stats["resolves"] += 1
-    touched = solver._dirty_links
     for component in solver._dirty:
         component.dirty = False
         if component.flows and component.may_split:
@@ -154,26 +159,24 @@ def resolve_from_scratch(
     scratch = solve(flow_of.values(), capacities)
     components = sorted(solver._components(), key=lambda component: component.seqs[0])
     moved: Dict[Hashable, float] = {}
-    loads: Dict[Hashable, float] = {}
     last_free = solver._free
     for flow_id in sorted(last_free, key=solver._seq.__getitem__):
-        rate = flow_of[flow_id].demand_bps
+        rate = flow_of[flow_id].free_rate()
         if rate != last_free[flow_id]:
             moved[flow_id] = last_free[flow_id] = rate
     scope = len(last_free)
     for component in components:
-        touched.update(component.link_routes)
         scope += len(component.flows)
         component.settle(None)
         component.report(
-            np.array([scratch[flow.flow_id] for flow in component.flows]), moved, loads
+            np.array([scratch[flow.flow_id] for flow in component.flows]), moved
         )
+        solver._unpulled[component] = None
+    solver._unpulled_links |= solver._dirty_links
     solver._dirty = []
     solver._dirty_free = set()
     solver._dirty_links = set()
     solver.last_scope = scope
-    solver.last_touched_links = touched
-    solver.last_loads = loads
     solver.stats["component_solves"] += len(components)
     solver.stats["flows_resolved"] += scope
     solver.stats["rates_moved"] += len(moved)
@@ -203,6 +206,19 @@ def without_route_cache(engine):
     flow walks the pipelines itself.  Returns ``engine``."""
     engine._route_cache_lookup = lambda key: None
     return engine
+
+
+def eager_loads(engine):
+    """Make a built flow engine pull its link loads after every resolve,
+    as it summed them before loads were pulled on read.  Returns
+    ``engine``."""
+    engine._recompute_indexed = types.MethodType(_eager_recompute_indexed, engine)
+    return engine
+
+
+def _eager_recompute_indexed(self, now):
+    type(self)._recompute_indexed(self, now)
+    self._sync_loads()
 
 
 def eager_apply(engine):
@@ -314,7 +330,7 @@ def solve_component_scalar(
     pinned_flows: List[FlowDemand] = []
     for flow in flows:
         if flow.is_free():
-            alloc[flow.flow_id] = flow.demand_bps
+            alloc[flow.flow_id] = flow.free_rate()
         elif flow.pinned:
             # Pinned flows take their demand off the top; the elastic
             # flows below share whatever budget remains.

@@ -173,6 +173,29 @@ class TestCheckpointRoundTrip:
                _counters(restored.topology))
         assert got == want
 
+    def test_snapshot_with_unpulled_loads(self, tmp_path):
+        """Link loads are summed when read: a periodic snapshot taken
+        while the solver still records components re-solved since the
+        last sampling tick resumes into the uninterrupted run's digest
+        (link samples included) and final loads."""
+        path = str(tmp_path / "unpulled.ckpt")
+        scenario = dict(
+            SCENARIO,
+            telemetry={"link_sample_interval_s": 1.7},
+            checkpoint={"path": path, "interval_s": 1.1},
+        )
+        full = _build(scenario)
+        result = full.run(until=3.0)
+        want = (run_digest(result),
+                [d.allocated_bps for d in full.topology.directions()])
+
+        restored = Horse.restore(path)
+        assert restored.sim.now == 2.2  # the sampling tick before was 1.7
+        assert restored.engine._solver._unpulled
+        result = restored.run(until=3.0)
+        assert (run_digest(result),
+                [d.allocated_bps for d in restored.topology.directions()]) == want
+
     def test_snapshot_while_an_early_timer_holds_a_reserved_seq(self, tmp_path):
         """Two equal flows share a link from one instant and tie at
         their completion.  The first one's timer sits early, holding the

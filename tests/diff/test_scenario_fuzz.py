@@ -1,0 +1,211 @@
+"""Scenario-level fuzzing: small schema-v1 flow documents nobody wrote
+by hand, run end to end through ``run_scenario``.
+
+A case is a document (a linear or leaf-spine fabric of at most six
+switches under proactive forwarding, a link-sampling interval drawn so
+that reads land at arbitrary instants), the flows of its trace (sized
+and constant-rate, uncapped demands among them) and the link flaps
+injected before the run.  Each case is checked for
+
+* byte accounting: a flow never delivers more than it sent, an elastic
+  flow drops nothing, a completed sized flow sent its size, and a flow
+  that kept one delivered route delivered every byte it sent (to the
+  completion's slack, for a completed one).  The fluid engine's
+  ``bytes_dropped`` is the offered excess of an inelastic flow, never
+  sent, so the packet engine's ``sent == delivered + dropped`` reads
+  this way here;
+* the max-min certificate after every resolve (the suite's autouse
+  fixture);
+* one ``run_digest`` across the product and four reference paths: link
+  loads summed after every resolve (``eager_loads``), every flow
+  walking the pipelines (``without_route_cache``), route counters and
+  completion timers applied eagerly (``eager_apply``), and a run resumed
+  from a checkpoint taken mid-run at a drawn instant.
+
+A case that fails is kept as JSON under
+``examples/scenarios/regressions/`` (the :func:`check_case` input, as
+hypothesis prints it, plus the ``digest`` it runs to once mended) and
+replayed by :func:`test_regression_cases`.
+"""
+
+import dataclasses
+import glob
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import Horse
+from repro.runtime.scenario import build_topology, run_scenario
+from repro.stats.export import run_digest
+from repro.traffic.trace_io import save_trace
+
+from workloads import make_flow
+
+from .reference import eager_apply, eager_loads, without_route_cache
+
+REGRESSIONS = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "scenarios", "regressions"
+)
+
+HORIZON_S = 3.0
+_DEMANDS = (1e6, 8e6, 40e6, 100e6, 1e9, math.inf)
+
+
+@st.composite
+def _topologies(draw):
+    if draw(st.booleans()):
+        switches = draw(st.integers(1, 6))
+        hosts = draw(st.integers(1 if switches > 1 else 2, 2))
+        return {"kind": "linear", "switches": switches, "hosts_per_switch": hosts}
+    leaves = draw(st.integers(2, 4))
+    return {
+        "kind": "leaf-spine",
+        "leaves": leaves,
+        "spines": draw(st.integers(1, min(2, 6 - leaves))),
+        "hosts_per_leaf": draw(st.integers(1, 2)),
+    }
+
+
+@st.composite
+def cases(draw):
+    """One fuzz case: a document, its trace's flows and its link flaps."""
+    topology = draw(_topologies())
+    policies = {"forwarding": {
+        "mode": "shortest-path",
+        "match_on": draw(st.sampled_from(("eth_dst", "ip_dst"))),
+    }}
+    if draw(st.booleans()):
+        policies["load_balancing"] = {"mode": "ecmp"}
+    topo, _ = build_topology(topology)
+    hosts = [host.name for host in topo.hosts]
+    flows = []
+    for sport in range(draw(st.integers(1, 10))):
+        src, dst = draw(st.lists(st.sampled_from(hosts), min_size=2, max_size=2,
+                                 unique=True))
+        flow = {"src": src, "dst": dst, "sport": 1000 + sport,
+                "demand": draw(st.sampled_from(_DEMANDS)),
+                "start": draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.7))),
+                "weight": draw(st.sampled_from((1.0, 1.0, 2.0, 0.5)))}
+        if draw(st.booleans()):
+            flow["size"] = draw(st.sampled_from((10_000, 200_000, 3_000_000)))
+        else:  # constant rate: inelastic, for a duration
+            flow.update(elastic=False, duration=draw(st.sampled_from((0.3, 1.0, 2.5))))
+        flows.append(flow)
+    links = [(link.port_a.node.name, link.port_b.node.name) for link in topo.links]
+    flaps = []
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(links))
+        down = draw(st.sampled_from((0.1, 0.6, 1.2)))
+        flaps.append([down, a, b, False])
+        if draw(st.booleans()):
+            flaps.append([down + draw(st.sampled_from((0.2, 0.9))), a, b, True])
+    document = {
+        "schema_version": 1,
+        "engine": "flow",
+        "seed": 0,
+        "until": HORIZON_S,
+        "topology": topology,
+        "policies": policies,
+        "telemetry": {"link_sample_interval_s": draw(
+            st.sampled_from((0.05, 0.13, 0.25, 0.4, 1.1)))},
+    }
+    return {"document": document, "flows": flows, "flaps": flaps,
+            "checkpoint_at": draw(st.sampled_from((0.05, 0.3, 0.75, 1.3, 2.2)))}
+
+
+def _run(case, workdir, patch=None, checkpoint=None):
+    """Run the case's document; returns the Horse, the result and - with
+    ``checkpoint`` - the file a mid-run checkpoint was written to."""
+    topo, _ = build_topology(case["document"]["topology"])
+    trace = os.path.join(workdir, "trace.jsonl")
+    save_trace([
+        make_flow(topo, f["src"], f["dst"], f["demand"], size=f.get("size"),
+                  duration=f.get("duration"), start=f["start"], sport=f["sport"],
+                  elastic=f.get("elastic", True), weight=f["weight"])
+        for f in case["flows"]
+    ], trace)
+    document = dict(case["document"], traffic={"kind": "trace", "file": trace})
+    path = os.path.join(workdir, "mid.ckpt")
+
+    def before_run(horse, count):
+        for at, a, b, up in case["flaps"]:
+            (horse.restore_link if up else horse.fail_link)(at, a, b)
+        if patch is not None:
+            patch(horse.engine)
+        if checkpoint is not None:
+            horse.sim.call_at(checkpoint, lambda sim: horse.checkpoint(path))
+
+    horse, result, _ = run_scenario(document, before_run=before_run)
+    return horse, result, path
+
+
+#: A completion snaps ``bytes_sent`` to the size from within this many
+#: bytes (``FlowLevelEngine.on_completion``); ``bytes_delivered`` keeps
+#: the accrued sum.
+_COMPLETION_SLACK = 1e-3
+
+
+def _check_bytes(result):
+    for flow in result.flows:
+        slack = _COMPLETION_SLACK if flow.state.name == "COMPLETED" else 0.0
+        if slack:
+            assert flow.bytes_sent == flow.size_bytes, flow
+        assert flow.bytes_delivered <= flow.bytes_sent + slack, flow
+        if flow.elastic:
+            assert flow.bytes_dropped == 0.0, flow
+        if flow.reroutes == 0 and flow.route is not None and flow.route.delivered:
+            assert abs(flow.bytes_delivered - flow.bytes_sent) <= slack, flow
+
+
+def _digest(result):
+    """``run_digest`` without the route-cache counters, which
+    ``without_route_cache`` stops on purpose."""
+    def kept(stats):
+        return {key: value for key, value in stats.items() if "route_cache" not in key}
+
+    return run_digest(dataclasses.replace(
+        result, engine_stats=kept(result.engine_stats),
+        engine_summary=kept(result.engine_summary), metrics=kept(result.metrics),
+    ))
+
+
+def check_case(case):
+    """Every check of the module docstring on one case; returns the
+    digest."""
+    with tempfile.TemporaryDirectory() as workdir:
+        _, result, _ = _run(case, workdir)
+        _check_bytes(result)
+        digest = _digest(result)
+        for patch in (eager_loads, without_route_cache, eager_apply):
+            assert _digest(_run(case, workdir, patch)[1]) == digest, patch.__name__
+        at = case["checkpoint_at"]
+        source, interrupted, path = _run(case, workdir, checkpoint=at)
+        assert _digest(interrupted) == digest
+        restored = Horse.restore(path)
+        assert restored is not source and restored.sim.now == at
+        assert _digest(restored.run(until=HORIZON_S)) == digest
+    return digest
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+def test_generated_scenarios_hold_their_invariants(case):
+    check_case(case)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(REGRESSIONS, "*.json"))),
+    ids=os.path.basename,
+)
+def test_regression_cases(path):
+    """A kept case passes every check, and its run is pinned like a
+    golden scenario's."""
+    with open(path) as handle:
+        case = json.load(handle)
+    assert check_case(case) == case["digest"]

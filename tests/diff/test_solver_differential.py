@@ -322,13 +322,18 @@ class SolverIndexMachine(RuleBasedStateMachine):
         }
         self.solver = IncrementalSolver()
         self.copy = None  # unpickled twin, fed the same steps
+        #: Fed the same steps, and pulls its loads after every resolve.
+        self.eager = IncrementalSolver()
+        self.loads = {}  # every load the solver's pulls wrote, latest first
+        self.eager_loads = {}  # the same for the eager twin
+        self.mutated = False  # a mutation came since the last resolve
         self.live = {}
         self.next_id = 0
         self.removed_links = set()
         self.reported = {}  # live flows' rates as of the last resolve
 
     def _each(self):
-        return [s for s in (self.solver, self.copy) if s is not None]
+        return [s for s in (self.solver, self.copy, self.eager) if s is not None]
 
     def _note_departure(self, flow):
         # A free flow loads no link (its links may even belong to a
@@ -341,6 +346,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
         if old is not None and not old.same_inputs(flow):
             self._note_departure(old)
         self.live[flow.flow_id] = flow
+        self.mutated = True
         for solver in self._each():
             solver.upsert(flow)
         if then_resolve:
@@ -407,6 +413,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
         flow = self.live.pop(flow_id)
         self.reported.pop(flow_id, None)
         self._note_departure(flow)
+        self.mutated = True
         for solver in self._each():
             solver.remove(flow_id)
 
@@ -538,6 +545,7 @@ class SolverIndexMachine(RuleBasedStateMachine):
           capacity=st.sampled_from((10e6, 1e9, 100e9)))
     def touch_link(self, link, capacity):
         self.capacities[link] = capacity
+        self.mutated = True
         for solver in self._each():
             solver.touch_link(link)
 
@@ -554,19 +562,33 @@ class SolverIndexMachine(RuleBasedStateMachine):
     def checkpoint(self):
         self.copy = pickle.loads(pickle.dumps(self.solver))
 
+    @invariant()
+    def the_record_holds_live_components_once(self):
+        """Whatever the store did since (merge, split, a component
+        emptied), the loads not yet pulled name live components only,
+        each once."""
+        for solver in self._each():
+            live = {id(component) for component in solver._components()}
+            recorded = [id(component) for component in solver._unpulled]
+            assert set(recorded) <= live
+            assert len(set(recorded)) == len(recorded)
+
     @rule(full=st.booleans())
     def resolve(self, full):
-        solver = self.solver
+        solver, eager = self.solver, self.eager
         before = self.reported
         updates = _resolve(solver, self.capacities, full)
         alloc = self.reported = solver.alloc
+        self.mutated = False
         # (d) the unpickled twin took the same steps: same bits, same order.
         if self.copy is not None:
             assert list(_resolve(self.copy, self.capacities, full).items()) == list(
                 updates.items()
             )
             assert self.copy.alloc == alloc
-            assert self.copy.last_loads == solver.last_loads
+        assert list(_resolve(eager, self.capacities, full).items()) == list(
+            updates.items()
+        )
         # (b) bitwise equal to a from-scratch solve of the live flows.
         assert alloc == solve(list(self.live.values()), self.capacities)
         assert len(solver._flows) == len(self.live)
@@ -579,43 +601,67 @@ class SolverIndexMachine(RuleBasedStateMachine):
             for flow_id, rate in alloc.items()
             if flow_id not in before or before[flow_id] != rate
         }
-        # (f) every published load is the sum, in insertion order, of
-        # the rates of the constrained flows on the link - the same bits.
+        # The eager twin pulls after every resolve, as the engine summed
+        # loads before they were pulled on read.
+        loads = eager.pull_loads()
+        self.eager_loads.update(loads)
+        # (f) every pulled load of a link a flow crosses is the sum, in
+        # insertion order, of the rates of the constrained flows on the
+        # link - the same bits; any other pulled link carries nothing.
         constrained = [f for f in self.live.values() if not f.is_free()]
-        loads = solver.last_loads
         for link, load in loads.items():
             total = 0.0
             for flow in constrained:
                 if link in flow.links:
                     total += alloc[flow.flow_id]
             assert load == total
-        # (g) loads are published for whole components and nothing else
+        # (g) loads are pulled for whole components and nothing else
         # (a link number outliving its last row must not leak), and the
-        # components published add up to the scope reported.
+        # components pulled add up to the scope reported.
         published = [
-            ids for ids in solver.components()
+            ids for ids in eager.components()
             if any(link in loads for link in self.live[ids[0]].links)
         ]
-        assert set(loads) == {
-            link for ids in published for i in ids for link in self.live[i].links
-        }
+        owned = {link for ids in published for i in ids for link in self.live[i].links}
+        assert {link for link in loads if link in eager._component_of} == owned
         free = len(self.live) - len(constrained)
         scope = sum(len(ids) for ids in published)
-        assert scope <= solver.last_scope <= scope + free
+        assert scope <= eager.last_scope <= scope + free
         if full:
-            assert solver.last_scope == len(self.live)
-        # (c) every link whose load may have moved is reported: those a
+            assert eager.last_scope == len(self.live)
+        # (c) every link whose load may have moved is pulled: those a
         # flow left, and all of a component in which a rate moved.
         moved = set(self.removed_links)
-        for ids in solver.components():
+        for ids in eager.components():
             if not updates.keys().isdisjoint(ids):
                 for flow_id in ids:
                     moved.update(self.live[flow_id].links)
-        assert moved <= solver.last_touched_links
-        assert moved - self.removed_links <= set(loads)
+        assert moved <= set(loads)
         self.removed_links = set()
         # (a) no stale merge, no missed merge.
         assert _components(solver) == _true_components(self.live)
+
+    @rule()
+    def pull(self):
+        """Pull after any number of resolves, or between a mutation and
+        its resolve: the record keeps what it cannot sum yet (a
+        component mutated since its resolve).  Pulled with no mutation
+        since the last resolve, the loads written add up to the eager
+        twin's, bit for bit."""
+        loads = self.solver.pull_loads()
+        # (d) the unpickled twin pulls the same bits.
+        if self.copy is not None:
+            assert self.copy.pull_loads() == loads
+        # Whenever it is pulled, a load is the one the eager twin pulled
+        # after the last resolve - nothing mutated since is summed - or
+        # 0.0 on a link that lost its last flow since.
+        for link, load in loads.items():
+            assert load == self.eager_loads[link] or (
+                load == 0.0 and link not in self.solver._component_of
+            )
+        self.loads.update(loads)
+        if not self.mutated:
+            assert self.loads == self.eager_loads
 
 
 _machine_settings = settings(
@@ -706,7 +752,7 @@ def test_removal_of_bridge_flow_splits_and_resolves_both_halves():
     assert solver.stats["repartitions"] == 1
     assert _components(solver) == {frozenset({0, 1}), frozenset({3, 4})}
     assert solver.last_scope == 4 and not updates  # both halves re-solved, no rate moved
-    assert {"a", "b", "c", "d"} <= solver.last_touched_links
+    assert {"a", "b", "c", "d"} <= set(solver.pull_loads())
     assert solver.alloc == solve(left + right, caps)
     # The halves are independent now: touching one leaves the other cached.
     solver.upsert(FlowDemand(0, 4.0, ["a"]))

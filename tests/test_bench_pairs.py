@@ -141,15 +141,22 @@ def test_history_reads_the_committed_ledger_and_marks_backfill(tmp_path, capsys)
     spec.loader.exec_module(bench_history)
     ledger = os.path.join(ROOT, "benchmarks", "ledger")
     rows = bench_history.trend(bench_history.load(ledger), "wall_s")
-    (row,) = rows["packet_reference"]
-    assert (row["pr"], row["backfill"]) == (41, False)
+
+    def pr41(history):  # later entries append rows after it
+        assert history[0]["pr"] == 41
+        return history[0]
+
+    row = pr41(rows["packet_reference"])
+    assert row["backfill"] is False
     assert row["ratio"] == pytest.approx(1.9943288959984784 / 2.2133324969981913)
     assert row["rounds"][-1] == {"11": ("gain", 10, 10), "13": ("gain", 10, 10)}
-    (row,) = rows["reactive_l2"]  # pairs only, no traced report
-    assert row["parent"] is None and row["rounds"][0]["11"] == ("gain", 5, 5)
+    row = pr41(rows["reactive_l2"])  # pairs only, no traced report
+    assert row["parent"] is None and row["rounds"][0]["11"] == ("no claim", 5, 5)
     events = bench_history.trend(bench_history.load(ledger), "sim.events")
-    assert list(events) == ["packet_reference"]  # per-layer figures too
-    assert events["packet_reference"][0]["change"] == 221861
+    # Per-layer figures too: BENCH_41 has them for packet_reference only.
+    assert [name for name, history in events.items()
+            if history[0]["pr"] == 41] == ["packet_reference"]
+    assert pr41(events["packet_reference"])["change"] == 221861
 
     # A backfilled entry sorts by PR and prints with its mark.
     with open(os.path.join(ledger, "BENCH_41.json")) as handle:
@@ -163,3 +170,20 @@ def test_history_reads_the_committed_ledger_and_marks_backfill(tmp_path, capsys)
     lines = out.split("packet_reference")[1].splitlines()
     assert lines[2].split()[:4] == ["9*", "3", "2.4", "0.8000"]
     assert lines[3].split()[:4] == ["41", "2.21333", "1.99433", "0.9011"]
+
+
+def test_history_reads_a_short_round_as_no_claim(capsys):
+    """BENCH_41 recorded reactive_l2 at seed 11 as "gain" from a round of
+    five pairs; below ``MIN_PAIRS`` the history prints "no claim"."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_history", os.path.join(ROOT, "tools", "bench_history.py")
+    )
+    bench_history = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_history)
+    with open(os.path.join(ROOT, "benchmarks", "ledger", "BENCH_41.json")) as handle:
+        recorded = json.load(handle)["workloads"]["reactive_l2"]["pairs"][0]["11"]
+    assert recorded["verdicts"]["wall_s"]["verdict"] == "gain"
+    assert recorded["verdicts"]["wall_s"]["pairs"] < bench_pairs.MIN_PAIRS
+    assert bench_history.main([]) == 0
+    out = capsys.readouterr().out.split("reactive_l2")[1]
+    assert "11 no claim 5/5" in out and "gain 5/5" not in out

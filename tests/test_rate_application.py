@@ -1,9 +1,10 @@
 """The engine applies the solver's answer by difference.
 
 ``IncrementalSolver.resolve`` returns only the rates that moved and
-publishes the load of every link it touched; the engine writes those
-loads to ``LinkDirection.allocated_bps``, applies the moved rates and
-rebuilds the external demands' share of the touched directions.  These
+records the loads it made stale; the engine applies the moved rates,
+and a pull writes the stale loads to ``LinkDirection.allocated_bps``
+when they are read - at once while external demands exist, whose share
+of the pulled directions it rebuilds.  These
 tests pin what that bookkeeping must add up to after every event, on
 the incremental re-solve and on the from-scratch reference
 (``diff.reference.solve_from_scratch``), and the two cases a by-difference engine gets wrong
@@ -51,7 +52,9 @@ def _path(topo, src, dst):
 def _assert_loads_add_up(engine, topo, externals):
     """Every direction's ``allocated_bps`` is the sum, in solver
     insertion order, of the exact rates of the demands crossing it, and
-    ``background_load`` is that minus the live externals' rates."""
+    ``background_load`` is that minus the live externals' rates, once
+    the loads are pulled."""
+    engine._sync_loads()
     solver = engine._solver
     alloc = solver.alloc
     load = {}

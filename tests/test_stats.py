@@ -113,7 +113,8 @@ class TestCollector:
         sim = Simulator()
         engine = FlowLevelEngine(sim, line2)
         collector = RunStatsCollector(line2)
-        collector.enable_link_sampling(sim, interval=0.5)
+        # The engine sums link loads on read: the tick pulls them first.
+        collector.enable_link_sampling(sim, interval=0.5, sync=engine._sync_loads)
         h1, h2 = line2.host("h1"), line2.host("h2")
         flow = Flow(
             headers=tcp_flow(h1.ip, h2.ip, 1000, 80),
@@ -174,4 +175,4 @@ class TestCollector:
         assert horse.engine.observers == []
         state = dict(vars(horse.collector))
         assert state.pop("topology") is topo
-        assert state == {"completed": [], "link_utilization": {}}
+        assert state == {"completed": [], "link_utilization": {}, "_sync": None}

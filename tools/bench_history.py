@@ -6,8 +6,9 @@ Reads every ``BENCH_<pr>.json`` under ``benchmarks/ledger/`` (or
 ``--ledger``), in PR order, and prints per workload one row per entry
 that measured ``METRIC`` (default ``wall_s``; an end-to-end or a
 per-layer name): the parent's and the change's figure, their ratio, and
-per round of pairs each seed's verdict with wins / pairs, as recorded.
-Entries marked ``"backfill": true`` were rebuilt from CHANGES.md rather
+per round of pairs each seed's verdict with wins / pairs, as recorded -
+except that a round of fewer than ``bench_pairs.MIN_PAIRS`` pairs reads
+"no claim", whatever verdict was recorded for it.  Entries marked ``"backfill": true`` were rebuilt from CHANGES.md rather
 than measured by ``tools/bench_ledger.py``; their rows carry a ``*``.
 """
 
@@ -22,6 +23,8 @@ from typing import Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+from bench_pairs import MIN_PAIRS  # noqa: E402
 
 
 def load(ledger: str) -> List[dict]:
@@ -42,7 +45,8 @@ def trend(entries: List[dict], metric: str) -> Dict[str, List[dict]]:
             figures = (record.get("end_to_end", {}).get(metric)
                        or record.get("per_layer", {}).get(metric) or {})
             rounds = [
-                {seed: (found["verdict"], found["wins"], found["pairs"])
+                {seed: (found["verdict"] if found["pairs"] >= MIN_PAIRS else "no claim",
+                        found["wins"], found["pairs"])
                  for seed, measured in sorted(round_.items())
                  if (found := measured["verdicts"].get(metric)) is not None}
                 for round_ in record.get("pairs", [])
