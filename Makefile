@@ -49,12 +49,13 @@ lint-sim:
 # stays at its tuple-entry, one-queue size: the pending set orders plain
 # tuples, reschedule re-stamps the handle and a late push takes a
 # reserved seq, so a second queue class, copy path or tie rule has
-# nowhere to go.  The wire codec describes each message body
+# nowhere to go; it times events only through the trace bus's span.  The wire codec describes each message body
 # once, in its _MESSAGES table: a hand-written writer/reader pair has no
 # room to come back.  Telemetry plus the monitor keep only what a run
-# produces or reads (pull sources, a path-or-memory trace bus, one
-# sample history, the kernel's one profiler): owned metrics, a stream
-# mode or a second history has no room to come back.  The linter keeps
+# produces or reads (pull sources, a path-or-memory trace bus whose
+# spans are the one record of where the time went, one sample history):
+# owned metrics, a stream mode, a second history or a profiler has no
+# room to come back.  The linter keeps
 # its rules and one gate: a baseline, a reporter, rule selection or a
 # plugin registry has no room to come back.
 # The output queue's fixed-rate formula path fits beside its one start-event path.
@@ -63,10 +64,10 @@ LINE_BUDGETS = \
 	"src/repro/cli.py src/repro/runtime/scenario.py:1020" \
 	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
-	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:729" \
+	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:720" \
 	"src/repro/pktsim/queues.py:203" \
 	"src/repro/wire/codec.py:650" \
-	"src/repro/telemetry/*.py src/repro/control/monitor.py:718" \
+	"src/repro/telemetry/*.py src/repro/control/monitor.py:645" \
 	"tools/simlint/*.py tools/simlint/rules/*.py:1285"
 line-budget:
 	@for entry in $(LINE_BUDGETS); do \

@@ -35,7 +35,7 @@ BASELINE_CASE = "smoke_hotpath_incremental"
 
 def measure() -> tuple[float, float]:
     """Best-of-N *normalized* time of the smoke hot-path workload
-    (telemetry off — trace slots and the kernel's profiler are None,
+    (telemetry off — every trace slot is None,
     exactly what every default run pays).
 
     Each round pairs the workload with a calibration sample taken

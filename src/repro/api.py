@@ -17,8 +17,9 @@ or, assembling programmatically::
 
     from repro.api import Horse, HorseConfig, TelemetryConfig, fat_tree
 
+    telemetry = TelemetryConfig(trace_path="run.trace.jsonl")
     horse = Horse(fat_tree(4), policies={...},
-                  config=HorseConfig(telemetry=TelemetryConfig(profile=True)))
+                  config=HorseConfig(telemetry=telemetry))
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class Override(NamedTuple):
 
     flag: str
     path: str
-    type: object  # str, int, float, bool (a switch), or a tuple of choices
+    type: object  # str, int, float, or a tuple of choices
     help: str
     metavar: Optional[str] = None
     implies: Tuple[Tuple[str, object], ...] = ()
@@ -87,8 +87,6 @@ OVERRIDES: Dict[str, Tuple[Override, ...]] = {
                  "simulated seconds between periodic checkpoints", "SECONDS"),
         Override("--trace", "telemetry.trace_path", str,
                  "record a structured JSONL trace of the run here", "PATH"),
-        Override("--profile", "telemetry.profile", bool,
-                 "account per-phase wall clock (reported in engine_stats)"),
         Override("--hybrid-select", "hybrid.select", str,
                  "run selected flows at packet granularity (hybrid engine): "
                  "none, all, top:K, or match:field=value[,...]", "SPEC",
@@ -125,15 +123,13 @@ OVERRIDES: Dict[str, Tuple[Override, ...]] = {
 }
 
 #: The overrides `run --restore` still honours: it has no document to
-#: edit, so cmd_run applies these three to the restored horse itself.
-_RESTORE_FLAGS = ("--until", "--trace", "--profile")
+#: edit, so cmd_run applies these two to the restored horse itself.
+_RESTORE_FLAGS = ("--until", "--trace")
 
 
 def _add_overrides(parser: argparse.ArgumentParser, command: str) -> None:
     for row in OVERRIDES[command]:
-        if row.type is bool:
-            kind = {"action": "store_true", "default": None}
-        elif isinstance(row.type, tuple):
+        if isinstance(row.type, tuple):
             kind = {"choices": row.type}
         else:
             kind = {"type": row.type, "metavar": row.metavar}
@@ -202,8 +198,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"restored checkpoint: {args.restore} (t={horse.sim.now:g} s)")
         if args.trace:
             horse.telemetry.enable_tracing(args.trace)
-        if args.profile:
-            horse.telemetry.enable_profiling()
         until = args.until if args.until is not None else horse.last_until
         try:
             result = horse.run(until=until)
@@ -355,9 +349,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"records  : {summary['records']}")
     if t_range["min"] is not None:
         print(f"sim time : {t_range['min']:g} .. {t_range['max']:g} s")
-    print(f"{'kind':32s} {'count':>8s} {'wall_dur_s':>12s}")
+    print(f"{'kind':32s} {'count':>8s} {'wall_dur_s':>12s} {'share':>8s}")
     for kind, entry in summary["kinds"].items():
-        print(f"{kind:32s} {entry['count']:8d} {entry['wall_dur_s']:12.6f}")
+        share = "-" if entry["share"] is None else f"{entry['share']:.4f}"
+        print(f"{kind:32s} {entry['count']:8d} {entry['wall_dur_s']:12.6f} {share:>8s}")
     return 0
 
 

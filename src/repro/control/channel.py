@@ -466,9 +466,14 @@ class ControlChannel:
     # ------------------------------------------------------------------
     def deliver_packet_in(self, message: PacketIn) -> Optional[List[int]]:
         """Deliver a packet-in.  Returns the controller's packet-out port
-        list when synchronous, else None (handled later)."""
+        list when synchronous, else None (handled later).  Traced as a
+        ``channel.packet_in`` span: a synchronous answer is inside it."""
         self.stats["packet_ins"] += 1
-        ports = self.transport.packet_in(message)
+        if self.trace_bus is None:
+            ports = self.transport.packet_in(message)
+        else:
+            with self.trace_bus.span("channel.packet_in", dpid=message.dpid):
+                ports = self.transport.packet_in(message)
         if ports:
             self.stats["packet_outs"] += 1
         return ports

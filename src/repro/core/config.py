@@ -89,7 +89,7 @@ class WireConfig:
 
 @dataclass
 class TelemetryConfig:
-    """Observation knobs: monitoring, link sampling, tracing, profiling.
+    """Observation knobs: monitoring, link sampling, tracing.
 
     Attributes
     ----------
@@ -108,11 +108,9 @@ class TelemetryConfig:
         disables sampling.
     trace_path:
         When set, structured tracing is enabled for the whole run and
-        records are appended (JSONL) to this path.
-    profile:
-        Enable per-phase wall-clock profiling, reported under
-        ``engine_stats["profile"]`` (wall-clock content — leave off
-        for byte-compared reports).
+        records are appended (JSONL) to this path.  Its spans say where
+        the wall time went (``repro trace summarize``); nothing it
+        records enters the run's result.
     """
 
     monitor_interval_s: Optional[float] = None
@@ -121,7 +119,6 @@ class TelemetryConfig:
     monitor_push_min_delta_bytes: float = 0.0
     link_sample_interval_s: Optional[float] = None
     trace_path: Optional[str] = None
-    profile: bool = False
 
 
 @dataclass

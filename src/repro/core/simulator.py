@@ -139,7 +139,7 @@ class Horse:
         if self.config.entry_expiry_interval_s:
             self.engine.enable_entry_expiry(self.config.entry_expiry_interval_s)
 
-        #: Unified observation surface: metrics registry + trace/profile
+        #: Unified observation surface: metrics registry + trace
         #: control over the kernel, engine, and channel.
         self.telemetry = Telemetry(self.sim)
         self.telemetry.bind(self.sim, self.engine, self.channel)
@@ -149,8 +149,6 @@ class Horse:
         registry.register_source("channel", self.channel.stats_snapshot)
         if self.wire is not None:
             registry.register_source("wire", self.wire.metrics)
-        if self.config.telemetry.profile:
-            self.telemetry.enable_profiling()
         if self.config.telemetry.trace_path:
             self.telemetry.enable_tracing(self.config.telemetry.trace_path)
 

@@ -153,9 +153,8 @@ class FlowLevelEngine(Engine):
         self._probing = False
         # Telemetry (off by default; see repro.telemetry).  The bus is
         # held privately and exposed through the ``trace_bus`` property
-        # so assignment also reaches the owned solver; the kernel's
-        # profiler is charged "solve" and "route" (both inside its
-        # inclusive "dispatch").
+        # so assignment also reaches the owned solver; route walks and
+        # rate solves are its ``engine.route`` / ``engine.solve`` spans.
         self._trace_bus = None
         # Aggregate statistics.
         self.stats = dict.fromkeys((
@@ -499,11 +498,11 @@ class FlowLevelEngine(Engine):
     # ------------------------------------------------------------------
     def _route(self, flow: Flow) -> None:
         """(Re)walk a flow through the data plane and update its state."""
-        profiler = self.sim.profiler
-        if profiler is None:
+        bus = self._trace_bus
+        if bus is None:
             self._route_inner(flow)
             return
-        with profiler.phase("route"):
+        with bus.span("engine.route", flow=flow.flow_id):
             self._route_inner(flow)
 
     def _route_inner(self, flow: Flow) -> None:
@@ -819,11 +818,11 @@ class FlowLevelEngine(Engine):
     def _recompute(self) -> None:
         """Re-solve max-min rates and reproject completions."""
         self.stats["rate_solves"] += 1
-        profiler = self.sim.profiler
-        if profiler is None:
+        bus = self._trace_bus
+        if bus is None:
             self._recompute_indexed(self.sim.now)
             return
-        with profiler.phase("solve"):
+        with bus.span("engine.solve"):
             self._recompute_indexed(self.sim.now)
 
     def _recompute_indexed(self, now: float) -> None:

@@ -107,14 +107,14 @@ class FlowDemand:
         self.links = tuple(dict.fromkeys(links))
 
     def is_free(self) -> bool:
-        """True when the flow is granted its demand outright (no links
-        that could congest, or effectively zero demand)."""
+        """True when the flow's rate is :meth:`free_rate`, not the
+        kernel's: it crosses no link, or its demand is effectively zero."""
         return not self.links or self.demand_bps <= EPSILON_BPS
 
     def free_rate(self) -> float:
-        """A free flow's rate: its demand, except that an uncapped flow
-        has only the rate its links give it - none without a link."""
-        return self.demand_bps if self.demand_bps != _INF else 0.0
+        """A free flow's rate: its demand, except that a flow crossing
+        no live link carries nothing, whatever its demand."""
+        return self.demand_bps if self.links else 0.0
 
     def same_inputs(self, other: "FlowDemand") -> bool:
         """True when the solver inputs are identical (rates can't move)."""

@@ -31,7 +31,7 @@ migrated on load with deprecation warnings)::
       "telemetry": {"monitor_interval_s": null, "monitor_mode": "poll",
                     "monitor_push_min_delta_bytes": 0.0,
                     "link_sample_interval_s": null,
-                    "trace_path": "run.trace.jsonl", "profile": false},
+                    "trace_path": "run.trace.jsonl"},
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0}
     }
 

@@ -58,7 +58,6 @@ V0_RUNTIME_KEYS: Dict[str, Tuple[str, str]] = {
     "monitor_mode": ("telemetry", "monitor_mode"),
     "monitor_push_min_delta_bytes": ("telemetry", "monitor_push_min_delta_bytes"),
     "trace_path": ("telemetry", "trace_path"),
-    "profile": ("telemetry", "profile"),
     "checkpoint_path": ("checkpoint", "path"),
     "checkpoint_interval_s": ("checkpoint", "interval_s"),
     "wire_listen": ("wire", "listen"),

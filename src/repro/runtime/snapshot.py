@@ -47,7 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: 8: the fair-share solver records the loads it made stale (pulled on
 #: read) in place of the last resolve's loads and touched links, and the
 #: stats collector keeps the engine's pull for its sampling tick.
-SNAPSHOT_VERSION = 8
+#: 9: the kernel holds no profiler slot.
+SNAPSHOT_VERSION = 9
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

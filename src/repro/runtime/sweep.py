@@ -174,10 +174,6 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
         os._exit(FAULT_EXIT_CODE)
 
     scenario = copy.deepcopy(ensure_v1(payload["scenario"], warn=False))
-    # Per-phase wall clock on by default so every job manifests where its
-    # time went; the spec can opt out with {"telemetry": {"profile": false}}.
-    if "profile" not in scenario.get("telemetry", {}):
-        set_dotted(scenario, "telemetry.profile", True)
     ckpt_path = payload.get("checkpoint_path")
     interval = payload.get("checkpoint_interval_s")
     if ckpt_path and interval:
@@ -201,18 +197,6 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
     row = result.row()
     row.pop("wall_time_s", None)
     row.pop("events_per_s", None)
-    # The per-phase profile is wall clock, so it belongs with the other
-    # non-deterministic bookkeeping in "execution" — never in "result",
-    # which must aggregate byte-identically across schedules.
-    engine_stats = dict(result.engine_stats)
-    profile = engine_stats.pop("profile", None)
-    execution = {
-        "attempt": attempt,
-        "resumed_from_checkpoint": resumed,
-        "wall_time_s": round(result.wall_time_s, 4),
-    }
-    if profile is not None:
-        execution["profile"] = profile
     return {
         "index": payload["index"],
         "params": payload["params"],
@@ -221,9 +205,13 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
             **row,
             "fct": result.fct_summary(),
             "fairness": result.fairness(),
-            "engine_stats": engine_stats,
+            "engine_stats": result.engine_stats,
         },
-        "execution": execution,
+        "execution": {
+            "attempt": attempt,
+            "resumed_from_checkpoint": resumed,
+            "wall_time_s": round(result.wall_time_s, 4),
+        },
     }
 
 

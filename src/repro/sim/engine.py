@@ -228,14 +228,7 @@ class Engine:
         Deterministic for a given workload (no wall-clock content), so
         it is safe to include in byte-compared JSON reports.
         """
-        out = {"engine": self.name}
-        out.update(self._diagnostics())
-        profiler = self.sim.profiler
-        if profiler is not None:
-            # Wall-clock content: only present when profiling was
-            # explicitly enabled, so default reports stay deterministic.
-            out["profile"] = profiler.snapshot()
-        return out
+        return {"engine": self.name, **self._diagnostics()}
 
     def _diagnostics(self) -> dict:
         """The engine-specific fields of :meth:`engine_stats`."""

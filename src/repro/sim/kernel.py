@@ -12,7 +12,6 @@ module").
 from __future__ import annotations
 
 import itertools
-import time as _time
 from typing import Any, Callable, Optional
 
 from ..errors import SchedulingError
@@ -55,11 +54,8 @@ class Simulator:
         #: Structured trace sink (:class:`repro.telemetry.TraceBus`) or
         #: None; every emission site checks ``is not None``, so the
         #: disabled path costs one attribute read.  Each fired event is
-        #: a ``kernel.event`` record carrying the event type.
+        #: a ``kernel.event`` span carrying the event type.
         self.trace_bus = None
-        #: The run's profiler (:class:`repro.telemetry.PhaseProfiler`) or
-        #: None: "dispatch" is charged here, "solve"/"route" by the engine.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -326,21 +322,16 @@ class Simulator:
         # callback (periodic checkpointing) already includes the
         # firing event: a restored run never re-counts it.
         self.fired_count += 1
-        profiler = self.profiler
+        bus = self.trace_bus
         try:
-            if profiler is not None:
-                _t0 = _time.perf_counter()  # repro: noqa[DET001] - profiler timing; never feeds sim state
-                try:
-                    event.fire(self)
-                finally:
-                    profiler.add("dispatch", _time.perf_counter() - _t0)  # repro: noqa[DET001] - profiler timing; never feeds sim state
-            else:
+            if bus is None:
                 event.fire(self)
+            else:
+                with bus.span("kernel.event", event=type(event).__name__):
+                    event.fire(self)
         except StopIteration:
             # A periodic callback may raise StopIteration to end its series.
             pass
-        if self.trace_bus is not None:
-            self.trace_bus.emit("kernel.event", event=type(event).__name__)
 
     def stop(self) -> None:
         """Request that a running :meth:`run` loop return after the

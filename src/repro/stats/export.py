@@ -129,8 +129,8 @@ def run_digest(result: "RunResult") -> str:
     removed — the only nondeterministic top-level field.  Two runs of
     the same scenario must produce the same digest; the golden-scenario
     regression tests and ``repro run --check-digest`` gate on this.
-    Profiling (``profile: true``) embeds wall time in ``engine_stats``
-    and breaks digest stability; leave it off for digested runs.
+    Tracing puts nothing in a result, so a traced run hashes like an
+    untraced one; its wall clock stays in the trace file.
     Wire-control metrics (``wire.*``) are wall-clock measurements of
     the external controller and are likewise excluded, so a wire run
     that reproduces an in-proc run's behavior hashes identically.

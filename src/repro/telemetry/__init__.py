@@ -1,7 +1,6 @@
-"""Unified telemetry: tracing, metrics registry, profiling, samples."""
+"""Unified telemetry: tracing, metrics registry, samples."""
 
 from .hub import Telemetry
-from .profile import PhaseProfiler
 from .registry import MetricsRegistry
 from .sample import MonitorSample, PortKey
 from .trace import TRACE_SCHEMA_VERSION, TraceBus, read_trace, summarize_trace
@@ -13,7 +12,6 @@ __all__ = [
     "read_trace",
     "summarize_trace",
     "TRACE_SCHEMA_VERSION",
-    "PhaseProfiler",
     "MonitorSample",
     "PortKey",
 ]

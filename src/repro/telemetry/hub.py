@@ -1,12 +1,11 @@
 """The unified observation entry point.
 
 One :class:`Telemetry` per simulation owns the metrics registry and
-controls tracing and profiling.  Subsystems that trace expose a
-``trace_bus`` attribute (``None`` when disabled); :meth:`Telemetry.bind`
-records them, and enable/disable calls swap the shared
+controls tracing.  Subsystems that trace expose a ``trace_bus``
+attribute (``None`` when disabled); :meth:`Telemetry.bind` records
+them, and enable/disable calls swap the shared
 :class:`~repro.telemetry.trace.TraceBus` in and out of those slots.
-The :class:`~repro.telemetry.profile.PhaseProfiler` lives on the kernel
-(``sim.profiler``), where the kernel and the flow engine charge it.
+Its spans are the one record of where a run's wall time went.
 :class:`~repro.core.simulator.Horse` constructs and binds one
 automatically — ``horse.telemetry`` is the user-facing handle.
 """
@@ -15,13 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .profile import PhaseProfiler
 from .registry import MetricsRegistry
 from .trace import TraceBus
 
 
 class Telemetry:
-    """Registry + trace/profiling control for one simulation.
+    """Registry + trace control for one simulation.
 
     Examples
     --------
@@ -91,17 +89,6 @@ class Telemetry:
             if getattr(sink, "trace_bus", None) is bus:
                 sink.trace_bus = None
         bus.close()
-
-    # ------------------------------------------------------------------
-    # Profiling
-    # ------------------------------------------------------------------
-    def enable_profiling(self) -> PhaseProfiler:
-        """Start per-phase wall-clock accounting on the kernel (the
-        kernel charges ``dispatch``, the flow engine ``solve`` and
-        ``route``).  Idempotent while already enabled."""
-        if self._sim.profiler is None:
-            self._sim.profiler = PhaseProfiler()
-        return self._sim.profiler
 
     # ------------------------------------------------------------------
     # Reads

@@ -46,6 +46,7 @@ class TraceBus:
         self._handle: Optional[IO[str]] = None
         self.events: List[dict] = []
         self.emitted = 0
+        self.closed = False
         self._wall0 = time.perf_counter()
         if path is not None:
             # Open eagerly (truncating) so a recorded trace always starts
@@ -61,6 +62,8 @@ class TraceBus:
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields) -> None:
         """Append one record: ``kind`` + clocks + caller fields."""
+        if self.closed:
+            return
         record = {
             "kind": kind,
             "t": self._sim.now if self._sim is not None else 0.0,
@@ -101,8 +104,9 @@ class TraceBus:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Emit a closing record and release the file handle (if owned)."""
+        """Emit ``trace.close``, release the file, drop later records."""
         self.emit("trace.close", emitted=self.emitted)
+        self.closed = True
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -125,8 +129,11 @@ def read_trace(path: str) -> List[dict]:
 
 
 def summarize_trace(records: List[dict]) -> dict:
-    """Aggregate a trace: record counts and wall time per kind, plus
-    the simulated-time range covered."""
+    """Aggregate a trace: record counts and wall time per kind, each
+    kind's ``share`` of the ``kernel.event`` wall total (None when no
+    event fired), and the simulated-time range covered.  Spans nest, so
+    shares are inclusive: ``engine.solve`` time is also inside the
+    ``kernel.event`` that ran it, and shares do not sum to one."""
     by_kind: Dict[str, dict] = {}
     t_min: Optional[float] = None
     t_max: Optional[float] = None
@@ -141,7 +148,9 @@ def summarize_trace(records: List[dict]) -> dict:
         if isinstance(t, (int, float)):
             t_min = t if t_min is None else min(t_min, t)
             t_max = t if t_max is None else max(t_max, t)
+    total = by_kind.get("kernel.event", {}).get("wall_dur_s", 0.0)
     for entry in by_kind.values():
+        entry["share"] = round(entry["wall_dur_s"] / total, 6) if total else None
         entry["wall_dur_s"] = round(entry["wall_dur_s"], 9)
     return {
         "records": len(records),

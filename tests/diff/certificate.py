@@ -11,8 +11,9 @@ and the link capacities, :func:`violations` checks that
 3. every flow below its demand crosses a saturated link on which its
    ``rate / weight`` is the highest among the unpinned flows crossing
    it (the weighted max-min bottleneck condition: its rate cannot rise
-   without lowering a rate no higher than its own) - except an uncapped
-   flow crossing no link, which nothing carries: its rate is 0.
+   without lowering a rate no higher than its own) - except a flow
+   crossing no link, which nothing carries: its rate is 0, whatever
+   its demand.
 
 Each comparison allows ``max(TOL, TOL * x)`` of the quantity ``x``
 compared.  :func:`engine_violations` applies the same to a flow
@@ -66,8 +67,8 @@ def violations(
             found.append(f"link {link!r}: load {total} over capacity {capacities[link]}")
     for flow in flows:
         rate = rates[flow.flow_id]
-        if not flow.links and flow.demand_bps == float("inf"):
-            # Uncapped, it has only the rate links give it: none here.
+        if not flow.links:
+            # Nothing carries it: no rate, whatever its demand.
             if rate != 0.0:
                 found.append(f"flow {flow.flow_id!r}: rate {rate} without a link")
             continue

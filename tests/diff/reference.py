@@ -83,11 +83,11 @@ from repro.sim.queue import Entry
 def solve(
     flows: Iterable[FlowDemand], capacities: Mapping[Hashable, float]
 ) -> Dict[Hashable, float]:
-    """Max-min fair rates (flow_id -> bps) from scratch: flows with no
-    links (or no demand) get their demand, the rest are partitioned
-    into link-sharing components and each is filled on fresh columns,
-    its flows in order.  The incremental solver fills the same rows, so
-    the bits agree.
+    """Max-min fair rates (flow_id -> bps) from scratch: free flows get
+    ``free_rate`` (nothing without a link, else their near-zero
+    demand), the rest are partitioned into link-sharing components and
+    each is filled on fresh columns, its flows in order.  The
+    incremental solver fills the same rows, so the bits agree.
 
     >>> a = FlowDemand("a", 10.0, ["l"])
     >>> b = FlowDemand("b", 10.0, ["l"])

@@ -8,9 +8,10 @@ and constant-rate, uncapped demands among them) and the link flaps
 injected before the run.  Each case is checked for
 
 * byte accounting: a flow never delivers more than it sent, an elastic
-  flow drops nothing, a completed sized flow sent its size, and a flow
+  flow drops nothing, a completed sized flow sent its size, a flow
   that kept one delivered route delivered every byte it sent (to the
-  completion's slack, for a completed one).  The fluid engine's
+  completion's slack, for a completed one), and a flow that never
+  crossed a live link sent nothing.  The fluid engine's
   ``bytes_dropped`` is the offered excess of an inelastic flow, never
   sent, so the packet engine's ``sent == delivered + dropped`` reads
   this way here;
@@ -160,6 +161,8 @@ def _check_bytes(result):
             assert flow.bytes_dropped == 0.0, flow
         if flow.reroutes == 0 and flow.route is not None and flow.route.delivered:
             assert abs(flow.bytes_delivered - flow.bytes_sent) <= slack, flow
+        if flow.reroutes == 0 and flow.route is not None and not flow.route.directions:
+            assert flow.bytes_sent == 0.0, flow
 
 
 def _digest(result):

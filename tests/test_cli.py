@@ -368,8 +368,6 @@ SAMPLE_TEXT = {
 
 def _sample(row):
     """(command-line words after the flag, the value the document gets)."""
-    if row.type is bool:
-        return [], True
     if isinstance(row.type, tuple):
         return [row.type[-1]], row.type[-1]
     if row.type is str:
@@ -435,7 +433,7 @@ class TestOverrideTable:
             "run": {
                 "--flows-csv", "--json", "--until", "--checkpoint",
                 "--checkpoint-interval", "--restore", "--trace", "--metrics",
-                "--profile", "--hybrid-select", "--hybrid-sync-interval",
+                "--hybrid-select", "--hybrid-sync-interval",
                 "--check-digest", "--control",
                 "--wire-client", "--wire-listen",
             },
@@ -461,12 +459,14 @@ class TestOverrideTable:
             ["run", QUICKSTART, "--solver", "full"],
             ["run", QUICKSTART, "--kernel-compaction-threshold", "0.5"],
             ["run", QUICKSTART, "--shards", "2"],
+            ["run", QUICKSTART, "--profile"],
             ["trace", "record", QUICKSTART, "--out", "t.jsonl", "--solver", "full"],
         ],
     )
     def test_implementation_flags_are_gone(self, words, capsys):
         """Flags that picked how a run is computed, not what is
-        simulated, are argparse errors like any unknown flag."""
+        simulated (or, like ``--profile``, only timed it), are argparse
+        errors like any unknown flag."""
         with pytest.raises(SystemExit) as exc:
             main(words)
         assert exc.value.code == 2
@@ -528,7 +528,7 @@ class TestRestoreRefusesDocumentFlags:
         [
             row
             for row in OVERRIDES["run"]
-            if row.flag not in ("--until", "--trace", "--profile")
+            if row.flag not in ("--until", "--trace")
         ],
         ids=lambda row: row.flag,
     )
@@ -540,18 +540,16 @@ class TestRestoreRefusesDocumentFlags:
         err = capsys.readouterr().err
         assert row.flag in err and "--restore" in err
 
-    def test_trace_and_profile_still_apply_to_the_restored_horse(self, tmp_path):
+    def test_trace_still_applies_to_the_restored_horse(self, tmp_path):
+        from repro.telemetry import read_trace
+
         scenario = TestRunCommand()._scenario(tmp_path, until=5.0)
         ckpt = str(tmp_path / "state.ckpt")
         assert main(["run", scenario, "--until", "1.0", "--checkpoint", ckpt]) == 0
         trace = str(tmp_path / "rest.jsonl")
-        out = str(tmp_path / "rest.json")
-        assert main(
-            ["run", "--restore", ckpt, "--trace", trace, "--profile", "--json", out]
-        ) == 0
-        assert os.path.getsize(trace) > 0
-        with open(out) as handle:
-            assert "profile" in json.load(handle)["engine_stats"]
+        assert main(["run", "--restore", ckpt, "--trace", trace, "--until", "5.0"]) == 0
+        events = [r for r in read_trace(trace) if r["kind"] == "kernel.event"]
+        assert events and all(r["t"] >= 1.0 and r["wall_dur_s"] >= 0.0 for r in events)
 
 
 class TestShardedDocuments:

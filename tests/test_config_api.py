@@ -65,7 +65,6 @@ def test_knob_ledger():
         "telemetry.monitor_mode",
         "telemetry.monitor_push_min_delta_bytes",
         "telemetry.monitor_threshold",
-        "telemetry.profile",
         "telemetry.trace_path",
         "wire.client",
         "wire.client_routes",

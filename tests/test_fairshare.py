@@ -66,9 +66,10 @@ class TestHandCases:
         assert alloc["b"] == pytest.approx(3.0)
         assert alloc["a"] == pytest.approx(7.0)
 
-    def test_linkless_flow_gets_demand(self):
-        alloc = solve([fd("a", 7, [])], {})
-        assert alloc == {"a": 7.0}
+    def test_linkless_flow_gets_nothing(self):
+        # No live link carries it, whatever its demand.
+        alloc = solve([fd("a", 7, []), fd("b", float("inf"), [])], {})
+        assert alloc == {"a": 0.0, "b": 0.0}
 
     def test_zero_demand_flow(self):
         alloc = solve([fd("a", 0, ["l"]), fd("b", 10, ["l"])], {"l": 10})
@@ -182,7 +183,8 @@ def test_property_scalar_vector_parity(seed):
     assert solve(flows, caps) == pytest.approx(ref, rel=1e-9, abs=1e-9)
     vec = solve_arrays(**as_arrays(flows, caps))
     for i, flow in enumerate(flows):
-        assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-9, abs=1e-9)
+        if flow.links:  # a linkless flow is free_rate's (0), never the kernel's
+            assert vec[i] == pytest.approx(ref[flow.flow_id], rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

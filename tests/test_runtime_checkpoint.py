@@ -16,6 +16,7 @@ from repro.runtime import (
     save_checkpoint,
 )
 from repro.runtime.checkpoint import MAGIC, write_checkpoint
+from repro.telemetry import read_trace
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -160,15 +161,22 @@ class TestSnapshotSemantics:
         assert finished.events == want.events
         assert finished.engine_summary == want.engine_summary
 
-    def test_profiled_run_keeps_charging_phases_after_restore(self, tmp_path):
-        horse = small_horse(telemetry={"profile": True})
+    def test_traced_restore_keeps_timing_events(self, tmp_path):
+        trace = str(tmp_path / "run.trace.jsonl")
+        horse = small_horse(telemetry={"trace_path": trace})
         horse.run(until=0.2)
-        before = horse.sim.profiler.snapshot()
-        path = str(tmp_path / "profiled.ckpt")
+        path = str(tmp_path / "traced.ckpt")
         save_checkpoint(horse, path)
-        profile = load_checkpoint(path).run(until=5.0).engine_stats["profile"]
-        for phase in ("dispatch", "solve", "route"):
-            assert profile[phase]["count"] > before[phase]["count"] > 0
+        horse.telemetry.disable_tracing()  # flushes the first run's records
+        restored = load_checkpoint(path)
+        restored.run(until=5.0)
+        restored.telemetry.disable_tracing()
+        records = read_trace(trace)
+        assert records[0]["kind"] == "trace.open"  # the prefix survived
+        spans = {
+            r["kind"] for r in records if r["t"] > 0.2 and r.get("wall_dur_s", -1) >= 0
+        }
+        assert {"kernel.event", "engine.route", "engine.solve"} <= spans
 
     def test_checkpoint_without_path_raises(self):
         with pytest.raises(ExperimentError, match="checkpoint path"):

@@ -195,6 +195,16 @@ def test_implementation_knobs_are_unknown_keys():
             validate_scenario(v0_doc(schema_version=1, **{key: value}))
 
 
+def test_profile_is_an_unknown_key():
+    """Trace spans are the one record of where a run's wall time went:
+    a document asking for the removed per-phase profiler is refused in
+    either schema version, never run without it."""
+    with pytest.raises(ExperimentError, match="^telemetry.profile: unknown key$"):
+        validate_scenario(v0_doc(schema_version=1, telemetry={"profile": True}))
+    with pytest.raises(ExperimentError, match=r"^runtime: unknown key\(s\): profile$"):
+        validate_scenario(v0_doc(runtime={"profile": True}))
+
+
 @pytest.mark.parametrize("attr, cls", sorted(SECTION_TYPES.items()))
 def test_section_keys_are_the_dataclass_fields(attr, cls):
     from repro.runtime.scenario import build_config
@@ -232,7 +242,6 @@ _RUNTIME_VALUE_STRATEGIES = {
     "monitor_mode": st.sampled_from(["poll", "push"]),
     "monitor_push_min_delta_bytes": st.floats(0, 1e6, allow_nan=False),
     "trace_path": st.sampled_from(["a.jsonl", "b.jsonl"]),
-    "profile": st.booleans(),
     "checkpoint_path": st.sampled_from(["a.ckpt", "b.ckpt"]),
     "checkpoint_interval_s": st.floats(0.1, 10.0, allow_nan=False),
     "wire_listen": st.sampled_from(["127.0.0.1:0", "0.0.0.0:6653"]),

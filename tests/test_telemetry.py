@@ -1,4 +1,4 @@
-"""Telemetry tests: registry, trace bus, profiler, and the hub."""
+"""Telemetry tests: registry, trace bus, span shares, and the hub."""
 
 import ast
 import pathlib
@@ -10,10 +10,12 @@ from repro import Flow, Horse, HorseConfig
 from repro.errors import TelemetryError
 from repro.net.generators import tree
 from repro.openflow.headers import tcp_flow
+from repro.runtime.scenario import run_scenario
+from repro.runtime.schema import load_scenario, set_dotted
 from repro.sim import Simulator
+from repro.stats.export import run_digest
 from repro.telemetry import (
     MetricsRegistry,
-    PhaseProfiler,
     Telemetry,
     TraceBus,
     read_trace,
@@ -109,16 +111,23 @@ class TestTraceBus:
         assert summary["kinds"]["one"]["count"] == 1
 
 
-class TestProfiler:
-    def test_phases_accumulate(self):
-        profiler = PhaseProfiler()
-        profiler.add("solve", 0.25)
-        profiler.add("solve", 0.5)
-        with profiler.phase("route"):
-            pass
-        snap = profiler.snapshot()
-        assert snap["solve"] == {"wall_s": 0.75, "count": 2}
-        assert snap["route"]["count"] == 1
+class TestSummary:
+    def test_shares_are_of_the_kernel_event_total(self):
+        records = [
+            {"kind": "kernel.event", "t": 0.0, "wall_dur_s": 0.5},
+            {"kind": "engine.solve", "t": 1.0, "wall_dur_s": 0.25},
+            {"kind": "engine.solve", "t": 1.0, "wall_dur_s": 0.25},
+            {"kind": "kernel.event", "t": 1.0, "wall_dur_s": 1.5},
+            {"kind": "flow.arrival", "t": 1.0},
+        ]
+        kinds = summarize_trace(records)["kinds"]
+        assert kinds["kernel.event"] == {"count": 2, "wall_dur_s": 2.0, "share": 1.0}
+        assert kinds["engine.solve"] == {"count": 2, "wall_dur_s": 0.5, "share": 0.25}
+        assert kinds["flow.arrival"]["share"] == 0.0
+
+    def test_no_fired_event_gives_no_share(self):
+        kinds = summarize_trace([{"kind": "x", "t": 0.0, "wall_dur_s": 1.0}])["kinds"]
+        assert kinds["x"]["share"] is None
 
 
 class TestHub:
@@ -147,6 +156,20 @@ class TestHub:
         assert telemetry.disable_tracing() is None
         assert summarize_trace(read_trace(path))["kinds"]["x"]["count"] == 1
 
+    def test_disabling_inside_an_event_closes_the_trace(self, tmp_path):
+        # The event's kernel.event span ends after the bus closed: it is
+        # dropped, and the file is not re-opened for it.
+        path = str(tmp_path / "t.jsonl")
+        sim = Simulator()
+        telemetry = Telemetry(sim)
+        telemetry.bind(sim)
+        bus = telemetry.enable_tracing(path)
+        sim.call_at(1.0, lambda s: telemetry.disable_tracing())
+        sim.call_at(2.0, lambda s: None)
+        sim.run()
+        assert bus.closed and bus._handle is None
+        assert [r["kind"] for r in read_trace(path)] == ["trace.open", "trace.close"]
+
     def test_late_bind_applies_live_bus(self):
         sim = Simulator()
         telemetry = Telemetry(sim)
@@ -154,15 +177,17 @@ class TestHub:
         telemetry.bind(sim)
         assert sim.trace_bus is bus
 
-    def test_profiler_lives_on_the_kernel(self):
+    def test_kernel_events_are_spans(self):
         sim = Simulator()
         telemetry = Telemetry(sim)
-        profiler = telemetry.enable_profiling()
-        assert sim.profiler is profiler
-        assert telemetry.enable_profiling() is profiler  # idempotent
-        sim.call_in(1.0, lambda s: None)
+        telemetry.bind(sim)
+        bus = telemetry.enable_tracing()
+        sim.call_in(1.0, lambda s: bus.emit("inside"))
         sim.run()
-        assert profiler.snapshot()["dispatch"]["count"] == 1
+        inside, event = bus.events[-2:]
+        assert inside["kind"] == "inside"  # the span closes after its body
+        assert event["kind"] == "kernel.event" and event["event"] == "CallbackEvent"
+        assert event["t"] == 1.0 and event["wall_dur_s"] >= 0.0
 
 
 class TestHorseIntegration:
@@ -173,9 +198,7 @@ class TestHorseIntegration:
         assert horse.channel.trace_bus is None
         assert not horse.telemetry.tracing_enabled
         result = horse.run()
-        # No trace anywhere, no wall-clock profile in the stats.
         assert horse.sim.trace_bus is None
-        assert "profile" not in result.engine_stats
         assert result.metrics["engine.rate_solves"] >= 1
 
     def test_run_metrics_unify_engine_channel_sim(self):
@@ -199,12 +222,25 @@ class TestHorseIntegration:
         assert "flow.completed" in kinds
         assert "solver.resolve" in kinds
 
-    def test_profiling_via_config_reports_phases(self):
-        _, horse = small_horse(telemetry={"profile": True})
+    def test_route_and_solve_spans_share_the_event_time(self):
+        _, horse = small_horse()
+        bus = horse.telemetry.enable_tracing()
+        horse.run()
+        kinds = summarize_trace(bus.events)["kinds"]
+        assert kinds["kernel.event"]["share"] == 1.0
+        for span in ("engine.route", "engine.solve"):
+            assert kinds[span]["count"] > 0
+            assert 0.0 < kinds[span]["share"] < 1.0
+
+    def test_a_synchronous_packet_in_is_a_span(self):
+        topo = tree(2, 2)
+        horse = Horse(topo, policies={"forwarding": {"mode": "learning"}})
+        horse.submit_flows([flow_between(topo, "h1", "h4")])
+        bus = horse.telemetry.enable_tracing()
         result = horse.run()
-        profile = result.engine_stats["profile"]
-        assert set(profile) >= {"dispatch", "solve", "route"}
-        assert profile["dispatch"]["count"] > 0
+        packet_ins = [r for r in bus.events if r["kind"] == "channel.packet_in"]
+        assert len(packet_ins) == result.metrics["channel.packet_ins"] > 0
+        assert all(r["wall_dur_s"] >= 0.0 for r in packet_ins)
 
     def test_monitor_accessor_creates_and_returns(self):
         _, horse = small_horse(telemetry={"monitor_interval_s": 1.0})
@@ -234,6 +270,41 @@ class TestHorseIntegration:
         restored.run(until=4.0)
         assert restored.telemetry.snapshot()["sim.now"] == 4.0
         assert restored.telemetry.snapshot()["monitor.samples"] == 4
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+
+
+def _keys(stats):
+    for key, value in stats.items():
+        yield str(key)
+        if isinstance(value, dict):
+            yield from _keys(value)
+
+
+@pytest.mark.parametrize(
+    "name", ["quickstart.json", "packet_demo.json", "hybrid_demo.json"]
+)
+def test_tracing_never_enters_a_result(name, tmp_path):
+    """A traced run's result is the untraced run's (flow, packet and
+    hybrid engines): the same ``run_digest`` and the same
+    ``engine_stats``, which two untraced runs also agree on, so no key
+    holds wall-clock content."""
+
+    def run(trace_path=None):
+        document = load_scenario(str(SCENARIOS / name))
+        if trace_path is not None:
+            set_dotted(document, "telemetry.trace_path", trace_path)
+        horse, result, _count = run_scenario(document)
+        horse.telemetry.disable_tracing()
+        return result
+
+    trace = str(tmp_path / "run.trace.jsonl")
+    plain, again, traced = run(), run(), run(trace)
+    assert any(r["kind"] == "kernel.event" for r in read_trace(trace))
+    assert run_digest(traced) == run_digest(plain)
+    assert traced.engine_stats == plain.engine_stats == again.engine_stats
+    assert not [key for key in _keys(traced.engine_stats) if "wall" in key or "profile" in key]
 
 
 _TRACE_TABLE_KIND = re.compile(r"`([a-z_]+\.[a-z_]+)`")

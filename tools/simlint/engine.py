@@ -12,7 +12,7 @@ Suppression semantics
 ---------------------
 A finding is dropped when its line carries ``# repro: noqa[RULE]`` (or
 ``noqa[*]``) naming its rule id.  The comment should carry a reason
-(``# repro: noqa[DET001] - profiler wall clock, never feeds sim state``);
+(``# repro: noqa[DET001] - trace_bus wall clock, never feeds sim state``);
 a reason-less suppression is itself reported as LINT002 so intentional
 exceptions stay documented.
 """

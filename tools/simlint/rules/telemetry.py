@@ -2,7 +2,7 @@
 
 The observation API's contract is that disabled telemetry costs one
 attribute read per site: every ``trace_bus.emit(...)`` /
-``profiler.add(...)`` call must be dominated by an ``is not None``
+``trace_bus.span(...)`` call must be dominated by an ``is not None``
 check of the same receiver.  An unguarded emission crashes when
 telemetry is off (the slot holds ``None``) or — worse — silently forces
 every hot-path event through attribute machinery the <5% overhead gate
@@ -18,10 +18,10 @@ from ..context import ModuleContext
 from ..rule import LintFinding, Rule
 
 #: Receiver names that hold a maybe-None telemetry sink.
-GUARDED_RECEIVERS = {"trace_bus", "_trace_bus", "profiler", "_profiler"}
+GUARDED_RECEIVERS = {"trace_bus", "_trace_bus"}
 
 #: Emission methods on those receivers.
-EMIT_METHODS = {"emit", "span", "add", "timed"}
+EMIT_METHODS = {"emit", "span"}
 
 
 def _receiver_key(node: ast.expr) -> Optional[str]:
@@ -42,7 +42,7 @@ def _test_guards(test: ast.expr, key: str) -> bool:
     rendered = ast.unparse(test)
     if f"{key} is not None" in rendered:
         return True
-    # A bare truthiness check (``if profiler:``) also guards.
+    # A bare truthiness check (``if trace_bus:``) also guards.
     if rendered == key:
         return True
     return False
@@ -63,7 +63,7 @@ def _ends_control_flow(body) -> bool:
 class UnguardedEmissionRule(Rule):
     id = "TEL001"
     description = (
-        "telemetry emission (trace_bus/profiler) not wrapped in the "
+        "telemetry emission (trace_bus) not wrapped in the "
         "zero-cost `is not None` guard; crashes when telemetry is "
         "disabled and defeats the <5% overhead gate"
     )
