@@ -196,9 +196,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         reset_id_counters()
         horse = Horse.restore(args.restore)
         print(f"restored checkpoint: {args.restore} (t={horse.sim.now:g} s)")
+        until = args.until if args.until is not None else horse.last_until
+        if until is not None and until <= horse.sim.now:
+            raise ExperimentError(
+                f"the restored run would end at t={until:g} s, not after the "
+                f"checkpoint (t={horse.sim.now:g} s), so nothing would run; "
+                f"--until T with T later than {horse.sim.now:g} continues it"
+            )
         if args.trace:
             horse.telemetry.enable_tracing(args.trace)
-        until = args.until if args.until is not None else horse.last_until
         try:
             result = horse.run(until=until)
         finally:

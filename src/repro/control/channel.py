@@ -441,7 +441,9 @@ class ControlChannel:
             self, callback, interval_s, list(dpids), min_delta_bytes
         )
         self.subscriptions.append(subscription)
-        self.sim.every(interval_s, subscription.tick, start=start)
+        subscription.timer = self.sim.every(
+            interval_s, subscription.tick, start=start
+        )
         return subscription
 
     def push_counters(self, subscription: "CounterSubscription", t: float) -> None:
@@ -559,21 +561,21 @@ class CounterSubscription:
         self.interval_s = interval_s
         self.dpids = dpids
         self.min_delta_bytes = min_delta_bytes
-        self.active = True
+        #: The periodic event driving :meth:`tick` (set on subscribe).
+        self.timer = None
         self.pushes = 0
         # (dpid, port_no) -> (tx_bytes, rx_bytes) at the last delivery.
         self._last: dict = {}
 
     def cancel(self) -> None:
-        """Stop the feed (takes effect at the next scheduled tick)."""
-        self.active = False
+        """Stop the feed now: its timer is cancelled and it leaves the
+        channel's subscriptions."""
+        if self in self.channel.subscriptions:
+            self.channel.subscriptions.remove(self)
+            self.channel.sim.cancel(self.timer)
 
     def tick(self, sim, t: float) -> None:
-        """Periodic-event callback; ends its series once cancelled."""
-        if not self.active:
-            if self in self.channel.subscriptions:
-                self.channel.subscriptions.remove(self)
-            raise StopIteration
+        """Periodic-event callback: one push."""
         self.channel.push_counters(self, t)
 
     def triggered(self, replies) -> bool:

@@ -74,8 +74,8 @@ class NetworkMonitor:
         self.samples: List[MonitorSample] = []
         self.callbacks: List[Callable[[MonitorSample], None]] = []
         self._started = False
-        self._active = False
-        self._subscription = None
+        # What start() armed: the poll timer or the push subscription.
+        self._feed = None
         # Per-port maxima, kept as samples arrive: metrics_snapshot runs
         # inside every Horse.run, so it must not scan the history.
         self._max_util: Dict[PortKey, float] = {}
@@ -88,36 +88,36 @@ class NetworkMonitor:
         if self._started:
             return
         self._started = True
-        self._active = True
         if self.mode == "push":
             # The subscription captures the datapath set now, in the same
             # topology order the polled path iterates.
-            self._subscription = self.channel.subscribe_counters(
+            self._feed = self.channel.subscribe_counters(
                 self._on_push,
                 self.interval,
                 min_delta_bytes=self.min_delta_bytes,
                 start=first_at,
             )
         else:
-            self.channel.sim.every(self.interval, self._tick, start=first_at)
+            self._feed = self.channel.sim.every(
+                self.interval, self._tick, start=first_at
+            )
 
     def stop(self) -> None:
-        """Stop sampling (takes effect at the next scheduled tick)."""
-        self._active = False
-        if self._subscription is not None:
-            self._subscription.cancel()
+        """Stop sampling now: the poll timer or the push feed is cancelled."""
+        if self._feed is None:
+            return
+        if self.mode == "push":
+            self._feed.cancel()
+        else:
+            self.channel.sim.cancel(self._feed)
 
     # ------------------------------------------------------------------
     # Acquisition (both modes funnel into _record)
     # ------------------------------------------------------------------
     def _tick(self, sim, t: float) -> None:
-        if not self._active:
-            raise StopIteration
         self._record(self.sample_now(t))
 
     def _on_push(self, t: float, replies) -> None:
-        if not self._active:
-            return
         self._record(self._sample_from_replies(t, replies))
 
     def sample_now(self, t: float) -> MonitorSample:

@@ -47,7 +47,6 @@ from ..net.link import LinkDirection
 from ..net.topology import Topology
 from ..pktsim.engine import PacketLevelEngine
 from ..sim.engine import Engine
-from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
 from .selection import SelectionPolicy
 
@@ -122,9 +121,6 @@ class HybridEngine(Engine):
         # flow currently coupled into the background solver.
         self._measured: Dict[int, Tuple[float, float]] = {}
         self._sync_scheduled = False
-        # Persistent sync timer, re-armed via Simulator.reschedule after
-        # each firing (one push per tick, no per-tick allocation).
-        self._sync_event: Optional[CallbackEvent] = None
         self.stats = {
             "syncs": 0,
             "foreground_flows": 0,
@@ -193,23 +189,8 @@ class HybridEngine(Engine):
         if self._sync_scheduled:
             return
         self._sync_scheduled = True
-        event = CallbackEvent(
-            self.sim.now + self.sync_interval_s, self._sync_timer
-        )
-        event.daemon = True  # an idle sync loop must not keep run() alive
-        self._sync_event = self.sim.schedule(event)
-
-    def _sync_timer(self, sim: Simulator) -> None:
-        """Recurring sync driver: run one tick, then re-arm the timer.
-
-        Re-arming after the callback (not before) keeps the kernel
-        sequence-number consumption identical to the periodic-event
-        formulation this replaced, so event orderings are unchanged.
-        """
-        self._sync_tick(sim, sim.now)
-        self._sync_event = sim.reschedule(
-            self._sync_event, sim.now + self.sync_interval_s
-        )
+        # every() makes a daemon: an idle sync loop must not keep run() alive.
+        self.sim.every(self.sync_interval_s, self._sync_tick)
 
     def _sync_tick(self, sim: Simulator, t: float) -> None:
         self.stats["syncs"] += 1

@@ -47,8 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: 8: the fair-share solver records the loads it made stale (pulled on
 #: read) in place of the last resolve's loads and touched links, and the
 #: stats collector keeps the engine's pull for its sampling tick.
-#: 9: the kernel holds no profiler slot.
-SNAPSHOT_VERSION = 9
+#: 9: the kernel holds no profiler slot.  10: a periodic event is one
+#: object that re-arms itself (no shared series handle); the monitor and
+#: a counter subscription hold their timer, the hybrid engine none.
+SNAPSHOT_VERSION = 10
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

@@ -96,34 +96,17 @@ class CallbackEvent(Event):
         self.callback(sim, *self.args, **self.kwargs)
 
 
-class _PeriodicSeries:
-    """Shared cancellation handle for a chain of periodic firings.
-
-    Every clone in a periodic series points at the same series object,
-    so cancelling *any* event of the series — including the handle
-    returned by ``Simulator.every`` long after it fired — stops the
-    whole recurrence.
-    """
-
-    __slots__ = ("cancelled", "current")
-
-    def __init__(self) -> None:
-        self.cancelled = False
-        #: The series event currently queued (or firing).
-        self.current: Optional["PeriodicEvent"] = None
-
-
 class PeriodicEvent(Event):
-    """An event that re-schedules itself every ``interval`` seconds.
+    """An event that re-arms itself every ``interval`` seconds.
 
-    Used for monitoring polls and statistics sampling.  Set ``until`` to
-    bound the recurrence, or call :meth:`cancel` to stop it.  All
-    firings of one series share a cancellation handle, so cancelling the
-    original event stops the recurrence even after it has fired —
-    the queued clone is tombstoned and no further clone is scheduled.
+    Used for monitoring polls and statistics sampling.  One object is
+    the whole recurrence: after the callback it is rescheduled
+    ``interval`` later, unless the callback cancelled or re-armed it or
+    the next firing would pass ``until``.  So ``Simulator.cancel`` on it stops
+    the series at any point, and ``Simulator.reschedule`` moves it.
     """
 
-    __slots__ = ("callback", "interval", "until", "series")
+    __slots__ = ("callback", "interval", "until")
 
     def __init__(
         self,
@@ -133,7 +116,6 @@ class PeriodicEvent(Event):
         until: Optional[float] = None,
         priority: int = 0,
         daemon: bool = True,
-        series: Optional[_PeriodicSeries] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
@@ -144,37 +126,14 @@ class PeriodicEvent(Event):
         # Periodic housekeeping defaults to daemon so an idle monitor
         # cannot keep run() spinning forever.
         self.daemon = daemon
-        self.series = series if series is not None else _PeriodicSeries()
-        if series is None:
-            self.series.current = self
-
-    def cancel(self) -> None:
-        """Stop the whole series: this event, and the queued clone."""
-        super().cancel()
-        series = self.series
-        series.cancelled = True
-        current = series.current
-        if current is not None and current is not self and not current.cancelled:
-            Event.cancel(current)
 
     def fire(self, sim: Any) -> None:
-        if self.series.cancelled:
-            return
         self.callback(sim, self.time)
+        # Re-armed after the callback, so it takes the sequence number a
+        # push at the end of the firing would; not if the callback
+        # cancelled or re-armed the event itself.
         next_time = self.time + self.interval
-        if self.until is not None and next_time > self.until:
-            return
-        if self.series.cancelled:
-            # The callback cancelled its own series mid-firing.
-            return
-        clone = PeriodicEvent(
-            next_time,
-            self.interval,
-            self.callback,
-            until=self.until,
-            priority=self.priority,
-            daemon=self.daemon,
-            series=self.series,
-        )
-        sim.schedule(clone)
-        self.series.current = clone
+        if not (self.cancelled or self.queued) and (
+            self.until is None or next_time <= self.until
+        ):
+            sim.reschedule(self, next_time)

@@ -176,8 +176,7 @@ class Simulator:
                     return event
                 # Kill the entry before noting it, so a compaction the
                 # note triggers drops it (the re-stamp below keeps it dead
-                # once revived); the flag, not ``cancel``, keeps a periodic
-                # series' cascading cancellation out of a retiming.
+                # once revived).
                 event.cancelled = True
                 if self._queue.note_cancel(event):
                     self._compact()
@@ -202,8 +201,8 @@ class Simulator:
 
     def _settle(self, event: Event) -> None:
         """Drop a queued event that will not fire from the live count,
-        once: at cancel or retiming, or, cancelled directly (a periodic
-        series' cascade), when its entry leaves the set.  Dead entries
+        once: at cancel or retiming, or, cancelled directly
+        (``event.cancel()``), when its entry leaves the set.  Dead entries
         never move the count, so compaction cannot end a run early."""
         if event.queued:
             event.queued = False
@@ -235,12 +234,10 @@ class Simulator:
     ) -> PeriodicEvent:
         """Schedule ``callback(sim, t)`` every ``interval`` seconds.
 
-        ``start`` defaults to ``now + interval``.  Returns the first
-        periodic event, which doubles as the series handle: cancelling
-        it stops the recurrence at any point — before the first tick or
-        after any number of firings (the whole series shares one
-        cancellation flag).  The ``until`` bound and raising
-        StopIteration from the callback also end the series.
+        ``start`` defaults to ``now + interval``.  Returns the
+        :class:`PeriodicEvent`, the one object that re-arms after each
+        firing: :meth:`cancel` on it ends the series at any point,
+        :meth:`reschedule` moves its next tick, and ``until`` bounds it.
         """
         first = (self._now + interval) if start is None else start
         event = PeriodicEvent(first, interval, callback, until=until)
@@ -323,15 +320,11 @@ class Simulator:
         # firing event: a restored run never re-counts it.
         self.fired_count += 1
         bus = self.trace_bus
-        try:
-            if bus is None:
+        if bus is None:
+            event.fire(self)
+        else:
+            with bus.span("kernel.event", event=type(event).__name__):
                 event.fire(self)
-            else:
-                with bus.span("kernel.event", event=type(event).__name__):
-                    event.fire(self)
-        except StopIteration:
-            # A periodic callback may raise StopIteration to end its series.
-            pass
 
     def stop(self) -> None:
         """Request that a running :meth:`run` loop return after the

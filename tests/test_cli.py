@@ -260,6 +260,24 @@ class TestCheckpointCommands:
             straight, sort_keys=True
         )
 
+    def test_restore_at_the_run_horizon_refuses_to_do_nothing(
+        self, tmp_path, capsys
+    ):
+        """A checkpoint taken where its run ended has nothing left to run
+        without --until: the restore says so and exits 1, never reprinting
+        the old summary as if it had run."""
+        scenario = self._scenario(tmp_path)
+        ckpt = str(tmp_path / "state.ckpt")
+        assert main(
+            ["run", scenario, "--until", "1.0", "--checkpoint", ckpt]
+        ) == 0
+        capsys.readouterr()
+        assert main(["run", "--restore", ckpt]) == 1
+        captured = capsys.readouterr()
+        assert "--until T" in captured.err
+        assert "run summary" not in captured.out
+        assert main(["run", "--restore", ckpt, "--until", "1.0"]) == 1
+
     def test_periodic_checkpoint_flag(self, tmp_path):
         scenario = self._scenario(tmp_path)
         ckpt = str(tmp_path / "tick.ckpt")

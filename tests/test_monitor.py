@@ -84,6 +84,18 @@ class TestSampling:
         sim.run(until=2.5)
         assert len(monitor.samples) == 2
 
+    def test_stop_cancels_the_tick_at_once(self, running):
+        sim, topo, channel, engine = running
+        monitor = NetworkMonitor(channel, interval=1.0)
+        monitor.stop()  # before start: nothing to cancel
+        monitor.start()
+        sim.run(until=2.5)
+        assert sim.pending == 1
+        monitor.stop()
+        assert sim.pending == 0
+        sim.run(until=6.0)
+        assert len(monitor.samples) == 2
+
     def test_invalid_interval(self, running):
         _, _, channel, _ = running
         with pytest.raises(ValueError):
@@ -136,9 +148,9 @@ class TestPushMode:
         monitor.start()
         sim.run(until=2.5)
         monitor.stop()
+        assert channel.subscriptions == [] and sim.pending == 0
         sim.run(until=6.0)
         assert len(monitor.samples) == 2
-        assert channel.subscriptions == []
 
 
 class TestSeriesHelpers:

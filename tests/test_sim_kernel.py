@@ -166,20 +166,22 @@ def test_dead_event_does_not_keep_daemons_alive(op, compact, queue_cls):
     assert fired == (3 if op == "cancel" else 4)
 
 
-def test_periodic_stop_via_stopiteration():
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stopiteration_in_a_callback_propagates(periodic):
+    """StopIteration is no stop protocol: raised inside any event it is
+    a fault and leaves run() like any other exception."""
     sim = Simulator()
-    hits = []
 
-    def cb(s, t):
-        hits.append(t)
-        if len(hits) >= 2:
-            raise StopIteration
+    def cb(s, *_):
+        raise StopIteration
 
-    sim.every(1.0, cb)
-    sim.run(until=10.0)
-    # StopIteration inside fire() ends that firing; the clone scheduled
-    # before the raise means one extra tick can occur, never more.
-    assert len(hits) <= 3
+    if periodic:
+        sim.every(1.0, cb)
+    else:
+        sim.call_at(1.0, cb)
+    with pytest.raises(StopIteration):
+        sim.run(until=10.0)
+    assert sim.now == 1.0
 
 
 def test_periodic_invalid_interval():
@@ -290,6 +292,29 @@ class TestPeriodicSeriesCancellation:
         sim.call_at(5.0, lambda s: None)
         sim.run()
         assert hits == [1.0]
+
+    def test_reschedule_moves_the_series(self):
+        sim = Simulator()
+        hits = []
+        handle = sim.every(1.0, lambda s, t: hits.append(t))
+        sim.call_at(2.5, lambda s: s.reschedule(handle, 4.0))
+        sim.run(until=6.5)
+        assert hits == [1.0, 2.0, 4.0, 5.0, 6.0]
+
+    def test_callback_can_retime_its_own_series(self):
+        """A callback that re-arms its own event wins over the re-arm
+        after it."""
+        sim = Simulator()
+        hits = []
+
+        def cb(s, t):
+            hits.append(t)
+            if t == 1.0:
+                s.reschedule(handle, 5.0)
+
+        handle = sim.every(1.0, cb)
+        sim.run(until=7.5)
+        assert hits == [1.0, 5.0, 6.0, 7.0]
 
 
 class TestPendingAccounting:
