@@ -51,7 +51,8 @@ lint-sim:
 # reserved seq, so a second queue class, copy path or tie rule has
 # nowhere to go; a periodic event is one object that re-arms after its
 # callback, so a series handle or a stop exception has nowhere to go
-# either; it times events only through the trace bus's span.  The wire codec describes each message body
+# either; it times events only through the trace bus's span, and an
+# event is cancelled only through the kernel.  The wire codec describes each message body
 # once, in its _MESSAGES table: a hand-written writer/reader pair has no
 # room to come back.  Telemetry plus the monitor keep only what a run
 # produces or reads (pull sources, a path-or-memory trace bus whose
@@ -66,7 +67,7 @@ LINE_BUDGETS = \
 	"src/repro/cli.py src/repro/runtime/scenario.py:1020" \
 	"src/repro/core/simulator.py:390" \
 	"src/repro/analysis/walker.py src/repro/openflow/switch.py src/repro/pktsim/engine.py src/repro/sim/engine.py:1090" \
-	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:672" \
+	"src/repro/sim/kernel.py src/repro/sim/queue.py src/repro/sim/event.py:648" \
 	"src/repro/pktsim/queues.py:203" \
 	"src/repro/wire/codec.py:650" \
 	"src/repro/telemetry/*.py src/repro/control/monitor.py:645" \

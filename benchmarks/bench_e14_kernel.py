@@ -50,7 +50,7 @@ def _target(i: int, round_no: int) -> float:
 
 
 def churn_lazy(timers_n: int = N_TIMERS, rounds: int = ROUNDS) -> tuple:
-    """The pre-E14 idiom: direct cancel + fresh event, never compacting."""
+    """The pre-E14 idiom: cancel + fresh event, never compacting."""
     queue = HeapEventQueue(compaction_threshold=None)
     sim = Simulator(queue=queue)
     fired = []
@@ -59,7 +59,7 @@ def churn_lazy(timers_n: int = N_TIMERS, rounds: int = ROUNDS) -> tuple:
     start = time.perf_counter()
     for round_no in range(rounds):
         for i in range(timers_n):
-            timers[i].cancel()
+            sim.cancel(timers[i])
             timers[i] = sim.call_at(_target(i, round_no), callback)
     sim.run()
     wall = time.perf_counter() - start

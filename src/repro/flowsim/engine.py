@@ -40,6 +40,7 @@ event touched rather than to the whole network:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
@@ -133,11 +134,12 @@ class FlowLevelEngine(Engine):
         # Consumed once by the next walk, emulating the buffered packet a
         # real switch would release on PacketOut.
         self._packet_out_hints: Dict[Tuple[int, int, int], List[int]] = {}
-        # Per-flow lazy accrual timestamps, and the route counters owed
-        # since the last settle: flow id -> (bytes, packets, the end of
-        # the last interval that carried traffic).
+        # Per flow: its last accrual instant, its paid watermark (see
+        # _settle) and, until the next settle, the end of the last
+        # interval that carried traffic.
         self._accrued: Dict[int, float] = {}
-        self._owed: Dict[int, Tuple[int, int, float]] = {}
+        self._paid: Dict[int, int] = {}
+        self._carried: Dict[int, float] = {}
         # Link-direction registry: solver link keys index these.
         self._dir_index: Dict[LinkDirection, int] = {}
         self._dir_list: List[LinkDirection] = []
@@ -218,12 +220,11 @@ class FlowLevelEngine(Engine):
         self.notify_rules_changed(message.dpid)
 
     def sync_statistics(self, now: Optional[float] = None) -> None:
-        """Bring every counter and link load up to ``now``
-        (monitoring/stats reads)."""
+        """Bring every counter and link load up to ``now`` (stats reads)."""
         t = self.sim.now if now is None else now
         for flow in self.active.values():
             self._accrue_flow(flow, t)
-        for flow_id in list(self._owed):
+        for flow_id in list(self._carried):
             self._settle(self.active[flow_id])
         self._sync_loads()
 
@@ -331,7 +332,7 @@ class FlowLevelEngine(Engine):
     def _accrue_flow(self, flow: Flow, now: float) -> None:
         """Charge a flow's traffic since its last accrual at the current
         rate into its own and its meters' counters; its route's port,
-        entry and group counters are owed theirs until :meth:`_settle`."""
+        entry and group counters are paid at the next :meth:`_settle`."""
         last = self._accrued.get(flow.flow_id)
         if last is None or now <= last:
             return
@@ -346,9 +347,7 @@ class FlowLevelEngine(Engine):
             flow.bytes_sent += sent
             if route.delivered:
                 flow.bytes_delivered += sent
-            packets = (int(sent / self.mean_packet_bytes) or 1) if sent >= 1 else 0
-            owed_bytes, owed_packets, _ = self._owed.get(flow.flow_id, (0, 0, 0.0))
-            self._owed[flow.flow_id] = (owed_bytes + int(sent), owed_packets + packets, now)
+            self._carried[flow.flow_id] = now
         if not flow.elastic and flow.demand_bps > rate:
             flow.bytes_dropped += (flow.demand_bps - rate) * dt / 8.0
         for dpid, meter_id in route.meter_ids:
@@ -358,12 +357,17 @@ class FlowLevelEngine(Engine):
                 pipeline.meters.get(meter_id).account_fluid(offered, dt)
 
     def _settle(self, flow: Flow) -> None:
-        """Pay a flow's owed bytes and packets to its route's ports,
-        entries and groups: integer sums, the same in any order."""
-        owed = self._owed.pop(flow.flow_id, None)
-        if owed is None:
+        """Pay the flow's route what it sent since the last settle: the
+        floor of ``bytes_sent`` is its paid watermark P in bytes, and
+        ``ceil(P / mean_packet_bytes)`` in packets.  Entries take the end
+        of the last interval that carried traffic as ``last_used``."""
+        last = self._carried.pop(flow.flow_id, 0.0)  # 0.0 moves no last_used
+        before = self._paid.get(flow.flow_id, 0)
+        paid = self._paid[flow.flow_id] = int(flow.bytes_sent)
+        if paid == before and not last:
             return
-        sent, packets, last = owed
+        sent, mean = paid - before, self.mean_packet_bytes
+        packets = math.ceil(paid / mean) - math.ceil(before / mean)
         route = flow.route
         for direction in route.directions:
             direction.src_port.tx_bytes += sent
@@ -396,35 +400,27 @@ class FlowLevelEngine(Engine):
         self._recompute()
 
     def on_completion(self, flow: Flow) -> None:
-        now = self.sim.now
         if flow.state is not FlowState.ACTIVE or flow.size_bytes is None:
             return
-        self._accrue_flow(flow, now)
-        remaining = flow.remaining_bytes
-        if remaining is not None and remaining > 1e-3:
+        self._accrue_flow(flow, self.sim.now)
+        if flow.remaining_bytes > 1e-3:
             # Rates changed since this event was scheduled; reschedule.
             self._schedule_completion(flow)
             return
+        if flow.delivered:
+            flow.bytes_delivered += flow.size_bytes - flow.bytes_sent
         flow.bytes_sent = float(flow.size_bytes)
-        flow.state = FlowState.COMPLETED
-        flow.end_time = now
-        self._retire(flow)
-        self.stats["completed"] += 1
-        self._notify("completed", flow)
-        self._recompute()
+        self._retire(flow, FlowState.COMPLETED)
 
     def on_end(self, flow: Flow) -> None:
         if flow.finished:
             return
         self._accrue_flow(flow, self.sim.now)
-        flow.state = FlowState.ENDED
-        flow.end_time = self.sim.now
-        self._retire(flow)
-        self.stats["ended"] += 1
-        self._notify("ended", flow)
-        self._recompute()
+        self._retire(flow, FlowState.ENDED)
 
-    def _retire(self, flow: Flow) -> None:
+    def _retire(self, flow: Flow, state: FlowState) -> None:
+        flow.state = state
+        flow.end_time = self.sim.now
         self._settle(flow)
         self.active.pop(flow.flow_id, None)
         completion = self._completions.pop(flow.flow_id, None)
@@ -432,7 +428,11 @@ class FlowLevelEngine(Engine):
             # Still pending (the flow ended before it): never fire it.
             self.sim.cancel(completion)
         self._accrued.pop(flow.flow_id, None)
+        self._paid.pop(flow.flow_id, None)
         self._solver.remove(flow.flow_id)
+        self.stats[state.value] += 1
+        self._notify(state.value, flow)
+        self._recompute()
 
     def on_link_state(self, a: str, b: str, up: bool) -> None:
         # Bumps topology.link_generation: every cached route goes stale.

@@ -32,25 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
     from ..core.simulator import Horse
 
 #: Version of the captured-state layout, bumped when the object graph
-#: changes incompatibly; the reader refuses every other version.  2: the
-#: fair-share solver's components carry their settled-state bounds.
-#: 3: packet output queues keep the time their transmitter frees and
-#: one start event in place of a busy flag and per-packet tx-done events.
-#: 4: a flow completion carries its due time, and the flow engine the
-#: route counters each flow owes since its last settle.  5: a flow
-#: completion carries the seq reserved for its due time, and an output
-#: queue the seq reserved when its current transmission began.  6: the
-#: topology carries its link generation (the flow engine's private link
-#: epoch is gone) and the packet engine its forwarding-decision memo.
-#: 7: an output queue without ``capacity_fn`` keeps the start instants
-#: of its waiting packets (their arrivals are scheduled), not the packets.
-#: 8: the fair-share solver records the loads it made stale (pulled on
-#: read) in place of the last resolve's loads and touched links, and the
-#: stats collector keeps the engine's pull for its sampling tick.
-#: 9: the kernel holds no profiler slot.  10: a periodic event is one
-#: object that re-arms itself (no shared series handle); the monitor and
-#: a counter subscription hold their timer, the hybrid engine none.
-SNAPSHOT_VERSION = 10
+#: changes; the reader refuses every other version.  Each version's
+#: layout hash is recorded in ``tests/snapshot_layout.json``, which
+#: ``tests/test_snapshot_layout.py`` checks against every run.
+SNAPSHOT_VERSION = 11
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

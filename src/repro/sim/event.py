@@ -40,15 +40,15 @@ class Event:
         self.time = float(time)
         self.priority = priority
         self.seq = next(_FALLBACK_SEQ)
+        #: Set by ``Simulator.cancel`` only, so the kernel's counts hold.
         self.cancelled = False
         #: Daemon events (periodic housekeeping like monitoring polls) do
         #: not keep the simulation alive: run() returns once only daemon
         #: events remain, mirroring daemon-thread semantics.
         self.daemon = False
-        #: True from schedule until the event fires: a non-cancelled
-        #: queued event has a live entry in the pending set.
-        #: ``Simulator.cancel`` and ``Simulator.reschedule`` use it to
-        #: tell whether they leave a dead entry behind.
+        #: True from schedule until the event fires or is cancelled: a
+        #: queued event has a live entry in the pending set, which
+        #: ``Simulator.cancel`` and ``Simulator.reschedule`` leave dead.
         self.queued = False
 
     def fire(self, sim: "Any") -> None:
@@ -60,10 +60,6 @@ class Event:
             The :class:`~repro.sim.kernel.Simulator` executing the event.
         """
         raise NotImplementedError
-
-    def cancel(self) -> None:
-        """Mark this event as cancelled; the kernel will skip it lazily."""
-        self.cancelled = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " cancelled" if self.cancelled else ""

@@ -127,19 +127,18 @@ class Simulator:
         return event
 
     def cancel(self, event: Event) -> bool:
-        """Cancel a scheduled event, keeping the pending set healthy.
+        """Cancel an event, the one way to set ``event.cancelled``.
 
-        Equivalent to ``event.cancel()`` plus stale accounting: the
-        queue learns the entry is a tombstone and, when tombstones
-        exceed its compaction threshold, is rebuilt in place (see
+        A queued event leaves the live count, and the queue learns its
+        entry is a tombstone and, when tombstones exceed its compaction
+        threshold, is rebuilt in place (see
         :meth:`repro.sim.queue.HeapEventQueue.compact`).  Returns True
         when this call cancelled the event, False when it was already
-        cancelled.  A direct ``event.cancel()`` works too, but its
-        tombstone stays unaccounted until it leaves the pending set.
+        cancelled.
         """
         if event.cancelled:
             return False
-        event.cancel()
+        event.cancelled = True
         if event.queued:
             self._settle(event)
             if self._queue.note_cancel(event):
@@ -170,16 +169,15 @@ class Simulator:
             raise SchedulingError(
                 f"cannot reschedule event to t={new_time} before now={self._now}"
             )
-        if event.queued:
-            if not event.cancelled:
-                if abs(event.time - new_time) < RESCHEDULE_EPSILON:
-                    return event
-                # Kill the entry before noting it, so a compaction the
-                # note triggers drops it (the re-stamp below keeps it dead
-                # once revived).
-                event.cancelled = True
-                if self._queue.note_cancel(event):
-                    self._compact()
+        if event.queued:  # so not cancelled
+            if abs(event.time - new_time) < RESCHEDULE_EPSILON:
+                return event
+            # Kill the entry before noting it, so a compaction the note
+            # triggers drops it (the re-stamp below keeps it dead once
+            # revived).
+            event.cancelled = True
+            if self._queue.note_cancel(event):
+                self._compact()
             self._settle(event)
         event.cancelled = False
         event.time = float(new_time)
@@ -192,22 +190,17 @@ class Simulator:
         bus = self.trace_bus
         if bus is not None:
             with bus.span("kernel.compact", raw=len(queue), stale=queue.stale):
-                dropped = queue.compact()
+                queue.compact()
         else:
-            dropped = queue.compact()
-        for event in dropped:
-            if event.cancelled:
-                self._settle(event)
+            queue.compact()
 
     def _settle(self, event: Event) -> None:
-        """Drop a queued event that will not fire from the live count,
-        once: at cancel or retiming, or, cancelled directly
-        (``event.cancel()``), when its entry leaves the set.  Dead entries
+        """Drop a queued event that will not fire from the live count:
+        at cancel or retiming, before its entry dies.  Dead entries
         never move the count, so compaction cannot end a run early."""
-        if event.queued:
-            event.queued = False
-            if not event.daemon:
-                self._live_pending -= 1
+        event.queued = False
+        if not event.daemon:
+            self._live_pending -= 1
 
     def call_at(
         self, time: float, callback: Callable[..., None], *args: Any, **kwargs: Any
@@ -306,8 +299,6 @@ class Simulator:
                 return None
             if not event.cancelled and seq == event.seq:
                 return event
-            if event.cancelled:
-                self._settle(event)
 
     def _fire(self, event: Event) -> None:
         """Fire a live event just taken off the pending set."""

@@ -83,10 +83,7 @@ class HeapEventQueue:
                 f"min_compact_size must be >= 0, got {min_compact_size}"
             )
         self._heap: List[Entry] = []
-        #: Tombstoned entries known to still sit in the heap.  Events
-        #: cancelled directly (``event.cancel()`` without going through
-        #: ``Simulator.cancel``) are not counted until popped, so this
-        #: is a lower bound; :meth:`compact` re-trues it.
+        #: Dead entries still in the heap (see :meth:`note_cancel`).
         self._stale = 0
         self.compaction_threshold = compaction_threshold
         self.min_compact_size = min_compact_size
@@ -153,30 +150,22 @@ class HeapEventQueue:
             and self._stale > threshold * size
         )
 
-    def compact(self) -> List[Event]:
+    def compact(self) -> None:
         """Rebuild the heap without its dead entries.
 
         Heapifying the filtered list preserves the total
         ``(time, priority, seq)`` order, so the pop sequence of live
         events — and therefore every run digest — is unchanged.
-        Returns the events of the dropped entries so the kernel can
-        adjust its own non-daemon pending count.
         """
-        live: List[Entry] = []
-        dropped: List[Event] = []
-        for entry in self._heap:
-            event = entry[3]
-            if event.cancelled or entry[2] != event.seq:
-                dropped.append(event)
-            else:
-                live.append(entry)
-        if dropped:
+        heap = self._heap
+        live = [entry for entry in heap
+                if not entry[3].cancelled and entry[2] == entry[3].seq]
+        if len(live) < len(heap):
             heapq.heapify(live)
             self._heap = live
         self._stale = 0
         self.compactions += 1
-        self.stale_discarded += len(dropped)
-        return dropped
+        self.stale_discarded += len(heap) - len(live)
 
     def health(self) -> dict:
         """Queue-health counters (exported via ``stats_snapshot``)."""

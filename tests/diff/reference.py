@@ -30,12 +30,13 @@ the production path bitwise against them.
 after every resolve, where the product sums them when they are read
 (``FlowLevelEngine._sync_loads``).
 
-:func:`eager_apply` turns a built flow engine back into the one that
-applied a moved rate eagerly, moved here verbatim: every accrual charges
-the route's port, entry and group counters at once, and every projection
-moves the flow's completion event with ``Simulator.reschedule``, later
-as well as earlier.  The product keeps a *due* time, moves a timer only
-earlier and settles route counters when they are read;
+:func:`eager_apply` turns a built flow engine back into one that
+applies a moved rate eagerly: every accrual is followed by a settle, so
+the route's port, entry and group counters are paid at once, and every
+projection moves the flow's completion event with
+``Simulator.reschedule``, later as well as earlier.  The product keeps
+a *due* time, moves a timer only earlier and settles route counters
+when they are read, re-walked or retired;
 ``test_kernel_reschedule_differential.py`` pins it against this path.
 
 :class:`TwoEventOutputQueue` is the drop-tail queue
@@ -222,7 +223,7 @@ def _eager_recompute_indexed(self, now):
 
 
 def eager_apply(engine):
-    """Make a built flow engine charge route counters at every accrual
+    """Make a built flow engine settle route counters after every accrual
     and retime completion events on every projection.  Returns
     ``engine``."""
     engine._accrue_flow = types.MethodType(_eager_accrue_flow, engine)
@@ -242,40 +243,10 @@ class EagerCompletion(FlowCompletion):
 
 
 def _eager_accrue_flow(self, flow, now):
-    """Charge a flow's traffic since its last accrual at the current
-    rate into flow, port, entry, group, and meter counters."""
-    last = self._accrued.get(flow.flow_id)
-    if last is None or now <= last:
-        return
-    dt = now - last
-    self._accrued[flow.flow_id] = now
-    route = flow.route
-    if route is None:
-        return
-    rate = flow.rate_bps
-    sent = rate * dt / 8.0
-    if sent > 0:
-        flow.bytes_sent += sent
-        if route.delivered:
-            flow.bytes_delivered += sent
-        sent_int = int(sent)
-        packets = max(1, int(sent / self.mean_packet_bytes)) if sent >= 1 else 0
-        for direction in route.directions:
-            direction.src_port.tx_bytes += sent_int
-            direction.src_port.tx_packets += packets
-            direction.dst_port.rx_bytes += sent_int
-            direction.dst_port.rx_packets += packets
-        for entry in route.entries:
-            entry.account(sent_int, packets, now=now)
-        for group, index in route.group_hits:
-            group.account(index, sent_int)
-    if not flow.elastic and flow.demand_bps > rate:
-        flow.bytes_dropped += (flow.demand_bps - rate) * dt / 8.0
-    for dpid, meter_id in route.meter_ids:
-        pipeline = self._pipeline_by_dpid(dpid)
-        if pipeline is not None and meter_id in pipeline.meters:
-            offered = flow.demand_bps if not flow.elastic else rate
-            pipeline.meters.get(meter_id).account_fluid(offered, dt)
+    """Accrue a flow, then pay its route at once: a settle after every
+    accrual."""
+    type(self)._accrue_flow(self, flow, now)
+    self._settle(flow)
 
 
 def _eager_schedule_completion(self, flow):

@@ -2,12 +2,11 @@
 
 A moved rate costs the flow engine its flow's own state only.  The
 flow's completion timer moves only earlier (one that fires ahead of the
-flow's due time re-arms there, accruing nothing), and what its route's
-port, entry and group counters are owed is settled when they are read:
-by ``sync_statistics``, before a re-walk and at retire.
-``reference.eager_apply`` restores the path that retimed every
-projection with ``Simulator.reschedule`` and charged every counter at
-each accrual.  The two must simulate the same network bitwise: the same
+flow's due time re-arms there, accruing nothing), and its route's port,
+entry and group counters are paid up to the flow's watermark when they
+are read: by ``sync_statistics``, before a re-walk and at retire.
+``reference.eager_apply`` retimes every projection with
+``Simulator.reschedule`` and settles the counters after each accrual.  The two must simulate the same network bitwise: the same
 per-flow tuples, the same counters read after a sync, the same stats
 replies and ``FlowRemoved`` messages.  Kernel event counts are not
 compared: early fires count there.

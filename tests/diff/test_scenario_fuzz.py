@@ -9,12 +9,14 @@ injected before the run.  Each case is checked for
 
 * byte accounting: a flow never delivers more than it sent, an elastic
   flow drops nothing, a completed sized flow sent its size, a flow
-  that kept one delivered route delivered every byte it sent (to the
-  completion's slack, for a completed one), and a flow that never
-  crossed a live link sent nothing.  The fluid engine's
-  ``bytes_dropped`` is the offered excess of an inelastic flow, never
-  sent, so the packet engine's ``sent == delivered + dropped`` reads
-  this way here;
+  that kept one delivered route delivered every byte it sent, and a
+  flow that never crossed a live link sent nothing.  The fluid
+  engine's ``bytes_dropped`` is the offered excess of an inelastic
+  flow, never sent, so the packet engine's ``sent == delivered +
+  dropped`` reads this way here;
+* port accounting: per link direction, the tx bytes and packets of its
+  source port and the rx ones of its far end are the sums of what the
+  flows paid while their routes crossed it (:class:`PaidWatermarks`);
 * the max-min certificate after every resolve (the suite's autouse
   fixture);
 * one ``run_digest`` across the product and four reference paths: link
@@ -29,6 +31,7 @@ hypothesis prints it, plus the ``digest`` it runs to once mended) and
 replayed by :func:`test_regression_cases`.
 """
 
+import collections
 import dataclasses
 import glob
 import json
@@ -145,24 +148,57 @@ def _run(case, workdir, patch=None, checkpoint=None):
     return horse, result, path
 
 
-#: A completion snaps ``bytes_sent`` to the size from within this many
-#: bytes (``FlowLevelEngine.on_completion``); ``bytes_delivered`` keeps
-#: the accrued sum.
-_COMPLETION_SLACK = 1e-3
-
-
 def _check_bytes(result):
     for flow in result.flows:
-        slack = _COMPLETION_SLACK if flow.state.name == "COMPLETED" else 0.0
-        if slack:
+        if flow.state.name == "COMPLETED":
             assert flow.bytes_sent == flow.size_bytes, flow
-        assert flow.bytes_delivered <= flow.bytes_sent + slack, flow
+        assert flow.bytes_delivered <= flow.bytes_sent, flow
         if flow.elastic:
             assert flow.bytes_dropped == 0.0, flow
         if flow.reroutes == 0 and flow.route is not None and flow.route.delivered:
-            assert abs(flow.bytes_delivered - flow.bytes_sent) <= slack, flow
+            assert flow.bytes_delivered == flow.bytes_sent, flow
         if flow.reroutes == 0 and flow.route is not None and not flow.route.directions:
             assert flow.bytes_sent == 0.0, flow
+
+
+class PaidWatermarks:
+    """A flow-engine observer that keeps each flow's routes, each with
+    the flow's paid watermark (the floor of its ``bytes_sent``) when it
+    took that route.  A route is paid up to the watermark at the next
+    walk, or at the end of the run."""
+
+    def __init__(self):
+        self.routes = collections.defaultdict(list)
+
+    def attach(self, engine):
+        engine.observers.append(self)
+
+    def __call__(self, name, flow):
+        if name in ("delivered", "undelivered"):
+            self.routes[flow.flow_id].append((flow.route, int(flow.bytes_sent)))
+
+    def check_ports(self, horse, result):
+        """Per link direction: tx bytes and packets at its source port,
+        and rx at its far end, are the sums of what the flows paid while
+        their routes crossed it, ``ceil(P / mean_packet_bytes)`` packets
+        for a watermark of P bytes."""
+        mean = horse.engine.mean_packet_bytes
+        paid = collections.defaultdict(lambda: [0, 0])
+        for flow in result.flows:
+            marks = self.routes.get(flow.flow_id, [])
+            ends = [start for _, start in marks[1:]] + [int(flow.bytes_sent)]
+            for (route, start), end in zip(marks, ends):
+                packets = math.ceil(end / mean) - math.ceil(start / mean)
+                for direction in route.directions:
+                    paid[direction][0] += end - start
+                    paid[direction][1] += packets
+        for link in horse.topology.links:
+            for port in (link.port_a, link.port_b):
+                direction = link.direction_from(port)
+                want = paid.get(direction, [0, 0])
+                tx = [direction.src_port.tx_bytes, direction.src_port.tx_packets]
+                rx = [direction.dst_port.rx_bytes, direction.dst_port.rx_packets]
+                assert tx == want and rx == want, (direction, tx, rx, want)
 
 
 def _digest(result):
@@ -181,8 +217,10 @@ def check_case(case):
     """Every check of the module docstring on one case; returns the
     digest."""
     with tempfile.TemporaryDirectory() as workdir:
-        _, result, _ = _run(case, workdir)
+        watermarks = PaidWatermarks()
+        horse, result, _ = _run(case, workdir, watermarks.attach)
         _check_bytes(result)
+        watermarks.check_ports(horse, result)
         digest = _digest(result)
         for patch in (eager_loads, without_route_cache, eager_apply):
             assert _digest(_run(case, workdir, patch)[1]) == digest, patch.__name__
@@ -212,3 +250,27 @@ def test_regression_cases(path):
     with open(path) as handle:
         case = json.load(handle)
     assert check_case(case) == case["digest"]
+
+
+@pytest.mark.parametrize("name", ["quickstart.json", "ixp_small.json"])
+def test_shipped_scenarios_pay_every_byte(name):
+    """Every flow of these scenarios completes on the one delivered route
+    it took: it delivered exactly its size, and every port it crossed
+    counted exactly the sizes of the flows that crossed it."""
+    with open(os.path.join(REGRESSIONS, "..", name)) as handle:
+        document = json.load(handle)
+    watermarks = PaidWatermarks()
+    horse, result, _ = run_scenario(
+        document, before_run=lambda horse, count: watermarks.attach(horse.engine)
+    )
+    _check_bytes(result)
+    watermarks.check_ports(horse, result)
+    sizes = collections.Counter()
+    for flow in result.flows:
+        assert flow.state.name == "COMPLETED" and flow.reroutes == 0, flow
+        assert flow.route.delivered, flow
+        assert flow.bytes_delivered == flow.bytes_sent == flow.size_bytes, flow
+        for direction in flow.route.directions:
+            sizes[direction] += flow.size_bytes
+    for direction, size in sizes.items():
+        assert direction.src_port.tx_bytes == direction.dst_port.rx_bytes == size

@@ -281,18 +281,16 @@ def test_property_compaction_is_pop_order_transparent(steps, threshold):
     a compacting heap and the sorted-list queue."""
     queue = HeapEventQueue(compaction_threshold=threshold, min_compact_size=4)
     reference = SortedListEventQueue()
+    # Mirrored kernels stamp both queues' events with the same seqs.
+    sim, ref_sim = Simulator(queue=queue), Simulator(queue=reference)
     live = []  # (mine, ref) pairs still expected in both queues
-    seq = 0
     popped_mine = []
     popped_ref = []
 
     def push_pair(time):
-        nonlocal seq
         a, b = Event(time), Event(time)
-        a.seq = b.seq = seq
-        seq += 1
-        queue.push(a)
-        reference.push(b)
+        sim.schedule(a)
+        ref_sim.schedule(b)
         live.append((a, b))
 
     for op, tfrac, pick in steps:
@@ -301,16 +299,14 @@ def test_property_compaction_is_pop_order_transparent(steps, threshold):
             push_pair(time)
         elif op == "cancel" and live:
             mine, ref = live.pop(int(pick * (len(live) - 0.001)))
-            mine.cancel()
-            ref.cancel()
-            queue.note_cancel(mine)
+            sim.cancel(mine)
+            ref_sim.cancel(ref)
         elif op == "reschedule" and live:
             # Tombstone replacement, mirrored on both queues.
             idx = int(pick * (len(live) - 0.001))
             mine, ref = live.pop(idx)
-            mine.cancel()
-            ref.cancel()
-            queue.note_cancel(mine)
+            sim.cancel(mine)
+            ref_sim.cancel(ref)
             push_pair(time)
         elif op == "compact":
             queue.compact()
@@ -371,16 +367,16 @@ def test_compact_preserves_exact_pop_sequence():
     """Compacting mid-stream yields the byte-identical pop sequence."""
     plain = HeapEventQueue(compaction_threshold=None)
     compacting = HeapEventQueue(compaction_threshold=None)
+    sims = (Simulator(queue=plain), Simulator(queue=compacting))
     pairs = []
-    for i, t in enumerate([5.0, 1.0, 3.0, 1.0, 2.0, 4.0, 1.0, 9.0]):
-        a, b = Event(t), Event(t)
-        a.seq = b.seq = i
-        plain.push(a)
-        compacting.push(b)
-        pairs.append((a, b))
+    for t in [5.0, 1.0, 3.0, 1.0, 2.0, 4.0, 1.0, 9.0]:
+        pair = (Event(t), Event(t))
+        for sim, event in zip(sims, pair):
+            sim.schedule(event)
+        pairs.append(pair)
     for idx in (0, 3, 5):
-        pairs[idx][0].cancel()
-        pairs[idx][1].cancel()
+        for sim, event in zip(sims, pairs[idx]):
+            sim.cancel(event)
     compacting.compact()
     assert _drain(plain) == _drain(compacting)
     assert compacting.stale_discarded == 3

@@ -77,6 +77,16 @@ def test_counters_are_compared_per_port_and_per_entry():
     assert delta["rows"] == {}
 
 
+def test_entry_timers_are_compared_apart_from_counters():
+    expired = [2.0, "s1", 0, "Match()", "idle", 1.0]
+    parent = dict(PARENT, timers={"s1/0/0": 1.5, "expired/0": expired})
+    change = dict(PARENT, timers={"s1/0/0": 1.5, "expired/0": [2.5] + expired[1:]})
+    assert run_delta.compare(parent, parent)["timers"] == []
+    delta = run_delta.compare(parent, change)
+    assert delta["timers"] == ["expired/0"]
+    assert delta["entries"] == [] and delta["rows"] == {}
+
+
 def test_different_flow_ids_are_refused():
     with pytest.raises(ValueError):
         run_delta.compare(PARENT, run({"1": [0.0, 0.0, 0.0, None, 0.0]}, []))

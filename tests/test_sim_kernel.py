@@ -77,7 +77,7 @@ def test_cancelled_events_are_skipped():
     log = []
     event = sim.schedule(Recorder(1.0, log, "dead"))
     sim.schedule(Recorder(2.0, log, "alive"))
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert [tag for _, tag in log] == ["alive"]
     assert sim.fired_count == 1
@@ -262,7 +262,7 @@ class TestPeriodicSeriesCancellation:
         sim = Simulator()
         hits = []
         handle = sim.every(1.0, lambda s, t: hits.append(t))
-        sim.call_at(2.5, lambda s: handle.cancel())
+        sim.call_at(2.5, lambda s: s.cancel(handle))
         sim.call_at(10.0, lambda s: None)  # keep the run alive
         sim.run()
         assert hits == [1.0, 2.0]
@@ -271,7 +271,7 @@ class TestPeriodicSeriesCancellation:
         sim = Simulator()
         hits = []
         handle = sim.every(1.0, lambda s, t: hits.append(t))
-        sim.call_at(4.5, lambda s: handle.cancel())
+        sim.call_at(4.5, lambda s: s.cancel(handle))
         sim.call_at(20.0, lambda s: None)
         sim.run()
         assert hits == [1.0, 2.0, 3.0, 4.0]
@@ -280,7 +280,7 @@ class TestPeriodicSeriesCancellation:
         sim = Simulator()
         hits = []
         handle = sim.every(1.0, lambda s, t: hits.append(t))
-        handle.cancel()
+        sim.cancel(handle)
         sim.call_at(5.0, lambda s: None)
         sim.run()
         assert hits == []
@@ -288,7 +288,7 @@ class TestPeriodicSeriesCancellation:
     def test_callback_can_cancel_its_own_series(self):
         sim = Simulator()
         hits = []
-        handle = sim.every(1.0, lambda s, t: (hits.append(t), handle.cancel()))
+        handle = sim.every(1.0, lambda s, t: (hits.append(t), s.cancel(handle)))
         sim.call_at(5.0, lambda s: None)
         sim.run()
         assert hits == [1.0]
@@ -446,7 +446,7 @@ class TestReschedule:
         sim = Simulator()
         log = []
         event = Recorder(2.0, log, "z")
-        event.cancel()
+        sim.cancel(event)
         sim.reschedule(event, 3.0)
         sim.run()
         assert log == [(3.0, "z")]

@@ -12,7 +12,9 @@ every flow that differs, then the maxima, the number of flows whose
 lifecycle events (arrival, completion, re-route, ...) fall at different
 places in the run's event sequence, how many switch ports (tx / rx
 bytes and packets) and flow entries (byte and packet counts) end the
-run with different counters, and the run counters side by side.  Exits
+run with different counters, how many entry timers differ (each live
+entry's ``last_used``, and every expiry: instant, entry, reason), and
+the run counters side by side.  Exits
 1 when a maximum exceeds ``--tolerance``.
 
 A digest is a hash: it says *that* two runs differ, not whether the
@@ -50,9 +52,13 @@ def child(checkout: str, workload: str, seed: int) -> dict:
     job.horse.engine.observers.append(
         lambda name, flow: order.append([name, flow.flow_id])
     )
+    topology = job.horse.topology
+    expired: List[List] = []
+    for switch in topology.switches:
+        if switch.pipeline is not None:
+            switch.pipeline.expire = recording_expire(switch, expired)
     job.submit()
     result = job.horse.run(until=job.until)
-    topology = job.horse.topology
     return {
         "flows": {
             str(flow.flow_id): [getattr(flow, name) for name in FIELDS]
@@ -73,6 +79,13 @@ def child(checkout: str, workload: str, seed: int) -> dict:
             for table in switch.pipeline.tables
             for index, entry in enumerate(table)
         },
+        "timers": {
+            **{f"{switch.name}/{table.table_id}/{index}": entry.last_used
+               for switch in topology.switches if switch.pipeline is not None
+               for table in switch.pipeline.tables
+               for index, entry in enumerate(table)},
+            **{f"expired/{index}": row for index, row in enumerate(expired)},
+        },
         "run_digest": run_digest(result),
         "counters": {
             "events": result.events,
@@ -81,6 +94,20 @@ def child(checkout: str, workload: str, seed: int) -> dict:
                if key.startswith("bytes_")},
         },
     }
+
+
+def recording_expire(switch, expired: List[List]):
+    """``switch.pipeline.expire`` that also records each removal: when,
+    where, which entry, why and the entry's ``last_used``."""
+    expire = switch.pipeline.expire
+
+    def wrapped(now):
+        removed = expire(now)
+        expired.extend([now, switch.name, table_id, repr(entry.match), reason,
+                        entry.last_used] for table_id, entry, reason in removed)
+        return removed
+
+    return wrapped
 
 
 def relative(a: Optional[float], b: Optional[float]) -> float:
@@ -100,8 +127,8 @@ def positions(order: List[List]) -> Dict[str, List]:
 
 
 def differing(parent: dict, change: dict, kind: str) -> List[str]:
-    """The ports or entries (``kind``) whose counters differ between the
-    runs, or that one run does not have."""
+    """The ports, entries or entry timers (``kind``) whose values differ
+    between the runs, or that one run does not have."""
     before, after = parent.get(kind, {}), change.get(kind, {})
     return sorted(key for key in before.keys() | after.keys()
                   if before.get(key) != after.get(key))
@@ -109,8 +136,9 @@ def differing(parent: dict, change: dict, kind: str) -> List[str]:
 
 def compare(parent: dict, change: dict) -> dict:
     """Per-flow relative differences (flows that differ only), their
-    maxima per field, the flows whose event order changed, and the
-    ports and entries whose counters differ."""
+    maxima per field, the flows whose event order changed, the ports
+    and entries whose counters differ, and the entries whose
+    ``last_used`` or expiry differs."""
     if parent["flows"].keys() != change["flows"].keys():
         raise ValueError("the two runs did not submit the same flow ids")
     rows = {}
@@ -129,7 +157,8 @@ def compare(parent: dict, change: dict) -> dict:
     )
     return {"rows": rows, "maxima": maxima, "reordered": reordered,
             "ports": differing(parent, change, "ports"),
-            "entries": differing(parent, change, "entries")}
+            "entries": differing(parent, change, "entries"),
+            "timers": differing(parent, change, "timers")}
 
 
 def run_side(checkout: str, workload: str, seed: int) -> dict:
@@ -176,9 +205,10 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: event order changed for "
           f"{len(delta['reordered'])} of {flows} flows"
           + (f" (first: {delta['reordered'][:5]})" if delta["reordered"] else ""))
-    for kind in ("ports", "entries"):
+    for kind, what in (("ports", "counters"), ("entries", "counters"),
+                       ("timers", "last_used / expiries")):
         keys = delta[kind]
-        print(f"{args.workload} seed {args.seed}: counters differ for {len(keys)} "
+        print(f"{args.workload} seed {args.seed}: {what} differ for {len(keys)} "
               f"of {len(parent[kind])} {kind}" + (f" (first: {keys[:5]})" if keys else ""))
     same = parent["run_digest"] == change["run_digest"]
     print(f"{args.workload} seed {args.seed}: run_digest "
