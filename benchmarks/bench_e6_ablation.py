@@ -128,7 +128,8 @@ def _run_solver(incremental: bool):
     engine = FlowLevelEngine(sim, topo)
     if not incremental:
         solve_from_scratch(engine)
-    engine.submit_all(flows)
+    for f in flows:
+        engine.submit(f)
     start = time.perf_counter()
     sim.run(until=120.0)
     engine.finish()

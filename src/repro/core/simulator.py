@@ -271,7 +271,7 @@ class Horse:
 
     def submit_flows(self, flows: Iterable[Flow]) -> List[Flow]:
         """Schedule pre-built flows."""
-        return self.engine.submit_all(flows)
+        return [self.engine.submit(flow) for flow in flows]
 
     def submit_matrix(
         self,
@@ -293,8 +293,7 @@ class Horse:
         return self.submit_flows(flows)
 
     def fail_link(self, at: float, a: str, b: str) -> None:
-        """Schedule a link-failure input event (flow/hybrid engines;
-        the packet engine raises :class:`ExperimentError`)."""
+        """Schedule a link-failure input event (any engine)."""
         self.engine.fail_link_at(at, a, b)
 
     def restore_link(self, at: float, a: str, b: str) -> None:

@@ -48,22 +48,15 @@ import numpy as np
 
 from ..core.config import HorseConfig
 from ..errors import TopologyError
-from ..net.link import LinkDirection
+from ..net.link import Link, LinkDirection
 from ..net.node import Host, Switch
 from ..net.topology import Topology
 from ..openflow.headers import HeaderFields
-from ..openflow.messages import PacketIn, PortStatus, PortStatusReason
+from ..openflow.messages import PacketIn
 from ..openflow.switch import OpenFlowPipeline
 from ..sim.engine import Engine
 from ..sim.kernel import RESCHEDULE_EPSILON, Simulator
-from .events import (
-    FlowArrival,
-    FlowCompletion,
-    FlowEnd,
-    LinkFailure,
-    LinkRecovery,
-    RerouteSweep,
-)
+from .events import FlowArrival, FlowCompletion, FlowEnd, RerouteSweep
 from .fairshare import FlowDemand, IncrementalSolver
 from .flow import Flow, FlowRoute, FlowState, Terminal
 
@@ -188,14 +181,6 @@ class FlowLevelEngine(Engine):
         """Terminate a continuous flow immediately."""
         if flow.state is FlowState.ACTIVE or flow.state is FlowState.BLOCKED:
             self.on_end(flow)
-
-    def fail_link_at(self, time: float, a: str, b: str) -> None:
-        """Schedule a link failure input event."""
-        self.sim.schedule(LinkFailure(time, self, a, b))
-
-    def restore_link_at(self, time: float, a: str, b: str) -> None:
-        """Schedule a link recovery input event."""
-        self.sim.schedule(LinkRecovery(time, self, a, b))
 
     def notify_rules_changed(self, dpid: int) -> None:
         """Called by the control channel after southbound state changes.
@@ -386,8 +371,8 @@ class FlowLevelEngine(Engine):
             return None
 
     # ------------------------------------------------------------------
-    # Event handlers (public: events.py and the fault injector
-    # drive the engine through these)
+    # Event handlers (public: events.py, sim/faults.py's link-state
+    # event and its injector drive the engine through these)
     # ------------------------------------------------------------------
     def on_arrival(self, flow: Flow) -> None:
         now = self.sim.now
@@ -434,9 +419,10 @@ class FlowLevelEngine(Engine):
         self._notify(state.value, flow)
         self._recompute()
 
-    def on_link_state(self, a: str, b: str, up: bool) -> None:
-        # Bumps topology.link_generation: every cached route goes stale.
-        link = (self.topology.restore_link if up else self.topology.fail_link)(a, b)
+    def on_link_state(self, a: str, b: str, up: bool) -> Link:
+        # The base flips the link (every cached route goes stale) and
+        # tells the controller about both switch endpoints.
+        link = super().on_link_state(a, b, up)
         # Registered capacities can drift (e.g. a degraded link model);
         # refresh them and mark changed links dirty for the solver.
         for index, direction in enumerate(self._dir_list):
@@ -444,18 +430,6 @@ class FlowLevelEngine(Engine):
             if self._dir_caps[index] != capacity:
                 self._dir_caps[index] = capacity
                 self._solver.touch_link(index)
-        # Tell the controller about both switch endpoints.
-        for port in (link.port_a, link.port_b):
-            node = port.node
-            if isinstance(node, Switch) and self.control is not None:
-                self.control.deliver_port_status(
-                    PortStatus(
-                        dpid=node.dpid,
-                        port_no=port.number,
-                        reason=PortStatusReason.MODIFY,
-                        link_up=up,
-                    )
-                )
         # Re-route every flow crossing the link (down) or every
         # non-delivered flow (up: a better path may exist now).
         affected: Set[int] = set()
@@ -469,6 +443,7 @@ class FlowLevelEngine(Engine):
                 affected.add(flow.flow_id)
         self._reroute_flows(affected)
         self._recompute()
+        return link
 
     def on_reroute_sweep(self) -> None:
         self._reroute_pending = False

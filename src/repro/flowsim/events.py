@@ -1,9 +1,11 @@
-"""Engine events: the "temporally ordered set of inputs for the topology".
+"""Flow-engine events: the "temporally ordered set of inputs for the topology".
 
-Flow arrivals/completions, link failures/recoveries, and coalesced
-re-route sweeps.  Event priorities order same-instant processing: link
-state changes apply before flow arrivals, and re-route sweeps run last
-so they see every rule installed at that instant.
+Flow arrivals/completions and coalesced re-route sweeps; link failures
+and recoveries are the one :class:`~repro.sim.faults.LinkStateChange`
+every engine shares.  Event priorities order same-instant processing:
+link state changes (``PRIO_LINK``) apply before flow arrivals, and
+re-route sweeps run last so they see every rule installed at that
+instant.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import FlowLevelEngine
     from .flow import Flow
 
-#: Event priorities (lower fires first at equal times).
-PRIO_LINK = -10
+#: Event priorities (lower fires first at equal times; ``sim.faults.PRIO_LINK``,
+#: -10, fires before all of them).
 PRIO_ARRIVAL = 0
 PRIO_COMPLETION = 5
 PRIO_REROUTE = 10
@@ -72,40 +74,6 @@ class FlowEnd(Event):
 
     def fire(self, sim) -> None:
         self.engine.on_end(self.flow)
-
-
-class LinkFailure(Event):
-    """An injected link failure (poster: "link failure" input event)."""
-
-    __slots__ = ("engine", "node_a", "node_b")
-
-    def __init__(
-        self, time: float, engine: "FlowLevelEngine", node_a: str, node_b: str
-    ) -> None:
-        super().__init__(time, priority=PRIO_LINK)
-        self.engine = engine
-        self.node_a = node_a
-        self.node_b = node_b
-
-    def fire(self, sim) -> None:
-        self.engine.on_link_state(self.node_a, self.node_b, up=False)
-
-
-class LinkRecovery(Event):
-    """An injected link recovery."""
-
-    __slots__ = ("engine", "node_a", "node_b")
-
-    def __init__(
-        self, time: float, engine: "FlowLevelEngine", node_a: str, node_b: str
-    ) -> None:
-        super().__init__(time, priority=PRIO_LINK)
-        self.engine = engine
-        self.node_a = node_a
-        self.node_b = node_b
-
-    def fire(self, sim) -> None:
-        self.engine.on_link_state(self.node_a, self.node_b, up=True)
 
 
 class RerouteSweep(Event):

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.config import HorseConfig
 from ..flowsim.engine import FlowLevelEngine
 from ..flowsim.flow import Flow, FlowState
-from ..net.link import LinkDirection
+from ..net.link import Link, LinkDirection
 from ..net.topology import Topology
 from ..pktsim.engine import PacketLevelEngine
 from ..sim.engine import Engine
@@ -276,11 +276,9 @@ class HybridEngine(Engine):
     def enable_entry_expiry(self, interval: float = 1.0) -> None:
         self.background.enable_entry_expiry(interval)
 
-    def fail_link_at(self, time: float, a: str, b: str) -> None:
-        self.background.fail_link_at(time, a, b)
-
-    def restore_link_at(self, time: float, a: str, b: str) -> None:
-        self.background.restore_link_at(time, a, b)
+    def on_link_state(self, a: str, b: str, up: bool) -> Link:
+        # The background re-routes; foreground packets need nothing more.
+        return self.background.on_link_state(a, b, up)
 
     # ------------------------------------------------------------------
     # Telemetry plumbing (fan out to both sub-engines)

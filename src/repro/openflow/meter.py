@@ -47,7 +47,7 @@ class Meter:
         self._tokens_bits = self.burst_bits or self.rate_bps * 0.01
         self._bucket_cap = self._tokens_bits
         self._last_refill = 0.0
-        #: Cumulative accounting.
+        #: Cumulative accounting (fluid accrual leaves fractional bytes).
         self.in_bytes = 0
         self.dropped_bytes = 0
         self.dropped_packets = 0
@@ -71,10 +71,12 @@ class Meter:
         return min(offered_bps, self.rate_bps)
 
     def account_fluid(self, offered_bps: float, duration_s: float) -> None:
-        """Record fluid-model drops over an interval for statistics."""
+        """Record fluid-model drops over an interval for statistics: the
+        exact fluid bytes, floored once when :meth:`stats` reads them, so
+        the counters do not depend on how often they were accrued."""
         allowed = self.cap_rate(offered_bps)
-        self.in_bytes += int(offered_bps * duration_s / 8)
-        self.dropped_bytes += int(max(0.0, offered_bps - allowed) * duration_s / 8)
+        self.in_bytes += offered_bps * duration_s / 8
+        self.dropped_bytes += max(0.0, offered_bps - allowed) * duration_s / 8
 
     # ------------------------------------------------------------------
     # Packet-level (token bucket) view
@@ -109,8 +111,8 @@ class Meter:
         return {
             "meter_id": self.meter_id,
             "rate_bps": self.rate_bps,
-            "in_bytes": self.in_bytes,
-            "dropped_bytes": self.dropped_bytes,
+            "in_bytes": int(self.in_bytes),
+            "dropped_bytes": int(self.dropped_bytes),
             "dropped_packets": self.dropped_packets,
         }
 

@@ -83,17 +83,10 @@ class PacketLevelEngine(Engine):
         # Forwarding decisions by (pipeline, in_port, flow id): ((version,
         # link generation, headers), result, egress, (table, hit) lookups).
         self._decisions: Dict[tuple, tuple] = {}
-        self.stats = {
-            "packets_sent": 0,
-            "packets_delivered": 0,
-            "drops_congestion": 0,
-            "drops_meter": 0,
-            "drops_policy": 0,
-            "drops_loop": 0,
-            "drops_no_route": 0,
-            "packet_ins": 0,
-            "completed": 0,
-        }
+        self.stats = dict.fromkeys((
+            "packets_sent", "packets_delivered", "drops_congestion", "drops_meter",
+            "drops_policy", "drops_loop", "drops_no_route", "packet_ins", "completed",
+        ), 0)
 
     # ------------------------------------------------------------------
     # Public API
@@ -124,9 +117,7 @@ class PacketLevelEngine(Engine):
         transport = make_transport(self, flow, self.mtu_bytes)
         self.transports[flow.flow_id] = transport
         if flow.duration_s is not None:
-            sim.call_at(
-                flow.start_time + flow.duration_s, self._end_flow, flow
-            )
+            sim.call_at(flow.start_time + flow.duration_s, self._end_flow, flow)
         transport.start()
 
     def _end_flow(self, sim: Simulator, flow: Flow) -> None:

@@ -9,17 +9,19 @@ once, and the calls only some engines act on default to doing nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..errors import ExperimentError, SimulationError
+from ..errors import SimulationError
+from ..net.node import Switch
 from ..openflow.headers import HeaderFields
-from ..openflow.messages import PacketIn, PacketInReason
+from ..openflow.messages import PacketIn, PacketInReason, PortStatus
 from ..openflow.switch import PipelineResult
+from .faults import LinkStateChange
 from .kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..flowsim.flow import Flow
-    from ..net.node import Switch
+    from ..net.link import Link
     from ..net.topology import Topology
 
 
@@ -79,21 +81,27 @@ class Engine:
         self._admit(flow)
         return flow
 
-    def submit_all(self, flows: Iterable[Flow]) -> List[Flow]:
-        """Schedule a batch of flows (a traffic-matrix worth of events)."""
-        return [self.submit(f) for f in flows]
-
     def _admit(self, flow: Flow) -> None:
         """Schedule whatever starts an accepted flow."""
         raise NotImplementedError
 
     def fail_link_at(self, time: float, a: str, b: str) -> None:
         """Schedule a link failure input event."""
-        raise ExperimentError("link failure injection needs the flow engine")
+        self.sim.schedule(LinkStateChange(time, self, a, b, up=False))
 
     def restore_link_at(self, time: float, a: str, b: str) -> None:
         """Schedule a link recovery input event."""
-        raise ExperimentError("link recovery injection needs the flow engine")
+        self.sim.schedule(LinkStateChange(time, self, a, b, up=True))
+
+    def on_link_state(self, a: str, b: str, up: bool) -> Link:
+        """Flip the link between ``a`` and ``b`` (``link_generation``
+        moves) and send ``PortStatus`` for each switch end; returns it."""
+        link = (self.topology.restore_link if up else self.topology.fail_link)(a, b)
+        for port in (link.port_a, link.port_b):
+            if isinstance(port.node, Switch) and self.control is not None:
+                self.control.deliver_port_status(
+                    PortStatus(dpid=port.node.dpid, port_no=port.number, link_up=up))
+        return link
 
     # ------------------------------------------------------------------
     # Run lifecycle (Horse calls these around Simulator.run)

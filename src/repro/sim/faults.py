@@ -1,11 +1,13 @@
-"""Stochastic failure injection.
+"""Link failure and recovery, for every engine.
 
 The poster lists "link failure" among the event inputs to the topology.
-Beyond one-shot injections (``FlowLevelEngine.fail_link_at``), this
-module provides a renewal-process injector: each watched link fails
-after an exponential time-to-failure and recovers after an exponential
-time-to-repair, producing the continuous churn needed for availability
-and convergence studies.
+:class:`LinkStateChange` is that input: the one event a one-shot
+injection (``Engine.fail_link_at`` / ``restore_link_at``) schedules on
+the flow, packet or hybrid engine, dispatching to the engine's
+``on_link_state``.  This module also provides a renewal-process
+injector: each watched link fails after an exponential time-to-failure
+and recovers after an exponential time-to-repair, producing the
+continuous churn needed for availability and convergence studies.
 """
 
 from __future__ import annotations
@@ -15,9 +17,32 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from .event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..flowsim.engine import FlowLevelEngine
+    from .engine import Engine
+
+#: Link state changes fire first among same-instant events: flow
+#: arrivals, completions and re-route sweeps then see the new topology.
+PRIO_LINK = -10
+
+
+class LinkStateChange(Event):
+    """An injected link failure (``up`` False) or recovery (True)."""
+
+    __slots__ = ("engine", "node_a", "node_b", "up")
+
+    def __init__(
+        self, time: float, engine: "Engine", node_a: str, node_b: str, up: bool
+    ) -> None:
+        super().__init__(time, priority=PRIO_LINK)
+        self.engine = engine
+        self.node_a = node_a
+        self.node_b = node_b
+        self.up = up
+
+    def fire(self, sim) -> None:
+        self.engine.on_link_state(self.node_a, self.node_b, up=self.up)
 
 
 @dataclass(frozen=True)
@@ -61,14 +86,16 @@ class FaultRecord:
 class LinkFaultInjector:
     """Drive failure/repair renewal processes on selected links.
 
-    The injector schedules the engine's LinkFailure/LinkRecovery input
-    events, so the controller sees ordinary port-status churn and flows
-    re-route exactly as under scripted failures.
+    The injector drives the engine's ``on_link_state``, the handler a
+    scripted :class:`LinkStateChange` fires, so the controller sees
+    ordinary port-status churn and traffic re-routes exactly as under
+    scripted failures, on any engine.
 
     Parameters
     ----------
     engine:
-        The flow-level engine whose topology is being shaken.
+        The engine (flow, packet or hybrid) whose topology is being
+        shaken.
     rng:
         Source of randomness (use a named stream from RngRegistry).
     horizon_s:
@@ -83,7 +110,7 @@ class LinkFaultInjector:
 
     def __init__(
         self,
-        engine: "FlowLevelEngine",
+        engine: "Engine",
         rng: random.Random,
         horizon_s: float,
     ) -> None:

@@ -60,10 +60,8 @@ def _star_engine():
         install_ip_path(topo, "h1", dst)
     sim = Simulator()
     engine = FlowLevelEngine(sim, topo)
-    engine.submit_all([
-        make_flow(topo, "h1", "h2", demand=8e6, duration=1.0),
-        make_flow(topo, "h1", "h3", demand=8e6, duration=1.0, sport=1001),
-    ])
+    engine.submit(make_flow(topo, "h1", "h2", demand=8e6, duration=1.0))
+    engine.submit(make_flow(topo, "h1", "h3", demand=8e6, duration=1.0, sport=1001))
     sim.run(until=0.5)
     return engine
 

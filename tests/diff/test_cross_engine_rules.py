@@ -73,7 +73,8 @@ def _delivering(engine_cls, switch_programs):
         )
         for i, (src, dst) in enumerate(PAIRS)
     ]
-    engine.submit_all(flows)
+    for f in flows:
+        engine.submit(f)
     sim.run(until=2.0)
     engine.finish()
     return {i for i, flow in enumerate(flows) if flow.bytes_delivered > 0}

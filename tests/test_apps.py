@@ -133,7 +133,8 @@ class TestShortestPath:
             make_flow(topo, "h5", "h2", sport=1001),
             make_flow(topo, "h9", "h12", sport=1002),
         ]
-        engine.submit_all(flows)
+        for f in flows:
+            engine.submit(f)
         sim.run()
         assert all(f.delivered for f in flows)
         assert all(f.state is FlowState.COMPLETED for f in flows)
@@ -180,7 +181,8 @@ class TestEcmp:
             make_flow(topo, "h1", "h16", sport=1000 + i, size=10_000)
             for i in range(40)
         ]
-        engine.submit_all(flows)
+        for f in flows:
+            engine.submit(f)
         sim.run()
         assert all(f.delivered for f in flows)
         cores_used = set()
@@ -216,7 +218,8 @@ class TestBlackhole:
         )
         victim = make_flow(topo, "h1", "h4")
         innocent = make_flow(topo, "h1", "h3", sport=1001)
-        engine.submit_all([victim, innocent])
+        for f in [victim, innocent]:
+            engine.submit(f)
         sim.run(until=30.0)
         assert victim.route.terminal is Terminal.BLACKHOLED
         assert innocent.delivered
@@ -259,7 +262,8 @@ class TestBlackhole:
         )
         out = make_flow(topo, "h1", "h4")
         into = make_flow(topo, "h4", "h1", sport=1001)
-        engine.submit_all([out, into])
+        for f in [out, into]:
+            engine.submit(f)
         sim.run(until=30.0)
         assert out.route.terminal is Terminal.BLACKHOLED
         assert into.delivered
@@ -336,7 +340,8 @@ class TestAppPeeringAndSourceRouting:
         )
         http = make_flow(topo, "h1", "h2", dport=80)
         ssh = make_flow(topo, "h1", "h2", sport=1001, dport=22)
-        engine.submit_all([http, ssh])
+        for f in [http, ssh]:
+            engine.submit(f)
         sim.run()
         assert http.delivered and ssh.delivered
         assert len(http.route.directions) == 4  # detour via s3
@@ -386,7 +391,8 @@ class TestAppPeeringAndSourceRouting:
         )
         pinned = make_flow(topo, "h1", "h2")
         other = make_flow(topo, "h2", "h1", sport=1001)
-        engine.submit_all([pinned, other])
+        for f in [pinned, other]:
+            engine.submit(f)
         sim.run()
         assert len(pinned.route.directions) == 4  # follows the pin
         assert len(other.route.directions) == 3  # reverse is unpinned

@@ -110,11 +110,16 @@ class TestFacade:
         result = horse.run()
         assert result.monitor_samples
 
-    def test_packet_engine_rejects_failure_injection(self):
+    def test_packet_engine_takes_failure_injection(self):
         topo = tree(2, 2)
         horse = Horse(topo, config=HorseConfig(engine="packet"))
-        with pytest.raises(ExperimentError):
-            horse.fail_link(1.0, "s1", "s2")
+        horse.fail_link(1.0, "s1", "s2")
+        horse.restore_link(2.0, "s1", "s2")
+        link = topo.link_between("s1", "s2")
+        horse.run(until=1.5)
+        assert not link.up
+        horse.run(until=2.5)
+        assert link.up
 
     def test_policies_and_controller_mutually_exclusive(self):
         from repro.control import Controller
@@ -260,15 +265,21 @@ def test_engine_contract(kind):
     engine.enable_entry_expiry(1.0)
     engine.finish()
 
-    if kind == "packet":
-        with pytest.raises(ExperimentError, match="needs the flow engine"):
-            horse.fail_link(1.0, "s1", "s2")
-        with pytest.raises(ExperimentError, match="needs the flow engine"):
-            horse.restore_link(2.0, "s1", "s2")
-    else:
-        a, b = (node.name for node in topo.links[0].endpoints)
-        horse.fail_link(1.0, a, b)
-        horse.restore_link(2.0, a, b)
+    # Link faults are one input event, the same on every engine.
+    a, b = "s1", "s2"
+    link = topo.link_between(a, b)
+    events = []
+    horse.controller.on_port_status = events.append
+    horse.fail_link(1.0, a, b)
+    horse.restore_link(2.0, a, b)
+    horse.run(until=1.5)
+    assert not link.up
+    horse.run(until=2.5)
+    assert link.up
+    assert [(m.port_no, m.link_up) for m in events] == [
+        (link.port_a.number, False), (link.port_b.number, False),
+        (link.port_a.number, True), (link.port_b.number, True),
+    ]
 
 
 class TestFlowLifecycleBookkeeping:

@@ -63,7 +63,8 @@ class TestSolverInputs:
             quick_flow(topo, "h1", "h2", sport=2000 + i, size=250_000)
             for i in range(60)
         ]
-        engine.submit_all(flows)
+        for f in flows:
+            engine.submit(f)
         sim.run()
         engine.finish()
         assert all(f.state is FlowState.COMPLETED for f in flows)

@@ -38,7 +38,8 @@ class TestFluidDynamics:
         f1 = make_flow(line2, "h1", "h2", demand=8e6, size=10_000_000)
         f2 = make_flow(line2, "h1", "h2", demand=8e6, size=5_000_000,
                        start=1.0, sport=1001)
-        engine.submit_all([f1, f2])
+        for f in [f1, f2]:
+            engine.submit(f)
         sim.run()
         # Worked out by hand: see DESIGN.md E3 notes.
         assert f2.end_time == pytest.approx(9.0)
@@ -50,7 +51,8 @@ class TestFluidDynamics:
         engine = FlowLevelEngine(sim, line2)
         small = make_flow(line2, "h1", "h2", demand=2e6, duration=10.0)
         big = make_flow(line2, "h1", "h2", demand=100e6, duration=10.0, sport=1001)
-        engine.submit_all([small, big])
+        for f in [small, big]:
+            engine.submit(f)
         sim.run(until=5.0)
         assert small.rate_bps == pytest.approx(2e6)
         assert big.rate_bps == pytest.approx(8e6)
@@ -76,7 +78,8 @@ class TestFluidDynamics:
         # Alone, f1 would finish at t=2.0; f2 halves its rate at t=1.
         f2 = make_flow(line2, "h1", "h2", demand=10e6, duration=10.0,
                        start=1.0, sport=1001)
-        engine.submit_all([f1, f2])
+        for f in [f1, f2]:
+            engine.submit(f)
         sim.run()
         # f1: 1 s at 10 Mb/s (1.25 MB) + 1.25 MB at 5 Mb/s = 2 s more.
         assert f1.end_time == pytest.approx(3.0)

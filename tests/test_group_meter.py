@@ -1,5 +1,8 @@
 """Group table and meter tests."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import GroupError, MeterError
@@ -17,6 +20,9 @@ from repro.openflow import (
     flow_hash,
 )
 from repro.openflow.headers import tcp_flow
+from repro.runtime.scenario import run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
 def headers(tp_src=1000):
@@ -155,6 +161,38 @@ class TestMeter:
         meter.account_fluid(offered_bps=16e6, duration_s=1.0)
         assert meter.in_bytes == 2_000_000
         assert meter.dropped_bytes == 1_000_000
+
+    def test_fluid_bytes_are_floored_once_when_read(self):
+        meter = Meter(1, [DropBand(rate_bps=4.0)])
+        for _ in range(10):  # 0.75 B offered, 0.25 B dropped per accrual
+            meter.account_fluid(offered_bps=6.0, duration_s=1.0)
+        stats = meter.stats()
+        # floor(7.5) and floor(2.5); truncating each accrual gave 0 and 0.
+        assert (stats["in_bytes"], stats["dropped_bytes"]) == (7, 2)
+
+    def test_fluid_counters_do_not_depend_on_statistics_reads(self):
+        """``ixp_small.json``'s rate-limit meters end with the same
+        counters when statistics are also read every 10 ms."""
+        with open(SCENARIOS / "ixp_small.json") as handle:
+            document = json.load(handle)
+
+        def meters(every):
+            def before_run(horse, _count):
+                if every:
+                    horse.sim.every(
+                        every, lambda sim, t: horse.engine.sync_statistics(t)
+                    )
+
+            horse, _, _ = run_scenario(document, before_run=before_run)
+            return [
+                meter.stats()
+                for switch in horse.topology.switches
+                for meter in switch.pipeline.meters.meters
+            ]
+
+        plain = meters(None)
+        assert plain and any(m["dropped_bytes"] for m in plain)
+        assert meters(0.01) == plain
 
     def test_token_bucket_admits_within_rate(self):
         meter = Meter(1, [DropBand(rate_bps=8e6, burst_bits=8e4)])

@@ -168,7 +168,8 @@ class TestChurnScenario:
         flows = synth.steady_flows(
             RngRegistry(9).stream("churn"), duration_s=2.0, load_fraction=0.5
         )
-        engine.submit_all(flows)
+        for f in flows:
+            engine.submit(f)
 
         injector = LinkFaultInjector(engine, random.Random(9), horizon_s=10.0)
         injector.watch(

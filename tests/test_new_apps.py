@@ -123,7 +123,8 @@ class TestFirewall:
         udp = make_flow(topo, "h1", "h4", proto="udp", duration_s=1.0,
                         size_bytes=None)
         tcp = make_flow(topo, "h1", "h4", sport=1001)
-        engine.submit_all([udp, tcp])
+        for f in [udp, tcp]:
+            engine.submit(f)
         sim.run(until=30.0)
         assert udp.route.terminal is Terminal.BLACKHOLED
         assert tcp.delivered
@@ -141,7 +142,8 @@ class TestFirewall:
         sim, controller, engine = wire(topo, firewall, forwarding)
         allowed = make_flow(topo, "h1", "h4")
         denied = make_flow(topo, "h2", "h4", sport=1001)
-        engine.submit_all([allowed, denied])
+        for f in [allowed, denied]:
+            engine.submit(f)
         sim.run(until=30.0)
         assert allowed.delivered
         assert denied.route.terminal is Terminal.BLACKHOLED
@@ -155,7 +157,8 @@ class TestFirewall:
         tcp = make_flow(topo, "h1", "h4")
         udp = make_flow(topo, "h1", "h3", proto="udp", sport=1001,
                         duration_s=1.0, size_bytes=None)
-        engine.submit_all([tcp, udp])
+        for f in [tcp, udp]:
+            engine.submit(f)
         sim.run(until=30.0)
         assert tcp.delivered
         assert not udp.delivered

@@ -90,7 +90,8 @@ class TestCongestion:
         f1 = make_flow(line2, "h1", "h2", demand=10e6, size=2_000_000)
         f2 = make_flow(line2, "h1", "h2", demand=10e6, size=2_000_000,
                        sport=1001)
-        engine.submit_all([f1, f2])
+        for f in [f1, f2]:
+            engine.submit(f)
         sim.run(until=60.0)
         t1 = f1.bytes_delivered * 8 / f1.flow_completion_time
         t2 = f2.bytes_delivered * 8 / f2.flow_completion_time

@@ -89,7 +89,8 @@ def _churn(mode):
         make_flow(topo, "h4", "h2", demand=7e6, size=600_000, start=0.9, sport=1005,
                   elastic=False),
     ]
-    engine.submit_all(flows)
+    for f in flows:
+        engine.submit(f)
     externals = {}  # key -> directions, in registration order
 
     def set_external(sim, key, demand, src, dst, pinned):
@@ -167,7 +168,8 @@ def _starved(mode):
         make_flow(topo, "h3", "h4", demand=7e6, size=100_000, start=start, sport=port)
         for port, start in enumerate((0.1, 0.3, 0.7, 0.9), 2000)
     ]
-    engine.submit_all([starved] + others)
+    for f in [starved] + others:
+        engine.submit(f)
     sim.run(until=2.1)
     engine.finish()
     assert starved.state is FlowState.ACTIVE and starved.rate_bps == 0.0
@@ -194,11 +196,9 @@ def test_the_reference_re_solves_every_flow():
         topo = _star()
         sim = Simulator()
         engine = _engine(sim, topo, mode)
-        engine.submit_all([
-            make_flow(topo, "h1", "h2", demand=8e6, duration=5.0),
-            make_flow(topo, "h3", "h4", demand=8e6, duration=5.0, start=1.0,
-                      sport=1001),
-        ])
+        engine.submit(make_flow(topo, "h1", "h2", demand=8e6, duration=5.0))
+        engine.submit(make_flow(topo, "h3", "h4", demand=8e6, duration=5.0,
+                                start=1.0, sport=1001))
         sim.run(until=2.0)
         scopes[mode] = engine.last_solve_scope
     assert scopes == {"incremental": 1, "full": 2}

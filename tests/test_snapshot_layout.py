@@ -3,8 +3,9 @@
 A checkpoint pickles the whole object graph of a run, so a class that
 gains, loses or renames an attribute changes what an older checkpoint
 restores into.  ``SNAPSHOT_VERSION`` must move with every such change.
-This test captures the three engine demos at t=0 and mid-run (lazily
-set attributes appear only once set), records ``{class: sorted
+This test captures the three engine demos and the IXP example (with a
+link flap pending) at t=0 and mid-run (lazily set attributes appear
+only once set), records ``{class: sorted
 __dict__ / __slots__ names}`` for every ``repro`` object the pickler
 reaches, and compares the layout's hash with the committed
 ``{SNAPSHOT_VERSION: hash}`` table in ``snapshot_layout.json``.
@@ -31,7 +32,13 @@ TABLE = os.path.join(HERE, "snapshot_layout.json")
 SCENARIOS = os.path.join(HERE, "..", "examples", "scenarios")
 
 #: Document -> the mid-run instant it is captured at (besides t=0).
-CAPTURES = {"quickstart.json": 1.0, "packet_demo.json": 2.0, "hybrid_demo.json": 3.0}
+CAPTURES = {
+    "quickstart.json": 1.0, "packet_demo.json": 2.0, "hybrid_demo.json": 3.0,
+    "ixp_small.json": 1.0,
+}
+#: Document -> a link whose failure and recovery are still pending at
+#: both captures, so the link-state event is in the layout too.
+FLAPS = {"ixp_small.json": ("edge1", "core1")}
 
 
 def _fields(obj) -> set:
@@ -65,7 +72,10 @@ def current_layout() -> dict:
         with open(os.path.join(SCENARIOS, name)) as handle:
             document = json.load(handle)
 
-        def before_run(horse, count, mid=mid):
+        def before_run(horse, count, mid=mid, flap=FLAPS.get(name)):
+            if flap is not None:
+                horse.fail_link(mid + 0.5, *flap)
+                horse.restore_link(mid + 1.0, *flap)
             record(SimulationSnapshot.capture(horse), layout)
             horse.sim.call_at(
                 mid, lambda sim: record(SimulationSnapshot.capture(horse), layout)

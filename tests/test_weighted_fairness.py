@@ -135,7 +135,8 @@ class TestEngineWeights:
             headers=tcp_flow(h1.ip, h2.ip, 1001, 80),
             src="h1", dst="h2", demand_bps=100e6, duration_s=4.0, weight=1.0,
         )
-        engine.submit_all([gold, bronze])
+        for f in [gold, bronze]:
+            engine.submit(f)
         sim.run(until=2.0)
         # 10 Mb/s link split 8/2.
         assert gold.rate_bps == pytest.approx(8e6)
@@ -166,7 +167,8 @@ class TestEngineWeights:
                     duration_s=3.0, weight=weight,
                 )
             )
-        engine.submit_all(flows)
+        for f in flows:
+            engine.submit(f)
         sim.run(until=1.0)
         heavy = [f.rate_bps for f in flows[:30]]
         light = [f.rate_bps for f in flows[30:]]

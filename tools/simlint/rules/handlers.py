@@ -32,7 +32,7 @@ MUTATORS = {
 TOPOLOGY_NAMES = {"topology", "topo", "_topology"}
 
 #: Handler names that ARE the documented mutation points: the engine
-#: methods the LinkFailure/LinkRecovery input events dispatch to.
+#: methods the one LinkStateChange input event dispatches to.
 DOCUMENTED_MUTATION_POINTS = {"on_link_state"}
 
 
