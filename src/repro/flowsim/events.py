@@ -18,8 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import FlowLevelEngine
     from .flow import Flow
 
-#: Event priorities (lower fires first at equal times; ``sim.faults.PRIO_LINK``,
-#: -10, fires before all of them).
+#: Event priorities (lower fires first at equal times; sim.faults.PRIO_LINK is -10).
 PRIO_ARRIVAL = 0
 PRIO_COMPLETION = 5
 PRIO_REROUTE = 10
