@@ -24,6 +24,7 @@ import pytest
 REPO = os.path.join(os.path.dirname(__file__), "..")
 SCENARIOS = [
     "quickstart.json", "hybrid_demo.json", "packet_demo.json", "ixp_small.json",
+    "packet_reactive.json",
 ]
 
 
