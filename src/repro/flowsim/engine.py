@@ -82,14 +82,12 @@ class FlowLevelEngine(Engine):
 
     Parameters
     ----------
-    sim, topology, control:
-        See :class:`~repro.sim.engine.Engine`.
-    config:
-        The run's :class:`~repro.core.config.HorseConfig` (None means
-        ``HorseConfig()``).  The engine reads ``max_hops`` (per-branch
-        hop guard against forwarding loops) and ``mean_packet_bytes``
-        (fluid-to-packet conversion factor for packet counters).  It
-        checks neither: ``HorseConfig.validate`` has.
+    sim, topology, control, config:
+        See :class:`~repro.sim.engine.Engine`.  The engine reads
+        ``max_hops`` (per-branch hop guard against forwarding loops) and
+        ``mean_packet_bytes`` (fluid-to-packet conversion factor for
+        packet counters) from ``config``.  It checks neither:
+        ``HorseConfig.validate`` has.
     """
 
     name = "flow"
@@ -101,10 +99,9 @@ class FlowLevelEngine(Engine):
         control: Optional[object] = None,
         config: Optional[HorseConfig] = None,
     ) -> None:
-        super().__init__(sim, topology, control)
-        config = config or HorseConfig()
-        self.max_hops = config.max_hops
-        self.mean_packet_bytes = config.mean_packet_bytes
+        super().__init__(sim, topology, control, config)
+        self.max_hops = self.config.max_hops
+        self.mean_packet_bytes = self.config.mean_packet_bytes
         self.active: Dict[int, Flow] = {}
         self._completions: Dict[int, FlowCompletion] = {}
         self._solver = IncrementalSolver()

@@ -73,12 +73,9 @@ class HybridEngine(Engine):
 
     Parameters
     ----------
-    sim, topology, control:
-        See :class:`~repro.sim.engine.Engine`.
-    config:
-        The run's :class:`~repro.core.config.HorseConfig` (None means
-        ``HorseConfig()``).  The engine reads ``hybrid.select`` (the
-        foreground selection spec, see
+    sim, topology, control, config:
+        See :class:`~repro.sim.engine.Engine`.  The engine reads
+        ``hybrid.select`` (the foreground selection spec, see
         :class:`~repro.hybrid.selection.SelectionPolicy`) and
         ``hybrid.sync_interval_s`` (cadence of the coupling exchange)
         and hands the same object to both sub-engines.
@@ -93,13 +90,12 @@ class HybridEngine(Engine):
         control: Optional[object] = None,
         config: Optional[HorseConfig] = None,
     ) -> None:
-        super().__init__(sim, topology, control)
-        config = config or HorseConfig()
-        self.policy = SelectionPolicy(config.hybrid.select)
-        self.sync_interval_s = config.hybrid.sync_interval_s
-        self.background = FlowLevelEngine(sim, topology, control, config)
+        super().__init__(sim, topology, control, config)
+        self.policy = SelectionPolicy(self.config.hybrid.select)
+        self.sync_interval_s = self.config.hybrid.sync_interval_s
+        self.background = FlowLevelEngine(sim, topology, control, self.config)
         self.foreground = PacketLevelEngine(
-            sim, topology, control, config,
+            sim, topology, control, self.config,
             capacity_fn=self._residual_capacity,
         )
         # Flow lifecycle events come from the fluid background (the

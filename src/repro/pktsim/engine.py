@@ -44,14 +44,11 @@ class PacketLevelEngine(Engine):
 
     Parameters
     ----------
-    sim, topology, control:
-        See :class:`~repro.sim.engine.Engine`.
-    config:
-        The run's :class:`~repro.core.config.HorseConfig` (None means
-        ``HorseConfig()``).  The engine reads ``mtu_bytes`` (packet
-        size used by the transports), ``queue_capacity_packets``
-        (drop-tail depth of every output queue) and ``max_hops`` (hop
-        guard against forwarding loops).
+    sim, topology, control, config:
+        See :class:`~repro.sim.engine.Engine`.  The engine reads
+        ``mtu_bytes`` (packet size used by the transports),
+        ``queue_capacity_packets`` (drop-tail depth of every output
+        queue) and ``max_hops`` (hop guard against forwarding loops).
     capacity_fn:
         Optional ``(direction) -> bps`` transmit-rate override threaded
         into every output queue (hybrid residual capacity); None uses
@@ -68,11 +65,10 @@ class PacketLevelEngine(Engine):
         config: Optional[HorseConfig] = None,
         capacity_fn: Optional[object] = None,
     ) -> None:
-        super().__init__(sim, topology, control)
-        config = config or HorseConfig()
-        self.mtu_bytes = config.mtu_bytes
-        self.queue_capacity_packets = config.queue_capacity_packets
-        self.max_hops = config.max_hops
+        super().__init__(sim, topology, control, config)
+        self.mtu_bytes = self.config.mtu_bytes
+        self.queue_capacity_packets = self.config.queue_capacity_packets
+        self.max_hops = self.config.max_hops
         #: Per-direction transmit-rate override passed to new queues.
         self.capacity_fn = capacity_fn
         self.transports: Dict[int, Transport] = {}

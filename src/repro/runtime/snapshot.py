@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->runtime cycle
 #: changes; the reader refuses every other version.  Each version's
 #: layout hash is recorded in ``tests/snapshot_layout.json``, which
 #: ``tests/test_snapshot_layout.py`` checks against every run.
-SNAPSHOT_VERSION = 12
+SNAPSHOT_VERSION = 13
 
 
 def _id_watermarks(horse: "Horse") -> Dict[str, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from ..core.config import HorseConfig
 from ..errors import SimulationError
 from ..net.node import Switch
 from ..openflow.headers import HeaderFields
@@ -43,6 +44,9 @@ class Engine:
         returning an optional list of output port numbers (packet-out),
         ``deliver_port_status(msg)``, and
         ``deliver_flow_removed_entry(...)``.
+    config:
+        The run's :class:`~repro.core.config.HorseConfig` (None means
+        ``HorseConfig()``); each engine reads its own knobs from it.
     """
 
     #: The ``"engine"`` field of :meth:`engine_stats`.
@@ -56,10 +60,12 @@ class Engine:
         sim: Simulator,
         topology: Topology,
         control: Optional[object] = None,
+        config: Optional[HorseConfig] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.control = control
+        self.config = config or HorseConfig()
         #: Every submitted flow by id, in submission order.
         self.flows: Dict[int, Flow] = {}
         #: Flow lifecycle observers: callables ``(event_name, flow)``.
