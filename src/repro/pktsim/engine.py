@@ -12,7 +12,6 @@ ground truth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import HorseConfig
@@ -23,7 +22,7 @@ from ..flowsim.flow import Flow, FlowState
 from ..openflow.headers import HeaderFields
 from ..sim.engine import Engine
 from ..sim.kernel import Simulator
-from .packet import Packet, next_packet_id
+from .packet import Packet
 from .queues import OutputQueue
 from .transport import AimdTransport, Transport, make_transport
 
@@ -73,6 +72,7 @@ class PacketLevelEngine(Engine):
         self.capacity_fn = capacity_fn
         self.transports: Dict[int, Transport] = {}
         self._queues: Dict[LinkDirection, OutputQueue] = {}
+        self._uplinks: Dict[str, OutputQueue] = {}  # host name -> its uplink queue
         # Packets parked at a switch awaiting an asynchronous packet-out,
         # keyed by (dpid, in_port, flow_id); bounded per key.
         self._buffered: Dict[tuple, deque] = {}
@@ -94,15 +94,9 @@ class PacketLevelEngine(Engine):
         """The (lazily created) output queue of a link direction."""
         queue = self._queues.get(direction)
         if queue is None:
-            queue = OutputQueue(
-                self.sim,
-                direction,
-                self.queue_capacity_packets,
-                on_arrival=self._on_packet_arrival,
-                on_drop=self._on_congestion_drop,
-                capacity_fn=self.capacity_fn,
-            )
-            self._queues[direction] = queue
+            queue = self._queues[direction] = OutputQueue(
+                self.sim, direction, self.queue_capacity_packets,
+                self._on_packet_arrival, self._on_congestion_drop, self.capacity_fn)
         return queue
 
     # ------------------------------------------------------------------
@@ -134,12 +128,14 @@ class PacketLevelEngine(Engine):
                 flow=packet.flow_id, size=packet.size_bytes,
             )
         flow.bytes_sent += packet.size_bytes
-        host = self.topology.host(flow.src)
-        uplink = host.uplink_port
-        if uplink.link is None or not uplink.link.up:
+        uplink = self._uplinks.get(flow.src)
+        if uplink is None:  # resolved once; the link's state is read per packet
+            port = self.topology.host(flow.src).uplink_port
+            uplink = self._uplinks[flow.src] = self.queue_for(port.link.direction_from(port))
+        if not uplink.direction.link.up:
             self._policy_drop(packet, "no_route")
             return
-        self.queue_for(uplink.link.direction_from(uplink)).enqueue(packet)
+        uplink.enqueue(packet)
 
     def source_finished(self, flow: Flow) -> None:
         """A source exhausted its volume (transport callback)."""
@@ -157,14 +153,16 @@ class PacketLevelEngine(Engine):
     # Data plane
     # ------------------------------------------------------------------
     def _on_packet_arrival(self, packet: Packet, dst_port: Port) -> None:
+        """The one hop handler: deliver at a host; at a switch decide (memoised),
+        charge, and hand off to one live egress, else :meth:`_emit`."""
         node = dst_port.node
-        if isinstance(node, Host):
-            if node.name == packet.dst:
+        pipeline = node.pipeline if isinstance(node, Switch) else None
+        if pipeline is None:
+            if not isinstance(node, Host):
+                self._policy_drop(packet, "no_route")
+            elif node.name == packet.dst:
                 self._deliver(packet)
             # Frames for other hosts are discarded silently.
-            return
-        if not isinstance(node, Switch) or node.pipeline is None:
-            self._policy_drop(packet, "no_route")
             return
         # ``hops`` counts links crossed, the host uplink included, so
         # this is the packet's hops-th switch: like a flow-engine branch,
@@ -172,10 +170,7 @@ class PacketLevelEngine(Engine):
         if packet.hops > self.max_hops:
             self._policy_drop(packet, "loop")
             return
-        self._switch_process(node, packet, dst_port.number)
-
-    def _switch_process(self, switch: Switch, packet: Packet, in_port: int) -> None:
-        pipeline = switch.pipeline
+        in_port = dst_port.number
         # The flow id (cheap to hash) locates a decision; a hit needs its headers.
         key = (pipeline, in_port, packet.flow_id)
         stamp = (pipeline.version, self.topology.link_generation, packet.headers)
@@ -191,7 +186,7 @@ class PacketLevelEngine(Engine):
             punted = result.to_controller
             if punted:
                 answer = self._resolve_punt(
-                    switch, in_port, packet.headers, packet.flow_id,
+                    node, in_port, packet.headers, packet.flow_id,
                     packet.size_bytes, result
                 )
                 if answer is not None:
@@ -199,9 +194,9 @@ class PacketLevelEngine(Engine):
                 elif self.control is not None and not result.outputs:
                     # Asynchronous control: park the packet like a real
                     # switch buffers it, released by apply_packet_out.
-                    self._buffer_packet(switch, packet, in_port)
+                    self._buffer_packet(node, packet, in_port)
                     return
-            egress = self._resolve(switch, result.outputs)
+            egress = self._resolve(node, result.outputs)
             if not punted:
                 lookups = [(pipeline.tables[t], 1) for t in result.matched_tables]
                 if result.missed_table is not None:
@@ -210,25 +205,28 @@ class PacketLevelEngine(Engine):
                     self._decisions.clear()
                 self._decisions[key] = (stamp, result, egress, lookups)
         # Account matched entries (per-packet granularity).
+        size, now = packet.size_bytes, self.sim.now
         for entry in result.matched_entries:
-            entry.account(packet.size_bytes, 1, now=self.sim.now)
+            entry.account(size, 1, now=now)
         for group, index in result.group_hits:
-            group.account(index, packet.size_bytes)
+            group.account(index, size)
         if result.dropped:
             self._policy_drop(packet, "policy")
             return
         # Meters: token-bucket admission; any red band drops the packet.
         for meter_id in result.meter_ids:
-            meter = pipeline.meters.get(meter_id)
-            if not meter.admit_packet(packet.size_bytes, self.sim.now):
+            if not pipeline.meters.get(meter_id).admit_packet(size, now):
                 self.stats["drops_meter"] += 1
                 self._trace_drop(packet, "meter")
                 self._loss_feedback(packet)
                 return
-        if not result.outputs:
+        if not egress:
             self._policy_drop(packet, "policy")
-            return
-        self._emit(packet, egress)
+        elif len(egress) == 1 and egress[0][0] is not None:
+            queue, packet.headers = egress[0]
+            queue.enqueue(packet)
+        else:
+            self._emit(packet, egress)
 
     _BUFFER_LIMIT = 16
 
@@ -273,7 +271,7 @@ class PacketLevelEngine(Engine):
             if queue is None:
                 self.stats["drops_no_route"] += 1
                 continue
-            copy = replace(packet, packet_id=next_packet_id()) if sent else packet
+            copy = packet.copy() if sent else packet
             sent = True
             copy.headers = headers
             queue.enqueue(copy)

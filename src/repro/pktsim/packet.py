@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import Optional
 
 from ..openflow.headers import HeaderFields
 
@@ -43,29 +43,47 @@ def advance_packet_ids(minimum: int) -> None:
     _PACKET_ID_LAST = start - 1
 
 
-@dataclass
 class Packet:
     """One packet: a header tuple, a size, and bookkeeping timestamps.
 
     ``flow_id`` ties the packet back to the generating
     :class:`~repro.flowsim.flow.Flow` so per-flow throughput and
-    completion can be measured at packet granularity.
+    completion can be measured at packet granularity.  A slots class:
+    one is built per injected packet and updated on every hop.
     """
 
-    headers: HeaderFields
-    size_bytes: int
-    flow_id: int
-    src: str
-    dst: str
-    sent_at: float = 0.0
-    #: Cumulative one-way propagation+transmission delay experienced.
-    accumulated_delay: float = 0.0
-    hops: int = 0
-    packet_id: int = field(default_factory=next_packet_id)
+    __slots__ = ("headers", "size_bytes", "flow_id", "src", "dst", "sent_at",
+                 "accumulated_delay", "hops", "packet_id")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"packet size must be > 0, got {self.size_bytes}")
+    def __init__(
+        self,
+        headers: HeaderFields,
+        size_bytes: int,
+        flow_id: int,
+        src: str,
+        dst: str,
+        sent_at: float = 0.0,
+        accumulated_delay: float = 0.0,
+        hops: int = 0,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"packet size must be > 0, got {size_bytes}")
+        self.headers = headers
+        self.size_bytes = size_bytes
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.sent_at = sent_at
+        #: Cumulative one-way propagation+transmission delay experienced.
+        self.accumulated_delay = accumulated_delay
+        self.hops = hops
+        self.packet_id = next_packet_id() if packet_id is None else packet_id
+
+    def copy(self) -> "Packet":
+        """A copy of this packet under a fresh id (a multicast copy)."""
+        return Packet(self.headers, self.size_bytes, self.flow_id, self.src,
+                      self.dst, self.sent_at, self.accumulated_delay, self.hops)
 
     def __repr__(self) -> str:
         return (

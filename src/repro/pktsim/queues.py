@@ -85,7 +85,7 @@ class OutputQueue:
         #: The FIFO (the packet on the wire excluded): start instants without
         #: ``capacity_fn``, else packets, non-empty exactly while ``_start`` is queued.
         self._queue: Deque = deque()
-        self._start = CallbackEvent(0.0, self._on_start)
+        self._start = CallbackEvent(0.0, self._transmit)
         #: When the last accepted transmission ends, and the seq reserved
         #: when it began (with ``capacity_fn``).
         self._free_at = 0.0
@@ -109,30 +109,38 @@ class OutputQueue:
 
     def enqueue(self, packet: Packet) -> bool:
         """Queue a packet for transmission; False when dropped."""
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         queue = self._queue
         limit = self.capacity_packets
+        link = self.direction.link  # plain attributes: no property call per hop
         # depth <= len(queue): passed start instants are popped when it counts.
-        if not self.direction.link.up or len(queue) >= limit and self.depth >= limit:
+        if not link.up or len(queue) >= limit and self.depth >= limit:
             self._drop(packet)
             return False
         self.enqueued += 1
-        free_at = self._free_at
+        start = self._free_at
         fixed_rate = self.capacity_fn is None
-        if free_at <= now and (fixed_rate or not queue):
+        if start <= now and (fixed_rate or not queue):
             # Idle (or freeing now): the last busy period ended at _free_at.
-            self._busy_time += free_at - self._busy_since
-            self._busy_since = now
-            self._transmit(self.sim, packet, now)
+            self._busy_time += start - self._busy_since
+            self._busy_since = start = now
         elif fixed_rate:
-            queue.append(free_at)
-            self._transmit(self.sim, packet, free_at)
-        else:
+            queue.append(start)
+        if not fixed_rate:
             queue.append(packet)
-            if len(queue) == 1:
-                # The FIFO was empty, so the start event is not queued.
-                self._start.time = free_at
-                self.sim.schedule(self._start, seq=self._free_seq)
+            if len(queue) == 1 and start == now:  # idle: it starts now
+                self._transmit(sim)
+            elif len(queue) == 1:  # the FIFO was empty: arm the start event
+                self._start.time = start
+                sim.schedule(self._start, seq=self._free_seq)
+            return True
+        # At a fixed rate the departure is known now: schedule the arrival.
+        tx_time = packet.size_bytes * 8.0 / link.capacity_bps
+        delay = link.delay_s
+        self._free_at = start + tx_time
+        sim.schedule(CallbackEvent(
+            self._free_at + delay, self._on_arrival, packet, delay + tx_time))
         return True
 
     def _drop(self, packet: Packet) -> None:
@@ -140,28 +148,19 @@ class OutputQueue:
         self.direction.src_port.tx_dropped += 1
         self.on_drop(packet, self.direction)
 
-    def _on_start(self, sim: Simulator) -> None:
+    def _transmit(self, sim: Simulator) -> None:
+        """Transmit the head packet from now on at the rate ``capacity_fn``
+        gives now; schedule its arrival and re-arm behind it."""
         queue = self._queue
-        self._transmit(sim, queue.popleft(), sim.now)
+        packet = queue.popleft()
+        tx_time = packet.size_bytes * 8.0 / self.capacity_fn(self.direction)
+        self._free_seq = sim.reserve()
+        delay = self.direction.link.delay_s
+        self._free_at = sim.now + tx_time
+        sim.call_at(self._free_at + delay, self._on_arrival, packet, delay + tx_time)
         if queue:
             self._start.time = self._free_at
             sim.schedule(self._start, seq=self._free_seq)
-
-    def _transmit(self, sim: Simulator, packet: Packet, start: float) -> None:
-        """Transmit ``packet`` from ``start`` on; schedule its arrival."""
-        link = self.direction.link  # plain attributes: no property call per hop
-        capacity_fn = self.capacity_fn
-        if capacity_fn is None:
-            rate = link.capacity_bps
-        else:
-            rate = capacity_fn(self.direction)
-            self._free_seq = sim.reserve()
-        tx_time = packet.size_bytes * 8.0 / rate
-        delay = link.delay_s
-        self._free_at = start + tx_time
-        sim.call_at(
-            self._free_at + delay, self._on_arrival, packet, delay + tx_time
-        )
 
     def _on_arrival(self, sim: Simulator, packet: Packet, hop_delay: float) -> None:
         size = packet.size_bytes

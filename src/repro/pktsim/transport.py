@@ -35,14 +35,11 @@ class Transport:
         self, engine: "PacketLevelEngine", flow: Flow, mtu_bytes: int
     ) -> None:
         self.engine = engine
+        self.sim: Simulator = engine.sim
         self.flow = flow
         self.mtu = mtu_bytes
         self.bytes_queued = 0.0  # bytes handed to the NIC so far
         self.done_sending = False
-
-    @property
-    def sim(self) -> Simulator:
-        return self.engine.sim
 
     def start(self) -> None:
         raise NotImplementedError

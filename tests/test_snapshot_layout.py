@@ -31,10 +31,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TABLE = os.path.join(HERE, "snapshot_layout.json")
 SCENARIOS = os.path.join(HERE, "..", "examples", "scenarios")
 
-#: Document -> the mid-run instant it is captured at (besides t=0).
+#: Document -> the mid-run instant it is captured at (besides t=0);
+#: packet_reactive.json's has packets on the wire and parked at switches.
 CAPTURES = {
     "quickstart.json": 1.0, "packet_demo.json": 2.0, "hybrid_demo.json": 3.0,
-    "ixp_small.json": 1.0,
+    "ixp_small.json": 1.0, "packet_reactive.json": 0.04,
 }
 #: Document -> a link whose failure and recovery are still pending at
 #: both captures, so the link-state event is in the layout too.
