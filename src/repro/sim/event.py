@@ -70,26 +70,26 @@ class CallbackEvent(Event):
     """An event that invokes an arbitrary callable when fired.
 
     The callable receives the simulator as its only positional argument,
-    followed by any ``args``/``kwargs`` captured at creation.
+    followed by any ``args`` captured at creation.  One is built per
+    packet hop, so :class:`Event`'s constructor is written out here.
     """
 
-    __slots__ = ("callback", "args", "kwargs")
+    __slots__ = ("callback", "args")
 
     def __init__(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
+        self, time: float, callback: Callable[..., None], *args: Any, priority: int = 0
     ) -> None:
-        super().__init__(time, priority=priority)
+        if time < 0:
+            raise ValueError(f"event time must be >= 0, got {time}")
+        self.time = float(time)
+        self.priority = priority
+        self.seq = next(_FALLBACK_SEQ)
+        self.cancelled = self.daemon = self.queued = False
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs
 
     def fire(self, sim: Any) -> None:
-        self.callback(sim, *self.args, **self.kwargs)
+        self.callback(sim, *self.args)
 
 
 class PeriodicEvent(Event):

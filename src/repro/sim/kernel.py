@@ -12,6 +12,7 @@ module").
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Optional
 
 from ..errors import SchedulingError
@@ -206,9 +207,9 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any, **kwargs: Any
     ) -> CallbackEvent:
         """Schedule ``callback(sim, *args, **kwargs)`` at absolute ``time``."""
-        event = CallbackEvent(time, callback, *args, **kwargs)
-        self.schedule(event)
-        return event
+        if kwargs:
+            callback = partial(callback, **kwargs)
+        return self.schedule(CallbackEvent(time, callback, *args))
 
     def call_in(
         self, delay: float, callback: Callable[..., None], *args: Any, **kwargs: Any
@@ -242,10 +243,15 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Fire the next live event; return it, or None if empty."""
-        event = self._pop_live()
-        if event is not None:
-            self._fire(event)
-        return event
+        pop = self._queue.pop_entry
+        while len(self._queue):
+            _, _, seq, event = pop()
+            if not event.cancelled and seq == event.seq:
+                # Back under the same (time, priority, seq): run fires it.
+                self._queue.push(event)
+                self.run(until=event.time, max_events=1)
+                return event
+        return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the event set drains, ``until`` is reached, or
@@ -258,13 +264,16 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        pop_live, fire = self._pop_live, self._fire
+        pop = queue.pop_entry
         fired = 0
         try:
             while not self._stopped and (max_events is None or fired < max_events):
-                event = pop_live()
-                if event is None:
+                try:
+                    _, _, seq, event = pop()
+                except IndexError:
                     break
+                if event.cancelled or seq != event.seq:
+                    continue  # a dead entry
                 # An event the run stops at goes back unfired: its entry
                 # is rebuilt from the same (time, priority, seq).
                 if until is None:
@@ -280,42 +289,26 @@ class Simulator:
                     queue.push(event)
                     self._now = until
                     break
-                fire(event)
+                event.queued = False
+                if not event.daemon:
+                    self._live_pending -= 1
+                self._now = event.time
+                # Counted before firing so that state captured *inside* a
+                # callback (periodic checkpointing) already includes the
+                # firing event: a restored run never re-counts it.
+                self.fired_count += 1
+                bus = self.trace_bus
+                if bus is None:
+                    event.fire(self)
+                else:
+                    with bus.span("kernel.event", event=type(event).__name__):
+                        event.fire(self)
                 fired += 1
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
             self._running = False
         return fired
-
-    def _pop_live(self) -> Optional[Event]:
-        """Pop the earliest live entry and return its event, dropping the
-        dead entries ahead of it; None once the pending set is empty."""
-        pop = self._queue.pop_entry
-        while True:
-            try:
-                _, _, seq, event = pop()
-            except IndexError:
-                return None
-            if not event.cancelled and seq == event.seq:
-                return event
-
-    def _fire(self, event: Event) -> None:
-        """Fire a live event just taken off the pending set."""
-        event.queued = False
-        if not event.daemon:
-            self._live_pending -= 1
-        self._now = event.time
-        # Counted before firing so that state captured *inside* a
-        # callback (periodic checkpointing) already includes the
-        # firing event: a restored run never re-counts it.
-        self.fired_count += 1
-        bus = self.trace_bus
-        if bus is None:
-            event.fire(self)
-        else:
-            with bus.span("kernel.event", event=type(event).__name__):
-                event.fire(self)
 
     def stop(self) -> None:
         """Request that a running :meth:`run` loop return after the
