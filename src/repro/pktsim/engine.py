@@ -94,9 +94,15 @@ class PacketLevelEngine(Engine):
         """The (lazily created) output queue of a link direction."""
         queue = self._queues.get(direction)
         if queue is None:
-            queue = self._queues[direction] = OutputQueue(
-                self.sim, direction, self.queue_capacity_packets,
-                self._on_packet_arrival, self._on_congestion_drop, self.capacity_fn)
+            queue = OutputQueue(
+                self.sim,
+                direction,
+                self.queue_capacity_packets,
+                on_arrival=self._on_packet_arrival,
+                on_drop=self._on_congestion_drop,
+                capacity_fn=self.capacity_fn,
+            )
+            self._queues[direction] = queue
         return queue
 
     # ------------------------------------------------------------------
@@ -131,7 +137,8 @@ class PacketLevelEngine(Engine):
         uplink = self._uplinks.get(flow.src)
         if uplink is None:  # resolved once; the link's state is read per packet
             port = self.topology.host(flow.src).uplink_port
-            uplink = self._uplinks[flow.src] = self.queue_for(port.link.direction_from(port))
+            uplink = self.queue_for(port.link.direction_from(port))
+            self._uplinks[flow.src] = uplink
         if not uplink.direction.link.up:
             self._policy_drop(packet, "no_route")
             return
@@ -153,8 +160,7 @@ class PacketLevelEngine(Engine):
     # Data plane
     # ------------------------------------------------------------------
     def _on_packet_arrival(self, packet: Packet, dst_port: Port) -> None:
-        """The one hop handler: deliver at a host; at a switch decide (memoised),
-        charge, and hand off to one live egress, else :meth:`_emit`."""
+        """One hop handler: deliver at a host; decide, charge, hand off at a switch."""
         node = dst_port.node
         pipeline = node.pipeline if isinstance(node, Switch) else None
         if pipeline is None:
