@@ -1,19 +1,15 @@
-"""IXP model: members, route server, peering fabric, RTBH."""
+"""IXP model: members, route server, peering fabric."""
 
 from .fabric import IxpFabric, build_ixp
 from .members import Member, PORT_CLASSES, synthesize_members
 from .route_server import ExportPolicy, RouteServer
-from .rtbh import BLACKHOLE_COMMUNITY, BlackholeRequest, RtbhCoordinator
 
 __all__ = [
-    "BLACKHOLE_COMMUNITY",
-    "BlackholeRequest",
     "ExportPolicy",
     "IxpFabric",
     "Member",
     "PORT_CLASSES",
     "RouteServer",
-    "RtbhCoordinator",
     "build_ixp",
     "synthesize_members",
 ]
