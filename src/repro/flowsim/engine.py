@@ -368,8 +368,8 @@ class FlowLevelEngine(Engine):
             return None
 
     # ------------------------------------------------------------------
-    # Event handlers (public: events.py, sim/faults.py's link-state
-    # event and its injector drive the engine through these)
+    # Event handlers (public: events.py and sim/faults.py's link-state
+    # event drive the engine through these)
     # ------------------------------------------------------------------
     def on_arrival(self, flow: Flow) -> None:
         now = self.sim.now

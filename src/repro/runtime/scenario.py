@@ -19,7 +19,9 @@ migrated on load with deprecation warnings)::
       "topology": {"kind": "fat-tree", "k": 4} | ... | {"file": "topo.json"},
       "policies": { ... },                   # inproc control only
       "control": "inproc" | "wire",
-      "traffic":  {"kind": "matrix", ...} | {"kind": "trace", ...},
+      "traffic":  {"kind": "matrix", ...} | {"kind": "trace", "file": ...}
+                  | {"kind": "trace", "flows": [trace_io records]},
+      "faults":   [{"at": 1.0, "link": ["s1", "s2"], "up": false}, ...],
       "hybrid":   {"select": "none" | "all" | "top:K" | "match:...",
                    "sync_interval_s": 0.05},
       "wire":     {"client": null | "learning" | "static",
@@ -46,7 +48,7 @@ from typing import Callable, Optional, Tuple
 
 from ..core import Horse
 from ..core.results import RunResult
-from ..errors import ExperimentError
+from ..errors import ExperimentError, TopologyError
 from ..net.generators import fat_tree, leaf_spine, linear, pods, single_switch
 from ..net.io import load_topology
 from ..control.policy.spec import parse_rate
@@ -99,7 +101,8 @@ def build_topology(spec: dict):
 
 
 def build_horse(scenario: dict) -> Tuple[Horse, object]:
-    """Build the simulation a scenario describes (traffic not submitted)."""
+    """Build the simulation a scenario describes (traffic not submitted,
+    its ``faults`` scheduled through ``fail_link`` / ``restore_link``)."""
     config = build_config(scenario)
     topology, fabric = build_topology(scenario.get("topology", {}))
     if config.control == "wire":
@@ -113,6 +116,13 @@ def build_horse(scenario: dict) -> Tuple[Horse, object]:
         horse = Horse(
             topology, policies=scenario.get("policies") or {}, config=config
         )
+    for i, fault in enumerate(scenario.get("faults", ())):
+        a, b = fault["link"]
+        try:
+            topology.link_between(a, b)
+        except TopologyError as exc:
+            raise ExperimentError(f"faults[{i}].link: {exc}") from None
+        (horse.restore_link if fault["up"] else horse.fail_link)(fault["at"], a, b)
     return horse, fabric
 
 
@@ -120,9 +130,23 @@ def build_traffic(spec: dict, horse: Horse, fabric) -> int:
     """Generate and submit the scenario's traffic; returns flow count."""
     kind = spec.get("kind", "matrix")
     if kind == "trace":
-        from ..traffic.trace_io import load_trace
+        from ..traffic.trace_io import flow_from_record, load_trace
 
-        flows = load_trace(spec["file"])
+        if ("file" in spec) == ("flows" in spec):
+            raise ExperimentError(
+                "traffic: a trace takes a 'file' or inline 'flows', one of them"
+            )
+        if "file" in spec:
+            flows = load_trace(spec["file"])
+        else:
+            flows = []
+            for i, record in enumerate(spec["flows"]):
+                try:
+                    flows.append(flow_from_record(record))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ExperimentError(
+                        f"traffic.flows[{i}]: not a trace record ({exc!r})"
+                    ) from None
     elif kind == "matrix":
         model = spec.get("model", "uniform")
         total = parse_rate(spec.get("total", "1 Gbps"))

@@ -10,6 +10,7 @@ and range rules are :meth:`HorseConfig.validate`'s)::
       "engine": "flow", "seed": 0,
       "until": 60.0, "control": "inproc",
       "topology": {...}, "policies": {...}, "traffic": {...},
+      "faults": [{"at": 1.0, "link": ["s1", "s2"], "up": false}, ...],
       "hybrid":    {"select": "top:4", "sync_interval_s": 0.05},
       "wire":      {"client": "learning", "listen": "127.0.0.1:0", ...},
       "telemetry": {"monitor_interval_s": 0.5, "trace_path": ..., ...},
@@ -24,7 +25,10 @@ key per process; ``repro migrate-scenario`` rewrites the file.
 :func:`validate_scenario` reports problems with dotted paths
 (``"wire.dilation must be >= 0"``, ``"bogus_key: unknown key"``); any
 top-level key that is not named above and does not start with ``_``
-(a comment) is an error.
+(a comment) is an error.  ``faults`` is document data, like
+``traffic``: each entry fails (``up`` false) or restores (true) the one
+link between two nodes at simulated time ``at``; its structure is
+checked here, whether the link exists when the topology is built.
 
 An *override* — a CLI flag, a sweep grid axis — is an edit of the v1
 document by dotted path: :func:`set_dotted`, after :func:`ensure_v1`.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import typing
 import warnings
 from typing import Any, Dict, List, Set, Tuple
@@ -104,7 +109,12 @@ _TOP_TYPES = _field_types(HorseConfig)
 _SECTIONS = {name: _field_types(cls) for name, cls in SECTION_TYPES.items()}
 
 #: Top-level document keys that are not config fields.
-_DOCUMENT_KEYS = ("schema_version", "until", "topology", "policies", "traffic")
+_DOCUMENT_KEYS = (
+    "schema_version", "until", "topology", "policies", "traffic", "faults"
+)
+
+#: One ``faults`` entry's keys, all required.
+_FAULT_KEYS = ("at", "link", "up")
 
 #: Deprecated scenario keys already warned about (warn-once semantics).
 _WARNED_SCENARIO_KEYS: Set[str] = set()
@@ -260,6 +270,35 @@ def _section_kwargs(section: str, value, fields: Dict[str, tuple]) -> dict:
     return kwargs
 
 
+def _check_faults(faults) -> None:
+    """The ``faults`` section's structure: a list of ``{"at": s,
+    "link": [a, b], "up": bool}`` with ``at`` finite and >= 0.  Like a
+    flow's arrival, a fault at ``until`` fires at that last instant and
+    one after it is accepted and stays pending: it never fires in this
+    run, only in one resumed past it."""
+    _check_type("faults", faults, (list,))
+    for i, fault in enumerate(faults):
+        path = f"faults[{i}]"
+        if not isinstance(fault, dict):
+            raise ExperimentError(
+                f"{path}: expected an object, got {type(fault).__name__}"
+            )
+        reject_unknown(fault, _FAULT_KEYS, f"{path}.")
+        for key in _FAULT_KEYS:
+            if key not in fault:
+                raise ExperimentError(f"{path}.{key}: required")
+        _check_type(f"{path}.at", fault["at"], _JSON_TYPES[float])
+        if not (math.isfinite(fault["at"]) and fault["at"] >= 0):
+            raise ExperimentError(f"{path}.at: must be finite and >= 0")
+        link = fault["link"]
+        if not (
+            isinstance(link, list) and len(link) == 2
+            and all(isinstance(node, str) for node in link)
+        ):
+            raise ExperimentError(f"{path}.link: expected two node names")
+        _check_type(f"{path}.up", fault["up"], (bool,))
+
+
 def _config_of(doc: dict) -> HorseConfig:
     """Check a v1 document's structure and JSON types, then construct
     its config: every enum and range rule is
@@ -272,6 +311,8 @@ def _config_of(doc: dict) -> HorseConfig:
         _check_type("until", doc["until"], _JSON_TYPES[float])
         if doc["until"] < 0:
             raise ExperimentError("until: must be >= 0")
+    if "faults" in doc:
+        _check_faults(doc["faults"])
     kwargs = {}
     for key, types in _TOP_TYPES.items():
         if key in doc:

@@ -5,7 +5,6 @@ random streams used by every other subsystem.
 """
 
 from .event import CallbackEvent, Event, PeriodicEvent
-from .faults import FaultProfile, FaultRecord, LinkFaultInjector
 from .kernel import Simulator
 from .queue import HeapEventQueue
 from .rng import RngRegistry, spawn_seed
@@ -13,9 +12,6 @@ from .rng import RngRegistry, spawn_seed
 __all__ = [
     "CallbackEvent",
     "Event",
-    "FaultProfile",
-    "FaultRecord",
-    "LinkFaultInjector",
     "HeapEventQueue",
     "PeriodicEvent",
     "RngRegistry",

@@ -1,7 +1,7 @@
 """Seeded random-number management.
 
-Every stochastic component (traffic generators, topology generators,
-failure injectors) draws from a named stream derived from one master seed,
+Every stochastic component (traffic generators, topology generators)
+draws from a named stream derived from one master seed,
 so adding a new consumer never perturbs the draws seen by existing ones —
 a requirement for reproducible experiments and regression tests.
 """

@@ -12,15 +12,16 @@ packet engine is ground truth for failure behaviour too:
 - on a leaf-spine with shortest-path forwarding, a spine flap leaves
   the same flows delivering, with bytes that differ only by the few
   packets in flight on the link when it fails;
-- a fault injector with one seed fails and repairs the same links at
-  the same instants whatever engine it shakes.
+- one document with a drawn ``faults`` list sends the controller the
+  same ``PortStatus`` sequence, at the same instants, whatever engine
+  runs it.
 """
 
 import random
 
 import pytest
 
-from repro import Flow, Horse, HorseConfig
+from repro import Flow
 from repro.control import ControlChannel, Controller
 from repro.control.apps import PathProtectionApp, ShortestPathApp
 from repro.flowsim import FlowLevelEngine
@@ -28,10 +29,11 @@ from repro.net.generators import full_mesh, leaf_spine
 from repro.openflow import attach_pipeline
 from repro.openflow.headers import udp_flow
 from repro.pktsim import PacketLevelEngine
+from repro.runtime.scenario import build_topology, run_scenario
 from repro.sim import Simulator
-from repro.sim.faults import FaultProfile, LinkFaultInjector
+from repro.traffic.trace_io import flow_to_record
 
-from workloads import make_flow
+from workloads import churn_faults, make_flow, port_status_log
 
 ENGINES = (FlowLevelEngine, PacketLevelEngine)
 
@@ -129,29 +131,37 @@ def test_a_spine_flap_delivers_the_same_flows_on_both_engines():
 
 
 # ----------------------------------------------------------------------
-# The fault injector drives every engine
+# One fault document, every engine
 # ----------------------------------------------------------------------
-def test_the_injector_fails_the_same_links_on_every_engine():
-    def episodes(kind):
-        topo = leaf_spine(2, 2, hosts_per_leaf=2)
-        horse = Horse(
-            topo,
-            policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-            config=HorseConfig(engine=kind, hybrid={"select": "all"}),
-        )
-        horse.submit_flows([
-            make_flow(topo, "h1", "h3", demand=1e6, duration=4.0, elastic=False)
-        ])
-        injector = LinkFaultInjector(horse.engine, random.Random(3), horizon_s=4.0)
-        injector.watch_all(
-            [("leaf1", "spine1"), ("leaf2", "spine2")],
-            FaultProfile(mtbf_s=1.0, mttr_s=0.2),
-        )
-        injector.start()
-        horse.run(until=5.0)
-        return [(r.link, r.failed_at, r.repaired_at) for r in injector.records]
+def test_one_fault_document_sends_the_same_port_status_on_every_engine():
+    """Churn drawn on two uplinks, written as the document's faults:
+    the flow, packet and hybrid engines all tell the controller about
+    both switch ends of each link at exactly the drawn instants."""
+    topology = {"kind": "leaf-spine", "leaves": 2, "spines": 2, "hosts_per_leaf": 2}
+    topo, _ = build_topology(topology)
+    faults = churn_faults(random.Random(3), [("leaf1", "spine1"), ("leaf2", "spine2")],
+                          mtbf_s=1.0, mttr_s=0.2, horizon_s=4.0)
+    assert len(faults) >= 4
 
-    flow = episodes("flow")
-    assert len(flow) >= 2
-    assert episodes("packet") == flow
-    assert episodes("hybrid") == flow
+    def port_status(engine):
+        logs = []
+        run_scenario({
+            "schema_version": 1, "engine": engine, "until": 5.0,
+            "hybrid": {"select": "all"},
+            "topology": topology,
+            "policies": {"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
+            "traffic": {"kind": "trace", "flows": [flow_to_record(make_flow(
+                topo, "h1", "h3", demand=1e6, duration=4.0, elastic=False))]},
+            "faults": faults,
+        }, before_run=lambda horse, count: logs.append(port_status_log(horse)))
+        return logs[0]
+
+    flow = port_status("flow")
+    expected = []
+    for fault in faults:
+        link = topo.link_between(*fault["link"])
+        expected += [(fault["at"], port.node.dpid, port.number, fault["up"])
+                     for port in (link.port_a, link.port_b)]
+    assert flow == expected
+    assert port_status("packet") == flow
+    assert port_status("hybrid") == flow

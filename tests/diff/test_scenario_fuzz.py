@@ -1,11 +1,12 @@
 """Scenario-level fuzzing: small schema-v1 flow documents nobody wrote
 by hand, run end to end through ``run_scenario``.
 
-A case is a document (a linear or leaf-spine fabric of at most six
-switches under proactive forwarding, a link-sampling interval drawn so
-that reads land at arbitrary instants), the flows of its trace (sized
-and constant-rate, uncapped demands among them) and the link flaps
-injected before the run.  Each case is checked for
+A case is one plain document: a linear or leaf-spine fabric of at most
+six switches under proactive forwarding, a link-sampling interval drawn
+so that reads land at arbitrary instants, its flows inline as ``trace``
+traffic (sized and constant-rate, uncapped demands among them), its
+link flaps as ``faults``, and the mid-run instant of its checkpoint
+under the comment key ``_checkpoint_at``.  Each case is checked for
 
 * byte accounting: a flow never delivers more than it sent, an elastic
   flow drops nothing, a completed sized flow sent its size, a flow
@@ -23,12 +24,13 @@ injected before the run.  Each case is checked for
   loads summed after every resolve (``eager_loads``), every flow
   walking the pipelines (``without_route_cache``), route counters and
   completion timers applied eagerly (``eager_apply``), and a run resumed
-  from a checkpoint taken mid-run at a drawn instant.
+  from a checkpoint taken mid-run at ``_checkpoint_at``.
 
-A case that fails is kept as JSON under
-``examples/scenarios/regressions/`` (the :func:`check_case` input, as
-hypothesis prints it, plus the ``digest`` it runs to once mended) and
-replayed by :func:`test_regression_cases`.
+A case that fails is kept, as the document hypothesis prints, under
+``examples/scenarios/regressions/`` with its digest in that directory's
+``GOLDEN_DIGESTS.json``: :func:`test_regression_cases` replays it here,
+and ``repro run FILE --check-digest`` and the golden tests run it like
+any shipped scenario.
 """
 
 import collections
@@ -46,7 +48,7 @@ from hypothesis import strategies as st
 from repro import Horse
 from repro.runtime.scenario import build_topology, run_scenario
 from repro.stats.export import run_digest
-from repro.traffic.trace_io import save_trace
+from repro.traffic.trace_io import flow_to_record
 
 from workloads import make_flow
 
@@ -77,7 +79,7 @@ def _topologies(draw):
 
 @st.composite
 def cases(draw):
-    """One fuzz case: a document, its trace's flows and its link flaps."""
+    """One fuzz case: a document with its flows and link flaps."""
     topology = draw(_topologies())
     policies = {"forwarding": {
         "mode": "shortest-path",
@@ -91,7 +93,7 @@ def cases(draw):
     for sport in range(draw(st.integers(1, 10))):
         src, dst = draw(st.lists(st.sampled_from(hosts), min_size=2, max_size=2,
                                  unique=True))
-        flow = {"src": src, "dst": dst, "sport": 1000 + sport,
+        flow = {"sport": 1000 + sport,
                 "demand": draw(st.sampled_from(_DEMANDS)),
                 "start": draw(st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.7))),
                 "weight": draw(st.sampled_from((1.0, 1.0, 2.0, 0.5)))}
@@ -99,16 +101,17 @@ def cases(draw):
             flow["size"] = draw(st.sampled_from((10_000, 200_000, 3_000_000)))
         else:  # constant rate: inelastic, for a duration
             flow.update(elastic=False, duration=draw(st.sampled_from((0.3, 1.0, 2.5))))
-        flows.append(flow)
-    links = [(link.port_a.node.name, link.port_b.node.name) for link in topo.links]
-    flaps = []
+        flows.append(flow_to_record(make_flow(topo, src, dst, **flow)))
+    links = [[link.port_a.node.name, link.port_b.node.name] for link in topo.links]
+    faults = []
     for _ in range(draw(st.integers(0, 2))):
-        a, b = draw(st.sampled_from(links))
+        link = draw(st.sampled_from(links))
         down = draw(st.sampled_from((0.1, 0.6, 1.2)))
-        flaps.append([down, a, b, False])
+        faults.append({"at": down, "link": link, "up": False})
         if draw(st.booleans()):
-            flaps.append([down + draw(st.sampled_from((0.2, 0.9))), a, b, True])
-    document = {
+            up = down + draw(st.sampled_from((0.2, 0.9)))
+            faults.append({"at": up, "link": link, "up": True})
+    return {
         "schema_version": 1,
         "engine": "flow",
         "seed": 0,
@@ -117,35 +120,25 @@ def cases(draw):
         "policies": policies,
         "telemetry": {"link_sample_interval_s": draw(
             st.sampled_from((0.05, 0.13, 0.25, 0.4, 1.1)))},
+        "traffic": {"kind": "trace", "flows": flows},
+        "faults": faults,
+        "_checkpoint_at": draw(st.sampled_from((0.05, 0.3, 0.75, 1.3, 2.2))),
     }
-    return {"document": document, "flows": flows, "flaps": flaps,
-            "checkpoint_at": draw(st.sampled_from((0.05, 0.3, 0.75, 1.3, 2.2)))}
 
 
-def _run(case, workdir, patch=None, checkpoint=None):
-    """Run the case's document; returns the Horse, the result and - with
-    ``checkpoint`` - the file a mid-run checkpoint was written to."""
-    topo, _ = build_topology(case["document"]["topology"])
-    trace = os.path.join(workdir, "trace.jsonl")
-    save_trace([
-        make_flow(topo, f["src"], f["dst"], f["demand"], size=f.get("size"),
-                  duration=f.get("duration"), start=f["start"], sport=f["sport"],
-                  elastic=f.get("elastic", True), weight=f["weight"])
-        for f in case["flows"]
-    ], trace)
-    document = dict(case["document"], traffic={"kind": "trace", "file": trace})
-    path = os.path.join(workdir, "mid.ckpt")
-
+def _run(document, patch=None, checkpoint=None):
+    """Run the document; with ``patch``, patch its engine first; with
+    ``checkpoint``, a ``(instant, path)`` pair, write a checkpoint
+    there mid-run.  Returns the Horse and the result."""
     def before_run(horse, count):
-        for at, a, b, up in case["flaps"]:
-            (horse.restore_link if up else horse.fail_link)(at, a, b)
         if patch is not None:
             patch(horse.engine)
         if checkpoint is not None:
-            horse.sim.call_at(checkpoint, lambda sim: horse.checkpoint(path))
+            at, path = checkpoint
+            horse.sim.call_at(at, lambda sim: horse.checkpoint(path))
 
     horse, result, _ = run_scenario(document, before_run=before_run)
-    return horse, result, path
+    return horse, result
 
 
 def _check_bytes(result):
@@ -213,43 +206,51 @@ def _digest(result):
     ))
 
 
-def check_case(case):
-    """Every check of the module docstring on one case; returns the
-    digest."""
+def check_case(document):
+    """Every check of the module docstring on one document; returns its
+    ``run_digest``."""
+    watermarks = PaidWatermarks()
+    horse, result = _run(document, watermarks.attach)
+    _check_bytes(result)
+    watermarks.check_ports(horse, result)
+    digest = _digest(result)
+    for patch in (eager_loads, without_route_cache, eager_apply):
+        assert _digest(_run(document, patch)[1]) == digest, patch.__name__
+    at = document["_checkpoint_at"]
     with tempfile.TemporaryDirectory() as workdir:
-        watermarks = PaidWatermarks()
-        horse, result, _ = _run(case, workdir, watermarks.attach)
-        _check_bytes(result)
-        watermarks.check_ports(horse, result)
-        digest = _digest(result)
-        for patch in (eager_loads, without_route_cache, eager_apply):
-            assert _digest(_run(case, workdir, patch)[1]) == digest, patch.__name__
-        at = case["checkpoint_at"]
-        source, interrupted, path = _run(case, workdir, checkpoint=at)
+        path = os.path.join(workdir, "mid.ckpt")
+        source, interrupted = _run(document, checkpoint=(at, path))
         assert _digest(interrupted) == digest
         restored = Horse.restore(path)
-        assert restored is not source and restored.sim.now == at
-        assert _digest(restored.run(until=HORIZON_S)) == digest
-    return digest
+    assert restored is not source and restored.sim.now == at
+    assert _digest(restored.run(until=document["until"])) == digest
+    return run_digest(result)
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
-def test_generated_scenarios_hold_their_invariants(case):
-    check_case(case)
+def test_generated_scenarios_hold_their_invariants(document):
+    check_case(document)
+
+
+with open(os.path.join(REGRESSIONS, "GOLDEN_DIGESTS.json")) as _handle:
+    PINNED = {key: value for key, value in json.load(_handle).items()
+              if not key.startswith("_")}
 
 
 @pytest.mark.parametrize(
-    "path", sorted(glob.glob(os.path.join(REGRESSIONS, "*.json"))),
+    "path",
+    sorted(path for path in glob.glob(os.path.join(REGRESSIONS, "*.json"))
+           if os.path.basename(path) != "GOLDEN_DIGESTS.json"),
     ids=os.path.basename,
 )
 def test_regression_cases(path):
-    """A kept case passes every check, and its run is pinned like a
-    golden scenario's."""
+    """A kept document passes every check, and runs to the digest
+    pinned next to it."""
     with open(path) as handle:
-        case = json.load(handle)
-    assert check_case(case) == case["digest"]
+        document = json.load(handle)
+    assert check_case(document) == PINNED[os.path.basename(path)]
 
 
 @pytest.mark.parametrize("name", ["quickstart.json", "ixp_small.json"])

@@ -1,7 +1,9 @@
 """Golden-scenario regression tests.
 
 Every shipped example scenario has its run digest pinned in
-examples/scenarios/GOLDEN_DIGESTS.json: sha256 over the canonical run
+examples/scenarios/GOLDEN_DIGESTS.json, and every regression document
+of the scenario fuzzer in examples/scenarios/regressions/
+GOLDEN_DIGESTS.json: sha256 over the canonical run
 JSON with the wall-clock field removed (see
 :func:`repro.stats.export.run_digest`).  A digest change means the
 simulation *dynamics* changed — solver arithmetic, event ordering,
@@ -25,6 +27,9 @@ from repro.stats.export import run_digest
 SCENARIO_DIR = os.path.join(
     os.path.dirname(__file__), "..", "examples", "scenarios"
 )
+#: Directories with a GOLDEN_DIGESTS.json, relative to SCENARIO_DIR:
+#: the shipped scenarios and the scenario fuzzer's regression documents.
+PINNED_DIRS = ("", "regressions")
 
 
 def _load(name):
@@ -33,8 +38,9 @@ def _load(name):
 
 
 GOLDEN = {
-    key: value
-    for key, value in _load("GOLDEN_DIGESTS.json").items()
+    os.path.join(directory, key): value
+    for directory in PINNED_DIRS
+    for key, value in _load(os.path.join(directory, "GOLDEN_DIGESTS.json")).items()
     if not key.startswith("_")
 }
 
@@ -69,12 +75,14 @@ def test_cli_run_and_run_scenario_agree(name, capsys):
 
 
 def test_every_runnable_scenario_is_pinned():
-    """New example scenarios must ship with a pinned digest (the
-    deliberately mis-composed analyzer fixture is exempt)."""
+    """New example scenarios and regression documents must ship with a
+    pinned digest (the deliberately mis-composed analyzer fixture is
+    exempt)."""
     exempt = {"miscomposed.json"}
     shipped = {
-        name
-        for name in os.listdir(SCENARIO_DIR)
+        os.path.join(directory, name)
+        for directory in PINNED_DIRS
+        for name in os.listdir(os.path.join(SCENARIO_DIR, directory))
         if name.endswith(".json")
         and name not in exempt
         and name != "GOLDEN_DIGESTS.json"

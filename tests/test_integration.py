@@ -20,9 +20,11 @@ from repro.ixp import build_ixp
 from repro.net.generators import fat_tree, single_switch, tree
 from repro.openflow import attach_pipeline
 from repro.openflow.headers import tcp_flow
-from repro.sim import FaultProfile, LinkFaultInjector, Simulator
+from repro.sim import Simulator
 from repro.traffic import FlowGenConfig, FlowGenerator, IxpTraceSynthesizer
 from repro.sim.rng import RngRegistry
+
+from workloads import churn_faults
 
 
 class TestConservation:
@@ -171,11 +173,13 @@ class TestChurnScenario:
         for f in flows:
             engine.submit(f)
 
-        injector = LinkFaultInjector(engine, random.Random(9), horizon_s=10.0)
-        injector.watch(
-            ("edge1", "core1"), FaultProfile(mtbf_s=3.0, mttr_s=0.5)
+        faults = churn_faults(
+            random.Random(9), [("edge1", "core1")], 3.0, 0.5, 10.0
         )
-        injector.start()
+        assert faults
+        for fault in faults:
+            schedule = engine.restore_link_at if fault["up"] else engine.fail_link_at
+            schedule(fault["at"], *fault["link"])
         sim.run(until=40.0)
         engine.finish()
 

@@ -152,10 +152,13 @@ def test_every_shipped_scenario_validates():
         os.path.dirname(__file__), "..", "examples", "scenarios"
     )
     checked = 0
-    for name in sorted(os.listdir(directory)):
+    for name in sorted(os.listdir(directory)) + [
+        os.path.join("regressions", name)
+        for name in sorted(os.listdir(os.path.join(directory, "regressions")))
+    ]:
         path = os.path.join(directory, name)
-        if name == "GOLDEN_DIGESTS.json" or os.path.isdir(path):
-            continue  # regressions/ holds fuzz cases, replayed elsewhere
+        if os.path.basename(name) == "GOLDEN_DIGESTS.json" or os.path.isdir(path):
+            continue
         with open(path) as handle:
             is_sweep = "grid" in json.load(handle)
         if is_sweep:
@@ -163,7 +166,7 @@ def test_every_shipped_scenario_validates():
         else:
             validate_scenario(load_scenario(path))
         checked += 1
-    assert checked >= 8
+    assert checked >= 10
 
 
 def test_validate_rejects_future_schema_version():
@@ -312,3 +315,71 @@ def test_scenario_class_runs_v0_documents(tmp_path):
 def test_scenario_class_validates_on_load():
     with pytest.raises(ExperimentError, match="engine"):
         Scenario({**BASE, "engine": "quantum"})
+
+
+# ----------------------------------------------------------------------
+# The faults section
+# ----------------------------------------------------------------------
+FLAP = {"at": 0.5, "link": ["h1", "s1"], "up": False}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"at": 1.0, "link": ["s1", "ghost"], "up": False},
+     r"faults\[1\]\.link: no node named 'ghost'"),
+    ({"at": 1.0, "link": ["h1", "h2"], "up": False},
+     r"faults\[1\]\.link: no link between h1 and h2"),
+    ({"at": -0.5, "link": ["h1", "s1"], "up": True},
+     r"faults\[1\]\.at: must be finite and >= 0"),
+    ({"at": float("nan"), "link": ["h1", "s1"], "up": True},
+     r"faults\[1\]\.at: must be finite and >= 0"),
+    ({"at": float("inf"), "link": ["h1", "s1"], "up": True},
+     r"faults\[1\]\.at: must be finite and >= 0"),
+    ({"at": True, "link": ["h1", "s1"], "up": True},
+     r"faults\[1\]\.at: expected int or float, got a boolean"),
+    ({"at": 1.0, "link": ["h1", "s1"], "up": 1},
+     r"faults\[1\]\.up: expected bool, got int"),
+    ({"at": 1.0, "link": ["h1", "s1"], "up": "true"},
+     r"faults\[1\]\.up: expected bool, got str"),
+    ({"at": 1.0, "link": ["h1", "s1"], "up": True, "when": 2.0},
+     r"faults\[1\]\.when: unknown key"),
+    ({"at": 1.0, "link": ["h1", "s1"]}, r"faults\[1\]\.up: required"),
+    ({"at": 1.0, "link": ["h1"], "up": True},
+     r"faults\[1\]\.link: expected two node names"),
+    ("h1-s1", r"faults\[1\]: expected an object, got str"),
+])
+def test_a_bad_fault_is_named_by_its_index(fault, message, tmp_path, capsys):
+    """Structure is checked with the rest of the document, the link
+    once the topology is built; either way the error names the entry,
+    and ``repro run`` exits 1 with it."""
+    from repro.cli import main
+    from repro.runtime.scenario import run_scenario
+
+    doc = v0_doc(schema_version=1, faults=[FLAP, fault])
+    with pytest.raises(ExperimentError, match=f"^{message}"):
+        run_scenario(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message.replace(chr(92), '')}")
+
+
+def test_faults_must_be_a_list():
+    with pytest.raises(ExperimentError, match="^faults: expected list, got dict$"):
+        validate_scenario(v0_doc(schema_version=1, faults=FLAP))
+
+
+def test_a_fault_after_until_is_pending_and_one_at_until_fires():
+    """A fault is timed like a flow arrival: one at ``until`` fires at
+    that last instant, one after it never fires in the run and stays
+    pending for a run resumed past it."""
+    from repro.runtime.scenario import run_scenario
+
+    horse, _, _ = run_scenario(v0_doc(schema_version=1, faults=[
+        {"at": 2.0, "link": ["h1", "s1"], "up": False},
+        {"at": 2.5, "link": ["h2", "s1"], "up": False},
+    ]))
+    link = horse.topology.link_between
+    assert horse.sim.now == 2.0
+    assert not link("h1", "s1").up and link("h2", "s1").up
+    horse.run(until=3.0)
+    assert not link("h2", "s1").up

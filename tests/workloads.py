@@ -3,7 +3,9 @@
 One `make_flow` serves the flow-level, packet-level, and hybrid test
 modules, so all three engines are exercised with identically-built
 flows (same headers, same defaults) — a prerequisite for the
-differential suites under tests/diff/.
+differential suites under tests/diff/.  `churn_faults` draws link
+churn as a scenario document's ``faults`` list, and `port_status_log`
+records the ``PortStatus`` messages a run's controller receives.
 """
 
 from repro.flowsim import Flow
@@ -27,3 +29,36 @@ def make_flow(topo, src, dst, demand, size=None, duration=None, start=0.0,
         elastic=elastic,
         weight=weight,
     )
+
+
+def churn_faults(rng, links, mtbf_s, mttr_s, horizon_s):
+    """A ``faults`` list of renewal churn, sorted by instant: each link
+    fails after an exponential time to failure (mean ``mtbf_s``, counted
+    from when it is up) and is repaired an exponential time to repair
+    (mean ``mttr_s``) later; no failure is drawn past ``horizon_s``."""
+    faults = []
+    for a, b in links:
+        at = 0.0
+        while True:
+            at += rng.expovariate(1.0 / mtbf_s)
+            if at > horizon_s:
+                break
+            faults.append({"at": at, "link": [a, b], "up": False})
+            at += rng.expovariate(1.0 / mttr_s)
+            faults.append({"at": at, "link": [a, b], "up": True})
+    return sorted(faults, key=lambda fault: fault["at"])
+
+
+def port_status_log(horse):
+    """``(time, dpid, port_no, link_up)`` of every ``PortStatus`` the
+    controller of ``horse`` receives from now on (call before the run;
+    the list fills as it goes)."""
+    log = []
+    deliver = horse.controller.on_port_status
+
+    def record(message):
+        log.append((horse.sim.now, message.dpid, message.port_no, message.link_up))
+        deliver(message)
+
+    horse.controller.on_port_status = record
+    return log
