@@ -134,7 +134,7 @@ def build_traffic(spec: dict, horse: Horse, fabric) -> int:
 
         if ("file" in spec) == ("flows" in spec):
             raise ExperimentError(
-                "traffic: a trace takes a 'file' or inline 'flows', one of them"
+                "traffic: a trace takes exactly one of 'file' and 'flows'"
             )
         if "file" in spec:
             flows = load_trace(spec["file"])

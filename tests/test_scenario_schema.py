@@ -383,3 +383,33 @@ def test_a_fault_after_until_is_pending_and_one_at_until_fires():
     assert not link("h1", "s1").up and link("h2", "s1").up
     horse.run(until=3.0)
     assert not link("h2", "s1").up
+
+
+def test_inline_trace_flows_run_like_a_trace_file(tmp_path):
+    """``"flows"`` takes the records a trace file holds, and gives the
+    run that file gives; a trace names one source, and a record it
+    cannot read is named by its index."""
+    from repro.runtime.scenario import run_scenario
+    from repro.stats.export import run_digest
+    from repro.traffic.trace_io import flow_to_record, load_trace, save_trace
+
+    _, result, count = run_scenario(v0_doc(schema_version=1))
+    path = str(tmp_path / "trace.jsonl")
+    save_trace(result.flows, path)
+    records = [flow_to_record(flow) for flow in load_trace(path)]
+    by_file = run_scenario(v0_doc(schema_version=1,
+                                  traffic={"kind": "trace", "file": path}))
+    inline = run_scenario(v0_doc(schema_version=1,
+                                 traffic={"kind": "trace", "flows": records}))
+    assert count == by_file[2] == inline[2] > 0
+    assert run_digest(inline[1]) == run_digest(by_file[1])
+    for traffic in ({"kind": "trace"},
+                    {"kind": "trace", "file": path, "flows": records}):
+        with pytest.raises(ExperimentError,
+                           match="^traffic: a trace takes exactly one of"):
+            run_scenario(v0_doc(schema_version=1, traffic=traffic))
+    broken = [records[0], {"src": "h1"}]
+    with pytest.raises(ExperimentError,
+                       match=r"^traffic\.flows\[1\]: not a trace record"):
+        run_scenario(v0_doc(schema_version=1,
+                            traffic={"kind": "trace", "flows": broken}))
